@@ -109,6 +109,7 @@ func BenchmarkAblationDefer(b *testing.B) { runExperiment(b, "abl-defer") }
 // K80/1080Ti/V100 fleet and compares dollar cost with homogeneous options.
 func BenchmarkExtensionHetero(b *testing.B) { runExperiment(b, "ext-hetero") }
 
-// BenchmarkCtrlShard compares the monolithic epoch planner against the
-// sharded, incremental control plane on the Figure 13 deployment window.
+// BenchmarkCtrlShard compares the one-shard epoch planner against
+// partitioned planning with hysteresis and delta routing on the Figure 13
+// deployment window.
 func BenchmarkCtrlShard(b *testing.B) { runExperiment(b, "ctrl-shard") }

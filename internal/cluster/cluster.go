@@ -114,14 +114,13 @@ type Config struct {
 	// OnFailure, when set, observes every backend declared dead by the
 	// control plane.
 	OnFailure func(backendID string, at time.Duration)
-	// PlannerShards routes epoch planning through the sharded planner with
-	// this many concurrent shards (0, the default, keeps the monolithic
-	// planner and all its goldens; 1 is the degenerate sharded planner,
-	// byte-identical to monolithic).
+	// PlannerShards partitions epoch planning across this many concurrent
+	// planner shards. 0 (the default) and 1 both mean one unpartitioned
+	// shard; shard tags and counters appear only at 2 or more.
 	PlannerShards int
 	// PlanHysteresis is the relative rate band within which a planner shard
-	// skips re-packing and carries its plan forward (requires
-	// PlannerShards >= 1; 0 disables skipping).
+	// skips re-packing and carries its plan forward (0 disables skipping;
+	// applies at any shard count).
 	PlanHysteresis float64
 	// DeltaRouting pushes routing-table updates to frontends as per-session
 	// deltas with generation checks instead of full-table replacements.
@@ -585,9 +584,8 @@ func (d *Deployment) controlConfig() globalsched.Config {
 		spec = profiler.Specs()[profiler.GTX1080Ti]
 	}
 	cfg := globalsched.Config{
-		Epoch:       d.cfg.Epoch,
-		Incremental: true,
-		OnEpoch:     d.cfg.OnEpoch,
+		Epoch:   d.cfg.Epoch,
+		OnEpoch: d.cfg.OnEpoch,
 		Sched: scheduler.Config{
 			GPUMemBytes:      spec.MemBytes,
 			Placement:        d.cfg.Placement,

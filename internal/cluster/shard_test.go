@@ -61,17 +61,17 @@ func shardGolden(t *testing.T, shards, workers int, hysteresis float64, delta bo
 // TestShardDeterminism is the sharded control plane's golden contract,
 // run under -race in CI:
 //
-//   - Shards=1 with incremental planning off is byte-identical to the
-//     monolithic planner — plans, routing tables, and audit records —
-//     so every pre-sharding golden stays valid.
+//   - Shards=0 and Shards=1 both mean one shard: plans, routing tables, and
+//     audit records are byte-identical, with no shard attribution.
 //   - At any shard count, output is byte-identical across repeated runs
-//     and across runner worker counts: parallelism must never leak into
-//     what the planner decides.
+//     and across runner worker counts (which bound how many shards plan
+//     concurrently): parallelism must never leak into what the planner
+//     decides.
 func TestShardDeterminism(t *testing.T) {
-	mono := shardGolden(t, 0, 1, 0, false)
+	single := shardGolden(t, 0, 1, 0, false)
 	for _, workers := range []int{1, 8} {
-		if got := shardGolden(t, 1, workers, 0, false); !bytes.Equal(got, mono) {
-			t.Fatalf("shards=1 workers=%d diverges from the monolithic golden", workers)
+		if got := shardGolden(t, 1, workers, 0, false); !bytes.Equal(got, single) {
+			t.Fatalf("shards=1 workers=%d diverges from the shards=0 golden", workers)
 		}
 	}
 	for _, shards := range []int{2, 8} {

@@ -225,9 +225,10 @@ func (ts *telemetrySampler) sample() {
 	reg.Gauge("sched_plan_wall_ms").Set(telemetry.MS(d.Sched.LastPlanWall()))
 	reg.Counter("cluster_unroutable_total").Set(float64(d.unroutable))
 
-	// Sharded-planner and delta-routing counters, only when the features are
-	// on: a monolithic full-table deployment keeps its exact golden key set.
-	if d.cfg.PlannerShards >= 1 {
+	// Shard counters only when the plan is partitioned, delta-routing
+	// counters only when delta routing is on: a one-shard full-table
+	// deployment keeps its exact golden key set.
+	if d.Sched.Partitioned() {
 		replanned, skipped, crossMoves := d.Sched.ShardTotals()
 		reg.Counter("sched_shards_replanned_total").Set(float64(replanned))
 		reg.Counter("sched_shards_skipped_total").Set(float64(skipped))

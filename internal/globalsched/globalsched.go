@@ -60,7 +60,6 @@ type Config struct {
 	QueryAnalysis bool          // QA: DP latency splits vs even split
 	PrefixBatch   bool          // PB: combine shared-prefix sessions
 	Squishy       bool          // SS: squishy packing vs batch-oblivious
-	Incremental   bool          // reuse the previous plan across epochs
 	// ObliviousGPUs fixes the cluster size for the batch-oblivious
 	// baseline (which cannot size itself). Required when !Squishy.
 	ObliviousGPUs int
@@ -113,16 +112,17 @@ type Config struct {
 	// default: wall time is nondeterministic, and determinism tests require
 	// identical telemetry streams across runs.
 	PlanWallClock bool
-	// Shards >= 1 routes squishy planning through the sharded planner:
-	// sessions partition deterministically across Shards concurrent
-	// planners, with a cross-shard rebalance step. 0 (the default) keeps
-	// the monolithic single-pass planner; Shards == 1 runs the sharded
-	// machinery degenerately and produces byte-identical plans to it.
+	// Shards partitions squishy planning deterministically across this many
+	// concurrent shard planners, with a cross-shard rebalance step. Every
+	// epoch re-plans each shard incrementally against its committed plan
+	// (temporal placement) or from scratch (spatial and hybrid). 0 and 1
+	// both mean one shard: an unpartitioned plan that carries no shard
+	// attribution (see Partitioned).
 	Shards int
 	// PlanHysteresis is the relative rate band within which a shard skips
-	// re-packing and carries its plan forward (requires Shards >= 1;
-	// 0 disables skipping). This is the splitHysteresis idiom applied to
-	// arrival rates: small workload noise must not re-pack the cluster.
+	// re-packing and carries its plan forward (0 disables skipping). It
+	// applies at any shard count. This is the splitHysteresis idiom applied
+	// to arrival rates: small workload noise must not re-pack the cluster.
 	PlanHysteresis float64
 	// DeltaRouting pushes routing updates to frontends as per-session
 	// deltas instead of full SetTable replacements. Frontends verify a
@@ -193,10 +193,10 @@ type Scheduler struct {
 	// was computed for (stability guard).
 	lastPlannedRates map[string]float64
 
-	// Sharded-planner state (Config.Shards >= 1).
-	shardPlanner   *scheduler.ShardPlanner
-	lastShardStats scheduler.ShardStats
-	// Cumulative shard counters for telemetry.
+	// planner is the squishy packer. lastShardStats and the cumulative
+	// shard counters below stay zero unless the plan is Partitioned.
+	planner         *scheduler.ShardPlanner
+	lastShardStats  scheduler.ShardStats
 	shardsReplanned int
 	shardsSkipped   int
 	crossShardMoves int
@@ -263,6 +263,7 @@ func New(clock *simclock.Clock, pool Pool, frontends []*frontend.Frontend,
 	return &Scheduler{
 		clock: clock, pool: pool, frontends: frontends,
 		modelDB: modelDB, profiles: profiles, cfg: cfg,
+		planner:     scheduler.NewShardPlanner(cfg.Shards),
 		rates:       make(map[string]float64),
 		nodeBackend: make(map[string][]string),
 		gammaEst:    make(map[string]float64),
@@ -534,12 +535,17 @@ func (s *Scheduler) RunEpoch() error {
 	if err != nil {
 		return err
 	}
-	plan, err := s.plan(sessions)
+	plan, pass, err := s.plan(sessions)
 	if err != nil {
 		return err
 	}
 	if err := s.apply(plan, routingMembers); err != nil {
 		return err
+	}
+	if pass != nil {
+		// Commit only an applied plan: the next epoch re-plans against what
+		// the cluster actually runs, not a plan the pool could not host.
+		s.planner.Commit(pass)
 	}
 	s.prevPlan = plan
 	if s.cfg.PlanWallClock {
@@ -1025,23 +1031,25 @@ func (s *Scheduler) planProfiles() map[string]*profiler.Profile {
 	return m
 }
 
-// plan runs the packing algorithm selected by the config.
-func (s *Scheduler) plan(sessions []scheduler.Session) (*scheduler.Plan, error) {
+// plan runs the packing algorithm selected by the config. For squishy
+// packing it also returns the accepted planner pass, which RunEpoch commits
+// once the plan is applied.
+func (s *Scheduler) plan(sessions []scheduler.Session) (*scheduler.Plan, *scheduler.ShardResult, error) {
 	profiles := s.planProfiles()
 	if !s.cfg.Squishy {
 		if s.cfg.ObliviousGPUs < 1 {
-			return nil, fmt.Errorf("globalsched: batch-oblivious mode needs ObliviousGPUs")
+			return nil, nil, fmt.Errorf("globalsched: batch-oblivious mode needs ObliviousGPUs")
 		}
 		// Stability: container placements only move when the workload has
 		// changed materially. Rate noise must not reshuffle containers —
 		// every move reloads models and drops queued requests.
 		if s.prevPlan != nil && !ratesChangedMaterially(s.lastPlannedRates, sessions) {
 			s.lastDemand = s.prevPlan.GPUCount()
-			return s.prevPlan, nil
+			return s.prevPlan, nil, nil
 		}
 		plan, err := scheduler.BatchOblivious(sessions, profiles, s.cfg.ObliviousGPUs, s.cfg.Sched)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for i := range plan.GPUs {
 			plan.GPUs[i].ID = fmt.Sprintf("n%d", i)
@@ -1051,80 +1059,44 @@ func (s *Scheduler) plan(sessions []scheduler.Session) (*scheduler.Plan, error) 
 		for _, sess := range sessions {
 			s.lastPlannedRates[sess.ID] = sess.Rate
 		}
-		return plan, nil
-	}
-	if s.cfg.Shards >= 1 {
-		return s.planSharded(sessions, profiles)
+		return plan, nil, nil
 	}
 	// Admission control at planning time: when demand exceeds the pool,
 	// provision for the largest rate fraction that fits and let the
 	// runtime's drop policy shed the excess (§5 "Nexus relies on admission
-	// control that drops excessive requests").
+	// control that drops excessive requests"). Re-iterations force every
+	// shard dirty, since globally scaled rates must reach shards the
+	// hysteresis band would otherwise skip. Only the accepted pass becomes
+	// the next epoch's baseline.
 	capacity := s.pool.Capacity()
 	scaled := sessions
 	for iter := 0; ; iter++ {
-		plan, err := s.packOnce(scaled, profiles)
-		if err != nil {
-			return nil, err
-		}
-		if iter == 0 {
-			// Demand is what the unscaled workload asked for, recorded
-			// before admission control shrinks rates to fit the pool.
-			s.lastDemand = plan.GPUCount()
-		}
-		if capacity <= 0 || plan.GPUCount() <= capacity {
-			return plan, nil
-		}
-		if iter >= 20 {
-			return nil, fmt.Errorf("globalsched: demand needs %d GPUs, pool has %d", plan.GPUCount(), capacity)
-		}
-		shrink := 0.97 * float64(capacity) / float64(plan.GPUCount())
-		next := make([]scheduler.Session, len(scaled))
-		copy(next, scaled)
-		for i := range next {
-			next[i].Rate *= shrink
-		}
-		scaled = next
-	}
-}
-
-// planSharded is the sharded counterpart of the admission-control loop:
-// each pass partitions the (possibly rate-scaled) sessions across the
-// shard planners; re-iterations force every shard dirty, since globally
-// scaled rates must reach shards the hysteresis band would otherwise skip.
-// Only the accepted pass is committed as the next epoch's baseline.
-func (s *Scheduler) planSharded(sessions []scheduler.Session, profiles map[string]*profiler.Profile) (*scheduler.Plan, error) {
-	if s.shardPlanner == nil || s.shardPlanner.Shards() != s.cfg.Shards {
-		s.shardPlanner = scheduler.NewShardPlanner(s.cfg.Shards)
-	}
-	capacity := s.pool.Capacity()
-	scaled := sessions
-	for iter := 0; ; iter++ {
-		res, err := s.shardPlanner.Plan(scaled, profiles, s.cfg.Sched, scheduler.ShardOpts{
-			// As in packOnce: incremental reuse is temporal-only.
-			Incremental: s.cfg.Incremental && s.cfg.Sched.Placement == scheduler.PlaceTemporal,
-			Hysteresis:  s.cfg.PlanHysteresis,
-			Force:       iter > 0,
-			WallClock:   s.cfg.PlanWallClock,
+		res, err := s.planner.Plan(scaled, profiles, s.cfg.Sched, scheduler.ShardOpts{
+			Hysteresis: s.cfg.PlanHysteresis,
+			Force:      iter > 0,
+			WallClock:  s.cfg.PlanWallClock,
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		s.lastStats = res.Stats.MoveStats
 		s.totalMoved += res.Stats.SessionsMoved
 		if iter == 0 {
+			// Demand is what the unscaled workload asked for, recorded
+			// before admission control shrinks rates to fit the pool.
 			s.lastDemand = res.Plan.GPUCount()
 		}
 		if capacity <= 0 || res.Plan.GPUCount() <= capacity {
-			s.shardPlanner.Commit(res)
-			s.lastShardStats = res.Stats
-			s.shardsReplanned += res.Stats.Replanned
-			s.shardsSkipped += res.Stats.Skipped
-			s.crossShardMoves += res.Stats.CrossShardMoves
-			return res.Plan, nil
+			if s.Partitioned() {
+				s.lastShardStats = res.Stats
+				s.shardsReplanned += res.Stats.Replanned
+				s.shardsSkipped += res.Stats.Skipped
+				s.crossShardMoves += res.Stats.CrossShardMoves
+			}
+			return res.Plan, res, nil
 		}
 		if iter >= 20 {
-			return nil, fmt.Errorf("globalsched: demand needs %d GPUs, pool has %d", res.Plan.GPUCount(), capacity)
+			return nil, nil, fmt.Errorf("globalsched: demand needs %d GPUs, pool has %d", res.Plan.GPUCount(), capacity)
 		}
 		shrink := 0.97 * float64(capacity) / float64(res.Plan.GPUCount())
 		next := make([]scheduler.Session, len(scaled))
@@ -1136,13 +1108,18 @@ func (s *Scheduler) planSharded(sessions []scheduler.Session, profiles map[strin
 	}
 }
 
-// LastShardStats returns the accepted sharded pass of the latest epoch
-// (zero value when Config.Shards == 0).
+// Partitioned reports whether plans are split across two or more shards.
+// Shard attribution (node-ID prefixes, audit and health shard fields, shard
+// counters) appears only then, so a one-shard plan carries none of it.
+func (s *Scheduler) Partitioned() bool { return s.planner.Shards() >= 2 }
+
+// LastShardStats returns the accepted planning pass of the latest epoch
+// (zero value unless Partitioned).
 func (s *Scheduler) LastShardStats() scheduler.ShardStats { return s.lastShardStats }
 
 // ShardTotals returns cumulative shard-planner counters: shards replanned,
 // shards skipped by the hysteresis band, and sessions migrated across
-// shards by the rebalance step.
+// shards by the rebalance step (all zero unless Partitioned).
 func (s *Scheduler) ShardTotals() (replanned, skipped, crossMoves int) {
 	return s.shardsReplanned, s.shardsSkipped, s.crossShardMoves
 }
@@ -1152,21 +1129,6 @@ func (s *Scheduler) ShardTotals() (replanned, skipped, crossMoves int) {
 // resyncs), and the total per-session entries carried by deltas.
 func (s *Scheduler) RoutePushStats() (delta, full, sessions uint64) {
 	return s.deltaPushes, s.fullPushes, s.deltaSessions
-}
-
-func (s *Scheduler) packOnce(sessions []scheduler.Session, profiles map[string]*profiler.Profile) (*scheduler.Plan, error) {
-	// Incremental planning reuses prior shared nodes and does not understand
-	// slice-pinned placements; spatial and hybrid configs always full-pack.
-	if s.cfg.Incremental && s.prevPlan != nil && s.cfg.Sched.Placement == scheduler.PlaceTemporal {
-		plan, stats, err := scheduler.Incremental(s.prevPlan, sessions, profiles, s.cfg.Sched)
-		if err != nil {
-			return nil, err
-		}
-		s.lastStats = stats
-		s.totalMoved += stats.SessionsMoved
-		return plan, nil
-	}
-	return scheduler.Pack(sessions, profiles, s.cfg.Sched)
 }
 
 // unitsFor builds the backend units for one plan node.
@@ -1493,9 +1455,9 @@ func (s *Scheduler) replicaCounts(plan *scheduler.Plan) map[string]int {
 	return counts
 }
 
-// shardTag renders the shard of a merged-plan node ID for audit and health
-// records ("s3/n7" -> "s3"); monolithic node IDs yield "", which JSON
-// omitempty drops, keeping unsharded goldens byte-identical.
+// shardTag renders the shard of a partitioned-plan node ID for audit and
+// health records ("s3/n7" -> "s3"); unpartitioned node IDs yield "", which
+// JSON omitempty drops.
 func shardTag(nodeID string) string {
 	k, ok := scheduler.NodeShard(nodeID)
 	if !ok {

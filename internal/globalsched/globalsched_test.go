@@ -26,6 +26,9 @@ type fakePool struct {
 	free     []*backend.Backend
 	cfg      backend.Config
 	onDone   backend.CompletionFunc
+	// deny makes Acquire fail while Capacity still reports free GPUs: the
+	// pool cannot host a plan that admission control accepted.
+	deny bool
 }
 
 func newFakePool(clock *simclock.Clock, capacity int, cfg backend.Config, onDone backend.CompletionFunc) *fakePool {
@@ -33,6 +36,9 @@ func newFakePool(clock *simclock.Clock, capacity int, cfg backend.Config, onDone
 }
 
 func (p *fakePool) Acquire() (string, *backend.Backend, error) {
+	if p.deny {
+		return "", nil, fmt.Errorf("pool denied acquisition")
+	}
 	if len(p.free) > 0 {
 		be := p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]
@@ -123,7 +129,6 @@ func nexusConfig() Config {
 		QueryAnalysis: true,
 		PrefixBatch:   true,
 		Squishy:       true,
-		Incremental:   true,
 	}
 }
 
@@ -316,32 +321,87 @@ func TestEpochAdaptsToObservedLoad(t *testing.T) {
 func TestPoolExhaustionDegradesGracefully(t *testing.T) {
 	// Demand far above pool capacity: planning-time admission control
 	// provisions the largest fraction that fits instead of failing, and
-	// the runtime drop policy sheds the rest (§5).
-	e := newEnv(t, nexusConfig(), 1)
-	for i := 0; i < 4; i++ {
-		if err := e.sched.AddSession(SessionSpec{
-			ID:      fmt.Sprintf("s%d", i),
-			ModelID: model.Darknet53,
-			SLO:     200 * time.Millisecond, ExpectedRate: 500,
-		}); err != nil {
-			t.Fatal(err)
-		}
+	// the runtime drop policy sheds the rest (§5). The second epoch
+	// re-plans incrementally against the committed plan, so the forced
+	// re-iterations of the admission loop run too. The pool holds two GPUs
+	// so a two-shard plan (one node per non-empty shard) can fit it.
+	const pool = 2
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := nexusConfig()
+			cfg.Shards = shards
+			e := newEnv(t, cfg, pool)
+			for i := 0; i < 4; i++ {
+				if err := e.sched.AddSession(SessionSpec{
+					ID:      fmt.Sprintf("s%d", i),
+					ModelID: model.Darknet53,
+					SLO:     200 * time.Millisecond, ExpectedRate: 500,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for epoch := 1; epoch <= 2; epoch++ {
+				if err := e.sched.RunEpoch(); err != nil {
+					t.Fatalf("epoch %d failed instead of degrading: %v", epoch, err)
+				}
+				if got := e.sched.GPUsDemanded(); got <= pool {
+					t.Fatalf("epoch %d: demanded %d GPUs, want the unscaled demand above the %d-GPU pool", epoch, got, pool)
+				}
+				if e.pool.InUse() != pool {
+					t.Fatalf("epoch %d: in use = %d, want the whole %d-GPU pool", epoch, e.pool.InUse(), pool)
+				}
+				// The plan serves less than demanded (admission control at work).
+				var planned float64
+				for i := 0; i < 4; i++ {
+					planned += e.sched.Plan().SessionRate(fmt.Sprintf("s%d", i))
+				}
+				if planned >= 2000 {
+					t.Fatalf("epoch %d: planned %v r/s, expected scaled-down admission", epoch, planned)
+				}
+				if planned <= 0 {
+					t.Fatalf("epoch %d: nothing planned at all", epoch)
+				}
+				e.clock.RunUntil(e.clock.Now() + 10*time.Second)
+			}
+		})
 	}
-	if err := e.sched.RunEpoch(); err != nil {
-		t.Fatalf("overload epoch failed instead of degrading: %v", err)
-	}
-	if e.pool.InUse() != 1 {
-		t.Fatalf("in use = %d, want the whole 1-GPU pool", e.pool.InUse())
-	}
-	// The plan serves less than demanded (admission control at work).
-	var planned float64
-	for i := 0; i < 4; i++ {
-		planned += e.sched.Plan().SessionRate(fmt.Sprintf("s%d", i))
-	}
-	if planned >= 2000 {
-		t.Fatalf("planned %v r/s, expected scaled-down admission", planned)
-	}
-	if planned <= 0 {
-		t.Fatal("nothing planned at all")
+}
+
+// TestUnappliedPlanNotCommitted: an epoch whose plan the pool cannot host
+// fails without becoming the planner's baseline, so the next epoch re-plans
+// against what the cluster actually runs and adds the nodes it never got.
+func TestUnappliedPlanNotCommitted(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := nexusConfig()
+			cfg.Shards = shards
+			e := newEnv(t, cfg, 32)
+			addMixedSessions(t, e, 6)
+			if err := e.sched.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			// A heavy new session needs dedicated GPUs the pool will not grant.
+			if err := e.sched.AddSession(SessionSpec{
+				ID: "late", ModelID: model.ResNet50, SLO: 200 * time.Millisecond, ExpectedRate: 2000,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			e.pool.deny = true
+			e.clock.RunUntil(e.clock.Now() + 10*time.Second)
+			if err := e.sched.RunEpoch(); err == nil {
+				t.Fatal("epoch applied a plan the pool refused to host")
+			}
+			e.pool.deny = false
+			e.clock.RunUntil(e.clock.Now() + 10*time.Second)
+			if err := e.sched.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			if added := e.sched.LastMoveStats().NodesAdded; added == 0 {
+				t.Fatal("recovery epoch added no nodes: it re-planned against the unapplied plan")
+			}
+			if e.sched.Plan().SessionRate("late") <= 0 {
+				t.Fatal("the new session is not planned")
+			}
+		})
 	}
 }

@@ -180,15 +180,9 @@ func (s *Scheduler) auditPlanDiff(nowMS float64, recs []trace.PlacementRecord) {
 	rec := trace.PlanDiffRecord{
 		Epoch: s.epochs, AtMS: nowMS, Cause: cause,
 		SessionsMoved: s.lastStats.SessionsMoved,
+		ShardsReplan:  s.lastShardStats.Replanned, // zero unless Partitioned
+		ShardsSkipped: s.lastShardStats.Skipped,
 		Changes:       DiffPlacements(s.lastAudited, recs),
-	}
-	// Shard counts only carry signal under hysteresis (skips cannot happen
-	// without it). Gating them there also keeps the degenerate single-shard
-	// planner's audit byte-identical to the monolithic planner's, per the
-	// shard determinism contract.
-	if s.cfg.PlanHysteresis > 0 {
-		rec.ShardsReplan = s.lastShardStats.Replanned
-		rec.ShardsSkipped = s.lastShardStats.Skipped
 	}
 	s.cfg.Audit.RecordPlanDiff(rec)
 	s.lastAudited = recs

@@ -1,7 +1,6 @@
 package globalsched
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -27,40 +26,6 @@ func addMixedSessions(t *testing.T, e *env, n int) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func planJSON(t *testing.T, p *scheduler.Plan) string {
-	t.Helper()
-	data, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
-
-// TestShardsOneMatchesMonolithic: Shards=1 runs the sharded machinery but
-// must produce byte-identical plans and routing tables to the monolithic
-// planner — the property that keeps every pre-sharding golden valid.
-func TestShardsOneMatchesMonolithic(t *testing.T) {
-	mono := newEnv(t, nexusConfig(), 32)
-	addMixedSessions(t, mono, 9)
-	cfg := nexusConfig()
-	cfg.Shards = 1
-	sharded := newEnv(t, cfg, 32)
-	addMixedSessions(t, sharded, 9)
-	for i := 0; i < 3; i++ {
-		if err := mono.sched.RunEpoch(); err != nil {
-			t.Fatal(err)
-		}
-		if err := sharded.sched.RunEpoch(); err != nil {
-			t.Fatal(err)
-		}
-		if a, b := planJSON(t, mono.sched.Plan()), planJSON(t, sharded.sched.Plan()); a != b {
-			t.Fatalf("epoch %d: Shards=1 plan differs from monolithic:\n%s\nvs\n%s", i, b, a)
-		}
-		mono.clock.RunUntil(mono.clock.Now() + 10*time.Second)
-		sharded.clock.RunUntil(sharded.clock.Now() + 10*time.Second)
 	}
 }
 
@@ -237,8 +202,9 @@ func TestDeltaRoutingResyncAfterLocalRepair(t *testing.T) {
 	e.clock.Run()
 }
 
-// TestShardedAuditRecordsShard: audit placements carry the shard tag when
-// sharding is on, and stay untagged on the monolithic planner.
+// TestShardedAuditRecordsShard: audit placements, plan diffs, and health
+// reports carry shard attribution when the plan is partitioned, and none of
+// it at one shard (Shards 0 or 1).
 func TestShardedAuditRecordsShard(t *testing.T) {
 	run := func(shards int) *env {
 		cfg := nexusConfig()
@@ -257,10 +223,24 @@ func TestShardedAuditRecordsShard(t *testing.T) {
 			t.Fatalf("sharded placement %s lacks shard tag", p.Node)
 		}
 	}
-	mono := run(0)
-	for _, p := range mono.sched.cfg.Audit.Placements() {
-		if p.Shard != "" {
-			t.Fatalf("monolithic placement %s carries shard tag %q", p.Node, p.Shard)
+	if diffs := sharded.sched.cfg.Audit.PlanDiffs(); len(diffs) != 1 || diffs[0].ShardsReplan != 2 {
+		t.Fatalf("sharded plan diffs = %+v, want one with 2 shards replanned", diffs)
+	}
+	if got := sharded.sched.Explain().ShardsReplanned; got != 2 {
+		t.Fatalf("sharded health report: shards replanned = %d, want 2", got)
+	}
+	for _, shards := range []int{0, 1} {
+		single := run(shards)
+		for _, p := range single.sched.cfg.Audit.Placements() {
+			if p.Shard != "" {
+				t.Fatalf("shards=%d: placement %s carries shard tag %q", shards, p.Node, p.Shard)
+			}
+		}
+		if diffs := single.sched.cfg.Audit.PlanDiffs(); len(diffs) != 1 || diffs[0].ShardsReplan != 0 {
+			t.Fatalf("shards=%d: plan diffs = %+v, want no shard counts", shards, diffs)
+		}
+		if got := single.sched.Explain().ShardsReplanned; got != 0 {
+			t.Fatalf("shards=%d: health report counts %d shards replanned", shards, got)
 		}
 	}
 }

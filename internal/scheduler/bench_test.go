@@ -74,8 +74,8 @@ func bench10kWorkload() ([]Session, map[string]*profiler.Profile) {
 }
 
 // BenchmarkPack10kGPU is the sharded-planner sweep at 10k-GPU scale:
-// shards=1 is the monolithic baseline (the 1-shard planner is byte-identical
-// to Pack), shards=2/4/8 show the parallel-partition speedup, and
+// shards=1 is the unpartitioned baseline (the 1-shard planner is
+// byte-identical to Pack), shards=2/4/8 show the parallel-partition speedup, and
 // incremental-nochange measures a hysteresis epoch where no shard re-plans.
 func BenchmarkPack10kGPU(b *testing.B) {
 	sessions, profiles := bench10kWorkload()
@@ -96,7 +96,7 @@ func BenchmarkPack10kGPU(b *testing.B) {
 	}
 	b.Run("incremental-nochange", func(b *testing.B) {
 		sp := NewShardPlanner(8)
-		opts := ShardOpts{Incremental: true, Hysteresis: 0.05}
+		opts := ShardOpts{Hysteresis: 0.05}
 		res, err := sp.Plan(sessions, profiles, Config{}, opts)
 		if err != nil {
 			b.Fatal(err)

@@ -24,6 +24,18 @@ type MoveStats struct {
 // scheduler attempts to move sessions from the least utilized backends").
 const lowOccupancy = 0.25
 
+// replan re-plans a shard's sessions against its committed plan prev:
+// incrementally when one exists, from scratch otherwise. Incremental reuses
+// prior shared nodes and does not understand slice-pinned placements, so
+// spatial and hybrid configs always full-pack.
+func replan(prev *Plan, sessions []Session, profiles map[string]*profiler.Profile, cfg Config) (*Plan, MoveStats, error) {
+	if prev == nil || cfg.Placement != PlaceTemporal {
+		plan, err := Pack(sessions, profiles, cfg)
+		return plan, MoveStats{}, err
+	}
+	return Incremental(prev, sessions, profiles, cfg)
+}
+
 // Incremental re-schedules for new session rates while minimizing model
 // movement across epochs (§6.1): existing nodes keep their sessions when
 // their (re-derived) allocations still fit; overloaded nodes evict their

@@ -11,11 +11,12 @@ import (
 	"nexus/internal/runner"
 )
 
-// This file implements the sharded, incremental planner: sessions are
-// partitioned across N shards that each run squishy packing concurrently
-// over their own slice of the cluster, shards whose workload has not moved
-// beyond a hysteresis band skip re-packing entirely and carry their plan
-// forward, and a deterministic cross-shard rebalance step drains
+// This file implements the sharded, incremental planner, the control
+// plane's only squishy-packing entry point: sessions are partitioned across
+// N shards (N = 1 for an unpartitioned plan) that each run squishy packing
+// concurrently over their own slice of the cluster, shards whose workload
+// has not moved beyond a hysteresis band skip re-packing entirely and carry
+// their plan forward, and a deterministic cross-shard rebalance step drains
 // underutilized shared nodes into other shards' spare duty cycles. The
 // partitioned-scheduler structure follows Arktos's concurrent per-partition
 // schedulers; the hysteresis band reuses the split-hysteresis idiom the
@@ -33,9 +34,10 @@ func ShardOf(sessionID string, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
-// shardNodePrefix namespaces per-shard node IDs in merged plans: shard 3's
+// shardNodeID namespaces per-shard node IDs in partitioned plans: shard 3's
 // local node "n7" becomes "s3/n7". Single-shard planners keep bare local
-// IDs, so a 1-shard plan is byte-identical to the monolithic planner's.
+// IDs, so a 1-shard plan is byte-identical to Pack's. Every other piece of
+// shard attribution follows the same rule: it appears only with >= 2 shards.
 func shardNodeID(shard, shards int, local string) string {
 	if shards <= 1 {
 		return local
@@ -44,7 +46,7 @@ func shardNodeID(shard, shards int, local string) string {
 }
 
 // NodeShard parses the shard index out of a merged-plan node ID ("s3/n7"
-// -> 3, true). Monolithic node IDs ("n7") report false.
+// -> 3, true). Unpartitioned node IDs ("n7") report false.
 func NodeShard(id string) (int, bool) {
 	if !strings.HasPrefix(id, "s") {
 		return 0, false
@@ -62,9 +64,6 @@ func NodeShard(id string) (int, bool) {
 
 // ShardOpts selects per-epoch sharded planning behaviour.
 type ShardOpts struct {
-	// Incremental reuses each shard's previous plan via Incremental()
-	// instead of re-packing from scratch.
-	Incremental bool
 	// Hysteresis is the relative rate band within which a shard skips
 	// re-packing and carries its plan forward (0 disables skipping, every
 	// shard re-plans every epoch). A shard re-plans when any member
@@ -75,8 +74,6 @@ type ShardOpts struct {
 	// plane sets it on admission-control re-iterations, where globally
 	// scaled rates must reach every shard.
 	Force bool
-	// Workers bounds the concurrent shard planners (0 = one per shard).
-	Workers int
 	// WallClock records per-shard planning wall time in ShardStats.
 	// Off by default: wall time is nondeterministic.
 	WallClock bool
@@ -188,11 +185,7 @@ func (sp *ShardPlanner) Plan(sessions []Session, profiles map[string]*profiler.P
 		wall  time.Duration
 		err   error
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = n
-	}
-	outs := runner.MapN(workers, n, func(k int) shardOut {
+	outs := runner.Map(n, func(k int) shardOut {
 		if !dirty[k] {
 			return shardOut{plan: sp.prev[k]}
 		}
@@ -201,11 +194,7 @@ func (sp *ShardPlanner) Plan(sessions []Session, profiles map[string]*profiler.P
 			start = time.Now()
 		}
 		var o shardOut
-		if opts.Incremental && sp.prev[k] != nil {
-			o.plan, o.stats, o.err = Incremental(sp.prev[k], members[k], profiles, cfg)
-		} else {
-			o.plan, o.err = Pack(members[k], profiles, cfg)
-		}
+		o.plan, o.stats, o.err = replan(sp.prev[k], members[k], profiles, cfg)
 		if opts.WallClock {
 			o.wall = time.Since(start)
 		}

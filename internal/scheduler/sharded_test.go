@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nexus/internal/profiler"
+	"nexus/internal/runner"
 )
 
 func TestShardOfDeterministic(t *testing.T) {
@@ -64,8 +65,8 @@ func shardWorkload(n int) ([]Session, map[string]*profiler.Profile) {
 }
 
 // TestShardedOneShardMatchesPack: with a single shard the sharded planner is
-// byte-identical to the monolithic Pack — no ID prefixes, no rebalance, same
-// packing. This is what lets Shards=1 reuse the monolithic goldens.
+// byte-identical to Pack — no ID prefixes, no rebalance, same packing. This
+// is what keeps the one-shard default's goldens equal to plain Pack's.
 func TestShardedOneShardMatchesPack(t *testing.T) {
 	sessions, profiles := shardWorkload(24)
 	want, err := Pack(sessions, profiles, Config{})
@@ -78,7 +79,7 @@ func TestShardedOneShardMatchesPack(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Plan, want) {
-		t.Fatalf("1-shard plan differs from monolithic Pack:\n got %+v\nwant %+v", res.Plan, want)
+		t.Fatalf("1-shard plan differs from Pack:\n got %+v\nwant %+v", res.Plan, want)
 	}
 	if res.Stats.Shards != 1 || res.Stats.Replanned != 1 || res.Stats.Skipped != 0 {
 		t.Fatalf("stats = %+v", res.Stats)
@@ -109,9 +110,12 @@ func TestShardedMergedPlanValid(t *testing.T) {
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	sessions, profiles := shardWorkload(48)
 	var want *Plan
+	prev := runner.SetDefaultWorkers(1)
+	defer runner.SetDefaultWorkers(prev)
 	for _, workers := range []int{1, 2, 8} {
+		runner.SetDefaultWorkers(workers)
 		sp := NewShardPlanner(8)
-		res, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Workers: workers})
+		res, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -130,12 +134,12 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 func TestShardedHysteresisSkip(t *testing.T) {
 	sessions, profiles := shardWorkload(24)
 	sp := NewShardPlanner(2)
-	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp.Commit(first)
-	second, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	second, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestShardedHysteresisSkip(t *testing.T) {
 	for i := range wobbled {
 		wobbled[i].Rate *= 1.001
 	}
-	third, err := sp.Plan(wobbled, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	third, err := sp.Plan(wobbled, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +173,7 @@ func TestShardedHysteresisSkip(t *testing.T) {
 func TestShardedHysteresisDirtyShardOnly(t *testing.T) {
 	sessions, profiles := shardWorkload(24)
 	sp := NewShardPlanner(4)
-	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +181,7 @@ func TestShardedHysteresisDirtyShardOnly(t *testing.T) {
 	changed := make([]Session, len(sessions))
 	copy(changed, sessions)
 	changed[0].Rate *= 2
-	second, err := sp.Plan(changed, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	second, err := sp.Plan(changed, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +199,12 @@ func TestShardedHysteresisDirtyShardOnly(t *testing.T) {
 func TestShardedForceReplansAll(t *testing.T) {
 	sessions, profiles := shardWorkload(24)
 	sp := NewShardPlanner(4)
-	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp.Commit(first)
-	second, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05, Force: true})
+	second, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05, Force: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +218,13 @@ func TestShardedForceReplansAll(t *testing.T) {
 func TestShardedPlanIsPure(t *testing.T) {
 	sessions, profiles := shardWorkload(24)
 	sp := NewShardPlanner(2)
-	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// No Commit: a second identical Plan call must still see no previous
 	// state and re-plan everything, identically.
-	second, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	second, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

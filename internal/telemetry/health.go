@@ -34,8 +34,8 @@ type HealthReport struct {
 	GPUsCapacity  int           `json:"gpus_capacity"`
 	SessionsMoved int           `json:"sessions_moved"`
 	PlanWallMS    float64       `json:"plan_wall_ms,omitempty"`
-	// Sharded-planner counters (PR 6); zero and omitted for the
-	// monolithic planner so unsharded goldens are unchanged.
+	// Sharded-planner counters; zero and omitted unless the plan is
+	// partitioned (>= 2 shards), so one-shard goldens are unchanged.
 	ShardsReplanned int            `json:"shards_replanned,omitempty"`
 	ShardsSkipped   int            `json:"shards_skipped,omitempty"`
 	CrossShardMoves int            `json:"cross_shard_moves,omitempty"`
