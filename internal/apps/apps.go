@@ -84,7 +84,7 @@ func WithPoisson(spec *Spec) *Spec {
 // profiler's BaseOf ("<base>-v<appIdx*100+k>").
 func variant(mdb *model.DB, base string, appIdx, k, retrain int) (string, error) {
 	id := fmt.Sprintf("%s-v%d", base, appIdx*100+k)
-	if _, err := mdb.Get(id); err == nil {
+	if _, ok := mdb.Lookup(id); ok {
 		return id, nil
 	}
 	bm, err := mdb.Get(base)

@@ -229,3 +229,23 @@ func TestVariantNamespacesDisjoint(t *testing.T) {
 		t.Fatalf("cross-app variants share %d layers", got)
 	}
 }
+
+// TestDeployAfterFirstEpoch deploys a second app whose specialized
+// variants are registered only after the first epoch has planned: the
+// scheduler must derive plan profiles for them rather than plan against a
+// view of the model set frozen at that epoch.
+func TestDeployAfterFirstEpoch(t *testing.T) {
+	d := newDeployment(t, 16)
+	if _, err := Deploy(d, Game(1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sched.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Deploy(d, Billboard(50)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sched.RunEpoch(); err != nil {
+		t.Fatalf("epoch after deploying billboard: %v", err)
+	}
+}

@@ -492,22 +492,27 @@ func (d *Deployment) dispatch(req workload.Request) {
 // specialized variants before adding sessions.
 func (d *Deployment) ModelDB() *model.DB { return d.mdb }
 
-// RefreshProfiles re-derives profiles after the caller registered new
-// models (e.g. specialized families).
+// RefreshProfiles derives profiles for models the caller registered since
+// the last refresh (e.g. specialized families).
 func (d *Deployment) RefreshProfiles() error { return d.rebuildProfiles() }
 
+// rebuildProfiles profiles, on the deployment's GPU type only, each
+// calibrated model it has not profiled yet. The model DB never replaces a
+// registered model, so a derived profile stays current: set-up cost grows
+// with the models added, not with the models registered so far.
 func (d *Deployment) rebuildProfiles() error {
-	pdb, err := profiler.CatalogProfiles(d.mdb)
-	if err != nil {
-		return err
-	}
 	if d.profiles == nil {
 		d.profiles = make(map[string]*profiler.Profile)
 	}
 	for _, id := range d.mdb.IDs() {
-		if p, err := pdb.Get(id, d.cfg.GPU); err == nil {
-			d.profiles[id] = p
+		if _, done := d.profiles[id]; done || !profiler.Calibrated(id, d.cfg.GPU) {
+			continue
 		}
+		p, err := profiler.Calibrate(d.mdb.MustGet(id), d.cfg.GPU)
+		if err != nil {
+			return err
+		}
+		d.profiles[id] = p
 	}
 	return nil
 }

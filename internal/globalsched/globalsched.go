@@ -178,8 +178,11 @@ type Scheduler struct {
 	// one is meaningfully cheaper, avoiding oscillating reconfigurations
 	// (the paper bounds reconfiguration frequency for the same reason, §5).
 	prevSplit map[string]*queryopt.Split
-	// adjBase caches the planning (CPU-adjusted) view of base profiles.
-	adjBase map[string]*profiler.Profile
+	// adjBase caches the planning (CPU-adjusted) view of base profiles;
+	// adjTables shares its adjusted latency tables across profiles that
+	// share a base table (variants of one calibrated base).
+	adjBase   map[string]*profiler.Profile
+	adjTables profiler.OverheadCache
 	// totalMoved accumulates SessionsMoved across incremental epochs.
 	totalMoved int
 	// lastDemand is the GPU count the last plan asked for before any
@@ -1006,13 +1009,22 @@ func (s *Scheduler) planProfile(p *profiler.Profile) *profiler.Profile {
 	return p.WithCPUOverhead(s.cpuOverhead(p))
 }
 
-// basePlanProfiles returns (and caches) the adjusted base-profile map used
-// by the latency-split DP.
+// basePlanProfiles returns the adjusted view of every base profile, used by
+// the latency-split DP and as the base of planProfiles. The base map only
+// grows (a deployment adds profiles as apps register models, and never
+// replaces one), so a size mismatch means new models: their plan profiles
+// are derived on that miss, and deploying an app after the first epoch
+// plans its new variants.
 func (s *Scheduler) basePlanProfiles() map[string]*profiler.Profile {
+	if len(s.adjBase) == len(s.profiles) {
+		return s.adjBase
+	}
 	if s.adjBase == nil {
 		s.adjBase = make(map[string]*profiler.Profile, len(s.profiles))
-		for k, v := range s.profiles {
-			s.adjBase[k] = s.planProfile(v)
+	}
+	for k, v := range s.profiles {
+		if _, ok := s.adjBase[k]; !ok {
+			s.adjBase[k] = s.adjTables.WithCPUOverhead(v, s.cpuOverhead(v))
 		}
 	}
 	return s.adjBase

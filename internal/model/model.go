@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -48,14 +49,21 @@ type Layer struct {
 	WeightsID string
 }
 
-// hashInto mixes the layer's batching-relevant identity into h.
-// Name is deliberately excluded: renaming a layer must not break sharing.
-func (l *Layer) hashInto(h *hashChain) {
-	h.WriteString(string(l.Kind))
-	h.WriteInt64(l.FLOPs)
-	h.WriteInt64(l.ParamBytes)
-	h.WriteInt64(l.ActBytes)
-	h.WriteString(l.WeightsID)
+// appendIdentity appends the layer's batching-relevant identity to buf:
+// kind, FLOPs, parameter and activation sizes, and weights, with strings
+// length-prefixed. Name is deliberately excluded: renaming a layer must not
+// break sharing.
+func (l *Layer) appendIdentity(buf []byte) []byte {
+	buf = appendString(buf, string(l.Kind))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.FLOPs))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.ParamBytes))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.ActBytes))
+	return appendString(buf, l.WeightsID)
+}
+
+func appendString(buf []byte, s string) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
+	return append(buf, s...)
 }
 
 // Model is a DNN schema: a chain of layers from input to output. Nexus
@@ -66,7 +74,11 @@ type Model struct {
 	Task   string  // e.g. "object-detection"
 	Layers []Layer // layer 0 is the input layer
 
-	prefixHashes []string // cumulative hash after each layer, lazily built
+	// digests[i] is the rolling SHA-256 after layer i: SHA256(digests[i-1]
+	// || identity of layer i), from an all-zero state. Equal digests imply
+	// equal prefixes. Built lazily by buildHashes, which extends whatever
+	// prefix Specialize or AppendFC inherited from the base model.
+	digests [][32]byte
 }
 
 // New constructs a model and validates its schema.
@@ -144,19 +156,34 @@ func (m *Model) PrefixHash(k int) string {
 		panic(fmt.Sprintf("model %q: PrefixHash(%d) out of range [1,%d]", m.ID, k, len(m.Layers)))
 	}
 	m.buildHashes()
-	return m.prefixHashes[k-1]
+	return hex.EncodeToString(m.digests[k-1][:])
 }
 
+// buildHashes chains every layer not yet covered by m.digests into it.
 func (m *Model) buildHashes() {
-	if m.prefixHashes != nil {
+	n := len(m.digests)
+	if n == len(m.Layers) {
 		return
 	}
-	m.prefixHashes = make([]string, len(m.Layers))
-	h := newHashState()
-	for i := range m.Layers {
-		m.Layers[i].hashInto(h)
-		m.prefixHashes[i] = h.SumHex() // SumHex folds, chaining layer i in
+	m.digests = slices.Grow(m.digests, len(m.Layers)-n)
+	var state [32]byte
+	if n > 0 {
+		state = m.digests[n-1]
 	}
+	var scratch [128]byte
+	for i := n; i < len(m.Layers); i++ {
+		buf := m.Layers[i].appendIdentity(append(scratch[:0], state[:]...))
+		state = sha256.Sum256(buf)
+		m.digests = append(m.digests, state)
+	}
+}
+
+// inheritDigests gives m the digests of the first k layers of base, which m
+// shares unchanged; buildHashes chains only m's remaining layers.
+func (m *Model) inheritDigests(base *Model, k int) {
+	base.buildHashes()
+	m.digests = make([][32]byte, k, len(m.Layers))
+	copy(m.digests, base.digests[:k])
 }
 
 // Clone returns a deep copy with a new ID.
@@ -169,7 +196,9 @@ func (m *Model) Clone(newID string) *Model {
 // Specialize models transfer learning: it returns a copy of m whose last
 // retrain layers carry fresh weights (and hence fresh WeightsIDs). The
 // structure is unchanged, so the first NumLayers-retrain layers still hash
-// identically to the base model and remain prefix-batchable with it.
+// identically to the base model and remain prefix-batchable with it: the
+// variant reuses the base's digests for them and hashes only the retrained
+// layers.
 func Specialize(m *Model, newID string, retrain int) (*Model, error) {
 	if retrain < 1 || retrain >= m.NumLayers() {
 		return nil, fmt.Errorf("model %q: retrain %d out of range [1,%d)", m.ID, retrain, m.NumLayers())
@@ -179,11 +208,13 @@ func Specialize(m *Model, newID string, retrain int) (*Model, error) {
 	for i := n - retrain; i < n; i++ {
 		s.Layers[i].WeightsID = fmt.Sprintf("%s/%s#%d", newID, s.Layers[i].Kind, i)
 	}
+	s.inheritDigests(m, n-retrain)
 	return s, nil
 }
 
 // AppendFC returns a copy of m with extra FC layers appended before output,
-// used to build the "2 FC" / "3 FC" suffix variants of Figure 15.
+// used to build the "2 FC" / "3 FC" suffix variants of Figure 15. The copy
+// reuses every digest of m and hashes only the appended layers.
 func AppendFC(m *Model, newID string, extra int, units int64) *Model {
 	s := m.Clone(newID)
 	for i := 0; i < extra; i++ {
@@ -196,6 +227,7 @@ func AppendFC(m *Model, newID string, extra int, units int64) *Model {
 			WeightsID:  fmt.Sprintf("%s/fc_extra#%d", newID, i),
 		})
 	}
+	s.inheritDigests(m, m.NumLayers())
 	return s
 }
 
@@ -210,7 +242,7 @@ func CommonPrefixLen(a, b *Model) int {
 	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if a.prefixHashes[mid-1] == b.prefixHashes[mid-1] {
+		if a.digests[mid-1] == b.digests[mid-1] {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -243,6 +275,13 @@ func (db *DB) MustRegister(m *Model) {
 	if err := db.Register(m); err != nil {
 		panic(err)
 	}
+}
+
+// Lookup returns the model and whether it is registered. Unlike Get it
+// builds no error on a miss, so existence checks stay cheap.
+func (db *DB) Lookup(id string) (*Model, bool) {
+	m, ok := db.models[id]
+	return m, ok
 }
 
 // Get returns the model or an error if absent.
@@ -340,43 +379,4 @@ func (db *DB) PrefixGroups(ids []string, minShared int) ([]PrefixGroup, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ModelIDs[0] < out[j].ModelIDs[0] })
 	return out, nil
-}
-
-// --- small hash helper -------------------------------------------------
-
-// hashChain is a rolling SHA-256 over layer identities: after each layer,
-// state = SHA256(state || layer fields). Equal states imply equal prefixes.
-type hashChain struct {
-	state [32]byte
-	buf   []byte
-}
-
-func newHashState() *hashChain { return &hashChain{} }
-
-func (h *hashChain) WriteString(s string) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-	h.buf = append(h.buf, n[:]...)
-	h.buf = append(h.buf, s...)
-}
-
-func (h *hashChain) WriteInt64(v int64) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(v))
-	h.buf = append(h.buf, n[:]...)
-}
-
-// fold absorbs the buffered layer fields into the chained state.
-func (h *hashChain) fold() {
-	d := sha256.New()
-	d.Write(h.state[:])
-	d.Write(h.buf)
-	copy(h.state[:], d.Sum(nil))
-	h.buf = h.buf[:0]
-}
-
-// SumHex folds pending fields and returns the chained digest in hex.
-func (h *hashChain) SumHex() string {
-	h.fold()
-	return hex.EncodeToString(h.state[:])
 }

@@ -302,3 +302,72 @@ func TestPropertySpecialize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// fromScratch returns a copy of m whose digests are hashed layer by layer
+// from the all-zero state, inheriting nothing.
+func fromScratch(t *testing.T, m *Model) *Model {
+	t.Helper()
+	c, err := New(m.ID, m.Task, append([]Layer(nil), m.Layers...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func sameDigests(t *testing.T, got, want *Model) {
+	t.Helper()
+	for k := 1; k <= want.NumLayers(); k++ {
+		if g, w := got.PrefixHash(k), want.PrefixHash(k); g != w {
+			t.Fatalf("%s: inherited PrefixHash(%d) = %s, from scratch %s", got.ID, k, g, w)
+		}
+	}
+}
+
+func TestInheritedDigestsMatchFromScratch(t *testing.T) {
+	db := Catalog()
+	for _, id := range db.IDs() {
+		base := db.MustGet(id)
+		for retrain := 1; retrain < base.NumLayers(); retrain++ {
+			v, err := Specialize(base, fmt.Sprintf("%s-v%d", id, retrain), retrain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameDigests(t, v, fromScratch(t, v))
+			// AppendFC on a specialized variant inherits digests that were
+			// themselves partly inherited.
+			a := AppendFC(v, v.ID+"-fc", 2, 128)
+			sameDigests(t, a, fromScratch(t, a))
+			if got, want := CommonPrefixLen(base, v), base.NumLayers()-retrain; got != want {
+				t.Fatalf("%s: CommonPrefixLen with base = %d, want %d", v.ID, got, want)
+			}
+		}
+		a := AppendFC(base, id+"-fc", 3, 64)
+		sameDigests(t, a, fromScratch(t, a))
+	}
+}
+
+// TestPrefixHashGolden pins the hex encoding of catalog digests: prefix
+// hashes are the model store's sharing key and must not drift.
+func TestPrefixHashGolden(t *testing.T) {
+	db := Catalog()
+	golden := map[string]string{
+		ResNet50: "30344f2dc3092357200e1cb5d434eb05ce0f0f49596ae1d82ef39321f815632d",
+		LeNet5:   "ba764419f8aa74dac62d96b4bd8338788407dbe799b45c82e984d9d5d436b4a4",
+	}
+	for id, want := range golden {
+		m := db.MustGet(id)
+		if got := m.PrefixHash(m.NumLayers()); got != want {
+			t.Errorf("%s PrefixHash(%d) = %s, want %s", id, m.NumLayers(), got, want)
+		}
+	}
+}
+
+func TestLookup(t *testing.T) {
+	db := Catalog()
+	if m, ok := db.Lookup(ResNet50); !ok || m.ID != ResNet50 {
+		t.Fatalf("Lookup(%s) = %v, %v", ResNet50, m, ok)
+	}
+	if m, ok := db.Lookup("missing"); ok || m != nil {
+		t.Fatalf("Lookup(missing) = %v, %v", m, ok)
+	}
+}

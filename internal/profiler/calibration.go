@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"nexus/internal/model"
@@ -57,23 +58,111 @@ const workspaceBytes = 500 << 20
 func CatalogProfiles(mdb *model.DB) (*DB, error) {
 	db := NewDB()
 	for _, id := range mdb.IDs() {
-		cal, ok := calibrations[BaseOf(id)]
-		if !ok {
+		if _, ok := calibrations[BaseOf(id)]; !ok {
 			continue
 		}
 		m := mdb.MustGet(id)
-		for gpu, scale := range gpuScale {
-			p, err := buildProfile(m, cal, gpu, scale)
+		for gpu := range gpuScale {
+			p, err := Calibrate(m, gpu)
 			if err != nil {
 				return nil, err
 			}
-			if err := db.Put(p); err != nil {
-				return nil, err
-			}
+			db.profiles[key(p.ModelID, p.GPU)] = p // Calibrate validated it
 		}
 	}
 	return db, nil
 }
+
+// Calibrated reports whether Calibrate can profile model id on gpu: its
+// base model (BaseOf) has a calibration entry and gpu is a profiled type.
+func Calibrated(id string, gpu GPUType) bool {
+	_, ok := calibrations[BaseOf(id)]
+	_, gok := gpuScale[gpu]
+	return ok && gok
+}
+
+// Calibrate derives and validates m's batching profile on gpu from the
+// calibration of its base model (BaseOf(m.ID)). Every model calibrated from
+// one base on one GPU type shares the same latency model, so its memo table
+// is built and checked once per (base, GPU) and shared read-only; only the
+// model-dependent fields (ID, memory, SM saturation) are per model.
+func Calibrate(m *model.Model, gpu GPUType) (*Profile, error) {
+	tables, err := latencyModels()
+	if err != nil {
+		return nil, err
+	}
+	lm, ok := tables[calKey{BaseOf(m.ID), gpu}]
+	if !ok {
+		return nil, fmt.Errorf("profiler: no calibration for %s on %s", m.ID, gpu)
+	}
+	p := *lm.profile
+	p.ModelID = m.ID
+	p.MemBase = m.ParamBytes() + workspaceBytes
+	p.MemPerItem = 16 * m.Layers[0].ActBytes
+	if p.MemPerItem < 1<<20 {
+		p.MemPerItem = 1 << 20
+	}
+	// SM saturation: the marginal item runs m.FLOPs() of compute in α
+	// seconds; the ratio of that achieved rate to the device's peak is how
+	// much of the GPU the model can actually keep busy. Small models (LeNet,
+	// VGG7) land near the floor — the spatial-sharing sweet spot — while
+	// heavy CNNs push toward 1 and gain nothing from a fractional slice.
+	p.SMSaturation = 1
+	if lm.peakTFLOPS > 0 && p.Alpha > 0 {
+		achieved := float64(m.FLOPs()) / p.Alpha.Seconds()
+		p.SMSaturation = min(max(achieved/(lm.peakTFLOPS*1e12), 0.05), 1)
+	}
+	// The shared table passed checkTable when latencyModels built it, and
+	// that check depends only on fields p keeps unchanged.
+	if err := p.checkModel(); err != nil {
+		return nil, fmt.Errorf("calibrating %s on %s: %w", m.ID, gpu, err)
+	}
+	return &p, nil
+}
+
+// calKey names one calibrated latency model: a base model on a GPU type.
+type calKey struct {
+	base string
+	gpu  GPUType
+}
+
+// latencyModel is the validated, model-independent part of a calibrated
+// profile, shared by every model of one base on one GPU type.
+type latencyModel struct {
+	profile    *Profile // ModelID is the base's; memory fields unset
+	peakTFLOPS float64  // the GPU type's peak, for SM saturation
+}
+
+// latencyModels builds every (base, GPU) latency model once per process:
+// |calibrations| × |gpuScale| small tables, read-only once built.
+var latencyModels = sync.OnceValues(func() (map[calKey]latencyModel, error) {
+	specs := Specs()
+	out := make(map[calKey]latencyModel, len(calibrations)*len(gpuScale))
+	for base, cal := range calibrations {
+		for gpu, scale := range gpuScale {
+			l1 := time.Duration(float64(cal.lat1080Ti) * scale)
+			beta := time.Duration(float64(l1) * cal.fixedFrac)
+			alpha := l1 - beta
+			if alpha < time.Microsecond {
+				alpha = time.Microsecond
+			}
+			p := &Profile{
+				ModelID:     base,
+				GPU:         gpu,
+				Alpha:       alpha,
+				Beta:        beta,
+				MaxBatch:    cal.maxBatch,
+				PreprocCPU:  cal.preproc,
+				PostprocCPU: cal.postproc,
+			}
+			if err := p.Validate(); err != nil {
+				return nil, fmt.Errorf("calibrating %s on %s: %w", base, gpu, err)
+			}
+			out[calKey{base, gpu}] = latencyModel{profile: p, peakTFLOPS: specs[gpu].PeakTFLOPS}
+		}
+	}
+	return out, nil
+})
 
 // BaseOf maps a specialized variant ID ("resnet50-v3") to its base catalog
 // ID ("resnet50"). IDs without the "-v" suffix map to themselves.
@@ -99,51 +188,6 @@ func allDigits(s string) bool {
 		}
 	}
 	return true
-}
-
-func buildProfile(m *model.Model, cal calibration, gpu GPUType, scale float64) (*Profile, error) {
-	l1 := time.Duration(float64(cal.lat1080Ti) * scale)
-	beta := time.Duration(float64(l1) * cal.fixedFrac)
-	alpha := l1 - beta
-	if alpha < time.Microsecond {
-		alpha = time.Microsecond
-	}
-	memPerItem := 16 * m.Layers[0].ActBytes
-	if memPerItem < 1<<20 {
-		memPerItem = 1 << 20
-	}
-	// SM saturation: the marginal item runs m.FLOPs() of compute in α
-	// seconds; the ratio of that achieved rate to the device's peak is how
-	// much of the GPU the model can actually keep busy. Small models (LeNet,
-	// VGG7) land near the floor — the spatial-sharing sweet spot — while
-	// heavy CNNs push toward 1 and gain nothing from a fractional slice.
-	sat := 1.0
-	if spec, ok := Specs()[gpu]; ok && spec.PeakTFLOPS > 0 && alpha > 0 {
-		achieved := float64(m.FLOPs()) / alpha.Seconds()
-		sat = achieved / (spec.PeakTFLOPS * 1e12)
-		if sat < 0.05 {
-			sat = 0.05
-		}
-		if sat > 1 {
-			sat = 1
-		}
-	}
-	p := &Profile{
-		ModelID:      m.ID,
-		GPU:          gpu,
-		Alpha:        alpha,
-		Beta:         beta,
-		MaxBatch:     cal.maxBatch,
-		PreprocCPU:   cal.preproc,
-		PostprocCPU:  cal.postproc,
-		MemBase:      m.ParamBytes() + workspaceBytes,
-		MemPerItem:   memPerItem,
-		SMSaturation: sat,
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("calibrating %s on %s: %w", m.ID, gpu, err)
-	}
-	return p, nil
 }
 
 // CPULatency returns the Table 1 CPU batch-1 latency for a catalog model,

@@ -131,8 +131,19 @@ const maxMemoBatch = 1 << 16
 
 // Validate checks profile invariants: positive costs, a usable batch range,
 // and the monotonicity assumptions §6.1 relies on (latency non-decreasing
-// in b; per-item latency ℓ(b)/b non-increasing).
+// in b; per-item latency ℓ(b)/b non-increasing). It (re)builds the memo
+// table the checks read.
 func (p *Profile) Validate() error {
+	if err := p.checkModel(); err != nil {
+		return err
+	}
+	p.memoize()
+	return p.checkTable()
+}
+
+// checkModel checks the model ID and the fields the memo table is built
+// from.
+func (p *Profile) checkModel() error {
 	if p.ModelID == "" {
 		return fmt.Errorf("profiler: profile with empty model id")
 	}
@@ -154,7 +165,11 @@ func (p *Profile) Validate() error {
 			return fmt.Errorf("profile %s/%s: latency decreases at b=%d", p.ModelID, p.GPU, i+1)
 		}
 	}
-	p.memoize()
+	return nil
+}
+
+// checkTable checks ℓ(b) over the whole batch range.
+func (p *Profile) checkTable() error {
 	prev := time.Duration(0)
 	prevPerItem := math.Inf(1)
 	for b := 1; b <= p.MaxBatch; b++ {
@@ -402,6 +417,45 @@ func (p *Profile) WithCPUOverhead(perItem time.Duration) *Profile {
 		}
 	}
 	q.memoize()
+	return &q
+}
+
+// OverheadCache derives WithCPUOverhead profiles for a set of profiles that
+// share memo tables: every model Calibrate derives from one base on one GPU
+// type shares one table. The adjusted table is built once per (source
+// table, per-item cost) and shared by every profile adjusted from it, so
+// deriving the planning view of n variants of a few bases costs one struct
+// copy each. It relies on memoize's contract: profiles that share a memo
+// table share the latency model it was built from. Entries are never
+// evicted, so feed it long-lived profiles only. The zero value is ready to
+// use; it is not safe for concurrent use.
+type OverheadCache struct {
+	adjusted map[overheadKey]*Profile
+}
+
+type overheadKey struct {
+	table   *time.Duration // first element of the source memo table
+	perItem time.Duration
+}
+
+// WithCPUOverhead returns p.WithCPUOverhead(perItem).
+func (c *OverheadCache) WithCPUOverhead(p *Profile, perItem time.Duration) *Profile {
+	if perItem <= 0 || len(p.lat) == 0 {
+		return p.WithCPUOverhead(perItem)
+	}
+	k := overheadKey{&p.lat[0], perItem}
+	first, ok := c.adjusted[k]
+	if !ok {
+		if c.adjusted == nil {
+			c.adjusted = make(map[overheadKey]*Profile)
+		}
+		q := p.WithCPUOverhead(perItem)
+		c.adjusted[k] = q
+		return q
+	}
+	q := *p
+	q.Alpha += perItem
+	q.points, q.lat = first.points, first.lat
 	return &q
 }
 
