@@ -170,3 +170,21 @@ func BenchmarkDispatchHotPathTraced(b *testing.B) {
 		b.Fatal("no events traced")
 	}
 }
+
+// BenchmarkQueueSmallBatch measures one PopN/Recycle cycle of a batch of
+// one on a unit primed at memo size 256, the shape of most batches on a
+// deployment of many light sessions: the cost must follow the batch, not
+// the memo-sized capacity of the recycled slice.
+func BenchmarkQueueSmallBatch(b *testing.B) {
+	const memo = 256
+	var q Queue
+	q.Reserve(2 * memo)
+	q.PrimeBatches(2, memo)
+	req := Request{ID: 1, Session: "s", Deadline: time.Second}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Push(req)
+		q.Recycle(q.PopN(1))
+	}
+}

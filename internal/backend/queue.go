@@ -137,14 +137,19 @@ func (q *Queue) batchSlice(n int) []Request {
 // list once every request in it has completed. The slice must not be used
 // after the call. Recycling foreign slices is allowed (they join the pool);
 // nil and zero-capacity slices are ignored.
+//
+// Only batch[:len(batch)] is cleared. That suffices because every
+// free-list slice is zero over its whole capacity: fresh and primed slices
+// start zeroed, PopN fills only the first n slots, and Recycle clears them
+// again. So callers recycle a batch at the length PopN gave it, without
+// re-slicing or appending to it, and a foreign slice must be zero past its
+// length, as one from make is. Clearing the whole memo-sized capacity
+// would cost as much for a batch of one as for a full one.
 func (q *Queue) Recycle(batch []Request) {
 	if cap(batch) == 0 || len(q.free) >= maxFreeBatches {
 		return
 	}
-	batch = batch[:cap(batch)]
-	for i := range batch {
-		batch[i] = Request{} // release request payloads held by the batch
-	}
+	clear(batch) // release request payloads held by the batch
 	q.free = append(q.free, batch[:0])
 }
 

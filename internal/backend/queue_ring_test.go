@@ -65,7 +65,7 @@ func TestRingGrowWhileWrapped(t *testing.T) {
 	// Advance head past the midpoint so subsequent pushes wrap.
 	popped := q.PopN(minQueueCap - 3)
 	q.Recycle(popped)
-	for i := 0; i < minQueueCap - 3; i++ { // refill: live region now wraps
+	for i := 0; i < minQueueCap-3; i++ { // refill: live region now wraps
 		q.Push(ringReq(id, 0))
 		id++
 	}
@@ -258,5 +258,46 @@ func TestEstimateCallBudget(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("estimate called %d times for a hoistable scan, want 1", calls)
+	}
+}
+
+// TestRecycledBatchesStayZeroed pins the invariant that lets Recycle clear
+// only a batch's length: after random Push, PopN and out-of-order Recycle
+// cycles through both drop policies, every free-list slice is zero over
+// its whole capacity.
+func TestRecycledBatchesStayZeroed(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var q Queue
+	q.PrimeBatches(2, 64)
+	var held [][]Request
+	id := uint64(0)
+	now := time.Duration(0)
+	estimate := func(b int) time.Duration { return time.Duration(b) * time.Millisecond }
+	policies := []DropPolicy{EarlyDrop{}, LazyDrop{}}
+	for step := 0; step < 5000; step++ {
+		for n := rng.Intn(6); n > 0; n-- {
+			q.Push(ringReq(id, now+time.Duration(rng.Intn(40))*time.Millisecond))
+			id++
+		}
+		switch rng.Intn(3) {
+		case 0:
+			held = append(held, q.PopN(1+rng.Intn(8)))
+		case 1:
+			batch, dropped := policies[rng.Intn(2)].Pick(&q, now, 1+rng.Intn(16), estimate)
+			held = append(held, batch, dropped)
+		}
+		for len(held) > 0 && rng.Intn(2) == 0 {
+			i := rng.Intn(len(held))
+			q.Recycle(held[i])
+			held = append(held[:i], held[i+1:]...)
+		}
+		for i, s := range q.free {
+			for j, r := range s[:cap(s)] {
+				if r != (Request{}) {
+					t.Fatalf("step %d: free batch %d slot %d/%d holds request %d", step, i, j, cap(s), r.ID)
+				}
+			}
+		}
+		now += time.Millisecond
 	}
 }

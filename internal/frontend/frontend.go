@@ -29,7 +29,11 @@ type Route struct {
 	Weight    float64 // proportional share of the session's traffic
 }
 
-// RoutingTable maps session IDs to their routes.
+// RoutingTable maps session IDs to their routes. Sessions may share one
+// []Route (the control plane gives every member of a prefix-batched unit
+// the same slice), and a frontend resolves each shared list once per
+// install. That relies on an invariant every publisher keeps: a route
+// slice, once installed, is never mutated; a change installs a new slice.
 type RoutingTable map[string][]Route
 
 // Validate checks weights: every route must carry a positive, finite
@@ -404,8 +408,9 @@ func (f *Frontend) setTableLocked(rt RoutingTable, gen uint64) error {
 	}
 	cur := f.state.Load()
 	sessions := make(map[string]*sessionState, len(rt))
+	resolved := routeMemo{}
 	for sid, routes := range rt {
-		st := &sessionState{routes: f.resolve(routes), wrr: make([]float64, len(routes))}
+		st := f.newSession(resolved, routes)
 		// Rate counts survive table pushes: the count is keyed by session,
 		// not by its routes.
 		if old, ok := cur.sessions[sid]; ok {
@@ -472,9 +477,10 @@ func (f *Frontend) ApplyDelta(d TableDelta) error {
 			delete(sessions, sid)
 		}
 	}
+	resolved := routeMemo{}
 	for sid, routes := range d.Set {
 		table[sid] = routes
-		st := &sessionState{routes: f.resolve(routes), wrr: make([]float64, len(routes))}
+		st := f.newSession(resolved, routes)
 		if old, ok := sessions[sid]; ok {
 			st.count.Store(old.count.Load())
 		} else if n, ok := f.residual[sid]; ok {
@@ -494,14 +500,42 @@ func (f *Frontend) ApplyDelta(d TableDelta) error {
 // plane's sequence, which is what makes the next delta detectably stale.
 func (f *Frontend) Generation() uint64 { return f.state.Load().gen }
 
-// resolve caches the backend pointer of each route. Callers have already
-// validated that every target exists.
-func (f *Frontend) resolve(routes []Route) []resolvedRoute {
-	out := make([]resolvedRoute, len(routes))
-	for i, r := range routes {
-		out[i] = resolvedRoute{Route: r, be: f.backends[r.BackendID]}
+// routeList identifies a []Route by its backing array and length: two
+// slices with the same key hold the same routes, as long as both stay
+// reachable (so the address cannot be reused) and unmutated.
+type routeList struct {
+	first *Route
+	n     int
+}
+
+// routeListOf keys a non-empty route list; every installed list is
+// non-empty (Validate rejects empty ones, and repairs delete them).
+func routeListOf(routes []Route) routeList {
+	return routeList{&routes[0], len(routes)}
+}
+
+// routeMemo holds the resolved form of each distinct route list seen by
+// one install call (SetTable, ApplyDelta or RemoveBackend). It lives only
+// for that call, while the table it reads keeps every key's slice alive.
+type routeMemo map[routeList][]resolvedRoute
+
+// newSession builds fresh dispatch state for a session routed by routes.
+// Sessions sharing one route list share its resolved slice, which is
+// read-only once built; the WRR accumulator and the rate count are always
+// the session's own, so each session's pick sequence is exactly what a
+// private copy would give. Callers have already validated that every
+// target exists.
+func (f *Frontend) newSession(memo routeMemo, routes []Route) *sessionState {
+	key := routeListOf(routes)
+	resolved, ok := memo[key]
+	if !ok {
+		resolved = make([]resolvedRoute, len(routes))
+		for i, r := range routes {
+			resolved[i] = resolvedRoute{Route: r, be: f.backends[r.BackendID]}
+		}
+		memo[key] = resolved
 	}
-	return out
+	return &sessionState{routes: resolved, wrr: make([]float64, len(routes))}
 }
 
 // Dispatch routes a request to a backend. Requests for sessions without a
@@ -668,12 +702,21 @@ func (f *Frontend) RemoveBackend(beID string) int {
 	affected := 0
 	var repaired RoutingTable
 	sessions := cur.sessions
+	// Sessions sharing a route list share its repaired list too, so a
+	// backend death does not give each of them a private copy.
+	kept := make(map[routeList][]Route)
+	resolved := routeMemo{}
 	for sid, routes := range cur.table {
-		keep := routes[:0:0]
-		for _, r := range routes {
-			if r.BackendID != beID {
-				keep = append(keep, r)
+		key := routeListOf(routes)
+		keep, ok := kept[key]
+		if !ok {
+			keep = routes[:0:0]
+			for _, r := range routes {
+				if r.BackendID != beID {
+					keep = append(keep, r)
+				}
 			}
+			kept[key] = keep
 		}
 		if len(keep) == len(routes) {
 			continue
@@ -700,7 +743,7 @@ func (f *Frontend) RemoveBackend(beID string) int {
 			}
 		} else {
 			repaired[sid] = keep
-			fresh := &sessionState{routes: f.resolve(keep), wrr: make([]float64, len(keep))}
+			fresh := f.newSession(resolved, keep)
 			if st != nil {
 				fresh.count.Store(st.count.Load())
 			}

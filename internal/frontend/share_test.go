@@ -1,0 +1,163 @@
+package frontend
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// sharedTable routes s1–s3 through one []Route and s4–s5 through another,
+// as the control plane does for members of one prefix-batched unit. s6
+// holds an equal but distinct copy of s1's list.
+func sharedTable() (RoutingTable, []Route, []Route) {
+	unitA := []Route{
+		{BackendID: "a", UnitID: "u", Weight: 1},
+		{BackendID: "b", UnitID: "u", Weight: 2.5},
+		{BackendID: "c", UnitID: "u", Weight: 3.7},
+	}
+	unitB := []Route{
+		{BackendID: "b", UnitID: "u", Weight: 1},
+		{BackendID: "c", UnitID: "u", Weight: 1.3},
+	}
+	rt := RoutingTable{
+		"s1": unitA, "s2": unitA, "s3": unitA,
+		"s4": unitB, "s5": unitB,
+		"s6": append([]Route(nil), unitA...),
+	}
+	return rt, unitA, unitB
+}
+
+// resolvedOf returns the identity of a session's resolved route slice.
+func resolvedOf(t *testing.T, fe *Frontend, sid string) *resolvedRoute {
+	t.Helper()
+	st, ok := fe.state.Load().sessions[sid]
+	if !ok || len(st.routes) == 0 {
+		t.Fatalf("session %s has no routes", sid)
+	}
+	return &st.routes[0]
+}
+
+// assertShared checks which sessions share one resolved slice: sessions in
+// one group share it, sessions in different groups do not, and every
+// session keeps its own WRR accumulator.
+func assertShared(t *testing.T, fe *Frontend, label string, groups ...[]string) {
+	t.Helper()
+	seen := map[*resolvedRoute]int{}
+	wrr := map[*float64]string{}
+	for g, sids := range groups {
+		for _, sid := range sids {
+			p := resolvedOf(t, fe, sid)
+			if prev, ok := seen[p]; ok && prev != g {
+				t.Fatalf("%s: %s shares a resolved slice with group %d, want group %d", label, sid, prev, g)
+			}
+			if p != resolvedOf(t, fe, sids[0]) {
+				t.Fatalf("%s: %s and %s hold separate resolved copies of one route list", label, sid, sids[0])
+			}
+			seen[p] = g
+			w := &fe.state.Load().sessions[sid].wrr[0]
+			if other, ok := wrr[w]; ok {
+				t.Fatalf("%s: %s shares its WRR accumulator with %s", label, sid, other)
+			}
+			wrr[w] = sid
+		}
+	}
+}
+
+// TestSharedRoutesResolvedOnce pins that every install path — SetTable,
+// ApplyDelta and RemoveBackend — gives sessions whose entries share one
+// []Route a single resolved slice, and keeps distinct lists apart even
+// when their contents are equal.
+func TestSharedRoutesResolvedOnce(t *testing.T) {
+	_, _, fe, _ := setup(t, 3)
+	rt, unitA, _ := sharedTable()
+	if err := fe.SetTableGen(rt, 1); err != nil {
+		t.Fatal(err)
+	}
+	assertShared(t, fe, "SetTable", []string{"s1", "s2", "s3"}, []string{"s4", "s5"}, []string{"s6"})
+
+	unitC := []Route{{BackendID: "a", UnitID: "u", Weight: 2}, {BackendID: "c", UnitID: "u", Weight: 1}}
+	if err := fe.ApplyDelta(TableDelta{FromGen: 1, Gen: 2,
+		Set: map[string][]Route{"s1": unitC, "s7": unitC, "s8": unitC}}); err != nil {
+		t.Fatal(err)
+	}
+	assertShared(t, fe, "ApplyDelta", []string{"s1", "s7", "s8"}, []string{"s2", "s3"}, []string{"s4", "s5"}, []string{"s6"})
+
+	if n := fe.RemoveBackend("b"); n != 5 {
+		t.Fatalf("RemoveBackend touched %d sessions, want 5 (s2–s6)", n)
+	}
+	assertShared(t, fe, "RemoveBackend", []string{"s1", "s7", "s8"}, []string{"s2", "s3"}, []string{"s4", "s5"}, []string{"s6"})
+	table := fe.state.Load().table
+	if &table["s2"][0] != &table["s3"][0] || &table["s4"][0] != &table["s5"][0] {
+		t.Fatal("RemoveBackend gave sessions sharing a route list separate repaired lists")
+	}
+	if len(table["s2"]) != 2 || len(table["s4"]) != 1 {
+		t.Fatalf("repaired lists have %d and %d routes, want 2 and 1", len(table["s2"]), len(table["s4"]))
+	}
+	if unitA[1].BackendID != "b" {
+		t.Fatal("RemoveBackend mutated a published route list")
+	}
+}
+
+// TestSharedRoutesPickSequence pins that sharing a resolved slice leaves
+// each session's smooth-WRR pick sequence exactly what a private copy
+// gives, with picks of the sharing sessions interleaved at random.
+func TestSharedRoutesPickSequence(t *testing.T) {
+	_, _, fe, _ := setup(t, 3)
+	rt, _, _ := sharedTable()
+	if err := fe.SetTable(rt); err != nil {
+		t.Fatal(err)
+	}
+	sessions := fe.state.Load().sessions
+	private := map[string]*sessionState{}
+	for sid, routes := range rt {
+		rs := make([]resolvedRoute, len(routes))
+		for i, r := range routes {
+			rs[i] = resolvedRoute{Route: r, be: fe.backends[r.BackendID]}
+		}
+		private[sid] = &sessionState{routes: rs, wrr: make([]float64, len(rs))}
+	}
+	sids := fe.Sessions()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000*len(sids); i++ {
+		sid := sids[rng.Intn(len(sids))]
+		got, want := sessions[sid].pick(), private[sid].pick()
+		if got.BackendID != want.BackendID || got.be != want.be {
+			t.Fatalf("pick %d of %s: %s, want %s", i, sid, got.BackendID, want.BackendID)
+		}
+	}
+}
+
+// TestRemoveBackendSparesOtherReplica pins copy-on-write across frontend
+// replicas that installed the same table: a repair on one replica leaves
+// the other's shared resolved slices and the published lists untouched.
+func TestRemoveBackendSparesOtherReplica(t *testing.T) {
+	clock, backends, fe1, _ := setup(t, 3)
+	fe2 := New(clock, backends, 0, nil)
+	rt, unitA, unitB := sharedTable()
+	for _, fe := range []*Frontend{fe1, fe2} {
+		if err := fe.SetTable(rt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := map[string]*resolvedRoute{}
+	for _, sid := range fe2.Sessions() {
+		before[sid] = resolvedOf(t, fe2, sid)
+	}
+	if fe1.RemoveBackend("b") == 0 {
+		t.Fatal("RemoveBackend on the first replica changed nothing")
+	}
+	for sid, p := range before {
+		st := fe2.state.Load().sessions[sid]
+		if &st.routes[0] != p || len(st.routes) != len(rt[sid]) {
+			t.Fatalf("second replica's %s routes changed", sid)
+		}
+		for i, r := range st.routes {
+			if r.Route != rt[sid][i] {
+				t.Fatalf("second replica's %s route %d = %+v, want %+v", sid, i, r.Route, rt[sid][i])
+			}
+		}
+	}
+	assertShared(t, fe2, "other replica", []string{"s1", "s2", "s3"}, []string{"s4", "s5"}, []string{"s6"})
+	if len(unitA) != 3 || unitA[1].BackendID != "b" || unitB[0].BackendID != "b" {
+		t.Fatal("RemoveBackend mutated a published route list")
+	}
+}

@@ -15,8 +15,17 @@ import (
 
 // Histogram is a logarithmically-bucketed latency histogram with ~2%
 // relative precision from 1µs to ~30s. The zero value is ready to use.
+//
+// It stores only the window of bucket indices its values have touched,
+// plus up to histSlack spare buckets beyond each end: buckets[i] counts
+// bucket off+i, and every bucket outside the window is zero. A session's
+// latencies span a few dozen buckets, far fewer than the index of its
+// highest one, so its histogram costs memory in proportion to the spread
+// of its values, not their magnitude. The window grows in either
+// direction and never shrinks; Reset keeps it for reuse.
 type Histogram struct {
 	buckets  []uint64
+	off      int
 	count    uint64
 	sum      time.Duration
 	min, max time.Duration
@@ -25,6 +34,9 @@ type Histogram struct {
 const (
 	histBase   = float64(time.Microsecond)
 	histGrowth = 1.02
+	// histSlack is how far past a new extreme the window extends, so
+	// values near the current ones record without regrowing it.
+	histSlack = 4
 )
 
 var histLogGrowth = math.Log(histGrowth)
@@ -45,18 +57,41 @@ func bucketValue(idx int) time.Duration {
 	return time.Duration(lo * math.Sqrt(histGrowth))
 }
 
+// cover grows the window, when needed, to hold buckets lo..hi inclusive.
+// An end it moves lands histSlack buckets past the new extreme; an end it
+// does not need to move stays put.
+func (h *Histogram) cover(lo, hi int) {
+	newLo, newHi := lo-histSlack, hi+histSlack
+	if n := len(h.buckets); n > 0 {
+		end := h.off + n - 1
+		if lo >= h.off && hi <= end {
+			return
+		}
+		if lo >= h.off {
+			newLo = h.off
+		}
+		if hi <= end {
+			newHi = end
+		}
+	}
+	newLo = max(newLo, 0)
+	nb := make([]uint64, newHi+1-newLo)
+	if len(h.buckets) > 0 {
+		copy(nb[h.off-newLo:], h.buckets)
+	}
+	h.buckets, h.off = nb, newLo
+}
+
 // Record adds one observation.
 func (h *Histogram) Record(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	idx := bucketIndex(d)
-	if idx >= len(h.buckets) {
-		nb := make([]uint64, idx+16)
-		copy(nb, h.buckets)
-		h.buckets = nb
+	if i := idx - h.off; i < 0 || i >= len(h.buckets) {
+		h.cover(idx, idx)
 	}
-	h.buckets[idx]++
+	h.buckets[idx-h.off]++
 	if h.count == 0 || d < h.min {
 		h.min = d
 	}
@@ -100,7 +135,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	for i, c := range h.buckets {
 		seen += c
 		if seen > rank {
-			v := bucketValue(i)
+			v := bucketValue(h.off + i)
 			if v < h.min {
 				v = h.min
 			}
@@ -119,15 +154,16 @@ func (h *Histogram) FractionAbove(limit time.Duration) float64 {
 	if h.count == 0 {
 		return 0
 	}
-	idx := bucketIndex(limit)
+	// The first window slot above limit's bucket, clamped to the window.
+	start := min(max(bucketIndex(limit)+1-h.off, 0), len(h.buckets))
 	var above uint64
-	for i := idx + 1; i < len(h.buckets); i++ {
-		above += h.buckets[i]
+	for _, c := range h.buckets[start:] {
+		above += c
 	}
 	return float64(above) / float64(h.count)
 }
 
-// Reset clears all observations, keeping the bucket storage for reuse.
+// Reset clears all observations, keeping the bucket window for reuse.
 // This is what makes the histogram usable as a tumbling window: rotate by
 // summarizing and resetting in place, no per-window allocation.
 func (h *Histogram) Reset() {
@@ -142,13 +178,10 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.count == 0 {
 		return
 	}
-	if len(other.buckets) > len(h.buckets) {
-		nb := make([]uint64, len(other.buckets))
-		copy(nb, h.buckets)
-		h.buckets = nb
-	}
+	h.cover(other.off, other.off+len(other.buckets)-1)
+	dst := h.buckets[other.off-h.off:]
 	for i, c := range other.buckets {
-		h.buckets[i] += c
+		dst[i] += c
 	}
 	if h.count == 0 || other.min < h.min {
 		h.min = other.min

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -371,5 +372,261 @@ func TestPropertyMaxGoodputK(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// denseHistogram is the reference Histogram: one counter per bucket index
+// from 0 up to the highest index seen. The windowed Histogram must answer
+// every accessor exactly as it does.
+type denseHistogram struct {
+	buckets  []uint64
+	count    uint64
+	sum      time.Duration
+	min, max time.Duration
+}
+
+func (h *denseHistogram) Record(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	idx := bucketIndex(d)
+	if idx >= len(h.buckets) {
+		nb := make([]uint64, idx+16)
+		copy(nb, h.buckets)
+		h.buckets = nb
+	}
+	h.buckets[idx]++
+	if h.count == 0 || d < h.min {
+		h.min = d
+	}
+	if d > h.max {
+		h.max = d
+	}
+	h.count++
+	h.sum += d
+}
+
+func (h *denseHistogram) Mean() time.Duration {
+	if h.count == 0 {
+		return 0
+	}
+	return h.sum / time.Duration(h.count)
+}
+
+func (h *denseHistogram) Quantile(q float64) time.Duration {
+	if h.count == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return h.min
+	}
+	if q >= 1 {
+		return h.max
+	}
+	rank := uint64(q * float64(h.count))
+	var seen uint64
+	for i, c := range h.buckets {
+		seen += c
+		if seen > rank {
+			v := bucketValue(i)
+			if v < h.min {
+				v = h.min
+			}
+			if v > h.max {
+				v = h.max
+			}
+			return v
+		}
+	}
+	return h.max
+}
+
+func (h *denseHistogram) FractionAbove(limit time.Duration) float64 {
+	if h.count == 0 {
+		return 0
+	}
+	var above uint64
+	for i := bucketIndex(limit) + 1; i < len(h.buckets); i++ {
+		above += h.buckets[i]
+	}
+	return float64(above) / float64(h.count)
+}
+
+func (h *denseHistogram) Reset() {
+	clear(h.buckets)
+	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
+}
+
+func (h *denseHistogram) Merge(other *denseHistogram) {
+	if other.count == 0 {
+		return
+	}
+	if len(other.buckets) > len(h.buckets) {
+		nb := make([]uint64, len(other.buckets))
+		copy(nb, h.buckets)
+		h.buckets = nb
+	}
+	for i, c := range other.buckets {
+		h.buckets[i] += c
+	}
+	if h.count == 0 || other.min < h.min {
+		h.min = other.min
+	}
+	if other.max > h.max {
+		h.max = other.max
+	}
+	h.count += other.count
+	h.sum += other.sum
+}
+
+// histPair drives a windowed histogram and its dense reference in step.
+type histPair struct {
+	w Histogram
+	d denseHistogram
+}
+
+func (p *histPair) record(d time.Duration) { p.w.Record(d); p.d.Record(d) }
+func (p *histPair) merge(o *histPair)      { p.w.Merge(&o.w); p.d.Merge(&o.d) }
+func (p *histPair) reset()                 { p.w.Reset(); p.d.Reset() }
+
+// check asserts every accessor of p's windowed histogram equals the
+// reference's, and that the window holds every recorded count.
+func (p *histPair) check(t *testing.T, label string) {
+	t.Helper()
+	w, d := &p.w, &p.d
+	if w.Count() != d.count || w.Mean() != d.Mean() || w.Min() != d.min || w.Max() != d.max {
+		t.Fatalf("%s: count/mean/min/max = %d/%v/%v/%v, want %d/%v/%v/%v", label,
+			w.Count(), w.Mean(), w.Min(), w.Max(), d.count, d.Mean(), d.min, d.max)
+	}
+	for _, q := range []float64{-1, 0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1, 2} {
+		if got, want := w.Quantile(q), d.Quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%v) = %v, want %v", label, q, got, want)
+		}
+	}
+	limits := []time.Duration{-time.Second, 0, 500 * time.Nanosecond, time.Microsecond,
+		d.min / 2, d.min, d.Quantile(0.5), d.max, d.max * 2, time.Hour}
+	for _, limit := range limits {
+		if got, want := w.FractionAbove(limit), d.FractionAbove(limit); got != want {
+			t.Fatalf("%s: FractionAbove(%v) = %v, want %v", label, limit, got, want)
+		}
+	}
+	var inWindow uint64
+	for _, c := range w.buckets {
+		inWindow += c
+	}
+	if inWindow != w.count {
+		t.Fatalf("%s: window holds %d counts, want %d", label, inWindow, w.count)
+	}
+}
+
+// TestHistogramMatchesDense pins the windowed representation to the dense
+// reference on adversarial sequences: a window that moves down then up,
+// merges of disjoint windows in both orders and into an empty histogram,
+// reuse after Reset, and values below zero and below 1µs.
+func TestHistogramMatchesDense(t *testing.T) {
+	var p histPair
+	p.check(t, "empty")
+	for _, d := range []time.Duration{10 * time.Millisecond, 2 * time.Millisecond,
+		50 * time.Microsecond, 3 * time.Microsecond, 999 * time.Nanosecond,
+		0, -time.Millisecond, 5 * time.Second, 40 * time.Second, 11 * time.Millisecond} {
+		p.record(d)
+		p.check(t, fmt.Sprintf("after recording %v", d))
+	}
+
+	low, high := &histPair{}, &histPair{}
+	for i := 1; i <= 20; i++ {
+		low.record(time.Duration(i) * time.Microsecond)
+		high.record(time.Duration(i) * time.Second)
+	}
+	lowHigh, highLow, empty := &histPair{}, &histPair{}, &histPair{}
+	lowHigh.merge(low)
+	lowHigh.merge(high)
+	highLow.merge(high)
+	highLow.merge(low)
+	lowHigh.check(t, "low<-high")
+	highLow.check(t, "high<-low")
+	empty.merge(&histPair{})
+	empty.check(t, "empty<-empty")
+	low.merge(empty)
+	low.check(t, "low<-empty")
+	empty.merge(high)
+	empty.check(t, "empty<-high")
+	high.merge(high)
+	high.check(t, "high<-high")
+
+	// Reset keeps the window; reuse below, inside and above it.
+	p.reset()
+	p.check(t, "after reset")
+	for _, d := range []time.Duration{time.Millisecond, 100 * time.Nanosecond, time.Minute} {
+		p.record(d)
+		p.check(t, fmt.Sprintf("reuse %v", d))
+	}
+	p.merge(lowHigh)
+	p.check(t, "reused<-low<-high")
+}
+
+// TestHistogramMatchesDenseRandom drives random mixes of Record, Merge and
+// Reset across a few histograms, comparing against the dense reference
+// after every step.
+func TestHistogramMatchesDenseRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	value := func() time.Duration {
+		switch rng.Intn(10) {
+		case 0:
+			return -time.Duration(rng.Int63n(int64(time.Second)))
+		case 1:
+			return time.Duration(rng.Int63n(int64(time.Microsecond)))
+		default: // log-uniform from 1µs to ~30s
+			return time.Duration(float64(time.Microsecond) * math.Exp(rng.Float64()*17))
+		}
+	}
+	hs := make([]*histPair, 4)
+	for i := range hs {
+		hs[i] = &histPair{}
+	}
+	for step := 0; step < 4000; step++ {
+		i := rng.Intn(len(hs))
+		switch op := rng.Intn(100); {
+		case op < 3:
+			hs[i].reset()
+		case op < 8:
+			hs[i].merge(hs[rng.Intn(len(hs))])
+		default:
+			// Runs of nearby values, like one session's latencies.
+			center := value()
+			for n := rng.Intn(8); n >= 0; n-- {
+				hs[i].record(center + time.Duration(rng.NormFloat64()*0.05*float64(center)))
+			}
+		}
+		hs[i].check(t, fmt.Sprintf("step %d", step))
+	}
+}
+
+// TestHistogramRecordNoAlloc pins that recording inside the covered
+// window never allocates.
+func TestHistogramRecordNoAlloc(t *testing.T) {
+	var h Histogram
+	h.Record(time.Millisecond)
+	h.Record(2 * time.Millisecond)
+	vals := []time.Duration{time.Millisecond, 1500 * time.Microsecond, 2 * time.Millisecond}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Record(vals[i%len(vals)])
+		i++
+	}); n != 0 {
+		t.Fatalf("Record inside the window allocates %v times per call", n)
+	}
+}
+
+// TestHistogramWindowSize pins the point of the windowed representation:
+// a histogram of values spanning a few buckets stores a few dozen counters,
+// however large the values are.
+func TestHistogramWindowSize(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 100; i++ {
+		h.Record(time.Duration(100+i%10) * time.Millisecond)
+	}
+	if n := len(h.buckets); n > 2*histSlack+8 {
+		t.Fatalf("window of %d buckets for values spanning ~6; dense would hold %d", n, bucketIndex(h.Max())+1)
 	}
 }
