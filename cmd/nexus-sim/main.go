@@ -5,16 +5,28 @@
 //
 //	nexus-sim -app traffic -rate 200 -gpus 16 -duration 60s
 //	nexus-sim -app all -scale 0.3 -gpus 32 -system clipper
-//	nexus-sim -spec deployment.json -duration 120s
+//	nexus-sim -spec deployment.json -duration 120s -seed 2 -trace-out t.json
+//
+// The cluster knob flags (-system, -gpus, -epoch, -shards, -retry-budget,
+// ...) are derived from spec.Config, the one declaration of every knob.
+// With -spec, a knob flag given on the command line overrides the file's
+// key, and a key the file omits takes its spec default. Without -spec the
+// run starts from the spec defaults with -gpus 16, -epoch 10s and -seed 1.
+// The workload flags (-app, -rate, -scale, -rush, -duration) and output
+// flags (-trace-out, -audit-out, -telemetry-out, -alerts-out,
+// -telemetry-listen, -telemetry-hold, -forensics-out) apply on both paths;
+// with -spec, -app adds its sessions only when given.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"nexus/internal/apps"
@@ -25,191 +37,175 @@ import (
 )
 
 func main() {
-	system := flag.String("system", "nexus", "nexus | nexus-parallel | clipper | tfserving")
-	app := flag.String("app", "traffic", "game | traffic | dance | bb | bike | amber | logo | all")
-	gpus := flag.Int("gpus", 16, "GPU pool size")
-	rate := flag.Float64("rate", 100, "offered request/query rate for the app")
-	scale := flag.Float64("scale", 0.2, "workload scale for -app all")
-	duration := flag.Duration("duration", 60*time.Second, "measured virtual time")
-	epoch := flag.Duration("epoch", 10*time.Second, "control-plane epoch")
-	seed := flag.Int64("seed", 1, "workload seed")
-	fixed := flag.Bool("fixed", false, "treat the pool as a fixed cluster (spread spare GPUs)")
-	rush := flag.Bool("rush", false, "rush-hour traffic (higher per-frame fan-out)")
-	specPath := flag.String("spec", "", "JSON deployment spec (overrides -app/-system/-gpus)")
-	traceN := flag.Int("trace", 0, "record and print the last N request lifecycle events")
-	traceOut := flag.String("trace-out", "", "write the event trace as JSON to this file (implies tracing)")
-	auditOn := flag.Bool("audit", false, "keep and print the control-plane audit log")
-	auditOut := flag.String("audit-out", "", "write the audit log as JSON to this file (implies -audit)")
-	deferDrops := flag.Bool("defer", false, "serve would-be-dropped requests late at low priority (§5 alternative)")
-	telemInterval := flag.Duration("telemetry", 0, "live telemetry sampling interval (0 = off)")
-	telemOut := flag.String("telemetry-out", "", "write telemetry snapshots as JSONL to this file (implies -telemetry; tail with nexus-top)")
-	alertsOut := flag.String("alerts-out", "", "write the telemetry alert log as JSONL to this file (implies -telemetry)")
-	telemListen := flag.String("telemetry-listen", "", "serve /metrics (Prometheus text), /alerts, /health on this address (implies -telemetry)")
-	telemHold := flag.Duration("telemetry-hold", 0, "keep the telemetry endpoint up this long after the run finishes")
-	wallTimings := flag.Bool("telemetry-wall", false, "measure real plan wall time (nondeterministic; needs -telemetry)")
-	shards := flag.Int("shards", 0, "partition epoch planning across N parallel shards (0 and 1 = one unpartitioned shard)")
-	planHyst := flag.Float64("plan-hysteresis", 0, "relative rate band within which a quiet shard skips re-planning (0 = off)")
-	deltaRouting := flag.Bool("delta-routing", false, "push routing-table updates to frontends as per-session deltas")
-	leaseTTL := flag.Duration("lease-ttl", 0, "routing-table lease TTL on each frontend (0 = no leases)")
-	serveStale := flag.Bool("serve-stale", false, "keep routing on an expired lease instead of dropping (needs -lease-ttl)")
-	retryBudget := flag.Int("retry-budget", 0, "exponential-backoff dispatch retries per request (0 = retry-once semantics off)")
-	breakerN := flag.Int("breaker", 0, "consecutive dispatch failures that open a backend's circuit breaker (0 = off)")
-	breakerCool := flag.Duration("breaker-cooloff", time.Second, "open-breaker cooloff before a half-open probe (needs -breaker)")
-	recoveryCap := flag.Int("recovery-cap", 0, "max per-session route changes per post-outage push (needs -delta-routing; 0 = uncapped)")
-	forensicsOn := flag.Bool("forensics", false, "arm the flight recorder (implies tracing, -audit, and -telemetry)")
-	forensicsOut := flag.String("forensics-out", "", "write alert-triggered dump bundles as JSONL to this file (implies -forensics; read with nexus-forensics)")
-	forensicsWindow := flag.Duration("forensics-window", 0, "capture horizon before each anomaly (0 = 5s; needs -forensics)")
-	selfObs := flag.Bool("telemetry-self", false, "export runtime self-observability gauges (goroutines, heap, GC, ring/arena occupancy; nondeterministic, needs -telemetry)")
-	flag.Parse()
-
-	// -trace-out without -trace records into a generously sized ring.
-	if *traceOut != "" && *traceN == 0 {
-		*traceN = 1 << 20
-	}
-	if *auditOut != "" {
-		*auditOn = true
-	}
-	if *forensicsOut != "" || *forensicsWindow > 0 {
-		*forensicsOn = true
-	}
-	if (*telemOut != "" || *alertsOut != "" || *telemListen != "") && *telemInterval == 0 {
-		*telemInterval = telemetry.DefaultInterval
-	}
-	var telemCfg *telemetry.Config
-	if *telemInterval > 0 {
-		telemCfg = &telemetry.Config{Interval: *telemInterval, WallTimings: *wallTimings, SelfObserve: *selfObs}
-	}
-	var forensicsCfg *forensics.Config
-	if *forensicsOn {
-		forensicsCfg = &forensics.Config{Window: *forensicsWindow}
-	}
-
-	tOpts := telemetryOpts{
-		out: *telemOut, alerts: *alertsOut, listen: *telemListen, hold: *telemHold,
-		forensics: *forensicsOut,
-	}
-
-	var d *cluster.Deployment
-	var err error
-	if *specPath != "" {
-		f, ferr := os.Open(*specPath)
-		if ferr != nil {
-			log.Fatal(ferr)
-		}
-		doc, perr := spec.Parse(f)
-		f.Close()
-		if perr != nil {
-			log.Fatal(perr)
-		}
-		d, err = doc.Build()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if telemCfg != nil {
-			fmt.Fprintln(os.Stderr, "nexus-sim: -telemetry* flags are ignored with -spec (enable telemetry in the spec builder)")
-		}
-		runAndReport(d, *duration, *specPath, d.Pool.Capacity(), *traceOut, *auditOut, telemetryOpts{})
-		return
-	}
-	d, err = cluster.New(cluster.Config{
-		System:         cluster.System(*system),
-		Features:       cluster.AllFeatures(),
-		GPUs:           *gpus,
-		Seed:           *seed,
-		Epoch:          *epoch,
-		FixedCluster:   *fixed,
-		TraceCapacity:  *traceN,
-		Audit:          *auditOn,
-		DeferDropped:   *deferDrops,
-		Telemetry:      telemCfg,
-		PlannerShards:  *shards,
-		PlanHysteresis: *planHyst,
-		DeltaRouting:   *deltaRouting,
-		Forensics:      forensicsCfg,
-
-		RouteLeaseTTL:           *leaseTTL,
-		ServeStale:              *serveStale,
-		RetryBudget:             *retryBudget,
-		BreakerThreshold:        *breakerN,
-		BreakerCooloff:          *breakerCool,
-		RecoveryMaxRouteChanges: *recoveryCap,
-	})
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
-	var builders []apps.Builder
-	switch *app {
-	case "game":
-		builders = append(builders, apps.Game(20, *rate/7))
-	case "traffic":
-		builders = append(builders, apps.Traffic(20, *rate/20, *rush))
-	case "dance":
-		builders = append(builders, apps.Dance(*rate))
-	case "bb":
-		builders = append(builders, apps.Billboard(*rate))
-	case "bike":
-		builders = append(builders, apps.Bike(*rate))
-	case "amber":
-		builders = append(builders, apps.Amber(*rate))
-	case "logo":
-		builders = append(builders, apps.Logo(*rate))
-	case "all":
-		builders = apps.All(*scale)
-	default:
-		log.Fatalf("unknown app %q", *app)
+}
+
+// options holds the workload and output flags.
+type options struct {
+	spec, app    string
+	appSet       bool // -app given explicitly (always true without -spec)
+	rate, scale  float64
+	rush         bool
+	duration     time.Duration
+	traceOut     string
+	auditOut     string
+	telemOut     string
+	alertsOut    string
+	telemListen  string
+	telemHold    time.Duration
+	forensicsOut string
+}
+
+// flags declares the command line: the knob flags bound to c, then the
+// workload and output flags bound to o.
+func flags(c *spec.Config, o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("nexus-sim", flag.ContinueOnError)
+	c.Flags(fs)
+	fs.StringVar(&o.spec, "spec", "", "JSON deployment spec; knob flags given here override its keys")
+	fs.StringVar(&o.app, "app", "traffic", "game | traffic | dance | bb | bike | amber | logo | all (with -spec: added only when given)")
+	fs.Float64Var(&o.rate, "rate", 100, "offered request/query rate for the app")
+	fs.Float64Var(&o.scale, "scale", 0.2, "workload scale for -app all")
+	fs.BoolVar(&o.rush, "rush", false, "rush-hour traffic (higher per-frame fan-out)")
+	fs.DurationVar(&o.duration, "duration", 60*time.Second, "measured virtual time")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the event trace as JSON to this file (implies tracing)")
+	fs.StringVar(&o.auditOut, "audit-out", "", "write the audit log as JSON to this file (implies -audit)")
+	fs.StringVar(&o.telemOut, "telemetry-out", "", "write telemetry snapshots as JSONL to this file (implies -telemetry; tail with nexus-top)")
+	fs.StringVar(&o.alertsOut, "alerts-out", "", "write the telemetry alert log as JSONL to this file (implies -telemetry)")
+	fs.StringVar(&o.telemListen, "telemetry-listen", "", "serve /metrics (Prometheus text), /alerts, /health on this address (implies -telemetry)")
+	fs.DurationVar(&o.telemHold, "telemetry-hold", 0, "keep the telemetry endpoint up this long after the run finishes")
+	fs.StringVar(&o.forensicsOut, "forensics-out", "", "write alert-triggered dump bundles as JSONL to this file (implies -forensics; read with nexus-forensics)")
+	return fs
+}
+
+// parseArgs resolves the command line into a deployment document and the
+// workload and output options. With -spec the arguments are parsed again
+// over the loaded document, so a knob flag given on the command line
+// overrides the file's key.
+func parseArgs(args []string) (*spec.Deployment, *options, error) {
+	doc := &spec.Deployment{Config: spec.Defaults()}
+	doc.GPUs, doc.Epoch, doc.Seed = 16, 10, 1
+	o := &options{}
+	fs := flags(&doc.Config, o)
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
 	}
-	for _, b := range builders {
-		if _, err := apps.Deploy(d, b); err != nil {
-			log.Fatal(err)
+	o.appSet = o.spec == ""
+	fs.Visit(func(f *flag.Flag) { o.appSet = o.appSet || f.Name == "app" })
+	if o.spec != "" {
+		f, err := os.Open(o.spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		doc, err = spec.Parse(f)
+		f.Close()
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := flags(&doc.Config, o).Parse(args); err != nil {
+			return nil, nil, err
 		}
 	}
-	runAndReport(d, *duration, fmt.Sprintf("%s/%s", *system, *app), *gpus, *traceOut, *auditOut, tOpts)
+	// Each output destination turns on the plane that fills it.
+	if o.traceOut != "" && doc.TraceCapacity == 0 {
+		doc.TraceCapacity = 1 << 20 // a generously sized ring
+	}
+	doc.Audit = doc.Audit || o.auditOut != ""
+	doc.Forensics = doc.Forensics || o.forensicsOut != ""
+	if (o.telemOut != "" || o.alertsOut != "" || o.telemListen != "") && doc.Telemetry == 0 {
+		doc.Telemetry = spec.Seconds(telemetry.DefaultInterval.Seconds())
+	}
+	return doc, o, nil
 }
 
-// telemetryOpts bundles the telemetry output destinations.
-type telemetryOpts struct {
-	out       string // snapshot JSONL path
-	alerts    string // alert log JSONL path
-	listen    string // HTTP address for live Prometheus scraping
-	hold      time.Duration
-	forensics string // flight-recorder dump JSONL path
+// run executes one nexus-sim invocation, printing the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	doc, o, err := parseArgs(args)
+	if err != nil {
+		return err
+	}
+	d, err := doc.Build()
+	if err != nil {
+		return err
+	}
+	label := o.spec
+	if o.appSet {
+		builders, err := appBuilders(o)
+		if err != nil {
+			return err
+		}
+		for _, b := range builders {
+			if _, err := apps.Deploy(d, b); err != nil {
+				return err
+			}
+		}
+		if label == "" {
+			label = fmt.Sprintf("%s/%s", doc.System, o.app)
+		}
+	}
+	return report(stdout, d, o, label, doc.GPUs)
 }
 
-// runAndReport executes the deployment and prints the standard panels.
-func runAndReport(d *cluster.Deployment, duration time.Duration, label string, gpus int,
-	traceOut, auditOut string, tOpts telemetryOpts) {
-	if tOpts.listen != "" && d.Telemetry() != nil {
+// appBuilders returns the builders of the -app workload.
+func appBuilders(o *options) ([]apps.Builder, error) {
+	switch o.app {
+	case "game":
+		return []apps.Builder{apps.Game(20, o.rate/7)}, nil
+	case "traffic":
+		return []apps.Builder{apps.Traffic(20, o.rate/20, o.rush)}, nil
+	case "dance":
+		return []apps.Builder{apps.Dance(o.rate)}, nil
+	case "bb":
+		return []apps.Builder{apps.Billboard(o.rate)}, nil
+	case "bike":
+		return []apps.Builder{apps.Bike(o.rate)}, nil
+	case "amber":
+		return []apps.Builder{apps.Amber(o.rate)}, nil
+	case "logo":
+		return []apps.Builder{apps.Logo(o.rate)}, nil
+	case "all":
+		return apps.All(o.scale), nil
+	}
+	return nil, fmt.Errorf("unknown app %q", o.app)
+}
+
+// report executes the deployment and prints the standard panels, then
+// each enabled plane either to its output file or inline.
+func report(w io.Writer, d *cluster.Deployment, o *options, label string, gpus int) error {
+	if o.telemListen != "" && d.Telemetry() != nil {
 		// Serve the live endpoint while the simulation runs: /metrics reads
 		// only the mutex-published latest snapshot, so scraping is race-free.
-		srv := &http.Server{Addr: tOpts.listen, Handler: telemetry.Handler(d.Telemetry())}
+		srv := &http.Server{Addr: o.telemListen, Handler: telemetry.Handler(d.Telemetry())}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				log.Fatal(err)
 			}
 		}()
-		fmt.Printf("telemetry: serving /metrics on %s\n", tOpts.listen)
+		fmt.Fprintf(w, "telemetry: serving /metrics on %s\n", o.telemListen)
 	}
+	duration := o.duration
 	bad, err := d.Run(duration)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("nexus-sim: %s for %v on %d GPUs\n", label, duration, gpus)
-	fmt.Printf("  bad rate:     %.2f%%\n", 100*bad)
-	fmt.Printf("  goodput:      %.1f req/s\n", d.Goodput(duration))
-	fmt.Printf("  GPUs in use:  %.1f (avg)\n", d.AvgGPUsUsed())
-	fmt.Printf("  unroutable:   %d\n", d.Unroutable())
-	fmt.Println("\n  per-session:")
+	fmt.Fprintf(w, "nexus-sim: %s for %v on %d GPUs\n", label, duration, gpus)
+	fmt.Fprintf(w, "  bad rate:     %.2f%%\n", 100*bad)
+	fmt.Fprintf(w, "  goodput:      %.1f req/s\n", d.Goodput(duration))
+	fmt.Fprintf(w, "  GPUs in use:  %.1f (avg)\n", d.AvgGPUsUsed())
+	fmt.Fprintf(w, "  unroutable:   %d\n", d.Unroutable())
+	fmt.Fprintln(w, "\n  per-session:")
 	for _, sid := range d.Recorder.SessionIDs() {
 		s := d.Recorder.Session(sid)
 		if s.Sent == 0 {
 			continue
 		}
-		fmt.Printf("    %-22s sent=%7d good=%7d dropped=%5d late=%5d p50=%-10v p99=%v\n",
+		fmt.Fprintf(w, "    %-22s sent=%7d good=%7d dropped=%5d late=%5d p50=%-10v p99=%v\n",
 			sid, s.Sent, s.Good(), s.Dropped, s.Missed,
 			s.Latency.Quantile(0.5), s.Latency.Quantile(0.99))
 	}
-	fmt.Println("\n  timeline (10s buckets): offered r/s | GPUs | bad%")
+	fmt.Fprintln(w, "\n  timeline (10s buckets): offered r/s | GPUs | bad%")
 	step := 10
 	for i := 0; i*step < int(duration.Seconds()); i++ {
 		var offered, badN, goodN, g float64
@@ -223,130 +219,109 @@ func runAndReport(d *cluster.Deployment, duration time.Duration, label string, g
 		if badN+goodN > 0 {
 			badPct = 100 * badN / (badN + goodN)
 		}
-		fmt.Printf("    t=%3ds  %8.1f | %5.1f | %5.2f%%\n",
+		fmt.Fprintf(w, "    t=%3ds  %8.1f | %5.1f | %5.2f%%\n",
 			(i+1)*step, offered/float64(step), g/float64(step), badPct)
 	}
 	if tr := d.Tracer(); tr != nil {
-		if traceOut != "" {
-			if err := writeFile(traceOut, tr.WriteJSON); err != nil {
-				log.Fatal(err)
+		if o.traceOut != "" {
+			if err := writeFile(o.traceOut, tr.WriteJSON); err != nil {
+				return err
 			}
-			fmt.Printf("\n  trace: %d of %d events written to %s (analyze with nexus-trace)\n",
-				len(tr.Events()), tr.Total(), traceOut)
+			fmt.Fprintf(w, "\n  trace: %d of %d events written to %s (analyze with nexus-trace)\n",
+				len(tr.Events()), tr.Total(), o.traceOut)
 		} else {
-			fmt.Printf("\n  trace (last %d of %d events):\n", len(tr.Events()), tr.Total())
-			if err := tr.WriteText(os.Stdout); err != nil {
-				log.Fatal(err)
+			fmt.Fprintf(w, "\n  trace (last %d of %d events):\n", len(tr.Events()), tr.Total())
+			if err := tr.WriteText(w); err != nil {
+				return err
 			}
 		}
 	}
 	if a := d.Audit(); a != nil {
-		if auditOut != "" {
-			if err := writeFile(auditOut, a.WriteJSON); err != nil {
-				log.Fatal(err)
+		if o.auditOut != "" {
+			if err := writeFile(o.auditOut, a.WriteJSON); err != nil {
+				return err
 			}
-			fmt.Printf("  audit log written to %s\n", auditOut)
+			fmt.Fprintf(w, "  audit log written to %s\n", o.auditOut)
 		} else {
-			fmt.Println("\n  control-plane audit log:")
-			if err := a.WriteText(os.Stdout); err != nil {
-				log.Fatal(err)
+			fmt.Fprintln(w, "\n  control-plane audit log:")
+			if err := a.WriteText(w); err != nil {
+				return err
 			}
 		}
 	}
 	if fr := d.Flight(); fr != nil {
 		dumps := fr.Dumps()
-		fmt.Printf("\n  flight recorder: %d dump bundle(s), %d trigger(s) suppressed\n",
+		fmt.Fprintf(w, "\n  flight recorder: %d dump bundle(s), %d trigger(s) suppressed\n",
 			len(dumps), fr.Suppressed())
-		if tOpts.forensics != "" {
-			if err := writeFile(tOpts.forensics, func(w io.Writer) error {
-				return forensics.WriteDumpsJSONL(w, dumps)
+		if o.forensicsOut != "" {
+			if err := writeFile(o.forensicsOut, func(f io.Writer) error {
+				return forensics.WriteDumpsJSONL(f, dumps)
 			}); err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("  dumps written to %s (read with nexus-forensics -dumps %s)\n",
-				tOpts.forensics, tOpts.forensics)
+			fmt.Fprintf(w, "  dumps written to %s (read with nexus-forensics -dumps %s)\n",
+				o.forensicsOut, o.forensicsOut)
 		} else {
 			for i := range dumps {
-				if err := dumps[i].WriteText(prefixed(os.Stdout, "  ")); err != nil {
-					log.Fatal(err)
+				if err := indented(w, "  ", dumps[i].WriteText); err != nil {
+					return err
 				}
 			}
 		}
 	}
 	if c := d.Telemetry(); c != nil {
-		fmt.Printf("\n  telemetry: %d snapshots, %d alert transitions, %d health reports\n",
+		fmt.Fprintf(w, "\n  telemetry: %d snapshots, %d alert transitions, %d health reports\n",
 			len(c.Snapshots()), len(c.Alerts()), len(c.Health()))
 		if alerts := c.Alerts(); len(alerts) > 0 {
-			fmt.Println("  alert log:")
-			if err := c.WriteAlertsText(prefixed(os.Stdout, "    ")); err != nil {
-				log.Fatal(err)
+			fmt.Fprintln(w, "  alert log:")
+			if err := indented(w, "    ", c.WriteAlertsText); err != nil {
+				return err
 			}
 		}
 		if hs := c.Health(); len(hs) > 0 {
-			fmt.Println("  scheduler health (last epoch):")
-			if err := hs[len(hs)-1].WriteText(prefixed(os.Stdout, "    ")); err != nil {
-				log.Fatal(err)
+			fmt.Fprintln(w, "  scheduler health (last epoch):")
+			if err := indented(w, "    ", hs[len(hs)-1].WriteText); err != nil {
+				return err
 			}
 		}
-		if tOpts.out != "" {
-			if err := writeFile(tOpts.out, func(w io.Writer) error {
-				return telemetry.WriteSnapshotsJSONL(w, c.Snapshots())
+		if o.telemOut != "" {
+			if err := writeFile(o.telemOut, func(f io.Writer) error {
+				return telemetry.WriteSnapshotsJSONL(f, c.Snapshots())
 			}); err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("  snapshots written to %s (view with nexus-top -in %s)\n", tOpts.out, tOpts.out)
+			fmt.Fprintf(w, "  snapshots written to %s (view with nexus-top -in %s)\n", o.telemOut, o.telemOut)
 		}
-		if tOpts.alerts != "" {
-			if err := writeFile(tOpts.alerts, func(w io.Writer) error {
-				return telemetry.WriteAlertsJSONL(w, c.Alerts())
+		if o.alertsOut != "" {
+			if err := writeFile(o.alertsOut, func(f io.Writer) error {
+				return telemetry.WriteAlertsJSONL(f, c.Alerts())
 			}); err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("  alert log written to %s\n", tOpts.alerts)
+			fmt.Fprintf(w, "  alert log written to %s\n", o.alertsOut)
 		}
-		if tOpts.listen != "" && tOpts.hold > 0 {
-			fmt.Printf("  holding %s for %v (scrape %s/metrics)\n", tOpts.listen, tOpts.hold, tOpts.listen)
-			time.Sleep(tOpts.hold)
+		if o.telemListen != "" && o.telemHold > 0 {
+			fmt.Fprintf(w, "  holding %s for %v (scrape %s/metrics)\n", o.telemListen, o.telemHold, o.telemListen)
+			time.Sleep(o.telemHold)
 		}
 	}
+	return nil
 }
 
-// prefixed returns a writer that indents every line it forwards.
-func prefixed(w io.Writer, prefix string) io.Writer {
-	return &prefixWriter{w: w, prefix: []byte(prefix), atLineStart: true}
-}
-
-type prefixWriter struct {
-	w           io.Writer
-	prefix      []byte
-	atLineStart bool
-}
-
-func (p *prefixWriter) Write(b []byte) (int, error) {
-	n := 0
-	for len(b) > 0 {
-		if p.atLineStart {
-			if _, err := p.w.Write(p.prefix); err != nil {
-				return n, err
-			}
-			p.atLineStart = false
-		}
-		i := 0
-		for i < len(b) && b[i] != '\n' {
-			i++
-		}
-		if i < len(b) {
-			i++ // include the newline
-			p.atLineStart = true
-		}
-		m, err := p.w.Write(b[:i])
-		n += m
-		if err != nil {
-			return n, err
-		}
-		b = b[i:]
+// indented writes what write produces to w with prefix before each line.
+func indented(w io.Writer, prefix string, write func(io.Writer) error) error {
+	var b strings.Builder
+	if err := write(&b); err != nil {
+		return err
 	}
-	return n, nil
+	for _, line := range strings.SplitAfter(b.String(), "\n") {
+		if line != "" {
+			if _, err := io.WriteString(w, prefix+line); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // writeFile streams write into path, creating or truncating it.

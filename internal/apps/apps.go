@@ -79,29 +79,9 @@ func WithPoisson(spec *Spec) *Spec {
 	return out
 }
 
-// variant registers (or reuses) a specialized variant of base. Each app
-// gets a disjoint numeric namespace so variant IDs stay parseable by the
-// profiler's BaseOf ("<base>-v<appIdx*100+k>").
-func variant(mdb *model.DB, base string, appIdx, k, retrain int) (string, error) {
-	id := fmt.Sprintf("%s-v%d", base, appIdx*100+k)
-	if _, ok := mdb.Lookup(id); ok {
-		return id, nil
-	}
-	bm, err := mdb.Get(base)
-	if err != nil {
-		return "", err
-	}
-	v, err := model.Specialize(bm, id, retrain)
-	if err != nil {
-		return "", err
-	}
-	if err := mdb.Register(v); err != nil {
-		return "", err
-	}
-	return id, nil
-}
-
-// App namespaces for variant IDs.
+// App namespaces for variant IDs: each app gets a disjoint numeric range so
+// variant IDs stay parseable by the profiler's BaseOf
+// ("<base>-v<appIdx*100+k>").
 const (
 	gameIdx = iota + 1
 	bbIdx
@@ -128,11 +108,11 @@ func GameSLO(games int, totalRate float64, slo time.Duration) Builder {
 		spec := &Spec{Name: "game"}
 		rates := workload.SplitRate(totalRate, games, 0.9)
 		for g := 0; g < games; g++ {
-			digitID, err := variant(mdb, model.LeNet5, gameIdx, g, 1)
+			digitID, err := mdb.Variant(model.LeNet5, gameIdx*100+g, 1)
 			if err != nil {
 				return nil, err
 			}
-			iconID, err := variant(mdb, model.ResNet50, gameIdx, g, 1)
+			iconID, err := mdb.Variant(model.ResNet50, gameIdx*100+g, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -197,11 +177,11 @@ func Dance(rate float64) Builder {
 // SLO 500 ms.
 func Billboard(rate float64) Builder {
 	return func(mdb *model.DB) (*Spec, error) {
-		age, err := variant(mdb, model.VGGFace, bbIdx, 0, 1)
+		age, err := mdb.Variant(model.VGGFace, bbIdx*100, 1)
 		if err != nil {
 			return nil, err
 		}
-		sex, err := variant(mdb, model.VGGFace, bbIdx, 1, 1)
+		sex, err := mdb.Variant(model.VGGFace, bbIdx*100+1, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +204,7 @@ func Billboard(rate float64) Builder {
 // classification, text detection and text recognition (QA-4, PB), SLO 600 ms.
 func Bike(rate float64) Builder {
 	return func(mdb *model.DB) (*Spec, error) {
-		textRec, err := variant(mdb, model.TextCRNN, bikeIdx, 0, 1)
+		textRec, err := mdb.Variant(model.TextCRNN, bikeIdx*100, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -248,11 +228,11 @@ func Bike(rate float64) Builder {
 // make/model, text detection/recognition (QA-4, PB), SLO 600 ms.
 func Amber(rate float64) Builder {
 	return func(mdb *model.DB) (*Spec, error) {
-		plateRec, err := variant(mdb, model.TextCRNN, amberIdx, 0, 1)
+		plateRec, err := mdb.Variant(model.TextCRNN, amberIdx*100, 1)
 		if err != nil {
 			return nil, err
 		}
-		carVariant, err := variant(mdb, model.GoogLeNetCar, amberIdx, 0, 1)
+		carVariant, err := mdb.Variant(model.GoogLeNetCar, amberIdx*100, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -277,11 +257,11 @@ func Amber(rate float64) Builder {
 // (QA-5, PB), SLO 1 s.
 func Logo(rate float64) Builder {
 	return func(mdb *model.DB) (*Spec, error) {
-		numberRec, err := variant(mdb, model.LeNet5, logoIdx, 0, 1)
+		numberRec, err := mdb.Variant(model.LeNet5, logoIdx*100, 1)
 		if err != nil {
 			return nil, err
 		}
-		logoDet, err := variant(mdb, model.InceptionV3, logoIdx, 0, 1)
+		logoDet, err := mdb.Variant(model.InceptionV3, logoIdx*100, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func TestCrashRecoveryWithinTwoEpochs(t *testing.T) {
 	epoch := 5 * time.Second
 	d := chaosDeployment(t, Config{
 		System: Nexus, Features: AllFeatures(), GPUs: 4, Seed: 7, Epoch: epoch,
-		Heartbeat: 100 * time.Millisecond, LeaseMisses: 3, RetryFailures: true,
+		Heartbeat: 100 * time.Millisecond, LeaseMisses: 3, RetryBudget: 1,
 	})
 	in := faults.New(d.Clock, d, 7)
 	if err := in.Schedule(faults.Script{{At: chaosFaultAt, Kind: faults.Crash, Backend: "be0"}}); err != nil {
@@ -77,7 +77,7 @@ func TestCrashRecoveryDeterministic(t *testing.T) {
 	run := func() (float64, uint64, int) {
 		d := chaosDeployment(t, Config{
 			System: Nexus, Features: AllFeatures(), GPUs: 4, Seed: 7, Epoch: 5 * time.Second,
-			Heartbeat: 100 * time.Millisecond, LeaseMisses: 3, RetryFailures: true,
+			Heartbeat: 100 * time.Millisecond, LeaseMisses: 3, RetryBudget: 1,
 		})
 		in := faults.New(d.Clock, d, 7)
 		if err := in.Schedule(faults.Script{{At: chaosFaultAt, Kind: faults.Crash}}); err != nil {

@@ -43,11 +43,11 @@ const (
 // Features are the Nexus ablation switches (§7.3). They are ignored for
 // the baseline systems, whose behaviour is fixed.
 type Features struct {
-	PrefixBatch   bool // PB
-	Squishy       bool // SS
-	EarlyDrop     bool // ED
-	Overlap       bool // OL
-	QueryAnalysis bool // QA
+	PrefixBatch   bool `json:"prefix_batch"`   // PB
+	Squishy       bool `json:"squishy"`        // SS
+	EarlyDrop     bool `json:"early_drop"`     // ED
+	Overlap       bool `json:"overlap"`        // OL
+	QueryAnalysis bool `json:"query_analysis"` // QA
 }
 
 // AllFeatures returns full Nexus.
@@ -103,17 +103,9 @@ type Config struct {
 	// LeaseMisses is how many beats may be missed before a backend is
 	// declared dead (default 3).
 	LeaseMisses int
-	// RetryFailures enables the frontend's deadline-checked retry-once path
-	// for dispatches that hit a dead backend or a reconfiguration race.
-	RetryFailures bool
-	// MaxQueue bounds each backend unit's queue; 0 = unbounded.
-	MaxQueue int
 	// SessionTimelines records per-session good/bad completion series
 	// (per-second), read back via SessionTimeline.
 	SessionTimelines bool
-	// OnFailure, when set, observes every backend declared dead by the
-	// control plane.
-	OnFailure func(backendID string, at time.Duration)
 	// PlannerShards partitions epoch planning across this many concurrent
 	// planner shards. 0 (the default) and 1 both mean one unpartitioned
 	// shard; shard tags and counters appear only at 2 or more.
@@ -152,9 +144,10 @@ type Config struct {
 	// unroutable — the lease-expiry-without-repair posture.
 	RouteLeaseTTL time.Duration
 	ServeStale    bool
-	// RetryBudget replaces the retry-once path with an exponential-backoff
-	// budget: up to RetryBudget re-sends per request, waiting
-	// RetryBackoff<<(attempt-1) before each (default backoff 1ms).
+	// RetryBudget re-sends a dispatch that hit a dead backend, a lost
+	// unit, or a cut link to a surviving replica, up to RetryBudget times
+	// per request, waiting RetryBackoff<<(attempt-1) before each; a zero
+	// backoff re-sends at once (budget 1, backoff 0 is retry-once).
 	RetryBudget  int
 	RetryBackoff time.Duration
 	// BreakerThreshold arms per-backend circuit breakers on every
@@ -189,7 +182,7 @@ type Config struct {
 // telemetry sampler keys its new instruments on it so pre-existing
 // deployments keep their exact metric key sets.
 func (c *Config) degraded() bool {
-	return c.RouteLeaseTTL > 0 || c.RetryBudget > 0 || c.BreakerThreshold > 0 ||
+	return c.RouteLeaseTTL > 0 || c.BreakerThreshold > 0 ||
 		c.Admission != nil || c.RecoveryMaxRouteChanges > 0
 }
 
@@ -412,7 +405,6 @@ func New(cfg Config) (*Deployment, error) {
 			})
 		}
 	}
-	beCfg.MaxQueue = cfg.MaxQueue
 	d.Pool = NewPool(d.Clock, cfg.GPUs, cfg.GPU, devMode, beCfg, func(beID string) backend.CompletionFunc {
 		return func(req workload.Request, outcome backend.Outcome, at time.Duration) {
 			d.requestDone(req, outcome, at, beID)
@@ -432,18 +424,11 @@ func New(cfg Config) (*Deployment, error) {
 			d.requestDone(req, reason, d.Clock.Now(), "")
 		})
 		fe.SetTracer(d.tracer)
-		if cfg.RetryFailures {
-			fe.EnableRetry()
-		}
 		if cfg.RouteLeaseTTL > 0 {
 			fe.EnableRouteLease(cfg.RouteLeaseTTL, cfg.ServeStale)
 		}
 		if cfg.RetryBudget > 0 {
-			base := cfg.RetryBackoff
-			if base <= 0 {
-				base = time.Millisecond
-			}
-			fe.EnableBackoffRetry(cfg.RetryBudget, base)
+			fe.EnableRetry(cfg.RetryBudget, cfg.RetryBackoff)
 		}
 		if cfg.BreakerThreshold > 0 {
 			cooloff := cfg.BreakerCooloff
@@ -629,7 +614,6 @@ func (d *Deployment) controlConfig() globalsched.Config {
 	// Failure detection is orthogonal to the system kind.
 	cfg.Heartbeat = d.cfg.Heartbeat
 	cfg.LeaseMisses = d.cfg.LeaseMisses
-	cfg.OnFailure = d.cfg.OnFailure
 	cfg.Audit = d.audit
 	if d.telem != nil {
 		cfg.PlanWallClock = d.telem.WallTimings()

@@ -22,7 +22,7 @@ import (
 func forensicsChaosConfig() Config {
 	return Config{
 		System: Nexus, Features: AllFeatures(), GPUs: 4, Seed: 7, Epoch: 5 * time.Second,
-		Heartbeat: 100 * time.Millisecond, LeaseMisses: 3, RetryFailures: true,
+		Heartbeat: 100 * time.Millisecond, LeaseMisses: 3, RetryBudget: 1,
 		Telemetry: &telemetry.Config{
 			Interval: 250 * time.Millisecond,
 			Rules: []telemetry.Rule{

@@ -168,7 +168,7 @@ func TestChaosBurnRateAlert(t *testing.T) {
 	epoch := 5 * time.Second
 	d := chaosDeployment(t, Config{
 		System: Nexus, Features: AllFeatures(), GPUs: 4, Seed: 7, Epoch: epoch,
-		Heartbeat: 100 * time.Millisecond, LeaseMisses: 3, RetryFailures: true,
+		Heartbeat: 100 * time.Millisecond, LeaseMisses: 3, RetryBudget: 1,
 		Telemetry: &telemetry.Config{
 			Interval: 250 * time.Millisecond,
 			Rules: []telemetry.Rule{

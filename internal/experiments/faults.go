@@ -75,7 +75,7 @@ func chaosSweep(rc *RunContext) (*Table, error) {
 		{name: "Nexus-FT", mutate: func(cfg *cluster.Config) {
 			cfg.Heartbeat = 100 * time.Millisecond
 			cfg.LeaseMisses = 3
-			cfg.RetryFailures = true
+			cfg.RetryBudget = 1
 		}},
 		{name: "epoch-only", mutate: func(cfg *cluster.Config) {}},
 		{name: "lazy-drop", mutate: func(cfg *cluster.Config) {

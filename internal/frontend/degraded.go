@@ -258,15 +258,12 @@ func (f *Frontend) OpenBreakers() int {
 // ---------------------------------------------------------------------
 // Retry budget.
 
-// EnableBackoffRetry replaces the retry-once path with an exponential-
-// backoff budget: a failed dispatch is re-sent to a surviving replica up
-// to budget times, waiting base<<(attempt-1) before each re-send, as long
-// as the request's deadline still has room for the wait plus a network
-// hop.
-func (f *Frontend) EnableBackoffRetry(budget int, base time.Duration) {
-	if budget < 0 {
-		budget = 0
-	}
+// EnableRetry arms the retry budget: a dispatch that fails because its
+// target crashed, lost the unit, or sits behind a cut link is re-sent to a
+// surviving replica up to budget times, waiting base<<(attempt-1) before
+// each re-send (base 0 re-sends at once), as long as the request's
+// deadline still has room for the wait plus a network hop.
+func (f *Frontend) EnableRetry(budget int, base time.Duration) {
 	f.retryBudget = budget
 	f.retryBase = base
 }
@@ -305,9 +302,9 @@ func (f *Frontend) SetLinkDown(beID string, down bool) bool {
 // SetAdmissionReserve) when its own bucket is empty, so overload sheds
 // the lowest-value sessions first.
 type AdmissionConfig struct {
-	Rate     float64
-	Burst    float64
-	Priority int
+	Rate     float64 `json:"rate"`
+	Burst    float64 `json:"burst"`
+	Priority int     `json:"priority"`
 }
 
 // tokenBucket refills by elapsed virtual time, which keeps admission

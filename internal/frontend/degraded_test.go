@@ -70,7 +70,7 @@ func TestRouteLeaseServeStaleCountsAndRenews(t *testing.T) {
 func TestBreakerOpensAndRoutesAround(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 2)
 	fe.EnableBreakers(2, time.Hour)
-	fe.EnableBackoffRetry(2, time.Millisecond)
+	fe.EnableRetry(2, time.Millisecond)
 	var transitions []string
 	fe.SetBreakerObserver(func(at time.Duration, beID, from, to string) {
 		transitions = append(transitions, beID+":"+from+"->"+to)
@@ -107,7 +107,7 @@ func TestBreakerOpensAndRoutesAround(t *testing.T) {
 func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	clock, backends, fe, _ := dropSetup(t, 2)
 	fe.EnableBreakers(1, 5*time.Second)
-	fe.EnableBackoffRetry(2, time.Millisecond)
+	fe.EnableRetry(2, time.Millisecond)
 	if err := fe.SetTable(RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
@@ -144,7 +144,7 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 
 func TestBackoffRetryBudgetExhausts(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 2)
-	fe.EnableBackoffRetry(3, time.Millisecond)
+	fe.EnableRetry(3, time.Millisecond)
 	if err := fe.SetTable(RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
@@ -165,7 +165,7 @@ func TestBackoffRetryBudgetExhausts(t *testing.T) {
 
 func TestBackoffRetrySavesAfterTransientFailures(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 3)
-	fe.EnableBackoffRetry(3, time.Millisecond)
+	fe.EnableRetry(3, time.Millisecond)
 	if err := fe.SetTable(RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
@@ -190,7 +190,7 @@ func TestBackoffRetrySavesAfterTransientFailures(t *testing.T) {
 
 func TestLinkDownFailsDispatchAndRetryReroutes(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 2)
-	fe.EnableBackoffRetry(2, time.Millisecond)
+	fe.EnableRetry(2, time.Millisecond)
 	if err := fe.SetTable(RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
@@ -281,7 +281,7 @@ func TestAdmissionRefillsByVirtualTime(t *testing.T) {
 // live backend at all times, so every retried request must survive.
 func TestConcurrentApplyDeltaDuringBackoffRetry(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 3)
-	fe.EnableBackoffRetry(4, time.Millisecond)
+	fe.EnableRetry(4, time.Millisecond)
 	rt := RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
@@ -338,7 +338,7 @@ func TestConcurrentApplyDeltaDuringBackoffRetry(t *testing.T) {
 func TestBreakerOpenSurvivesStaleDeltaResync(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 2)
 	fe.EnableBreakers(1, time.Hour)
-	fe.EnableBackoffRetry(2, time.Millisecond)
+	fe.EnableRetry(2, time.Millisecond)
 	rt := RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},

@@ -101,7 +101,7 @@ func TestRemoveBackendCopyOnWrite(t *testing.T) {
 
 func TestRetryReroutesAroundDeadBackend(t *testing.T) {
 	clock, backends, fe, dropped := setup(t, 2)
-	fe.EnableRetry()
+	fe.EnableRetry(1, 0)
 	if err := fe.SetTable(RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
@@ -126,7 +126,7 @@ func TestRetryReroutesAroundDeadBackend(t *testing.T) {
 
 func TestRetryRespectsDeadline(t *testing.T) {
 	clock, backends, fe, dropped := setup(t, 2)
-	fe.EnableRetry()
+	fe.EnableRetry(1, 0)
 	if err := fe.SetTable(RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},

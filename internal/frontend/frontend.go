@@ -140,8 +140,6 @@ type Frontend struct {
 	netDelay time.Duration
 	// extraDelay models an injected network-delay spike on every hop.
 	extraDelay time.Duration
-	// retry enables the deadline-checked retry-once path on dead targets.
-	retry bool
 
 	// state is the current routing snapshot; the dispatch hot path loads it
 	// once per request and never takes a lock. Table mutations are
@@ -199,7 +197,7 @@ type Frontend struct {
 
 	// Degraded-mode survival state (see degraded.go). All nil/zero when the
 	// layer is off, so the hot path pays one nil check per feature.
-	// retryBudget/retryBase replace the retry-once path when budget > 0.
+	// retryBudget/retryBase are the retry budget (0 = no retries).
 	retryBudget int
 	retryBase   time.Duration
 	// leaseTTL > 0 arms routing-table leases: lastPush (unix nanos of the
@@ -291,25 +289,20 @@ func (p *pendingSend) deliver() {
 		if f.breakers != nil {
 			f.breakerFailure(r.BackendID)
 		}
-		if f.retryBudget > 0 {
-			// Exponential-backoff retry budget: re-send to a surviving
-			// replica after base<<(attempt-1), as long as the budget and
-			// the request's deadline both have room.
-			if attempt <= f.retryBudget {
-				backoff := f.retryBase << (attempt - 1)
-				if alt, ok := f.altRoute(req.Session, r.BackendID); ok &&
-					req.Deadline-f.clock.Now() > backoff+f.netDelay+f.extraDelay {
-					f.retries.Add(1)
-					next := attempt + 1
-					f.clock.After(backoff, func() { f.send(req, alt, next) })
-					return
-				}
-			}
-		} else if f.retry && attempt == 1 {
+		// Retry budget: re-send to a surviving replica after
+		// base<<(attempt-1), as long as the budget and the request's
+		// deadline both have room. A zero wait re-sends inline.
+		if attempt <= f.retryBudget {
+			backoff := f.retryBase << (attempt - 1)
 			if alt, ok := f.altRoute(req.Session, r.BackendID); ok &&
-				req.Deadline-f.clock.Now() > f.netDelay+f.extraDelay {
+				req.Deadline-f.clock.Now() > backoff+f.netDelay+f.extraDelay {
 				f.retries.Add(1)
-				f.send(req, alt, 2)
+				next := attempt + 1
+				if backoff == 0 {
+					f.send(req, alt, next)
+				} else {
+					f.clock.After(backoff, func() { f.send(req, alt, next) })
+				}
 				return
 			}
 		}
@@ -361,11 +354,6 @@ func New(clock *simclock.Clock, backends map[string]*backend.Backend, netDelay t
 
 // NetDelay returns the configured one-way dispatch latency.
 func (f *Frontend) NetDelay() time.Duration { return f.netDelay }
-
-// EnableRetry turns on the retry-once path: a dispatch that fails because
-// its target crashed or lost the unit is re-sent to a surviving replica,
-// provided the request's deadline still has room for another network hop.
-func (f *Frontend) EnableRetry() { f.retry = true }
 
 // SetTracer attaches a span tracer; nil detaches it.
 func (f *Frontend) SetTracer(t *trace.Tracer) { f.tracer = t }
@@ -635,7 +623,7 @@ func (f *Frontend) pump() {
 
 // send delivers req to route r after the network delay, classifying any
 // enqueue failure. attempt is 1 on the first try; deliver consults the
-// retry policy (backoff budget, or legacy retry-once) on failure.
+// retry budget on failure.
 func (f *Frontend) send(req workload.Request, r resolvedRoute, attempt int) {
 	var p *pendingSend
 	if n := len(f.sendPool); n > 0 {
@@ -765,8 +753,8 @@ func (f *Frontend) TableVersion() uint64 { return f.tableVersion.Load() }
 // unroutable admission drops, which never reached a backend).
 func (f *Frontend) Dispatches() uint64 { return f.dispatches.Load() }
 
-// Retries returns how many dispatches took the retry-once path after
-// hitting a dead backend or a reconfiguration race.
+// Retries returns how many re-sends the retry budget made after a
+// dispatch hit a dead backend or a reconfiguration race.
 func (f *Frontend) Retries() uint64 { return f.retries.Load() }
 
 // IngressDepth approximates the ingress ring's current occupancy, for

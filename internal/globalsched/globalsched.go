@@ -102,8 +102,6 @@ type Config struct {
 	// LeaseMisses is how many consecutive beats may be missed before a
 	// backend is declared dead (default 3).
 	LeaseMisses int
-	// OnFailure, when set, observes every declared backend failure.
-	OnFailure func(backendID string, at time.Duration)
 	// Audit, when set, receives per-epoch placement records and query
 	// budget splits (the control-plane audit log).
 	Audit *trace.Audit
@@ -481,9 +479,6 @@ func (s *Scheduler) handleFailure(nodeID, beID string) {
 			Epoch: s.epochs, AtMS: trace.MS(s.clock.Now()),
 			Cause: "recovery", Changes: changes,
 		})
-	}
-	if s.cfg.OnFailure != nil {
-		s.cfg.OnFailure(beID, s.clock.Now())
 	}
 }
 

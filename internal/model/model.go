@@ -277,6 +277,25 @@ func (db *DB) MustRegister(m *Model) {
 	}
 }
 
+// Variant registers the specialized variant "<base>-v<k>" of base,
+// retraining its last retrain layers, unless it is already registered, and
+// returns its ID.
+func (db *DB) Variant(base string, k, retrain int) (string, error) {
+	id := fmt.Sprintf("%s-v%d", base, k)
+	if _, ok := db.Lookup(id); ok {
+		return id, nil
+	}
+	bm, err := db.Get(base)
+	if err != nil {
+		return "", err
+	}
+	v, err := Specialize(bm, id, retrain)
+	if err != nil {
+		return "", err
+	}
+	return id, db.Register(v)
+}
+
 // Lookup returns the model and whether it is registered. Unlike Get it
 // builds no error on a miss, so existence checks stay cheap.
 func (db *DB) Lookup(id string) (*Model, bool) {

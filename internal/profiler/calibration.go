@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -71,6 +72,17 @@ func CatalogProfiles(mdb *model.DB) (*DB, error) {
 		}
 	}
 	return db, nil
+}
+
+// ProfiledGPUs lists, sorted, the GPU types Calibrate can profile: the
+// device types a deployment can run on.
+func ProfiledGPUs() []GPUType {
+	out := make([]GPUType, 0, len(gpuScale))
+	for gpu := range gpuScale {
+		out = append(out, gpu)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // Calibrated reports whether Calibrate can profile model id on gpu: its

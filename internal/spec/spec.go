@@ -1,8 +1,9 @@
 // Package spec defines a declarative JSON description of a Nexus
-// deployment — system kind, cluster size, sessions, and query trees with
+// deployment — every cluster knob (Config), sessions, and query trees with
 // their arrival processes — and builds a runnable cluster.Deployment from
 // it. It is the management-plane ingestion format (§5 "developers ingest
-// and deploy applications and models") and powers `nexus-sim -spec`.
+// and deploy applications and models"), and its Config is the one
+// declaration of the knobs `nexus-sim` exposes as flags.
 package spec
 
 import (
@@ -13,42 +14,21 @@ import (
 
 	"nexus/internal/cluster"
 	"nexus/internal/globalsched"
-	"nexus/internal/model"
-	"nexus/internal/profiler"
 	"nexus/internal/queryopt"
 	"nexus/internal/workload"
 )
 
-// Deployment is the top-level spec document.
+// Deployment is the top-level spec document: the cluster knobs at top
+// level, then the workload.
 type Deployment struct {
-	// System: "nexus" (default), "nexus-parallel", "clipper", "tfserving".
-	System string `json:"system,omitempty"`
-	GPUs   int    `json:"gpus"`
-	// GPU type: "gtx1080ti" (default), "k80", "v100".
-	GPU string `json:"gpu,omitempty"`
-	// EpochSec is the control-plane period in seconds (default 30).
-	EpochSec float64 `json:"epoch_sec,omitempty"`
-	Seed     int64   `json:"seed,omitempty"`
-	// Fixed spreads spare GPUs across plan nodes (fixed-size cluster).
-	Fixed bool `json:"fixed,omitempty"`
-	// Features toggles the Nexus optimizations; absent means all on.
-	Features *Features `json:"features,omitempty"`
+	Config
 
-	Sessions []Session `json:"sessions,omitempty"`
-	Queries  []Query   `json:"queries,omitempty"`
+	Sessions []Session `json:"sessions"`
+	Queries  []Query   `json:"queries"`
 
 	// Specialize declares transfer-learned variant families to register
 	// before sessions reference them.
-	Specialize []Specialize `json:"specialize,omitempty"`
-}
-
-// Features mirrors cluster.Features in JSON form.
-type Features struct {
-	PrefixBatch   bool `json:"prefix_batch"`
-	Squishy       bool `json:"squishy"`
-	EarlyDrop     bool `json:"early_drop"`
-	Overlap       bool `json:"overlap"`
-	QueryAnalysis bool `json:"query_analysis"`
+	Specialize []Specialize `json:"specialize"`
 }
 
 // Specialize declares N variants of a base catalog model, retraining the
@@ -85,16 +65,19 @@ type Node struct {
 	Children []struct {
 		Gamma float64 `json:"gamma"`
 		Node  Node    `json:"node"`
-	} `json:"children,omitempty"`
+	} `json:"children"`
 }
 
-// Parse reads a spec document from JSON.
+// Parse reads one spec document from JSON; omitted knobs keep Defaults.
 func Parse(r io.Reader) (*Deployment, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var d Deployment
+	d := Deployment{Config: Defaults()}
 	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("spec: trailing data after the document")
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -104,14 +87,8 @@ func Parse(r io.Reader) (*Deployment, error) {
 
 // Validate checks the document's internal consistency.
 func (d *Deployment) Validate() error {
-	if d.GPUs < 1 {
-		return fmt.Errorf("spec: gpus must be >= 1")
-	}
-	switch d.System {
-	case "", string(cluster.Nexus), string(cluster.NexusParallel),
-		string(cluster.Clipper), string(cluster.TFServing):
-	default:
-		return fmt.Errorf("spec: unknown system %q", d.System)
+	if err := d.Config.Validate(); err != nil {
+		return err
 	}
 	if len(d.Sessions) == 0 && len(d.Queries) == 0 {
 		return fmt.Errorf("spec: no sessions or queries")
@@ -132,10 +109,15 @@ func (d *Deployment) Validate() error {
 			return fmt.Errorf("spec: session %s: %w", s.ID, err)
 		}
 	}
+	names := make(map[string]bool)
 	for _, q := range d.Queries {
 		if q.Name == "" {
 			return fmt.Errorf("spec: query needs a name")
 		}
+		if names[q.Name] {
+			return fmt.Errorf("spec: duplicate query name %q", q.Name)
+		}
+		names[q.Name] = true
 		if q.SLOms <= 0 || q.Rate < 0 {
 			return fmt.Errorf("spec: query %s needs positive slo_ms and non-negative rate", q.Name)
 		}
@@ -177,58 +159,20 @@ func validNode(n Node) error {
 	return nil
 }
 
-// Build constructs a runnable deployment from the spec.
+// Build constructs a runnable deployment from the spec. It checks the
+// knobs again, since flags may have overridden them after Parse.
 func (d *Deployment) Build() (*cluster.Deployment, error) {
-	features := cluster.AllFeatures()
-	if d.Features != nil {
-		features = cluster.Features{
-			PrefixBatch:   d.Features.PrefixBatch,
-			Squishy:       d.Features.Squishy,
-			EarlyDrop:     d.Features.EarlyDrop,
-			Overlap:       d.Features.Overlap,
-			QueryAnalysis: d.Features.QueryAnalysis,
-		}
+	if err := d.Config.Validate(); err != nil {
+		return nil, err
 	}
-	system := cluster.System(d.System)
-	if d.System == "" {
-		system = cluster.Nexus
-	}
-	cfg := cluster.Config{
-		System:       system,
-		Features:     features,
-		GPUs:         d.GPUs,
-		GPU:          profiler.GPUType(d.GPU),
-		Seed:         d.Seed,
-		FixedCluster: d.Fixed,
-	}
-	if d.EpochSec > 0 {
-		cfg.Epoch = time.Duration(d.EpochSec * float64(time.Second))
-	}
-	dep, err := cluster.New(cfg)
+	dep, err := cluster.New(d.Cluster())
 	if err != nil {
 		return nil, err
 	}
-	mdb := dep.ModelDB()
 	for _, sp := range d.Specialize {
-		base, err := mdb.Get(sp.Base)
-		if err != nil {
-			return nil, fmt.Errorf("spec: specialize: %w", err)
-		}
-		retrain := sp.Retrain
-		if retrain < 1 {
-			retrain = 1
-		}
 		for k := 0; k < sp.Count; k++ {
-			id := fmt.Sprintf("%s-v%d", sp.Base, sp.Start+k)
-			if _, err := mdb.Get(id); err == nil {
-				continue
-			}
-			v, err := model.Specialize(base, id, retrain)
-			if err != nil {
-				return nil, fmt.Errorf("spec: specialize %s: %w", id, err)
-			}
-			if err := mdb.Register(v); err != nil {
-				return nil, err
+			if _, err := dep.ModelDB().Variant(sp.Base, sp.Start+k, max(sp.Retrain, 1)); err != nil {
+				return nil, fmt.Errorf("spec: specialize: %w", err)
 			}
 		}
 	}

@@ -1,6 +1,11 @@
 package spec
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +62,11 @@ func TestValidateErrors(t *testing.T) {
 		{"node no model", `{"gpus":1,"queries":[{"name":"q","slo_ms":1,"rate":1,"root":{"name":"x"}}]}`},
 		{"zero gamma", `{"gpus":1,"queries":[{"name":"q","slo_ms":1,"rate":1,"root":{"name":"x","model":"m","children":[{"gamma":0,"node":{"name":"y","model":"m"}}]}}]}`},
 		{"specialize no base", `{"gpus":1,"specialize":[{"count":1}],"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		{"trailing data", `{"gpus":1,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]} {"gpus":"x"}`},
+		{"duplicate query", `{"gpus":1,"queries":[{"name":"q","slo_ms":1,"rate":1,"root":{"name":"x","model":"m"}},{"name":"q","slo_ms":1,"rate":1,"root":{"name":"y","model":"m"}}]}`},
+		{"unknown gpu", `{"gpus":1,"gpu":"h100","sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		{"unknown placement", `{"gpus":1,"placement":"diagonal","sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		{"duration out of range", `{"gpus":1,"epoch_sec":1e300,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
 	}
 	for _, c := range cases {
 		if _, err := Parse(strings.NewReader(c.doc)); err == nil {
@@ -132,4 +142,32 @@ func TestFeaturesOverride(t *testing.T) {
 	if _, err := d.Build(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParse checks that Parse never panics and that every document it
+// accepts marshals back to JSON that parses to the same value. Seeds are
+// the example spec plus the committed corpus under testdata/fuzz.
+func FuzzParse(f *testing.F) {
+	example, err := os.ReadFile(filepath.Join("..", "..", "examples", "specs", "mixed.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(d)
+		if err != nil {
+			t.Fatalf("marshal accepted document: %v", err)
+		}
+		again, err := Parse(bytes.NewReader(out))
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", out, err)
+		}
+		if !reflect.DeepEqual(d, again) {
+			t.Fatalf("round trip changed the document:\n%+v\n%+v", d, again)
+		}
+	})
 }
