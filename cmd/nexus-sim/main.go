@@ -45,7 +45,6 @@ func main() {
 // options holds the workload and output flags.
 type options struct {
 	spec, app    string
-	appSet       bool // -app given explicitly (always true without -spec)
 	rate, scale  float64
 	rush         bool
 	duration     time.Duration
@@ -64,7 +63,7 @@ func flags(c *spec.Config, o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("nexus-sim", flag.ContinueOnError)
 	c.Flags(fs)
 	fs.StringVar(&o.spec, "spec", "", "JSON deployment spec; knob flags given here override its keys")
-	fs.StringVar(&o.app, "app", "traffic", "game | traffic | dance | bb | bike | amber | logo | all (with -spec: added only when given)")
+	fs.StringVar(&o.app, "app", "", "game | traffic | dance | bb | bike | amber | logo | all (default traffic without -spec)")
 	fs.Float64Var(&o.rate, "rate", 100, "offered request/query rate for the app")
 	fs.Float64Var(&o.scale, "scale", 0.2, "workload scale for -app all")
 	fs.BoolVar(&o.rush, "rush", false, "rush-hour traffic (higher per-frame fan-out)")
@@ -91,8 +90,6 @@ func parseArgs(args []string) (*spec.Deployment, *options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, nil, err
 	}
-	o.appSet = o.spec == ""
-	fs.Visit(func(f *flag.Flag) { o.appSet = o.appSet || f.Name == "app" })
 	if o.spec != "" {
 		f, err := os.Open(o.spec)
 		if err != nil {
@@ -106,6 +103,9 @@ func parseArgs(args []string) (*spec.Deployment, *options, error) {
 		if err := flags(&doc.Config, o).Parse(args); err != nil {
 			return nil, nil, err
 		}
+	}
+	if o.spec == "" && o.app == "" {
+		o.app = "traffic"
 	}
 	// Each output destination turns on the plane that fills it.
 	if o.traceOut != "" && doc.TraceCapacity == 0 {
@@ -130,7 +130,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	label := o.spec
-	if o.appSet {
+	if o.app != "" {
 		builders, err := appBuilders(o)
 		if err != nil {
 			return err

@@ -63,11 +63,15 @@ func TestSpecOutputMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestSpecFlagsTakeEffect checks that knob and output flags act under -spec.
+// TestSpecFlagsTakeEffect checks that knob, workload and output flags act
+// under -spec.
 func TestSpecFlagsTakeEffect(t *testing.T) {
 	base := runSim(t, "-spec", mixedSpec, "-duration", "10s")
 	if runSim(t, "-spec", mixedSpec, "-duration", "10s", "-seed", "2") == base {
 		t.Error("-seed 2 did not change the -spec run")
+	}
+	if strings.Contains(base, "game/") || !strings.Contains(runSim(t, "-spec", mixedSpec, "-duration", "5s", "-app", "game"), "game/digits-0") {
+		t.Error("-app should add its sessions under -spec only when given")
 	}
 	tracePath := filepath.Join(t.TempDir(), "t.json")
 	out := runSim(t, "-spec", mixedSpec, "-duration", "5s", "-trace-out", tracePath)
