@@ -5,7 +5,7 @@
 //
 //	nexus-sim -app traffic -rate 200 -gpus 16 -duration 60s
 //	nexus-sim -app all -scale 0.3 -gpus 32 -system clipper
-//	nexus-sim -spec deployment.json -duration 120s -seed 2 -trace-out t.json
+//	nexus-sim -spec deployment.json -duration 120s -seed 2 -obs-out run.jsonl
 //
 // The cluster knob flags (-system, -gpus, -epoch, -shards, -retry-budget,
 // ...) are derived from spec.Config, the one declaration of every knob.
@@ -13,9 +13,9 @@
 // key, and a key the file omits takes its spec default. Without -spec the
 // run starts from the spec defaults with -gpus 16, -epoch 10s and -seed 1.
 // The workload flags (-app, -rate, -scale, -rush, -duration) and output
-// flags (-trace-out, -audit-out, -telemetry-out, -alerts-out,
-// -telemetry-listen, -telemetry-hold, -forensics-out) apply on both paths;
-// with -spec, -app adds its sessions only when given.
+// flags (-obs-out, -telemetry-listen, -telemetry-hold) apply on both paths;
+// with -spec, -app adds its sessions only when given. -obs-out writes every
+// observation plane to one log that nexus-obs reads.
 package main
 
 import (
@@ -31,7 +31,7 @@ import (
 
 	"nexus/internal/apps"
 	"nexus/internal/cluster"
-	"nexus/internal/forensics"
+	"nexus/internal/obslog"
 	"nexus/internal/spec"
 	"nexus/internal/telemetry"
 )
@@ -44,17 +44,13 @@ func main() {
 
 // options holds the workload and output flags.
 type options struct {
-	spec, app    string
-	rate, scale  float64
-	rush         bool
-	duration     time.Duration
-	traceOut     string
-	auditOut     string
-	telemOut     string
-	alertsOut    string
-	telemListen  string
-	telemHold    time.Duration
-	forensicsOut string
+	spec, app   string
+	rate, scale float64
+	rush        bool
+	duration    time.Duration
+	obsOut      string
+	telemListen string
+	telemHold   time.Duration
 }
 
 // flags declares the command line: the knob flags bound to c, then the
@@ -68,13 +64,9 @@ func flags(c *spec.Config, o *options) *flag.FlagSet {
 	fs.Float64Var(&o.scale, "scale", 0.2, "workload scale for -app all")
 	fs.BoolVar(&o.rush, "rush", false, "rush-hour traffic (higher per-frame fan-out)")
 	fs.DurationVar(&o.duration, "duration", 60*time.Second, "measured virtual time")
-	fs.StringVar(&o.traceOut, "trace-out", "", "write the event trace as JSON to this file (implies tracing)")
-	fs.StringVar(&o.auditOut, "audit-out", "", "write the audit log as JSON to this file (implies -audit)")
-	fs.StringVar(&o.telemOut, "telemetry-out", "", "write telemetry snapshots as JSONL to this file (implies -telemetry; tail with nexus-top)")
-	fs.StringVar(&o.alertsOut, "alerts-out", "", "write the telemetry alert log as JSONL to this file (implies -telemetry)")
+	fs.StringVar(&o.obsOut, "obs-out", "", "write the observation log (spans, audit, telemetry, dumps) to this file for nexus-obs (implies tracing, -audit and -telemetry)")
 	fs.StringVar(&o.telemListen, "telemetry-listen", "", "serve /metrics (Prometheus text), /alerts, /health on this address (implies -telemetry)")
 	fs.DurationVar(&o.telemHold, "telemetry-hold", 0, "keep the telemetry endpoint up this long after the run finishes")
-	fs.StringVar(&o.forensicsOut, "forensics-out", "", "write alert-triggered dump bundles as JSONL to this file (implies -forensics; read with nexus-forensics)")
 	return fs
 }
 
@@ -107,13 +99,12 @@ func parseArgs(args []string) (*spec.Deployment, *options, error) {
 	if o.spec == "" && o.app == "" {
 		o.app = "traffic"
 	}
-	// Each output destination turns on the plane that fills it.
-	if o.traceOut != "" && doc.TraceCapacity == 0 {
+	// Each output destination turns on the planes that fill it.
+	if o.obsOut != "" && doc.TraceCapacity == 0 {
 		doc.TraceCapacity = 1 << 20 // a generously sized ring
 	}
-	doc.Audit = doc.Audit || o.auditOut != ""
-	doc.Forensics = doc.Forensics || o.forensicsOut != ""
-	if (o.telemOut != "" || o.alertsOut != "" || o.telemListen != "") && doc.Telemetry == 0 {
+	doc.Audit = doc.Audit || o.obsOut != ""
+	if (o.obsOut != "" || o.telemListen != "") && doc.Telemetry == 0 {
 		doc.Telemetry = spec.Seconds(telemetry.DefaultInterval.Seconds())
 	}
 	return doc, o, nil
@@ -170,8 +161,9 @@ func appBuilders(o *options) ([]apps.Builder, error) {
 	return nil, fmt.Errorf("unknown app %q", o.app)
 }
 
-// report executes the deployment and prints the standard panels, then
-// each enabled plane either to its output file or inline.
+// report executes the deployment and prints the standard panels, then each
+// enabled plane inline or, with -obs-out, into the observation log (the
+// plane summaries stay inline).
 func report(w io.Writer, d *cluster.Deployment, o *options, label string, gpus int) error {
 	if o.telemListen != "" && d.Telemetry() != nil {
 		// Serve the live endpoint while the simulation runs: /metrics reads
@@ -222,46 +214,24 @@ func report(w io.Writer, d *cluster.Deployment, o *options, label string, gpus i
 		fmt.Fprintf(w, "    t=%3ds  %8.1f | %5.1f | %5.2f%%\n",
 			(i+1)*step, offered/float64(step), g/float64(step), badPct)
 	}
-	if tr := d.Tracer(); tr != nil {
-		if o.traceOut != "" {
-			if err := writeFile(o.traceOut, tr.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "\n  trace: %d of %d events written to %s (analyze with nexus-trace)\n",
-				len(tr.Events()), tr.Total(), o.traceOut)
-		} else {
-			fmt.Fprintf(w, "\n  trace (last %d of %d events):\n", len(tr.Events()), tr.Total())
-			if err := tr.WriteText(w); err != nil {
-				return err
-			}
+	obs := o.obsOut != ""
+	if tr := d.Tracer(); tr != nil && !obs {
+		fmt.Fprintf(w, "\n  trace (last %d of %d events):\n", len(tr.Events()), tr.Total())
+		if err := tr.WriteText(w); err != nil {
+			return err
 		}
 	}
-	if a := d.Audit(); a != nil {
-		if o.auditOut != "" {
-			if err := writeFile(o.auditOut, a.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "  audit log written to %s\n", o.auditOut)
-		} else {
-			fmt.Fprintln(w, "\n  control-plane audit log:")
-			if err := a.WriteText(w); err != nil {
-				return err
-			}
+	if a := d.Audit(); a != nil && !obs {
+		fmt.Fprintln(w, "\n  control-plane audit log:")
+		if err := a.WriteText(w); err != nil {
+			return err
 		}
 	}
 	if fr := d.Flight(); fr != nil {
 		dumps := fr.Dumps()
 		fmt.Fprintf(w, "\n  flight recorder: %d dump bundle(s), %d trigger(s) suppressed\n",
 			len(dumps), fr.Suppressed())
-		if o.forensicsOut != "" {
-			if err := writeFile(o.forensicsOut, func(f io.Writer) error {
-				return forensics.WriteDumpsJSONL(f, dumps)
-			}); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "  dumps written to %s (read with nexus-forensics -dumps %s)\n",
-				o.forensicsOut, o.forensicsOut)
-		} else {
+		if !obs {
 			for i := range dumps {
 				if err := indented(w, "  ", dumps[i].WriteText); err != nil {
 					return err
@@ -284,26 +254,20 @@ func report(w io.Writer, d *cluster.Deployment, o *options, label string, gpus i
 				return err
 			}
 		}
-		if o.telemOut != "" {
-			if err := writeFile(o.telemOut, func(f io.Writer) error {
-				return telemetry.WriteSnapshotsJSONL(f, c.Snapshots())
-			}); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "  snapshots written to %s (view with nexus-top -in %s)\n", o.telemOut, o.telemOut)
+	}
+	if obs {
+		l := obslog.Log{
+			Spans: d.Tracer().Events(), Audit: d.Audit(), Dumps: d.Flight().Dumps(),
+			Snapshots: d.Telemetry().Snapshots(), Alerts: d.Telemetry().Alerts(),
 		}
-		if o.alertsOut != "" {
-			if err := writeFile(o.alertsOut, func(f io.Writer) error {
-				return telemetry.WriteAlertsJSONL(f, c.Alerts())
-			}); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "  alert log written to %s\n", o.alertsOut)
+		if err := writeFile(o.obsOut, func(f io.Writer) error { return obslog.Write(f, l) }); err != nil {
+			return err
 		}
-		if o.telemListen != "" && o.telemHold > 0 {
-			fmt.Fprintf(w, "  holding %s for %v (scrape %s/metrics)\n", o.telemListen, o.telemHold, o.telemListen)
-			time.Sleep(o.telemHold)
-		}
+		fmt.Fprintf(w, "\n  observation log written to %s (read with nexus-obs trace|blame|diff|top %s)\n", o.obsOut, o.obsOut)
+	}
+	if o.telemListen != "" && o.telemHold > 0 {
+		fmt.Fprintf(w, "  holding %s for %v (scrape %s/metrics)\n", o.telemListen, o.telemHold, o.telemListen)
+		time.Sleep(o.telemHold)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +10,26 @@ import (
 )
 
 const mixedSpec = "../../examples/specs/mixed.json"
+
+var update = flag.Bool("update", false, "rewrite the goldens from the current output")
+
+// checkGolden compares got with the golden file, or rewrites it under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output differs from %s:\n%s", path, got)
+	}
+}
 
 func runSim(t *testing.T, args ...string) string {
 	t.Helper()
@@ -54,13 +76,20 @@ func TestKnobPrecedence(t *testing.T) {
 
 // TestSpecOutputMatchesGolden pins `nexus-sim -spec mixed.json` stdout.
 func TestSpecOutputMatchesGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "mixed.golden"))
+	checkGolden(t, filepath.Join("testdata", "mixed.golden"), []byte(runSim(t, "-spec", mixedSpec)))
+}
+
+// TestObsLogMatchesGolden pins the observation log of a short traced,
+// forensics-on mixed run: the schema-v1 golden that nexus-obs's own
+// golden tests read.
+func TestObsLogMatchesGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mixed.jsonl")
+	runSim(t, "-spec", mixedSpec, "-duration", "3s", "-trace", "200", "-forensics", "-obs-out", path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runSim(t, "-spec", mixedSpec); got != string(want) {
-		t.Fatalf("stdout differs from testdata/mixed.golden:\n%s", got)
-	}
+	checkGolden(t, filepath.Join("..", "nexus-obs", "testdata", "mixed.jsonl"), got)
 }
 
 // TestSpecFlagsTakeEffect checks that knob, workload and output flags act
@@ -73,12 +102,12 @@ func TestSpecFlagsTakeEffect(t *testing.T) {
 	if strings.Contains(base, "game/") || !strings.Contains(runSim(t, "-spec", mixedSpec, "-duration", "5s", "-app", "game"), "game/digits-0") {
 		t.Error("-app should add its sessions under -spec only when given")
 	}
-	tracePath := filepath.Join(t.TempDir(), "t.json")
-	out := runSim(t, "-spec", mixedSpec, "-duration", "5s", "-trace-out", tracePath)
-	if !strings.Contains(out, "events written to "+tracePath) {
-		t.Errorf("no trace announcement in:\n%s", out)
+	obsPath := filepath.Join(t.TempDir(), "run.jsonl")
+	out := runSim(t, "-spec", mixedSpec, "-duration", "5s", "-obs-out", obsPath)
+	if !strings.Contains(out, "observation log written to "+obsPath) {
+		t.Errorf("no observation log announcement in:\n%s", out)
 	}
-	if fi, err := os.Stat(tracePath); err != nil || fi.Size() == 0 {
-		t.Errorf("-trace-out wrote no trace: %v", err)
+	if fi, err := os.Stat(obsPath); err != nil || fi.Size() == 0 {
+		t.Errorf("-obs-out wrote no log: %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"nexus/internal/forensics"
 	"nexus/internal/globalsched"
 	"nexus/internal/model"
+	"nexus/internal/obslog"
 	"nexus/internal/runner"
 	"nexus/internal/telemetry"
 	"nexus/internal/trace"
@@ -114,13 +114,8 @@ func TestForensicsDeterminism(t *testing.T) {
 			t.Fatal("no dump captured; determinism check is vacuous")
 		}
 		var buf bytes.Buffer
-		if err := forensics.WriteDumpsJSONL(&buf, d.Flight().Dumps()); err != nil {
-			t.Fatal(err)
-		}
-		if err := telemetry.WriteSnapshotsJSONL(&buf, d.Telemetry().Snapshots()); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewEncoder(&buf).Encode(d.Audit().PlanDiffs()); err != nil {
+		l := obslog.Log{Dumps: d.Flight().Dumps(), Snapshots: d.Telemetry().Snapshots(), Audit: d.Audit()}
+		if err := obslog.Write(&buf, l); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

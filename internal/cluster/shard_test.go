@@ -9,6 +9,7 @@ import (
 
 	"nexus/internal/globalsched"
 	"nexus/internal/model"
+	"nexus/internal/obslog"
 	"nexus/internal/runner"
 )
 
@@ -52,7 +53,7 @@ func shardGolden(t *testing.T, shards, workers int, hysteresis float64, delta bo
 			t.Fatal(err)
 		}
 	}
-	if err := d.Audit().WriteJSON(&buf); err != nil {
+	if err := obslog.Write(&buf, obslog.Log{Audit: d.Audit()}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -8,6 +8,7 @@ import (
 
 	"nexus/internal/globalsched"
 	"nexus/internal/model"
+	"nexus/internal/obslog"
 	"nexus/internal/scheduler"
 	"nexus/internal/telemetry"
 )
@@ -127,7 +128,7 @@ func TestTemporalAuditHasNoSpatialFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := d.Audit().WriteJSON(&sb); err != nil {
+	if err := obslog.Write(&sb, obslog.Log{Audit: d.Audit()}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -10,6 +10,7 @@ import (
 	"nexus/internal/globalsched"
 	"nexus/internal/metrics"
 	"nexus/internal/model"
+	"nexus/internal/obslog"
 	"nexus/internal/runner"
 	"nexus/internal/telemetry"
 )
@@ -140,10 +141,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 		}
 		c := d.Telemetry()
 		var buf bytes.Buffer
-		if err := telemetry.WriteSnapshotsJSONL(&buf, c.Snapshots()); err != nil {
-			t.Fatal(err)
-		}
-		if err := telemetry.WriteAlertsJSONL(&buf, c.Alerts()); err != nil {
+		if err := obslog.Write(&buf, obslog.Log{Snapshots: c.Snapshots(), Alerts: c.Alerts()}); err != nil {
 			t.Fatal(err)
 		}
 		if err := json.NewEncoder(&buf).Encode(c.Health()); err != nil {

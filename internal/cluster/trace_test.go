@@ -7,6 +7,7 @@ import (
 
 	"nexus/internal/globalsched"
 	"nexus/internal/model"
+	"nexus/internal/obslog"
 	"nexus/internal/runner"
 	"nexus/internal/trace"
 	"nexus/internal/workload"
@@ -113,9 +114,10 @@ func TestTraceMetricsAgreement(t *testing.T) {
 	}
 }
 
-// TestTraceDeterminism asserts the serialized trace is byte-identical
-// across runs and across runner parallelism settings: tracing must
-// observe the simulation, never perturb it. CI runs this under -race.
+// TestTraceDeterminism asserts the serialized trace and audit log (the
+// observation log's span and audit records) are byte-identical across runs
+// and across runner parallelism settings: tracing must observe the
+// simulation, never perturb it. CI runs this under -race.
 func TestTraceDeterminism(t *testing.T) {
 	runTraced := func(workers int) []byte {
 		prev := runner.SetDefaultWorkers(workers)
@@ -136,10 +138,7 @@ func TestTraceDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := d.Tracer().WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Audit().WriteJSON(&buf); err != nil {
+		if err := obslog.Write(&buf, obslog.Log{Spans: d.Tracer().Events(), Audit: d.Audit()}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

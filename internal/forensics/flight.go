@@ -14,8 +14,6 @@
 package forensics
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -186,37 +184,6 @@ func (r *Recorder) Suppressed() int {
 		return 0
 	}
 	return r.suppressed
-}
-
-// WriteDumpsJSONL writes dump bundles one JSON object per line. Go's JSON
-// encoder emits map keys sorted, so output is byte-deterministic.
-func WriteDumpsJSONL(w io.Writer, dumps []Dump) error {
-	enc := json.NewEncoder(w)
-	for i := range dumps {
-		if err := enc.Encode(&dumps[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadDumpsJSONL reads bundles written by WriteDumpsJSONL, reconstructing
-// snapshot virtual timestamps from at_ms.
-func ReadDumpsJSONL(rd io.Reader) ([]Dump, error) {
-	var out []Dump
-	dec := json.NewDecoder(bufio.NewReader(rd))
-	for {
-		var d Dump
-		if err := dec.Decode(&d); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("forensics: parsing dump JSONL: %w", err)
-		}
-		for i := range d.Samples {
-			d.Samples[i].At = time.Duration(d.Samples[i].AtMS * float64(time.Millisecond))
-		}
-		out = append(out, d)
-	}
 }
 
 // WriteText renders one dump bundle for terminals: the trigger header, the

@@ -114,38 +114,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 	}
 }
 
-func TestDumpsJSONLRoundTrip(t *testing.T) {
-	tr, audit := seededPlanes()
-	r := New(Config{})
-	r.ObserveSample(telemetry.Snapshot{At: 9 * time.Second, AtMS: 9000,
-		Counters: map[string]float64{"session_good_total|session=s": 12}})
-	r.Trigger(10*time.Second, alert("slo-burn-rate"), tr, audit)
-
-	var a bytes.Buffer
-	if err := WriteDumpsJSONL(&a, r.Dumps()); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadDumpsJSONL(bytes.NewReader(a.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 {
-		t.Fatalf("round trip read %d dumps, want 1", len(back))
-	}
-	if back[0].Samples[0].At != 9*time.Second {
-		t.Fatalf("sample At not reconstructed: %v", back[0].Samples[0].At)
-	}
-	// Re-serializing the decoded bundles must be byte-identical: the wire
-	// form carries everything.
-	var b bytes.Buffer
-	if err := WriteDumpsJSONL(&b, back); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("round trip not byte-identical:\n%s\nvs\n%s", a.String(), b.String())
-	}
-}
-
 func TestDumpWriteText(t *testing.T) {
 	tr, audit := seededPlanes()
 	// Give the captured spans a full attributable request.

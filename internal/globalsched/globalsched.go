@@ -811,7 +811,7 @@ func (s *Scheduler) querySessions(qs QuerySpec) ([]scheduler.Session, error) {
 			budgets[stage] = trace.MS(b)
 		}
 		s.cfg.Audit.RecordSplit(trace.SplitRecord{
-			Epoch: s.epochs, Query: q.Name, Method: method,
+			Epoch: s.epochs, AtMS: trace.MS(s.clock.Now()), Query: q.Name, Method: method,
 			GPUs: split.GPUs, Budgets: budgets,
 		})
 	}

@@ -2,72 +2,13 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"strconv"
-	"time"
 )
-
-// WriteSnapshotsJSONL writes snapshots one JSON object per line — the
-// stream format nexus-top tails. Go's JSON encoder emits map keys sorted,
-// so output is byte-deterministic.
-func WriteSnapshotsJSONL(w io.Writer, snaps []Snapshot) error {
-	enc := json.NewEncoder(w)
-	for i := range snaps {
-		if err := enc.Encode(&snaps[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadSnapshotsJSONL reads a snapshot stream, reconstructing virtual
-// timestamps from at_ms.
-func ReadSnapshotsJSONL(r io.Reader) ([]Snapshot, error) {
-	var out []Snapshot
-	dec := json.NewDecoder(bufio.NewReader(r))
-	for {
-		var s Snapshot
-		if err := dec.Decode(&s); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("telemetry: parsing snapshot JSONL: %w", err)
-		}
-		s.At = time.Duration(s.AtMS * float64(time.Millisecond))
-		out = append(out, s)
-	}
-}
-
-// WriteAlertsJSONL writes the alert log one JSON object per line.
-func WriteAlertsJSONL(w io.Writer, alerts []Alert) error {
-	enc := json.NewEncoder(w)
-	for i := range alerts {
-		if err := enc.Encode(&alerts[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadAlertsJSONL reads an alert log written by WriteAlertsJSONL.
-func ReadAlertsJSONL(r io.Reader) ([]Alert, error) {
-	var out []Alert
-	dec := json.NewDecoder(bufio.NewReader(r))
-	for {
-		var a Alert
-		if err := dec.Decode(&a); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("telemetry: parsing alert JSONL: %w", err)
-		}
-		a.At = time.Duration(a.AtMS * float64(time.Millisecond))
-		out = append(out, a)
-	}
-}
 
 // promPrefix namespaces every exported metric.
 const promPrefix = "nexus_"

@@ -20,75 +20,6 @@ func sampleCollector(t *testing.T) *Collector {
 	return c
 }
 
-func TestSnapshotsJSONLRoundTrip(t *testing.T) {
-	c := sampleCollector(t)
-	c.Registry().Counter("session_good_total", "session", "s").Set(240)
-	c.Tick(2 * time.Second)
-
-	var buf bytes.Buffer
-	if err := WriteSnapshotsJSONL(&buf, c.Snapshots()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshotsJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("round trip: %d snapshots, want 2", len(got))
-	}
-	if got[1].At != 2*time.Second {
-		t.Errorf("At reconstructed from at_ms: %v", got[1].At)
-	}
-	if v, _ := got[1].Counter(Key("session_good_total", "session", "s")); v != 240 {
-		t.Errorf("counter after round trip: %v", v)
-	}
-	if w := got[0].Windows[Key("backend_exec_ms", "backend", "be0")]; w.Count != 1 {
-		t.Errorf("window after round trip: %+v", w)
-	}
-}
-
-func TestSnapshotsJSONLDeterministic(t *testing.T) {
-	write := func() []byte {
-		c := sampleCollector(t)
-		var buf bytes.Buffer
-		if err := WriteSnapshotsJSONL(&buf, c.Snapshots()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if !bytes.Equal(write(), write()) {
-		t.Error("identical registries must serialize byte-identically")
-	}
-}
-
-func TestAlertsJSONLRoundTrip(t *testing.T) {
-	in := []Alert{
-		{At: time.Second, AtMS: 1000, Rule: "slo-burn-rate", Target: "s", State: "firing", Value: 8.5, Detail: "x"},
-		{At: 2 * time.Second, AtMS: 2000, Rule: "slo-burn-rate", Target: "s", State: "resolved"},
-	}
-	var buf bytes.Buffer
-	if err := WriteAlertsJSONL(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAlertsJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != in[0] || got[1] != in[1] {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, in)
-	}
-}
-
-func TestReadJSONLEmpty(t *testing.T) {
-	snaps, err := ReadSnapshotsJSONL(strings.NewReader(""))
-	if err != nil || len(snaps) != 0 {
-		t.Errorf("empty stream: %v %v", snaps, err)
-	}
-	if _, err := ReadSnapshotsJSONL(strings.NewReader("{not json")); err == nil {
-		t.Error("malformed stream must error")
-	}
-}
-
 func TestWritePrometheus(t *testing.T) {
 	c := sampleCollector(t)
 	s, ok := c.Latest()

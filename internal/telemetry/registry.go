@@ -4,8 +4,9 @@
 // snapshots; an alerting engine evaluating declarative rules over the
 // snapshot stream (SLO burn rate, queue saturation, stragglers, backend
 // flaps); per-epoch scheduler health reports ("explain" output); and
-// exporters — Prometheus text format for live HTTP scraping and JSONL for
-// offline diffing and `nexus-top`.
+// the Prometheus text exporter for live HTTP scraping. Snapshots and alerts
+// go to disk through the observation log (internal/obslog), which
+// `nexus-obs top` reads.
 //
 // Like the lifecycle Tracer, the whole plane follows the nil-no-op
 // discipline: a nil Collector/Registry/instrument accepts every call and
@@ -32,7 +33,7 @@ func MS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 //
 //	Key("queue_depth", "backend", "be0") == `queue_depth{backend="be0"}`
 //
-// Canonical keys make snapshot maps, JSONL output, and Prometheus
+// Canonical keys make snapshot maps, the observation log, and Prometheus
 // exposition all agree on identity without a parsing layer.
 func Key(name string, labels ...string) string {
 	if len(labels) == 0 {

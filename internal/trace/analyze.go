@@ -30,7 +30,7 @@ type UnitTimeline struct {
 	Slots   []GPUSlot
 }
 
-// Analysis is the digest nexus-trace prints: per-stage latency breakdowns
+// Analysis is the digest `nexus-obs trace` prints: per-stage latency breakdowns
 // reconstructed from request spans, drop attribution by cause, and per-GPU
 // duty-cycle utilization.
 type Analysis struct {
@@ -103,6 +103,15 @@ func Analyze(events []Event) *Analysis {
 	seenBatch := map[batchKey]bool{}
 	busy := map[unitKey]map[int]time.Duration{}
 	batches := map[unitKey]int{}
+	// A batch's GPU time is spread no further than one second past the
+	// trace's last event: a batch still running when the trace ends keeps
+	// its last slot, and a corrupt Dur cannot make the loop below run once
+	// per second of it.
+	var horizon time.Duration
+	for _, e := range events {
+		horizon = max(horizon, e.At)
+	}
+	horizon += time.Second
 
 	for _, e := range events {
 		switch e.Kind {
@@ -126,7 +135,7 @@ func Analyze(events []Event) *Analysis {
 					busy[uk] = map[int]time.Duration{}
 				}
 				// Spread the batch's GPU time across the seconds it spans.
-				start, remaining := e.At, e.Dur
+				start, remaining := e.At, min(e.Dur, horizon-e.At)
 				for remaining > 0 {
 					sec := int(start / time.Second)
 					end := time.Duration(sec+1) * time.Second

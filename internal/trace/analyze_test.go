@@ -89,6 +89,30 @@ func TestAnalyzeBatchSpansSeconds(t *testing.T) {
 	}
 }
 
+// TestAnalyzeClipsHugeBatch is the regression for a corrupt batch
+// duration: an execute span claiming 1e10 ms of GPU time used to spread
+// over 1e7 one-second slots. The spread now stops one second past the
+// trace's last event.
+func TestAnalyzeClipsHugeBatch(t *testing.T) {
+	done := make(chan *Analysis, 1)
+	go func() {
+		done <- Analyze([]Event{
+			{At: 100 * time.Millisecond, Kind: Arrive, ReqID: 1, Session: "s"},
+			{At: 200 * time.Millisecond, Kind: Execute, ReqID: 1, Backend: "be0", Unit: "u0",
+				Batch: 1, Dur: time.Duration(1e10) * time.Millisecond},
+		})
+	}()
+	select {
+	case a := <-done:
+		slots := a.Timelines[0].Slots
+		if len(slots) != 2 || slots[0].Busy != 800*time.Millisecond || slots[1].Busy != 200*time.Millisecond {
+			t.Fatalf("slots = %+v, want 800ms then 200ms", slots)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Analyze still running after 1s")
+	}
+}
+
 func TestWriteReport(t *testing.T) {
 	events := lifecycle(1, 0)
 	events = append(events, Event{At: time.Millisecond, Kind: Drop, ReqID: 2, Cause: "unroutable"})
@@ -144,7 +168,7 @@ func TestWriteChromeGolden(t *testing.T) {
 	}
 }
 
-func TestAuditNilAndRoundTrip(t *testing.T) {
+func TestAuditNilAndWriteText(t *testing.T) {
 	var nilAudit *Audit
 	nilAudit.RecordPlacement(PlacementRecord{}) // must not panic
 	nilAudit.RecordSplit(SplitRecord{})
@@ -163,19 +187,8 @@ func TestAuditNilAndRoundTrip(t *testing.T) {
 		Budgets: map[string]float64{"detect": 60, "recog": 40}})
 	a.RecordDropWindow(DropWindowRecord{AtMS: 1200, Backend: "be0", Unit: "u0", Window: 3, Dropped: 3})
 
-	var buf bytes.Buffer
-	if err := a.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadAudit(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Placements()) != 1 || len(back.Splits()) != 1 || len(back.DropWindows()) != 1 {
-		t.Fatalf("round trip lost records: %+v", back)
-	}
-	if back.Placements()[0].Units[0].Members[1] != "news" {
-		t.Fatalf("members lost: %+v", back.Placements()[0])
+	if len(a.Placements()) != 1 || len(a.Splits()) != 1 || len(a.DropWindows()) != 1 {
+		t.Fatalf("accessors lost records: %+v", a)
 	}
 
 	var text bytes.Buffer

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -42,6 +41,7 @@ type PlacementRecord struct {
 // GPU demand the split implies.
 type SplitRecord struct {
 	Epoch   int                `json:"epoch"`
+	AtMS    float64            `json:"at_ms"`
 	Query   string             `json:"query"`
 	Method  string             `json:"method"` // "dp" (queryopt) or "even"
 	GPUs    float64            `json:"gpus"`
@@ -228,46 +228,30 @@ func (a *Audit) DropWindows() []DropWindowRecord {
 	return a.dropWindows
 }
 
-// auditJSON is the audit log's file form.
-type auditJSON struct {
-	Placements  []PlacementRecord  `json:"placements"`
-	Splits      []SplitRecord      `json:"splits"`
-	DropWindows []DropWindowRecord `json:"drop_windows"`
-	DropsLost   int                `json:"drop_windows_lost,omitempty"`
-	Chaos       []ChaosRecord      `json:"chaos,omitempty"`
-	ChaosLost   int                `json:"chaos_lost,omitempty"`
-	PlanDiffs   []PlanDiffRecord   `json:"plan_diffs,omitempty"`
-	DiffsLost   int                `json:"plan_diffs_lost,omitempty"`
+// Lost counts the records each bounded audit list discarded once full.
+type Lost struct {
+	DropWindows int `json:"drop_windows,omitempty"`
+	Chaos       int `json:"chaos,omitempty"`
+	PlanDiffs   int `json:"plan_diffs,omitempty"`
 }
 
-// WriteJSON writes the audit log as one JSON object.
-func (a *Audit) WriteJSON(w io.Writer) error {
-	var doc auditJSON
-	if a != nil {
-		doc = auditJSON{
-			Placements: a.placements, Splits: a.splits,
-			DropWindows: a.dropWindows, DropsLost: a.dropsLost,
-			Chaos: a.chaos, ChaosLost: a.chaosLost,
-			PlanDiffs: a.planDiffs, DiffsLost: a.diffsLost,
-		}
+// Lost returns the discarded-record counts.
+func (a *Audit) Lost() Lost {
+	if a == nil {
+		return Lost{}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return Lost{DropWindows: a.dropsLost, Chaos: a.chaosLost, PlanDiffs: a.diffsLost}
 }
 
-// ReadAudit parses an audit log produced by WriteJSON.
-func ReadAudit(r io.Reader) (*Audit, error) {
-	var doc auditJSON
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("trace: parsing audit JSON: %w", err)
+// AddLost adds discarded-record counts, as a log reader restoring an audit
+// log does.
+func (a *Audit) AddLost(l Lost) {
+	if a == nil {
+		return
 	}
-	return &Audit{
-		placements: doc.Placements, splits: doc.Splits,
-		dropWindows: doc.DropWindows, dropsLost: doc.DropsLost,
-		chaos: doc.Chaos, chaosLost: doc.ChaosLost,
-		planDiffs: doc.PlanDiffs, diffsLost: doc.DiffsLost,
-	}, nil
+	a.dropsLost += l.DropWindows
+	a.chaosLost += l.Chaos
+	a.diffsLost += l.PlanDiffs
 }
 
 // WriteText renders the audit log per epoch: each plan node with its duty

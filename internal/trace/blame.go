@@ -298,7 +298,7 @@ func SessionBlames(blames []RequestBlame) []SessionBlame {
 
 // WriteBlameReport renders per-session tail attributions: where the p99
 // cohort's latency went, stage by stage, with the worst request's ID as an
-// exemplar to pull from the trace with `nexus-trace -req`.
+// exemplar to pull from the observation log (a grep for its "req" ID).
 func WriteBlameReport(w io.Writer, blames []SessionBlame) error {
 	if len(blames) == 0 {
 		return nil

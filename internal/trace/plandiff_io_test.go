@@ -1,13 +1,12 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
 )
 
-func TestAuditPlanDiffAndChaosRoundTrip(t *testing.T) {
+func TestAuditPlanDiffAndChaosAccessors(t *testing.T) {
 	a := NewAudit()
 	a.RecordChaos(ChaosRecord{AtMS: 9000, Kind: "outage", Backend: "be0", To: "down"})
 	a.RecordPlanDiff(PlanDiffRecord{
@@ -17,23 +16,8 @@ func TestAuditPlanDiffAndChaosRoundTrip(t *testing.T) {
 	if len(a.Chaos()) != 1 || len(a.PlanDiffs()) != 1 {
 		t.Fatalf("accessors: chaos=%d diffs=%d, want 1/1", len(a.Chaos()), len(a.PlanDiffs()))
 	}
-
-	var buf bytes.Buffer
-	if err := a.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadAudit(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.PlanDiffs()) != 1 || back.PlanDiffs()[0].Cause != "recovery" {
-		t.Fatalf("plan diffs did not survive the file round trip: %+v", back.PlanDiffs())
-	}
-	if len(back.Chaos()) != 1 || back.Chaos()[0].Backend != "be0" {
-		t.Fatalf("chaos records did not survive the file round trip: %+v", back.Chaos())
-	}
-	if _, err := ReadAudit(strings.NewReader("{not json")); err == nil {
-		t.Fatal("corrupt audit parsed without error")
+	if a.PlanDiffs()[0].Cause != "recovery" || a.Chaos()[0].Backend != "be0" {
+		t.Fatalf("accessors: diffs=%+v chaos=%+v", a.PlanDiffs(), a.Chaos())
 	}
 }
 
@@ -47,6 +31,18 @@ func TestAuditPlanDiffOverflowCounted(t *testing.T) {
 	}
 	if a.diffsLost != 3 {
 		t.Fatalf("diffsLost = %d, want 3", a.diffsLost)
+	}
+	// A log reader restores the counts onto a fresh audit.
+	b := NewAudit()
+	b.AddLost(a.Lost())
+	b.AddLost(Lost{Chaos: 2})
+	if got := b.Lost(); got != (Lost{Chaos: 2, PlanDiffs: 3}) {
+		t.Fatalf("restored lost counts %+v", got)
+	}
+	var nilAudit *Audit
+	nilAudit.AddLost(Lost{Chaos: 1})
+	if nilAudit.Lost() != (Lost{}) {
+		t.Fatal("nil audit retained lost counts")
 	}
 }
 
@@ -116,17 +112,5 @@ func TestReserve(t *testing.T) {
 	var nilTracer *Tracer
 	if nilTracer.Reserve() != nil {
 		t.Fatal("nil tracer must reserve nil")
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("")); err == nil || !strings.Contains(err.Error(), "empty input") {
-		t.Fatalf("empty input: %v", err)
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"events":[{"at_ms":1`)); err == nil {
-		t.Fatal("truncated input parsed without error")
-	}
-	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage parsed without error")
 	}
 }

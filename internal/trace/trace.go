@@ -8,9 +8,10 @@
 // Traces answer the questions the paper's design motivates: which duty
 // cycle a session landed in (§6.1), how a complex query's SLO budget was
 // split (§6.2), and which window early-drop culled (§4.3). Exporters
-// include JSON (millisecond timestamps), Chrome trace-event format
+// include the JSON wire form (millisecond timestamps; the observation log in
+// internal/obslog carries it), Chrome trace-event format
 // (chrome://tracing-loadable, see chrome.go), and per-stage latency
-// breakdowns (analyze.go) consumed by the nexus-trace CLI.
+// breakdowns (analyze.go) printed by `nexus-obs trace`.
 //
 // Tracing is allocation-conscious: events go into a fixed-capacity ring
 // buffer, and a nil *Tracer is a valid no-op so the data plane never
@@ -19,7 +20,6 @@ package trace
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -81,8 +81,19 @@ type eventJSON struct {
 // MS converts a duration to milliseconds for export.
 func MS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
+// MaxMS bounds exported times and durations (about 11.6 days). Up to it a
+// millisecond float converts back to the exact nanosecond it came from;
+// well past it the conversion loses nanoseconds, and past ~9.2e12 it
+// overflows time.Duration.
+const MaxMS = 1e9
+
+// ValidMS reports whether ms is a decodable time or duration: finite,
+// non-negative, and at most MaxMS.
+func ValidMS(ms float64) bool { return ms >= 0 && ms <= MaxMS }
+
 // FromMS converts exported milliseconds back to a duration, rounding to the
-// nearest nanosecond so a marshal/unmarshal round trip is exact.
+// nearest nanosecond so a marshal/unmarshal round trip is exact for every
+// ValidMS value.
 func FromMS(ms float64) time.Duration {
 	return time.Duration(math.Round(ms * float64(time.Millisecond)))
 }
@@ -97,10 +108,14 @@ func (e Event) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler for the millisecond wire schema.
+// It rejects times and durations that fail ValidMS.
 func (e *Event) UnmarshalJSON(data []byte) error {
 	var w eventJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
+	}
+	if !ValidMS(w.AtMS) || !ValidMS(w.DurMS) {
+		return fmt.Errorf("trace: event at_ms=%v dur_ms=%v outside [0, %g]", w.AtMS, w.DurMS, MaxMS)
 	}
 	*e = Event{
 		At: FromMS(w.AtMS), Kind: w.Kind, ReqID: w.ReqID, Session: w.Session,
@@ -227,31 +242,6 @@ func (t *Tracer) RequestLatency() map[uint64]time.Duration {
 		}
 	}
 	return out
-}
-
-// WriteJSON streams retained events as a JSON array in the millisecond
-// wire schema.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(t.Events())
-}
-
-// ReadJSON parses a JSON event array previously produced by WriteJSON.
-// Empty and truncated inputs are reported as such — they usually mean a
-// run crashed mid-write or the wrong file was passed, and "unexpected EOF"
-// alone sends people debugging the wrong layer.
-func ReadJSON(r io.Reader) ([]Event, error) {
-	var out []Event
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		switch {
-		case errors.Is(err, io.EOF):
-			return nil, fmt.Errorf("trace: empty input: no JSON event array found")
-		case errors.Is(err, io.ErrUnexpectedEOF):
-			return nil, fmt.Errorf("trace: truncated input: event array ends mid-document (incomplete write?): %w", err)
-		}
-		return nil, fmt.Errorf("trace: parsing event JSON: %w", err)
-	}
-	return out, nil
 }
 
 // WriteText renders retained events human-readably, one per line.

@@ -168,30 +168,6 @@ func TestByRequestOrderingUnderWraparound(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRoundTrip(t *testing.T) {
-	tr := New(4)
-	tr.Record(Event{At: time.Millisecond, Kind: Execute, ReqID: 1, Backend: "be0", Unit: "u",
-		Batch: 8, Dur: 2500 * time.Microsecond, Inc: 3})
-	tr.Record(Event{At: 7*time.Millisecond + 123*time.Nanosecond, Kind: Drop, ReqID: 2,
-		Session: "s", Batch: 0, Cause: "deadline"})
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := ReadJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 2 {
-		t.Fatalf("round trip = %+v", decoded)
-	}
-	for i, want := range tr.Events() {
-		if decoded[i] != want {
-			t.Fatalf("event %d: got %+v want %+v", i, decoded[i], want)
-		}
-	}
-}
-
 // The wire schema must emit milliseconds with explicit units, and batch
 // must not carry omitempty: a batch-size-0 early-drop record has to stay
 // distinguishable from an unset field.
@@ -223,6 +199,29 @@ func TestFromMSRoundTripExact(t *testing.T) {
 		if got := FromMS(MS(d)); got != d {
 			t.Fatalf("FromMS(MS(%v)) = %v", d, got)
 		}
+	}
+}
+
+// TestEventUnmarshalRejectsOutOfRange pins the decode-side guard: times
+// and durations that are negative or past MaxMS (where FromMS stops
+// round-tripping and, further out, overflows time.Duration) are errors.
+func TestEventUnmarshalRejectsOutOfRange(t *testing.T) {
+	for _, doc := range []string{
+		`{"at_ms":-1,"kind":"arrive","req":1,"batch":0,"dur_ms":0}`,
+		`{"at_ms":1,"kind":"execute","req":1,"batch":1,"dur_ms":1e10}`,
+		`{"at_ms":1e13,"kind":"arrive","req":1,"batch":0,"dur_ms":0}`,
+	} {
+		var e Event
+		if err := json.Unmarshal([]byte(doc), &e); err == nil {
+			t.Errorf("%s decoded to %+v, want an error", doc, e)
+		}
+	}
+	var e Event
+	if err := json.Unmarshal([]byte(`{"at_ms":1.5,"kind":"execute","req":3,"batch":2,"dur_ms":1e9}`), &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.At != 1500*time.Microsecond || e.Dur != time.Duration(MaxMS)*time.Millisecond || e.Batch != 2 {
+		t.Fatalf("decoded %+v", e)
 	}
 }
 
