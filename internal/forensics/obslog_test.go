@@ -1,0 +1,53 @@
+package forensics_test
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"nexus/internal/forensics"
+	"nexus/internal/obslog"
+	"nexus/internal/telemetry"
+	"nexus/internal/trace"
+)
+
+// Dumps reach disk as dump records of the observation log. Each is
+// self-contained: decoding it rebuilds its samples' At, and re-encoding the
+// decoded dumps gives back the same bytes.
+func TestDumpsJSONLRoundTrip(t *testing.T) {
+	tr := trace.New(64)
+	tr.Record(trace.Event{At: 7 * time.Second, Kind: trace.Arrive, ReqID: 2, Session: "s"})
+	tr.Record(trace.Event{At: 8 * time.Second, Kind: trace.Complete, ReqID: 2, Session: "s"})
+	audit := trace.NewAudit()
+	audit.RecordChaos(trace.ChaosRecord{AtMS: 9000, Kind: "outage", Backend: "be1", To: "down"})
+	audit.RecordPlacement(trace.PlacementRecord{Epoch: 1, AtMS: 9500, Node: "plan-0"})
+	audit.RecordPlanDiff(trace.PlanDiffRecord{Epoch: 1, AtMS: 9500, Cause: "periodic"})
+
+	r := forensics.New(forensics.Config{})
+	r.ObserveSample(telemetry.Snapshot{At: 9 * time.Second, AtMS: 9000,
+		Counters: map[string]float64{"session_good_total|session=s": 12}})
+	r.Trigger(10*time.Second, telemetry.Alert{Rule: "slo-burn-rate", Target: "s", State: "firing", Value: 9.5}, tr, audit)
+
+	var a bytes.Buffer
+	if err := obslog.Write(&a, obslog.Log{Dumps: r.Dumps()}); err != nil {
+		t.Fatal(err)
+	}
+	l, err := obslog.Read(bytes.NewReader(a.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := l.Dumps
+	if len(back) != 1 {
+		t.Fatalf("round trip read %d dumps, want 1", len(back))
+	}
+	if back[0].Samples[0].At != 9*time.Second {
+		t.Fatalf("sample At not reconstructed: %v", back[0].Samples[0].At)
+	}
+	var b bytes.Buffer
+	if err := obslog.Write(&b, obslog.Log{Dumps: back}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("round trip not byte-identical:\n%s\nvs\n%s", a.String(), b.String())
+	}
+}
