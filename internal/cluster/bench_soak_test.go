@@ -16,14 +16,13 @@ import (
 
 // Soak geometry: one million sessions placed across a 64-node cluster,
 // installed through sharded control-plane delta pushes and then driven one
-// request each by concurrent producers on the lock-free dispatch path.
+// request each, in waves, through the frontend's Dispatch.
 const (
-	soakSessions  = 1 << 20
-	soakBackends  = 64
-	soakUnits     = 16 // execution units per backend; sessions share them
-	soakPlanners  = 8  // parallel delta-building control-plane shards
-	soakProducers = 8  // concurrent Dispatch goroutines per wave
-	soakWave      = 1 << 16
+	soakSessions = 1 << 20
+	soakBackends = 64
+	soakUnits    = 16 // execution units per backend; sessions share them
+	soakPlanners = 8  // parallel delta-building control-plane shards
+	soakWave     = 1 << 16
 )
 
 func soakProfile() *profiler.Profile {
@@ -50,7 +49,7 @@ func soakRoute(i int) (be, unit int) {
 // installs 2^20 sessions through generation-tracked TableDeltas — one
 // shard per parallel planner, pushed in sequence like a sharded control
 // plane's epoch output — and then routes one request per session through
-// the lock-free Dispatch path, 8 producers at a time, draining the
+// Dispatch, one wave of soakWave requests at a time, draining the
 // simulation clock between waves. Every request must complete (served or
 // policy-dropped); anything lost fails the benchmark.
 func BenchmarkSoakMillionSession(b *testing.B) {
@@ -117,32 +116,17 @@ func BenchmarkSoakMillionSession(b *testing.B) {
 			}
 		}
 
-		// Data plane: one request per session, soakProducers dispatching
-		// concurrently, clock drained after each wave. Dispatchers never
-		// overlap clock event execution — the contract Dispatch documents.
-		var reqID uint64
+		// Data plane: one request per session, clock drained after each
+		// wave.
 		for base := 0; base < soakSessions; base += soakWave {
-			end := base + soakWave
-			if end > soakSessions {
-				end = soakSessions
-			}
+			end := min(base+soakWave, soakSessions)
 			now := clock.Now()
-			for p := 0; p < soakProducers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					lo := base + p*(end-base)/soakProducers
-					hi := base + (p+1)*(end-base)/soakProducers
-					for i := lo; i < hi; i++ {
-						fe.Dispatch(workload.Request{
-							ID: reqID + uint64(i-base), Session: names[i],
-							Arrival: now, Deadline: now + 10*time.Second,
-						})
-					}
-				}(p)
+			for i := base; i < end; i++ {
+				fe.Dispatch(workload.Request{
+					ID: uint64(i), Session: names[i],
+					Arrival: now, Deadline: now + 10*time.Second,
+				})
 			}
-			wg.Wait()
-			reqID += uint64(end - base)
 			clock.Run()
 		}
 

@@ -3,6 +3,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,5 +213,73 @@ func TestChaosBurnRateAlert(t *testing.T) {
 		if a.At < chaosFaultAt {
 			t.Fatalf("alert before the fault: %+v", a)
 		}
+	}
+}
+
+// TestTelemetryScrapeDuringRun scrapes /alerts and /health while the
+// simulation runs, as `nexus-sim -telemetry-listen` serves them. The
+// simulation goroutine appends to both logs; the scrapes must not race it
+// (run under -race), and once the run ends they must serve the full logs.
+func TestTelemetryScrapeDuringRun(t *testing.T) {
+	d := chaosDeployment(t, Config{
+		System: Nexus, Features: AllFeatures(), GPUs: 4, Seed: 7, Epoch: 2 * time.Second,
+		Heartbeat: 100 * time.Millisecond, LeaseMisses: 3, RetryBudget: 1,
+		Telemetry: &telemetry.Config{Interval: 250 * time.Millisecond},
+	})
+	in := faults.New(d.Clock, d, 7)
+	if err := in.Schedule(faults.Script{{At: chaosFaultAt, Kind: faults.Crash, Backend: "be0"}}); err != nil {
+		t.Fatal(err)
+	}
+	h := telemetry.Handler(d.Telemetry())
+	scrape := func(path string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s: status %d", path, rec.Code)
+		}
+		return rec.Body.String()
+	}
+
+	done := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				scraped <- n
+				return
+			default:
+			}
+			scrape("/alerts")
+			scrape("/health")
+			n++
+		}
+	}()
+	_, err := d.Run(15 * time.Second)
+	close(done)
+	if n := <-scraped; n == 0 {
+		t.Fatal("no scrape overlapped the run")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := d.Telemetry()
+	if len(c.Alerts()) == 0 || len(c.Health()) == 0 {
+		t.Fatalf("run logged %d alerts and %d health reports, want both", len(c.Alerts()), len(c.Health()))
+	}
+	var alerts, health strings.Builder
+	if err := c.WriteAlertsText(&alerts); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteHealthText(&health); err != nil {
+		t.Fatal(err)
+	}
+	if got := scrape("/alerts"); got != alerts.String() {
+		t.Errorf("/alerts after the run:\n%s\nwant:\n%s", got, alerts.String())
+	}
+	if got := scrape("/health"); got != health.String() {
+		t.Errorf("/health after the run:\n%s\nwant:\n%s", got, health.String())
 	}
 }

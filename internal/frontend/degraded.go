@@ -4,19 +4,9 @@
 // feature is opt-in and nil/zero when off, so a deployment that never
 // enables it runs the exact same instruction stream as before (goldens
 // stay byte-identical).
-//
-// Threading: the pieces Dispatch touches (lease stamp, breaker state,
-// admission buckets, shed/stale counters) are atomic or CAS-guarded, so
-// they stay correct under concurrent dispatchers on the lock-free path.
-// Configuration (EnableBreakers, SetAdmission, SetLinkDown, ...) and the
-// delivery-side outcome hooks still run on the simulation-clock goroutine.
 package frontend
 
-import (
-	"runtime"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // ---------------------------------------------------------------------
 // Routing-table leases.
@@ -30,24 +20,15 @@ import (
 func (f *Frontend) EnableRouteLease(ttl time.Duration, serveStale bool) {
 	f.leaseTTL = ttl
 	f.serveStale = serveStale
-	f.lastPush.Store(int64(f.clock.Now()))
+	f.lastPush = f.clock.Now()
 }
 
 // RenewRouteLease marks the routing table fresh without changing it: the
 // control plane calls it on epochs whose delta was empty, so an idle but
 // healthy scheduler keeps the lease alive.
 func (f *Frontend) RenewRouteLease() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.renewLeaseLocked()
-}
-
-// renewLeaseLocked stamps the lease under mu. The clock read is guarded by
-// the feature flag: with leases off nothing reads the clock here, and with
-// them on every push site runs on the clock goroutine.
-func (f *Frontend) renewLeaseLocked() {
 	if f.leaseTTL > 0 {
-		f.lastPush.Store(int64(f.clock.Now()))
+		f.lastPush = f.clock.Now()
 	}
 }
 
@@ -57,7 +38,7 @@ func (f *Frontend) RouteStaleness() time.Duration {
 	if f.leaseTTL <= 0 {
 		return 0
 	}
-	return f.clock.Now() - time.Duration(f.lastPush.Load())
+	return f.clock.Now() - f.lastPush
 }
 
 // LeaseExpired reports whether the routing table has outlived its TTL.
@@ -66,7 +47,7 @@ func (f *Frontend) LeaseExpired() bool {
 }
 
 // StaleServed returns how many requests were routed on an expired lease.
-func (f *Frontend) StaleServed() uint64 { return f.staleServed.Load() }
+func (f *Frontend) StaleServed() uint64 { return f.staleServed }
 
 // ---------------------------------------------------------------------
 // Per-backend circuit breakers.
@@ -81,7 +62,7 @@ const (
 )
 
 // breakerStateName names a breaker state for observers and telemetry.
-func breakerStateName(s int32) string {
+func breakerStateName(s int) string {
 	switch s {
 	case breakerClosed:
 		return "closed"
@@ -94,14 +75,11 @@ func breakerStateName(s int32) string {
 	}
 }
 
-// breaker is one backend's circuit state. All fields are atomic: the
-// pick side (routeAllowed/markProbe, any dispatcher goroutine) races with
-// the delivery side (breakerFailure/breakerSuccess, clock goroutine), and
-// state changes go through CAS so each transition happens exactly once.
+// breaker is one backend's circuit state.
 type breaker struct {
-	state atomic.Int32
-	fails atomic.Int32 // consecutive failures while closed
-	until atomic.Int64 // virtual time an open breaker may probe (ns)
+	state int
+	fails int           // consecutive failures while closed
+	until time.Duration // virtual time an open breaker may probe
 }
 
 // BreakerObserver sees every breaker state transition, for the chaos
@@ -110,9 +88,7 @@ type BreakerObserver func(at time.Duration, backendID, from, to string)
 
 // EnableBreakers arms per-backend circuit breakers: threshold consecutive
 // dispatch failures open a backend's breaker, routing around it until a
-// half-open probe succeeds after cooloff. The breaker map is populated for
-// every known backend up front and never mutated again, so the lock-free
-// dispatch path reads it without coordination.
+// half-open probe succeeds after cooloff.
 func (f *Frontend) EnableBreakers(threshold int, cooloff time.Duration) {
 	if threshold < 1 {
 		threshold = 1
@@ -121,58 +97,52 @@ func (f *Frontend) EnableBreakers(threshold int, cooloff time.Duration) {
 	for beID := range f.backends {
 		f.breakers[beID] = &breaker{}
 	}
-	f.breakerThreshold = int32(threshold)
+	f.breakerThreshold = threshold
 	f.breakerCooloff = cooloff
 }
 
 // SetBreakerObserver attaches a transition observer; nil detaches it.
 func (f *Frontend) SetBreakerObserver(obs BreakerObserver) { f.onBreaker = obs }
 
-// transition moves a breaker from one state to another with a CAS,
-// counting and observing it. It reports whether this caller won the
-// transition (racing dispatchers resolve to exactly one winner).
-func (f *Frontend) transition(beID string, b *breaker, from, to int32) bool {
-	if from == to || !b.state.CompareAndSwap(from, to) {
-		return false
-	}
-	f.breakerTransitions.Add(1)
+// transition moves a breaker to a new state, counting and observing it.
+func (f *Frontend) transition(beID string, b *breaker, to int) {
+	from := b.state
+	b.state = to
+	f.breakerTransitions++
 	if f.onBreaker != nil {
 		f.onBreaker(f.clock.Now(), beID, breakerStateName(from), breakerStateName(to))
 	}
-	return true
 }
 
-// breakerFailure records a dispatch failure against a backend (delivery
-// side, clock goroutine).
+// breakerFailure records a dispatch failure against a backend.
 func (f *Frontend) breakerFailure(beID string) {
 	b, ok := f.breakers[beID]
 	if !ok {
 		return
 	}
-	switch b.state.Load() {
+	switch b.state {
 	case breakerHalfOpen:
 		// The probe failed: straight back to open for another cooloff.
-		b.until.Store(int64(f.clock.Now() + f.breakerCooloff))
-		f.transition(beID, b, breakerHalfOpen, breakerOpen)
+		b.until = f.clock.Now() + f.breakerCooloff
+		f.transition(beID, b, breakerOpen)
 	case breakerClosed:
-		if b.fails.Add(1) >= f.breakerThreshold {
-			b.until.Store(int64(f.clock.Now() + f.breakerCooloff))
-			f.transition(beID, b, breakerClosed, breakerOpen)
+		b.fails++
+		if b.fails >= f.breakerThreshold {
+			b.until = f.clock.Now() + f.breakerCooloff
+			f.transition(beID, b, breakerOpen)
 		}
 	}
 }
 
-// breakerSuccess records a successful enqueue on a backend (delivery side,
-// clock goroutine).
+// breakerSuccess records a successful enqueue on a backend.
 func (f *Frontend) breakerSuccess(beID string) {
 	b, ok := f.breakers[beID]
 	if !ok {
 		return
 	}
-	b.fails.Store(0)
-	switch s := b.state.Load(); s {
-	case breakerOpen, breakerHalfOpen:
-		f.transition(beID, b, s, breakerClosed)
+	b.fails = 0
+	if b.state != breakerClosed {
+		f.transition(beID, b, breakerClosed)
 	}
 }
 
@@ -184,11 +154,11 @@ func (f *Frontend) routeAllowed(beID string) bool {
 	if !ok {
 		return true
 	}
-	switch b.state.Load() {
+	switch b.state {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		return f.clock.Now() >= time.Duration(b.until.Load())
+		return f.clock.Now() >= b.until
 	default: // half-open
 		return false
 	}
@@ -196,13 +166,10 @@ func (f *Frontend) routeAllowed(beID string) bool {
 
 // markProbe flips a cooled-off open breaker to half-open when its backend
 // is actually picked — not merely considered — so exactly one probe is in
-// flight and a pick that lands elsewhere doesn't wedge the breaker. The
-// open→half-open CAS means racing dispatchers send exactly one probe's
-// worth of transitions.
+// flight and a pick that lands elsewhere doesn't wedge the breaker.
 func (f *Frontend) markProbe(beID string) {
-	if b, ok := f.breakers[beID]; ok && b.state.Load() == breakerOpen &&
-		f.clock.Now() >= time.Duration(b.until.Load()) {
-		f.transition(beID, b, breakerOpen, breakerHalfOpen)
+	if b, ok := f.breakers[beID]; ok && b.state == breakerOpen && f.clock.Now() >= b.until {
+		f.transition(beID, b, breakerHalfOpen)
 	}
 }
 
@@ -215,8 +182,6 @@ func (f *Frontend) markProbe(beID string) {
 // without a burst of banked credit. Returns false when no replica is
 // currently allowed.
 func (f *Frontend) pickAvoiding(st *sessionState) (resolvedRoute, bool) {
-	st.lock()
-	defer st.unlock()
 	state := st.wrr
 	var total float64
 	best := -1
@@ -241,14 +206,14 @@ func (f *Frontend) pickAvoiding(st *sessionState) (resolvedRoute, bool) {
 }
 
 // BreakerTransitions returns the lifetime count of breaker state changes.
-func (f *Frontend) BreakerTransitions() uint64 { return f.breakerTransitions.Load() }
+func (f *Frontend) BreakerTransitions() uint64 { return f.breakerTransitions }
 
 // OpenBreakers returns how many backends are currently open or half-open
 // (i.e. being routed around).
 func (f *Frontend) OpenBreakers() int {
 	n := 0
 	for _, b := range f.breakers {
-		if b.state.Load() != breakerClosed {
+		if b.state != breakerClosed {
 			n++
 		}
 	}
@@ -308,30 +273,17 @@ type AdmissionConfig struct {
 }
 
 // tokenBucket refills by elapsed virtual time, which keeps admission
-// decisions deterministic: same arrival sequence, same sheds. The spin
-// guard shards admission contention per session the same way sessionState
-// does for WRR: concurrent dispatchers for different sessions never touch
-// the same bucket, and same-session races serialize on two atomic ops.
+// decisions deterministic: same arrival sequence, same sheds.
 type tokenBucket struct {
 	rate     float64
 	burst    float64
 	tokens   float64
 	last     time.Duration
 	priority int
-	spin     atomic.Uint32
 }
 
-func (tb *tokenBucket) lock() {
-	for i := 0; !tb.spin.CompareAndSwap(0, 1); i++ {
-		if i%64 == 63 {
-			runtime.Gosched()
-		}
-	}
-}
-
-func (tb *tokenBucket) unlock() { tb.spin.Store(0) }
-
-func (tb *tokenBucket) refill(now time.Duration) {
+// take refills the bucket to now and charges one token if one is there.
+func (tb *tokenBucket) take(now time.Duration) bool {
 	if now > tb.last {
 		tb.tokens += tb.rate * (now - tb.last).Seconds()
 		if tb.tokens > tb.burst {
@@ -339,11 +291,15 @@ func (tb *tokenBucket) refill(now time.Duration) {
 		}
 		tb.last = now
 	}
+	if tb.tokens < 1 {
+		return false
+	}
+	tb.tokens--
+	return true
 }
 
 // SetAdmission installs (or replaces) a session's admission policy. The
-// bucket starts full. Call before the run starts, or from the clock
-// goroutine: the bucket map is dispatch-path state.
+// bucket starts full.
 func (f *Frontend) SetAdmission(session string, cfg AdmissionConfig) {
 	if f.admission == nil {
 		f.admission = make(map[string]*tokenBucket)
@@ -372,27 +328,8 @@ func (f *Frontend) admit(session string) bool {
 		return true
 	}
 	now := f.clock.Now()
-	tb.lock()
-	tb.refill(now)
-	if tb.tokens >= 1 {
-		tb.tokens--
-		tb.unlock()
-		return true
-	}
-	tb.unlock()
-	if tb.priority > 0 && f.reserve != nil {
-		rb := f.reserve
-		rb.lock()
-		rb.refill(now)
-		if rb.tokens >= 1 {
-			rb.tokens--
-			rb.unlock()
-			return true
-		}
-		rb.unlock()
-	}
-	return false
+	return tb.take(now) || (tb.priority > 0 && f.reserve != nil && f.reserve.take(now))
 }
 
 // AdmissionSheds returns how many requests admission control dropped.
-func (f *Frontend) AdmissionSheds() uint64 { return f.admissionSheds.Load() }
+func (f *Frontend) AdmissionSheds() uint64 { return f.admissionSheds }

@@ -4,6 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"nexus/internal/backend"
+	"nexus/internal/gpusim"
+	"nexus/internal/profiler"
+	"nexus/internal/simclock"
+	"nexus/internal/trace"
 	"nexus/internal/workload"
 )
 
@@ -75,5 +80,73 @@ func TestNegativeNetDelayUsesDefault(t *testing.T) {
 	fe := New(nil, nil, -1, nil)
 	if fe.NetDelay() != DefaultNetDelay {
 		t.Fatalf("NetDelay = %v, want default", fe.NetDelay())
+	}
+}
+
+// TestZeroAllocSteadyState asserts the end-to-end per-request path —
+// admission, snapshot routing, WRR pick, network-delay send,
+// enqueue, batch assembly, execution, completion — allocates nothing once
+// the arenas and free lists are warm.
+func TestZeroAllocSteadyState(t *testing.T) {
+	// A fast profile keeps every scheduled horizon (preprocess, batch
+	// execution, postprocess) inside the timer wheel's level-0 span, so
+	// the wheel reaches its steady capacity during warmup instead of
+	// touching fresh far-horizon buckets every step.
+	prof := &profiler.Profile{
+		ModelID: "m", GPU: profiler.GTX1080Ti,
+		Alpha: 50 * time.Microsecond, Beta: 100 * time.Microsecond, MaxBatch: 8,
+		PreprocCPU: 20 * time.Microsecond, PostprocCPU: 10 * time.Microsecond,
+		MemBase: 1 << 28, MemPerItem: 1 << 20,
+	}
+	if err := prof.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	clock := simclock.New()
+	backends := make(map[string]*backend.Backend)
+	for _, id := range []string{"a", "b"} {
+		dev := gpusim.New(clock, "gpu-"+id, profiler.GTX1080Ti, gpusim.Exclusive)
+		be := backend.New(id, clock, dev, backend.Config{Overlap: true}, nil)
+		if err := be.Configure([]backend.Unit{{ID: "u", Profile: prof, TargetBatch: 8}}); err != nil {
+			t.Fatal(err)
+		}
+		backends[id] = be
+	}
+	fe := New(clock, backends, 0, nil)
+	clock.RunUntil(5 * time.Second)
+	if err := fe.SetTable(RoutingTable{"s": {
+		{BackendID: "a", UnitID: "u", Weight: 1},
+		{BackendID: "b", UnitID: "u", Weight: 2},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+
+	var id uint64
+	step := func() {
+		now := clock.Now()
+		for i := 0; i < 16; i++ {
+			fe.Dispatch(workload.Request{ID: id, Session: "s", Arrival: now, Deadline: now + time.Second})
+			id++
+		}
+		clock.Run()
+	}
+	// Warm every pool: event free list, wheel buckets, send arena, queue
+	// rings, batch and run arenas.
+	for i := 0; i < 50; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Fatalf("steady-state dispatch allocates %.1f times per 16-request step, want 0", avg)
+	}
+
+	// With the flight recorder's span source attached the same path must
+	// stay allocation-free: Route and Enqueue events land in the tracer's
+	// preallocated ring, so always-on capture never costs the hot path an
+	// allocation.
+	fe.SetTracer(trace.New(1 << 14))
+	for i := 0; i < 50; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Fatalf("traced steady-state dispatch allocates %.1f times per 16-request step, want 0", avg)
 	}
 }

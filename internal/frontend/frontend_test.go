@@ -117,7 +117,7 @@ func TestSmoothWRRExactProportions(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < 400; i++ {
-		r := fe.state.Load().sessions["s"].pick()
+		r := fe.state.sessions["s"].pick()
 		counts[r.BackendID]++
 	}
 	if counts["a"] != 300 || counts["b"] != 100 {

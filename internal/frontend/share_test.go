@@ -29,7 +29,7 @@ func sharedTable() (RoutingTable, []Route, []Route) {
 // resolvedOf returns the identity of a session's resolved route slice.
 func resolvedOf(t *testing.T, fe *Frontend, sid string) *resolvedRoute {
 	t.Helper()
-	st, ok := fe.state.Load().sessions[sid]
+	st, ok := fe.state.sessions[sid]
 	if !ok || len(st.routes) == 0 {
 		t.Fatalf("session %s has no routes", sid)
 	}
@@ -53,7 +53,7 @@ func assertShared(t *testing.T, fe *Frontend, label string, groups ...[]string) 
 				t.Fatalf("%s: %s and %s hold separate resolved copies of one route list", label, sid, sids[0])
 			}
 			seen[p] = g
-			w := &fe.state.Load().sessions[sid].wrr[0]
+			w := &fe.state.sessions[sid].wrr[0]
 			if other, ok := wrr[w]; ok {
 				t.Fatalf("%s: %s shares its WRR accumulator with %s", label, sid, other)
 			}
@@ -85,7 +85,7 @@ func TestSharedRoutesResolvedOnce(t *testing.T) {
 		t.Fatalf("RemoveBackend touched %d sessions, want 5 (s2–s6)", n)
 	}
 	assertShared(t, fe, "RemoveBackend", []string{"s1", "s7", "s8"}, []string{"s2", "s3"}, []string{"s4", "s5"}, []string{"s6"})
-	table := fe.state.Load().table
+	table := fe.state.table
 	if &table["s2"][0] != &table["s3"][0] || &table["s4"][0] != &table["s5"][0] {
 		t.Fatal("RemoveBackend gave sessions sharing a route list separate repaired lists")
 	}
@@ -106,7 +106,7 @@ func TestSharedRoutesPickSequence(t *testing.T) {
 	if err := fe.SetTable(rt); err != nil {
 		t.Fatal(err)
 	}
-	sessions := fe.state.Load().sessions
+	sessions := fe.state.sessions
 	private := map[string]*sessionState{}
 	for sid, routes := range rt {
 		rs := make([]resolvedRoute, len(routes))
@@ -146,7 +146,7 @@ func TestRemoveBackendSparesOtherReplica(t *testing.T) {
 		t.Fatal("RemoveBackend on the first replica changed nothing")
 	}
 	for sid, p := range before {
-		st := fe2.state.Load().sessions[sid]
+		st := fe2.state.sessions[sid]
 		if &st.routes[0] != p || len(st.routes) != len(rt[sid]) {
 			t.Fatalf("second replica's %s routes changed", sid)
 		}

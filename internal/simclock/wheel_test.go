@@ -140,7 +140,7 @@ func TestWheelReentrantScheduling(t *testing.T) {
 		var scheduleReactive func(ev *mirrorEvent)
 		scheduleReactive = func(ev *mirrorEvent) {
 			// Wrap the mirror callback: on fire, maybe spawn or stop.
-			ev.timer.Stop() // detach the plain recorder…
+			ev.timer.Stop()                 // detach the plain recorder…
 			ev.timer = c.At(ev.at, func() { // …and rebind with reactions
 				m.fired = append(m.fired, ev.id)
 				if len(m.events) < 600 && rng.Intn(3) == 0 {

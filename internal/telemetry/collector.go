@@ -22,8 +22,8 @@ type Config struct {
 	// it out keeps the snapshot stream byte-identical across runs.
 	WallTimings bool
 	// SelfObserve additionally exports runtime self-observability gauges
-	// (goroutine count, heap bytes, cumulative GC pause, ingress ring
-	// occupancy, send-arena reuse rate). Off by default: runtime state is
+	// (goroutine count, heap bytes, cumulative GC pause, send-arena reuse
+	// rate). Off by default: runtime state is
 	// nondeterministic, like WallTimings, and leaving it out keeps the
 	// snapshot stream byte-identical across runs and worker counts.
 	SelfObserve bool
@@ -31,20 +31,23 @@ type Config struct {
 
 // Collector owns the registry, the snapshot stream, the alert engine, and
 // the health-report log for one deployment. Sampling happens on the
-// simulation goroutine; the latest snapshot is additionally published
-// under a mutex so a live HTTP scrape handler can read it from another
-// goroutine without racing the simulation. The nil Collector accepts every
-// call and does nothing.
+// simulation goroutine; the latest snapshot, the alert log, and the health
+// log are additionally published under a mutex so a live HTTP scrape
+// handler can read them from another goroutine without racing the
+// simulation. Both logs are append-only, so a published slice stays valid
+// while the simulation appends past its end. The nil Collector accepts
+// every call and does nothing.
 type Collector struct {
 	cfg    Config
 	reg    *Registry
 	engine *Engine
 	snaps  []Snapshot
-	health []HealthReport
 
 	mu     sync.Mutex
 	latest Snapshot
 	has    bool
+	alerts []Alert
+	health []HealthReport
 
 	// Forensics hooks, both invoked on the simulation goroutine during
 	// Tick: onSample sees every snapshot (the flight recorder's metric
@@ -136,6 +139,7 @@ func (c *Collector) Tick(at time.Duration) {
 	c.mu.Lock()
 	c.latest = s
 	c.has = true
+	c.alerts = c.engine.Alerts()
 	c.mu.Unlock()
 }
 
@@ -158,12 +162,15 @@ func (c *Collector) Latest() (Snapshot, bool) {
 	return c.latest, c.has
 }
 
-// Alerts returns the chronological alert log.
+// Alerts returns the chronological alert log. Safe to call from any
+// goroutine while the simulation runs.
 func (c *Collector) Alerts() []Alert {
 	if c == nil {
 		return nil
 	}
-	return c.engine.Alerts()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.alerts
 }
 
 // Firing returns the currently firing rule(target) pairs, sorted.
@@ -181,14 +188,19 @@ func (c *Collector) AddHealth(h HealthReport) {
 		return
 	}
 	h.FiringAlerts = c.engine.Firing()
+	c.mu.Lock()
 	c.health = append(c.health, h)
+	c.mu.Unlock()
 }
 
-// Health returns the per-epoch health reports.
+// Health returns the per-epoch health reports. Safe to call from any
+// goroutine while the simulation runs.
 func (c *Collector) Health() []HealthReport {
 	if c == nil {
 		return nil
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.health
 }
 
@@ -208,8 +220,9 @@ func (c *Collector) WriteAlertsText(w io.Writer) error {
 
 // WriteHealthText renders every epoch's health report for terminals.
 func (c *Collector) WriteHealthText(w io.Writer) error {
-	for i := range c.Health() {
-		if err := c.health[i].WriteText(w); err != nil {
+	health := c.Health()
+	for i := range health {
+		if err := health[i].WriteText(w); err != nil {
 			return err
 		}
 	}

@@ -81,12 +81,10 @@ func formatValue(v float64) string {
 //	/health        — per-epoch scheduler health reports, plain text
 //	/debug/pprof/  — Go runtime profiles (CPU, heap, goroutines, ...)
 //
-// /metrics reads only the mutex-published latest snapshot, so scraping a
-// running simulation is race-free; /alerts and /health are intended for
-// after the run (they read the logs without synchronization with the
-// simulation goroutine). The pprof routes profile the simulator process
-// itself — the self-observability counterpart to the gauges SampleRuntime
-// exports.
+// /metrics, /alerts and /health read only what the collector publishes
+// under its mutex, so scraping a running simulation is race-free. The
+// pprof routes profile the simulator process itself — the
+// self-observability counterpart to the gauges SampleRuntime exports.
 func Handler(c *Collector) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
