@@ -18,8 +18,25 @@ var update = flag.Bool("update", false, "rewrite the testdata goldens from this 
 // failover behaviour shows up here. Rewrite with -update after an
 // intentional change.
 func TestChaosDegradedGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "chaos_degraded_short.golden"), runShort(t, "chaos", "degraded"))
+}
+
+// TestFigure13WindowGolden pins the -short ctrl-shard and fig13 tables,
+// event counts included, to the bytes `nexus-bench -run ctrl-shard,fig13
+// -short` prints on stdout. Both run the Figure 13 deployment window, whose
+// every epoch re-plans and republishes routes, so a change to the control
+// plane's planning or route publishing shows up here. Rewrite with -update
+// after an intentional change.
+func TestFigure13WindowGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "fig13_window_short.golden"), runShort(t, "ctrl-shard", "fig13"))
+}
+
+// runShort runs the given experiments in -short mode and returns their
+// tables and event counts as nexus-bench prints them.
+func runShort(t *testing.T, ids ...string) string {
+	t.Helper()
 	var b strings.Builder
-	for _, id := range []string{"chaos", "degraded"} {
+	for _, id := range ids {
 		e, err := Get(id)
 		if err != nil {
 			t.Fatal(err)
@@ -32,7 +49,7 @@ func TestChaosDegradedGolden(t *testing.T) {
 		b.WriteString(tab.String())
 		fmt.Fprintf(&b, "  (%d simulation events)\n\n", rc.Events())
 	}
-	checkGolden(t, filepath.Join("testdata", "chaos_degraded_short.golden"), b.String())
+	return b.String()
 }
 
 func checkGolden(t *testing.T, path, got string) {
