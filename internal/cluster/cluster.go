@@ -114,8 +114,8 @@ type Config struct {
 	// skips re-packing and carries its plan forward (0 disables skipping;
 	// applies at any shard count).
 	PlanHysteresis float64
-	// DeltaRouting pushes routing-table updates to frontends as per-session
-	// deltas with generation checks instead of full-table replacements.
+	// Deprecated: DeltaRouting is ignored. Every epoch pushes routing
+	// updates to frontends as per-session deltas.
 	DeltaRouting bool
 	// Telemetry enables the live telemetry plane: a streaming metrics
 	// registry sampled every Telemetry.Interval of virtual time, the
@@ -165,8 +165,8 @@ type Config struct {
 	AdmissionReserveRate  float64
 	AdmissionReserveBurst float64
 	// RecoveryMaxRouteChanges rate-limits the first post-outage route
-	// publish to this many per-session changes per push (requires
-	// DeltaRouting); 0 disables the cap.
+	// publish to this many per-session changes per push; 0 disables the
+	// cap.
 	RecoveryMaxRouteChanges int
 	// Placement selects the packer's multiplexing axes: temporal duty
 	// cycles only (the zero value — every pre-existing experiment is
@@ -609,7 +609,6 @@ func (d *Deployment) controlConfig() globalsched.Config {
 	// Control-plane scaling knobs are orthogonal to the system kind.
 	cfg.Shards = d.cfg.PlannerShards
 	cfg.PlanHysteresis = d.cfg.PlanHysteresis
-	cfg.DeltaRouting = d.cfg.DeltaRouting
 	cfg.RecoveryMaxRouteChanges = d.cfg.RecoveryMaxRouteChanges
 	// Failure detection is orthogonal to the system kind.
 	cfg.Heartbeat = d.cfg.Heartbeat

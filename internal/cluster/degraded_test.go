@@ -13,13 +13,12 @@ import (
 )
 
 // fullFT is the full degraded-mode survival configuration: heartbeat
-// failure detection, delta routing, route leases with stale serving,
+// failure detection, route leases with stale serving,
 // backoff retries, circuit breakers, and a rate-limited recovery publish.
 func fullFT() Config {
 	return Config{
 		System: Nexus, Features: AllFeatures(), GPUs: 4, Seed: 7, Epoch: 5 * time.Second,
 		Heartbeat: 100 * time.Millisecond, LeaseMisses: 3,
-		DeltaRouting:            true,
 		RouteLeaseTTL:           8 * time.Second,
 		ServeStale:              true,
 		RetryBudget:             3,

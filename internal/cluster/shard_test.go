@@ -17,14 +17,14 @@ import (
 // configuration and serializes everything the sharded planner could
 // perturb: the final plan, every frontend routing table, and the audit
 // placement log.
-func shardGolden(t *testing.T, shards, workers int, hysteresis float64, delta bool) []byte {
+func shardGolden(t *testing.T, shards, workers int, hysteresis float64) []byte {
 	t.Helper()
 	prev := runner.SetDefaultWorkers(workers)
 	defer runner.SetDefaultWorkers(prev)
 	d, err := New(Config{
 		System: Nexus, Features: AllFeatures(), GPUs: 12, Seed: 42,
 		Epoch: 10 * time.Second, Audit: true,
-		PlannerShards: shards, PlanHysteresis: hysteresis, DeltaRouting: delta,
+		PlannerShards: shards, PlanHysteresis: hysteresis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,19 +69,19 @@ func shardGolden(t *testing.T, shards, workers int, hysteresis float64, delta bo
 //     concurrently): parallelism must never leak into what the planner
 //     decides.
 func TestShardDeterminism(t *testing.T) {
-	single := shardGolden(t, 0, 1, 0, false)
+	single := shardGolden(t, 0, 1, 0)
 	for _, workers := range []int{1, 8} {
-		if got := shardGolden(t, 1, workers, 0, false); !bytes.Equal(got, single) {
+		if got := shardGolden(t, 1, workers, 0); !bytes.Equal(got, single) {
 			t.Fatalf("shards=1 workers=%d diverges from the shards=0 golden", workers)
 		}
 	}
 	for _, shards := range []int{2, 8} {
-		base := shardGolden(t, shards, 1, 0.05, true)
-		if again := shardGolden(t, shards, 1, 0.05, true); !bytes.Equal(base, again) {
+		base := shardGolden(t, shards, 1, 0.05)
+		if again := shardGolden(t, shards, 1, 0.05); !bytes.Equal(base, again) {
 			t.Fatalf("shards=%d differs across identical serial runs", shards)
 		}
 		for _, workers := range []int{2, 8} {
-			if par := shardGolden(t, shards, workers, 0.05, true); !bytes.Equal(base, par) {
+			if par := shardGolden(t, shards, workers, 0.05); !bytes.Equal(base, par) {
 				t.Fatalf("shards=%d differs between workers=1 and workers=%d", shards, workers)
 			}
 		}

@@ -155,28 +155,26 @@ func (ts *telemetrySampler) sample() {
 		}
 		ts.prevBatches[beID], ts.prevItems[beID] = batches, items
 		reg.Gauge("backend_batch_size", "backend", beID).Set(avg)
-		// Per-slice occupancy, only under spatial placement: a temporal
-		// deployment keeps its exact pre-existing metric key set.
-		if d.cfg.Placement != 0 {
-			for _, st := range be.SliceStats() {
-				k := sliceKey{beID, st.UnitID}
-				sliceLive[k] = true
-				ts.sliceSeen[k] = true
-				occ := 0.0
-				if elapsed > 0 {
-					occ = float64(st.Busy-ts.prevSliceBusy[k]) / float64(elapsed)
-					if occ < 0 {
-						occ = 0
-					}
-					if occ > 1 {
-						occ = 1
-					}
+		// Per-slice occupancy: SliceStats is empty without spatial units, so
+		// a temporal deployment adds no keys.
+		for _, st := range be.SliceStats() {
+			k := sliceKey{beID, st.UnitID}
+			sliceLive[k] = true
+			ts.sliceSeen[k] = true
+			occ := 0.0
+			if elapsed > 0 {
+				occ = float64(st.Busy-ts.prevSliceBusy[k]) / float64(elapsed)
+				if occ < 0 {
+					occ = 0
 				}
-				ts.prevSliceBusy[k] = st.Busy
-				reg.Gauge("backend_slice_frac", "backend", beID, "unit", st.UnitID).Set(st.Frac)
-				reg.Gauge("backend_slice_occupancy", "backend", beID, "unit", st.UnitID).Set(occ)
-				reg.Gauge("backend_slice_queue_depth", "backend", beID, "unit", st.UnitID).Set(float64(st.Queued))
+				if occ > 1 {
+					occ = 1
+				}
 			}
+			ts.prevSliceBusy[k] = st.Busy
+			reg.Gauge("backend_slice_frac", "backend", beID, "unit", st.UnitID).Set(st.Frac)
+			reg.Gauge("backend_slice_occupancy", "backend", beID, "unit", st.UnitID).Set(occ)
+			reg.Gauge("backend_slice_queue_depth", "backend", beID, "unit", st.UnitID).Set(float64(st.Queued))
 		}
 	}
 	gone := make([]string, 0, len(ts.seen))
@@ -195,25 +193,23 @@ func (ts *telemetrySampler) sample() {
 		delete(ts.prevBatches, beID)
 		delete(ts.prevItems, beID)
 	}
-	if d.cfg.Placement != 0 {
-		goneSlices := make([]sliceKey, 0, len(ts.sliceSeen))
-		for k := range ts.sliceSeen {
-			if !sliceLive[k] {
-				goneSlices = append(goneSlices, k)
-			}
+	goneSlices := make([]sliceKey, 0, len(ts.sliceSeen))
+	for k := range ts.sliceSeen {
+		if !sliceLive[k] {
+			goneSlices = append(goneSlices, k)
 		}
-		sort.Slice(goneSlices, func(i, j int) bool {
-			if goneSlices[i].backend != goneSlices[j].backend {
-				return goneSlices[i].backend < goneSlices[j].backend
-			}
-			return goneSlices[i].unit < goneSlices[j].unit
-		})
-		for _, k := range goneSlices {
-			reg.Gauge("backend_slice_frac", "backend", k.backend, "unit", k.unit).Set(0)
-			reg.Gauge("backend_slice_occupancy", "backend", k.backend, "unit", k.unit).Set(0)
-			reg.Gauge("backend_slice_queue_depth", "backend", k.backend, "unit", k.unit).Set(0)
-			delete(ts.prevSliceBusy, k)
+	}
+	sort.Slice(goneSlices, func(i, j int) bool {
+		if goneSlices[i].backend != goneSlices[j].backend {
+			return goneSlices[i].backend < goneSlices[j].backend
 		}
+		return goneSlices[i].unit < goneSlices[j].unit
+	})
+	for _, k := range goneSlices {
+		reg.Gauge("backend_slice_frac", "backend", k.backend, "unit", k.unit).Set(0)
+		reg.Gauge("backend_slice_occupancy", "backend", k.backend, "unit", k.unit).Set(0)
+		reg.Gauge("backend_slice_queue_depth", "backend", k.backend, "unit", k.unit).Set(0)
+		delete(ts.prevSliceBusy, k)
 	}
 
 	// Control plane.
@@ -225,8 +221,7 @@ func (ts *telemetrySampler) sample() {
 	reg.Gauge("sched_plan_wall_ms").Set(telemetry.MS(d.Sched.LastPlanWall()))
 	reg.Counter("cluster_unroutable_total").Set(float64(d.unroutable))
 
-	// Shard counters only when the plan is partitioned, delta-routing
-	// counters only when delta routing is on: a one-shard full-table
+	// Shard counters only when the plan is partitioned: a one-shard
 	// deployment keeps its exact golden key set.
 	if d.Sched.Partitioned() {
 		replanned, skipped, crossMoves := d.Sched.ShardTotals()
@@ -237,12 +232,10 @@ func (ts *telemetrySampler) sample() {
 			reg.Gauge("sched_shard_plan_wall_ms", "shard", strconv.Itoa(k)).Set(telemetry.MS(wall))
 		}
 	}
-	if d.cfg.DeltaRouting {
-		deltas, fulls, sessions := d.Sched.RoutePushStats()
-		reg.Counter("sched_delta_pushes_total").Set(float64(deltas))
-		reg.Counter("sched_full_pushes_total").Set(float64(fulls))
-		reg.Counter("sched_delta_sessions_total").Set(float64(sessions))
-	}
+	deltas, fulls, sessions := d.Sched.RoutePushStats()
+	reg.Counter("sched_delta_pushes_total").Set(float64(deltas))
+	reg.Counter("sched_full_pushes_total").Set(float64(fulls))
+	reg.Counter("sched_delta_sessions_total").Set(float64(sessions))
 
 	// Runtime self-observability, only on request: goroutines, heap, GC
 	// pause, plus the simulator's own send-arena reuse. Like WallTimings

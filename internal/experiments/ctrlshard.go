@@ -25,7 +25,6 @@ type ctrlShardVariant struct {
 	name       string
 	shards     int
 	hysteresis float64
-	delta      bool
 }
 
 // ctrlShardResult carries one variant's deployment outcome plus the
@@ -58,7 +57,7 @@ func ctrlShardDeploy(rc *RunContext, v ctrlShardVariant) (ctrlShardResult, error
 		System: cluster.Nexus, Features: cluster.AllFeatures(),
 		GPUs: gpus, GPU: gpuType, Seed: 13,
 		Epoch: 30 * time.Second, Warmup: 10 * time.Second,
-		PlannerShards: v.shards, PlanHysteresis: v.hysteresis, DeltaRouting: v.delta,
+		PlannerShards: v.shards, PlanHysteresis: v.hysteresis,
 	})
 	if err != nil {
 		return ctrlShardResult{}, err
@@ -99,24 +98,22 @@ func ctrlShardDeploy(rc *RunContext, v ctrlShardVariant) (ctrlShardResult, error
 		gpus:    d.AvgGPUsUsed(),
 	}
 	res.replanned, res.skipped, res.moves = d.Sched.ShardTotals()
-	if v.delta {
-		deltas, fulls, _ := d.Sched.RoutePushStats()
-		res.deltas, res.fulls = int(deltas), int(fulls)
-	}
+	deltas, fulls, _ := d.Sched.RoutePushStats()
+	res.deltas, res.fulls = int(deltas), int(fulls)
 	return res, nil
 }
 
 // ctrlShard compares the default one-shard epoch planner (the "monolithic"
 // row) against partitioned planning on the Figure 13 deployment window.
 // The headline acceptance bar is the goodput delta: partitioned planning
-// with hysteresis and delta routing must stay within 1% of the one-shard
+// with hysteresis must stay within 1% of the one-shard
 // baseline while cutting plan latency (the latter is measured by
 // BenchmarkPack10kGPU, not here).
 func ctrlShard(rc *RunContext) (*Table, error) {
 	variants := []ctrlShardVariant{
 		{name: "monolithic", shards: 0},
-		{name: "sharded-4", shards: 4, hysteresis: 0.05, delta: true},
-		{name: "sharded-8", shards: 8, hysteresis: 0.05, delta: true},
+		{name: "sharded-4", shards: 4, hysteresis: 0.05},
+		{name: "sharded-8", shards: 8, hysteresis: 0.05},
 	}
 	type cell struct {
 		res ctrlShardResult
@@ -157,8 +154,8 @@ func ctrlShard(rc *RunContext) (*Table, error) {
 			dash(res.replanned, v.shards >= 2),
 			dash(res.skipped, v.shards >= 2),
 			dash(res.moves, v.shards >= 2),
-			dash(res.deltas, v.delta),
-			dash(res.fulls, v.delta),
+			fmt.Sprintf("%d", res.deltas),
+			fmt.Sprintf("%d", res.fulls),
 			fmt.Sprintf("%+.2f%%", res.goodput-mono.goodput),
 		)
 	}

@@ -133,7 +133,6 @@ func degradedSweep(rc *RunContext) (*Table, error) {
 			System: cluster.Nexus, Features: cluster.AllFeatures(),
 			GPUs: gpus, Seed: 23, Epoch: epoch,
 			Heartbeat: 100 * time.Millisecond, LeaseMisses: 3,
-			DeltaRouting: true,
 		}
 		c.sys.mutate(&cfg)
 		d, err := cluster.New(cfg)

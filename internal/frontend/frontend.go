@@ -315,61 +315,32 @@ func (f *Frontend) SetTable(rt RoutingTable) error {
 }
 
 // SetTableGen installs a full routing table stamped with the control
-// plane's generation: the initial push and the resync path of delta
-// routing, after which subsequent deltas from that generation apply.
+// plane's generation: the first publish, and the resync of a frontend whose
+// generation diverged. It is the delta that replaces every session, and it
+// installs rt itself, so frontends given one table share it.
 func (f *Frontend) SetTableGen(rt RoutingTable, gen uint64) error {
-	if err := rt.Validate(); err != nil {
-		return err
-	}
-	for _, routes := range rt {
-		for _, r := range routes {
-			if _, ok := f.backends[r.BackendID]; !ok {
-				return fmt.Errorf("frontend: route to unknown backend %s", r.BackendID)
-			}
-		}
-	}
-	cur := f.state
-	sessions := make(map[string]*sessionState, len(rt))
-	resolved := routeMemo{}
-	for sid, routes := range rt {
-		st := f.newSession(resolved, routes)
-		// Rate counts survive table pushes: the count is keyed by session,
-		// not by its routes.
-		if old, ok := cur.sessions[sid]; ok {
-			st.count = old.count
-		} else if n, ok := f.residual[sid]; ok {
-			st.count = n
-			delete(f.residual, sid)
-		}
-		sessions[sid] = st
-	}
-	// Sessions dropped from the table keep their window counts.
-	for sid, st := range cur.sessions {
-		if _, ok := sessions[sid]; !ok {
-			if st.count > 0 {
-				f.residual[sid] += st.count
-			}
-		}
-	}
-	f.state = &tableState{table: rt, sessions: sessions, gen: gen}
-	f.tableVersion++
-	f.RenewRouteLease()
-	return nil
+	return f.install(TableDelta{Gen: gen, Set: rt}, true)
 }
 
 // ApplyDelta applies an incremental routing update on top of the current
-// table. Sessions untouched by the delta keep their dispatch state —
-// including the smooth-WRR accumulator, so an unchanged session's replica
-// split is not perturbed by other sessions' route changes. Changed sessions
-// get fresh state with their rate count carried over; removed sessions move
-// their count to the residual window. A generation mismatch (missed push,
-// or local route repair after a backend death) returns ErrStaleDelta
-// without touching anything; the caller resyncs with SetTableGen.
+// table. A generation mismatch (missed push, or local route repair after a
+// backend death) returns ErrStaleDelta without touching anything; the
+// caller resyncs with SetTableGen.
 func (f *Frontend) ApplyDelta(d TableDelta) error {
-	cur := f.state
-	if cur.gen != d.FromGen {
-		return fmt.Errorf("%w (have generation %d, delta from %d)", ErrStaleDelta, cur.gen, d.FromGen)
+	if gen := f.state.gen; gen != d.FromGen {
+		return fmt.Errorf("%w (have generation %d, delta from %d)", ErrStaleDelta, gen, d.FromGen)
 	}
+	return f.install(d, false)
+}
+
+// install is the one way control-plane routes reach the frontend. Sessions
+// in d.Remove — every current session when replace is set — move their
+// rate counts to the residual window; sessions in d.Set then get fresh
+// dispatch state that keeps their count. Every other session keeps its
+// dispatch state, including the smooth-WRR accumulator, so an unchanged
+// session's replica split is not perturbed by other sessions' route
+// changes. With replace, d.Set itself becomes the table.
+func (f *Frontend) install(d TableDelta, replace bool) error {
 	if err := RoutingTable(d.Set).Validate(); err != nil {
 		return err
 	}
@@ -380,27 +351,43 @@ func (f *Frontend) ApplyDelta(d TableDelta) error {
 			}
 		}
 	}
-	table := make(RoutingTable, len(cur.table)+len(d.Set))
-	for sid, routes := range cur.table {
-		table[sid] = routes
-	}
-	sessions := make(map[string]*sessionState, len(cur.sessions)+len(d.Set))
-	for sid, st := range cur.sessions {
-		sessions[sid] = st
-	}
-	for _, sid := range d.Remove {
-		delete(table, sid)
-		if st, ok := sessions[sid]; ok {
+	cur := f.state
+	var table RoutingTable
+	var sessions map[string]*sessionState
+	if replace {
+		table, sessions = d.Set, make(map[string]*sessionState, len(d.Set))
+		for sid, st := range cur.sessions {
 			if st.count > 0 {
 				f.residual[sid] += st.count
 			}
-			delete(sessions, sid)
+		}
+	} else {
+		table = make(RoutingTable, len(cur.table)+len(d.Set))
+		for sid, routes := range cur.table {
+			table[sid] = routes
+		}
+		sessions = make(map[string]*sessionState, len(cur.sessions)+len(d.Set))
+		for sid, st := range cur.sessions {
+			sessions[sid] = st
+		}
+		for _, sid := range d.Remove {
+			delete(table, sid)
+			if st, ok := sessions[sid]; ok {
+				if st.count > 0 {
+					f.residual[sid] += st.count
+				}
+				delete(sessions, sid)
+			}
+		}
+		for sid, routes := range d.Set {
+			table[sid] = routes
 		}
 	}
 	resolved := routeMemo{}
 	for sid, routes := range d.Set {
-		table[sid] = routes
 		st := f.newSession(resolved, routes)
+		// Rate counts survive route changes: the count is keyed by session,
+		// not by its routes.
 		if old, ok := sessions[sid]; ok {
 			st.count = old.count
 		} else if n, ok := f.residual[sid]; ok {

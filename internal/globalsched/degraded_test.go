@@ -9,13 +9,11 @@ import (
 )
 
 // degradedConfig is the control-plane config the outage/partition tests
-// share: heartbeat failure detection plus delta routing (the recovery
-// rate-limit rides on the delta diff).
+// share: heartbeat failure detection.
 func degradedConfig() Config {
 	cfg := nexusConfig()
 	cfg.Heartbeat = 100 * time.Millisecond
 	cfg.LeaseMisses = 3
-	cfg.DeltaRouting = true
 	return cfg
 }
 

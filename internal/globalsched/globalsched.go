@@ -122,16 +122,10 @@ type Config struct {
 	// applies at any shard count. This is the splitHysteresis idiom applied
 	// to arrival rates: small workload noise must not re-pack the cluster.
 	PlanHysteresis float64
-	// DeltaRouting pushes routing updates to frontends as per-session
-	// deltas instead of full SetTable replacements. Frontends verify a
-	// generation number and any mismatch (e.g. a local route repair after
-	// a backend death) triggers a full resync push.
-	DeltaRouting bool
 	// RecoveryMaxRouteChanges rate-limits the first post-outage publish:
 	// at most this many per-session route changes go out per push, the
 	// remainder following in staged flushes, so the repair wave cannot
-	// thrash every route at once. Requires DeltaRouting (the cap rides on
-	// the delta diff); 0 disables the limit.
+	// thrash every route at once; 0 disables the limit.
 	RecoveryMaxRouteChanges int
 }
 
@@ -202,8 +196,8 @@ type Scheduler struct {
 	shardsSkipped   int
 	crossShardMoves int
 
-	// Delta-routing state (Config.DeltaRouting): the generation and table
-	// of the last successful publish, plus push counters for telemetry.
+	// Route-publish state: the generation and table of the last successful
+	// publish, plus push counters for telemetry.
 	pubGen        uint64
 	lastTable     frontend.RoutingTable
 	deltaPushes   uint64
@@ -1168,8 +1162,8 @@ func (s *Scheduler) unitsFor(g *scheduler.GPUPlan) ([]backend.Unit, error) {
 }
 
 // publishRoutes derives the routing table from the plan and the current
-// node -> backend assignment and pushes it to every frontend. Each unit's
-// traffic splits evenly across its node's replica backends.
+// node -> backend assignment and publishes it to every frontend. Each
+// unit's traffic splits evenly across its node's replica backends.
 func (s *Scheduler) publishRoutes(plan *scheduler.Plan) error {
 	unitWeights := make(map[string][]frontend.Route)
 	for _, g := range plan.GPUs {
@@ -1189,33 +1183,35 @@ func (s *Scheduler) publishRoutes(plan *scheduler.Plan) error {
 			table[member] = routes
 		}
 	}
-	if !s.cfg.DeltaRouting {
-		for _, fe := range s.frontends {
-			if err := fe.SetTable(table); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	return s.publishDelta(table)
 }
 
 // publishDelta pushes the new routing table as a per-session delta against
-// the last published generation. Frontends that diverged (a local route
-// repair after a backend death bumps their generation) reject the delta
-// and receive a full resync at the new generation. An empty delta means
-// every frontend already holds exactly this table — the common steady-state
-// epoch — and nothing is pushed at all; route leases are still renewed, so
-// an idle but healthy scheduler keeps the data plane's leases alive.
+// the last published generation, the only way routes reach frontends (§5).
+// The first publish, with no baseline, installs the whole table; so does
+// the resync of a frontend that diverged (a local route repair after a
+// backend death bumps its generation, and it rejects the delta). An empty
+// delta means every frontend already holds exactly this table — the common
+// steady-state epoch — and nothing is pushed at all; route leases are still
+// renewed, so an idle but healthy scheduler keeps the data plane's leases
+// alive.
 func (s *Scheduler) publishDelta(table frontend.RoutingTable) error {
-	set, remove := tableDiff(s.lastTable, table)
+	limit := s.cfg.RecoveryMaxRouteChanges
+	capped := s.recoveryPending && limit > 0
+	var set map[string][]frontend.Route
+	var remove []string
+	// Without a baseline the whole table goes out, so there is nothing to
+	// diff — unless a capped recovery must stage it from an empty table.
+	if s.lastTable != nil || capped {
+		set, remove = tableDiff(s.lastTable, table)
+	}
 	if s.lastTable != nil && len(set) == 0 && len(remove) == 0 {
 		s.lastTable = table
 		s.recoveryPending = false
 		s.renewLeases()
 		return nil
 	}
-	if limit := s.cfg.RecoveryMaxRouteChanges; s.recoveryPending && limit > 0 && len(set)+len(remove) > limit {
+	if capped && len(set)+len(remove) > limit {
 		// First post-outage publish: stage the repair wave instead of
 		// thrashing every route at once. A capped subset goes out now;
 		// the rest follows in flushes until the diff converges.

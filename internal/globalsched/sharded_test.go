@@ -29,13 +29,12 @@ func addMixedSessions(t *testing.T, e *env, n int) {
 	}
 }
 
-// TestShardedEpochServesTraffic: the full sharded + hysteresis + delta
-// routing control plane serves a mixed workload end to end.
+// TestShardedEpochServesTraffic: the full sharded + hysteresis control
+// plane serves a mixed workload end to end.
 func TestShardedEpochServesTraffic(t *testing.T) {
 	cfg := nexusConfig()
 	cfg.Shards = 4
 	cfg.PlanHysteresis = 0.05
-	cfg.DeltaRouting = true
 	e := newEnv(t, cfg, 64)
 	addMixedSessions(t, e, 12)
 	if err := e.sched.RunEpoch(); err != nil {
@@ -117,7 +116,6 @@ func TestDeltaRoutingSteadyState(t *testing.T) {
 	cfg := nexusConfig()
 	cfg.Shards = 2
 	cfg.PlanHysteresis = 0.05
-	cfg.DeltaRouting = true
 	e := newEnv(t, cfg, 32)
 	addMixedSessions(t, e, 8)
 	if err := e.sched.RunEpoch(); err != nil {
@@ -154,9 +152,7 @@ func TestDeltaRoutingSteadyState(t *testing.T) {
 // locally (backend death) diverges from the publish generation; the next
 // epoch's delta bounces and the control plane full-resyncs it.
 func TestDeltaRoutingResyncAfterLocalRepair(t *testing.T) {
-	cfg := nexusConfig()
-	cfg.DeltaRouting = true
-	e := newEnv(t, cfg, 32)
+	e := newEnv(t, nexusConfig(), 32)
 	addMixedSessions(t, e, 6)
 	if err := e.sched.RunEpoch(); err != nil {
 		t.Fatal(err)

@@ -42,7 +42,6 @@ type Config struct {
 
 	PlannerShards  int     `json:"shards" usage:"partition epoch planning across N parallel shards (0 and 1 = one unpartitioned shard)"`
 	PlanHysteresis float64 `json:"plan_hysteresis" usage:"relative rate band within which a quiet shard skips re-planning (0 = off)"`
-	DeltaRouting   bool    `json:"delta_routing" usage:"push routing-table updates to frontends as per-session deltas"`
 
 	TraceCapacity     int     `json:"trace" usage:"record and print the last N request lifecycle events"`
 	Audit             bool    `json:"audit" usage:"keep and print the control-plane audit log"`
@@ -62,7 +61,7 @@ type Config struct {
 	RetryBackoff            Seconds `json:"retry_backoff_sec" usage:"wait before the first retry, doubling per attempt (0 = re-send at once)"`
 	BreakerThreshold        int     `json:"breaker" usage:"consecutive dispatch failures that open a backend's circuit breaker (0 = off)"`
 	BreakerCooloff          Seconds `json:"breaker_cooloff_sec" usage:"open-breaker cooloff before a half-open probe (needs -breaker)"`
-	RecoveryMaxRouteChanges int     `json:"recovery_cap" usage:"max per-session route changes per post-outage push (needs -delta-routing; 0 = uncapped)"`
+	RecoveryMaxRouteChanges int     `json:"recovery_cap" usage:"max per-session route changes per post-outage push (0 = uncapped)"`
 	// Admission maps session IDs to token-bucket admission policies.
 	Admission             map[string]frontend.AdmissionConfig `json:"admission"`
 	AdmissionReserveRate  float64                             `json:"admission_reserve_rate" usage:"refill rate of the shared priority reserve (req/s; needs admission)"`

@@ -14,6 +14,7 @@ import (
 var notKnobs = map[string]bool{
 	"OnEpoch":         true, // an in-process observer hook, not a value
 	"Telemetry.Rules": true, // the alert rule set is code; nil selects the default rules
+	"DeltaRouting":    true, // deprecated and ignored: every epoch pushes deltas
 }
 
 // TestConfigCoversCluster sets each spec key on its own to a non-default
