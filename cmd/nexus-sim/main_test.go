@@ -111,3 +111,17 @@ func TestSpecFlagsTakeEffect(t *testing.T) {
 		t.Errorf("-obs-out wrote no log: %v", err)
 	}
 }
+
+// TestSpatialFixedRunsComplete runs the fixed-cluster spatial and hybrid
+// deployments whose epochs release a unit's compute partition while one of
+// its batches is still in CPU preprocessing; each must run to the end.
+func TestSpatialFixedRunsComplete(t *testing.T) {
+	for _, args := range [][]string{
+		{"-app", "all", "-placement", "spatial", "-fixed"},
+		{"-app", "all", "-placement", "hybrid", "-fixed", "-seed", "3"},
+	} {
+		if out := runSim(t, args...); !strings.Contains(out, "t= 60s") {
+			t.Errorf("%v: run stopped before its last report line:\n%s", args, out)
+		}
+	}
+}

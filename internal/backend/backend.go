@@ -687,9 +687,6 @@ type batchRun struct {
 	gpu     time.Duration
 	post    time.Duration
 	overlap bool
-	// part routes the GPU submission to a compute partition (spatial
-	// units); nil submits to the whole device.
-	part *gpusim.Partition
 
 	preFn  func() // bound submitGPU
 	gpuFn  func() // bound gpuDone
@@ -709,9 +706,14 @@ func (b *Backend) newRun() *batchRun {
 	return r
 }
 
+// submitGPU hands the batch to the unit's compute partition as it stands
+// after preprocessing, or to the whole device when the unit has none. An
+// epoch may have removed the unit or changed its slice meanwhile, releasing
+// the partition it had when the batch started; the batch then runs where an
+// in-flight temporal batch would.
 func (r *batchRun) submitGPU() {
-	if r.part != nil {
-		r.part.Submit(r.gpu, r.gpuFn)
+	if part := r.u.part; part != nil {
+		part.Submit(r.gpu, r.gpuFn)
 		return
 	}
 	r.b.dev.Submit(r.gpu, r.gpuFn)
@@ -744,7 +746,7 @@ func (r *batchRun) afterPost() {
 	overlap, inc, done := r.overlap, r.inc, r.done
 	// Release the run before resuming the loop: done may start the next
 	// batch, which is free to reuse this object.
-	r.u, r.batch, r.done, r.part = nil, nil, nil, nil
+	r.u, r.batch, r.done = nil, nil, nil
 	b.runPool = append(b.runPool, r)
 	if !overlap && b.inc == inc {
 		done()
@@ -767,7 +769,6 @@ func (b *Backend) execute(u *unitState, batch []Request, done func()) {
 	// requests complete as failures and the old execution chain halts
 	// rather than resuming on the restarted node.
 	r.inc = b.inc
-	r.part = u.part
 	r.gpu = b.gpuTime(u, batch)
 	if b.cfg.OnBatch != nil {
 		b.cfg.OnBatch(b.ID, u.ID, batch, r.inc, r.gpu)

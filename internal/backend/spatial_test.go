@@ -140,3 +140,56 @@ func TestSpatialFailReleasesPartitions(t *testing.T) {
 		t.Fatalf("failed backend still holds %d partitions", got)
 	}
 }
+
+// TestSpatialReconfigureDuringPreprocessing: an epoch that removes a spatial
+// unit or changes its slice while one of its batches is still in CPU
+// preprocessing releases the partition the batch started on. The batch must
+// still reach the GPU — on the unit's current partition, or on the whole
+// device once it has none — and every request must complete exactly once.
+func TestSpatialReconfigureDuringPreprocessing(t *testing.T) {
+	p := sliceUnitProfile()
+	p.PreprocCPU = 5 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		units []Unit
+	}{
+		{"removed", nil},
+		{"slice changed", []Unit{{ID: "u", Profile: p, TargetBatch: 4, Slice: 0.25}}},
+		{"slice dropped", []Unit{{ID: "u", Profile: p, TargetBatch: 4}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := simclock.New()
+			dev := gpusim.New(clock, "g", profiler.GTX1080Ti, gpusim.Exclusive)
+			completed := map[uint64]int{}
+			be := New("b", clock, dev, Config{Overlap: true},
+				func(r Request, o Outcome, at time.Duration) { completed[r.ID]++ })
+			if err := be.Configure([]Unit{{ID: "u", Profile: p, TargetBatch: 4, Slice: 0.5}}); err != nil {
+				t.Fatal(err)
+			}
+			clock.RunUntil(2 * time.Second) // model load
+			now := clock.Now()
+			const n = 6
+			for i := uint64(1); i <= n; i++ {
+				if err := be.Enqueue("u", Request{ID: i, Session: "s", Arrival: now, Deadline: now + time.Second}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clock.RunUntil(now + time.Millisecond)
+			if batches, _ := be.BatchStats(); batches != 1 {
+				t.Fatalf("%d batches started before the reconfiguration, want 1 in preprocessing", batches)
+			}
+			if err := be.Configure(tc.units); err != nil {
+				t.Fatal(err)
+			}
+			clock.Run()
+			if len(completed) != n {
+				t.Fatalf("%d of %d requests completed: %v", len(completed), n, completed)
+			}
+			for id, c := range completed {
+				if c != 1 {
+					t.Fatalf("request %d completed %d times", id, c)
+				}
+			}
+		})
+	}
+}
