@@ -129,7 +129,7 @@ func ctrlShard(rc *RunContext) (*Table, error) {
 		Header: []string{"planner", "goodput %", "bad %", "GPUs in use", "shards replanned", "shards skipped", "cross-shard moves", "delta pushes", "full pushes", "goodput delta"},
 		Notes: []string{
 			"sharded planning must hold goodput within 1% of the monolithic planner on the same workload and seed",
-			"sharded-4/8 add plan hysteresis (5% band) and delta routing-table pushes",
+			"sharded-4/8 add plan hysteresis (5% band); every row pushes routes as per-session deltas",
 		},
 	}
 	var mono ctrlShardResult

@@ -47,7 +47,7 @@ type Config struct {
 	Audit             bool    `json:"audit" usage:"keep and print the control-plane audit log"`
 	Telemetry         Seconds `json:"telemetry_sec" usage:"live telemetry sampling interval (0 = off)"`
 	TelemetryWall     bool    `json:"telemetry_wall" usage:"measure real plan wall time (nondeterministic; needs -telemetry)"`
-	TelemetrySelf     bool    `json:"telemetry_self" usage:"export runtime self-observability gauges (goroutines, heap, GC, ring/arena occupancy; nondeterministic, needs -telemetry)"`
+	TelemetrySelf     bool    `json:"telemetry_self" usage:"export runtime self-observability gauges (goroutines, heap, GC, send-arena reuse; nondeterministic, needs -telemetry)"`
 	Forensics         bool    `json:"forensics" usage:"arm the flight recorder (implies tracing, -audit, and -telemetry)"`
 	ForensicsWindow   Seconds `json:"forensics_window_sec" usage:"capture horizon before each anomaly (0 = 5s; implies -forensics)"`
 	ForensicsMaxDumps int     `json:"forensics_max_dumps" usage:"dump bundles kept; later triggers are only counted (0 = 8; needs -forensics)"`
