@@ -106,9 +106,9 @@ func ctrlShardDeploy(rc *RunContext, v ctrlShardVariant) (ctrlShardResult, error
 // ctrlShard compares the default one-shard epoch planner (the "monolithic"
 // row) against partitioned planning on the Figure 13 deployment window.
 // The headline acceptance bar is the goodput delta: partitioned planning
-// with hysteresis must stay within 1% of the one-shard
-// baseline while cutting plan latency (the latter is measured by
-// BenchmarkPack10kGPU, not here).
+// with hysteresis must stay within 1% of the one-shard baseline while
+// cutting plan latency (the latter is measured by BenchmarkPack10kGPU, not
+// here).
 func ctrlShard(rc *RunContext) (*Table, error) {
 	variants := []ctrlShardVariant{
 		{name: "monolithic", shards: 0},
