@@ -174,33 +174,3 @@ func TestTransientRestartRejoinsPool(t *testing.T) {
 		t.Fatal("backend still dead after in-place restart")
 	}
 }
-
-// TestSessionTimelines covers the per-session SLO-attainment series: the
-// crash second shows degraded attainment, steady state shows full.
-func TestSessionTimelines(t *testing.T) {
-	d := chaosDeployment(t, Config{
-		System: Nexus, Features: AllFeatures(), GPUs: 4, Seed: 7, Epoch: 5 * time.Second,
-		Heartbeat: 100 * time.Millisecond, LeaseMisses: 3,
-		SessionTimelines: true,
-	})
-	in := faults.New(d.Clock, d, 7)
-	if err := in.Schedule(faults.Script{{At: chaosFaultAt, Kind: faults.Crash, Backend: "be0"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Run(15 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	good, bad := d.SessionTimeline("s")
-	if good == nil || bad == nil {
-		t.Fatal("session timelines missing")
-	}
-	att := metrics.Attainment(good, bad)
-	faultBucket := int(chaosFaultAt / time.Second)
-	if att[faultBucket] >= 1 {
-		t.Fatalf("attainment in the crash second = %v, want < 1", att[faultBucket])
-	}
-	last := att[len(att)-1]
-	if last < 0.99 {
-		t.Fatalf("steady-state attainment = %v, want ~1", last)
-	}
-}

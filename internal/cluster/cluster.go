@@ -103,9 +103,6 @@ type Config struct {
 	// LeaseMisses is how many beats may be missed before a backend is
 	// declared dead (default 3).
 	LeaseMisses int
-	// SessionTimelines records per-session good/bad completion series
-	// (per-second), read back via SessionTimeline.
-	SessionTimelines bool
 	// PlannerShards partitions epoch planning across this many concurrent
 	// planner shards. 0 (the default) and 1 both mean one unpartitioned
 	// shard; shard tags and counters appear only at 2 or more.
@@ -237,11 +234,6 @@ type Deployment struct {
 	// when they arrived (admission-control drops at the frontend).
 	unroutable uint64
 
-	// Per-session good/bad completion timelines (nil unless
-	// Config.SessionTimelines).
-	sessGood map[string]*metrics.TimeSeries
-	sessBad  map[string]*metrics.TimeSeries
-
 	// tracer records request lifecycle events when enabled (nil = off).
 	tracer *trace.Tracer
 	// audit holds the control-plane audit log when enabled (nil = off).
@@ -355,10 +347,6 @@ func New(cfg Config) (*Deployment, error) {
 		d.telem.SetOnAlert(func(a telemetry.Alert) {
 			d.flight.Trigger(a.At, a, d.tracer, d.audit)
 		})
-	}
-	if cfg.SessionTimelines {
-		d.sessGood = make(map[string]*metrics.TimeSeries)
-		d.sessBad = make(map[string]*metrics.TimeSeries)
 	}
 	if err := d.rebuildProfiles(); err != nil {
 		return nil, err
@@ -824,7 +812,6 @@ func (d *Deployment) requestDone(req workload.Request, outcome backend.Outcome, 
 	}
 	s := d.Recorder.Session(req.Session)
 	d.traceDone(req, outcome, at, beID)
-	bad := true
 	switch {
 	case outcome.Bad():
 		d.countLoss(s, outcome)
@@ -838,9 +825,7 @@ func (d *Deployment) requestDone(req workload.Request, outcome backend.Outcome, 
 		s.Completed++
 		s.Latency.Record(at - req.Arrival)
 		d.GoodEvts.Add(at, 1)
-		bad = false
 	}
-	d.markTimeline(req.Session, bad, at)
 }
 
 // traceDone records a request's terminal trace event: a Drop carrying its
@@ -877,29 +862,4 @@ func (d *Deployment) countLoss(s *metrics.SessionStats, outcome backend.Outcome)
 	default:
 		s.Dropped++
 	}
-}
-
-// markTimeline records one completion on the session's good/bad series
-// (no-op unless Config.SessionTimelines).
-func (d *Deployment) markTimeline(session string, bad bool, at time.Duration) {
-	if d.sessGood == nil {
-		return
-	}
-	m := d.sessGood
-	if bad {
-		m = d.sessBad
-	}
-	ts, ok := m[session]
-	if !ok {
-		ts = metrics.NewTimeSeries(time.Second)
-		m[session] = ts
-	}
-	ts.Add(at, 1)
-}
-
-// SessionTimeline returns a session's per-second good/bad completion
-// series (nil unless Config.SessionTimelines; a series is nil until the
-// session sees a completion of that kind).
-func (d *Deployment) SessionTimeline(session string) (good, bad *metrics.TimeSeries) {
-	return d.sessGood[session], d.sessBad[session]
 }

@@ -106,7 +106,6 @@ func chaosSweep(rc *RunContext) (*Table, error) {
 		cfg := cluster.Config{
 			System: cluster.Nexus, Features: cluster.AllFeatures(),
 			GPUs: gpus, Seed: 23, Epoch: epoch,
-			SessionTimelines: true,
 		}
 		c.sys.mutate(&cfg)
 		d, err := cluster.New(cfg)
