@@ -186,15 +186,6 @@ func (b *Backend) AvgBatchSize() float64 {
 	return float64(b.items) / float64(b.batches)
 }
 
-// UnitIDs returns the configured unit IDs.
-func (b *Backend) UnitIDs() []string {
-	out := make([]string, len(b.units))
-	for i, u := range b.units {
-		out[i] = u.ID
-	}
-	return out
-}
-
 // Incarnation returns the backend's crash incarnation counter.
 func (b *Backend) Incarnation() uint64 { return b.inc }
 
@@ -210,14 +201,6 @@ func (b *Backend) QueuedTotal() int {
 		n += u.queue.Len() + u.deferred.Len()
 	}
 	return n
-}
-
-// QueueLen returns the queued request count for a unit (0 if unknown).
-func (b *Backend) QueueLen(unitID string) int {
-	if u, ok := b.byID[unitID]; ok {
-		return u.queue.Len()
-	}
-	return 0
 }
 
 // Configure installs a new unit set. Units whose ID persists keep their

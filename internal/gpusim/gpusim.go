@@ -210,9 +210,6 @@ func (d *Device) SetSlowdown(factor float64) {
 	d.slow = factor
 }
 
-// Slowdown returns the current straggler factor (1 = nominal).
-func (d *Device) Slowdown() float64 { return d.slow }
-
 // Submit enqueues a work item that needs `work` of exclusive GPU time;
 // done fires at completion. Non-positive work panics (profile bug).
 func (d *Device) Submit(work time.Duration, done func()) {
