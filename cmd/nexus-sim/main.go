@@ -96,6 +96,14 @@ func parseArgs(args []string) (*spec.Deployment, *options, error) {
 			return nil, nil, err
 		}
 	}
+	switch {
+	case o.duration <= 0:
+		return nil, nil, fmt.Errorf("-duration must be positive, got %v", o.duration)
+	case o.rate < 0:
+		return nil, nil, fmt.Errorf("-rate must not be negative, got %v", o.rate)
+	case o.scale < 0:
+		return nil, nil, fmt.Errorf("-scale must not be negative, got %v", o.scale)
+	}
 	if o.spec == "" && o.app == "" {
 		o.app = "traffic"
 	}
