@@ -75,6 +75,50 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNegativeKnobs checks that a negative numeric knob is
+// an error naming its key, except for the seed and the three keys whose
+// usage gives a negative value a meaning.
+func TestValidateRejectsNegativeKnobs(t *testing.T) {
+	cases := []struct {
+		key, value string
+		ok         bool
+	}{
+		{"trace", "-5", false},
+		{"shards", "-3", false},
+		{"frontends", "-2", false},
+		{"retry_budget", "-2", false},
+		{"breaker", "-1", false},
+		{"lease_misses", "-1", false},
+		{"slice_granularity", "-2", false},
+		{"recovery_cap", "-1", false},
+		{"forensics_max_dumps", "-1", false},
+		{"plan_hysteresis", "-1", false},
+		{"admission_reserve_rate", "-5", false},
+		{"admission_reserve_burst", "-0.5", false},
+		{"epoch_sec", "-1", false},
+		{"heartbeat_sec", "-0.1", false},
+		{"retry_backoff_sec", "-0.001", false},
+		{"seed", "-7", true},
+		{"net_delay_sec", "-1", true},
+		{"warmup_sec", "-1", true},
+		{"planning_slack_sec", "-1", true},
+		{"trace", "0", true},
+		{"plan_hysteresis", "0", true},
+	}
+	for _, c := range cases {
+		doc := `{"gpus":1,"` + c.key + `":` + c.value + `,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`
+		_, err := Parse(strings.NewReader(doc))
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s=%s: %v", c.key, c.value, err)
+		case !c.ok && err == nil:
+			t.Errorf("%s=%s: accepted", c.key, c.value)
+		case !c.ok && !strings.Contains(err.Error(), c.key):
+			t.Errorf("%s=%s: error %q does not name the key", c.key, c.value, err)
+		}
+	}
+}
+
 func TestBuildAndRun(t *testing.T) {
 	d, err := Parse(strings.NewReader(goodSpec))
 	if err != nil {
