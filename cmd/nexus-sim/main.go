@@ -34,6 +34,7 @@ import (
 	"nexus/internal/obslog"
 	"nexus/internal/spec"
 	"nexus/internal/telemetry"
+	"nexus/internal/trace"
 )
 
 func main() {
@@ -222,26 +223,27 @@ func report(w io.Writer, d *cluster.Deployment, o *options, label string, gpus i
 		fmt.Fprintf(w, "    t=%3ds  %8.1f | %5.1f | %5.2f%%\n",
 			(i+1)*step, offered/float64(step), g/float64(step), badPct)
 	}
+	l := d.ObsLog()
 	obs := o.obsOut != ""
 	if tr := d.Tracer(); tr != nil && !obs {
-		fmt.Fprintf(w, "\n  trace (last %d of %d events):\n", len(tr.Events()), tr.Total())
-		if err := tr.WriteText(w); err != nil {
+		fmt.Fprintf(w, "\n  trace (last %d of %d events):\n", len(l.Spans), tr.Total())
+		if err := trace.WriteText(w, l.Spans); err != nil {
 			return err
 		}
 	}
-	if a := d.Audit(); a != nil && !obs {
+	if l.Audit != nil && !obs {
 		fmt.Fprintln(w, "\n  control-plane audit log:")
-		if err := a.WriteText(w); err != nil {
+		if err := l.Audit.WriteText(w); err != nil {
 			return err
 		}
 	}
 	if fr := d.Flight(); fr != nil {
-		dumps := fr.Dumps()
 		fmt.Fprintf(w, "\n  flight recorder: %d dump bundle(s), %d trigger(s) suppressed\n",
-			len(dumps), fr.Suppressed())
+			len(l.Dumps), fr.Suppressed())
 		if !obs {
-			for i := range dumps {
-				if err := indented(w, "  ", dumps[i].WriteText); err != nil {
+			for i := range l.Dumps {
+				dump := func(w io.Writer) error { return obslog.WriteDump(w, l, &l.Dumps[i]) }
+				if err := indented(w, "  ", dump); err != nil {
 					return err
 				}
 			}
@@ -249,8 +251,8 @@ func report(w io.Writer, d *cluster.Deployment, o *options, label string, gpus i
 	}
 	if c := d.Telemetry(); c != nil {
 		fmt.Fprintf(w, "\n  telemetry: %d snapshots, %d alert transitions, %d health reports\n",
-			len(c.Snapshots()), len(c.Alerts()), len(c.Health()))
-		if alerts := c.Alerts(); len(alerts) > 0 {
+			len(l.Snapshots), len(l.Alerts), len(c.Health()))
+		if len(l.Alerts) > 0 {
 			fmt.Fprintln(w, "  alert log:")
 			if err := indented(w, "    ", c.WriteAlertsText); err != nil {
 				return err
@@ -264,10 +266,6 @@ func report(w io.Writer, d *cluster.Deployment, o *options, label string, gpus i
 		}
 	}
 	if obs {
-		l := obslog.Log{
-			Spans: d.Tracer().Events(), Audit: d.Audit(), Dumps: d.Flight().Dumps(),
-			Snapshots: d.Telemetry().Snapshots(), Alerts: d.Telemetry().Alerts(),
-		}
 		if err := writeFile(o.obsOut, func(f io.Writer) error { return obslog.Write(f, l) }); err != nil {
 			return err
 		}

@@ -20,6 +20,7 @@ import (
 	"nexus/internal/gpusim"
 	"nexus/internal/metrics"
 	"nexus/internal/model"
+	"nexus/internal/obslog"
 	"nexus/internal/profiler"
 	"nexus/internal/queryopt"
 	"nexus/internal/scheduler"
@@ -121,13 +122,13 @@ type Config struct {
 	// entirely — no instruments, no sampling tick, goldens unchanged.
 	Telemetry *telemetry.Config
 	// Forensics enables the anomaly-triggered flight recorder: every new
-	// firing alert freezes the last window of spans, audit records, chaos
-	// edges, and metric samples into one dump bundle (read them via
-	// Deployment.Flight). Setting it implies tracing (a large default ring
-	// if TraceCapacity is unset), the audit log, and the telemetry plane
-	// with default rules if Telemetry is nil. Exec-latency windows
-	// additionally carry exemplar request IDs. nil (the default) changes
-	// nothing — goldens stay byte-identical.
+	// firing alert records a dump of its trigger, its capture window, and
+	// the window's spans (read them via Deployment.Flight; the window's
+	// audit records and samples come from ObsLog). Setting it implies
+	// tracing (a large default ring if TraceCapacity is unset), the audit
+	// log, and the telemetry plane with default rules if Telemetry is nil.
+	// Exec-latency windows additionally carry exemplar request IDs. nil
+	// (the default) changes nothing — goldens stay byte-identical.
 	Forensics *forensics.Config
 
 	// Degraded-mode survival layer. Every knob below is off by default and
@@ -343,9 +344,8 @@ func New(cfg Config) (*Deployment, error) {
 	}
 	if cfg.Forensics != nil {
 		d.flight = forensics.New(*cfg.Forensics)
-		d.telem.SetOnSample(d.flight.ObserveSample)
 		d.telem.SetOnAlert(func(a telemetry.Alert) {
-			d.flight.Trigger(a.At, a, d.tracer, d.audit)
+			d.flight.Trigger(a.At, a, d.tracer)
 		})
 	}
 	if err := d.rebuildProfiles(); err != nil {
@@ -505,6 +505,16 @@ func (d *Deployment) Telemetry() *telemetry.Collector { return d.telem }
 // Flight returns the anomaly-triggered flight recorder (nil unless enabled
 // via Config.Forensics).
 func (d *Deployment) Flight() *forensics.Recorder { return d.flight }
+
+// ObsLog gathers the enabled observation planes into one log, reading each
+// once: the retained spans, the audit log, the telemetry snapshots and
+// alerts, and the flight-recorder dumps.
+func (d *Deployment) ObsLog() obslog.Log {
+	return obslog.Log{
+		Spans: d.tracer.Events(), Audit: d.audit, Snapshots: d.telem.Snapshots(),
+		Alerts: d.telem.Alerts(), Dumps: d.flight.Dumps(),
+	}
+}
 
 // runtimeConfig maps the system kind to backend behaviour (§7.2).
 func (d *Deployment) runtimeConfig() (backend.Config, gpusim.Mode) {

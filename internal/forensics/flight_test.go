@@ -1,10 +1,12 @@
-package forensics
+package forensics_test
 
 import (
 	"bytes"
 	"testing"
 	"time"
 
+	"nexus/internal/forensics"
+	"nexus/internal/obslog"
 	"nexus/internal/telemetry"
 	"nexus/internal/trace"
 )
@@ -36,10 +38,8 @@ func seededPlanes() (*trace.Tracer, *trace.Audit) {
 
 func TestTriggerCapturesWindow(t *testing.T) {
 	tr, audit := seededPlanes()
-	r := New(Config{})
-	r.ObserveSample(telemetry.Snapshot{At: 4 * time.Second, AtMS: 4000})
-	r.ObserveSample(telemetry.Snapshot{At: 9 * time.Second, AtMS: 9000})
-	r.Trigger(10*time.Second, alert("slo-burn-rate"), tr, audit)
+	r := forensics.New(forensics.Config{})
+	r.Trigger(10*time.Second, alert("slo-burn-rate"), tr)
 
 	dumps := r.Dumps()
 	if len(dumps) != 1 {
@@ -52,36 +52,52 @@ func TestTriggerCapturesWindow(t *testing.T) {
 	if len(d.Spans) != 2 || d.Spans[0].ReqID != 2 {
 		t.Fatalf("spans %+v, want the two in-window req-2 events", d.Spans)
 	}
-	if len(d.Chaos) != 1 || d.Chaos[0].Backend != "be1" {
-		t.Fatalf("chaos %+v, want only the 9s outage", d.Chaos)
+	// The 4s sample is outside [5s, 10s]; the window view must exclude it.
+	l := obslog.Log{Audit: audit, Snapshots: []telemetry.Snapshot{
+		{At: 4 * time.Second, AtMS: 4000}, {At: 9 * time.Second, AtMS: 9000}}}
+	w := l.Window(&d)
+	if chaos := w.Audit.Chaos(); len(chaos) != 1 || chaos[0].Backend != "be1" {
+		t.Fatalf("chaos %+v, want only the 9s outage", chaos)
 	}
-	if len(d.PlanDiffs) != 1 || d.PlanDiffs[0].Cause != "periodic" {
-		t.Fatalf("plan diffs %+v, want only the 9.5s record", d.PlanDiffs)
+	if diffs := w.Audit.PlanDiffs(); len(diffs) != 1 || diffs[0].Cause != "periodic" {
+		t.Fatalf("plan diffs %+v, want only the 9.5s record", diffs)
 	}
-	if len(d.Placements) != 1 {
-		t.Fatalf("placements %+v, want one", d.Placements)
+	if len(w.Audit.Placements()) != 1 {
+		t.Fatalf("placements %+v, want one", w.Audit.Placements())
 	}
-	// The 4s sample is outside [5s, 10s] but survives the recorder's own
-	// trim (trim is relative to the latest sample); the window filter at
-	// dump time must still exclude it.
-	if len(d.Samples) != 1 || d.Samples[0].AtMS != 9000 {
-		t.Fatalf("samples %+v, want only the 9s snapshot", d.Samples)
+	if len(w.Snapshots) != 1 || w.Snapshots[0].AtMS != 9000 {
+		t.Fatalf("samples %+v, want only the 9s snapshot", w.Snapshots)
+	}
+}
+
+// TestWindowIncludesTriggerInstant pins the window's closed upper bound: a
+// record stamped at the trigger instant is inside even when it is logged
+// after the trigger fired, and one a nanosecond later is not.
+func TestWindowIncludesTriggerInstant(t *testing.T) {
+	tr, audit := seededPlanes()
+	r := forensics.New(forensics.Config{})
+	r.Trigger(10*time.Second, alert("slo-burn-rate"), tr)
+	audit.RecordChaos(trace.ChaosRecord{AtMS: 10000, Kind: "outage", Backend: "be2", To: "down"})
+	audit.RecordChaos(trace.ChaosRecord{AtMS: trace.MS(10*time.Second + 1), Kind: "outage", Backend: "be3", To: "down"})
+	chaos := obslog.Log{Audit: audit}.Window(&r.Dumps()[0]).Audit.Chaos()
+	if len(chaos) != 2 || chaos[0].Backend != "be1" || chaos[1].Backend != "be2" {
+		t.Fatalf("chaos %+v, want the 9s and the 10s outages", chaos)
 	}
 }
 
 func TestTriggerCooldownAndCap(t *testing.T) {
-	tr, audit := seededPlanes()
-	r := New(Config{Window: time.Second, Cooldown: 2 * time.Second, MaxDumps: 2})
-	r.Trigger(10*time.Second, alert("a"), tr, audit)
+	tr, _ := seededPlanes()
+	r := forensics.New(forensics.Config{Window: time.Second, Cooldown: 2 * time.Second, MaxDumps: 2})
+	r.Trigger(10*time.Second, alert("a"), tr)
 	// Inside the cooldown: suppressed.
-	r.Trigger(11*time.Second, alert("b"), tr, audit)
+	r.Trigger(11*time.Second, alert("b"), tr)
 	if got := len(r.Dumps()); got != 1 {
 		t.Fatalf("cooldown leaked: %d dumps", got)
 	}
 	// Past the cooldown: captured (hits the cap).
-	r.Trigger(13*time.Second, alert("c"), tr, audit)
+	r.Trigger(13*time.Second, alert("c"), tr)
 	// Past cooldown again but over MaxDumps: suppressed.
-	r.Trigger(16*time.Second, alert("d"), tr, audit)
+	r.Trigger(16*time.Second, alert("d"), tr)
 	if got := len(r.Dumps()); got != 2 {
 		t.Fatalf("got %d dumps, want 2", got)
 	}
@@ -93,22 +109,9 @@ func TestTriggerCooldownAndCap(t *testing.T) {
 	}
 }
 
-func TestObserveSampleTrimsWindow(t *testing.T) {
-	r := New(Config{Window: 2 * time.Second})
-	for i := 0; i <= 10; i++ {
-		at := time.Duration(i) * time.Second
-		r.ObserveSample(telemetry.Snapshot{At: at, AtMS: float64(at) / float64(ms)})
-	}
-	// Window 2s behind the 10s sample: 8s, 9s, 10s survive.
-	if len(r.samples) != 3 || r.samples[0].AtMS != 8000 {
-		t.Fatalf("trim kept %d samples starting %v, want 3 from 8s", len(r.samples), r.samples[0].AtMS)
-	}
-}
-
 func TestNilRecorderNoOps(t *testing.T) {
-	var r *Recorder
-	r.ObserveSample(telemetry.Snapshot{})
-	r.Trigger(time.Second, alert("x"), nil, nil)
+	var r *forensics.Recorder
+	r.Trigger(time.Second, alert("x"), nil)
 	if r.Dumps() != nil || r.Suppressed() != 0 {
 		t.Fatal("nil recorder retained state")
 	}
@@ -121,16 +124,17 @@ func TestDumpWriteText(t *testing.T) {
 	tr.Record(trace.Event{At: 8600 * ms, Kind: trace.Enqueue, ReqID: 9, Session: "s", Backend: "be0", Unit: "u"})
 	tr.Record(trace.Event{At: 8700 * ms, Kind: trace.Execute, ReqID: 9, Session: "s", Backend: "be0", Unit: "u", Dur: 100 * ms, Inc: 1})
 	tr.Record(trace.Event{At: 8900 * ms, Kind: trace.Complete, ReqID: 9, Session: "s"})
-	r := New(Config{})
-	r.Trigger(10*time.Second, alert("slo-burn-rate"), tr, audit)
+	r := forensics.New(forensics.Config{})
+	r.Trigger(10*time.Second, alert("slo-burn-rate"), tr)
 
 	var sb bytes.Buffer
-	if err := r.Dumps()[0].WriteText(&sb); err != nil {
+	if err := obslog.WriteDump(&sb, obslog.Log{Audit: audit}, &r.Dumps()[0]); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{
 		"dump at 10000.0ms: slo-burn-rate(s)",
+		"captured: 6 spans, 1 placements, 1 plan diffs, 1 chaos edges, 0 samples",
 		"chaos edges in window:",
 		"outage",
 		"cause=periodic",

@@ -11,9 +11,9 @@ import (
 	"nexus/internal/trace"
 )
 
-// Dumps reach disk as dump records of the observation log. Each is
-// self-contained: decoding it rebuilds its samples' At, and re-encoding the
-// decoded dumps gives back the same bytes.
+// Dumps reach disk as dump records of the observation log, next to the
+// records their window covers. Decoding the log rebuilds the window's
+// samples' At, and re-encoding the decoded log gives back the same bytes.
 func TestDumpsJSONLRoundTrip(t *testing.T) {
 	tr := trace.New(64)
 	tr.Record(trace.Event{At: 7 * time.Second, Kind: trace.Arrive, ReqID: 2, Session: "s"})
@@ -22,14 +22,14 @@ func TestDumpsJSONLRoundTrip(t *testing.T) {
 	audit.RecordChaos(trace.ChaosRecord{AtMS: 9000, Kind: "outage", Backend: "be1", To: "down"})
 	audit.RecordPlacement(trace.PlacementRecord{Epoch: 1, AtMS: 9500, Node: "plan-0"})
 	audit.RecordPlanDiff(trace.PlanDiffRecord{Epoch: 1, AtMS: 9500, Cause: "periodic"})
+	snaps := []telemetry.Snapshot{{At: 9 * time.Second, AtMS: 9000,
+		Counters: map[string]float64{"session_good_total|session=s": 12}}}
 
 	r := forensics.New(forensics.Config{})
-	r.ObserveSample(telemetry.Snapshot{At: 9 * time.Second, AtMS: 9000,
-		Counters: map[string]float64{"session_good_total|session=s": 12}})
-	r.Trigger(10*time.Second, telemetry.Alert{Rule: "slo-burn-rate", Target: "s", State: "firing", Value: 9.5}, tr, audit)
+	r.Trigger(10*time.Second, telemetry.Alert{Rule: "slo-burn-rate", Target: "s", State: "firing", Value: 9.5}, tr)
 
 	var a bytes.Buffer
-	if err := obslog.Write(&a, obslog.Log{Dumps: r.Dumps()}); err != nil {
+	if err := obslog.Write(&a, obslog.Log{Audit: audit, Snapshots: snaps, Dumps: r.Dumps()}); err != nil {
 		t.Fatal(err)
 	}
 	l, err := obslog.Read(bytes.NewReader(a.Bytes()))
@@ -40,11 +40,11 @@ func TestDumpsJSONLRoundTrip(t *testing.T) {
 	if len(back) != 1 {
 		t.Fatalf("round trip read %d dumps, want 1", len(back))
 	}
-	if back[0].Samples[0].At != 9*time.Second {
-		t.Fatalf("sample At not reconstructed: %v", back[0].Samples[0].At)
+	if w := l.Window(&back[0]); w.Snapshots[0].At != 9*time.Second {
+		t.Fatalf("sample At not reconstructed: %v", w.Snapshots[0].At)
 	}
 	var b bytes.Buffer
-	if err := obslog.Write(&b, obslog.Log{Dumps: back}); err != nil {
+	if err := obslog.Write(&b, l); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -14,6 +14,18 @@
 // every other record when any is non-zero. Write merges the planes by at_ms,
 // breaking ties in that kind order and keeping each plane's own order, so
 // its output is byte-deterministic and Read(Write(l)) equals l.
+//
+// A dump record holds only what the dump alone knows: its trigger (at_ms,
+// rule, target, value, detail), its window_ms, and the spans of
+// [at_ms-window_ms, at_ms], which the tracer's ring would otherwise have
+// overwritten. Its placements, plan diffs, chaos edges and snapshots are
+// the log's own records in that window (Log.Window). Since dump sorts last
+// among the kinds with an at_ms, Write emits a dump after every record
+// stamped at or before it, so a streaming reader (Decoder) holds a dump's
+// whole window by the time it decodes the dump. Read still accepts dumps
+// written before this form, which embedded copies of those records
+// (placements, plan_diffs, chaos, samples): it validates their times and
+// drops them.
 package obslog
 
 import (
@@ -243,12 +255,15 @@ func (l *Log) decode(line []byte) error {
 		a.At = trace.FromMS(a.AtMS)
 		l.Alerts = append(l.Alerts, a)
 	case "dump":
-		var d forensics.Dump
+		var d struct {
+			forensics.Dump
+			legacyDump
+		}
 		if err = json.Unmarshal(env.Data, &d); err == nil {
-			err = checkDump(&d)
+			err = checkDump(&d.Dump, &d.legacyDump)
 		}
 		at = d.AtMS
-		l.Dumps = append(l.Dumps, d)
+		l.Dumps = append(l.Dumps, d.Dump)
 	case "lost":
 		var lost trace.Lost
 		err = json.Unmarshal(env.Data, &lost)
@@ -276,22 +291,34 @@ func (l *Log) audit() *trace.Audit {
 	return l.Audit
 }
 
-// checkDump validates the times inside a dump bundle (its spans already
-// validated themselves) and rebuilds each sample's virtual time.
-func checkDump(d *forensics.Dump) error {
+// legacyDump holds the per-plane copies a dump embedded before it pointed into
+// the log. Read validates their times and drops them: the log's own planes
+// hold the same records.
+type legacyDump struct {
+	Placements []trace.PlacementRecord `json:"placements"`
+	PlanDiffs  []trace.PlanDiffRecord  `json:"plan_diffs"`
+	Chaos      []trace.ChaosRecord     `json:"chaos"`
+	Samples    []telemetry.Snapshot    `json:"samples"`
+}
+
+// checkDump validates the times of a dump (its spans already validated
+// themselves), including those of a legacy dump's embedded copies.
+func checkDump(d *forensics.Dump, old *legacyDump) error {
+	if !trace.ValidMS(d.WindowMS) {
+		return fmt.Errorf("window_ms %v outside [0, %g]", d.WindowMS, trace.MaxMS)
+	}
 	ats := []float64{d.AtMS}
-	for _, p := range d.Placements {
+	for _, p := range old.Placements {
 		ats = append(ats, p.AtMS)
 	}
-	for _, pd := range d.PlanDiffs {
+	for _, pd := range old.PlanDiffs {
 		ats = append(ats, pd.AtMS)
 	}
-	for _, c := range d.Chaos {
+	for _, c := range old.Chaos {
 		ats = append(ats, c.AtMS)
 	}
-	for i := range d.Samples {
-		ats = append(ats, d.Samples[i].AtMS)
-		d.Samples[i].At = trace.FromMS(d.Samples[i].AtMS)
+	for _, s := range old.Samples {
+		ats = append(ats, s.AtMS)
 	}
 	for _, at := range ats {
 		if !trace.ValidMS(at) {
@@ -299,4 +326,32 @@ func checkDump(d *forensics.Dump) error {
 		}
 	}
 	return nil
+}
+
+// Window returns what a dump shows of l: the dump's own spans, and l's
+// placements, plan diffs, chaos edges and snapshots stamped inside the
+// dump's window [at-window, at]. A record logged later in the trigger's
+// instant is inside.
+func (l Log) Window(d *forensics.Dump) Log {
+	// Bound in nanoseconds as the recorder did, so the millisecond bound is
+	// the exact value the recorder's window started at.
+	from := trace.MS(trace.FromMS(d.AtMS) - trace.FromMS(d.WindowMS))
+	in := func(at float64) bool { return at >= from && at <= d.AtMS }
+	w := Log{Spans: d.Spans, Audit: trace.NewAudit()}
+	a := l.Audit
+	keep(a.Placements(), func(r *trace.PlacementRecord) float64 { return r.AtMS }, in, w.Audit.RecordPlacement)
+	keep(a.PlanDiffs(), func(r *trace.PlanDiffRecord) float64 { return r.AtMS }, in, w.Audit.RecordPlanDiff)
+	keep(a.Chaos(), func(r *trace.ChaosRecord) float64 { return r.AtMS }, in, w.Audit.RecordChaos)
+	keep(l.Snapshots, func(s *telemetry.Snapshot) float64 { return s.AtMS }, in,
+		func(s telemetry.Snapshot) { w.Snapshots = append(w.Snapshots, s) })
+	return w
+}
+
+// keep passes each record of recs whose time is in to add, in order.
+func keep[T any](recs []T, at func(*T) float64, in func(float64) bool, add func(T)) {
+	for i := range recs {
+		if in(at(&recs[i])) {
+			add(recs[i])
+		}
+	}
 }

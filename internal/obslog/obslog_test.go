@@ -40,9 +40,7 @@ func sampleLog() Log {
 		Alerts: []telemetry.Alert{{At: time.Second, AtMS: 1000, Rule: "slo-burn-rate", Target: "s",
 			State: "firing", Value: 8.5, Detail: "burn <2x> & more"}},
 		Dumps: []forensics.Dump{{AtMS: 1000, Rule: "slo-burn-rate", Target: "s", WindowMS: 5000,
-			Spans:   []trace.Event{{At: 500 * ms, Kind: trace.Arrive, ReqID: 7, Session: "s"}},
-			Chaos:   []trace.ChaosRecord{{AtMS: 900, Kind: "outage", Backend: "be0", To: "down"}},
-			Samples: []telemetry.Snapshot{snap}}},
+			Spans: []trace.Event{{At: 500 * ms, Kind: trace.Arrive, ReqID: 7, Session: "s"}}}},
 	}
 }
 
@@ -145,6 +143,8 @@ func TestReadRejects(t *testing.T) {
 		{`{"v":1,"kind":"span","at_ms":1,"data":{"at_ms":1,"kind":"execute","dur_ms":1e10}}`, "outside"},
 		{`{"v":1,"kind":"snapshot","at_ms":0,"data":{"counters":[]}}`, "snapshot"},
 		{`{"v":1,"kind":"dump","at_ms":0,"data":{"samples":[{"at_ms":-3}]}}`, "outside"},
+		{`{"v":1,"kind":"dump","at_ms":0,"data":{"window_ms":-1}}`, "window_ms -1 outside"},
+		{`{"v":1,"kind":"dump","at_ms":0,"data":{"window_ms":1e13}}`, "window_ms 1e+13 outside"},
 		{`{"v":1,"kind":"lost","at_ms":0,"data":{}}`, "not all positive"},
 		{`{"v":1,"kind":"lost","at_ms":0,"data":{"chaos":-1}}`, "not all positive"},
 		{`{"v":1,"kind":"placement","at_ms":0}`, "placement"},
@@ -234,6 +234,48 @@ func TestDecoderSkipsBlankLines(t *testing.T) {
 	}
 	if len(l.Snapshots) != 1 || l.Snapshots[0].AtMS != 250 {
 		t.Fatalf("got %+v, want one snapshot at 250ms", l.Snapshots)
+	}
+}
+
+// TestReadLegacyDump reads a dump in the form written before dumps pointed
+// into the log, with its own copies of the window's records. Read keeps the
+// trigger and spans and drops the copies; the renderer takes the window's
+// records from the log's planes, so the copied chaos edge (be9) is not
+// shown and the log's own (be0) is.
+func TestReadLegacyDump(t *testing.T) {
+	in := `{"v":1,"kind":"chaos","at_ms":900,"data":{"at_ms":900,"kind":"outage","backend":"be0","to":"down"}}
+{"v":1,"kind":"snapshot","at_ms":1000,"data":{"at_ms":1000}}
+{"v":1,"kind":"dump","at_ms":1000,"data":{"at_ms":1000,"rule":"slo-burn-rate","target":"s","window_ms":5000,` +
+		`"spans":[{"at_ms":500,"kind":"arrive","req":7,"session":"s","batch":0,"dur_ms":0}],` +
+		`"placements":[{"epoch":1,"at_ms":0,"node":"n0","duty_ms":50,"occupancy":1,"units":null}],` +
+		`"plan_diffs":[{"epoch":1,"at_ms":0,"cause":"initial"}],` +
+		`"chaos":[{"at_ms":800,"kind":"outage","backend":"be9","to":"down"}],` +
+		`"samples":[{"at_ms":1000},{"at_ms":500}]}}
+`
+	l, err := Read(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := forensics.Dump{AtMS: 1000, Rule: "slo-burn-rate", Target: "s", WindowMS: 5000,
+		Spans: []trace.Event{{At: 500 * ms, Kind: trace.Arrive, ReqID: 7, Session: "s"}}}
+	if len(l.Dumps) != 1 || !reflect.DeepEqual(l.Dumps[0], want) {
+		t.Fatalf("dumps %+v, want %+v", l.Dumps, want)
+	}
+	var sb strings.Builder
+	if err := WriteDump(&sb, l, &l.Dumps[0]); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		"captured: 1 spans, 0 placements, 0 plan diffs, 1 chaos edges, 1 samples",
+		"backend=be0",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("dump text missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "be9") {
+		t.Errorf("dump text shows the legacy copy's chaos edge:\n%s", out)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"nexus/internal/forensics"
 	"nexus/internal/telemetry"
 	"nexus/internal/trace"
 )
@@ -49,7 +50,7 @@ func WriteBlame(w io.Writer, l Log) error {
 			if _, err := fmt.Fprintln(w); err != nil {
 				return err
 			}
-			if err := l.Dumps[i].WriteText(w); err != nil {
+			if err := WriteDump(w, l, &l.Dumps[i]); err != nil {
 				return err
 			}
 		}
@@ -61,6 +62,47 @@ func WriteBlame(w io.Writer, l Log) error {
 		return err
 	}
 	return trace.WriteBlameReport(w, blames)
+}
+
+// WriteDump renders one flight-recorder dump of l for terminals: the
+// trigger header, what l holds inside the dump's window (chaos edges and
+// plan diffs in full, placements and snapshots as counts), and the
+// per-session blame breakdown of the dump's spans.
+func WriteDump(w io.Writer, l Log, d *forensics.Dump) error {
+	win := l.Window(d)
+	var b strings.Builder
+	fmt.Fprintf(&b, "dump at %.1fms: %s(%s) value=%.2f window=%.0fms\n",
+		d.AtMS, d.Rule, d.Target, d.Value, d.WindowMS)
+	if d.Detail != "" {
+		fmt.Fprintf(&b, "  %s\n", d.Detail)
+	}
+	a := win.Audit
+	fmt.Fprintf(&b, "  captured: %d spans, %d placements, %d plan diffs, %d chaos edges, %d samples\n",
+		len(win.Spans), len(a.Placements()), len(a.PlanDiffs()), len(a.Chaos()), len(win.Snapshots))
+	if len(a.Chaos()) > 0 {
+		fmt.Fprintln(&b, "  chaos edges in window:")
+		for _, c := range a.Chaos() {
+			fmt.Fprintf(&b, "    %9.1fms %-10s", c.AtMS, c.Kind)
+			if c.Backend != "" {
+				b.WriteString(" backend=" + c.Backend)
+			}
+			if c.Frontend != "" {
+				b.WriteString(" frontend=" + c.Frontend)
+			}
+			if c.From != "" || c.To != "" {
+				fmt.Fprintf(&b, " %s->%s", c.From, c.To)
+			}
+			b.WriteString("\n")
+		}
+	}
+	for _, pd := range a.PlanDiffs() {
+		trace.WritePlanDiffText(&b, pd)
+	}
+	if blames := trace.SessionBlames(trace.AttributeBlame(win.Spans)); len(blames) > 0 {
+		trace.WriteBlameReport(&b, blames)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // WriteDiff renders `nexus-obs diff`: the plan-diff history, one

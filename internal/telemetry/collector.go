@@ -49,11 +49,9 @@ type Collector struct {
 	alerts []Alert
 	health []HealthReport
 
-	// Forensics hooks, both invoked on the simulation goroutine during
-	// Tick: onSample sees every snapshot (the flight recorder's metric
-	// feed), onAlert sees each new firing transition (its dump trigger).
-	onSample func(Snapshot)
-	onAlert  func(Alert)
+	// onAlert sees each new firing transition during Tick, on the
+	// simulation goroutine: the flight recorder's dump trigger.
+	onAlert func(Alert)
 }
 
 // NewCollector builds a collector, resolving config defaults.
@@ -81,15 +79,6 @@ func (c *Collector) WallTimings() bool { return c != nil && c.cfg.WallTimings }
 
 // SelfObserve reports whether runtime self-observability was requested.
 func (c *Collector) SelfObserve() bool { return c != nil && c.cfg.SelfObserve }
-
-// SetOnSample installs a hook that sees every sampled snapshot, invoked on
-// the simulation goroutine before alert evaluation.
-func (c *Collector) SetOnSample(fn func(Snapshot)) {
-	if c == nil {
-		return
-	}
-	c.onSample = fn
-}
 
 // SetOnAlert installs a hook that sees each new firing alert transition,
 // invoked on the simulation goroutine during the tick that fired it.
@@ -123,9 +112,6 @@ func (c *Collector) Tick(at time.Duration) {
 		return
 	}
 	s := c.reg.Sample(at)
-	if c.onSample != nil {
-		c.onSample(s)
-	}
 	before := len(c.engine.Alerts())
 	c.engine.Observe(s)
 	if c.onAlert != nil {

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -217,36 +216,31 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// ByRequest groups retained events per request ID, each group in order.
-func (t *Tracer) ByRequest() map[uint64][]Event {
-	out := make(map[uint64][]Event)
-	for _, e := range t.Events() {
-		out[e.ReqID] = append(out[e.ReqID], e)
+// Between returns the retained events with from <= At <= to, in
+// chronological order. It walks the ring in place, so only the matching
+// events are copied.
+func (t *Tracer) Between(from, to time.Duration) []Event {
+	if t == nil {
+		return nil
 	}
-	return out
-}
-
-// RequestLatency reconstructs, for every completed request retained in the
-// buffer, the arrival-to-completion latency.
-func (t *Tracer) RequestLatency() map[uint64]time.Duration {
-	out := make(map[uint64]time.Duration)
-	arrivals := make(map[uint64]time.Duration)
-	for _, e := range t.Events() {
-		switch e.Kind {
-		case Arrive:
-			arrivals[e.ReqID] = e.At
-		case Complete:
-			if at, ok := arrivals[e.ReqID]; ok {
-				out[e.ReqID] = e.At - at
+	var out []Event
+	keep := func(seg []Event) {
+		for i := range seg {
+			if e := &seg[i]; e.At >= from && e.At <= to {
+				out = append(out, *e)
 			}
 		}
 	}
+	if t.filled {
+		keep(t.events[t.next:])
+	}
+	keep(t.events[:t.next])
 	return out
 }
 
-// WriteText renders retained events human-readably, one per line.
-func (t *Tracer) WriteText(w io.Writer) error {
-	for _, e := range t.Events() {
+// WriteText renders events human-readably, one per line.
+func WriteText(w io.Writer, events []Event) error {
+	for _, e := range events {
 		var err error
 		switch e.Kind {
 		case Execute:
@@ -264,29 +258,4 @@ func (t *Tracer) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Summary aggregates retained events by kind.
-func (t *Tracer) Summary() map[Kind]int {
-	out := make(map[Kind]int)
-	for _, e := range t.Events() {
-		out[e.Kind]++
-	}
-	return out
-}
-
-// Sessions lists the distinct sessions seen in retained events, sorted.
-func (t *Tracer) Sessions() []string {
-	set := make(map[string]bool)
-	for _, e := range t.Events() {
-		if e.Session != "" {
-			set[e.Session] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

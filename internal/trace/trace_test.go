@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,17 +119,44 @@ func TestFilterDoesNotAdvanceRing(t *testing.T) {
 	}
 }
 
+// byRequest groups events per request ID, each group in order.
+func byRequest(events []Event) map[uint64][]Event {
+	out := make(map[uint64][]Event)
+	for _, e := range events {
+		out[e.ReqID] = append(out[e.ReqID], e)
+	}
+	return out
+}
+
+// requestLatency is the arrival-to-completion latency of every completed
+// request in events.
+func requestLatency(events []Event) map[uint64]time.Duration {
+	out := make(map[uint64]time.Duration)
+	arrivals := make(map[uint64]time.Duration)
+	for _, e := range events {
+		switch e.Kind {
+		case Arrive:
+			arrivals[e.ReqID] = e.At
+		case Complete:
+			if at, ok := arrivals[e.ReqID]; ok {
+				out[e.ReqID] = e.At - at
+			}
+		}
+	}
+	return out
+}
+
 func TestByRequestAndLatency(t *testing.T) {
 	tr := New(16)
 	tr.Record(ev(10, Arrive, 7))
 	tr.Record(ev(11, Enqueue, 7))
 	tr.Record(ev(12, Arrive, 8))
 	tr.Record(ev(25, Complete, 7))
-	byReq := tr.ByRequest()
+	byReq := byRequest(tr.Events())
 	if len(byReq[7]) != 3 || len(byReq[8]) != 1 {
-		t.Fatalf("ByRequest = %v", byReq)
+		t.Fatalf("byRequest = %v", byReq)
 	}
-	lat := tr.RequestLatency()
+	lat := requestLatency(tr.Events())
 	if lat[7] != 15*time.Millisecond {
 		t.Fatalf("latency = %v", lat[7])
 	}
@@ -137,8 +165,8 @@ func TestByRequestAndLatency(t *testing.T) {
 	}
 }
 
-// ByRequest must preserve chronological order within each request even when
-// the ring has wrapped and the oldest retained events sit mid-buffer.
+// Events must keep chronological order within each request even when the
+// ring has wrapped and the oldest retained events sit mid-buffer.
 func TestByRequestOrderingUnderWraparound(t *testing.T) {
 	tr := New(6)
 	// Request 1's lifecycle interleaved with filler; capacity 6 retains
@@ -152,8 +180,7 @@ func TestByRequestOrderingUnderWraparound(t *testing.T) {
 	tr.Record(ev(6, Execute, 1))
 	tr.Record(ev(7, Arrive, 53))
 	tr.Record(ev(8, Complete, 1))
-	byReq := tr.ByRequest()
-	got := byReq[1]
+	got := byRequest(tr.Events())[1]
 	wantKinds := []Kind{Route, Enqueue, Execute, Complete} // Arrive evicted
 	if len(got) != len(wantKinds) {
 		t.Fatalf("req 1 events = %+v", got)
@@ -231,7 +258,7 @@ func TestWriteText(t *testing.T) {
 	tr.Record(Event{At: 2 * time.Millisecond, Kind: Execute, ReqID: 1, Backend: "be0", Unit: "u", Batch: 4})
 	tr.Record(Event{At: 3 * time.Millisecond, Kind: Drop, ReqID: 2, Session: "s", Cause: "deadline"})
 	var buf bytes.Buffer
-	if err := tr.WriteText(&buf); err != nil {
+	if err := WriteText(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -247,13 +274,42 @@ func TestSummaryAndSessions(t *testing.T) {
 	tr.Record(Event{Kind: Arrive, Session: "b"})
 	tr.Record(Event{Kind: Arrive, Session: "a"})
 	tr.Record(Event{Kind: Drop, Session: "a"})
-	sum := tr.Summary()
+	sum := make(map[Kind]int)
+	set := make(map[string]bool)
+	for _, e := range tr.Events() {
+		sum[e.Kind]++
+		set[e.Session] = true
+	}
 	if sum[Arrive] != 2 || sum[Drop] != 1 {
 		t.Fatalf("summary = %v", sum)
 	}
-	got := tr.Sessions()
+	var got []string
+	for s := range set {
+		got = append(got, s)
+	}
+	sort.Strings(got)
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("sessions = %v", got)
+	}
+}
+
+// TestBetween walks a wrapped ring: only the retained events inside the
+// closed interval come back, oldest first.
+func TestBetween(t *testing.T) {
+	tr := New(4)
+	for i := 0; i < 7; i++ { // retains requests 3..6
+		tr.Record(ev(10*i, Arrive, uint64(i)))
+	}
+	got := tr.Between(20*time.Millisecond, 50*time.Millisecond)
+	if len(got) != 3 || got[0].ReqID != 3 || got[1].ReqID != 4 || got[2].ReqID != 5 {
+		t.Fatalf("Between(20ms, 50ms) = %+v, want requests 3, 4, 5", got)
+	}
+	if got := tr.Between(time.Second, 2*time.Second); got != nil {
+		t.Fatalf("Between outside the ring = %+v, want nil", got)
+	}
+	var nilTracer *Tracer
+	if nilTracer.Between(0, time.Second) != nil {
+		t.Fatal("nil tracer returned events")
 	}
 }
 
