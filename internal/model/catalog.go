@@ -161,21 +161,13 @@ func buildDetector(id, task string, blocks int, blockFLOPs, blockParams float64)
 // last `retrain` layers), registers them in db, and returns their IDs.
 // Variant IDs are "<base>-v<k>".
 func SpecializeFamily(db *DB, base string, n, retrain int) ([]string, error) {
-	bm, err := db.Get(base)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]string, 0, n)
-	for k := 0; k < n; k++ {
-		id := fmt.Sprintf("%s-v%d", base, k)
-		v, err := Specialize(bm, id, retrain)
+	ids := make([]string, n)
+	for k := range ids {
+		id, err := db.Variant(base, k, retrain)
 		if err != nil {
 			return nil, err
 		}
-		if err := db.Register(v); err != nil {
-			return nil, err
-		}
-		ids = append(ids, id)
+		ids[k] = id
 	}
 	return ids, nil
 }

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -70,14 +69,18 @@ func appendString(buf []byte, s string) []byte {
 // treats models as opaque computations with a batching profile; the layer
 // chain exists to support prefix detection and memory accounting.
 type Model struct {
-	ID     string  // unique within a DB
-	Task   string  // e.g. "object-detection"
-	Layers []Layer // layer 0 is the input layer
+	ID   string // unique within a DB
+	Task string // e.g. "object-detection"
 
-	// digests[i] is the rolling SHA-256 after layer i: SHA256(digests[i-1]
-	// || identity of layer i), from an all-zero state. Equal digests imply
-	// equal prefixes. Built lazily by buildHashes, which extends whatever
-	// prefix Specialize or AppendFC inherited from the base model.
+	// A derived model (Specialize, AppendFC) reads its first shared layers
+	// through base and stores only the rest, so it costs O(its suffix).
+	base   *Model
+	shared int
+	layers []Layer // layers from index shared on; layer 0 is the input
+
+	// digests[i] is the rolling SHA-256 after layer shared+i, from an
+	// all-zero state: equal digests imply equal prefixes. Built lazily, or
+	// by derive before anything shares them, so shared digests are read-only.
 	digests [][32]byte
 }
 
@@ -97,7 +100,7 @@ func New(id, task string, layers []Layer) (*Model, error) {
 			return nil, fmt.Errorf("model %q: layer %d has negative size", id, i)
 		}
 	}
-	return &Model{ID: id, Task: task, Layers: layers}, nil
+	return &Model{ID: id, Task: task, layers: layers}, nil
 }
 
 // MustNew is New but panics on error; for catalog construction.
@@ -110,31 +113,28 @@ func MustNew(id, task string, layers []Layer) *Model {
 }
 
 // NumLayers returns the layer count.
-func (m *Model) NumLayers() int { return len(m.Layers) }
+func (m *Model) NumLayers() int { return m.shared + len(m.layers) }
+
+// Layer returns layer i (0 <= i < NumLayers). It returns a copy, so no
+// caller can change a prefix other models share.
+func (m *Model) Layer(i int) Layer {
+	if i < m.shared {
+		return m.base.Layer(i)
+	}
+	return m.layers[i-m.shared]
+}
 
 // FLOPs returns total compute per input.
-func (m *Model) FLOPs() int64 {
-	var sum int64
-	for _, l := range m.Layers {
-		sum += l.FLOPs
-	}
-	return sum
-}
+func (m *Model) FLOPs() int64 { return m.SuffixFLOPs(0) }
 
 // ParamBytes returns total parameter size.
-func (m *Model) ParamBytes() int64 {
-	var sum int64
-	for _, l := range m.Layers {
-		sum += l.ParamBytes
-	}
-	return sum
-}
+func (m *Model) ParamBytes() int64 { return m.SuffixParamBytes(0) }
 
 // SuffixFLOPs returns the compute of layers from index k (inclusive) on.
 func (m *Model) SuffixFLOPs(k int) int64 {
 	var sum int64
-	for _, l := range m.Layers[k:] {
-		sum += l.FLOPs
+	for i := k; i < m.NumLayers(); i++ {
+		sum += m.Layer(i).FLOPs
 	}
 	return sum
 }
@@ -142,8 +142,8 @@ func (m *Model) SuffixFLOPs(k int) int64 {
 // SuffixParamBytes returns the parameter size of layers from index k on.
 func (m *Model) SuffixParamBytes(k int) int64 {
 	var sum int64
-	for _, l := range m.Layers[k:] {
-		sum += l.ParamBytes
+	for i := k; i < m.NumLayers(); i++ {
+		sum += m.Layer(i).ParamBytes
 	}
 	return sum
 }
@@ -152,73 +152,80 @@ func (m *Model) SuffixParamBytes(k int) int64 {
 // Equal hashes mean the two prefixes compute the same function with the
 // same weights, so their executions can be batched together.
 func (m *Model) PrefixHash(k int) string {
-	if k < 1 || k > len(m.Layers) {
-		panic(fmt.Sprintf("model %q: PrefixHash(%d) out of range [1,%d]", m.ID, k, len(m.Layers)))
+	if k < 1 || k > m.NumLayers() {
+		panic(fmt.Sprintf("model %q: PrefixHash(%d) out of range [1,%d]", m.ID, k, m.NumLayers()))
 	}
 	m.buildHashes()
-	return hex.EncodeToString(m.digests[k-1][:])
+	d := m.digest(k - 1)
+	return hex.EncodeToString(d[:])
 }
 
-// buildHashes chains every layer not yet covered by m.digests into it.
+// digest returns the digest after layer i; m's hashes must be built.
+func (m *Model) digest(i int) [32]byte {
+	if i < m.shared {
+		return m.base.digest(i)
+	}
+	return m.digests[i-m.shared]
+}
+
+// buildHashes chains m's own layers onto the digest of its shared prefix.
 func (m *Model) buildHashes() {
-	n := len(m.digests)
-	if n == len(m.Layers) {
+	if len(m.digests) == len(m.layers) {
 		return
 	}
-	m.digests = slices.Grow(m.digests, len(m.Layers)-n)
 	var state [32]byte
-	if n > 0 {
-		state = m.digests[n-1]
+	if m.shared > 0 {
+		state = m.base.digest(m.shared - 1)
 	}
+	digests := make([][32]byte, len(m.layers))
 	var scratch [128]byte
-	for i := n; i < len(m.Layers); i++ {
-		buf := m.Layers[i].appendIdentity(append(scratch[:0], state[:]...))
+	for i := range m.layers {
+		buf := m.layers[i].appendIdentity(append(scratch[:0], state[:]...))
 		state = sha256.Sum256(buf)
-		m.digests = append(m.digests, state)
+		digests[i] = state
 	}
+	m.digests = digests
 }
 
-// inheritDigests gives m the digests of the first k layers of base, which m
-// shares unchanged; buildHashes chains only m's remaining layers.
-func (m *Model) inheritDigests(base *Model, k int) {
-	base.buildHashes()
-	m.digests = make([][32]byte, k, len(m.Layers))
-	copy(m.digests, base.digests[:k])
+// derive returns a model with no layers of its own yet that shares the
+// first k (>= 1) layers of m, whose digests it builds first. If m inherits
+// all k itself, the result shares them with m's base: chains stay flat.
+func (m *Model) derive(id string, k int) *Model {
+	m.buildHashes()
+	s := &Model{ID: id, Task: m.Task, shared: k}
+	for k <= m.shared {
+		m = m.base
+	}
+	s.base = m
+	return s
 }
 
-// Clone returns a deep copy with a new ID.
-func (m *Model) Clone(newID string) *Model {
-	layers := make([]Layer, len(m.Layers))
-	copy(layers, m.Layers)
-	return &Model{ID: newID, Task: m.Task, Layers: layers}
-}
-
-// Specialize models transfer learning: it returns a copy of m whose last
+// Specialize models transfer learning: it returns a variant of m whose last
 // retrain layers carry fresh weights (and hence fresh WeightsIDs). The
 // structure is unchanged, so the first NumLayers-retrain layers still hash
 // identically to the base model and remain prefix-batchable with it: the
-// variant reuses the base's digests for them and hashes only the retrained
-// layers.
+// variant shares them, and stores and hashes only the retrained layers.
 func Specialize(m *Model, newID string, retrain int) (*Model, error) {
 	if retrain < 1 || retrain >= m.NumLayers() {
 		return nil, fmt.Errorf("model %q: retrain %d out of range [1,%d)", m.ID, retrain, m.NumLayers())
 	}
-	s := m.Clone(newID)
-	n := len(s.Layers)
-	for i := n - retrain; i < n; i++ {
-		s.Layers[i].WeightsID = fmt.Sprintf("%s/%s#%d", newID, s.Layers[i].Kind, i)
+	s := m.derive(newID, m.NumLayers()-retrain)
+	s.layers = make([]Layer, retrain)
+	for i := range s.layers {
+		l := m.Layer(s.shared + i)
+		l.WeightsID = fmt.Sprintf("%s/%s#%d", newID, l.Kind, s.shared+i)
+		s.layers[i] = l
 	}
-	s.inheritDigests(m, n-retrain)
 	return s, nil
 }
 
 // AppendFC returns a copy of m with extra FC layers appended before output,
 // used to build the "2 FC" / "3 FC" suffix variants of Figure 15. The copy
-// reuses every digest of m and hashes only the appended layers.
+// shares every layer of m and stores and hashes only the appended layers.
 func AppendFC(m *Model, newID string, extra int, units int64) *Model {
-	s := m.Clone(newID)
+	s := m.derive(newID, m.NumLayers())
 	for i := 0; i < extra; i++ {
-		s.Layers = append(s.Layers, Layer{
+		s.layers = append(s.layers, Layer{
 			Name:       fmt.Sprintf("fc_extra%d", i),
 			Kind:       FC,
 			FLOPs:      2 * units * units,
@@ -227,7 +234,6 @@ func AppendFC(m *Model, newID string, extra int, units int64) *Model {
 			WeightsID:  fmt.Sprintf("%s/fc_extra#%d", newID, i),
 		})
 	}
-	s.inheritDigests(m, m.NumLayers())
 	return s
 }
 
@@ -242,7 +248,7 @@ func CommonPrefixLen(a, b *Model) int {
 	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if a.digests[mid-1] == b.digests[mid-1] {
+		if a.digest(mid-1) == b.digest(mid-1) {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -279,10 +285,14 @@ func (db *DB) MustRegister(m *Model) {
 
 // Variant registers the specialized variant "<base>-v<k>" of base,
 // retraining its last retrain layers, unless it is already registered, and
-// returns its ID.
+// returns its ID. A registered variant that retrains a different number of
+// layers is an error.
 func (db *DB) Variant(base string, k, retrain int) (string, error) {
 	id := fmt.Sprintf("%s-v%d", base, k)
-	if _, ok := db.Lookup(id); ok {
+	if v, ok := db.Lookup(id); ok {
+		if own := len(v.layers); own != retrain {
+			return "", fmt.Errorf("model %q already registered with retrain %d, not %d", id, own, retrain)
+		}
 		return id, nil
 	}
 	bm, err := db.Get(base)
@@ -346,9 +356,7 @@ type PrefixGroup struct {
 // sufficiently-shared partner form singleton groups with PrefixLen equal to
 // their own depth. Groups are returned in a deterministic order.
 func (db *DB) PrefixGroups(ids []string, minShared int) ([]PrefixGroup, error) {
-	if minShared < 1 {
-		minShared = 1
-	}
+	minShared = max(minShared, 1)
 	models := make([]*Model, len(ids))
 	for i, id := range ids {
 		m, err := db.Get(id)
@@ -362,17 +370,12 @@ func (db *DB) PrefixGroups(ids []string, minShared int) ([]PrefixGroup, error) {
 		members   []*Model
 	}
 	var groups []*group
-	sorted := make([]*Model, len(models))
-	copy(sorted, models)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	for _, m := range sorted {
+	sort.Slice(models, func(i, j int) bool { return models[i].ID < models[j].ID })
+	for _, m := range models {
 		best := -1
 		bestLCP := 0
 		for gi, g := range groups {
-			lcp := CommonPrefixLen(g.members[0], m)
-			if lcp > g.prefixLen {
-				lcp = g.prefixLen
-			}
+			lcp := min(CommonPrefixLen(g.members[0], m), g.prefixLen)
 			if lcp >= minShared && lcp > bestLCP {
 				best, bestLCP = gi, lcp
 			}
@@ -380,9 +383,7 @@ func (db *DB) PrefixGroups(ids []string, minShared int) ([]PrefixGroup, error) {
 		if best >= 0 {
 			g := groups[best]
 			g.members = append(g.members, m)
-			if bestLCP < g.prefixLen {
-				g.prefixLen = bestLCP
-			}
+			g.prefixLen = min(g.prefixLen, bestLCP)
 		} else {
 			groups = append(groups, &group{prefixLen: m.NumLayers(), members: []*Model{m}})
 		}

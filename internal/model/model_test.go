@@ -3,13 +3,14 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
-func simpleModel(t *testing.T, id string, n int) *Model {
-	t.Helper()
+func simpleLayers(n int) []Layer {
 	layers := []Layer{{Name: "input", Kind: Input, ActBytes: 100}}
 	for i := 1; i < n; i++ {
 		layers = append(layers, Layer{
@@ -18,7 +19,12 @@ func simpleModel(t *testing.T, id string, n int) *Model {
 			WeightsID: fmt.Sprintf("%s/w%d", "shared", i),
 		})
 	}
-	m, err := New(id, "test", layers)
+	return layers
+}
+
+func simpleModel(t *testing.T, id string, n int) *Model {
+	t.Helper()
+	m, err := New(id, "test", simpleLayers(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +91,9 @@ func TestPrefixHashOutOfRangePanics(t *testing.T) {
 
 func TestHashIgnoresLayerName(t *testing.T) {
 	a := simpleModel(t, "a", 3)
-	b := simpleModel(t, "b", 3)
-	b.Layers[2].Name = "renamed"
+	layers := simpleLayers(3)
+	layers[2].Name = "renamed"
+	b := MustNew("b", "test", layers)
 	if CommonPrefixLen(a, b) != 3 {
 		t.Fatal("renaming a layer broke prefix sharing")
 	}
@@ -94,8 +101,9 @@ func TestHashIgnoresLayerName(t *testing.T) {
 
 func TestHashSensitiveToWeights(t *testing.T) {
 	a := simpleModel(t, "a", 3)
-	b := simpleModel(t, "b", 3)
-	b.Layers[2].WeightsID = "different"
+	layers := simpleLayers(3)
+	layers[2].WeightsID = "different"
+	b := MustNew("b", "test", layers)
 	if got := CommonPrefixLen(a, b); got != 2 {
 		t.Fatalf("CommonPrefixLen = %d, want 2", got)
 	}
@@ -119,7 +127,7 @@ func TestSpecialize(t *testing.T) {
 		t.Fatalf("variant-variant CommonPrefixLen = %d, want 8", got)
 	}
 	// Base must be untouched.
-	if !strings.HasPrefix(base.Layers[9].WeightsID, "shared/") {
+	if !strings.HasPrefix(base.Layer(9).WeightsID, "shared/") {
 		t.Fatal("Specialize mutated the base model")
 	}
 }
@@ -178,8 +186,9 @@ func TestPrefixGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := simpleModel(t, "other", 10)
-	other.Layers[1].WeightsID = "unrelated"
+	layers := simpleLayers(10)
+	layers[1].WeightsID = "unrelated"
+	other := MustNew("other", "test", layers)
 	db.MustRegister(other)
 
 	all := append([]string{"base", "other"}, ids...)
@@ -307,7 +316,11 @@ func TestPropertySpecialize(t *testing.T) {
 // from the all-zero state, inheriting nothing.
 func fromScratch(t *testing.T, m *Model) *Model {
 	t.Helper()
-	c, err := New(m.ID, m.Task, append([]Layer(nil), m.Layers...))
+	layers := make([]Layer, m.NumLayers())
+	for i := range layers {
+		layers[i] = m.Layer(i)
+	}
+	c, err := New(m.ID, m.Task, layers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +340,8 @@ func TestInheritedDigestsMatchFromScratch(t *testing.T) {
 	db := Catalog()
 	for _, id := range db.IDs() {
 		base := db.MustGet(id)
-		for retrain := 1; retrain < base.NumLayers(); retrain++ {
+		n := base.NumLayers()
+		for retrain := 1; retrain < n; retrain++ {
 			v, err := Specialize(base, fmt.Sprintf("%s-v%d", id, retrain), retrain)
 			if err != nil {
 				t.Fatal(err)
@@ -337,12 +351,121 @@ func TestInheritedDigestsMatchFromScratch(t *testing.T) {
 			// themselves partly inherited.
 			a := AppendFC(v, v.ID+"-fc", 2, 128)
 			sameDigests(t, a, fromScratch(t, a))
-			if got, want := CommonPrefixLen(base, v), base.NumLayers()-retrain; got != want {
+			if got, want := CommonPrefixLen(base, v), n-retrain; got != want {
 				t.Fatalf("%s: CommonPrefixLen with base = %d, want %d", v.ID, got, want)
+			}
+			// Variants of the variant: retraining fewer layers than v
+			// shares v's own suffix, retraining as many or more shares
+			// only the base's layers and must point at the base.
+			for _, r := range []int{1, retrain, n - 1} {
+				vv, err := Specialize(v, fmt.Sprintf("%s-v%d", v.ID, r), r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameDigests(t, vv, fromScratch(t, vv))
+				if r >= retrain && vv.base != base {
+					t.Fatalf("%s: shares %d layers through %s, want the base %s", vv.ID, vv.shared, vv.base.ID, id)
+				}
+				if got, want := CommonPrefixLen(v, vv), n-r; got != want {
+					t.Fatalf("%s: CommonPrefixLen with %s = %d, want %d", vv.ID, v.ID, got, want)
+				}
+				if got, want := CommonPrefixLen(base, vv), n-max(r, retrain); got != want {
+					t.Fatalf("%s: CommonPrefixLen with %s = %d, want %d", vv.ID, id, got, want)
+				}
+				a := AppendFC(vv, vv.ID+"-fc", 1, 32)
+				sameDigests(t, a, fromScratch(t, a))
 			}
 		}
 		a := AppendFC(base, id+"-fc", 3, 64)
 		sameDigests(t, a, fromScratch(t, a))
+	}
+}
+
+// TestVariantCostsSuffixOnly checks that a variant costs memory for its
+// retrained suffix, not its depth: retraining one layer of Darknet-53 (30
+// layers) must cost about as much heap as retraining one of LeNet-5 (6).
+func TestVariantCostsSuffixOnly(t *testing.T) {
+	const n = 4000
+	db := Catalog()
+	perVariant := func(id string) float64 {
+		base := db.MustGet(id)
+		vs := make([]*Model, n)
+		before := liveHeap()
+		for i := range vs {
+			v, err := Specialize(base, fmt.Sprintf("%s-v%d", id, 1000+i), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.buildHashes()
+			vs[i] = v
+		}
+		after := liveHeap()
+		runtime.KeepAlive(vs)
+		b := float64(after-min(after, before)) / n
+		t.Logf("%s (%d layers): %.0f B per variant", id, base.NumLayers(), b)
+		return b
+	}
+	small, large := perVariant(LeNet5), perVariant(Darknet53)
+	if large > 1.5*small {
+		t.Fatalf("a Darknet-53 variant costs %.0f B, more than 1.5× a LeNet-5 variant's %.0f B", large, small)
+	}
+}
+
+// liveHeap returns the heap still reachable after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestConcurrentSiblingReads reads prefix hashes of sibling variants from
+// concurrent goroutines: the base's layers and digests they share must be
+// read-only once Specialize returns (run with -race).
+func TestConcurrentSiblingReads(t *testing.T) {
+	base := Catalog().MustGet(ResNet50)
+	var vs []*Model
+	for k := 0; k < 8; k++ {
+		v, err := Specialize(base, fmt.Sprintf("%s-v%d", base.ID, k), 1+k%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs = append(vs, AppendFC(v, v.ID+"-fc", 1, 64))
+	}
+	hashes := make([]string, len(vs))
+	var wg sync.WaitGroup
+	for i, v := range vs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 1; k <= v.NumLayers(); k++ {
+				hashes[i] = v.PrefixHash(k)
+			}
+			if got := CommonPrefixLen(base, v); got != base.NumLayers()-1-i%3 {
+				t.Errorf("%s: CommonPrefixLen with base = %d", v.ID, got)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, v := range vs {
+		if want := fromScratch(t, v).PrefixHash(v.NumLayers()); hashes[i] != want {
+			t.Errorf("%s: concurrent PrefixHash = %s, from scratch %s", v.ID, hashes[i], want)
+		}
+	}
+}
+
+func TestVariantRejectsConflictingRetrain(t *testing.T) {
+	db := Catalog()
+	id, err := db.Variant(ResNet50, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := db.Variant(ResNet50, 7, 1); err != nil || again != id {
+		t.Fatalf("re-registering %s with the same retrain = %q, %v", id, again, err)
+	}
+	_, err = db.Variant(ResNet50, 7, 3)
+	if err == nil || !strings.Contains(err.Error(), "retrain 1, not 3") {
+		t.Fatalf("conflicting retrain for %s: err = %v, want one naming 1 and 3", id, err)
 	}
 }
 

@@ -110,7 +110,7 @@ func Calibrate(m *model.Model, gpu GPUType) (*Profile, error) {
 	p := *lm.profile
 	p.ModelID = m.ID
 	p.MemBase = m.ParamBytes() + workspaceBytes
-	p.MemPerItem = 16 * m.Layers[0].ActBytes
+	p.MemPerItem = 16 * m.Layer(0).ActBytes
 	if p.MemPerItem < 1<<20 {
 		p.MemPerItem = 1 << 20
 	}

@@ -21,7 +21,7 @@ func freshProfile(t *testing.T, m *model.Model, gpu GPUType) *Profile {
 	if alpha < time.Microsecond {
 		alpha = time.Microsecond
 	}
-	memPerItem := 16 * m.Layers[0].ActBytes
+	memPerItem := 16 * m.Layer(0).ActBytes
 	if memPerItem < 1<<20 {
 		memPerItem = 1 << 20
 	}

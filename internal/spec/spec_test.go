@@ -154,6 +154,20 @@ func TestBuildUnknownModel(t *testing.T) {
 	}
 }
 
+func TestBuildRejectsConflictingSpecialize(t *testing.T) {
+	doc := `{"gpus":1,
+	  "specialize":[{"base":"resnet50","count":2,"retrain":1},{"base":"resnet50","count":2,"retrain":3}],
+	  "sessions":[{"id":"a","model":"resnet50-v1","slo_ms":100,"rate":1}]}`
+	d, err := Parse(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.Build()
+	if err == nil || !strings.Contains(err.Error(), `"resnet50-v0" already registered with retrain 1, not 3`) {
+		t.Fatalf("Build = %v, want an error for resnet50-v0 with retrain 1, not 3", err)
+	}
+}
+
 func TestBuildDefaults(t *testing.T) {
 	doc := `{"gpus":2,"sessions":[{"id":"a","model":"googlenet_car","slo_ms":100,"rate":50}]}`
 	d, err := Parse(strings.NewReader(doc))
