@@ -155,12 +155,6 @@ func (d *Device) MemUsed() int64 { return d.memUsed }
 // MemFree returns remaining capacity.
 func (d *Device) MemFree() int64 { return d.Spec.MemBytes - d.memUsed }
 
-// IsLoaded reports whether a model (by key) is resident.
-func (d *Device) IsLoaded(key string) bool {
-	_, ok := d.loaded[key]
-	return ok
-}
-
 // LoadedKeys returns the number of resident models.
 func (d *Device) LoadedKeys() int { return len(d.loaded) }
 
@@ -234,22 +228,6 @@ func (d *Device) Submit(work time.Duration, done func()) {
 	}
 }
 
-// QueueLen returns the number of submitted-but-unfinished work items,
-// including work queued on compute partitions.
-func (d *Device) QueueLen() int {
-	n := len(d.queue) - d.qhead + len(d.shared)
-	if d.running != nil {
-		n++
-	}
-	for _, p := range d.parts {
-		n += len(p.queue) - p.qhead
-		if p.running != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // BusyTime returns accumulated busy time (including a current in-progress
 // busy period up to now).
 func (d *Device) BusyTime() time.Duration {
@@ -258,15 +236,6 @@ func (d *Device) BusyTime() time.Duration {
 		b += d.clock.Now() - d.busySince
 	}
 	return b
-}
-
-// Utilization returns BusyTime / elapsed since t0.
-func (d *Device) Utilization(t0 time.Duration) float64 {
-	elapsed := d.clock.Now() - t0
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(d.BusyTime()) / float64(elapsed)
 }
 
 func (d *Device) isBusy() bool {

@@ -104,15 +104,6 @@ func (p *Partition) Submit(work time.Duration, done func()) {
 	d.reschedulePartitions()
 }
 
-// QueueLen returns submitted-but-unfinished work items on this partition.
-func (p *Partition) QueueLen() int {
-	n := len(p.queue) - p.qhead
-	if p.running != nil {
-		n++
-	}
-	return n
-}
-
 // BusyTime returns the partition's accumulated busy time, including the
 // in-flight job's elapsed execution.
 func (p *Partition) BusyTime() time.Duration {
@@ -121,15 +112,6 @@ func (p *Partition) BusyTime() time.Duration {
 		b += p.dev.clock.Now() - p.busySince
 	}
 	return b
-}
-
-// Utilization returns the partition's BusyTime / elapsed since t0.
-func (p *Partition) Utilization(t0 time.Duration) float64 {
-	elapsed := p.dev.clock.Now() - t0
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(p.BusyTime()) / float64(elapsed)
 }
 
 // Released reports whether the partition has merged back into the device.
