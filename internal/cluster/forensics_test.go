@@ -75,7 +75,7 @@ func TestForensicsChaosDump(t *testing.T) {
 	if !sawOutage {
 		t.Fatalf("dump window does not contain the injected be0 outage edge; chaos: %+v", win.Audit.Chaos())
 	}
-	if len(dump.Spans) == 0 {
+	if dump.Spans.Len() == 0 {
 		t.Fatal("dump captured no trace spans")
 	}
 	if len(win.Snapshots) == 0 {
@@ -88,7 +88,7 @@ func TestForensicsChaosDump(t *testing.T) {
 			t.Fatalf("sample at %vms outside dump window [%v, %v]", s.AtMS, from, dump.AtMS)
 		}
 	}
-	for _, e := range dump.Spans {
+	for _, e := range dump.Spans.Events() {
 		atMS := float64(e.At) / float64(time.Millisecond)
 		if atMS < from || atMS > dump.AtMS {
 			t.Fatalf("span at %vms outside dump window [%v, %v]", atMS, from, dump.AtMS)

@@ -4,10 +4,12 @@
 // window [at-window, at], and the request spans of that window.
 //
 // Spans are the one plane a dump copies, because the tracer's ring
-// overwrites them. Everything else a dump shows — placements, plan diffs,
-// chaos edges, metric snapshots — the audit log and the telemetry collector
-// keep for the whole run, so it is read from the observation log the dump
-// belongs to (obslog.Log.Window) rather than copied.
+// overwrites them; a dump keeps them packed (trace.Spans), in under half
+// the ring's bytes per span. Everything else a dump shows — placements,
+// plan diffs, chaos edges, metric snapshots — the audit log and the
+// telemetry collector keep for the whole run, so it is read from the
+// observation log the dump belongs to (obslog.Log.Window) rather than
+// copied.
 //
 // The recorder never touches the dispatch hot path: spans keep going into
 // the existing zero-alloc tracer ring, and the recorder only reads them, in
@@ -16,6 +18,7 @@
 package forensics
 
 import (
+	"encoding/json"
 	"time"
 
 	"nexus/internal/telemetry"
@@ -73,7 +76,21 @@ type Dump struct {
 	Detail   string  `json:"detail,omitempty"`
 	WindowMS float64 `json:"window_ms"`
 
-	Spans []trace.Event `json:"spans,omitempty"`
+	Spans trace.Spans `json:"spans"`
+}
+
+// MarshalJSON writes d with "spans" omitted when its window holds none, as
+// omitempty does for a slice.
+func (d Dump) MarshalJSON() ([]byte, error) {
+	type fields Dump // without this method
+	w := struct {
+		fields
+		Spans *trace.Spans `json:"spans,omitempty"`
+	}{fields: fields(d)}
+	if d.Spans.Len() > 0 {
+		w.Spans = &d.Spans
+	}
+	return json.Marshal(w)
 }
 
 // Recorder is the flight recorder. Like the tracer and audit log, a nil

@@ -2,6 +2,7 @@ package forensics_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -49,8 +50,8 @@ func TestTriggerCapturesWindow(t *testing.T) {
 	if d.Rule != "slo-burn-rate" || d.AtMS != 10000 || d.WindowMS != 5000 {
 		t.Fatalf("dump header %+v", d)
 	}
-	if len(d.Spans) != 2 || d.Spans[0].ReqID != 2 {
-		t.Fatalf("spans %+v, want the two in-window req-2 events", d.Spans)
+	if spans := d.Spans.Events(); len(spans) != 2 || spans[0].ReqID != 2 {
+		t.Fatalf("spans %+v, want the two in-window req-2 events", spans)
 	}
 	// The 4s sample is outside [5s, 10s]; the window view must exclude it.
 	l := obslog.Log{Audit: audit, Snapshots: []telemetry.Snapshot{
@@ -143,6 +144,39 @@ func TestDumpWriteText(t *testing.T) {
 	} {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Errorf("dump text missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDumpSpanBytes: a dump keeps each captured span in at most 72 bytes of
+// heap, and taking a window's spans allocates a fixed number of times
+// however many of them match.
+func TestDumpSpanBytes(t *testing.T) {
+	// One session's requests on one backend: the window's distinct names,
+	// which a capture stores once each, stay fixed while the spans grow.
+	kinds := []trace.Kind{trace.Arrive, trace.Route, trace.Enqueue, trace.Execute, trace.Complete}
+	for _, n := range []int{10, 1000, 100000} {
+		tr := trace.New(n)
+		for i := range n {
+			tr.Record(trace.Event{At: time.Duration(i) * time.Microsecond, Kind: kinds[i%len(kinds)],
+				ReqID: uint64(i / len(kinds)), Session: "game-0", Backend: "be0", Unit: "game-0/u0", Batch: 4})
+		}
+		at := time.Duration(n) * time.Microsecond
+		r := forensics.New(forensics.Config{Window: at})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.Trigger(at, alert("slo-burn-rate"), tr)
+		runtime.ReadMemStats(&after)
+		if got := r.Dumps()[0].Spans.Len(); got != n {
+			t.Fatalf("dump holds %d spans, want %d", got, n)
+		}
+		// The dump's own header and the recorder's slice are a fixed cost,
+		// amortized only over a large window.
+		if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(n); n >= 1000 && per > 72 {
+			t.Errorf("%d spans: %.1f heap bytes per captured span, want <= 72", n, per)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { tr.Between(0, at) }); allocs > 3 {
+			t.Errorf("%d spans: Between makes %.0f allocations, want <= 3", n, allocs)
 		}
 	}
 }

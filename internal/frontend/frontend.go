@@ -99,7 +99,7 @@ type sessionState struct {
 
 // tableState is the routing snapshot the dispatch path reads: the table,
 // its resolved per-session dispatch state, and the control-plane generation
-// it corresponds to. Mutations (SetTable, ApplyDelta, RemoveBackend) build
+// it corresponds to. Mutations (SetTableGen, ApplyDelta, RemoveBackend) build
 // a fresh snapshot and swap the pointer: the RoutingTable may be shared
 // with other frontend replicas and the scheduler's last published table, so
 // it is never written in place.
@@ -309,11 +309,6 @@ func (f *Frontend) SetExtraDelay(d time.Duration) {
 	f.extraDelay = d
 }
 
-// SetTable installs a new routing table (control plane push, §5).
-func (f *Frontend) SetTable(rt RoutingTable) error {
-	return f.SetTableGen(rt, f.state.gen+1)
-}
-
 // SetTableGen installs a full routing table stamped with the control
 // plane's generation: the first publish, and the resync of a frontend whose
 // generation diverged. It is the delta that replaces every session, and it
@@ -422,7 +417,7 @@ func routeListOf(routes []Route) routeList {
 }
 
 // routeMemo holds the resolved form of each distinct route list seen by
-// one install call (SetTable, ApplyDelta or RemoveBackend). It lives only
+// one install call (SetTableGen, ApplyDelta or RemoveBackend). It lives only
 // for that call, while the table it reads keeps every key's slice alive.
 type routeMemo map[routeList][]resolvedRoute
 

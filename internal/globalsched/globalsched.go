@@ -301,30 +301,11 @@ func (s *Scheduler) AddQuery(spec QuerySpec) error {
 // Epochs returns how many epochs have run.
 func (s *Scheduler) Epochs() int { return s.epochs }
 
-// LastMoveStats returns the disturbance of the latest incremental epoch.
-func (s *Scheduler) LastMoveStats() scheduler.MoveStats { return s.lastStats }
-
 // TotalMoved returns cumulative session movements across epochs.
 func (s *Scheduler) TotalMoved() int { return s.totalMoved }
 
 // Plan returns the current cluster plan (nil before the first epoch).
 func (s *Scheduler) Plan() *scheduler.Plan { return s.prevPlan }
-
-// Assignments returns the current node -> replica backend IDs mapping.
-func (s *Scheduler) Assignments() map[string][]string {
-	out := make(map[string][]string, len(s.nodeBackend))
-	for k, v := range s.nodeBackend {
-		out[k] = append([]string(nil), v...)
-	}
-	return out
-}
-
-// SessionSLO returns the current latency budget of a user-facing session
-// (for query stages, the adaptive per-stage split of the latest epoch).
-func (s *Scheduler) SessionSLO(id string) (time.Duration, bool) {
-	slo, ok := s.sessionSLO[id]
-	return slo, ok
-}
 
 // Start schedules RunEpoch every epoch period and, when failure detection
 // is enabled, the lease monitor every heartbeat period. The first epoch

@@ -18,14 +18,14 @@
 // A dump record holds only what the dump alone knows: its trigger (at_ms,
 // rule, target, value, detail), its window_ms, and the spans of
 // [at_ms-window_ms, at_ms], which the tracer's ring would otherwise have
-// overwritten. Its placements, plan diffs, chaos edges and snapshots are
-// the log's own records in that window (Log.Window). Since dump sorts last
-// among the kinds with an at_ms, Write emits a dump after every record
-// stamped at or before it, so a streaming reader (Decoder) holds a dump's
-// whole window by the time it decodes the dump. Read still accepts dumps
-// written before this form, which embedded copies of those records
-// (placements, plan_diffs, chaos, samples): it validates their times and
-// drops them.
+// overwritten; Read rejects a span outside that window. Its placements,
+// plan diffs, chaos edges and snapshots are the log's own records in that
+// window (Log.Window). Since dump sorts last among the kinds with an at_ms,
+// Write emits a dump after every record stamped at or before it, so a
+// streaming reader (Decoder) holds a dump's whole window by the time it
+// decodes the dump. Read still accepts dumps written before this form,
+// which embedded copies of those records (placements, plan_diffs, chaos,
+// samples): it validates their times and drops them.
 package obslog
 
 import (
@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"nexus/internal/forensics"
 	"nexus/internal/telemetry"
@@ -301,8 +302,9 @@ type legacyDump struct {
 	Samples    []telemetry.Snapshot    `json:"samples"`
 }
 
-// checkDump validates the times of a dump (its spans already validated
-// themselves), including those of a legacy dump's embedded copies.
+// checkDump validates the times of a dump, including those of a legacy
+// dump's embedded copies. Each span already validated its own times; it
+// must also lie inside the dump's window.
 func checkDump(d *forensics.Dump, old *legacyDump) error {
 	if !trace.ValidMS(d.WindowMS) {
 		return fmt.Errorf("window_ms %v outside [0, %g]", d.WindowMS, trace.MaxMS)
@@ -325,7 +327,20 @@ func checkDump(d *forensics.Dump, old *legacyDump) error {
 			return fmt.Errorf("at_ms %v outside [0, %g]", at, trace.MaxMS)
 		}
 	}
+	from, to := window(d)
+	for i := range d.Spans.Len() {
+		if at := d.Spans.At(i); at < from || at > to {
+			return fmt.Errorf("span %d at %v outside the window [%v, %v]", i, at, from, to)
+		}
+	}
 	return nil
+}
+
+// window returns d's window [at-window, at] in nanoseconds, as the
+// recorder bounded it.
+func window(d *forensics.Dump) (from, to time.Duration) {
+	to = trace.FromMS(d.AtMS)
+	return to - trace.FromMS(d.WindowMS), to
 }
 
 // Window returns what a dump shows of l: the dump's own spans, and l's
@@ -335,9 +350,10 @@ func checkDump(d *forensics.Dump, old *legacyDump) error {
 func (l Log) Window(d *forensics.Dump) Log {
 	// Bound in nanoseconds as the recorder did, so the millisecond bound is
 	// the exact value the recorder's window started at.
-	from := trace.MS(trace.FromMS(d.AtMS) - trace.FromMS(d.WindowMS))
+	lo, _ := window(d)
+	from := trace.MS(lo)
 	in := func(at float64) bool { return at >= from && at <= d.AtMS }
-	w := Log{Spans: d.Spans, Audit: trace.NewAudit()}
+	w := Log{Spans: d.Spans.Events(), Audit: trace.NewAudit()}
 	a := l.Audit
 	keep(a.Placements(), func(r *trace.PlacementRecord) float64 { return r.AtMS }, in, w.Audit.RecordPlacement)
 	keep(a.PlanDiffs(), func(r *trace.PlanDiffRecord) float64 { return r.AtMS }, in, w.Audit.RecordPlanDiff)

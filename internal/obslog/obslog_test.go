@@ -2,6 +2,7 @@ package obslog
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,8 +41,17 @@ func sampleLog() Log {
 		Alerts: []telemetry.Alert{{At: time.Second, AtMS: 1000, Rule: "slo-burn-rate", Target: "s",
 			State: "firing", Value: 8.5, Detail: "burn <2x> & more"}},
 		Dumps: []forensics.Dump{{AtMS: 1000, Rule: "slo-burn-rate", Target: "s", WindowMS: 5000,
-			Spans: []trace.Event{{At: 500 * ms, Kind: trace.Arrive, ReqID: 7, Session: "s"}}}},
+			Spans: spansOf(trace.Event{At: 500 * ms, Kind: trace.Arrive, ReqID: 7, Session: "s"})}},
 	}
+}
+
+// spansOf packs evs, in order, as a dump holds them.
+func spansOf(evs ...trace.Event) trace.Spans {
+	tr := trace.New(len(evs))
+	for _, e := range evs {
+		tr.Record(e)
+	}
+	return tr.Between(math.MinInt64, math.MaxInt64)
 }
 
 func encoded(t *testing.T, l Log) []byte {
@@ -156,6 +166,33 @@ func TestReadRejects(t *testing.T) {
 	}
 }
 
+// TestReadRejectsSpansOutsideWindow: a dump's spans must lie in its own
+// window [at_ms-window_ms, at_ms], bounded in nanoseconds as Log.Window
+// bounds it. The recorder never writes any other; an edited or corrupted
+// log would otherwise show foreign spans as the window's.
+func TestReadRejectsSpansOutsideWindow(t *testing.T) {
+	dump := func(spanMS ...string) string {
+		spans := make([]string, len(spanMS))
+		for i, at := range spanMS {
+			spans[i] = `{"at_ms":` + at + `,"kind":"arrive","req":7,"batch":0,"dur_ms":0}`
+		}
+		return `{"v":1,"kind":"dump","at_ms":1000,"data":{"at_ms":1000,"rule":"r","window_ms":500,` +
+			`"spans":[` + strings.Join(spans, ",") + `]}}` + "\n"
+	}
+	for _, at := range []string{"499.999999", "1000.000001", "0", "2000"} {
+		if _, err := Read(strings.NewReader(dump("600", at))); err == nil || !strings.Contains(err.Error(), "outside the window") {
+			t.Errorf("span at %sms of a [500ms, 1000ms] dump: err = %v", at, err)
+		}
+	}
+	l, err := Read(strings.NewReader(dump("500", "750", "1000")))
+	if err != nil {
+		t.Fatalf("spans at the window's bounds: %v", err)
+	}
+	if n := l.Dumps[0].Spans.Len(); n != 3 {
+		t.Fatalf("read %d spans, want 3", n)
+	}
+}
+
 // snapshotLine is one snapshot record as Write emits it.
 func snapshotLine(t *testing.T, atMS float64) []byte {
 	t.Helper()
@@ -257,7 +294,7 @@ func TestReadLegacyDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := forensics.Dump{AtMS: 1000, Rule: "slo-burn-rate", Target: "s", WindowMS: 5000,
-		Spans: []trace.Event{{At: 500 * ms, Kind: trace.Arrive, ReqID: 7, Session: "s"}}}
+		Spans: spansOf(trace.Event{At: 500 * ms, Kind: trace.Arrive, ReqID: 7, Session: "s"})}
 	if len(l.Dumps) != 1 || !reflect.DeepEqual(l.Dumps[0], want) {
 		t.Fatalf("dumps %+v, want %+v", l.Dumps, want)
 	}

@@ -217,25 +217,35 @@ func (t *Tracer) Events() []Event {
 }
 
 // Between returns the retained events with from <= At <= to, in
-// chronological order. It walks the ring in place, so only the matching
-// events are copied.
-func (t *Tracer) Between(from, to time.Duration) []Event {
+// chronological order, packed as Spans. It walks the ring in place twice:
+// once to count the matching events, so the records are allocated once at
+// their exact size, and once to pack them.
+func (t *Tracer) Between(from, to time.Duration) Spans {
 	if t == nil {
-		return nil
+		return Spans{}
 	}
-	var out []Event
-	keep := func(seg []Event) {
+	segs := [2][]Event{t.events[t.next:], t.events[:t.next]}
+	if !t.filled {
+		segs[0] = nil
+	}
+	n := 0
+	for _, seg := range segs {
 		for i := range seg {
-			if e := &seg[i]; e.At >= from && e.At <= to {
-				out = append(out, *e)
+			if at := seg[i].At; at >= from && at <= to {
+				n++
 			}
 		}
 	}
-	if t.filled {
-		keep(t.events[t.next:])
+	recs := make([]span, 0, n)
+	in := interner{}
+	for _, seg := range segs {
+		for i := range seg {
+			if e := &seg[i]; e.At >= from && e.At <= to {
+				recs = append(recs, in.pack(e))
+			}
+		}
 	}
-	keep(t.events[:t.next])
-	return out
+	return in.spans(recs)
 }
 
 // WriteText renders events human-readably, one per line.

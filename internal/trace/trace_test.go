@@ -294,22 +294,29 @@ func TestSummaryAndSessions(t *testing.T) {
 }
 
 // TestBetween walks a wrapped ring: only the retained events inside the
-// closed interval come back, oldest first.
+// closed interval come back, oldest first. A ring not yet full yields only
+// the events recorded, never its empty slots.
 func TestBetween(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 7; i++ { // retains requests 3..6
 		tr.Record(ev(10*i, Arrive, uint64(i)))
 	}
-	got := tr.Between(20*time.Millisecond, 50*time.Millisecond)
+	got := tr.Between(20*time.Millisecond, 50*time.Millisecond).Events()
 	if len(got) != 3 || got[0].ReqID != 3 || got[1].ReqID != 4 || got[2].ReqID != 5 {
 		t.Fatalf("Between(20ms, 50ms) = %+v, want requests 3, 4, 5", got)
 	}
-	if got := tr.Between(time.Second, 2*time.Second); got != nil {
-		t.Fatalf("Between outside the ring = %+v, want nil", got)
+	if got := tr.Between(time.Second, 2*time.Second); got.Len() != 0 {
+		t.Fatalf("Between outside the ring = %+v, want none", got.Events())
 	}
 	var nilTracer *Tracer
-	if nilTracer.Between(0, time.Second) != nil {
+	if nilTracer.Between(0, time.Second).Len() != 0 {
 		t.Fatal("nil tracer returned events")
+	}
+	part := New(8)
+	part.Record(ev(10, Arrive, 1))
+	part.Record(ev(20, Complete, 1))
+	if got := part.Between(0, time.Second).Events(); len(got) != 2 || got[1].Kind != Complete {
+		t.Fatalf("Between on a partly filled ring = %+v, want its two events", got)
 	}
 }
 
