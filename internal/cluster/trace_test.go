@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"nexus/internal/globalsched"
 	"nexus/internal/model"
@@ -168,5 +170,40 @@ func TestTracingDisabledByDefault(t *testing.T) {
 	}
 	if d.Tracer() != nil {
 		t.Fatal("tracer should be nil unless enabled")
+	}
+}
+
+// TestHugeTraceCapacity: a trace capacity far beyond memory is accepted,
+// since the ring allocates its storage as events arrive. The first events
+// cost at most one chunk of the ring (2^16 events), and the deployment
+// then runs and traces.
+func TestHugeTraceCapacity(t *testing.T) {
+	d, err := New(Config{
+		System: Nexus, Features: AllFeatures(), GPUs: 2, Seed: 1,
+		Epoch: 10 * time.Second, TraceCapacity: 1 << 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunkBytes = (1 << 16) * unsafe.Sizeof(trace.Event{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		d.Tracer().Record(trace.Event{At: time.Duration(i), Kind: trace.Arrive, ReqID: uint64(i)})
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(chunkBytes)+1<<16 {
+		t.Fatalf("recording 10 events allocated %d B, want at most one %d B chunk plus slack", grew, chunkBytes)
+	}
+	if err := d.AddSession(globalsched.SessionSpec{
+		ID: "s", ModelID: model.GoogLeNetCar, SLO: 100 * time.Millisecond, ExpectedRate: 50,
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := kindCounts(d.Tracer().Events()); got[trace.Complete] == 0 {
+		t.Fatalf("no completions traced: %v", got)
 	}
 }

@@ -175,6 +175,9 @@ type Scheduler struct {
 	// share a base table (variants of one calibrated base).
 	adjBase   map[string]*profiler.Profile
 	adjTables profiler.OverheadCache
+	// epochProf is the planning view of the last plan's models, built once
+	// per plan by planProfiles.
+	epochProf map[string]*profiler.Profile
 	// totalMoved accumulates SessionsMoved across incremental epochs.
 	totalMoved int
 	// lastDemand is the GPU count the last plan asked for before any
@@ -540,7 +543,6 @@ func (s *Scheduler) auditEpoch(plan *scheduler.Plan) {
 		return
 	}
 	now := trace.MS(s.clock.Now())
-	profiles := s.planProfiles()
 	recs := make([]trace.PlacementRecord, 0, len(plan.GPUs))
 	for _, g := range plan.GPUs {
 		rec := trace.PlacementRecord{
@@ -551,7 +553,7 @@ func (s *Scheduler) auditEpoch(plan *scheduler.Plan) {
 			Spatial:   g.Spatial,
 			Shard:     shardTag(g.ID),
 		}
-		if occ, err := g.Occupancy(profiles); err == nil {
+		if occ, err := g.Occupancy(s.epochProf); err == nil {
 			rec.Occupancy = occ
 		}
 		for _, a := range g.Allocs {
@@ -596,9 +598,8 @@ func (s *Scheduler) Explain() telemetry.HealthReport {
 	if s.prevPlan == nil {
 		return rep
 	}
-	profiles := s.planProfiles()
 	for _, g := range s.prevPlan.GPUs {
-		occ, occErr := g.Occupancy(profiles)
+		occ, occErr := g.Occupancy(s.epochProf)
 		replicas := len(s.nodeBackend[g.ID])
 		for _, a := range g.Allocs {
 			reason := fmt.Sprintf("%.1f r/s at batch %d on %s (duty %.1fms, occupancy %.0f%%, headroom %.0f%%, %d replica(s))",
@@ -751,7 +752,12 @@ func (s *Scheduler) querySessions(qs QuerySpec) ([]scheduler.Session, error) {
 	if slack := s.slack(); adapted.SLO > 2*slack {
 		adapted.SLO -= slack
 	}
-	planProf := s.basePlanProfiles()
+	planProf := make(map[string]*profiler.Profile)
+	for _, n := range adapted.Nodes() {
+		if p, ok := s.basePlanProfile(n.ModelID); ok {
+			planProf[n.ModelID] = p
+		}
+	}
 	var split *queryopt.Split
 	var err error
 	if s.cfg.QueryAnalysis {
@@ -979,36 +985,53 @@ func (s *Scheduler) planProfile(p *profiler.Profile) *profiler.Profile {
 	return p.WithCPUOverhead(s.cpuOverhead(p))
 }
 
-// basePlanProfiles returns the adjusted view of every base profile, used by
-// the latency-split DP and as the base of planProfiles. The base map only
-// grows (a deployment adds profiles as apps register models, and never
-// replaces one), so a size mismatch means new models: their plan profiles
-// are derived on that miss, and deploying an app after the first epoch
-// plans its new variants.
-func (s *Scheduler) basePlanProfiles() map[string]*profiler.Profile {
-	if len(s.adjBase) == len(s.profiles) {
-		return s.adjBase
+// basePlanProfile returns the adjusted view of a base profile, derived on
+// its first lookup and cached: a deployment adds base profiles as apps
+// register models and never replaces one, so a cached view stays valid.
+// Grouped variants plan through their group's combined profile and are
+// never derived.
+func (s *Scheduler) basePlanProfile(id string) (*profiler.Profile, bool) {
+	if p, ok := s.adjBase[id]; ok {
+		return p, true
+	}
+	p, ok := s.profiles[id]
+	if !ok {
+		return nil, false
 	}
 	if s.adjBase == nil {
-		s.adjBase = make(map[string]*profiler.Profile, len(s.profiles))
+		s.adjBase = make(map[string]*profiler.Profile)
 	}
-	for k, v := range s.profiles {
-		if _, ok := s.adjBase[k]; !ok {
-			s.adjBase[k] = s.adjTables.WithCPUOverhead(v, s.cpuOverhead(v))
-		}
-	}
-	return s.adjBase
+	adj := s.adjTables.WithCPUOverhead(p, s.cpuOverhead(p))
+	s.adjBase[id] = adj
+	return adj, true
 }
 
-// planProfiles builds the adjusted profile map (base + this epoch's
-// combined prefix groups) for the packer.
-func (s *Scheduler) planProfiles() map[string]*profiler.Profile {
-	m := make(map[string]*profiler.Profile, len(s.profiles)+len(s.combined))
-	for k, v := range s.basePlanProfiles() {
-		m[k] = v
+// planProfiles builds the packer's view of one epoch: the adjusted profile
+// of every model the epoch's sessions plan with, and of every model the
+// previous plan allocates, which the incremental planner and the nodes it
+// keeps still look up. This epoch's combined prefix-group profiles shadow
+// base profiles of the same ID.
+func (s *Scheduler) planProfiles(sessions []scheduler.Session) map[string]*profiler.Profile {
+	m := make(map[string]*profiler.Profile, len(sessions))
+	add := func(id string) {
+		if _, ok := m[id]; ok {
+			return
+		}
+		if p, ok := s.combined[id]; ok {
+			m[id] = s.planProfile(p)
+		} else if p, ok := s.basePlanProfile(id); ok {
+			m[id] = p
+		}
 	}
-	for k, v := range s.combined {
-		m[k] = s.planProfile(v)
+	for _, sess := range sessions {
+		add(sess.ModelID)
+	}
+	if s.prevPlan != nil {
+		for _, g := range s.prevPlan.GPUs {
+			for _, a := range g.Allocs {
+				add(a.ModelID)
+			}
+		}
 	}
 	return m
 }
@@ -1017,7 +1040,8 @@ func (s *Scheduler) planProfiles() map[string]*profiler.Profile {
 // packing it also returns the accepted planner pass, which RunEpoch commits
 // once the plan is applied.
 func (s *Scheduler) plan(sessions []scheduler.Session) (*scheduler.Plan, *scheduler.ShardResult, error) {
-	profiles := s.planProfiles()
+	profiles := s.planProfiles(sessions)
+	s.epochProf = profiles
 	if !s.cfg.Squishy {
 		if s.cfg.ObliviousGPUs < 1 {
 			return nil, nil, fmt.Errorf("globalsched: batch-oblivious mode needs ObliviousGPUs")
@@ -1416,10 +1440,9 @@ func (s *Scheduler) replicaCounts(plan *scheduler.Plan) map[string]int {
 			return counts
 		}
 	}
-	profiles := s.planProfiles()
 	occ := make(map[string]float64, len(plan.GPUs))
 	for _, g := range plan.GPUs {
-		if o, err := g.Occupancy(profiles); err == nil {
+		if o, err := g.Occupancy(s.epochProf); err == nil {
 			occ[g.ID] = o
 		} else {
 			occ[g.ID] = 1

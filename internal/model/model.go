@@ -82,7 +82,14 @@ type Model struct {
 	// all-zero state: equal digests imply equal prefixes. Built lazily, or
 	// by derive before anything shares them, so shared digests are read-only.
 	digests [][32]byte
+
+	// sums[i] is the cost of layers 0 through shared+i. Built with the model,
+	// never lazily, because shared models are read-only.
+	sums []cost
 }
+
+// cost is a running total of layer costs.
+type cost struct{ flops, params int64 }
 
 // New constructs a model and validates its schema.
 func New(id, task string, layers []Layer) (*Model, error) {
@@ -100,7 +107,9 @@ func New(id, task string, layers []Layer) (*Model, error) {
 			return nil, fmt.Errorf("model %q: layer %d has negative size", id, i)
 		}
 	}
-	return &Model{ID: id, Task: task, layers: layers}, nil
+	m := &Model{ID: id, Task: task, layers: layers}
+	m.buildSums()
+	return m, nil
 }
 
 // MustNew is New but panics on error; for catalog construction.
@@ -132,20 +141,36 @@ func (m *Model) ParamBytes() int64 { return m.SuffixParamBytes(0) }
 
 // SuffixFLOPs returns the compute of layers from index k (inclusive) on.
 func (m *Model) SuffixFLOPs(k int) int64 {
-	var sum int64
-	for i := k; i < m.NumLayers(); i++ {
-		sum += m.Layer(i).FLOPs
-	}
-	return sum
+	return m.prefix(m.NumLayers()).flops - m.prefix(k).flops
 }
 
 // SuffixParamBytes returns the parameter size of layers from index k on.
 func (m *Model) SuffixParamBytes(k int) int64 {
-	var sum int64
-	for i := k; i < m.NumLayers(); i++ {
-		sum += m.Layer(i).ParamBytes
+	return m.prefix(m.NumLayers()).params - m.prefix(k).params
+}
+
+// prefix returns the cost of the first k layers; k past the last layer
+// counts them all.
+func (m *Model) prefix(k int) cost {
+	k = min(k, m.NumLayers())
+	switch {
+	case k <= 0:
+		return cost{}
+	case k <= m.shared:
+		return m.base.prefix(k)
 	}
-	return sum
+	return m.sums[k-m.shared-1]
+}
+
+// buildSums fills m.sums once m's own layers are in place.
+func (m *Model) buildSums() {
+	run := m.prefix(m.shared)
+	m.sums = make([]cost, len(m.layers))
+	for i := range m.layers {
+		run.flops += m.layers[i].FLOPs
+		run.params += m.layers[i].ParamBytes
+		m.sums[i] = run
+	}
 }
 
 // PrefixHash returns the hash of the first k layers (1 <= k <= NumLayers).
@@ -216,6 +241,7 @@ func Specialize(m *Model, newID string, retrain int) (*Model, error) {
 		l.WeightsID = fmt.Sprintf("%s/%s#%d", newID, l.Kind, s.shared+i)
 		s.layers[i] = l
 	}
+	s.buildSums()
 	return s, nil
 }
 
@@ -234,6 +260,7 @@ func AppendFC(m *Model, newID string, extra int, units int64) *Model {
 			WeightsID:  fmt.Sprintf("%s/fc_extra#%d", newID, i),
 		})
 	}
+	s.buildSums()
 	return s
 }
 

@@ -381,6 +381,52 @@ func TestInheritedDigestsMatchFromScratch(t *testing.T) {
 	}
 }
 
+// TestSuffixCostsMatchLayerWalk: the prefix sums behind SuffixFLOPs and
+// SuffixParamBytes agree with a walk over the layers, at every k, for every
+// catalog model, its variants, their variants and their FC extensions.
+func TestSuffixCostsMatchLayerWalk(t *testing.T) {
+	check := func(m *Model) {
+		t.Helper()
+		for k := 0; k <= m.NumLayers()+1; k++ {
+			var flops, params int64
+			for i := k; i < m.NumLayers(); i++ {
+				flops += m.Layer(i).FLOPs
+				params += m.Layer(i).ParamBytes
+			}
+			if got := m.SuffixFLOPs(k); got != flops {
+				t.Fatalf("%s: SuffixFLOPs(%d) = %d, layer walk %d", m.ID, k, got, flops)
+			}
+			if got := m.SuffixParamBytes(k); got != params {
+				t.Fatalf("%s: SuffixParamBytes(%d) = %d, layer walk %d", m.ID, k, got, params)
+			}
+		}
+	}
+	db := Catalog()
+	for _, id := range db.IDs() {
+		base := db.MustGet(id)
+		check(base)
+		check(AppendFC(base, id+"-fc", 3, 64))
+		check(AppendFC(base, id+"-fc0", 0, 64))
+		n := base.NumLayers()
+		for retrain := 1; retrain < n; retrain++ {
+			v, err := Specialize(base, fmt.Sprintf("%s-v%d", id, retrain), retrain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(v)
+			check(AppendFC(v, v.ID+"-fc", 2, 128))
+			for _, r := range []int{1, retrain, n - 1} {
+				vv, err := Specialize(v, fmt.Sprintf("%s-v%d", v.ID, r), r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(vv)
+				check(AppendFC(vv, vv.ID+"-fc", 1, 32))
+			}
+		}
+	}
+}
+
 // TestVariantCostsSuffixOnly checks that a variant costs memory for its
 // retrained suffix, not its depth: retraining one layer of Darknet-53 (30
 // layers) must cost about as much heap as retraining one of LeNet-5 (6).

@@ -14,8 +14,8 @@
 // breakdowns (analyze.go) printed by `nexus-obs trace`.
 //
 // Tracing is allocation-conscious: events go into a fixed-capacity ring
-// buffer, and a nil *Tracer is a valid no-op so the data plane never
-// branches on configuration.
+// buffer whose storage is allocated as it fills, and a nil *Tracer is a
+// valid no-op so the data plane never branches on configuration.
 package trace
 
 import (
@@ -127,21 +127,37 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 // Tracer is a bounded in-memory event recorder. A nil Tracer discards
 // events. Tracer is not safe for concurrent use; the simulation is
 // single-threaded by design.
+//
+// The ring is stored as chunks of chunkEvents slots, each allocated on its
+// first write, so a tracer's memory follows what it has recorded and never
+// exceeds its capacity: a large ring that records little costs little.
+// Chunks are never moved or freed, and once the ring wraps, recording
+// allocates nothing.
 type Tracer struct {
-	events []Event
-	next   int
-	filled bool
-	total  uint64
-	filter func(Event) bool
+	chunks   [][]Event
+	capacity int
+	next     int
+	total    uint64
+	filter   func(Event) bool
 }
 
+// chunkEvents is the size of one ring chunk (2^16 events, ~8.9 MB). Smaller
+// chunks measured a higher peak RSS for a full 2^18-event ring
+// (results/trace_ring.md).
+const (
+	chunkShift  = 16
+	chunkEvents = 1 << chunkShift
+	chunkMask   = chunkEvents - 1
+)
+
 // New creates a tracer holding up to capacity events (older events are
-// overwritten). Capacity below 1 panics.
+// overwritten). Storage is allocated as events arrive, so New itself costs
+// the same at any capacity. Capacity below 1 panics.
 func New(capacity int) *Tracer {
 	if capacity < 1 {
 		panic("trace: capacity must be >= 1")
 	}
-	return &Tracer{events: make([]Event, capacity)}
+	return &Tracer{capacity: capacity}
 }
 
 // SetFilter installs a predicate; events failing it are discarded.
@@ -163,34 +179,48 @@ func (t *Tracer) Record(e Event) {
 	if t.filter != nil && !t.filter(e) {
 		return
 	}
-	t.events[t.next] = e
-	t.next++
-	t.total++
-	if t.next == len(t.events) {
-		t.next = 0
-		t.filled = true
-	}
+	*t.slot() = e
 }
 
 // Reserve returns the next ring slot, already counted, for dispatch-hot-path
 // callers to fill in place: one struct write into the ring, no argument copy,
 // and the method inlines (Record cannot — the filter call exceeds the inline
-// budget). The slot still holds its previous occupant until overwritten, so
-// callers must assign a complete Event. Reserve bypasses any SetFilter
+// budget). The slot may still hold its previous occupant until overwritten,
+// so callers must assign a complete Event. Reserve bypasses any SetFilter
 // predicate; a nil tracer returns nil.
 func (t *Tracer) Reserve() *Event {
 	if t == nil {
 		return nil
 	}
-	s := &t.events[t.next]
+	return t.slot()
+}
+
+// slot advances the cursor and returns the slot it passed. It allocates
+// only while the ring fills for the first time, one chunk per chunkEvents
+// events.
+func (t *Tracer) slot() *Event {
+	c := t.next >> chunkShift
+	if c == len(t.chunks) {
+		t.grow()
+	}
+	s := &t.chunks[c][t.next&chunkMask]
 	t.next++
 	t.total++
-	if t.next == len(t.events) {
+	if t.next == t.capacity {
 		t.next = 0
-		t.filled = true
 	}
 	return s
 }
+
+// grow appends the chunk that starts at the cursor: chunkEvents slots, or
+// the rest of the capacity if that is less.
+func (t *Tracer) grow() {
+	t.chunks = append(t.chunks, make([]Event, min(chunkEvents, t.capacity-t.next)))
+}
+
+// wrapped reports whether the ring has filled, so its oldest event sits at
+// the cursor.
+func (t *Tracer) wrapped() bool { return t.total >= uint64(t.capacity) }
 
 // Total returns how many events were recorded (including overwritten ones).
 func (t *Tracer) Total() uint64 {
@@ -200,19 +230,35 @@ func (t *Tracer) Total() uint64 {
 	return t.total
 }
 
+// runs calls f with the retained events as contiguous runs of the ring,
+// oldest first. A run may be empty.
+func (t *Tracer) runs(f func([]Event)) {
+	c, i := t.next>>chunkShift, t.next&chunkMask
+	if t.wrapped() {
+		f(t.chunks[c][i:])
+		for _, ch := range t.chunks[c+1:] {
+			f(ch)
+		}
+	}
+	for _, ch := range t.chunks[:c] {
+		f(ch)
+	}
+	if c < len(t.chunks) {
+		f(t.chunks[c][:i])
+	}
+}
+
 // Events returns the retained events in chronological order.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	if !t.filled {
-		out := make([]Event, t.next)
-		copy(out, t.events[:t.next])
-		return out
+	n := t.next
+	if t.wrapped() {
+		n = t.capacity
 	}
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.next:]...)
-	out = append(out, t.events[:t.next]...)
+	out := make([]Event, 0, n)
+	t.runs(func(run []Event) { out = append(out, run...) })
 	return out
 }
 
@@ -224,27 +270,23 @@ func (t *Tracer) Between(from, to time.Duration) Spans {
 	if t == nil {
 		return Spans{}
 	}
-	segs := [2][]Event{t.events[t.next:], t.events[:t.next]}
-	if !t.filled {
-		segs[0] = nil
-	}
 	n := 0
-	for _, seg := range segs {
-		for i := range seg {
-			if at := seg[i].At; at >= from && at <= to {
+	t.runs(func(run []Event) {
+		for i := range run {
+			if at := run[i].At; at >= from && at <= to {
 				n++
 			}
 		}
-	}
+	})
 	recs := make([]span, 0, n)
 	in := interner{}
-	for _, seg := range segs {
-		for i := range seg {
-			if e := &seg[i]; e.At >= from && e.At <= to {
+	t.runs(func(run []Event) {
+		for i := range run {
+			if e := &run[i]; e.At >= from && e.At <= to {
 				recs = append(recs, in.pack(e))
 			}
 		}
-	}
+	})
 	return in.spans(recs)
 }
 

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func ev(at int, kind Kind, req uint64) Event {
@@ -394,5 +397,135 @@ func TestPropertyFilterTransparent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flatRing is the reference the chunked ring must match: one slice
+// allocated at full capacity, written in place.
+type flatRing struct {
+	events []Event
+	next   int
+	filled bool
+	total  uint64
+	filter func(Event) bool
+}
+
+func (r *flatRing) record(e Event) {
+	if r.filter != nil && !r.filter(e) {
+		return
+	}
+	r.events[r.next] = e
+	r.next++
+	r.total++
+	if r.next == len(r.events) {
+		r.next = 0
+		r.filled = true
+	}
+}
+
+func (r *flatRing) retained() []Event {
+	if !r.filled {
+		return r.events[:r.next:r.next]
+	}
+	return append(append(make([]Event, 0, len(r.events)), r.events[r.next:]...), r.events[:r.next]...)
+}
+
+// TestTracerRingMatchesFlat records into the chunked ring and a flat
+// reference side by side, with and without a filter, at capacities around
+// one chunk and across several, and compares Events, Between and Total
+// just before, at and just past each wrap and each chunk boundary.
+func TestTracerRingMatchesFlat(t *testing.T) {
+	for _, capn := range []int{1, chunkEvents - 1, chunkEvents, chunkEvents + 1, 3*chunkEvents - 1} {
+		for _, filtered := range []bool{false, true} {
+			tr := New(capn)
+			ref := &flatRing{events: make([]Event, capn)}
+			if filtered {
+				keep := func(e Event) bool { return e.ReqID%3 != 0 }
+				tr.SetFilter(keep)
+				ref.filter = keep
+			}
+			checks := map[uint64]bool{}
+			for _, at := range []int{0, capn, 2 * capn, chunkEvents, 2 * chunkEvents, capn + chunkEvents} {
+				for _, d := range []int{-1, 0, 1} {
+					if at+d > 0 {
+						checks[uint64(at+d)] = true
+					}
+				}
+			}
+			last := uint64(2*capn + 1)
+			for i := 0; ref.total < last; i++ {
+				e := ev(i, Arrive, uint64(i))
+				tr.Record(e)
+				ref.record(e)
+				if tr.Total() != ref.total {
+					t.Fatalf("cap %d filtered=%v: Total = %d, reference %d", capn, filtered, tr.Total(), ref.total)
+				}
+				if !checks[ref.total] {
+					continue
+				}
+				delete(checks, ref.total) // a filtered event leaves the total where it was
+				want := ref.retained()
+				if got := tr.Events(); !slices.Equal(got, want) {
+					t.Fatalf("cap %d filtered=%v after %d: Events differ (%d vs %d retained)", capn, filtered, ref.total, len(got), len(want))
+				}
+				// A window over the middle of what is retained, and one over
+				// all of it. Times rise with the record order, so a window
+				// is a run of want.
+				a, b := len(want)/3, 2*len(want)/3
+				for _, w := range [][2]int{{a, b}, {0, len(want) - 1}} {
+					from, to := want[w[0]].At, want[w[1]].At
+					if got := tr.Between(from, to).Events(); !slices.Equal(got, want[w[0]:w[1]+1]) {
+						t.Fatalf("cap %d filtered=%v after %d: Between(%v, %v) differs", capn, filtered, ref.total, from, to)
+					}
+				}
+			}
+		}
+	}
+}
+
+// allocBytes returns the bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestTracerAllocatesOnDemand: a ring's memory follows what it has
+// recorded. Creating a large ring costs almost nothing, n events cost at
+// most ⌈n/chunkEvents⌉ chunks, and once the ring has wrapped, recording
+// allocates nothing.
+func TestTracerAllocatesOnDemand(t *testing.T) {
+	var tr *Tracer
+	if b := allocBytes(func() { tr = New(1 << 18) }); b >= 1<<10 {
+		t.Fatalf("New(1<<18) allocated %d B, want under 1 KiB", b)
+	}
+	// The chunk table's own growth is the slack.
+	chunkBytes := uint64(chunkEvents) * uint64(unsafe.Sizeof(Event{}))
+	var total uint64
+	recorded := 0
+	for _, n := range []int{1, chunkEvents, chunkEvents + 1, 3*chunkEvents + 5} {
+		total += allocBytes(func() {
+			for ; recorded < n; recorded++ {
+				tr.Record(ev(recorded, Arrive, uint64(recorded)))
+			}
+		})
+		chunks := uint64((n + chunkEvents - 1) / chunkEvents)
+		if total > chunks*chunkBytes+1<<10 {
+			t.Fatalf("%d events allocated %d B, want at most %d chunks (%d B)", n, total, chunks, chunks*chunkBytes)
+		}
+	}
+
+	small := New(chunkEvents + 1)
+	for i := 0; i <= chunkEvents+1; i++ {
+		small.Record(ev(i, Arrive, uint64(i)))
+	}
+	e := ev(1, Complete, 1)
+	if n := testing.AllocsPerRun(100, func() { small.Record(e) }); n != 0 {
+		t.Fatalf("Record after the wrap: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { *small.Reserve() = e }); n != 0 {
+		t.Fatalf("Reserve after the wrap: %v allocs, want 0", n)
 	}
 }
