@@ -35,7 +35,7 @@ type Config struct {
 	// OnBatch, when set, observes every batch assembled for the GPU, with
 	// the backend's incarnation and the batch's planned GPU latency
 	// (tracing hook; must not mutate the batch).
-	OnBatch func(backendID, unitID string, batch []Request, inc uint64, gpuTime time.Duration)
+	OnBatch func(backendID, unitID string, batch []Request, inc uint32, gpuTime time.Duration)
 	// OnDropWindow, when set, observes every drop-policy cull: the window
 	// (target batch size) the policy was anchoring and how many queued
 	// requests it shed (audit hook).
@@ -108,7 +108,7 @@ type Backend struct {
 	// inc is the incarnation counter, bumped on every crash; batch
 	// completions from a previous incarnation report their requests as
 	// failures instead of resuming the old execution chain.
-	inc uint64
+	inc uint32
 
 	hb       *simclock.Ticker
 	hbPeriod time.Duration
@@ -187,7 +187,7 @@ func (b *Backend) AvgBatchSize() float64 {
 }
 
 // Incarnation returns the backend's crash incarnation counter.
-func (b *Backend) Incarnation() uint64 { return b.inc }
+func (b *Backend) Incarnation() uint32 { return b.inc }
 
 // BatchStats returns the cumulative executed batch and item counts (reset
 // when the backend is recycled to a new tenant).
@@ -665,7 +665,7 @@ type batchRun struct {
 	b       *Backend
 	u       *unitState
 	batch   []Request
-	inc     uint64
+	inc     uint32
 	done    func()
 	gpu     time.Duration
 	post    time.Duration

@@ -84,37 +84,42 @@ func BenchmarkDispatchHotPath(b *testing.B) {
 }
 
 // BenchmarkDispatchHotPathTraced replays the same steady-state wave with
-// the flight recorder's span sources attached — per-request Execute records
-// from the OnBatch hook and Complete/Drop records in the completion sink,
-// filled in place via the tracer's inlinable Reserve fast path — so the
-// delta over BenchmarkDispatchHotPath is the full cost of always-on span
-// capture (dominated by the 136-byte event writes themselves). The CI gate
-// pins it to its recorded baseline and to zero allocations: capture cost
-// regressions surface here, not in production tail latency.
+// the flight recorder's span sources attached the way a deployment attaches
+// them — per-request Execute records from the OnBatch hook, which resolves
+// the backend and unit handles once per batch, and Complete/Drop records in
+// the completion sink, from the request's session handle and cause handles
+// interned at set-up — so the delta over BenchmarkDispatchHotPath is the
+// full cost of always-on span capture. The CI gate pins it to its recorded
+// baseline and to zero allocations: capture cost regressions surface here,
+// not in production tail latency.
 func BenchmarkDispatchHotPathTraced(b *testing.B) {
 	clock := simclock.New()
 	dev := gpusim.New(clock, "gpu0", profiler.GTX1080Ti, gpusim.Exclusive)
 	tr := trace.New(1 << 14)
+	session := tr.Name("s")
+	var causes []trace.Name
+	for o := OK; o <= DropAdmission; o++ {
+		causes = append(causes, tr.Name(o.String()))
+	}
 	served := 0
-	onBatch := func(backendID, unitID string, batch []Request, inc uint64, gpuTime time.Duration) {
-		at := clock.Now()
+	onBatch := func(backendID, unitID string, batch []Request, inc uint32, gpuTime time.Duration) {
+		s := trace.Span{At: clock.Now(), Kind: trace.ExecuteName,
+			Backend: tr.Name(backendID), Unit: tr.Name(unitID),
+			Batch: int32(len(batch)), Dur: gpuTime, Inc: inc}
 		for i := range batch {
-			*tr.Reserve() = trace.Event{At: at, Kind: trace.Execute,
-				ReqID: batch[i].ID, Session: batch[i].Session,
-				Backend: backendID, Unit: unitID,
-				Batch: len(batch), Dur: gpuTime, Inc: inc}
+			s.Req, s.Session = batch[i].ID, tr.Handle(batch[i].Handle, batch[i].Session)
+			tr.Put(s)
 		}
 	}
+	be0 := tr.Name("b0")
 	done := func(req Request, outcome Outcome, at time.Duration) {
 		served++
-		kind := trace.Complete
-		cause := ""
+		s := trace.Span{At: at, Kind: trace.CompleteName, Req: req.ID,
+			Session: tr.Handle(req.Handle, req.Session), Backend: be0, Dur: at - req.Arrival}
 		if outcome != OK {
-			kind = trace.Drop
-			cause = outcome.String()
+			s.Kind, s.Cause = trace.DropName, causes[outcome]
 		}
-		*tr.Reserve() = trace.Event{At: at, Kind: kind, ReqID: req.ID,
-			Session: req.Session, Dur: at - req.Arrival, Cause: cause}
+		tr.Put(s)
 	}
 	be := New("b0", clock, dev,
 		Config{Overlap: true, Discipline: RoundRobin, OnBatch: onBatch}, done)
@@ -139,7 +144,8 @@ func BenchmarkDispatchHotPathTraced(b *testing.B) {
 	)
 	pump = func() {
 		now := clock.Now()
-		if err := be.Enqueue("u", Request{ID: id, Session: "s", Arrival: now, Deadline: now + slo}); err != nil {
+		req := Request{ID: id, Session: "s", Arrival: now, Deadline: now + slo, Handle: uint32(session)}
+		if err := be.Enqueue("u", req); err != nil {
 			b.Fatal(err)
 		}
 		id++

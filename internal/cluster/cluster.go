@@ -236,7 +236,9 @@ type Deployment struct {
 	unroutable uint64
 
 	// tracer records request lifecycle events when enabled (nil = off).
+	// causes holds each outcome's handle in its name table, by Outcome.
 	tracer *trace.Tracer
+	causes []trace.Name
 	// audit holds the control-plane audit log when enabled (nil = off).
 	audit *trace.Audit
 	// telem is the live telemetry collector (nil = off); telemSample holds
@@ -255,6 +257,7 @@ type sessionLoad struct {
 type queryLoad struct {
 	spec globalsched.QuerySpec
 	proc workload.Process
+	root stage
 }
 
 type stageMeta struct {
@@ -262,10 +265,17 @@ type stageMeta struct {
 	children  []stageChild
 }
 
-type stageChild struct {
+// stage is a query stage's session, with its handle in the tracer's name
+// table.
+type stage struct {
 	session string
-	gamma   float64
-	carry   float64 // fractional fan-out accumulator
+	handle  trace.Name
+}
+
+type stageChild struct {
+	stage
+	gamma float64
+	carry float64 // fractional fan-out accumulator
 }
 
 type queryInstance struct {
@@ -325,15 +335,18 @@ func New(cfg Config) (*Deployment, error) {
 		// trace too, so per-cause event counts reconcile exactly with the
 		// recorder. Standalone warmup requests sit in d.ignored while in
 		// flight; warmup query stages are tracked with a blank query name.
-		d.tracer.SetFilter(func(e trace.Event) bool {
-			if _, warm := d.ignored[e.ReqID]; warm {
+		d.tracer.SetFilter(func(req uint64) bool {
+			if _, warm := d.ignored[req]; warm {
 				return false
 			}
-			if qi, ok := d.queryTrack[e.ReqID]; ok && qi.queryName == "" {
+			if qi, ok := d.queryTrack[req]; ok && qi.queryName == "" {
 				return false
 			}
 			return true
 		})
+		for o := backend.OK; o <= backend.DropAdmission; o++ {
+			d.causes = append(d.causes, d.tracer.Name(o.String()))
+		}
 	}
 	if cfg.Audit {
 		d.audit = trace.NewAudit()
@@ -353,14 +366,15 @@ func New(cfg Config) (*Deployment, error) {
 	}
 	beCfg, devMode := d.runtimeConfig()
 	if d.tracer != nil {
-		beCfg.OnBatch = func(backendID, unitID string, batch []backend.Request, inc uint64, gpuTime time.Duration) {
-			at := d.Clock.Now()
-			for _, r := range batch {
-				d.tracer.Record(trace.Event{
-					At: at, Kind: trace.Execute, ReqID: r.ID,
-					Session: r.Session, Backend: backendID, Unit: unitID,
-					Batch: len(batch), Dur: gpuTime, Inc: inc,
-				})
+		beCfg.OnBatch = func(backendID, unitID string, batch []backend.Request, inc uint32, gpuTime time.Duration) {
+			s := trace.Span{
+				At: d.Clock.Now(), Kind: trace.ExecuteName,
+				Backend: d.tracer.Name(backendID), Unit: d.tracer.Name(unitID),
+				Batch: int32(len(batch)), Dur: gpuTime, Inc: inc,
+			}
+			for i := range batch {
+				s.Req, s.Session = batch[i].ID, d.tracer.Handle(batch[i].Handle, batch[i].Session)
+				d.tracer.Put(s)
 			}
 		}
 	}
@@ -373,7 +387,7 @@ func New(cfg Config) (*Deployment, error) {
 		// stream stays byte-identical to its goldens.
 		prevOnBatch := beCfg.OnBatch
 		exemplars := cfg.Forensics != nil
-		beCfg.OnBatch = func(backendID, unitID string, batch []backend.Request, inc uint64, gpuTime time.Duration) {
+		beCfg.OnBatch = func(backendID, unitID string, batch []backend.Request, inc uint32, gpuTime time.Duration) {
 			if prevOnBatch != nil {
 				prevOnBatch(backendID, unitID, batch, inc, gpuTime)
 			}
@@ -394,8 +408,9 @@ func New(cfg Config) (*Deployment, error) {
 		}
 	}
 	d.Pool = NewPool(d.Clock, cfg.GPUs, cfg.GPU, devMode, beCfg, func(beID string) backend.CompletionFunc {
+		be := d.tracer.Name(beID)
 		return func(req workload.Request, outcome backend.Outcome, at time.Duration) {
-			d.requestDone(req, outcome, at, beID)
+			d.requestDone(req, outcome, at, be)
 		}
 	})
 	nFE := cfg.Frontends
@@ -409,7 +424,7 @@ func New(cfg Config) (*Deployment, error) {
 			}
 			// Frontend drops never reached a backend; attribution stays
 			// empty and the cause identifies the admission path.
-			d.requestDone(req, reason, d.Clock.Now(), "")
+			d.requestDone(req, reason, d.Clock.Now(), 0)
 		})
 		fe.SetTracer(d.tracer)
 		if cfg.RouteLeaseTTL > 0 {
@@ -649,28 +664,30 @@ func (d *Deployment) AddQuery(spec globalsched.QuerySpec, proc workload.Process)
 	if proc == nil {
 		proc = workload.Uniform{Rate: spec.ExpectedRate}
 	}
-	d.queryLoads = append(d.queryLoads, queryLoad{spec: spec, proc: proc})
-	d.indexQuery(spec)
+	d.queryLoads = append(d.queryLoads, queryLoad{spec: spec, proc: proc, root: d.indexQuery(spec)})
 	return nil
 }
 
-// indexQuery records stage metadata for completion-driven fan-out.
-func (d *Deployment) indexQuery(spec globalsched.QuerySpec) {
+// indexQuery records stage metadata for completion-driven fan-out and
+// returns the root stage.
+func (d *Deployment) indexQuery(spec globalsched.QuerySpec) stage {
 	q := spec.Query
+	stageOf := func(n *queryopt.Node) stage {
+		session := q.Name + "/" + n.Name
+		return stage{session: session, handle: d.tracer.Name(session)}
+	}
 	var walk func(n *queryopt.Node)
 	walk = func(n *queryopt.Node) {
 		d.stageSessions[q.Name+"/"+n.Name] = true
 		meta := &stageMeta{queryName: q.Name}
 		for _, e := range n.Edges {
-			meta.children = append(meta.children, stageChild{
-				session: q.Name + "/" + e.Child.Name,
-				gamma:   e.Gamma,
-			})
+			meta.children = append(meta.children, stageChild{stage: stageOf(e.Child), gamma: e.Gamma})
 			walk(e.Child)
 		}
 		d.queryMeta[q.Name+"/"+n.Name] = meta
 	}
 	walk(q.Root)
+	return stageOf(q.Root)
 }
 
 // Run executes the deployment for the given duration of virtual time
@@ -686,17 +703,16 @@ func (d *Deployment) Run(duration time.Duration) (float64, error) {
 	d.Clock.At(d.cfg.Warmup, func() { d.collecting = true })
 	// Start generators (kept so fault injection can modulate their rates).
 	for _, l := range d.loads {
-		l := l
-		d.gens = append(d.gens, workload.Start(d.Clock, d.rng, l.spec.ID, l.spec.SLO, l.proc, horizon, func(r workload.Request) {
-			d.dispatchStandalone(r)
-		}))
+		g := workload.Start(d.Clock, d.rng, l.spec.ID, l.spec.SLO, l.proc, horizon, d.dispatchStandalone)
+		g.Handle = uint32(d.tracer.Name(l.spec.ID))
+		d.gens = append(d.gens, g)
 	}
 	for _, ql := range d.queryLoads {
 		ql := ql
 		// The generator's SLO field is the whole-query SLO; per-stage
 		// deadlines are assigned at dispatch.
 		d.gens = append(d.gens, workload.Start(d.Clock, d.rng, ql.spec.Query.Name, ql.spec.Query.SLO, ql.proc, horizon, func(r workload.Request) {
-			d.startQuery(ql.spec, r)
+			d.startQuery(&ql, r)
 		}))
 	}
 	// GPU usage sampling.
@@ -803,25 +819,25 @@ func (d *Deployment) dispatchStandalone(r workload.Request) {
 		// before recording, so the tracer's warmup filter sees it.
 		d.ignored[r.ID] = struct{}{}
 	}
-	d.tracer.Record(trace.Event{At: d.Clock.Now(), Kind: trace.Arrive, ReqID: r.ID, Session: r.Session})
+	d.tracer.Put(trace.Span{At: d.Clock.Now(), Kind: trace.ArriveName, Req: r.ID, Session: d.tracer.Handle(r.Handle, r.Session)})
 	d.dispatch(r)
 }
 
 // requestDone is the single completion sink for all backends and the
-// frontend's drop path. beID names the backend that reported the outcome
-// ("" for frontend-side drops that never reached one).
-func (d *Deployment) requestDone(req workload.Request, outcome backend.Outcome, at time.Duration, beID string) {
+// frontend's drop path. be is the handle of the backend that reported the
+// outcome (0 for frontend-side drops that never reached one).
+func (d *Deployment) requestDone(req workload.Request, outcome backend.Outcome, at time.Duration, be trace.Name) {
 	if _, skip := d.ignored[req.ID]; skip {
 		delete(d.ignored, req.ID)
 		return
 	}
 	if qi, ok := d.queryTrack[req.ID]; ok {
 		delete(d.queryTrack, req.ID)
-		d.stageDone(qi, req, outcome, at, beID)
+		d.stageDone(qi, req, outcome, at, be)
 		return
 	}
 	s := d.Recorder.Session(req.Session)
-	d.traceDone(req, outcome, at, beID)
+	d.traceDone(req, outcome, at, be)
 	switch {
 	case outcome.Bad():
 		d.countLoss(s, outcome)
@@ -841,17 +857,16 @@ func (d *Deployment) requestDone(req workload.Request, outcome backend.Outcome, 
 // traceDone records a request's terminal trace event: a Drop carrying its
 // cause (the outcome taxonomy name) and the backend that reported it, or a
 // Complete. Dur is total time in system.
-func (d *Deployment) traceDone(req workload.Request, outcome backend.Outcome, at time.Duration, beID string) {
+func (d *Deployment) traceDone(req workload.Request, outcome backend.Outcome, at time.Duration, be trace.Name) {
 	if d.tracer == nil {
 		return
 	}
+	s := trace.Span{At: at, Kind: trace.CompleteName, Req: req.ID, Session: d.tracer.Handle(req.Handle, req.Session),
+		Backend: be, Dur: at - req.Arrival}
 	if outcome.Bad() {
-		d.tracer.Record(trace.Event{At: at, Kind: trace.Drop, ReqID: req.ID, Session: req.Session,
-			Backend: beID, Cause: outcome.String(), Dur: at - req.Arrival})
-	} else {
-		d.tracer.Record(trace.Event{At: at, Kind: trace.Complete, ReqID: req.ID, Session: req.Session,
-			Backend: beID, Dur: at - req.Arrival})
+		s.Kind, s.Cause = trace.DropName, d.causes[outcome]
 	}
+	d.tracer.Put(s)
 }
 
 // countLoss increments the loss counter matching the outcome.

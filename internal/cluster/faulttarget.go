@@ -168,7 +168,7 @@ func (d *Deployment) healControl(beID string) {
 	// partition and released it into the lost set. The echo is stale by
 	// construction; reclaim the node as fresh capacity.
 	if d.Pool.Lost(beID) {
-		d.Sched.Reregister(beID, ^uint64(0)) // counted as a stale echo
+		d.Sched.Reregister(beID, ^uint32(0)) // counted as a stale echo
 		d.Pool.Reclaim(beID)
 	}
 }

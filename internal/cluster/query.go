@@ -4,16 +4,14 @@ import (
 	"time"
 
 	"nexus/internal/backend"
-	"nexus/internal/globalsched"
 	"nexus/internal/trace"
 	"nexus/internal/workload"
 )
 
 // startQuery begins one end-to-end query: dispatch the root stage and
 // track the instance until every spawned stage resolves.
-func (d *Deployment) startQuery(spec globalsched.QuerySpec, arrival workload.Request) {
-	q := spec.Query
-	rootSession := q.Name + "/" + q.Root.Name
+func (d *Deployment) startQuery(ql *queryLoad, arrival workload.Request) {
+	q := ql.spec.Query
 	qi := &queryInstance{
 		queryName:   q.Name,
 		deadline:    arrival.Arrival + q.SLO,
@@ -25,7 +23,7 @@ func (d *Deployment) startQuery(spec globalsched.QuerySpec, arrival workload.Req
 	} else {
 		qi.queryName = "" // warmup instance: not measured
 	}
-	d.dispatchStage(qi, rootSession)
+	d.dispatchStage(qi, ql.root)
 }
 
 // dispatchStage sends one stage invocation of a query instance. The
@@ -34,29 +32,30 @@ func (d *Deployment) startQuery(spec globalsched.QuerySpec, arrival workload.Req
 // a stage invocation only when the query itself can no longer make it —
 // slack left over by fast upstream stages absorbs the bursts that
 // downstream stages see when a parent batch completes.
-func (d *Deployment) dispatchStage(qi *queryInstance, session string) {
+func (d *Deployment) dispatchStage(qi *queryInstance, st stage) {
 	req := workload.Request{
 		ID:       d.nextID(),
-		Session:  session,
+		Session:  st.session,
 		Arrival:  d.Clock.Now(),
 		Deadline: qi.deadline,
+		Handle:   uint32(st.handle),
 	}
 	// Track before recording: the tracer's warmup filter identifies warmup
 	// query stages through the tracking entry.
 	qi.outstanding++
 	d.queryTrack[req.ID] = qi
-	d.tracer.Record(trace.Event{At: d.Clock.Now(), Kind: trace.Arrive, ReqID: req.ID, Session: session})
+	d.tracer.Put(trace.Span{At: d.Clock.Now(), Kind: trace.ArriveName, Req: req.ID, Session: st.handle})
 	d.dispatch(req)
 }
 
-// stageDone handles completion of one stage invocation. beID names the
-// backend that reported it ("" for frontend-side drops).
-func (d *Deployment) stageDone(qi *queryInstance, req workload.Request, outcome backend.Outcome, at time.Duration, beID string) {
+// stageDone handles completion of one stage invocation. be is the handle
+// of the backend that reported it (0 for frontend-side drops).
+func (d *Deployment) stageDone(qi *queryInstance, req workload.Request, outcome backend.Outcome, at time.Duration, be trace.Name) {
 	qi.outstanding--
 	lost := outcome.Bad()
 	if qi.queryName != "" {
 		// Warmup instances stay out of the trace, mirroring the metrics.
-		d.traceDone(req, outcome, at, beID)
+		d.traceDone(req, outcome, at, be)
 	}
 	// Per-stage accounting (stage sessions also show up in the recorder).
 	if qi.queryName != "" {
@@ -83,7 +82,7 @@ func (d *Deployment) stageDone(qi *queryInstance, req workload.Request, outcome 
 			for ci := range meta.children {
 				n := d.fanOut(req.Session, ci)
 				for k := 0; k < n; k++ {
-					d.dispatchStage(qi, meta.children[ci].session)
+					d.dispatchStage(qi, meta.children[ci].stage)
 				}
 			}
 		}

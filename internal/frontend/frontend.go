@@ -80,11 +80,13 @@ var ErrStaleDelta = errors.New("frontend: delta generation mismatch, full resync
 // token-bucket admission control before routing).
 type DropFunc func(req workload.Request, reason backend.Outcome)
 
-// resolvedRoute is a Route with its backend pointer resolved at table-push
-// time, so the per-request send path does not look the backend up by ID.
+// resolvedRoute is a Route with its backend pointer and its trace handles
+// resolved at table-push time, so the per-request send path looks nothing
+// up by ID.
 type resolvedRoute struct {
 	Route
-	be *backend.Backend
+	be              *backend.Backend
+	backendH, unitH trace.Name
 }
 
 // sessionState is the per-session dispatch state: resolved routes, the
@@ -217,9 +219,9 @@ func (p *pendingSend) deliver() {
 		}
 		if f.tracer != nil {
 			now := f.clock.Now()
-			f.tracer.Record(trace.Event{
-				At: now, Kind: trace.Enqueue, ReqID: req.ID,
-				Session: req.Session, Backend: r.BackendID, Unit: r.UnitID,
+			f.tracer.Put(trace.Span{
+				At: now, Kind: trace.EnqueueName, Req: req.ID,
+				Session: f.tracer.Handle(req.Handle, req.Session), Backend: r.backendH, Unit: r.unitH,
 				Dur: now - req.Arrival,
 			})
 		}
@@ -297,7 +299,8 @@ func New(clock *simclock.Clock, backends map[string]*backend.Backend, netDelay t
 // NetDelay returns the configured one-way dispatch latency.
 func (f *Frontend) NetDelay() time.Duration { return f.netDelay }
 
-// SetTracer attaches a span tracer; nil detaches it.
+// SetTracer attaches a span tracer; nil detaches it. Routes resolve their
+// trace handles when installed, so attach it before the first install.
 func (f *Frontend) SetTracer(t *trace.Tracer) { f.tracer = t }
 
 // SetExtraDelay injects a network-delay spike of d on top of the base
@@ -433,7 +436,8 @@ func (f *Frontend) newSession(memo routeMemo, routes []Route) *sessionState {
 	if !ok {
 		resolved = make([]resolvedRoute, len(routes))
 		for i, r := range routes {
-			resolved[i] = resolvedRoute{Route: r, be: f.backends[r.BackendID]}
+			resolved[i] = resolvedRoute{Route: r, be: f.backends[r.BackendID],
+				backendH: f.tracer.Name(r.BackendID), unitH: f.tracer.Name(r.UnitID)}
 		}
 		memo[key] = resolved
 	}
@@ -480,9 +484,9 @@ func (f *Frontend) Dispatch(req workload.Request) {
 	st.count++
 	f.dispatches++
 	if f.tracer != nil {
-		f.tracer.Record(trace.Event{
-			At: f.clock.Now(), Kind: trace.Route, ReqID: req.ID,
-			Session: req.Session, Backend: r.BackendID, Unit: r.UnitID,
+		f.tracer.Put(trace.Span{
+			At: f.clock.Now(), Kind: trace.RouteName, Req: req.ID,
+			Session: f.tracer.Handle(req.Handle, req.Session), Backend: r.backendH, Unit: r.unitH,
 		})
 	}
 	f.send(req, r, 1)

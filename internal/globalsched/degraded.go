@@ -151,7 +151,7 @@ func (s *Scheduler) CutControl(beID string, cut bool) bool {
 // declared dead and replaced, or it restarted behind the partition — the
 // echo is stale: the scheduler rejects it and the caller returns the node
 // to the pool as fresh capacity.
-func (s *Scheduler) Reregister(beID string, inc uint64) bool {
+func (s *Scheduler) Reregister(beID string, inc uint32) bool {
 	assigned := false
 	for _, beIDs := range s.nodeBackend {
 		for _, id := range beIDs {

@@ -228,7 +228,7 @@ type Scheduler struct {
 	// can reject stale echoes of instances that crashed in between.
 	down    bool
 	cutCtrl map[string]bool
-	lastInc map[string]uint64
+	lastInc map[string]uint32
 	// recoveryPending arms the rate-limited publish for the first
 	// post-outage plan; recoveryTarget is the full table the staged
 	// flushes converge to, and recoveryFlushArmed dedups flush timers.
@@ -268,7 +268,7 @@ func New(clock *simclock.Clock, pool Pool, frontends []*frontend.Frontend,
 		prevSplit:   make(map[string]*queryopt.Split),
 		lastBeat:    make(map[string]time.Duration),
 		cutCtrl:     make(map[string]bool),
-		lastInc:     make(map[string]uint64),
+		lastInc:     make(map[string]uint32),
 	}
 }
 

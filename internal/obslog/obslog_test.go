@@ -2,6 +2,7 @@ package obslog
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -190,6 +191,46 @@ func TestReadRejectsSpansOutsideWindow(t *testing.T) {
 	}
 	if n := l.Dumps[0].Spans.Len(); n != 3 {
 		t.Fatalf("read %d spans, want 3", n)
+	}
+}
+
+// TestReadRejectsWideFields: a span's batch and incarnation must fit the
+// 32 bits an event holds. Read errors on a wider one rather than truncate
+// it, in a span record and in a dump's window alike.
+func TestReadRejectsWideFields(t *testing.T) {
+	for _, c := range []struct {
+		batch, inc string
+		ok         bool
+	}{
+		{"2147483647", "4294967295", true},
+		{"-2147483648", "1", true},
+		{"0", "4294967296", false},
+		{"2147483648", "1", false},
+		{"-2147483649", "1", false},
+	} {
+		span := `{"at_ms":600,"kind":"execute","req":7,"batch":` + c.batch + `,"dur_ms":0,"inc":` + c.inc + `}`
+		for _, line := range []string{
+			`{"v":1,"kind":"span","at_ms":600,"data":` + span + "}\n",
+			`{"v":1,"kind":"dump","at_ms":1000,"data":{"at_ms":1000,"rule":"r","window_ms":500,"spans":[` + span + "]}}\n",
+		} {
+			l, err := Read(strings.NewReader(line))
+			if !c.ok {
+				if err == nil || !strings.Contains(err.Error(), "wider than 32 bits") {
+					t.Errorf("%s: err = %v, want a width error", line, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			evs := l.Spans
+			for _, d := range l.Dumps {
+				evs = append(evs, d.Spans.Events()...)
+			}
+			if len(evs) != 1 || fmt.Sprint(evs[0].Batch) != c.batch || fmt.Sprint(evs[0].Inc) != c.inc {
+				t.Fatalf("%s: read %+v", line, evs)
+			}
+		}
 	}
 }
 

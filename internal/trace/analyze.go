@@ -98,7 +98,7 @@ func Analyze(events []Event) *Analysis {
 	type batchKey struct {
 		unitKey
 		at  time.Duration
-		inc uint64
+		inc uint32
 	}
 	seenBatch := map[batchKey]bool{}
 	busy := map[unitKey]map[int]time.Duration{}

@@ -95,7 +95,7 @@ type blameSpan struct {
 	hasRoute, hasEnqueue, hasExecute bool
 	backend, unit                    string
 	batchDur                         time.Duration
-	inc                              uint64
+	inc                              uint32
 }
 
 type blameUnitKey struct{ backend, unit string }
@@ -103,7 +103,7 @@ type blameUnitKey struct{ backend, unit string }
 type blameBatchKey struct {
 	blameUnitKey
 	at  time.Duration
-	inc uint64
+	inc uint32
 }
 
 // execInterval is one batch's GPU occupancy window on a backend.

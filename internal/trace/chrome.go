@@ -80,7 +80,7 @@ func WriteChrome(w io.Writer, events []Event) error {
 	type batchKey struct {
 		backend, unit string
 		at            time.Duration
-		inc           uint64
+		inc           uint32
 	}
 	seenBatch := map[batchKey]bool{}
 

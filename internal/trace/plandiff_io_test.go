@@ -93,24 +93,3 @@ func TestAtMS(t *testing.T) {
 		t.Fatalf("AtMS(1.5s) = %v, want 1500", got)
 	}
 }
-
-// TestReserve pins the inlinable fast path against Record: same ring
-// semantics (wrap, totals, chronological unroll), no filter consultation.
-func TestReserve(t *testing.T) {
-	tr := New(2)
-	tr.SetFilter(func(Event) bool { return false }) // Reserve must bypass this
-	*tr.Reserve() = Event{At: 1, Kind: Arrive, ReqID: 1}
-	*tr.Reserve() = Event{At: 2, Kind: Arrive, ReqID: 2}
-	*tr.Reserve() = Event{At: 3, Kind: Arrive, ReqID: 3} // wraps, evicts req 1
-	if tr.Total() != 3 {
-		t.Fatalf("total %d, want 3", tr.Total())
-	}
-	events := tr.Events()
-	if len(events) != 2 || events[0].ReqID != 2 || events[1].ReqID != 3 {
-		t.Fatalf("ring contents %+v, want reqs 2,3 in order", events)
-	}
-	var nilTracer *Tracer
-	if nilTracer.Reserve() != nil {
-		t.Fatal("nil tracer must reserve nil")
-	}
-}

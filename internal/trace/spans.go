@@ -8,33 +8,35 @@ import (
 )
 
 // Spans is a compact copy of a window of events, the form a flight-recorder
-// dump keeps them in for the rest of the run. Each event is one 64-byte
-// record with no pointers, so the garbage collector never scans it; its
-// strings are indices into a name table built when the window is captured.
-// An Event in the ring is 136 bytes, most of them string headers.
+// dump keeps them in for the rest of the run. Each event is one Span, and
+// names holds the strings its handles stand for: the tracer's name table
+// as it stood at capture, or a table built while decoding.
 //
 // The zero Spans is empty. Spans marshals to exactly the bytes of the
 // []Event it holds.
 type Spans struct {
-	recs  []span
+	recs  []Span
 	names []string // names[0] is ""
 }
 
-// span is one packed Event.
-type span struct {
-	at, dur  time.Duration
-	req, inc uint64
-	batch    int64
+// Span is one packed event, the record a tracer's ring and a dump store:
+// 56 bytes with no pointers, so the garbage collector never scans them.
+// Its names are handles into a name table; an Event is 128 bytes, most of
+// them string headers.
+type Span struct {
+	At, Dur time.Duration
+	Req     uint64
+	Inc     uint32
+	Batch   int32
 
-	// Indices into Spans.names.
-	kind, session, backend, unit, cause, detail uint32
+	Kind, Session, Backend, Unit, Cause, Detail Name
 }
 
 // Len returns the number of spans.
 func (s Spans) Len() int { return len(s.recs) }
 
 // At returns the time of the i-th span.
-func (s Spans) At(i int) time.Duration { return s.recs[i].at }
+func (s Spans) At(i int) time.Duration { return s.recs[i].At }
 
 // Events unpacks the spans, in order (nil when there are none).
 func (s Spans) Events() []Event {
@@ -43,17 +45,17 @@ func (s Spans) Events() []Event {
 	}
 	out := make([]Event, len(s.recs))
 	for i := range s.recs {
-		out[i] = s.event(i)
+		out[i] = unpack(&s.recs[i], s.names)
 	}
 	return out
 }
 
-func (s Spans) event(i int) Event {
-	r, n := &s.recs[i], s.names
+// unpack returns r as an Event, its handles resolved through names.
+func unpack(r *Span, names []string) Event {
 	return Event{
-		At: r.at, Kind: Kind(n[r.kind]), ReqID: r.req, Session: n[r.session],
-		Backend: n[r.backend], Unit: n[r.unit], Batch: int(r.batch), Dur: r.dur,
-		Inc: r.inc, Cause: n[r.cause], Detail: n[r.detail],
+		At: r.At, Kind: Kind(names[r.Kind]), ReqID: r.Req, Session: names[r.Session],
+		Backend: names[r.Backend], Unit: names[r.Unit], Batch: r.Batch, Inc: r.Inc,
+		Dur: r.Dur, Cause: names[r.Cause], Detail: names[r.Detail],
 	}
 }
 
@@ -67,7 +69,7 @@ func (s Spans) MarshalJSON() ([]byte, error) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		e, err := s.event(i).MarshalJSON()
+		e, err := unpack(&s.recs[i], s.names).MarshalJSON()
 		if err != nil {
 			return nil, err
 		}
@@ -91,52 +93,19 @@ func (s *Spans) UnmarshalJSON(data []byte) error {
 	if tok != json.Delim('[') {
 		return fmt.Errorf("trace: spans: want an array, got %v", tok)
 	}
-	var recs []span
-	in := interner{}
+	var recs []Span
+	n := newNames()
 	for dec.More() {
 		var e Event
 		if err := dec.Decode(&e); err != nil {
 			return err
 		}
-		recs = append(recs, in.pack(&e))
+		recs = append(recs, n.pack(&e))
 	}
-	*s = in.spans(recs)
-	return nil
-}
-
-// interner numbers each distinct string of a capture once.
-type interner map[string]uint32
-
-// pack returns e as a record, interning its strings.
-func (in interner) pack(e *Event) span {
-	return span{
-		at: e.At, dur: e.Dur, req: e.ReqID, inc: e.Inc, batch: int64(e.Batch),
-		kind: in.id(string(e.Kind)), session: in.id(e.Session), backend: in.id(e.Backend),
-		unit: in.id(e.Unit), cause: in.id(e.Cause), detail: in.id(e.Detail),
-	}
-}
-
-// id returns v's index in the name table; "" is always 0.
-func (in interner) id(v string) uint32 {
-	if v == "" {
-		return 0
-	}
-	i, ok := in[v]
-	if !ok {
-		i = uint32(len(in) + 1)
-		in[v] = i
-	}
-	return i
-}
-
-// spans returns recs with the name table their indices point into.
-func (in interner) spans(recs []span) Spans {
 	if len(recs) == 0 {
-		return Spans{}
+		*s = Spans{}
+		return nil
 	}
-	names := make([]string, len(in)+1)
-	for v, i := range in {
-		names[i] = v
-	}
-	return Spans{recs: recs, names: names}
+	*s = Spans{recs: recs, names: n.list}
+	return nil
 }

@@ -32,9 +32,9 @@ func randomEvents(rng *rand.Rand, n int) []trace.Event {
 			Session: pick("", "game-0", "traffic/det", `quote"s\`),
 			Backend: pick("", "be0", "be12"),
 			Unit:    pick("", "u0", "game-0/ssd"),
-			Batch:   rng.Intn(3) * rng.Intn(64),
+			Batch:   int32(rng.Intn(3) * rng.Intn(64)),
 			Dur:     time.Duration(rng.Intn(2) * rng.Intn(int(time.Second))),
-			Inc:     uint64(rng.Intn(2) * rng.Intn(9)),
+			Inc:     uint32(rng.Intn(2) * rng.Intn(9)),
 			Cause:   pick("", "deadline", "overload"),
 			Detail:  pick("", "no route", "<b>&</b>"),
 		}

@@ -13,9 +13,11 @@
 // (chrome://tracing-loadable, see chrome.go), and per-stage latency
 // breakdowns (analyze.go) printed by `nexus-obs trace`.
 //
-// Tracing is allocation-conscious: events go into a fixed-capacity ring
-// buffer whose storage is allocated as it fills, and a nil *Tracer is a
-// valid no-op so the data plane never branches on configuration.
+// Tracing is allocation-conscious: events go into a fixed-capacity ring of
+// packed, pointer-free records whose storage is allocated as it fills, the
+// request path records with name handles resolved in advance, and a nil
+// *Tracer is a valid no-op so the data plane never branches on
+// configuration.
 package trace
 
 import (
@@ -44,7 +46,7 @@ const (
 // hop); Execute — the batch's planned GPU latency (utilization timelines);
 // Complete and Drop — total time in system. Inc tags Execute events with the
 // backend's incarnation so events from before a crash do not attribute to
-// the restarted node.
+// the restarted node. Batch and Inc have the widths a packed Span stores.
 type Event struct {
 	At      time.Duration
 	Kind    Kind
@@ -52,9 +54,9 @@ type Event struct {
 	Session string
 	Backend string
 	Unit    string
-	Batch   int
+	Batch   int32
+	Inc     uint32
 	Dur     time.Duration
-	Inc     uint64
 	Cause   string // drop cause, matching the backend outcome taxonomy
 	Detail  string
 }
@@ -70,7 +72,7 @@ type eventJSON struct {
 	Session string  `json:"session,omitempty"`
 	Backend string  `json:"backend,omitempty"`
 	Unit    string  `json:"unit,omitempty"`
-	Batch   int     `json:"batch"`
+	Batch   int64   `json:"batch"`
 	DurMS   float64 `json:"dur_ms"`
 	Inc     uint64  `json:"inc,omitempty"`
 	Cause   string  `json:"cause,omitempty"`
@@ -101,13 +103,14 @@ func FromMS(ms float64) time.Duration {
 func (e Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(eventJSON{
 		AtMS: MS(e.At), Kind: e.Kind, ReqID: e.ReqID, Session: e.Session,
-		Backend: e.Backend, Unit: e.Unit, Batch: e.Batch, DurMS: MS(e.Dur),
-		Inc: e.Inc, Cause: e.Cause, Detail: e.Detail,
+		Backend: e.Backend, Unit: e.Unit, Batch: int64(e.Batch), DurMS: MS(e.Dur),
+		Inc: uint64(e.Inc), Cause: e.Cause, Detail: e.Detail,
 	})
 }
 
 // UnmarshalJSON implements json.Unmarshaler for the millisecond wire schema.
-// It rejects times and durations that fail ValidMS.
+// It rejects times and durations that fail ValidMS, and a batch or
+// incarnation wider than an Event holds, rather than truncate them.
 func (e *Event) UnmarshalJSON(data []byte) error {
 	var w eventJSON
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -116,17 +119,77 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	if !ValidMS(w.AtMS) || !ValidMS(w.DurMS) {
 		return fmt.Errorf("trace: event at_ms=%v dur_ms=%v outside [0, %g]", w.AtMS, w.DurMS, MaxMS)
 	}
+	if w.Batch < math.MinInt32 || w.Batch > math.MaxInt32 || w.Inc > math.MaxUint32 {
+		return fmt.Errorf("trace: event batch=%d inc=%d wider than 32 bits", w.Batch, w.Inc)
+	}
 	*e = Event{
 		At: FromMS(w.AtMS), Kind: w.Kind, ReqID: w.ReqID, Session: w.Session,
-		Backend: w.Backend, Unit: w.Unit, Batch: w.Batch, Dur: FromMS(w.DurMS),
-		Inc: w.Inc, Cause: w.Cause, Detail: w.Detail,
+		Backend: w.Backend, Unit: w.Unit, Batch: int32(w.Batch), Dur: FromMS(w.DurMS),
+		Inc: uint32(w.Inc), Cause: w.Cause, Detail: w.Detail,
 	}
 	return nil
+}
+
+// Name is a handle into a name table: it stands for a session, backend,
+// unit, kind, cause or detail string in a packed Span. Handle 0 is "".
+type Name uint32
+
+// The kinds' handles, the same in every name table.
+const (
+	ArriveName Name = iota + 1
+	RouteName
+	EnqueueName
+	ExecuteName
+	CompleteName
+	DropName
+)
+
+// names is an append-only name table: list[h] is the string of handle h,
+// and index maps each string back to its handle. Every table starts with
+// "" and the six kinds at their fixed handles. Since it only appends, a
+// prefix of list, once read, never changes.
+type names struct {
+	list  []string
+	index map[string]Name
+}
+
+func newNames() names {
+	list := []string{"", string(Arrive), string(Route), string(Enqueue), string(Execute), string(Complete), string(Drop)}
+	index := make(map[string]Name, len(list))
+	for h, v := range list {
+		index[v] = Name(h)
+	}
+	return names{list: list, index: index}
+}
+
+// intern returns v's handle, adding v to the table if it is new.
+func (n *names) intern(v string) Name {
+	h, ok := n.index[v]
+	if !ok {
+		h = Name(len(n.list))
+		n.list = append(n.list, v)
+		n.index[v] = h
+	}
+	return h
+}
+
+// pack returns e as a record, interning its strings.
+func (n *names) pack(e *Event) Span {
+	return Span{
+		At: e.At, Dur: e.Dur, Req: e.ReqID, Inc: e.Inc, Batch: e.Batch,
+		Kind: n.intern(string(e.Kind)), Session: n.intern(e.Session), Backend: n.intern(e.Backend),
+		Unit: n.intern(e.Unit), Cause: n.intern(e.Cause), Detail: n.intern(e.Detail),
+	}
 }
 
 // Tracer is a bounded in-memory event recorder. A nil Tracer discards
 // events. Tracer is not safe for concurrent use; the simulation is
 // single-threaded by design.
+//
+// The ring holds packed Spans whose names are handles into the tracer's
+// name table. Callers intern their names once, at control-plane speed
+// (Name), and record with Put, which interns nothing; Record takes a
+// whole Event and interns its strings as it goes.
 //
 // The ring is stored as chunks of chunkEvents slots, each allocated on its
 // first write, so a tracer's memory follows what it has recorded and never
@@ -134,14 +197,15 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 // Chunks are never moved or freed, and once the ring wraps, recording
 // allocates nothing.
 type Tracer struct {
-	chunks   [][]Event
+	chunks   [][]Span
 	capacity int
 	next     int
 	total    uint64
-	filter   func(Event) bool
+	filter   func(req uint64) bool
+	names    names
 }
 
-// chunkEvents is the size of one ring chunk (2^16 events, ~8.9 MB). Smaller
+// chunkEvents is the size of one ring chunk (2^16 spans, ~3.7 MB). Smaller
 // chunks measured a higher peak RSS for a full 2^18-event ring
 // (results/trace_ring.md).
 const (
@@ -157,48 +221,68 @@ func New(capacity int) *Tracer {
 	if capacity < 1 {
 		panic("trace: capacity must be >= 1")
 	}
-	return &Tracer{capacity: capacity}
+	return &Tracer{capacity: capacity, names: newNames()}
 }
 
-// SetFilter installs a predicate; events failing it are discarded.
-// A nil predicate accepts everything.
-func (t *Tracer) SetFilter(f func(Event) bool) {
+// SetFilter installs a predicate on request IDs; events of requests
+// failing it are discarded. A nil predicate accepts everything.
+func (t *Tracer) SetFilter(f func(req uint64) bool) {
 	if t == nil {
 		return
 	}
 	t.filter = f
 }
 
-// Record appends an event (no-op on a nil tracer). Filtered events are
-// discarded before touching the ring: they advance neither the write cursor
-// nor the total, so a filter cannot evict retained events.
+// Name returns the handle of v in the tracer's name table, interning v if
+// it is new. Callers resolve their names once, off the request path, and
+// record with the handles. A nil tracer interns nothing and returns 0.
+func (t *Tracer) Name(v string) Name {
+	if t == nil {
+		return 0
+	}
+	return t.names.intern(v)
+}
+
+// Handle returns a request's session handle: h itself when the request
+// carries one, or else the handle of its session name, interned.
+func (t *Tracer) Handle(h uint32, session string) Name {
+	if h != 0 || session == "" {
+		return Name(h)
+	}
+	return t.Name(session)
+}
+
+// Put appends a record whose names are this tracer's handles (no-op on a
+// nil tracer). A filtered record is discarded before touching the ring: it
+// advances neither the write cursor nor the total, so a filter cannot
+// evict retained events.
+func (t *Tracer) Put(s Span) {
+	if t == nil {
+		return
+	}
+	if t.filter != nil && !t.filter(s.Req) {
+		return
+	}
+	*t.slot() = s
+}
+
+// Record appends an event, interning its strings (no-op on a nil tracer).
+// It is the slow path, for tests and callers without handles; the filter
+// runs first, so a discarded event interns nothing.
 func (t *Tracer) Record(e Event) {
 	if t == nil {
 		return
 	}
-	if t.filter != nil && !t.filter(e) {
+	if t.filter != nil && !t.filter(e.ReqID) {
 		return
 	}
-	*t.slot() = e
-}
-
-// Reserve returns the next ring slot, already counted, for dispatch-hot-path
-// callers to fill in place: one struct write into the ring, no argument copy,
-// and the method inlines (Record cannot — the filter call exceeds the inline
-// budget). The slot may still hold its previous occupant until overwritten,
-// so callers must assign a complete Event. Reserve bypasses any SetFilter
-// predicate; a nil tracer returns nil.
-func (t *Tracer) Reserve() *Event {
-	if t == nil {
-		return nil
-	}
-	return t.slot()
+	*t.slot() = t.names.pack(&e)
 }
 
 // slot advances the cursor and returns the slot it passed. It allocates
 // only while the ring fills for the first time, one chunk per chunkEvents
 // events.
-func (t *Tracer) slot() *Event {
+func (t *Tracer) slot() *Span {
 	c := t.next >> chunkShift
 	if c == len(t.chunks) {
 		t.grow()
@@ -215,7 +299,7 @@ func (t *Tracer) slot() *Event {
 // grow appends the chunk that starts at the cursor: chunkEvents slots, or
 // the rest of the capacity if that is less.
 func (t *Tracer) grow() {
-	t.chunks = append(t.chunks, make([]Event, min(chunkEvents, t.capacity-t.next)))
+	t.chunks = append(t.chunks, make([]Span, min(chunkEvents, t.capacity-t.next)))
 }
 
 // wrapped reports whether the ring has filled, so its oldest event sits at
@@ -230,9 +314,9 @@ func (t *Tracer) Total() uint64 {
 	return t.total
 }
 
-// runs calls f with the retained events as contiguous runs of the ring,
+// runs calls f with the retained records as contiguous runs of the ring,
 // oldest first. A run may be empty.
-func (t *Tracer) runs(f func([]Event)) {
+func (t *Tracer) runs(f func([]Span)) {
 	c, i := t.next>>chunkShift, t.next&chunkMask
 	if t.wrapped() {
 		f(t.chunks[c][i:])
@@ -258,36 +342,44 @@ func (t *Tracer) Events() []Event {
 		n = t.capacity
 	}
 	out := make([]Event, 0, n)
-	t.runs(func(run []Event) { out = append(out, run...) })
+	t.runs(func(run []Span) {
+		for i := range run {
+			out = append(out, unpack(&run[i], t.names.list))
+		}
+	})
 	return out
 }
 
 // Between returns the retained events with from <= At <= to, in
-// chronological order, packed as Spans. It walks the ring in place twice:
-// once to count the matching events, so the records are allocated once at
-// their exact size, and once to pack them.
+// chronological order, as Spans. It walks the ring in place twice: once to
+// count the matching records, so they are allocated once at their exact
+// size, and once to copy them. The copy shares the name table as it
+// stands: the table only appends, so that prefix never changes.
 func (t *Tracer) Between(from, to time.Duration) Spans {
 	if t == nil {
 		return Spans{}
 	}
 	n := 0
-	t.runs(func(run []Event) {
+	t.runs(func(run []Span) {
 		for i := range run {
 			if at := run[i].At; at >= from && at <= to {
 				n++
 			}
 		}
 	})
-	recs := make([]span, 0, n)
-	in := interner{}
-	t.runs(func(run []Event) {
+	if n == 0 {
+		return Spans{}
+	}
+	recs := make([]Span, 0, n)
+	t.runs(func(run []Span) {
 		for i := range run {
-			if e := &run[i]; e.At >= from && e.At <= to {
-				recs = append(recs, in.pack(e))
+			if at := run[i].At; at >= from && at <= to {
+				recs = append(recs, run[i])
 			}
 		}
 	})
-	return in.spans(recs)
+	l := t.names.list
+	return Spans{recs: recs, names: l[:len(l):len(l)]}
 }
 
 // WriteText renders events human-readably, one per line.

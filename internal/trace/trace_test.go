@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -21,7 +22,7 @@ func ev(at int, kind Kind, req uint64) Event {
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.Record(ev(1, Arrive, 1)) // must not panic
-	tr.SetFilter(func(Event) bool { return true })
+	tr.SetFilter(func(uint64) bool { return true })
 	if tr.Total() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer should report nothing")
 	}
@@ -73,9 +74,9 @@ func TestRingOverwrite(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	tr := New(10)
-	tr.SetFilter(func(e Event) bool { return e.Kind == Drop })
+	tr.SetFilter(func(req uint64) bool { return req == 2 })
 	tr.Record(ev(1, Arrive, 1))
-	tr.Record(ev(2, Drop, 1))
+	tr.Record(ev(2, Drop, 2))
 	if len(tr.Events()) != 1 || tr.Events()[0].Kind != Drop {
 		t.Fatalf("filter failed: %+v", tr.Events())
 	}
@@ -86,7 +87,7 @@ func TestFilter(t *testing.T) {
 // evict retained ones or inflate the overwrite accounting.
 func TestFilterDoesNotAdvanceRing(t *testing.T) {
 	tr := New(3)
-	tr.SetFilter(func(e Event) bool { return e.Kind != Drop })
+	tr.SetFilter(func(req uint64) bool { return req < 100 })
 	tr.Record(ev(0, Arrive, 0))
 	tr.Record(ev(1, Arrive, 1))
 	// A burst of filtered events between accepted ones.
@@ -110,7 +111,7 @@ func TestFilterDoesNotAdvanceRing(t *testing.T) {
 	// Now wrap the ring past capacity with interleaved rejects: accepted
 	// events alone determine eviction order.
 	for i := 3; i < 7; i++ {
-		tr.Record(ev(200, Drop, 999)) // rejected
+		tr.Record(ev(200, Arrive, 999)) // rejected
 		tr.Record(ev(i, Arrive, uint64(i)))
 	}
 	got = tr.Events()
@@ -370,7 +371,7 @@ func TestPropertyFilterTransparent(t *testing.T) {
 		capn := rng.Intn(8) + 1
 		n := rng.Intn(80)
 		filtered := New(capn)
-		filtered.SetFilter(func(e Event) bool { return e.Kind == Arrive })
+		filtered.SetFilter(func(req uint64) bool { return req < 1<<40 })
 		plain := New(capn)
 		for i := 0; i < n; i++ {
 			if rng.Intn(2) == 0 {
@@ -378,7 +379,7 @@ func TestPropertyFilterTransparent(t *testing.T) {
 				filtered.Record(e)
 				plain.Record(e)
 			} else {
-				filtered.Record(ev(i, Drop, uint64(i))) // rejected
+				filtered.Record(ev(i, Drop, 1<<40+uint64(i))) // rejected
 			}
 		}
 		if filtered.Total() != plain.Total() {
@@ -407,11 +408,11 @@ type flatRing struct {
 	next   int
 	filled bool
 	total  uint64
-	filter func(Event) bool
+	filter func(req uint64) bool
 }
 
 func (r *flatRing) record(e Event) {
-	if r.filter != nil && !r.filter(e) {
+	if r.filter != nil && !r.filter(e.ReqID) {
 		return
 	}
 	r.events[r.next] = e
@@ -430,17 +431,19 @@ func (r *flatRing) retained() []Event {
 	return append(append(make([]Event, 0, len(r.events)), r.events[r.next:]...), r.events[:r.next]...)
 }
 
-// TestTracerRingMatchesFlat records into the chunked ring and a flat
-// reference side by side, with and without a filter, at capacities around
-// one chunk and across several, and compares Events, Between and Total
-// just before, at and just past each wrap and each chunk boundary.
+// TestTracerRingMatchesFlat records into the packed, chunked ring and a
+// flat reference of Events side by side, with and without a filter, at
+// capacities around one chunk and across several, and compares Events,
+// Between and Total just before, at and just past each wrap and each chunk
+// boundary. Every other event goes in through handles (Put), the rest as
+// Events (Record).
 func TestTracerRingMatchesFlat(t *testing.T) {
 	for _, capn := range []int{1, chunkEvents - 1, chunkEvents, chunkEvents + 1, 3*chunkEvents - 1} {
 		for _, filtered := range []bool{false, true} {
 			tr := New(capn)
 			ref := &flatRing{events: make([]Event, capn)}
 			if filtered {
-				keep := func(e Event) bool { return e.ReqID%3 != 0 }
+				keep := func(req uint64) bool { return req%3 != 0 }
 				tr.SetFilter(keep)
 				ref.filter = keep
 			}
@@ -453,9 +456,14 @@ func TestTracerRingMatchesFlat(t *testing.T) {
 				}
 			}
 			last := uint64(2*capn + 1)
+			s := tr.Name("s")
 			for i := 0; ref.total < last; i++ {
 				e := ev(i, Arrive, uint64(i))
-				tr.Record(e)
+				if i%2 == 0 {
+					tr.Record(e)
+				} else {
+					tr.Put(Span{At: e.At, Kind: ArriveName, Req: e.ReqID, Session: s})
+				}
 				ref.record(e)
 				if tr.Total() != ref.total {
 					t.Fatalf("cap %d filtered=%v: Total = %d, reference %d", capn, filtered, tr.Total(), ref.total)
@@ -502,7 +510,7 @@ func TestTracerAllocatesOnDemand(t *testing.T) {
 		t.Fatalf("New(1<<18) allocated %d B, want under 1 KiB", b)
 	}
 	// The chunk table's own growth is the slack.
-	chunkBytes := uint64(chunkEvents) * uint64(unsafe.Sizeof(Event{}))
+	chunkBytes := uint64(chunkEvents) * uint64(unsafe.Sizeof(Span{}))
 	var total uint64
 	recorded := 0
 	for _, n := range []int{1, chunkEvents, chunkEvents + 1, 3*chunkEvents + 5} {
@@ -525,7 +533,123 @@ func TestTracerAllocatesOnDemand(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { small.Record(e) }); n != 0 {
 		t.Fatalf("Record after the wrap: %v allocs, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { *small.Reserve() = e }); n != 0 {
-		t.Fatalf("Reserve after the wrap: %v allocs, want 0", n)
+	s := Span{At: e.At, Kind: CompleteName, Req: e.ReqID, Session: small.Name(e.Session)}
+	if n := testing.AllocsPerRun(100, func() { small.Put(s) }); n != 0 {
+		t.Fatalf("Put after the wrap: %v allocs, want 0", n)
+	}
+}
+
+// TestRingRecordPointerFree: the ring's record holds no pointers, so the
+// garbage collector never scans a ring, and it is 56 bytes; a full
+// chunkEvents ring costs at most that per slot, plus the chunk table and
+// the tracer's fixed set-up.
+func TestRingRecordPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(Span{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); hasPointer(f.Type) {
+			t.Errorf("Span.%s holds a pointer", f.Name)
+		}
+	}
+	if size := unsafe.Sizeof(Span{}); size != 56 {
+		t.Fatalf("Span is %d bytes, want 56", size)
+	}
+	var tr *Tracer
+	b := allocBytes(func() {
+		tr = New(chunkEvents)
+		for i := range chunkEvents {
+			tr.Put(Span{At: time.Duration(i), Kind: ArriveName, Req: uint64(i)})
+		}
+	})
+	// The slack is the tracer itself and its name table's seed.
+	table := uint64(unsafe.Sizeof(tr.chunks[0])) * uint64(cap(tr.chunks))
+	if want := 56*uint64(chunkEvents) + table + 1<<10; b > want {
+		t.Fatalf("a full %d-slot ring allocated %d B, want at most %d", chunkEvents, b, want)
+	}
+}
+
+// hasPointer reports whether a value of typ holds a pointer the garbage
+// collector would follow.
+func hasPointer(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return typ.Len() > 0 && hasPointer(typ.Elem())
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if hasPointer(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// TestRecordInternsNothing: once a deployment's names are interned, its
+// request lifecycles record through handles without allocating and without
+// growing the name table.
+func TestRecordInternsNothing(t *testing.T) {
+	tr := New(1 << 12)
+	tr.SetFilter(func(req uint64) bool { return req%7 != 0 })
+	sessions := []Name{tr.Name("game-0"), tr.Name("traffic/det")}
+	be, unit := tr.Name("be0"), tr.Name("game-0/u0")
+	deadline := tr.Name("deadline")
+	lifecycle := func(req uint64) {
+		s := Span{At: time.Duration(req), Req: req, Session: sessions[req%2]}
+		s.Kind = ArriveName
+		tr.Put(s)
+		s.Kind, s.Backend, s.Unit = RouteName, be, unit
+		tr.Put(s)
+		s.Kind = EnqueueName
+		tr.Put(s)
+		s.Kind, s.Batch, s.Inc = ExecuteName, 8, 1
+		tr.Put(s)
+		s.Kind, s.Batch, s.Inc, s.Cause = DropName, 0, 0, deadline
+		tr.Put(s)
+	}
+	for req := range uint64(1 << 12) { // wrap the ring first
+		lifecycle(req)
+	}
+	names := len(tr.names.list)
+	if n := testing.AllocsPerRun(1, func() {
+		for req := range uint64(20000) { // 10^5 records
+			lifecycle(req)
+		}
+	}); n != 0 {
+		t.Fatalf("10^5 records allocated %v times, want 0", n)
+	}
+	if len(tr.names.list) != names || len(tr.names.index) != names {
+		t.Fatalf("recording grew the name table from %d to %d", names, len(tr.names.list))
+	}
+	last := tr.Events()[len(tr.Events())-1]
+	if last != (Event{At: 19998, Kind: Drop, ReqID: 19998, Session: "game-0", Backend: "be0",
+		Unit: "game-0/u0", Cause: "deadline"}) {
+		t.Fatalf("last record unpacked to %+v", last)
+	}
+}
+
+// TestHandleFallsBackToName: a request that carries no session handle still
+// records its session's name, interned on the spot; one with a handle
+// records the handle as is, and a nil tracer resolves nothing.
+func TestHandleFallsBackToName(t *testing.T) {
+	tr := New(4)
+	h := tr.Name("s")
+	if got := tr.Handle(0, "s"); got != h {
+		t.Fatalf("Handle(0, s) = %d, want the interned %d", got, h)
+	}
+	tr.Put(Span{Kind: RouteName, Req: 1, Session: tr.Handle(0, "unstamped")})
+	tr.Put(Span{Kind: RouteName, Req: 2, Session: tr.Handle(uint32(h), "ignored")})
+	if got := tr.Events(); got[0].Session != "unstamped" || got[1].Session != "s" {
+		t.Fatalf("sessions %q, %q; want unstamped, s", got[0].Session, got[1].Session)
+	}
+	if tr.Handle(0, "") != 0 {
+		t.Fatal("an empty session name got a handle")
+	}
+	var nilTracer *Tracer
+	if nilTracer.Name("s") != 0 || nilTracer.Handle(0, "s") != 0 {
+		t.Fatal("a nil tracer interned a name")
 	}
 }

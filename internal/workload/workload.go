@@ -20,6 +20,9 @@ type Request struct {
 	Session  string
 	Arrival  time.Duration // virtual time the request entered the frontend
 	Deadline time.Duration // Arrival + session SLO
+	// Handle is the session's handle in the deployment's trace name table,
+	// so tracing the request never looks its name up; 0 = none.
+	Handle uint32
 }
 
 // Process produces inter-arrival times.
@@ -75,6 +78,9 @@ type Generator struct {
 	Session string
 	SLO     time.Duration
 	Proc    Process
+	// Handle is stamped on every request (Request.Handle); set it before
+	// the clock reaches the first arrival.
+	Handle uint32
 
 	clock  *simclock.Clock
 	rng    *rand.Rand
@@ -143,6 +149,7 @@ func (g *Generator) emit() {
 		Session:  g.Session,
 		Arrival:  g.clock.Now(),
 		Deadline: g.clock.Now() + g.SLO,
+		Handle:   g.Handle,
 	}
 	g.nextID++
 	g.sent++
