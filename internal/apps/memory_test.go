@@ -10,9 +10,9 @@ import (
 )
 
 // sessionHeapBudget bounds the live heap per session of the deployment
-// below: 1.25× the 2727 B measured on linux/amd64 with Go 1.24 (see
-// results/session_memory.md).
-const sessionHeapBudget = 3409
+// below: 1.25× the 2144 B measured on linux/amd64 with Go 1.24 (see
+// results/dense_handles.md).
+const sessionHeapBudget = 2680
 
 // liveHeap returns the heap still reachable after a full collection.
 func liveHeap() uint64 {

@@ -2,10 +2,12 @@ package backend
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"nexus/internal/gpusim"
 	"nexus/internal/profiler"
+	"nexus/internal/session"
 	"nexus/internal/simclock"
 )
 
@@ -119,8 +121,9 @@ type Backend struct {
 	// runPool recycles batchRun state (and its bound callbacks) across
 	// batches; the data plane allocates nothing per batch at steady state.
 	runPool []*batchRun
-	// memberCnt is gpuTime's per-session scratch, reused across batches.
-	memberCnt map[string]int
+	// members is gpuTime's scratch of a batch's session handles, reused
+	// across batches.
+	members []session.Handle
 }
 
 type unitState struct {
@@ -636,17 +639,21 @@ func (b *Backend) gpuTime(u *unitState, batch []Request) time.Duration {
 	if u.Prefix == nil || u.Suffix == nil {
 		return u.Profile.BatchLatency(n)
 	}
-	if b.memberCnt == nil {
-		b.memberCnt = make(map[string]int, 8)
+	// Sorting the batch's handles puts each member's requests in one run.
+	members := b.members[:0]
+	for i := range batch {
+		members = append(members, batch[i].Session)
 	}
-	perMember := b.memberCnt
-	clear(perMember)
-	for _, r := range batch {
-		perMember[r.Session]++
-	}
+	slices.Sort(members)
+	b.members = members
 	total := u.Prefix.BatchLatency(n)
-	for _, count := range perMember {
-		total += u.Suffix.BatchLatency(count)
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && members[j] == members[i] {
+			j++
+		}
+		total += u.Suffix.BatchLatency(j - i)
+		i = j
 	}
 	// Never exceed the conservative combined estimate the scheduler and
 	// drop policies used.

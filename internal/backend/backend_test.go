@@ -9,12 +9,13 @@ import (
 
 	"nexus/internal/gpusim"
 	"nexus/internal/profiler"
+	"nexus/internal/session"
 	"nexus/internal/simclock"
 	"nexus/internal/workload"
 )
 
 func mkReq(id uint64, arrival, deadline time.Duration) Request {
-	return Request{ID: id, Session: "s", Arrival: arrival, Deadline: deadline}
+	return Request{ID: id, Session: 1, Arrival: arrival, Deadline: deadline}
 }
 
 func TestQueuePushPop(t *testing.T) {
@@ -440,7 +441,7 @@ func TestDeferDroppedServesLate(t *testing.T) {
 		// A burst far beyond what the 20ms SLO allows.
 		now := clock.Now()
 		for i := 0; i < 200; i++ {
-			_ = be.Enqueue("u", Request{ID: uint64(i), Session: "s", Arrival: now, Deadline: now + 20*time.Millisecond})
+			_ = be.Enqueue("u", Request{ID: uint64(i), Session: 1, Arrival: now, Deadline: now + 20*time.Millisecond})
 		}
 		clock.Run()
 		return good, missed, dropped
@@ -478,7 +479,7 @@ func TestDeferredQueueBounded(t *testing.T) {
 	now := clock.Now()
 	// Far beyond the deferred bound: overflow must be really dropped.
 	for i := 0; i < 3*maxDeferred; i++ {
-		_ = be.Enqueue("u", Request{ID: uint64(i), Session: "s", Arrival: now, Deadline: now + time.Millisecond})
+		_ = be.Enqueue("u", Request{ID: uint64(i), Session: 1, Arrival: now, Deadline: now + time.Millisecond})
 	}
 	clock.Run()
 	if dropped == 0 {
@@ -501,7 +502,7 @@ func TestConfigureRemovalDrainsDeferred(t *testing.T) {
 	}
 	// Not yet loaded: requests queue; hopeless deadlines will defer at pick
 	// time once loading completes — but remove the unit first.
-	_ = be.Enqueue("u", Request{ID: 1, Session: "s", Deadline: time.Millisecond})
+	_ = be.Enqueue("u", Request{ID: 1, Session: 1, Deadline: time.Millisecond})
 	if err := be.Configure(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -539,9 +540,9 @@ func TestPrefixGroupPerMemberSuffixTiming(t *testing.T) {
 	// size plus one suffix per member PRESENT — not the planning profile's
 	// min(k, b)-member assumption.
 	for i := 0; i < 4; i++ {
-		sess := "m0"
+		sess := session.Handle(1) // m0
 		if i%2 == 1 {
-			sess = "m1"
+			sess = 2 // m1
 		}
 		_ = be.Enqueue("g", Request{ID: uint64(i), Session: sess, Arrival: start, Deadline: start + time.Second})
 	}

@@ -7,6 +7,7 @@ import (
 
 	"nexus/internal/gpusim"
 	"nexus/internal/profiler"
+	"nexus/internal/session"
 	"nexus/internal/simclock"
 	"nexus/internal/trace"
 	"nexus/internal/workload"
@@ -52,7 +53,7 @@ func BenchmarkDispatchHotPath(b *testing.B) {
 	)
 	pump = func() {
 		now := clock.Now()
-		if err := be.Enqueue("u", Request{ID: id, Session: "s", Arrival: now, Deadline: now + slo}); err != nil {
+		if err := be.Enqueue("u", Request{ID: id, Session: 1, Arrival: now, Deadline: now + slo}); err != nil {
 			b.Fatal(err)
 		}
 		id++
@@ -95,8 +96,9 @@ func BenchmarkDispatchHotPath(b *testing.B) {
 func BenchmarkDispatchHotPathTraced(b *testing.B) {
 	clock := simclock.New()
 	dev := gpusim.New(clock, "gpu0", profiler.GTX1080Ti, gpusim.Exclusive)
-	tr := trace.New(1 << 14)
-	session := tr.Name("s")
+	names := session.NewTable()
+	tr := trace.New(1<<14, names)
+	sess := names.Intern("s")
 	var causes []trace.Name
 	for o := OK; o <= DropAdmission; o++ {
 		causes = append(causes, tr.Name(o.String()))
@@ -107,7 +109,7 @@ func BenchmarkDispatchHotPathTraced(b *testing.B) {
 			Backend: tr.Name(backendID), Unit: tr.Name(unitID),
 			Batch: int32(len(batch)), Dur: gpuTime, Inc: inc}
 		for i := range batch {
-			s.Req, s.Session = batch[i].ID, tr.Handle(batch[i].Handle, batch[i].Session)
+			s.Req, s.Session = batch[i].ID, batch[i].Session
 			tr.Put(s)
 		}
 	}
@@ -115,7 +117,7 @@ func BenchmarkDispatchHotPathTraced(b *testing.B) {
 	done := func(req Request, outcome Outcome, at time.Duration) {
 		served++
 		s := trace.Span{At: at, Kind: trace.CompleteName, Req: req.ID,
-			Session: tr.Handle(req.Handle, req.Session), Backend: be0, Dur: at - req.Arrival}
+			Session: req.Session, Backend: be0, Dur: at - req.Arrival}
 		if outcome != OK {
 			s.Kind, s.Cause = trace.DropName, causes[outcome]
 		}
@@ -144,7 +146,7 @@ func BenchmarkDispatchHotPathTraced(b *testing.B) {
 	)
 	pump = func() {
 		now := clock.Now()
-		req := Request{ID: id, Session: "s", Arrival: now, Deadline: now + slo, Handle: uint32(session)}
+		req := Request{ID: id, Session: sess, Arrival: now, Deadline: now + slo}
 		if err := be.Enqueue("u", req); err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +188,7 @@ func BenchmarkQueueSmallBatch(b *testing.B) {
 	var q Queue
 	q.Reserve(2 * memo)
 	q.PrimeBatches(2, memo)
-	req := Request{ID: 1, Session: "s", Deadline: time.Second}
+	req := Request{ID: 1, Session: 1, Deadline: time.Second}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

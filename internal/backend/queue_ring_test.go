@@ -8,7 +8,7 @@ import (
 
 // ringReq builds a request with an ID-derived deadline for ring tests.
 func ringReq(id uint64, deadline time.Duration) Request {
-	return Request{ID: id, Session: "s", Deadline: deadline}
+	return Request{ID: id, Session: 1, Deadline: deadline}
 }
 
 // TestRingWraparound pins FIFO order across the ring seam: pops open space
@@ -103,7 +103,7 @@ func TestPopNClampsAndZeroes(t *testing.T) {
 		t.Fatalf("PopN(0) = %v, want nil", got)
 	}
 	for i := range q.buf {
-		if q.buf[i].ID != 0 || q.buf[i].Session != "" {
+		if q.buf[i].ID != 0 || q.buf[i].Session != 0 {
 			t.Fatalf("vacated slot %d still holds %+v", i, q.buf[i])
 		}
 	}

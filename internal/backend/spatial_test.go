@@ -6,6 +6,7 @@ import (
 
 	"nexus/internal/gpusim"
 	"nexus/internal/profiler"
+	"nexus/internal/session"
 	"nexus/internal/simclock"
 )
 
@@ -26,7 +27,7 @@ func TestSpatialUnitsRunConcurrently(t *testing.T) {
 	// simultaneous single-item batches overlap instead of serializing.
 	clock := simclock.New()
 	dev := gpusim.New(clock, "g", profiler.GTX1080Ti, gpusim.Exclusive)
-	doneAt := map[string]time.Duration{}
+	doneAt := map[session.Handle]time.Duration{}
 	be := New("b", clock, dev, Config{Discipline: RoundRobin, Overlap: true},
 		func(r Request, o Outcome, at time.Duration) { doneAt[r.Session] = at })
 	units := []Unit{
@@ -41,8 +42,8 @@ func TestSpatialUnitsRunConcurrently(t *testing.T) {
 	}
 	clock.RunUntil(2 * time.Second) // model loads
 	now := clock.Now()
-	_ = be.Enqueue("u1", Request{ID: 1, Session: "a", Arrival: now, Deadline: now + time.Second})
-	_ = be.Enqueue("u2", Request{ID: 2, Session: "b", Arrival: now, Deadline: now + time.Second})
+	_ = be.Enqueue("u1", Request{ID: 1, Session: 1, Arrival: now, Deadline: now + time.Second})
+	_ = be.Enqueue("u2", Request{ID: 2, Session: 2, Arrival: now, Deadline: now + time.Second})
 	clock.Run()
 	if len(doneAt) != 2 {
 		t.Fatalf("completed %d requests, want 2", len(doneAt))
@@ -53,7 +54,7 @@ func TestSpatialUnitsRunConcurrently(t *testing.T) {
 	batchTime := 5 * time.Millisecond * 105 / 100 // ℓ(1) * (1 + 0.05 interference)
 	for s, at := range doneAt {
 		if e := at - now; e > batchTime+8*time.Millisecond {
-			t.Fatalf("session %s finished %v after enqueue; slices did not overlap", s, e)
+			t.Fatalf("session %d finished %v after enqueue; slices did not overlap", s, e)
 		}
 	}
 }
@@ -170,7 +171,7 @@ func TestSpatialReconfigureDuringPreprocessing(t *testing.T) {
 			now := clock.Now()
 			const n = 6
 			for i := uint64(1); i <= n; i++ {
-				if err := be.Enqueue("u", Request{ID: i, Session: "s", Arrival: now, Deadline: now + time.Second}); err != nil {
+				if err := be.Enqueue("u", Request{ID: i, Session: 1, Arrival: now, Deadline: now + time.Second}); err != nil {
 					t.Fatal(err)
 				}
 			}

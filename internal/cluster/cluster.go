@@ -24,6 +24,7 @@ import (
 	"nexus/internal/profiler"
 	"nexus/internal/queryopt"
 	"nexus/internal/scheduler"
+	"nexus/internal/session"
 	"nexus/internal/simclock"
 	"nexus/internal/telemetry"
 	"nexus/internal/trace"
@@ -197,15 +198,27 @@ type Deployment struct {
 	Frontends []*frontend.Frontend
 	nextFE    int
 
-	cfg      Config
+	cfg Config
+	// names is the deployment's session table: every session, standalone
+	// or query stage, has a handle in it, and requests carry the handle.
+	names    *session.Table
 	rng      *rand.Rand
 	profiles map[string]*profiler.Profile
 	mdb      *model.DB
+	// profiled counts the models rebuildProfiles has walked, in the model
+	// DB's registration order.
+	profiled int
 
 	collecting bool
+	// warmEnd is the last request ID issued before statistics began: a
+	// standalone request with an ID up to it is warm-up traffic, whose
+	// outcome is not counted. While tracing, warmDone marks (one bit per
+	// ID) the warm-up requests whose outcome has arrived.
+	warmEnd    uint64
+	warmDone   []uint64
 	seq        uint64
 	queryTrack map[uint64]*queryInstance
-	queryMeta  map[string]*stageMeta // stage session ID -> meta
+	queryMeta  []*stageMeta // by stage session handle; nil = not a stage
 
 	loads      []sessionLoad
 	queryLoads []queryLoad
@@ -221,15 +234,6 @@ type Deployment struct {
 
 	// Query-level outcomes (end-to-end).
 	queryStats map[string]*metrics.SessionStats
-
-	// ignored marks in-flight requests issued during warmup so their
-	// completions do not pollute statistics.
-	ignored map[uint64]struct{}
-
-	// stageSessions marks per-stage query sessions, which are excluded
-	// from the end-to-end BadRate/Goodput (queries are counted once, as
-	// whole-query outcomes).
-	stageSessions map[string]bool
 
 	// unroutable counts requests dropped because no route or unit existed
 	// when they arrived (admission-control drops at the frontend).
@@ -250,14 +254,15 @@ type Deployment struct {
 }
 
 type sessionLoad struct {
-	spec globalsched.SessionSpec
-	proc workload.Process
+	spec   globalsched.SessionSpec
+	proc   workload.Process
+	handle session.Handle
 }
 
 type queryLoad struct {
 	spec globalsched.QuerySpec
 	proc workload.Process
-	root stage
+	root session.Handle
 }
 
 type stageMeta struct {
@@ -265,15 +270,8 @@ type stageMeta struct {
 	children  []stageChild
 }
 
-// stage is a query stage's session, with its handle in the tracer's name
-// table.
-type stage struct {
-	session string
-	handle  trace.Name
-}
-
 type stageChild struct {
-	stage
+	stage session.Handle
 	gamma float64
 	carry float64 // fractional fan-out accumulator
 }
@@ -313,36 +311,34 @@ func New(cfg Config) (*Deployment, error) {
 		}
 	}
 	mdb := model.Catalog()
+	names := session.NewTable()
 	d := &Deployment{
-		Clock:         simclock.New(),
-		Recorder:      metrics.NewRecorder(),
-		cfg:           cfg,
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		mdb:           mdb,
-		queryTrack:    make(map[uint64]*queryInstance),
-		queryMeta:     make(map[string]*stageMeta),
-		Arrivals:      metrics.NewTimeSeries(time.Second),
-		BadEvts:       metrics.NewTimeSeries(time.Second),
-		GoodEvts:      metrics.NewTimeSeries(time.Second),
-		GPUsUsed:      metrics.NewTimeSeries(time.Second),
-		queryStats:    make(map[string]*metrics.SessionStats),
-		ignored:       make(map[uint64]struct{}),
-		stageSessions: make(map[string]bool),
+		Clock:      simclock.New(),
+		Recorder:   metrics.NewRecorder(names),
+		cfg:        cfg,
+		names:      names,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		mdb:        mdb,
+		queryTrack: make(map[uint64]*queryInstance),
+		Arrivals:   metrics.NewTimeSeries(time.Second),
+		BadEvts:    metrics.NewTimeSeries(time.Second),
+		GoodEvts:   metrics.NewTimeSeries(time.Second),
+		GPUsUsed:   metrics.NewTimeSeries(time.Second),
+		queryStats: make(map[string]*metrics.SessionStats),
 	}
 	if cfg.TraceCapacity > 0 {
-		d.tracer = trace.New(cfg.TraceCapacity)
+		d.tracer = trace.New(cfg.TraceCapacity, names)
 		// Warmup traffic is excluded from metrics; filter it out of the
 		// trace too, so per-cause event counts reconcile exactly with the
-		// recorder. Standalone warmup requests sit in d.ignored while in
-		// flight; warmup query stages are tracked with a blank query name.
+		// recorder. Query stages are tracked while in flight, warmup ones
+		// with a blank query name; other warmup requests are filtered until
+		// their outcome arrives (a backend that drops a request on arrival
+		// reports it before the frontend records the enqueue).
 		d.tracer.SetFilter(func(req uint64) bool {
-			if _, warm := d.ignored[req]; warm {
-				return false
+			if qi, ok := d.queryTrack[req]; ok {
+				return qi.queryName != ""
 			}
-			if qi, ok := d.queryTrack[req]; ok && qi.queryName == "" {
-				return false
-			}
-			return true
+			return !d.warmup(req) || d.warmFinished(req)
 		})
 		for o := backend.OK; o <= backend.DropAdmission; o++ {
 			d.causes = append(d.causes, d.tracer.Name(o.String()))
@@ -373,7 +369,7 @@ func New(cfg Config) (*Deployment, error) {
 				Batch: int32(len(batch)), Dur: gpuTime, Inc: inc,
 			}
 			for i := range batch {
-				s.Req, s.Session = batch[i].ID, d.tracer.Handle(batch[i].Handle, batch[i].Session)
+				s.Req, s.Session = batch[i].ID, batch[i].Session
 				d.tracer.Put(s)
 			}
 		}
@@ -418,7 +414,7 @@ func New(cfg Config) (*Deployment, error) {
 		nFE = 1
 	}
 	for i := 0; i < nFE; i++ {
-		fe := frontend.New(d.Clock, d.Pool.backends, cfg.NetDelay, func(req workload.Request, reason backend.Outcome) {
+		fe := frontend.New(d.Clock, d.Pool.backends, names, cfg.NetDelay, func(req workload.Request, reason backend.Outcome) {
 			if reason == backend.DropUnroutable {
 				d.unroutable++
 			}
@@ -465,7 +461,7 @@ func New(cfg Config) (*Deployment, error) {
 		d.Frontends = append(d.Frontends, fe)
 	}
 	d.Frontend = d.Frontends[0]
-	d.Sched = globalsched.New(d.Clock, d.Pool, d.Frontends, d.mdb, d.profiles, d.controlConfig())
+	d.Sched = globalsched.New(d.Clock, d.Pool, d.Frontends, names, d.mdb, d.profiles, d.controlConfig())
 	return d, nil
 }
 
@@ -485,22 +481,22 @@ func (d *Deployment) ModelDB() *model.DB { return d.mdb }
 func (d *Deployment) RefreshProfiles() error { return d.rebuildProfiles() }
 
 // rebuildProfiles profiles, on the deployment's GPU type only, each
-// calibrated model it has not profiled yet. The model DB never replaces a
-// registered model, so a derived profile stays current: set-up cost grows
-// with the models added, not with the models registered so far.
+// calibrated model registered since the last call. The model DB never
+// replaces a registered model, so a derived profile stays current: set-up
+// cost grows with the models added, not with the models registered so far.
 func (d *Deployment) rebuildProfiles() error {
 	if d.profiles == nil {
 		d.profiles = make(map[string]*profiler.Profile)
 	}
-	for _, id := range d.mdb.IDs() {
-		if _, done := d.profiles[id]; done || !profiler.Calibrated(id, d.cfg.GPU) {
-			continue
+	for _, id := range d.mdb.Since(d.profiled) {
+		if profiler.Calibrated(id, d.cfg.GPU) {
+			p, err := profiler.Calibrate(d.mdb.MustGet(id), d.cfg.GPU)
+			if err != nil {
+				return err
+			}
+			d.profiles[id] = p
 		}
-		p, err := profiler.Calibrate(d.mdb.MustGet(id), d.cfg.GPU)
-		if err != nil {
-			return err
-		}
-		d.profiles[id] = p
+		d.profiled++
 	}
 	return nil
 }
@@ -645,13 +641,14 @@ func (d *Deployment) controlConfig() globalsched.Config {
 // AddSession adds a standalone session and its arrival process (nil proc =
 // uniform arrivals at the expected rate).
 func (d *Deployment) AddSession(spec globalsched.SessionSpec, proc workload.Process) error {
-	if err := d.Sched.AddSession(spec); err != nil {
+	h, err := d.Sched.AddSession(spec)
+	if err != nil {
 		return err
 	}
 	if proc == nil {
 		proc = workload.Uniform{Rate: spec.ExpectedRate}
 	}
-	d.loads = append(d.loads, sessionLoad{spec: spec, proc: proc})
+	d.loads = append(d.loads, sessionLoad{spec: spec, proc: proc, handle: h})
 	return nil
 }
 
@@ -669,25 +666,35 @@ func (d *Deployment) AddQuery(spec globalsched.QuerySpec, proc workload.Process)
 }
 
 // indexQuery records stage metadata for completion-driven fan-out and
-// returns the root stage.
-func (d *Deployment) indexQuery(spec globalsched.QuerySpec) stage {
+// returns the root stage's handle. The scheduler has given every stage a
+// handle.
+func (d *Deployment) indexQuery(spec globalsched.QuerySpec) session.Handle {
 	q := spec.Query
-	stageOf := func(n *queryopt.Node) stage {
-		session := q.Name + "/" + n.Name
-		return stage{session: session, handle: d.tracer.Name(session)}
+	stageOf := func(n *queryopt.Node) session.Handle {
+		h, _ := d.names.Lookup(queryopt.StageID(q, n))
+		return h
 	}
 	var walk func(n *queryopt.Node)
 	walk = func(n *queryopt.Node) {
-		d.stageSessions[q.Name+"/"+n.Name] = true
 		meta := &stageMeta{queryName: q.Name}
 		for _, e := range n.Edges {
 			meta.children = append(meta.children, stageChild{stage: stageOf(e.Child), gamma: e.Gamma})
 			walk(e.Child)
 		}
-		d.queryMeta[q.Name+"/"+n.Name] = meta
+		h := stageOf(n)
+		d.queryMeta = session.Fit(d.queryMeta, h)
+		d.queryMeta[h] = meta
 	}
 	walk(q.Root)
 	return stageOf(q.Root)
+}
+
+// stageMeta returns a stage session's metadata (nil if h is no stage).
+func (d *Deployment) stageMeta(h session.Handle) *stageMeta {
+	if int(h) < len(d.queryMeta) {
+		return d.queryMeta[h]
+	}
+	return nil
 }
 
 // Run executes the deployment for the given duration of virtual time
@@ -700,11 +707,11 @@ func (d *Deployment) Run(duration time.Duration) (float64, error) {
 	d.Sched.Start()
 	horizon := d.cfg.Warmup + duration
 	// Statistics begin after warmup.
-	d.Clock.At(d.cfg.Warmup, func() { d.collecting = true })
+	d.Clock.At(d.cfg.Warmup, func() { d.collecting, d.warmEnd = true, d.seq })
 	// Start generators (kept so fault injection can modulate their rates).
 	for _, l := range d.loads {
 		g := workload.Start(d.Clock, d.rng, l.spec.ID, l.spec.SLO, l.proc, horizon, d.dispatchStandalone)
-		g.Handle = uint32(d.tracer.Name(l.spec.ID))
+		g.Handle = l.handle
 		d.gens = append(d.gens, g)
 	}
 	for _, ql := range d.queryLoads {
@@ -762,7 +769,7 @@ func (d *Deployment) Goodput(measured time.Duration) float64 {
 
 func (d *Deployment) totals() (sent, bad uint64) {
 	for _, sid := range d.Recorder.SessionIDs() {
-		if d.stageSessions[sid] {
+		if h, _ := d.names.Lookup(sid); d.stageMeta(h) != nil {
 			continue
 		}
 		s := d.Recorder.Session(sid)
@@ -808,35 +815,49 @@ func (d *Deployment) nextID() uint64 {
 	return d.seq
 }
 
+// warmup reports whether a standalone request was issued during warmup:
+// before statistics began, every request is; after, those with an ID up to
+// warmEnd are.
+func (d *Deployment) warmup(req uint64) bool {
+	return !d.collecting || req <= d.warmEnd
+}
+
+// warmFinished reports whether a warmup request's outcome has arrived
+// (tracked only while tracing).
+func (d *Deployment) warmFinished(req uint64) bool {
+	w := int(req / 64)
+	return w < len(d.warmDone) && d.warmDone[w]&(1<<(req%64)) != 0
+}
+
 func (d *Deployment) dispatchStandalone(r workload.Request) {
 	r.ID = d.nextID()
 	if d.collecting {
-		d.Recorder.Session(r.Session).Sent++
+		d.Recorder.Stats(r.Session).Sent++
 		d.Arrivals.Add(d.Clock.Now(), 1)
-	} else {
-		// Still count it as in-flight work but not in stats: mark by
-		// tracking zero; simplest is to tag via map of ignored IDs. Marked
-		// before recording, so the tracer's warmup filter sees it.
-		d.ignored[r.ID] = struct{}{}
 	}
-	d.tracer.Put(trace.Span{At: d.Clock.Now(), Kind: trace.ArriveName, Req: r.ID, Session: d.tracer.Handle(r.Handle, r.Session)})
+	d.tracer.Put(trace.Span{At: d.Clock.Now(), Kind: trace.ArriveName, Req: r.ID, Session: r.Session})
 	d.dispatch(r)
 }
 
 // requestDone is the single completion sink for all backends and the
 // frontend's drop path. be is the handle of the backend that reported the
-// outcome (0 for frontend-side drops that never reached one).
+// outcome (0 for frontend-side drops that never reached one). Warmup
+// requests still run, so they load the cluster, but are not counted.
 func (d *Deployment) requestDone(req workload.Request, outcome backend.Outcome, at time.Duration, be trace.Name) {
-	if _, skip := d.ignored[req.ID]; skip {
-		delete(d.ignored, req.ID)
-		return
+	if d.tracer != nil && d.warmup(req.ID) {
+		w := int(req.ID / 64)
+		d.warmDone = append(d.warmDone, make([]uint64, max(0, w+1-len(d.warmDone)))...)
+		d.warmDone[w] |= 1 << (req.ID % 64)
 	}
 	if qi, ok := d.queryTrack[req.ID]; ok {
 		delete(d.queryTrack, req.ID)
 		d.stageDone(qi, req, outcome, at, be)
 		return
 	}
-	s := d.Recorder.Session(req.Session)
+	if d.warmup(req.ID) {
+		return
+	}
+	s := d.Recorder.Stats(req.Session)
 	d.traceDone(req, outcome, at, be)
 	switch {
 	case outcome.Bad():
@@ -861,7 +882,7 @@ func (d *Deployment) traceDone(req workload.Request, outcome backend.Outcome, at
 	if d.tracer == nil {
 		return
 	}
-	s := trace.Span{At: at, Kind: trace.CompleteName, Req: req.ID, Session: d.tracer.Handle(req.Handle, req.Session),
+	s := trace.Span{At: at, Kind: trace.CompleteName, Req: req.ID, Session: req.Session,
 		Backend: be, Dur: at - req.Arrival}
 	if outcome.Bad() {
 		s.Kind, s.Cause = trace.DropName, d.causes[outcome]

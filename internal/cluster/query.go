@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"nexus/internal/backend"
+	"nexus/internal/session"
 	"nexus/internal/trace"
 	"nexus/internal/workload"
 )
@@ -32,19 +33,18 @@ func (d *Deployment) startQuery(ql *queryLoad, arrival workload.Request) {
 // a stage invocation only when the query itself can no longer make it —
 // slack left over by fast upstream stages absorbs the bursts that
 // downstream stages see when a parent batch completes.
-func (d *Deployment) dispatchStage(qi *queryInstance, st stage) {
+func (d *Deployment) dispatchStage(qi *queryInstance, stage session.Handle) {
 	req := workload.Request{
 		ID:       d.nextID(),
-		Session:  st.session,
 		Arrival:  d.Clock.Now(),
 		Deadline: qi.deadline,
-		Handle:   uint32(st.handle),
+		Session:  stage,
 	}
 	// Track before recording: the tracer's warmup filter identifies warmup
 	// query stages through the tracking entry.
 	qi.outstanding++
 	d.queryTrack[req.ID] = qi
-	d.tracer.Put(trace.Span{At: d.Clock.Now(), Kind: trace.ArriveName, Req: req.ID, Session: st.handle})
+	d.tracer.Put(trace.Span{At: d.Clock.Now(), Kind: trace.ArriveName, Req: req.ID, Session: stage})
 	d.dispatch(req)
 }
 
@@ -59,7 +59,7 @@ func (d *Deployment) stageDone(qi *queryInstance, req workload.Request, outcome 
 	}
 	// Per-stage accounting (stage sessions also show up in the recorder).
 	if qi.queryName != "" {
-		s := d.Recorder.Session(req.Session)
+		s := d.Recorder.Stats(req.Session)
 		s.Sent++
 		switch {
 		case lost:
@@ -78,9 +78,9 @@ func (d *Deployment) stageDone(qi *queryInstance, req workload.Request, outcome 
 	} else {
 		// Fan out to children; gamma is fractional, accumulated per stage
 		// via a deterministic carry so long-run fan-out matches exactly.
-		if meta, ok := d.queryMeta[req.Session]; ok {
+		if meta := d.stageMeta(req.Session); meta != nil {
 			for ci := range meta.children {
-				n := d.fanOut(req.Session, ci)
+				n := meta.fanOut(ci)
 				for k := 0; k < n; k++ {
 					d.dispatchStage(qi, meta.children[ci].stage)
 				}
@@ -97,8 +97,7 @@ func (d *Deployment) stageDone(qi *queryInstance, req workload.Request, outcome 
 
 // fanOut returns how many child invocations this completion spawns,
 // carrying the fractional part forward deterministically.
-func (d *Deployment) fanOut(session string, childIdx int) int {
-	meta := d.queryMeta[session]
+func (meta *stageMeta) fanOut(childIdx int) int {
 	c := &meta.children[childIdx]
 	c.carry += c.gamma
 	n := int(c.carry)

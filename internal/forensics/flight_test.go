@@ -22,7 +22,7 @@ func alert(rule string) telemetry.Alert {
 // seededPlanes builds a tracer and audit log with records on both sides of
 // the 5s default capture window around a trigger at t=10s.
 func seededPlanes() (*trace.Tracer, *trace.Audit) {
-	tr := trace.New(64)
+	tr := trace.New(64, nil)
 	// Outside the [5s, 10s] window.
 	tr.Record(trace.Event{At: 2 * time.Second, Kind: trace.Arrive, ReqID: 1, Session: "s"})
 	// Inside.
@@ -157,7 +157,7 @@ func TestDumpSpanBytes(t *testing.T) {
 	// which a capture stores once each, stay fixed while the spans grow.
 	kinds := []trace.Kind{trace.Arrive, trace.Route, trace.Enqueue, trace.Execute, trace.Complete}
 	for _, n := range []int{10, 1000, 100000} {
-		tr := trace.New(n)
+		tr := trace.New(n, nil)
 		for i := range n {
 			tr.Record(trace.Event{At: time.Duration(i) * time.Microsecond, Kind: kinds[i%len(kinds)],
 				ReqID: uint64(i / len(kinds)), Session: "game-0", Backend: "be0", Unit: "game-0/u0", Batch: 4})

@@ -15,7 +15,7 @@ import (
 // records their window covers. Decoding the log rebuilds the window's
 // samples' At, and re-encoding the decoded log gives back the same bytes.
 func TestDumpsJSONLRoundTrip(t *testing.T) {
-	tr := trace.New(64)
+	tr := trace.New(64, nil)
 	tr.Record(trace.Event{At: 7 * time.Second, Kind: trace.Arrive, ReqID: 2, Session: "s"})
 	tr.Record(trace.Event{At: 8 * time.Second, Kind: trace.Complete, ReqID: 2, Session: "s"})
 	audit := trace.NewAudit()

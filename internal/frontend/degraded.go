@@ -6,7 +6,11 @@
 // stay byte-identical).
 package frontend
 
-import "time"
+import (
+	"time"
+
+	"nexus/internal/session"
+)
 
 // ---------------------------------------------------------------------
 // Routing-table leases.
@@ -300,11 +304,10 @@ func (tb *tokenBucket) take(now time.Duration) bool {
 
 // SetAdmission installs (or replaces) a session's admission policy. The
 // bucket starts full.
-func (f *Frontend) SetAdmission(session string, cfg AdmissionConfig) {
-	if f.admission == nil {
-		f.admission = make(map[string]*tokenBucket)
-	}
-	f.admission[session] = &tokenBucket{
+func (f *Frontend) SetAdmission(sessionID string, cfg AdmissionConfig) {
+	h := f.names.Intern(sessionID)
+	f.admission = session.Fit(f.admission, h)
+	f.admission[h] = &tokenBucket{
 		rate:     cfg.Rate,
 		burst:    cfg.Burst,
 		tokens:   cfg.Burst,
@@ -322,11 +325,11 @@ func (f *Frontend) SetAdmissionReserve(rate, burst float64) {
 // admit charges one request against the session's bucket (or, for
 // priority sessions, the shared reserve). Sessions without a policy are
 // always admitted.
-func (f *Frontend) admit(session string) bool {
-	tb, ok := f.admission[session]
-	if !ok {
+func (f *Frontend) admit(h session.Handle) bool {
+	if int(h) >= len(f.admission) || f.admission[h] == nil {
 		return true
 	}
+	tb := f.admission[h]
 	now := f.clock.Now()
 	return tb.take(now) || (tb.priority > 0 && f.reserve != nil && f.reserve.take(now))
 }

@@ -15,23 +15,23 @@ func dropSetup(t *testing.T, nBackends int) (clock *simclock.Clock, backends map
 	t.Helper()
 	c, bes, _, _ := setup(t, nBackends)
 	drops = make(map[backend.Outcome]int)
-	fe = New(c, bes, 0, func(req workload.Request, reason backend.Outcome) { drops[reason]++ })
+	fe = New(c, bes, nil, 0, func(req workload.Request, reason backend.Outcome) { drops[reason]++ })
 	return c, bes, fe, drops
 }
 
 func TestRouteLeaseExpiryDropsWithoutServeStale(t *testing.T) {
 	clock, _, fe, drops := dropSetup(t, 1)
 	fe.EnableRouteLease(5*time.Second, false)
-	if err := fe.SetTable(RoutingTable{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
+	if err := fe.SetTable(byID{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second)
-	fe.Dispatch(workload.Request{Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	clock.RunUntil(10 * time.Second) // lease (refreshed at the push) expires
 	if fe.RouteStaleness() < 9*time.Second || !fe.LeaseExpired() {
 		t.Fatalf("staleness = %v, expired = %v", fe.RouteStaleness(), fe.LeaseExpired())
 	}
-	fe.Dispatch(workload.Request{Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	clock.Run()
 	if drops[backend.DropUnroutable] != 1 {
 		t.Fatalf("unroutable drops = %d, want 1 (only the post-expiry dispatch)", drops[backend.DropUnroutable])
@@ -44,11 +44,11 @@ func TestRouteLeaseExpiryDropsWithoutServeStale(t *testing.T) {
 func TestRouteLeaseServeStaleCountsAndRenews(t *testing.T) {
 	clock, _, fe, drops := dropSetup(t, 1)
 	fe.EnableRouteLease(5*time.Second, true)
-	if err := fe.SetTable(RoutingTable{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
+	if err := fe.SetTable(byID{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	clock.RunUntil(10 * time.Second)
-	fe.Dispatch(workload.Request{Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	if fe.StaleServed() != 1 {
 		t.Fatalf("staleServed = %d, want 1", fe.StaleServed())
 	}
@@ -56,7 +56,7 @@ func TestRouteLeaseServeStaleCountsAndRenews(t *testing.T) {
 	if fe.LeaseExpired() || fe.RouteStaleness() != 0 {
 		t.Fatalf("lease not renewed: staleness = %v", fe.RouteStaleness())
 	}
-	fe.Dispatch(workload.Request{Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	clock.Run()
 	if fe.StaleServed() != 1 {
 		t.Fatalf("staleServed = %d after renewal, want still 1", fe.StaleServed())
@@ -74,7 +74,7 @@ func TestBreakerOpensAndRoutesAround(t *testing.T) {
 	fe.SetBreakerObserver(func(at time.Duration, beID, from, to string) {
 		transitions = append(transitions, beID+":"+from+"->"+to)
 	})
-	if err := fe.SetTable(RoutingTable{"s": {
+	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 	}}); err != nil {
@@ -83,7 +83,7 @@ func TestBreakerOpensAndRoutesAround(t *testing.T) {
 	clock.RunUntil(time.Second)
 	backends["a"].Fail()
 	for i := 0; i < 10; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(i), Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 		clock.RunUntil(clock.Now() + 100*time.Millisecond)
 	}
 	clock.Run()
@@ -107,7 +107,7 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	clock, backends, fe, _ := dropSetup(t, 2)
 	fe.EnableBreakers(1, 5*time.Second)
 	fe.EnableRetry(2, time.Millisecond)
-	if err := fe.SetTable(RoutingTable{"s": {
+	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 	}}); err != nil {
@@ -115,7 +115,7 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	}
 	clock.RunUntil(time.Second)
 	backends["a"].Fail()
-	fe.Dispatch(workload.Request{Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	clock.RunUntil(2 * time.Second)
 	if fe.OpenBreakers() != 1 {
 		t.Fatalf("open breakers = %d, want 1", fe.OpenBreakers())
@@ -128,7 +128,7 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	}
 	clock.RunUntil(10 * time.Second) // past cooloff: next pick may probe
 	for i := 0; i < 4; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i + 1), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(i + 1), Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 		clock.RunUntil(clock.Now() + 100*time.Millisecond)
 	}
 	clock.Run()
@@ -144,7 +144,7 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 func TestBackoffRetryBudgetExhausts(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 2)
 	fe.EnableRetry(3, time.Millisecond)
-	if err := fe.SetTable(RoutingTable{"s": {
+	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 	}}); err != nil {
@@ -153,7 +153,7 @@ func TestBackoffRetryBudgetExhausts(t *testing.T) {
 	clock.RunUntil(time.Second)
 	backends["a"].Fail()
 	backends["b"].Fail()
-	fe.Dispatch(workload.Request{Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	clock.Run()
 	// Both replicas dead: altRoute finds nothing alive, so the request
 	// drops without burning the budget on known-dead targets.
@@ -165,7 +165,7 @@ func TestBackoffRetryBudgetExhausts(t *testing.T) {
 func TestBackoffRetrySavesAfterTransientFailures(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 3)
 	fe.EnableRetry(3, time.Millisecond)
-	if err := fe.SetTable(RoutingTable{"s": {
+	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 		{BackendID: "c", UnitID: "u", Weight: 1},
@@ -176,7 +176,7 @@ func TestBackoffRetrySavesAfterTransientFailures(t *testing.T) {
 	backends["a"].Fail()
 	backends["b"].Fail()
 	for i := 0; i < 9; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(i), Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	clock.Run()
 	if total := drops[backend.DropFailure] + drops[backend.DropReconfig]; total != 0 {
@@ -190,7 +190,7 @@ func TestBackoffRetrySavesAfterTransientFailures(t *testing.T) {
 func TestLinkDownFailsDispatchAndRetryReroutes(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 2)
 	fe.EnableRetry(2, time.Millisecond)
-	if err := fe.SetTable(RoutingTable{"s": {
+	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 	}}); err != nil {
@@ -204,7 +204,7 @@ func TestLinkDownFailsDispatchAndRetryReroutes(t *testing.T) {
 		t.Fatal("repeated SetLinkDown reported a change")
 	}
 	for i := 0; i < 4; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(i), Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	clock.Run()
 	// a is alive but unreachable: dispatches to it fail and must reroute
@@ -222,7 +222,7 @@ func TestLinkDownFailsDispatchAndRetryReroutes(t *testing.T) {
 
 func TestAdmissionShedsLowPriorityFirst(t *testing.T) {
 	clock, _, fe, drops := dropSetup(t, 1)
-	if err := fe.SetTable(RoutingTable{
+	if err := fe.SetTable(byID{
 		"hi": {{BackendID: "a", UnitID: "u", Weight: 1}},
 		"lo": {{BackendID: "a", UnitID: "u", Weight: 1}},
 	}); err != nil {
@@ -235,11 +235,11 @@ func TestAdmissionShedsLowPriorityFirst(t *testing.T) {
 	// Burst of 12 to each session in the same instant: lo admits its 5
 	// bucketed requests and sheds 7; hi admits 5 + up to 10 from reserve.
 	for i := 0; i < 12; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "lo", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(i), Session: fe.sid("lo"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	loSheds := fe.AdmissionSheds()
 	for i := 0; i < 12; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(100 + i), Session: "hi", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(100 + i), Session: fe.sid("hi"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	clock.Run()
 	if loSheds != 7 {
@@ -255,18 +255,18 @@ func TestAdmissionShedsLowPriorityFirst(t *testing.T) {
 
 func TestAdmissionRefillsByVirtualTime(t *testing.T) {
 	clock, _, fe, drops := dropSetup(t, 1)
-	if err := fe.SetTable(RoutingTable{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
+	if err := fe.SetTable(byID{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second)
 	fe.SetAdmission("s", AdmissionConfig{Rate: 2, Burst: 1})
-	fe.Dispatch(workload.Request{Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}) // drains the bucket
-	fe.Dispatch(workload.Request{ID: 1, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}) // drains the bucket
+	fe.Dispatch(workload.Request{ID: 1, Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	if drops[backend.DropAdmission] != 1 {
 		t.Fatalf("immediate second dispatch: sheds = %d, want 1", drops[backend.DropAdmission])
 	}
 	clock.RunUntil(2 * time.Second) // 1s at 2 tokens/s refills past 1
-	fe.Dispatch(workload.Request{ID: 2, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{ID: 2, Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	clock.Run()
 	if drops[backend.DropAdmission] != 1 {
 		t.Fatalf("post-refill dispatch shed: sheds = %d, want still 1", drops[backend.DropAdmission])
@@ -282,12 +282,12 @@ func TestAdmissionRefillsByVirtualTime(t *testing.T) {
 func TestConcurrentApplyDeltaDuringBackoffRetry(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 3)
 	fe.EnableRetry(4, time.Millisecond)
-	rt := RoutingTable{"s": {
+	rt := byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 		{BackendID: "c", UnitID: "u", Weight: 1},
 	}}
-	if err := fe.SetTableGen(rt, 1); err != nil {
+	if err := fe.setTableGen(rt, 1); err != nil {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second)
@@ -295,19 +295,19 @@ func TestConcurrentApplyDeltaDuringBackoffRetry(t *testing.T) {
 	backends["b"].Fail()
 	const n = 2000
 	for i := 0; i < n; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(i), Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	gen := uint64(1)
 	for i := 0; i < 500; i++ {
 		w := float64(1 + i%3)
-		d := TableDelta{
+		d := deltaByID{
 			FromGen: gen, Gen: gen + 1,
-			Set: map[string][]Route{"s": {
+			Set: byID{"s": {
 				{BackendID: "b", UnitID: "u", Weight: 1},
 				{BackendID: "c", UnitID: "u", Weight: w},
 			}},
 		}
-		if err := fe.ApplyDelta(d); err != nil {
+		if err := fe.applyDelta(d); err != nil {
 			t.Fatal(err)
 		}
 		gen++
@@ -338,17 +338,17 @@ func TestBreakerOpenSurvivesStaleDeltaResync(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 2)
 	fe.EnableBreakers(1, time.Hour)
 	fe.EnableRetry(2, time.Millisecond)
-	rt := RoutingTable{"s": {
+	rt := byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 	}}
-	if err := fe.SetTableGen(rt, 1); err != nil {
+	if err := fe.setTableGen(rt, 1); err != nil {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second)
 	backends["a"].Fail()
 	// One failed dispatch opens a's breaker (threshold 1).
-	fe.Dispatch(workload.Request{Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	clock.RunUntil(2 * time.Second)
 	if fe.OpenBreakers() != 1 {
 		t.Fatalf("open breakers = %d, want 1", fe.OpenBreakers())
@@ -358,19 +358,19 @@ func TestBreakerOpenSurvivesStaleDeltaResync(t *testing.T) {
 	fe.RemoveBackend("a")
 	staleGen := uint64(1)
 	for i := 0; i < 50; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i + 1), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(i + 1), Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	// The control plane, unaware of the repair, pushes a delta built on the
 	// pre-repair generation: it must be rejected stale.
-	d := TableDelta{
+	d := deltaByID{
 		FromGen: staleGen, Gen: staleGen + 1,
-		Set: map[string][]Route{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}},
+		Set: byID{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}},
 	}
-	if err := fe.ApplyDelta(d); !errors.Is(err, ErrStaleDelta) {
+	if err := fe.applyDelta(d); !errors.Is(err, ErrStaleDelta) {
 		t.Fatalf("ApplyDelta after local repair = %v, want ErrStaleDelta", err)
 	}
 	// Full resync reinstalls routes to the still-dead a.
-	if err := fe.SetTableGen(rt, 10); err != nil {
+	if err := fe.setTableGen(rt, 10); err != nil {
 		t.Fatal(err)
 	}
 	clock.Run()
@@ -382,7 +382,7 @@ func TestBreakerOpenSurvivesStaleDeltaResync(t *testing.T) {
 	}
 	// Post-resync traffic must still route around a via its open breaker.
 	for i := 0; i < 20; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(100 + i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(100 + i), Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	clock.Run()
 	if drops[backend.DropFailure] != 0 {

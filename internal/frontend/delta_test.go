@@ -11,16 +11,16 @@ import (
 
 func TestApplyDeltaSetRemove(t *testing.T) {
 	_, _, fe, _ := setup(t, 2)
-	rt := RoutingTable{
+	rt := byID{
 		"s1": {{BackendID: "a", UnitID: "u", Weight: 1}},
 		"s2": {{BackendID: "a", UnitID: "u", Weight: 1}},
 	}
-	if err := fe.SetTableGen(rt, 1); err != nil {
+	if err := fe.setTableGen(rt, 1); err != nil {
 		t.Fatal(err)
 	}
-	err := fe.ApplyDelta(TableDelta{
+	err := fe.applyDelta(deltaByID{
 		FromGen: 1, Gen: 2,
-		Set:    map[string][]Route{"s3": {{BackendID: "b", UnitID: "u", Weight: 1}}},
+		Set:    byID{"s3": {{BackendID: "b", UnitID: "u", Weight: 1}}},
 		Remove: []string{"s2"},
 	})
 	if err != nil {
@@ -41,33 +41,33 @@ func TestApplyDeltaSetRemove(t *testing.T) {
 // traffic across an incremental push.
 func TestApplyDeltaCarriesCounts(t *testing.T) {
 	clock, _, fe, _ := setup(t, 2)
-	rt := RoutingTable{
+	rt := byID{
 		"s1": {{BackendID: "a", UnitID: "u", Weight: 1}},
 		"s2": {{BackendID: "a", UnitID: "u", Weight: 1}},
 	}
-	if err := fe.SetTableGen(rt, 1); err != nil {
+	if err := fe.setTableGen(rt, 1); err != nil {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second)
-	fe.ObservedRates() // reset window
+	fe.observedByID() // reset window
 	for i := 0; i < 40; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s1", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
-		fe.Dispatch(workload.Request{ID: uint64(100 + i), Session: "s2", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(i), Session: fe.sid("s1"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(100 + i), Session: fe.sid("s2"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	// Mid-window delta: s1's routes change, s2 is removed entirely.
-	err := fe.ApplyDelta(TableDelta{
+	err := fe.applyDelta(deltaByID{
 		FromGen: 1, Gen: 2,
-		Set:    map[string][]Route{"s1": {{BackendID: "b", UnitID: "u", Weight: 1}}},
+		Set:    byID{"s1": {{BackendID: "b", UnitID: "u", Weight: 1}}},
 		Remove: []string{"s2"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(200 + i), Session: "s1", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(200 + i), Session: fe.sid("s1"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	clock.RunUntil(clock.Now() + 5*time.Second)
-	rates := fe.ObservedRates()
+	rates := fe.observedByID()
 	if got := rates["s1"] * 5; got < 49.9 || got > 50.1 {
 		t.Fatalf("s1 window count = %.1f, want 50 (carried across Set)", got)
 	}
@@ -77,34 +77,34 @@ func TestApplyDeltaCarriesCounts(t *testing.T) {
 }
 
 // TestApplyDeltaPreservesUntouchedWRR: a session the delta does not mention
-// keeps its dispatch state object, so its smooth-WRR replica split continues
+// keeps its dispatch state, so its smooth-WRR replica split continues
 // exactly where it left off.
 func TestApplyDeltaPreservesUntouchedWRR(t *testing.T) {
 	_, _, fe, _ := setup(t, 2)
-	rt := RoutingTable{
+	rt := byID{
 		"s1": {
 			{BackendID: "a", UnitID: "u", Weight: 3},
 			{BackendID: "b", UnitID: "u", Weight: 1},
 		},
 		"s2": {{BackendID: "a", UnitID: "u", Weight: 1}},
 	}
-	if err := fe.SetTableGen(rt, 1); err != nil {
+	if err := fe.setTableGen(rt, 1); err != nil {
 		t.Fatal(err)
 	}
-	before := fe.state.sessions["s1"]
+	before := fe.state("s1")
 	counts := map[string]int{}
 	for i := 0; i < 2; i++ { // mid-cycle: accumulator holds credit
 		counts[before.pick().BackendID]++
 	}
-	err := fe.ApplyDelta(TableDelta{
+	err := fe.applyDelta(deltaByID{
 		FromGen: 1, Gen: 2,
-		Set: map[string][]Route{"s2": {{BackendID: "b", UnitID: "u", Weight: 1}}},
+		Set: byID{"s2": {{BackendID: "b", UnitID: "u", Weight: 1}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := fe.state.sessions["s1"]
-	if after != before {
+	after := fe.state("s1")
+	if &after.wrr[0] != &before.wrr[0] || &after.routes[0] != &before.routes[0] {
 		t.Fatal("untouched session's dispatch state was rebuilt by the delta")
 	}
 	for i := 0; i < 398; i++ {
@@ -117,13 +117,13 @@ func TestApplyDeltaPreservesUntouchedWRR(t *testing.T) {
 
 func TestApplyDeltaStaleGeneration(t *testing.T) {
 	_, _, fe, _ := setup(t, 1)
-	rt := RoutingTable{"s1": {{BackendID: "a", UnitID: "u", Weight: 1}}}
-	if err := fe.SetTableGen(rt, 5); err != nil {
+	rt := byID{"s1": {{BackendID: "a", UnitID: "u", Weight: 1}}}
+	if err := fe.setTableGen(rt, 5); err != nil {
 		t.Fatal(err)
 	}
-	err := fe.ApplyDelta(TableDelta{
+	err := fe.applyDelta(deltaByID{
 		FromGen: 4, Gen: 6,
-		Set: map[string][]Route{"s2": {{BackendID: "a", UnitID: "u", Weight: 1}}},
+		Set: byID{"s2": {{BackendID: "a", UnitID: "u", Weight: 1}}},
 	})
 	if !errors.Is(err, ErrStaleDelta) {
 		t.Fatalf("stale delta error = %v, want ErrStaleDelta", err)
@@ -138,32 +138,32 @@ func TestApplyDeltaStaleGeneration(t *testing.T) {
 // detectably stale and a SetTableGen resync restores delta routing.
 func TestRemoveBackendInvalidatesDeltas(t *testing.T) {
 	_, _, fe, _ := setup(t, 2)
-	rt := RoutingTable{"s1": {
+	rt := byID{"s1": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 	}}
-	if err := fe.SetTableGen(rt, 1); err != nil {
+	if err := fe.setTableGen(rt, 1); err != nil {
 		t.Fatal(err)
 	}
 	if n := fe.RemoveBackend("b"); n != 1 {
 		t.Fatalf("RemoveBackend repaired %d sessions, want 1", n)
 	}
 	// The control plane still believes generation 1; its delta must bounce.
-	err := fe.ApplyDelta(TableDelta{
+	err := fe.applyDelta(deltaByID{
 		FromGen: 1, Gen: 2,
-		Set: map[string][]Route{"s2": {{BackendID: "a", UnitID: "u", Weight: 1}}},
+		Set: byID{"s2": {{BackendID: "a", UnitID: "u", Weight: 1}}},
 	})
 	if !errors.Is(err, ErrStaleDelta) {
 		t.Fatalf("delta after local repair = %v, want ErrStaleDelta", err)
 	}
 	// Resync: a stamped full table re-aligns generations, deltas flow again.
-	resync := RoutingTable{"s1": {{BackendID: "a", UnitID: "u", Weight: 1}}}
-	if err := fe.SetTableGen(resync, 2); err != nil {
+	resync := byID{"s1": {{BackendID: "a", UnitID: "u", Weight: 1}}}
+	if err := fe.setTableGen(resync, 2); err != nil {
 		t.Fatal(err)
 	}
-	err = fe.ApplyDelta(TableDelta{
+	err = fe.applyDelta(deltaByID{
 		FromGen: 2, Gen: 3,
-		Set: map[string][]Route{"s2": {{BackendID: "a", UnitID: "u", Weight: 1}}},
+		Set: byID{"s2": {{BackendID: "a", UnitID: "u", Weight: 1}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,17 +175,17 @@ func TestRemoveBackendInvalidatesDeltas(t *testing.T) {
 
 func TestApplyDeltaRejectsBadRoutes(t *testing.T) {
 	_, _, fe, _ := setup(t, 1)
-	rt := RoutingTable{"s1": {{BackendID: "a", UnitID: "u", Weight: 1}}}
-	if err := fe.SetTableGen(rt, 1); err != nil {
+	rt := byID{"s1": {{BackendID: "a", UnitID: "u", Weight: 1}}}
+	if err := fe.setTableGen(rt, 1); err != nil {
 		t.Fatal(err)
 	}
-	bad := []TableDelta{
-		{FromGen: 1, Gen: 2, Set: map[string][]Route{"s2": {{BackendID: "zz", UnitID: "u", Weight: 1}}}},
-		{FromGen: 1, Gen: 2, Set: map[string][]Route{"s2": {{BackendID: "a", UnitID: "u", Weight: 0}}}},
-		{FromGen: 1, Gen: 2, Set: map[string][]Route{"s2": {}}},
+	bad := []deltaByID{
+		{FromGen: 1, Gen: 2, Set: byID{"s2": {{BackendID: "zz", UnitID: "u", Weight: 1}}}},
+		{FromGen: 1, Gen: 2, Set: byID{"s2": {{BackendID: "a", UnitID: "u", Weight: 0}}}},
+		{FromGen: 1, Gen: 2, Set: byID{"s2": {}}},
 	}
 	for i, d := range bad {
-		if err := fe.ApplyDelta(d); err == nil {
+		if err := fe.applyDelta(d); err == nil {
 			t.Errorf("case %d: invalid delta accepted", i)
 		}
 	}
@@ -200,11 +200,11 @@ func TestApplyDeltaRejectsBadRoutes(t *testing.T) {
 // freshly swapped snapshots. The clock only runs once both streams end.
 func TestConcurrentDispatchDuringDelta(t *testing.T) {
 	clock, _, fe, _ := setup(t, 2)
-	rt := RoutingTable{
+	rt := byID{
 		"s0": {{BackendID: "a", UnitID: "u", Weight: 1}},
 		"s1": {{BackendID: "a", UnitID: "u", Weight: 1}},
 	}
-	if err := fe.SetTableGen(rt, 1); err != nil {
+	if err := fe.setTableGen(rt, 1); err != nil {
 		t.Fatal(err)
 	}
 	const (
@@ -218,24 +218,24 @@ func TestConcurrentDispatchDuringDelta(t *testing.T) {
 			if j%2 == 0 {
 				be = "b"
 			}
-			d := TableDelta{
+			d := deltaByID{
 				FromGen: gen, Gen: gen + 1,
-				Set: map[string][]Route{
+				Set: byID{
 					"s1": {{BackendID: be, UnitID: "u", Weight: 1}},
 					"s2": {{BackendID: "a", UnitID: "u", Weight: 1}},
 				},
 			}
 			if j%3 == 0 {
-				d.Set = map[string][]Route{"s1": {{BackendID: be, UnitID: "u", Weight: 1}}}
+				d.Set = byID{"s1": {{BackendID: be, UnitID: "u", Weight: 1}}}
 				d.Remove = []string{"s2"}
 			}
-			if err := fe.ApplyDelta(d); err != nil {
+			if err := fe.applyDelta(d); err != nil {
 				t.Fatal(err)
 			}
 			gen++
 		}
 		fe.Dispatch(workload.Request{
-			ID: uint64(i), Session: fmt.Sprintf("s%d", i%2),
+			ID: uint64(i), Session: fe.sid(fmt.Sprintf("s%d", i%2)),
 			Arrival: clock.Now(), Deadline: clock.Now() + time.Hour,
 		})
 	}
@@ -244,7 +244,7 @@ func TestConcurrentDispatchDuringDelta(t *testing.T) {
 	// counts must sum to all dispatched requests (none dropped: both target
 	// sessions stay routable throughout).
 	clock.RunUntil(clock.Now() + time.Second)
-	rates := fe.ObservedRates()
+	rates := fe.observedByID()
 	var total float64
 	for _, r := range rates {
 		total += r

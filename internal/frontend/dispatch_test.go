@@ -14,16 +14,16 @@ import (
 
 func TestDispatchAfterTableSwap(t *testing.T) {
 	clock, backends, fe, unroutable := setup(t, 2)
-	if err := fe.SetTable(RoutingTable{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
+	if err := fe.SetTable(byID{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second)
-	fe.Dispatch(workload.Request{ID: 1, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{ID: 1, Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	// Swap the table to backend b; subsequent requests go there.
-	if err := fe.SetTable(RoutingTable{"s": {{BackendID: "b", UnitID: "u", Weight: 1}}}); err != nil {
+	if err := fe.SetTable(byID{"s": {{BackendID: "b", UnitID: "u", Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	fe.Dispatch(workload.Request{ID: 2, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{ID: 2, Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	clock.Run()
 	if backends["a"].Device().BusyTime() == 0 || backends["b"].Device().BusyTime() == 0 {
 		t.Fatal("both backends should have served one request across the swap")
@@ -35,7 +35,7 @@ func TestDispatchAfterTableSwap(t *testing.T) {
 
 func TestDispatchToRemovedUnitCountsReconfigDrop(t *testing.T) {
 	clock, backends, fe, dropped := setup(t, 1)
-	if err := fe.SetTable(RoutingTable{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
+	if err := fe.SetTable(byID{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second)
@@ -45,7 +45,7 @@ func TestDispatchToRemovedUnitCountsReconfigDrop(t *testing.T) {
 	if err := backends["a"].Configure(nil); err != nil {
 		t.Fatal(err)
 	}
-	fe.Dispatch(workload.Request{ID: 1, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{ID: 1, Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	clock.Run()
 	if *dropped != 1 {
 		t.Fatalf("dropped = %d, want 1", *dropped)
@@ -54,22 +54,22 @@ func TestDispatchToRemovedUnitCountsReconfigDrop(t *testing.T) {
 
 func TestObservedRatesMultipleSessions(t *testing.T) {
 	clock, _, fe, _ := setup(t, 1)
-	if err := fe.SetTable(RoutingTable{
+	if err := fe.SetTable(byID{
 		"x": {{BackendID: "a", UnitID: "u", Weight: 1}},
 		"y": {{BackendID: "a", UnitID: "u", Weight: 1}},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second)
-	fe.ObservedRates()
+	fe.observedByID()
 	for i := 0; i < 20; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "x", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(i), Session: fe.sid("x"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	for i := 0; i < 10; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(100 + i), Session: "y", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(100 + i), Session: fe.sid("y"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	clock.RunUntil(clock.Now() + 2*time.Second)
-	rates := fe.ObservedRates()
+	rates := fe.observedByID()
 	if rates["x"] != 10 || rates["y"] != 5 {
 		t.Fatalf("rates = %v, want x:10 y:5", rates)
 	}
@@ -77,7 +77,7 @@ func TestObservedRatesMultipleSessions(t *testing.T) {
 
 func TestNegativeNetDelayUsesDefault(t *testing.T) {
 	_, _, _, _ = setup(t, 1) // ensure helpers compile
-	fe := New(nil, nil, -1, nil)
+	fe := New(nil, nil, nil, -1, nil)
 	if fe.NetDelay() != DefaultNetDelay {
 		t.Fatalf("NetDelay = %v, want default", fe.NetDelay())
 	}
@@ -111,9 +111,9 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		}
 		backends[id] = be
 	}
-	fe := New(clock, backends, 0, nil)
+	fe := New(clock, backends, nil, 0, nil)
 	clock.RunUntil(5 * time.Second)
-	if err := fe.SetTable(RoutingTable{"s": {
+	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 2},
 	}}); err != nil {
@@ -124,7 +124,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	step := func() {
 		now := clock.Now()
 		for i := 0; i < 16; i++ {
-			fe.Dispatch(workload.Request{ID: id, Session: "s", Arrival: now, Deadline: now + time.Second})
+			fe.Dispatch(workload.Request{ID: id, Session: fe.sid("s"), Arrival: now, Deadline: now + time.Second})
 			id++
 		}
 		clock.Run()
@@ -142,7 +142,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	// stay allocation-free: Route and Enqueue events land in the tracer's
 	// preallocated ring, so always-on capture never costs the hot path an
 	// allocation.
-	fe.SetTracer(trace.New(1 << 14))
+	fe.SetTracer(trace.New(1<<14, nil))
 	for i := 0; i < 50; i++ {
 		step()
 	}

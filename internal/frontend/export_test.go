@@ -1,8 +1,98 @@
 package frontend
 
-// Accessors only the tests use.
+import (
+	"sort"
+
+	"nexus/internal/session"
+)
+
+// Accessors and adapters only the tests use. Tests name sessions by ID;
+// these resolve the IDs through the frontend's session table.
+
+// byID is a routing table keyed by session ID.
+type byID map[string][]Route
+
+// deltaByID is a TableDelta keyed by session ID.
+type deltaByID struct {
+	FromGen, Gen uint64
+	Set          byID
+	Remove       []string
+}
+
+// sid returns the handle of a session ID, assigning one if it is new.
+func (f *Frontend) sid(id string) session.Handle { return f.names.Intern(id) }
+
+// table returns routes as a RoutingTable, assigning handles in ID order.
+func (f *Frontend) table(routes byID) RoutingTable {
+	ids := make([]string, 0, len(routes))
+	for id := range routes {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var rt RoutingTable
+	for _, id := range ids {
+		h := f.sid(id)
+		rt = session.Fit(rt, h)
+		rt[h] = routes[id]
+	}
+	return rt
+}
 
 // SetTable installs a new routing table (control plane push, §5).
-func (f *Frontend) SetTable(rt RoutingTable) error {
-	return f.SetTableGen(rt, f.state.gen+1)
+func (f *Frontend) SetTable(routes byID) error {
+	return f.SetTableGen(f.table(routes), f.gen+1)
+}
+
+// setTableGen is SetTableGen by session ID.
+func (f *Frontend) setTableGen(routes byID, gen uint64) error {
+	return f.SetTableGen(f.table(routes), gen)
+}
+
+// applyDelta is ApplyDelta by session ID.
+func (f *Frontend) applyDelta(d deltaByID) error {
+	td := TableDelta{FromGen: d.FromGen, Gen: d.Gen}
+	rt := f.table(d.Set)
+	for h, routes := range rt {
+		if routes != nil {
+			td.Set = append(td.Set, SessionRoutes{Session: session.Handle(h), Routes: routes})
+		}
+	}
+	for _, id := range d.Remove {
+		td.Remove = append(td.Remove, f.sid(id))
+	}
+	return f.ApplyDelta(td)
+}
+
+// observedByID returns ObservedRates by session ID, sessions with traffic
+// only.
+func (f *Frontend) observedByID() map[string]float64 {
+	out := make(map[string]float64)
+	for h, r := range f.ObservedRates() {
+		if r > 0 {
+			out[f.names.ID(session.Handle(h))] = r
+		}
+	}
+	return out
+}
+
+// snapshotByID returns TableSnapshot by session ID.
+func (f *Frontend) snapshotByID() byID {
+	out := byID{}
+	for h, routes := range f.TableSnapshot() {
+		if routes != nil {
+			out[f.names.ID(session.Handle(h))] = routes
+		}
+	}
+	return out
+}
+
+// state returns a session's dispatch state (nil if it has no routes). The
+// pointer is into the frontend's state slice: an install that grows the
+// slice leaves it stale.
+func (f *Frontend) state(id string) *sessionState {
+	h, ok := f.names.Lookup(id)
+	if !ok || int(h) >= len(f.sessions) || len(f.sessions[h].routes) == 0 {
+		return nil
+	}
+	return &f.sessions[h]
 }

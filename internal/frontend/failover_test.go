@@ -9,9 +9,10 @@ import (
 )
 
 func TestValidateRejectsNonFiniteWeights(t *testing.T) {
+	_, _, fe, _ := setup(t, 1)
 	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
-		rt := RoutingTable{"s": {{BackendID: "a", UnitID: "u", Weight: w}}}
-		if rt.Validate() == nil {
+		rt := byID{"s": {{BackendID: "a", UnitID: "u", Weight: w}}}
+		if fe.SetTable(rt) == nil {
 			t.Errorf("weight %v accepted", w)
 		}
 	}
@@ -23,7 +24,7 @@ func TestValidateRejectsNonFiniteWeights(t *testing.T) {
 // reset protects the new proportions).
 func TestWRRResetOnTableUpdate(t *testing.T) {
 	_, _, fe, _ := setup(t, 2)
-	if err := fe.SetTable(RoutingTable{"s": {
+	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 5},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 	}}); err != nil {
@@ -31,9 +32,9 @@ func TestWRRResetOnTableUpdate(t *testing.T) {
 	}
 	// Park the accumulator mid-cycle so backend b holds stale credit.
 	for i := 0; i < 3; i++ {
-		fe.state.sessions["s"].pick()
+		fe.state("s").pick()
 	}
-	if err := fe.SetTable(RoutingTable{"s": {
+	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 	}}); err != nil {
@@ -41,7 +42,7 @@ func TestWRRResetOnTableUpdate(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < 100; i++ {
-		counts[fe.state.sessions["s"].pick().BackendID]++
+		counts[fe.state("s").pick().BackendID]++
 	}
 	if counts["a"] != 50 || counts["b"] != 50 {
 		t.Fatalf("picks after table swap = %v, want an exact 50/50 split", counts)
@@ -50,7 +51,7 @@ func TestWRRResetOnTableUpdate(t *testing.T) {
 
 func TestRemoveBackendRepairsRoutes(t *testing.T) {
 	_, _, fe, _ := setup(t, 3)
-	if err := fe.SetTable(RoutingTable{
+	if err := fe.SetTable(byID{
 		"both":   {{BackendID: "a", UnitID: "u", Weight: 2}, {BackendID: "b", UnitID: "u", Weight: 1}},
 		"only-a": {{BackendID: "a", UnitID: "u", Weight: 1}},
 		"only-c": {{BackendID: "c", UnitID: "u", Weight: 1}},
@@ -63,7 +64,7 @@ func TestRemoveBackendRepairsRoutes(t *testing.T) {
 	if got := fe.Sessions(); len(got) != 2 || got[0] != "both" || got[1] != "only-c" {
 		t.Fatalf("sessions after repair = %v", got)
 	}
-	routes := fe.state.table["both"]
+	routes := fe.snapshotByID()["both"]
 	if len(routes) != 1 || routes[0].BackendID != "b" {
 		t.Fatalf("surviving routes = %v", routes)
 	}
@@ -77,10 +78,10 @@ func TestRemoveBackendRepairsRoutes(t *testing.T) {
 // their own copy.
 func TestRemoveBackendCopyOnWrite(t *testing.T) {
 	_, backends, fe1, _ := setup(t, 2)
-	shared := RoutingTable{
+	shared := byID{
 		"s": {{BackendID: "a", UnitID: "u", Weight: 1}, {BackendID: "b", UnitID: "u", Weight: 1}},
 	}
-	fe2 := New(nil, backends, 0, nil)
+	fe2 := New(nil, backends, nil, 0, nil)
 	if err := fe1.SetTable(shared); err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +92,10 @@ func TestRemoveBackendCopyOnWrite(t *testing.T) {
 	if len(shared["s"]) != 2 {
 		t.Fatal("repair mutated the shared table in place")
 	}
-	if len(fe2.state.table["s"]) != 2 {
+	if len(fe2.snapshotByID()["s"]) != 2 {
 		t.Fatal("repair leaked into the replica's table")
 	}
-	if len(fe1.state.table["s"]) != 1 {
+	if len(fe1.snapshotByID()["s"]) != 1 {
 		t.Fatal("repair missing from the repaired frontend")
 	}
 }
@@ -102,7 +103,7 @@ func TestRemoveBackendCopyOnWrite(t *testing.T) {
 func TestRetryReroutesAroundDeadBackend(t *testing.T) {
 	clock, backends, fe, dropped := setup(t, 2)
 	fe.EnableRetry(1, 0)
-	if err := fe.SetTable(RoutingTable{"s": {
+	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 	}}); err != nil {
@@ -113,7 +114,7 @@ func TestRetryReroutesAroundDeadBackend(t *testing.T) {
 	// finds it dead at enqueue and must fail over to b.
 	backends["a"].Fail()
 	for i := 0; i < 2; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(i), Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	clock.Run()
 	if *dropped != 0 {
@@ -127,7 +128,7 @@ func TestRetryReroutesAroundDeadBackend(t *testing.T) {
 func TestRetryRespectsDeadline(t *testing.T) {
 	clock, backends, fe, dropped := setup(t, 2)
 	fe.EnableRetry(1, 0)
-	if err := fe.SetTable(RoutingTable{"s": {
+	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 	}}); err != nil {
@@ -138,11 +139,11 @@ func TestRetryRespectsDeadline(t *testing.T) {
 	backends["b"].Fail()
 	// Both replicas dead: the retry path has no live alternative, so each
 	// dispatch is dropped exactly once (no retry ping-pong).
-	fe.Dispatch(workload.Request{ID: 1, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{ID: 1, Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	// A request with no deadline room must not be retried even when a live
 	// replica exists.
 	backends["b"].Restart()
-	fe.Dispatch(workload.Request{ID: 2, Session: "s", Arrival: clock.Now(), Deadline: clock.Now()})
+	fe.Dispatch(workload.Request{ID: 2, Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now()})
 	clock.Run()
 	if *dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", *dropped)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"nexus/internal/backend"
+	"nexus/internal/session"
 	"nexus/internal/simclock"
 	"nexus/internal/trace"
 	"nexus/internal/workload"
@@ -25,31 +26,18 @@ type Route struct {
 	Weight    float64 // proportional share of the session's traffic
 }
 
-// RoutingTable maps session IDs to their routes. Sessions may share one
-// []Route (the control plane gives every member of a prefix-batched unit
-// the same slice), and a frontend resolves each shared list once per
+// RoutingTable holds each session's routes, indexed by session handle; a
+// nil entry is a session without routes. Sessions may share one []Route
+// (the control plane gives every member of a prefix-batched unit the same
+// slice), and a frontend checks and resolves each shared list once per
 // install. That relies on an invariant every publisher keeps: a route
 // slice, once installed, is never mutated; a change installs a new slice.
-type RoutingTable map[string][]Route
+type RoutingTable [][]Route
 
-// Validate checks weights: every route must carry a positive, finite
-// weight (NaN and ±Inf would silently corrupt the smooth-WRR accumulator)
-// and name both a backend and a unit.
-func (rt RoutingTable) Validate() error {
-	for sid, routes := range rt {
-		if len(routes) == 0 {
-			return fmt.Errorf("frontend: session %s has no routes", sid)
-		}
-		for _, r := range routes {
-			if math.IsNaN(r.Weight) || math.IsInf(r.Weight, 0) || r.Weight <= 0 {
-				return fmt.Errorf("frontend: session %s route to %s has weight %v", sid, r.BackendID, r.Weight)
-			}
-			if r.BackendID == "" || r.UnitID == "" {
-				return fmt.Errorf("frontend: session %s has incomplete route", sid)
-			}
-		}
-	}
-	return nil
+// SessionRoutes is one session's entry in a TableDelta.
+type SessionRoutes struct {
+	Session session.Handle
+	Routes  []Route
 }
 
 // TableDelta is an incremental routing update: the control plane sends only
@@ -63,9 +51,9 @@ type TableDelta struct {
 	FromGen uint64
 	Gen     uint64
 	// Set installs (or replaces) the routes of each listed session.
-	Set map[string][]Route
+	Set []SessionRoutes
 	// Remove deletes each listed session's routes (applied before Set).
-	Remove []string
+	Remove []session.Handle
 }
 
 // ErrStaleDelta reports a generation mismatch between a delta and the
@@ -91,24 +79,22 @@ type resolvedRoute struct {
 
 // sessionState is the per-session dispatch state: resolved routes, the
 // smooth-WRR accumulator, and the rate counter. Collapsing these into one
-// struct makes Dispatch a single map lookup per request. Routes are written
-// only when the state is created.
+// struct, indexed by session handle, makes Dispatch one slice index per
+// request. No routes means the session is unroutable; the count survives
+// route changes, since it counts the session's traffic, not its routes'.
 type sessionState struct {
 	routes []resolvedRoute
 	wrr    []float64
 	count  uint64
 }
 
-// tableState is the routing snapshot the dispatch path reads: the table,
-// its resolved per-session dispatch state, and the control-plane generation
-// it corresponds to. Mutations (SetTableGen, ApplyDelta, RemoveBackend) build
-// a fresh snapshot and swap the pointer: the RoutingTable may be shared
-// with other frontend replicas and the scheduler's last published table, so
-// it is never written in place.
-type tableState struct {
-	table    RoutingTable
-	sessions map[string]*sessionState
-	gen      uint64
+// route gives the session fresh routes and a zeroed WRR accumulator; nil
+// routes make it unroutable.
+func (st *sessionState) route(resolved []resolvedRoute) {
+	st.routes, st.wrr = resolved, nil
+	if resolved != nil {
+		st.wrr = make([]float64, len(resolved))
+	}
 }
 
 // Frontend dispatches requests to backends. Like the rest of a deployment
@@ -122,8 +108,14 @@ type Frontend struct {
 	// extraDelay models an injected network-delay spike on every hop.
 	extraDelay time.Duration
 
-	// state is the current routing snapshot.
-	state *tableState
+	// names is the deployment's session table, for the string APIs.
+	names *session.Table
+	// sessions is the dispatch state by session handle, and gen the
+	// control-plane generation of the routes it holds. Installs never write
+	// a RoutingTable: it may be shared with other frontend replicas and
+	// the scheduler's last published table.
+	sessions []sessionState
+	gen      uint64
 	// tableVersion counts routing-table changes (control-plane pushes and
 	// failure repairs), for telemetry.
 	tableVersion uint64
@@ -139,10 +131,7 @@ type Frontend struct {
 	// entered the target unit's queue after the network hop) span events.
 	tracer *trace.Tracer
 
-	// Rate observation for the control plane. Live sessions count in their
-	// sessionState; residual holds counts of sessions whose routes were
-	// removed mid-window, so their traffic still shows in ObservedRates.
-	residual   map[string]uint64
+	// windowFrom starts the rate window the sessions' counts cover.
 	windowFrom time.Duration
 
 	// sendPool recycles in-flight send state (and its bound delivery
@@ -178,9 +167,10 @@ type Frontend struct {
 	// linkDown marks backends behind a severed frontend<->backend link
 	// (data partition): alive from the scheduler's view, unreachable here.
 	linkDown map[string]bool
-	// admission holds per-session token buckets; reserve is the shared
-	// priority pool. admissionSheds counts DropAdmission outcomes.
-	admission      map[string]*tokenBucket
+	// admission holds token buckets by session handle (nil = no policy);
+	// reserve is the shared priority pool. admissionSheds counts
+	// DropAdmission outcomes.
+	admission      []*tokenBucket
 	reserve        *tokenBucket
 	admissionSheds uint64
 }
@@ -221,7 +211,7 @@ func (p *pendingSend) deliver() {
 			now := f.clock.Now()
 			f.tracer.Put(trace.Span{
 				At: now, Kind: trace.EnqueueName, Req: req.ID,
-				Session: f.tracer.Handle(req.Handle, req.Session), Backend: r.backendH, Unit: r.unitH,
+				Session: req.Session, Backend: r.backendH, Unit: r.unitH,
 				Dur: now - req.Arrival,
 			})
 		}
@@ -267,20 +257,23 @@ const DefaultNetDelay = 500 * time.Microsecond
 // network-delay window; past it the pool grows one object at a time.
 const sendArenaSize = 64
 
-// New creates a frontend over the given backends. netDelay < 0 uses the
-// default; 0 is allowed (ideal network).
-func New(clock *simclock.Clock, backends map[string]*backend.Backend, netDelay time.Duration,
-	onDrop DropFunc) *Frontend {
+// New creates a frontend over the given backends whose routes and requests
+// name sessions by their handles in names (nil = a table of its own).
+// netDelay < 0 uses the default; 0 is allowed (ideal network).
+func New(clock *simclock.Clock, backends map[string]*backend.Backend, names *session.Table,
+	netDelay time.Duration, onDrop DropFunc) *Frontend {
 	if netDelay < 0 {
 		netDelay = DefaultNetDelay
+	}
+	if names == nil {
+		names = session.NewTable()
 	}
 	f := &Frontend{
 		clock:    clock,
 		backends: backends,
+		names:    names,
 		netDelay: netDelay,
 		onDrop:   onDrop,
-		residual: make(map[string]uint64),
-		state:    &tableState{table: RoutingTable{}, sessions: make(map[string]*sessionState)},
 	}
 	// Request-callback arena: one block, bound callbacks included, so the
 	// network hop never allocates while the in-flight window stays within
@@ -314,96 +307,76 @@ func (f *Frontend) SetExtraDelay(d time.Duration) {
 
 // SetTableGen installs a full routing table stamped with the control
 // plane's generation: the first publish, and the resync of a frontend whose
-// generation diverged. It is the delta that replaces every session, and it
-// installs rt itself, so frontends given one table share it.
+// generation diverged. Every session gets fresh dispatch state that keeps
+// its rate count; sessions without routes in rt lose theirs. An invalid
+// table changes nothing.
 func (f *Frontend) SetTableGen(rt RoutingTable, gen uint64) error {
-	return f.install(TableDelta{Gen: gen, Set: rt}, true)
+	memo := routeMemo{}
+	for h, routes := range rt {
+		if routes != nil {
+			if _, err := f.resolve(memo, session.Handle(h), routes); err != nil {
+				return err
+			}
+		}
+	}
+	for h := range f.sessions {
+		f.sessions[h].route(nil)
+	}
+	if n := len(rt); n > 0 {
+		f.sessions = session.Fit(f.sessions, session.Handle(n-1))
+	}
+	for h, routes := range rt {
+		if routes != nil {
+			f.sessions[h].route(memo[routeListOf(routes)])
+		}
+	}
+	f.installed(gen)
+	return nil
 }
 
 // ApplyDelta applies an incremental routing update on top of the current
-// table. A generation mismatch (missed push, or local route repair after a
-// backend death) returns ErrStaleDelta without touching anything; the
-// caller resyncs with SetTableGen.
+// table. Sessions in d.Remove lose their routes, sessions in d.Set get
+// fresh dispatch state, and every other session keeps its state, including
+// the smooth-WRR accumulator, so an unchanged session's replica split is
+// not perturbed by other sessions' route changes. Rate counts survive
+// either way. A generation mismatch (missed push, or local route repair
+// after a backend death) returns ErrStaleDelta without touching anything;
+// the caller resyncs with SetTableGen. An invalid delta changes nothing
+// either.
 func (f *Frontend) ApplyDelta(d TableDelta) error {
-	if gen := f.state.gen; gen != d.FromGen {
-		return fmt.Errorf("%w (have generation %d, delta from %d)", ErrStaleDelta, gen, d.FromGen)
+	if f.gen != d.FromGen {
+		return fmt.Errorf("%w (have generation %d, delta from %d)", ErrStaleDelta, f.gen, d.FromGen)
 	}
-	return f.install(d, false)
+	memo := routeMemo{}
+	for _, e := range d.Set {
+		if _, err := f.resolve(memo, e.Session, e.Routes); err != nil {
+			return err
+		}
+	}
+	for _, h := range d.Remove {
+		if int(h) < len(f.sessions) {
+			f.sessions[h].route(nil)
+		}
+	}
+	for _, e := range d.Set {
+		f.sessions = session.Fit(f.sessions, e.Session)
+		f.sessions[e.Session].route(memo[routeListOf(e.Routes)])
+	}
+	f.installed(d.Gen)
+	return nil
 }
 
-// install is the one way control-plane routes reach the frontend. Sessions
-// in d.Remove — every current session when replace is set — move their
-// rate counts to the residual window; sessions in d.Set then get fresh
-// dispatch state that keeps their count. Every other session keeps its
-// dispatch state, including the smooth-WRR accumulator, so an unchanged
-// session's replica split is not perturbed by other sessions' route
-// changes. With replace, d.Set itself becomes the table.
-func (f *Frontend) install(d TableDelta, replace bool) error {
-	if err := RoutingTable(d.Set).Validate(); err != nil {
-		return err
-	}
-	for _, routes := range d.Set {
-		for _, r := range routes {
-			if _, ok := f.backends[r.BackendID]; !ok {
-				return fmt.Errorf("frontend: route to unknown backend %s", r.BackendID)
-			}
-		}
-	}
-	cur := f.state
-	var table RoutingTable
-	var sessions map[string]*sessionState
-	if replace {
-		table, sessions = d.Set, make(map[string]*sessionState, len(d.Set))
-		for sid, st := range cur.sessions {
-			if st.count > 0 {
-				f.residual[sid] += st.count
-			}
-		}
-	} else {
-		table = make(RoutingTable, len(cur.table)+len(d.Set))
-		for sid, routes := range cur.table {
-			table[sid] = routes
-		}
-		sessions = make(map[string]*sessionState, len(cur.sessions)+len(d.Set))
-		for sid, st := range cur.sessions {
-			sessions[sid] = st
-		}
-		for _, sid := range d.Remove {
-			delete(table, sid)
-			if st, ok := sessions[sid]; ok {
-				if st.count > 0 {
-					f.residual[sid] += st.count
-				}
-				delete(sessions, sid)
-			}
-		}
-		for sid, routes := range d.Set {
-			table[sid] = routes
-		}
-	}
-	resolved := routeMemo{}
-	for sid, routes := range d.Set {
-		st := f.newSession(resolved, routes)
-		// Rate counts survive route changes: the count is keyed by session,
-		// not by its routes.
-		if old, ok := sessions[sid]; ok {
-			st.count = old.count
-		} else if n, ok := f.residual[sid]; ok {
-			st.count = n
-			delete(f.residual, sid)
-		}
-		sessions[sid] = st
-	}
-	f.state = &tableState{table: table, sessions: sessions, gen: d.Gen}
+// installed records a control-plane install of generation gen.
+func (f *Frontend) installed(gen uint64) {
+	f.gen = gen
 	f.tableVersion++
 	f.RenewRouteLease()
-	return nil
 }
 
 // Generation returns the control-plane generation of the routing state the
 // frontend currently holds. Local route repairs bump it off the control
 // plane's sequence, which is what makes the next delta detectably stale.
-func (f *Frontend) Generation() uint64 { return f.state.gen }
+func (f *Frontend) Generation() uint64 { return f.gen }
 
 // routeList identifies a []Route by its backing array and length: two
 // slices with the same key hold the same routes, as long as both stay
@@ -413,35 +386,49 @@ type routeList struct {
 	n     int
 }
 
-// routeListOf keys a non-empty route list; every installed list is
-// non-empty (Validate rejects empty ones, and repairs delete them).
+// routeListOf keys a non-empty route list.
 func routeListOf(routes []Route) routeList {
 	return routeList{&routes[0], len(routes)}
 }
 
 // routeMemo holds the resolved form of each distinct route list seen by
-// one install call (SetTableGen, ApplyDelta or RemoveBackend). It lives only
-// for that call, while the table it reads keeps every key's slice alive.
+// one install call. It lives only for that call, while the table or delta
+// it reads keeps every key's slice alive.
 type routeMemo map[routeList][]resolvedRoute
 
-// newSession builds fresh dispatch state for a session routed by routes.
-// Sessions sharing one route list share its resolved slice, which is
-// read-only once built; the WRR accumulator and the rate count are always
-// the session's own, so each session's pick sequence is exactly what a
-// private copy would give. Callers have already validated that every
-// target exists.
-func (f *Frontend) newSession(memo routeMemo, routes []Route) *sessionState {
-	key := routeListOf(routes)
-	resolved, ok := memo[key]
-	if !ok {
-		resolved = make([]resolvedRoute, len(routes))
-		for i, r := range routes {
-			resolved[i] = resolvedRoute{Route: r, be: f.backends[r.BackendID],
-				backendH: f.tracer.Name(r.BackendID), unitH: f.tracer.Name(r.UnitID)}
-		}
-		memo[key] = resolved
+// resolve returns the resolved form of a session's routes. Each distinct
+// list is checked and resolved once per install, and sessions sharing one
+// list share its resolved slice, which is read-only once built; the WRR
+// accumulator and the rate count are always the session's own, so each
+// session's pick sequence is exactly what a private copy would give. A
+// list must be non-empty, and every route must name a known backend and a
+// unit with a positive, finite weight (NaN and ±Inf would silently corrupt
+// the smooth-WRR accumulator).
+func (f *Frontend) resolve(memo routeMemo, h session.Handle, routes []Route) ([]resolvedRoute, error) {
+	if len(routes) == 0 {
+		return nil, fmt.Errorf("frontend: session %s has no routes", f.names.ID(h))
 	}
-	return &sessionState{routes: resolved, wrr: make([]float64, len(routes))}
+	key := routeListOf(routes)
+	if resolved, ok := memo[key]; ok {
+		return resolved, nil
+	}
+	resolved := make([]resolvedRoute, len(routes))
+	for i, r := range routes {
+		if math.IsNaN(r.Weight) || math.IsInf(r.Weight, 0) || r.Weight <= 0 {
+			return nil, fmt.Errorf("frontend: session %s route to %s has weight %v", f.names.ID(h), r.BackendID, r.Weight)
+		}
+		if r.BackendID == "" || r.UnitID == "" {
+			return nil, fmt.Errorf("frontend: session %s has incomplete route", f.names.ID(h))
+		}
+		be, ok := f.backends[r.BackendID]
+		if !ok {
+			return nil, fmt.Errorf("frontend: route to unknown backend %s", r.BackendID)
+		}
+		resolved[i] = resolvedRoute{Route: r, be: be,
+			backendH: f.tracer.Name(r.BackendID), unitH: f.tracer.Name(r.UnitID)}
+	}
+	memo[key] = resolved
+	return resolved, nil
 }
 
 // Dispatch routes a request to a backend. Requests for sessions without a
@@ -450,16 +437,17 @@ func (f *Frontend) newSession(memo routeMemo, routes []Route) *sessionState {
 // serves stale or stops routing. A routed request reaches its backend
 // after the network delay.
 func (f *Frontend) Dispatch(req workload.Request) {
-	if f.admission != nil && !f.admit(req.Session) {
+	h := req.Session
+	if f.admission != nil && !f.admit(h) {
 		f.admissionSheds++
 		f.drop(req, backend.DropAdmission)
 		return
 	}
-	st, ok := f.state.sessions[req.Session]
-	if !ok || len(st.routes) == 0 {
+	if int(h) >= len(f.sessions) || len(f.sessions[h].routes) == 0 {
 		f.drop(req, backend.DropUnroutable)
 		return
 	}
+	st := &f.sessions[h]
 	if f.leaseTTL > 0 && f.clock.Now()-f.lastPush > f.leaseTTL {
 		if !f.serveStale {
 			// Lease expired and stale serving is off: the table can no
@@ -486,7 +474,7 @@ func (f *Frontend) Dispatch(req workload.Request) {
 	if f.tracer != nil {
 		f.tracer.Put(trace.Span{
 			At: f.clock.Now(), Kind: trace.RouteName, Req: req.ID,
-			Session: f.tracer.Handle(req.Handle, req.Session), Backend: r.backendH, Unit: r.unitH,
+			Session: h, Backend: r.backendH, Unit: r.unitH,
 		})
 	}
 	f.send(req, r, 1)
@@ -513,9 +501,9 @@ func (f *Frontend) send(req workload.Request, r resolvedRoute, attempt int) {
 // altRoute returns the session's first route to a reachable backend other
 // than the one that just failed: alive, not behind a cut data link, and
 // (when breakers are on) not breaker-open.
-func (f *Frontend) altRoute(session, exclude string) (resolvedRoute, bool) {
-	if st, ok := f.state.sessions[session]; ok {
-		for _, r := range st.routes {
+func (f *Frontend) altRoute(h session.Handle, exclude string) (resolvedRoute, bool) {
+	if int(h) < len(f.sessions) {
+		for _, r := range f.sessions[h].routes {
 			if r.BackendID == exclude {
 				continue
 			}
@@ -543,72 +531,43 @@ func (f *Frontend) drop(req workload.Request, reason backend.Outcome) {
 	}
 }
 
-// RemoveBackend repairs the routing table after a backend is declared
-// dead: every route to it is deleted. The table object may be shared with
-// other frontend replicas (each receives its own repair call), so the
-// repair is copy-on-write. Smooth-WRR weights are proportional, which
-// redistributes the dead replica's share across the survivors of each
-// session automatically; the session's WRR accumulator is reset so stale
-// credit cannot skew the new split. Sessions whose last replica died
-// become unroutable until the control plane re-plans. Returns the number
-// of sessions whose routes changed. A repair advances the generation off
-// the control plane's sequence, so the next routing delta is rejected and
-// the control plane resyncs in full.
+// RemoveBackend repairs the routing state after a backend is declared
+// dead: every route to it is deleted. Smooth-WRR weights are
+// proportional, which redistributes the dead replica's share across the
+// survivors of each session automatically; the session's WRR accumulator
+// is reset so stale credit cannot skew the new split. Sessions whose last
+// replica died become unroutable until the control plane re-plans. Returns
+// the number of sessions whose routes changed. A repair advances the
+// generation off the control plane's sequence, so the next routing delta
+// is rejected and the control plane resyncs in full.
 func (f *Frontend) RemoveBackend(beID string) int {
-	cur := f.state
 	affected := 0
-	var repaired RoutingTable
-	sessions := cur.sessions
-	// Sessions sharing a route list share its repaired list too, so a
-	// backend death does not give each of them a private copy.
-	kept := make(map[routeList][]Route)
-	resolved := routeMemo{}
-	for sid, routes := range cur.table {
-		key := routeListOf(routes)
-		keep, ok := kept[key]
+	// Sessions sharing a resolved list share its repaired list too, so a
+	// backend death does not give each of them a private copy. A resolved
+	// list is never resliced, so its first element identifies it.
+	kept := make(map[*resolvedRoute][]resolvedRoute)
+	for h := range f.sessions {
+		st := &f.sessions[h]
+		if len(st.routes) == 0 {
+			continue
+		}
+		keep, ok := kept[&st.routes[0]]
 		if !ok {
-			keep = routes[:0:0]
-			for _, r := range routes {
+			for _, r := range st.routes {
 				if r.BackendID != beID {
 					keep = append(keep, r)
 				}
 			}
-			kept[key] = keep
+			kept[&st.routes[0]] = keep
 		}
-		if len(keep) == len(routes) {
+		if len(keep) == len(st.routes) {
 			continue
 		}
-		if repaired == nil {
-			repaired = make(RoutingTable, len(cur.table))
-			for s, rs := range cur.table {
-				repaired[s] = rs
-			}
-			sessions = make(map[string]*sessionState, len(cur.sessions))
-			for s, st := range cur.sessions {
-				sessions[s] = st
-			}
-		}
 		affected++
-		st := sessions[sid]
-		if len(keep) == 0 {
-			delete(repaired, sid)
-			if st != nil {
-				if st.count > 0 {
-					f.residual[sid] += st.count
-				}
-				delete(sessions, sid)
-			}
-		} else {
-			repaired[sid] = keep
-			fresh := f.newSession(resolved, keep)
-			if st != nil {
-				fresh.count = st.count
-			}
-			sessions[sid] = fresh
-		}
+		st.route(keep)
 	}
-	if repaired != nil {
-		f.state = &tableState{table: repaired, sessions: sessions, gen: cur.gen + 1}
+	if affected > 0 {
+		f.gen++
 		f.tableVersion++
 	}
 	return affected
@@ -651,34 +610,30 @@ func (st *sessionState) pick() resolvedRoute {
 }
 
 // ObservedRates returns each session's request rate (req/s) since the last
-// call, then resets the window. This feeds epoch scheduling ("load
-// statistics from the runtime", §5).
-func (f *Frontend) ObservedRates() map[string]float64 {
-	cur := f.state
+// call, indexed by session handle (0 for a session without traffic), then
+// resets the window. This feeds epoch scheduling ("load statistics from the
+// runtime", §5).
+func (f *Frontend) ObservedRates() []float64 {
 	elapsed := (f.clock.Now() - f.windowFrom).Seconds()
-	rates := make(map[string]float64, len(cur.sessions)+len(f.residual))
-	for sid, st := range cur.sessions {
+	rates := make([]float64, len(f.sessions))
+	for h := range f.sessions {
+		st := &f.sessions[h]
 		if st.count > 0 && elapsed > 0 {
-			rates[sid] = float64(st.count) / elapsed
+			rates[h] = float64(st.count) / elapsed
 		}
 		st.count = 0
 	}
-	if elapsed > 0 {
-		for sid, n := range f.residual {
-			rates[sid] = float64(n) / elapsed
-		}
-	}
-	f.residual = make(map[string]uint64)
 	f.windowFrom = f.clock.Now()
 	return rates
 }
 
-// Sessions returns the sessions currently routable, sorted.
+// Sessions returns the IDs of the sessions currently routable, sorted.
 func (f *Frontend) Sessions() []string {
-	table := f.state.table
-	out := make([]string, 0, len(table))
-	for sid := range table {
-		out = append(out, sid)
+	out := []string{}
+	for h := range f.sessions {
+		if len(f.sessions[h].routes) > 0 {
+			out = append(out, f.names.ID(session.Handle(h)))
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -687,10 +642,11 @@ func (f *Frontend) Sessions() []string {
 // TableSnapshot returns a deep copy of the current routing table, for
 // tests and tools that compare routing state across runs.
 func (f *Frontend) TableSnapshot() RoutingTable {
-	table := f.state.table
-	out := make(RoutingTable, len(table))
-	for sid, routes := range table {
-		out[sid] = append([]Route(nil), routes...)
+	out := make(RoutingTable, len(f.sessions))
+	for h := range f.sessions {
+		for _, r := range f.sessions[h].routes {
+			out[h] = append(out[h], r.Route)
+		}
 	}
 	return out
 }

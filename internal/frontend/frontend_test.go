@@ -34,31 +34,32 @@ func setup(t *testing.T, nBackends int) (*simclock.Clock, map[string]*backend.Ba
 		backends[id] = be
 	}
 	dropped := 0
-	fe := New(clock, backends, 0, func(req workload.Request, reason backend.Outcome) { dropped++ })
+	fe := New(clock, backends, nil, 0, func(req workload.Request, reason backend.Outcome) { dropped++ })
 	return clock, backends, fe, &dropped
 }
 
 func TestRoutingTableValidate(t *testing.T) {
-	bad := []RoutingTable{
+	bad := []byID{
 		{"s": {}},
 		{"s": {{BackendID: "a", UnitID: "u", Weight: 0}}},
 		{"s": {{BackendID: "", UnitID: "u", Weight: 1}}},
 		{"s": {{BackendID: "a", UnitID: "", Weight: 1}}},
 	}
+	_, _, fe, _ := setup(t, 1)
 	for i, rt := range bad {
-		if rt.Validate() == nil {
+		if fe.SetTable(rt) == nil {
 			t.Errorf("case %d: invalid table accepted", i)
 		}
 	}
-	good := RoutingTable{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}
-	if err := good.Validate(); err != nil {
+	good := byID{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}
+	if err := fe.SetTable(good); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSetTableUnknownBackend(t *testing.T) {
 	_, _, fe, _ := setup(t, 1)
-	rt := RoutingTable{"s": {{BackendID: "zz", UnitID: "u", Weight: 1}}}
+	rt := byID{"s": {{BackendID: "zz", UnitID: "u", Weight: 1}}}
 	if err := fe.SetTable(rt); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
@@ -66,7 +67,7 @@ func TestSetTableUnknownBackend(t *testing.T) {
 
 func TestDispatchUnroutable(t *testing.T) {
 	clock, _, fe, unroutable := setup(t, 1)
-	fe.Dispatch(workload.Request{Session: "ghost", Deadline: time.Second})
+	fe.Dispatch(workload.Request{Session: fe.sid("ghost"), Deadline: time.Second})
 	clock.Run()
 	if *unroutable != 1 {
 		t.Fatalf("unroutable = %d, want 1", *unroutable)
@@ -75,11 +76,11 @@ func TestDispatchUnroutable(t *testing.T) {
 
 func TestDispatchReachesBackend(t *testing.T) {
 	clock, backends, fe, _ := setup(t, 1)
-	if err := fe.SetTable(RoutingTable{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
+	if err := fe.SetTable(byID{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second) // let the model load
-	fe.Dispatch(workload.Request{Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(workload.Request{Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	clock.Run()
 	if backends["a"].AvgBatchSize() == 0 {
 		t.Fatal("request never executed on backend")
@@ -88,7 +89,7 @@ func TestDispatchReachesBackend(t *testing.T) {
 
 func TestWeightedSpread(t *testing.T) {
 	clock, backends, fe, _ := setup(t, 2)
-	if err := fe.SetTable(RoutingTable{"s": {
+	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 3},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 	}}); err != nil {
@@ -96,7 +97,7 @@ func TestWeightedSpread(t *testing.T) {
 	}
 	clock.RunUntil(time.Second)
 	for i := 0; i < 400; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(i), Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	clock.Run()
 	// The weight-3 backend should do roughly 3x the GPU work.
@@ -109,7 +110,7 @@ func TestWeightedSpread(t *testing.T) {
 
 func TestSmoothWRRExactProportions(t *testing.T) {
 	_, _, fe, _ := setup(t, 2)
-	if err := fe.SetTable(RoutingTable{"s": {
+	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 3},
 		{BackendID: "b", UnitID: "u", Weight: 1},
 	}}); err != nil {
@@ -117,7 +118,7 @@ func TestSmoothWRRExactProportions(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < 400; i++ {
-		r := fe.state.sessions["s"].pick()
+		r := fe.state("s").pick()
 		counts[r.BackendID]++
 	}
 	if counts["a"] != 300 || counts["b"] != 100 {
@@ -127,22 +128,22 @@ func TestSmoothWRRExactProportions(t *testing.T) {
 
 func TestObservedRates(t *testing.T) {
 	clock, _, fe, _ := setup(t, 1)
-	if err := fe.SetTable(RoutingTable{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
+	if err := fe.SetTable(byID{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second)
-	fe.ObservedRates() // reset window
+	fe.observedByID() // reset window
 	for i := 0; i < 50; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(workload.Request{ID: uint64(i), Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	clock.RunUntil(clock.Now() + 5*time.Second)
-	rates := fe.ObservedRates()
+	rates := fe.observedByID()
 	if math.Abs(rates["s"]-10) > 0.5 {
 		t.Fatalf("observed rate %v, want ~10 r/s", rates["s"])
 	}
 	// Window reset: immediately asking again gives empty.
 	clock.RunUntil(clock.Now() + time.Second)
-	rates = fe.ObservedRates()
+	rates = fe.observedByID()
 	if rates["s"] != 0 {
 		t.Fatalf("rate after reset = %v, want 0", rates["s"])
 	}
@@ -150,7 +151,7 @@ func TestObservedRates(t *testing.T) {
 
 func TestSessions(t *testing.T) {
 	_, _, fe, _ := setup(t, 1)
-	if err := fe.SetTable(RoutingTable{
+	if err := fe.SetTable(byID{
 		"s2": {{BackendID: "a", UnitID: "u", Weight: 1}},
 		"s1": {{BackendID: "a", UnitID: "u", Weight: 1}},
 	}); err != nil {

@@ -49,7 +49,7 @@ func TestInterleavedControlPlaneAndDispatch(t *testing.T) {
 		}
 		backends[id] = be
 	}
-	fe := New(clock, backends, 0, func(req workload.Request, reason backend.Outcome) {
+	fe := New(clock, backends, nil, 0, func(req workload.Request, reason backend.Outcome) {
 		if reason == backend.OK {
 			t.Errorf("request %d dropped without a cause", req.ID)
 		}
@@ -71,8 +71,8 @@ func TestInterleavedControlPlaneAndDispatch(t *testing.T) {
 		}
 		return rs
 	}
-	full := func() RoutingTable {
-		rt := make(RoutingTable, sessions)
+	full := func() byID {
+		rt := make(byID, sessions)
 		for i := 0; i < sessions; i++ {
 			rt[fmt.Sprintf("s%d", i)] = routes()
 		}
@@ -83,12 +83,12 @@ func TestInterleavedControlPlaneAndDispatch(t *testing.T) {
 	// repair since its last push, which must make the next delta stale.
 	gen := uint64(1)
 	repaired := false
-	if err := fe.SetTableGen(full(), gen); err != nil {
+	if err := fe.setTableGen(full(), gen); err != nil {
 		t.Fatal(err)
 	}
 	resync := func() {
 		gen++
-		if err := fe.SetTableGen(full(), gen); err != nil {
+		if err := fe.setTableGen(full(), gen); err != nil {
 			t.Fatal(err)
 		}
 		repaired = false
@@ -101,7 +101,7 @@ func TestInterleavedControlPlaneAndDispatch(t *testing.T) {
 			for n := rng.Intn(8); n >= 0; n-- {
 				now := clock.Now()
 				fe.Dispatch(workload.Request{
-					ID: sent, Session: fmt.Sprintf("s%d", rng.Intn(sessions+1)),
+					ID: sent, Session: fe.sid(fmt.Sprintf("s%d", rng.Intn(sessions+1))),
 					Arrival: now, Deadline: now + time.Duration(20+rng.Intn(200))*time.Millisecond,
 				})
 				sent++
@@ -116,13 +116,13 @@ func TestInterleavedControlPlaneAndDispatch(t *testing.T) {
 		case op == 14:
 			resync()
 		case op < 17:
-			d := TableDelta{FromGen: gen, Gen: gen + 1, Set: map[string][]Route{
+			d := deltaByID{FromGen: gen, Gen: gen + 1, Set: byID{
 				fmt.Sprintf("s%d", rng.Intn(sessions)): routes(),
 			}}
 			if rng.Intn(3) == 0 {
 				d.Remove = []string{fmt.Sprintf("s%d", rng.Intn(sessions))}
 			}
-			err := fe.ApplyDelta(d)
+			err := fe.applyDelta(d)
 			switch {
 			case repaired:
 				if !errors.Is(err, ErrStaleDelta) {
@@ -182,8 +182,8 @@ func TestInterleavedControlPlaneAndDispatch(t *testing.T) {
 }
 
 // raceTable builds a table of n sessions, each routed across every backend.
-func raceTable(backends map[string]*backend.Backend, n int) RoutingTable {
-	rt := make(RoutingTable, n)
+func raceTable(backends map[string]*backend.Backend, n int) byID {
+	rt := make(byID, n)
 	for i := 0; i < n; i++ {
 		var routes []Route
 		for beID := range backends {
@@ -209,9 +209,9 @@ func TestConcurrentDispatchAgainstControlPlane(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	clock, backends, _, _ := setup(t, 3)
 	var drops uint64
-	fe := New(clock, backends, 0, func(req workload.Request, reason backend.Outcome) { drops++ })
+	fe := New(clock, backends, nil, 0, func(req workload.Request, reason backend.Outcome) { drops++ })
 	clock.RunUntil(5 * time.Second) // model loads
-	if err := fe.SetTableGen(raceTable(backends, sessions), 1); err != nil {
+	if err := fe.setTableGen(raceTable(backends, sessions), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -220,20 +220,20 @@ func TestConcurrentDispatchAgainstControlPlane(t *testing.T) {
 	// churn is the control plane's turn: a delta that rewrites half the
 	// sessions and, on odd phases, a backend repair and a full resync.
 	churn := func(phase int) {
-		set := make(map[string][]Route, sessions/2)
+		set := make(byID, sessions/2)
 		for i := 0; i < sessions/2; i++ {
 			set[fmt.Sprintf("s%02d", i)] = []Route{
 				{BackendID: "a", UnitID: "u", Weight: 1},
 				{BackendID: "b", UnitID: "u", Weight: 2},
 			}
 		}
-		if err := fe.ApplyDelta(TableDelta{FromGen: gen, Gen: gen + 1, Set: set}); err != nil {
+		if err := fe.applyDelta(deltaByID{FromGen: gen, Gen: gen + 1, Set: set}); err != nil {
 			t.Fatal(err)
 		}
 		gen++
 		if phase%2 == 1 {
 			fe.RemoveBackend("c")
-			if err := fe.SetTableGen(raceTable(backends, sessions), gen+1); err != nil {
+			if err := fe.setTableGen(raceTable(backends, sessions), gen+1); err != nil {
 				t.Fatal(err)
 			}
 			gen++
@@ -248,7 +248,7 @@ func TestConcurrentDispatchAgainstControlPlane(t *testing.T) {
 			}
 			d, i := k%dispatchers, k/dispatchers
 			fe.Dispatch(workload.Request{
-				ID: uint64(d*perPhase + i), Session: fmt.Sprintf("s%02d", i%sessions),
+				ID: uint64(d*perPhase + i), Session: fe.sid(fmt.Sprintf("s%02d", i%sessions)),
 				Arrival: now, Deadline: now + time.Second,
 			})
 			sent++
@@ -269,10 +269,10 @@ func TestConcurrentDispatchAgainstBreakerFlips(t *testing.T) {
 	const dispatchers = 8
 	clock, backends, _, _ := setup(t, 3)
 	var drops uint64
-	fe := New(clock, backends, 0, func(req workload.Request, reason backend.Outcome) { drops++ })
+	fe := New(clock, backends, nil, 0, func(req workload.Request, reason backend.Outcome) { drops++ })
 	clock.RunUntil(5 * time.Second)
 	fe.EnableBreakers(2, 100*time.Millisecond)
-	if err := fe.SetTableGen(raceTable(backends, 4), 1); err != nil {
+	if err := fe.setTableGen(raceTable(backends, 4), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -300,7 +300,7 @@ func TestConcurrentDispatchAgainstBreakerFlips(t *testing.T) {
 		flip(k)
 		d, i := k%dispatchers, k/dispatchers
 		fe.Dispatch(workload.Request{
-			ID: uint64(d*1000 + i), Session: fmt.Sprintf("s%02d", i%4),
+			ID: uint64(d*1000 + i), Session: fe.sid(fmt.Sprintf("s%02d", i%4)),
 			Arrival: now, Deadline: now + time.Second,
 		})
 		sent++

@@ -8,7 +8,7 @@ import (
 // sharedTable routes s1–s3 through one []Route and s4–s5 through another,
 // as the control plane does for members of one prefix-batched unit. s6
 // holds an equal but distinct copy of s1's list.
-func sharedTable() (RoutingTable, []Route, []Route) {
+func sharedTable() (byID, []Route, []Route) {
 	unitA := []Route{
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 2.5},
@@ -18,7 +18,7 @@ func sharedTable() (RoutingTable, []Route, []Route) {
 		{BackendID: "b", UnitID: "u", Weight: 1},
 		{BackendID: "c", UnitID: "u", Weight: 1.3},
 	}
-	rt := RoutingTable{
+	rt := byID{
 		"s1": unitA, "s2": unitA, "s3": unitA,
 		"s4": unitB, "s5": unitB,
 		"s6": append([]Route(nil), unitA...),
@@ -29,8 +29,8 @@ func sharedTable() (RoutingTable, []Route, []Route) {
 // resolvedOf returns the identity of a session's resolved route slice.
 func resolvedOf(t *testing.T, fe *Frontend, sid string) *resolvedRoute {
 	t.Helper()
-	st, ok := fe.state.sessions[sid]
-	if !ok || len(st.routes) == 0 {
+	st := fe.state(sid)
+	if st == nil {
 		t.Fatalf("session %s has no routes", sid)
 	}
 	return &st.routes[0]
@@ -53,7 +53,7 @@ func assertShared(t *testing.T, fe *Frontend, label string, groups ...[]string) 
 				t.Fatalf("%s: %s and %s hold separate resolved copies of one route list", label, sid, sids[0])
 			}
 			seen[p] = g
-			w := &fe.state.sessions[sid].wrr[0]
+			w := &fe.state(sid).wrr[0]
 			if other, ok := wrr[w]; ok {
 				t.Fatalf("%s: %s shares its WRR accumulator with %s", label, sid, other)
 			}
@@ -69,14 +69,14 @@ func assertShared(t *testing.T, fe *Frontend, label string, groups ...[]string) 
 func TestSharedRoutesResolvedOnce(t *testing.T) {
 	_, _, fe, _ := setup(t, 3)
 	rt, unitA, _ := sharedTable()
-	if err := fe.SetTableGen(rt, 1); err != nil {
+	if err := fe.setTableGen(rt, 1); err != nil {
 		t.Fatal(err)
 	}
 	assertShared(t, fe, "SetTable", []string{"s1", "s2", "s3"}, []string{"s4", "s5"}, []string{"s6"})
 
 	unitC := []Route{{BackendID: "a", UnitID: "u", Weight: 2}, {BackendID: "c", UnitID: "u", Weight: 1}}
-	if err := fe.ApplyDelta(TableDelta{FromGen: 1, Gen: 2,
-		Set: map[string][]Route{"s1": unitC, "s7": unitC, "s8": unitC}}); err != nil {
+	if err := fe.applyDelta(deltaByID{FromGen: 1, Gen: 2,
+		Set: byID{"s1": unitC, "s7": unitC, "s8": unitC}}); err != nil {
 		t.Fatal(err)
 	}
 	assertShared(t, fe, "ApplyDelta", []string{"s1", "s7", "s8"}, []string{"s2", "s3"}, []string{"s4", "s5"}, []string{"s6"})
@@ -85,10 +85,10 @@ func TestSharedRoutesResolvedOnce(t *testing.T) {
 		t.Fatalf("RemoveBackend touched %d sessions, want 5 (s2–s6)", n)
 	}
 	assertShared(t, fe, "RemoveBackend", []string{"s1", "s7", "s8"}, []string{"s2", "s3"}, []string{"s4", "s5"}, []string{"s6"})
-	table := fe.state.table
-	if &table["s2"][0] != &table["s3"][0] || &table["s4"][0] != &table["s5"][0] {
+	if resolvedOf(t, fe, "s2") != resolvedOf(t, fe, "s3") || resolvedOf(t, fe, "s4") != resolvedOf(t, fe, "s5") {
 		t.Fatal("RemoveBackend gave sessions sharing a route list separate repaired lists")
 	}
+	table := fe.snapshotByID()
 	if len(table["s2"]) != 2 || len(table["s4"]) != 1 {
 		t.Fatalf("repaired lists have %d and %d routes, want 2 and 1", len(table["s2"]), len(table["s4"]))
 	}
@@ -106,7 +106,6 @@ func TestSharedRoutesPickSequence(t *testing.T) {
 	if err := fe.SetTable(rt); err != nil {
 		t.Fatal(err)
 	}
-	sessions := fe.state.sessions
 	private := map[string]*sessionState{}
 	for sid, routes := range rt {
 		rs := make([]resolvedRoute, len(routes))
@@ -119,7 +118,7 @@ func TestSharedRoutesPickSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000*len(sids); i++ {
 		sid := sids[rng.Intn(len(sids))]
-		got, want := sessions[sid].pick(), private[sid].pick()
+		got, want := fe.state(sid).pick(), private[sid].pick()
 		if got.BackendID != want.BackendID || got.be != want.be {
 			t.Fatalf("pick %d of %s: %s, want %s", i, sid, got.BackendID, want.BackendID)
 		}
@@ -131,7 +130,7 @@ func TestSharedRoutesPickSequence(t *testing.T) {
 // the other's shared resolved slices and the published lists untouched.
 func TestRemoveBackendSparesOtherReplica(t *testing.T) {
 	clock, backends, fe1, _ := setup(t, 3)
-	fe2 := New(clock, backends, 0, nil)
+	fe2 := New(clock, backends, nil, 0, nil)
 	rt, unitA, unitB := sharedTable()
 	for _, fe := range []*Frontend{fe1, fe2} {
 		if err := fe.SetTable(rt); err != nil {
@@ -146,7 +145,7 @@ func TestRemoveBackendSparesOtherReplica(t *testing.T) {
 		t.Fatal("RemoveBackend on the first replica changed nothing")
 	}
 	for sid, p := range before {
-		st := fe2.state.sessions[sid]
+		st := fe2.state(sid)
 		if &st.routes[0] != p || len(st.routes) != len(rt[sid]) {
 			t.Fatalf("second replica's %s routes changed", sid)
 		}

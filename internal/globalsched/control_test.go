@@ -34,7 +34,7 @@ func TestSpreadReplicasUsesSpares(t *testing.T) {
 	cfg := nexusConfig()
 	cfg.SpreadReplicas = true
 	e := newEnv(t, cfg, 8)
-	if err := e.sched.AddSession(SessionSpec{
+	if _, err := e.sched.AddSession(SessionSpec{
 		ID: "s", ModelID: model.InceptionV3, SLO: 100 * time.Millisecond, ExpectedRate: 500,
 	}); err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestSpreadReplicasUsesSpares(t *testing.T) {
 func TestNoSpreadingWhenElastic(t *testing.T) {
 	cfg := nexusConfig() // SpreadReplicas false
 	e := newEnv(t, cfg, 8)
-	if err := e.sched.AddSession(SessionSpec{
+	if _, err := e.sched.AddSession(SessionSpec{
 		ID: "s", ModelID: model.InceptionV3, SLO: 100 * time.Millisecond, ExpectedRate: 500,
 	}); err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestStageHeadroomAppliedToChildren(t *testing.T) {
 
 func TestSessionSLOExposed(t *testing.T) {
 	e := newEnv(t, nexusConfig(), 16)
-	if err := e.sched.AddSession(SessionSpec{
+	if _, err := e.sched.AddSession(SessionSpec{
 		ID: "s", ModelID: model.ResNet50, SLO: 100 * time.Millisecond, ExpectedRate: 10,
 	}); err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestObliviousPlanStableAcrossQuietEpochs(t *testing.T) {
 	cfg.Squishy = false
 	cfg.ObliviousGPUs = 4
 	e := newEnv(t, cfg, 4)
-	if err := e.sched.AddSession(SessionSpec{
+	if _, err := e.sched.AddSession(SessionSpec{
 		ID: "s", ModelID: model.ResNet50, SLO: 100 * time.Millisecond, ExpectedRate: 100,
 	}); err != nil {
 		t.Fatal(err)

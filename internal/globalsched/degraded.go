@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"nexus/internal/frontend"
+	"nexus/internal/session"
 )
 
 // recoveryFlushDelay spaces the staged flushes of a rate-limited
@@ -189,36 +190,29 @@ func (s *Scheduler) renewLeases() {
 // next diff picks up exactly where this push stopped; the remainder is
 // flushed on a timer until the routing state converges on the full
 // recovery target.
-func (s *Scheduler) capRecovery(target frontend.RoutingTable, set map[string][]frontend.Route,
-	remove []string, limit int) (frontend.RoutingTable, map[string][]frontend.Route, []string) {
+func (s *Scheduler) capRecovery(target frontend.RoutingTable, set []frontend.SessionRoutes,
+	remove []session.Handle, limit int) (frontend.RoutingTable, []frontend.SessionRoutes, []session.Handle) {
 	s.cappedPushes++
 	s.recoveryTarget = target
 
-	partial := make(frontend.RoutingTable, len(s.lastTable))
-	for sid, routes := range s.lastTable {
-		partial[sid] = routes
-	}
+	partial := append(make(frontend.RoutingTable, 0, len(target)), s.lastTable...)
 	budget := limit
 	cappedRemove := remove
 	if len(cappedRemove) > budget {
 		cappedRemove = cappedRemove[:budget]
 	}
-	for _, sid := range cappedRemove {
-		delete(partial, sid)
+	for _, h := range cappedRemove {
+		partial[h] = nil
 	}
 	budget -= len(cappedRemove)
-	setIDs := make([]string, 0, len(set))
-	for sid := range set {
-		setIDs = append(setIDs, sid)
+	sort.Slice(set, func(i, j int) bool { return s.names.ID(set[i].Session) < s.names.ID(set[j].Session) })
+	cappedSet := set
+	if len(cappedSet) > budget {
+		cappedSet = cappedSet[:budget]
 	}
-	sort.Strings(setIDs)
-	if len(setIDs) > budget {
-		setIDs = setIDs[:budget]
-	}
-	cappedSet := make(map[string][]frontend.Route, len(setIDs))
-	for _, sid := range setIDs {
-		cappedSet[sid] = set[sid]
-		partial[sid] = set[sid]
+	for _, e := range cappedSet {
+		partial = session.Fit(partial, e.Session)
+		partial[e.Session] = e.Routes
 	}
 	if !s.recoveryFlushArmed {
 		s.recoveryFlushArmed = true

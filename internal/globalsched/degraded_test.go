@@ -21,7 +21,7 @@ func degradedConfig() Config {
 func bootDegraded(t *testing.T, cfg Config, poolSize int) *env {
 	t.Helper()
 	e := newEnv(t, cfg, poolSize)
-	if err := e.sched.AddSession(SessionSpec{
+	if _, err := e.sched.AddSession(SessionSpec{
 		ID: "s", ModelID: model.ResNet50, SLO: 100 * time.Millisecond, ExpectedRate: 100,
 	}); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestRecoveryCappedPublish(t *testing.T) {
 	sessions := []string{"s0", "s1", "s2"}
 	models := []string{model.ResNet50, model.InceptionV3, model.Darknet53}
 	for i, sid := range sessions {
-		if err := e.sched.AddSession(SessionSpec{
+		if _, err := e.sched.AddSession(SessionSpec{
 			ID: sid, ModelID: models[i], SLO: 150 * time.Millisecond, ExpectedRate: 100,
 		}); err != nil {
 			t.Fatal(err)
@@ -269,8 +269,9 @@ func TestRecoveryCappedPublish(t *testing.T) {
 		t.Fatalf("routable sessions after convergence = %v, want %v", got, sessions)
 	}
 	// The frontend's table matches the scheduler's published view.
-	for sid, routes := range e.sched.lastTable {
-		if len(routes) == 0 {
+	for _, sid := range sessions {
+		h, _ := e.sched.names.Lookup(sid)
+		if int(h) >= len(e.sched.lastTable) || len(e.sched.lastTable[h]) == 0 {
 			t.Fatalf("session %s converged with no routes", sid)
 		}
 	}

@@ -23,6 +23,9 @@ func (s *Scheduler) Assignments() map[string][]string {
 // SessionSLO returns the current latency budget of a user-facing session
 // (for query stages, the adaptive per-stage split of the latest epoch).
 func (s *Scheduler) SessionSLO(id string) (time.Duration, bool) {
-	slo, ok := s.sessionSLO[id]
-	return slo, ok
+	h, ok := s.names.Lookup(id)
+	if !ok || int(h) >= len(s.sessionSLO) || s.sessionSLO[h] == 0 {
+		return 0, false
+	}
+	return s.sessionSLO[h], true
 }

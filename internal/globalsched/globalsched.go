@@ -19,6 +19,7 @@ import (
 	"nexus/internal/profiler"
 	"nexus/internal/queryopt"
 	"nexus/internal/scheduler"
+	"nexus/internal/session"
 	"nexus/internal/simclock"
 	"nexus/internal/telemetry"
 	"nexus/internal/trace"
@@ -140,15 +141,20 @@ type Scheduler struct {
 	clock     *simclock.Clock
 	pool      Pool
 	frontends []*frontend.Frontend
+	names     *session.Table // the deployment's sessions, shared with the frontends
 	modelDB   *model.DB
 	profiles  map[string]*profiler.Profile // base profiles by model ID
 	cfg       Config
 
 	sessions []SessionSpec
+	handles  []session.Handle // handles[i] is sessions[i]'s
 	queries  []QuerySpec
 
-	rates       map[string]float64 // smoothed observed per session
-	everyRates  bool               // true once real observations exist
+	// rates is the smoothed observed rate by session handle; observed marks
+	// the sessions whose EWMA has been seeded.
+	rates       []float64
+	observed    []bool
+	everyRates  bool // true once real observations exist
 	prevPlan    *scheduler.Plan
 	nodeBackend map[string][]string // plan node ID -> replica backend IDs
 	// combined holds this epoch's synthetic prefix-group profiles.
@@ -161,7 +167,7 @@ type Scheduler struct {
 	epochs     int
 	lastStats  scheduler.MoveStats
 	ticker     *simclock.Ticker
-	sessionSLO map[string]time.Duration // user-facing session -> current SLO
+	sessionSLO []time.Duration // current SLO by user-facing session handle; 0 = none
 
 	// gammaEst smooths per-edge fan-out observations across epochs so the
 	// latency-split DP does not chase workload noise.
@@ -217,9 +223,10 @@ type Scheduler struct {
 	// so the next epoch's diff can be tagged with a recovery cause.
 	lastAudited       []trace.PlacementRecord
 	lastAuditFailures int
-	// lastMemberUnit remembers the latest epoch's member session -> unit
-	// mapping so emergency repairs can republish routes between epochs.
-	lastMemberUnit map[string]string
+	// memberUnit remembers the latest epoch's unit (group or self) ID by
+	// member session handle ("" = none), so emergency repairs can
+	// republish routes between epochs.
+	memberUnit []string
 
 	// Degraded-mode state (see degraded.go). down freezes planning, route
 	// pushes, and lease monitoring (a scheduler outage); cutCtrl drops
@@ -246,8 +253,10 @@ type Scheduler struct {
 // offer before replacing the current one.
 const splitHysteresis = 0.05
 
-// New creates a global scheduler.
-func New(clock *simclock.Clock, pool Pool, frontends []*frontend.Frontend,
+// New creates a global scheduler over the deployment's session table, which
+// its frontends share: AddSession and AddQuery assign the handles that
+// requests and routing tables carry.
+func New(clock *simclock.Clock, pool Pool, frontends []*frontend.Frontend, names *session.Table,
 	modelDB *model.DB, profiles map[string]*profiler.Profile, cfg Config) *Scheduler {
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = DefaultEpoch
@@ -259,10 +268,9 @@ func New(clock *simclock.Clock, pool Pool, frontends []*frontend.Frontend,
 		cfg.RateSmoothing = 0.7
 	}
 	return &Scheduler{
-		clock: clock, pool: pool, frontends: frontends,
+		clock: clock, pool: pool, frontends: frontends, names: names,
 		modelDB: modelDB, profiles: profiles, cfg: cfg,
 		planner:     scheduler.NewShardPlanner(cfg.Shards),
-		rates:       make(map[string]float64),
 		nodeBackend: make(map[string][]string),
 		gammaEst:    make(map[string]float64),
 		prevSplit:   make(map[string]*queryopt.Split),
@@ -275,27 +283,34 @@ func New(clock *simclock.Clock, pool Pool, frontends []*frontend.Frontend,
 // Failures returns how many backends have been declared dead so far.
 func (s *Scheduler) Failures() int { return s.failures }
 
-// AddSession declares a standalone session.
-func (s *Scheduler) AddSession(spec SessionSpec) error {
+// AddSession declares a standalone session and returns its handle.
+func (s *Scheduler) AddSession(spec SessionSpec) (session.Handle, error) {
 	if spec.ID == "" || spec.ModelID == "" || spec.SLO <= 0 {
-		return fmt.Errorf("globalsched: invalid session spec %+v", spec)
+		return 0, fmt.Errorf("globalsched: invalid session spec %+v", spec)
 	}
 	if _, ok := s.profiles[spec.ModelID]; !ok {
-		return fmt.Errorf("globalsched: no profile for model %s", spec.ModelID)
+		return 0, fmt.Errorf("globalsched: no profile for model %s", spec.ModelID)
 	}
+	h := s.names.Intern(spec.ID)
 	s.sessions = append(s.sessions, spec)
-	return nil
+	s.handles = append(s.handles, h)
+	return h, nil
 }
 
-// AddQuery declares a complex query.
+// AddQuery declares a complex query and gives each of its stage sessions
+// ("query/node") a handle.
 func (s *Scheduler) AddQuery(spec QuerySpec) error {
 	if err := spec.Query.Validate(); err != nil {
 		return err
 	}
-	for _, n := range spec.Query.Nodes() {
+	nodes := spec.Query.Nodes()
+	for _, n := range nodes {
 		if _, ok := s.profiles[n.ModelID]; !ok {
 			return fmt.Errorf("globalsched: no profile for model %s (query %s)", n.ModelID, spec.Query.Name)
 		}
+	}
+	for _, n := range nodes {
+		s.names.Intern(queryopt.StageID(spec.Query, n))
 	}
 	s.queries = append(s.queries, spec)
 	return nil
@@ -632,43 +647,56 @@ func (s *Scheduler) Explain() telemetry.HealthReport {
 
 // observeRates folds the frontends' observed rates into the EWMA state.
 func (s *Scheduler) observeRates() {
-	merged := make(map[string]float64)
+	var merged []float64
 	for _, fe := range s.frontends {
-		for sid, r := range fe.ObservedRates() {
-			merged[sid] += r
+		for h, r := range fe.ObservedRates() {
+			if r > 0 {
+				merged = session.Fit(merged, session.Handle(h))
+				merged[h] += r
+			}
 		}
 	}
-	var total float64
-	for _, r := range merged {
-		total += r
-	}
 	a := s.cfg.RateSmoothing
-	if total == 0 {
+	if merged == nil {
 		if s.everyRates {
 			// Traffic stopped entirely: decay every estimate so the
 			// cluster can shrink.
-			for sid := range s.rates {
-				s.rates[sid] *= 1 - a
+			for h := range s.rates {
+				s.rates[h] *= 1 - a
 			}
 		}
 		return // before any observation: keep expected rates
 	}
 	s.everyRates = true
-	for sid, r := range merged {
-		if _, seen := s.rates[sid]; !seen {
+	if n := len(merged); n > len(s.rates) {
+		s.rates = session.Fit(s.rates, session.Handle(n-1))
+		s.observed = session.Fit(s.observed, session.Handle(n-1))
+	}
+	for h := range s.rates {
+		var r float64
+		if h < len(merged) {
+			r = merged[h]
+		}
+		switch {
+		case r == 0:
+			// No traffic this epoch: decay.
+			s.rates[h] *= 1 - a
+		case !s.observed[h]:
 			// Seed the EWMA with the first observation; starting from zero
 			// would underprovision the next epoch by (1-a).
-			s.rates[sid] = r
-			continue
-		}
-		s.rates[sid] = a*r + (1-a)*s.rates[sid]
-	}
-	// Decay sessions that received no traffic this epoch.
-	for sid := range s.rates {
-		if _, ok := merged[sid]; !ok {
-			s.rates[sid] *= 1 - a
+			s.rates[h], s.observed[h] = r, true
+		default:
+			s.rates[h] = a*r + (1-a)*s.rates[h]
 		}
 	}
+}
+
+// rate returns the smoothed observed rate of a session (0 if none).
+func (s *Scheduler) rate(h session.Handle) float64 {
+	if int(h) < len(s.rates) {
+		return s.rates[h]
+	}
+	return 0
 }
 
 // minSessionRate keeps declared sessions deployed even when observations
@@ -677,10 +705,10 @@ func (s *Scheduler) observeRates() {
 const minSessionRate = 0.1
 
 // rateOf returns the planning rate for a user-facing session.
-func (s *Scheduler) rateOf(sid string, expected float64) float64 {
+func (s *Scheduler) rateOf(h session.Handle, expected float64) float64 {
 	r := expected
 	if s.everyRates {
-		r = s.rates[sid]
+		r = s.rate(h)
 	}
 	r *= s.cfg.Headroom
 	if r < minSessionRate {
@@ -690,11 +718,13 @@ func (s *Scheduler) rateOf(sid string, expected float64) float64 {
 }
 
 // buildSessions produces the scheduler sessions for this epoch and the
-// member map for routing: member session ID -> unit (group or self) ID.
-func (s *Scheduler) buildSessions() ([]scheduler.Session, map[string]string, error) {
+// member map for routing: the unit (group or self) ID by member session
+// handle.
+func (s *Scheduler) buildSessions() ([]scheduler.Session, []string, error) {
 	var out []scheduler.Session
+	handles := append([]session.Handle(nil), s.handles...)
 	slack := s.slack()
-	for _, spec := range s.sessions {
+	for i, spec := range s.sessions {
 		slo := spec.SLO - slack
 		if slo < spec.SLO/2 {
 			slo = spec.SLO / 2
@@ -703,7 +733,7 @@ func (s *Scheduler) buildSessions() ([]scheduler.Session, map[string]string, err
 			ID:      spec.ID,
 			ModelID: spec.ModelID,
 			SLO:     slo,
-			Rate:    s.rateOf(spec.ID, spec.ExpectedRate),
+			Rate:    s.rateOf(s.handles[i], spec.ExpectedRate),
 		})
 	}
 	for _, qs := range s.queries {
@@ -711,26 +741,28 @@ func (s *Scheduler) buildSessions() ([]scheduler.Session, map[string]string, err
 		if err != nil {
 			return nil, nil, err
 		}
+		for _, sess := range qSessions {
+			h, _ := s.names.Lookup(sess.ID)
+			handles = append(handles, h)
+		}
 		out = append(out, qSessions...)
 	}
 	// Record user-facing session SLOs (stage budgets for queries) before
 	// grouping; the data plane derives per-request deadlines from these.
-	s.sessionSLO = make(map[string]time.Duration, len(out))
-	for _, sess := range out {
-		s.sessionSLO[sess.ID] = sess.SLO
+	s.sessionSLO = make([]time.Duration, s.names.Len())
+	memberUnit := make([]string, s.names.Len())
+	for i, sess := range out {
+		s.sessionSLO[handles[i]] = sess.SLO
+		memberUnit[handles[i]] = sess.ID
 	}
 	// Prefix grouping.
 	s.combined = make(map[string]*profiler.Profile)
 	s.groups = make(map[string][]string)
 	s.groupParts = make(map[string][2]*profiler.Profile)
-	memberUnit := make(map[string]string)
-	for _, sess := range out {
-		memberUnit[sess.ID] = sess.ID
-	}
 	if !s.cfg.PrefixBatch {
 		return out, memberUnit, nil
 	}
-	grouped, err := s.groupPrefixes(out, memberUnit)
+	grouped, err := s.groupPrefixes(out, handles, memberUnit)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -741,8 +773,9 @@ func (s *Scheduler) buildSessions() ([]scheduler.Session, map[string]string, err
 // estimates and the latency split to the observed workload (§6.2).
 func (s *Scheduler) querySessions(qs QuerySpec) ([]scheduler.Session, error) {
 	q := qs.Query
-	rootID := q.Name + "/" + q.Root.Name
-	rootRate := s.rateOf(rootID, qs.ExpectedRate)
+	rootID := queryopt.StageID(q, q.Root)
+	root, _ := s.names.Lookup(rootID)
+	rootRate := s.rateOf(root, qs.ExpectedRate)
 	if rootRate <= 0 {
 		rootRate = 0.001 // keep the query deployed at negligible cost
 	}
@@ -823,11 +856,11 @@ func (s *Scheduler) adaptGammas(q *queryopt.Query) *queryopt.Query {
 	var cloneNode func(n *queryopt.Node) *queryopt.Node
 	cloneNode = func(n *queryopt.Node) *queryopt.Node {
 		nn := &queryopt.Node{Name: n.Name, ModelID: n.ModelID}
-		parentRate := s.rates[q.Name+"/"+n.Name]
+		parentRate := s.stageRate(q, n)
 		for _, e := range n.Edges {
 			gamma := e.Gamma
-			key := q.Name + "/" + n.Name + ">" + e.Child.Name
-			childRate := s.rates[q.Name+"/"+e.Child.Name]
+			key := queryopt.StageID(q, n) + ">" + e.Child.Name
+			childRate := s.stageRate(q, e.Child)
 			if parentRate > 0.5 && childRate > 0 {
 				obs := childRate / parentRate
 				// Smooth across epochs so the DP sees a stable estimate.
@@ -844,22 +877,30 @@ func (s *Scheduler) adaptGammas(q *queryopt.Query) *queryopt.Query {
 	return &queryopt.Query{Name: q.Name, SLO: q.SLO, Root: cloneNode(q.Root)}
 }
 
+// stageRate returns the smoothed observed rate of a query stage.
+func (s *Scheduler) stageRate(q *queryopt.Query, n *queryopt.Node) float64 {
+	h, _ := s.names.Lookup(queryopt.StageID(q, n))
+	return s.rate(h)
+}
+
 // groupPrefixes combines sessions of specialized sibling models with equal
-// SLOs into prefix-batched group sessions (§6.3).
-func (s *Scheduler) groupPrefixes(sessions []scheduler.Session, memberUnit map[string]string) ([]scheduler.Session, error) {
-	// Bucket by (SLO, base family).
+// SLOs into prefix-batched group sessions (§6.3). handles[i] is the handle
+// of sessions[i]; memberUnit records each grouped member's group.
+func (s *Scheduler) groupPrefixes(sessions []scheduler.Session, handles []session.Handle,
+	memberUnit []string) ([]scheduler.Session, error) {
+	// Bucket by (SLO, base family); a bucket holds indices into sessions.
 	type bucketKey struct {
 		slo  time.Duration
 		base string
 	}
-	buckets := make(map[bucketKey][]scheduler.Session)
+	buckets := make(map[bucketKey][]int)
 	var order []bucketKey
-	for _, sess := range sessions {
+	for i, sess := range sessions {
 		key := bucketKey{sess.SLO, profiler.BaseOf(sess.ModelID)}
 		if _, ok := buckets[key]; !ok {
 			order = append(order, key)
 		}
-		buckets[key] = append(buckets[key], sess)
+		buckets[key] = append(buckets[key], i)
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].base != order[j].base {
@@ -870,40 +911,45 @@ func (s *Scheduler) groupPrefixes(sessions []scheduler.Session, memberUnit map[s
 	var out []scheduler.Session
 	for _, key := range order {
 		members := buckets[key]
+		ungrouped := func() {
+			for _, i := range members {
+				out = append(out, sessions[i])
+			}
+		}
 		if len(members) < 2 {
-			out = append(out, members...)
+			ungrouped()
 			continue
 		}
 		// Confirm a real shared prefix via the model DB.
 		ids := make([]string, len(members))
-		for i, m := range members {
-			ids[i] = m.ModelID
+		for k, i := range members {
+			ids[k] = sessions[i].ModelID
 		}
 		minShared := s.cfg.MinPrefixLayers
 		baseModel, err := s.modelDB.Get(key.base)
 		if err != nil {
 			// Models not in the DB (synthetic tests): skip grouping.
-			out = append(out, members...)
+			ungrouped()
 			continue
 		}
 		if minShared <= 0 {
 			minShared = baseModel.NumLayers() / 2
 		}
-		pgs, err := s.modelDB.PrefixGroups(dedup(ids), minShared)
+		prefixLen, err := s.modelDB.SharedPrefix(ids)
 		if err != nil {
 			return nil, err
 		}
-		// Only group when all members share one prefix group (the common
-		// case: one specialized family per application).
-		if len(pgs) != 1 || len(pgs[0].ModelIDs) < 2 {
-			out = append(out, members...)
+		// Only group when the members' distinct models all share a long
+		// enough prefix (the common case: one specialized family per
+		// application).
+		if prefixLen < max(minShared, 1) {
+			ungrouped()
 			continue
 		}
-		prefixLen := pgs[0].PrefixLen
 		suffixFrac := float64(baseModel.SuffixFLOPs(prefixLen)) / float64(baseModel.FLOPs())
 		baseProfile, ok := s.profiles[key.base]
 		if !ok {
-			baseProfile = s.profiles[members[0].ModelID]
+			baseProfile = s.profiles[sessions[members[0]].ModelID]
 		}
 		comb, err := profiler.CombinedProfile(baseProfile, suffixFrac, len(members))
 		if err != nil {
@@ -916,10 +962,10 @@ func (s *Scheduler) groupPrefixes(sessions []scheduler.Session, memberUnit map[s
 		s.groupParts[groupID] = [2]*profiler.Profile{&pre, &suf}
 		var rate float64
 		var memberIDs []string
-		for _, m := range members {
-			rate += m.Rate
-			memberIDs = append(memberIDs, m.ID)
-			memberUnit[m.ID] = groupID
+		for _, i := range members {
+			rate += sessions[i].Rate
+			memberIDs = append(memberIDs, sessions[i].ID)
+			memberUnit[handles[i]] = groupID
 		}
 		s.groups[groupID] = memberIDs
 		out = append(out, scheduler.Session{
@@ -927,18 +973,6 @@ func (s *Scheduler) groupPrefixes(sessions []scheduler.Session, memberUnit map[s
 		})
 	}
 	return out, nil
-}
-
-func dedup(ids []string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // profileOf resolves a model ID against combined and base profiles,
@@ -1182,10 +1216,10 @@ func (s *Scheduler) publishRoutes(plan *scheduler.Plan) error {
 			}
 		}
 	}
-	table := frontend.RoutingTable{}
-	for member, unit := range s.lastMemberUnit {
+	table := make(frontend.RoutingTable, len(s.memberUnit))
+	for h, unit := range s.memberUnit {
 		if routes := unitWeights[unit]; len(routes) > 0 {
-			table[member] = routes
+			table[h] = routes
 		}
 	}
 	return s.publishDelta(table)
@@ -1203,12 +1237,12 @@ func (s *Scheduler) publishRoutes(plan *scheduler.Plan) error {
 func (s *Scheduler) publishDelta(table frontend.RoutingTable) error {
 	limit := s.cfg.RecoveryMaxRouteChanges
 	capped := s.recoveryPending && limit > 0
-	var set map[string][]frontend.Route
-	var remove []string
+	var set []frontend.SessionRoutes
+	var remove []session.Handle
 	// Without a baseline the whole table goes out, so there is nothing to
 	// diff — unless a capped recovery must stage it from an empty table.
 	if s.lastTable != nil || capped {
-		set, remove = tableDiff(s.lastTable, table)
+		set, remove = s.tableDiff(s.lastTable, table)
 	}
 	if s.lastTable != nil && len(set) == 0 && len(remove) == 0 {
 		s.lastTable = table
@@ -1256,20 +1290,19 @@ func (s *Scheduler) publishDelta(table frontend.RoutingTable) error {
 
 // tableDiff computes the per-session delta from prev to next: sessions
 // whose routes changed or appeared go in set, vanished sessions in remove
-// (sorted for determinism).
-func tableDiff(prev, next frontend.RoutingTable) (set map[string][]frontend.Route, remove []string) {
-	set = make(map[string][]frontend.Route)
-	for sid, routes := range next {
-		if old, ok := prev[sid]; !ok || !routesEqual(old, routes) {
-			set[sid] = routes
+// (sorted by session ID, for determinism).
+func (s *Scheduler) tableDiff(prev, next frontend.RoutingTable) (set []frontend.SessionRoutes, remove []session.Handle) {
+	for h, routes := range next {
+		if routes != nil && (h >= len(prev) || !routesEqual(prev[h], routes)) {
+			set = append(set, frontend.SessionRoutes{Session: session.Handle(h), Routes: routes})
 		}
 	}
-	for sid := range prev {
-		if _, ok := next[sid]; !ok {
-			remove = append(remove, sid)
+	for h, routes := range prev {
+		if routes != nil && (h >= len(next) || next[h] == nil) {
+			remove = append(remove, session.Handle(h))
 		}
 	}
-	sort.Strings(remove)
+	sort.Slice(remove, func(i, j int) bool { return s.names.ID(remove[i]) < s.names.ID(remove[j]) })
 	return set, remove
 }
 
@@ -1318,7 +1351,7 @@ func (s *Scheduler) sweepDead() {
 
 // apply maps plan nodes onto pool backends, configures them, and publishes
 // the routing table.
-func (s *Scheduler) apply(plan *scheduler.Plan, memberUnit map[string]string) error {
+func (s *Scheduler) apply(plan *scheduler.Plan, memberUnit []string) error {
 	// Decide per-node replica counts: spare pool capacity is spread onto
 	// the busiest nodes so a fixed cluster runs at full width instead of
 	// leaving paid-for GPUs idle ("it is critical to sustain high
@@ -1407,7 +1440,7 @@ func (s *Scheduler) apply(plan *scheduler.Plan, memberUnit map[string]string) er
 	}
 
 	// Routing: each user-facing session routes to its unit's replicas.
-	s.lastMemberUnit = memberUnit
+	s.memberUnit = memberUnit
 	return s.publishRoutes(plan)
 }
 

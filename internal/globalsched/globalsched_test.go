@@ -13,6 +13,7 @@ import (
 	"nexus/internal/model"
 	"nexus/internal/profiler"
 	"nexus/internal/queryopt"
+	"nexus/internal/session"
 	"nexus/internal/simclock"
 	"nexus/internal/workload"
 )
@@ -84,6 +85,11 @@ type env struct {
 	dropped int
 }
 
+// stamp gives a generator its session's handle, as a deployment does.
+func (e *env) stamp(g *workload.Generator) {
+	g.Handle, _ = e.sched.names.Lookup(g.Session)
+}
+
 func newEnv(t *testing.T, cfg Config, poolSize int) *env {
 	t.Helper()
 	e := &env{clock: simclock.New()}
@@ -114,9 +120,10 @@ func newEnv(t *testing.T, cfg Config, poolSize int) *env {
 	}
 	// Backends map is filled lazily by the pool; the frontend needs a live
 	// view, so share the pool's inUse map.
-	e.fe = frontend.New(e.clock, poolBackends(e.pool), 0,
+	names := session.NewTable()
+	e.fe = frontend.New(e.clock, poolBackends(e.pool), names, 0,
 		func(req workload.Request, reason backend.Outcome) { e.dropped++ })
-	e.sched = New(e.clock, e.pool, []*frontend.Frontend{e.fe}, e.mdb, profiles, cfg)
+	e.sched = New(e.clock, e.pool, []*frontend.Frontend{e.fe}, names, e.mdb, profiles, cfg)
 	return e
 }
 
@@ -134,20 +141,20 @@ func nexusConfig() Config {
 
 func TestAddSessionValidation(t *testing.T) {
 	e := newEnv(t, nexusConfig(), 4)
-	if err := e.sched.AddSession(SessionSpec{ID: "", ModelID: model.ResNet50, SLO: time.Second}); err == nil {
+	if _, err := e.sched.AddSession(SessionSpec{ID: "", ModelID: model.ResNet50, SLO: time.Second}); err == nil {
 		t.Error("empty ID accepted")
 	}
-	if err := e.sched.AddSession(SessionSpec{ID: "s", ModelID: "ghost", SLO: time.Second}); err == nil {
+	if _, err := e.sched.AddSession(SessionSpec{ID: "s", ModelID: "ghost", SLO: time.Second}); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if err := e.sched.AddSession(SessionSpec{ID: "s", ModelID: model.ResNet50, SLO: 0}); err == nil {
+	if _, err := e.sched.AddSession(SessionSpec{ID: "s", ModelID: model.ResNet50, SLO: 0}); err == nil {
 		t.Error("zero SLO accepted")
 	}
 }
 
 func TestEpochDeploysSession(t *testing.T) {
 	e := newEnv(t, nexusConfig(), 4)
-	if err := e.sched.AddSession(SessionSpec{
+	if _, err := e.sched.AddSession(SessionSpec{
 		ID: "s", ModelID: model.ResNet50, SLO: 100 * time.Millisecond, ExpectedRate: 100,
 	}); err != nil {
 		t.Fatal(err)
@@ -164,8 +171,8 @@ func TestEpochDeploysSession(t *testing.T) {
 	// Serve traffic end to end.
 	e.clock.RunUntil(2 * time.Second) // model load
 	rng := rand.New(rand.NewSource(1))
-	workload.Start(e.clock, rng, "s", 100*time.Millisecond, workload.Uniform{Rate: 100},
-		e.clock.Now()+10*time.Second, func(r workload.Request) { e.fe.Dispatch(r) })
+	e.stamp(workload.Start(e.clock, rng, "s", 100*time.Millisecond, workload.Uniform{Rate: 100},
+		e.clock.Now()+10*time.Second, func(r workload.Request) { e.fe.Dispatch(r) }))
 	e.clock.Run()
 	total := e.good + e.missed + e.dropped
 	if total < 900 {
@@ -181,7 +188,7 @@ func TestPrefixGroupingReducesGPUs(t *testing.T) {
 	// share units; without, they are packed separately.
 	addVariants := func(e *env) {
 		for i := 0; i < 4; i++ {
-			if err := e.sched.AddSession(SessionSpec{
+			if _, err := e.sched.AddSession(SessionSpec{
 				ID:      fmt.Sprintf("s%d", i),
 				ModelID: fmt.Sprintf("%s-v%d", model.ResNet50, i),
 				SLO:     150 * time.Millisecond, ExpectedRate: 150,
@@ -263,7 +270,7 @@ func TestObliviousModeRequiresGPUCount(t *testing.T) {
 	cfg := nexusConfig()
 	cfg.Squishy = false
 	e := newEnv(t, cfg, 4)
-	if err := e.sched.AddSession(SessionSpec{ID: "s", ModelID: model.ResNet50, SLO: 100 * time.Millisecond, ExpectedRate: 10}); err != nil {
+	if _, err := e.sched.AddSession(SessionSpec{ID: "s", ModelID: model.ResNet50, SLO: 100 * time.Millisecond, ExpectedRate: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.sched.RunEpoch(); err == nil {
@@ -271,7 +278,7 @@ func TestObliviousModeRequiresGPUCount(t *testing.T) {
 	}
 	cfg.ObliviousGPUs = 2
 	e2 := newEnv(t, cfg, 4)
-	if err := e2.sched.AddSession(SessionSpec{ID: "s", ModelID: model.ResNet50, SLO: 100 * time.Millisecond, ExpectedRate: 10}); err != nil {
+	if _, err := e2.sched.AddSession(SessionSpec{ID: "s", ModelID: model.ResNet50, SLO: 100 * time.Millisecond, ExpectedRate: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e2.sched.RunEpoch(); err != nil {
@@ -284,7 +291,7 @@ func TestObliviousModeRequiresGPUCount(t *testing.T) {
 
 func TestEpochAdaptsToObservedLoad(t *testing.T) {
 	e := newEnv(t, nexusConfig(), 32)
-	if err := e.sched.AddSession(SessionSpec{
+	if _, err := e.sched.AddSession(SessionSpec{
 		ID: "s", ModelID: model.ResNet50, SLO: 100 * time.Millisecond, ExpectedRate: 50,
 	}); err != nil {
 		t.Fatal(err)
@@ -296,8 +303,8 @@ func TestEpochAdaptsToObservedLoad(t *testing.T) {
 	// Offer much more traffic than expected, then re-run the epoch.
 	e.clock.RunUntil(2 * time.Second)
 	rng := rand.New(rand.NewSource(2))
-	workload.Start(e.clock, rng, "s", 100*time.Millisecond, workload.Uniform{Rate: 3000},
-		e.clock.Now()+10*time.Second, func(r workload.Request) { e.fe.Dispatch(r) })
+	e.stamp(workload.Start(e.clock, rng, "s", 100*time.Millisecond, workload.Uniform{Rate: 3000},
+		e.clock.Now()+10*time.Second, func(r workload.Request) { e.fe.Dispatch(r) }))
 	e.clock.RunUntil(7 * time.Second)
 	if err := e.sched.RunEpoch(); err != nil {
 		t.Fatal(err)
@@ -332,7 +339,7 @@ func TestPoolExhaustionDegradesGracefully(t *testing.T) {
 			cfg.Shards = shards
 			e := newEnv(t, cfg, pool)
 			for i := 0; i < 4; i++ {
-				if err := e.sched.AddSession(SessionSpec{
+				if _, err := e.sched.AddSession(SessionSpec{
 					ID:      fmt.Sprintf("s%d", i),
 					ModelID: model.Darknet53,
 					SLO:     200 * time.Millisecond, ExpectedRate: 500,
@@ -381,7 +388,7 @@ func TestUnappliedPlanNotCommitted(t *testing.T) {
 				t.Fatal(err)
 			}
 			// A heavy new session needs dedicated GPUs the pool will not grant.
-			if err := e.sched.AddSession(SessionSpec{
+			if _, err := e.sched.AddSession(SessionSpec{
 				ID: "late", ModelID: model.ResNet50, SLO: 200 * time.Millisecond, ExpectedRate: 2000,
 			}); err != nil {
 				t.Fatal(err)

@@ -18,7 +18,7 @@ func addMixedSessions(t *testing.T, e *env, n int) {
 	t.Helper()
 	models := []string{model.ResNet50, model.Darknet53, model.GoogLeNetCar}
 	for i := 0; i < n; i++ {
-		if err := e.sched.AddSession(SessionSpec{
+		if _, err := e.sched.AddSession(SessionSpec{
 			ID:           fmt.Sprintf("s%02d", i),
 			ModelID:      models[i%len(models)],
 			SLO:          time.Duration(150+50*(i%3)) * time.Millisecond,
@@ -48,8 +48,8 @@ func TestShardedEpochServesTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 12; i++ {
 		sid := fmt.Sprintf("s%02d", i)
-		workload.Start(e.clock, rng, sid, 200*time.Millisecond, workload.Uniform{Rate: 50},
-			e.clock.Now()+10*time.Second, func(r workload.Request) { e.fe.Dispatch(r) })
+		e.stamp(workload.Start(e.clock, rng, sid, 200*time.Millisecond, workload.Uniform{Rate: 50},
+			e.clock.Now()+10*time.Second, func(r workload.Request) { e.fe.Dispatch(r) }))
 	}
 	e.clock.RunUntil(8 * time.Second)
 	if err := e.sched.RunEpoch(); err != nil {
@@ -179,8 +179,8 @@ func TestDeltaRoutingResyncAfterLocalRepair(t *testing.T) {
 	// must push an update.
 	e.clock.RunUntil(2 * time.Second)
 	rng := rand.New(rand.NewSource(3))
-	workload.Start(e.clock, rng, "s00", 200*time.Millisecond, workload.Uniform{Rate: 400},
-		e.clock.Now()+6*time.Second, func(r workload.Request) { e.fe.Dispatch(r) })
+	e.stamp(workload.Start(e.clock, rng, "s00", 200*time.Millisecond, workload.Uniform{Rate: 400},
+		e.clock.Now()+6*time.Second, func(r workload.Request) { e.fe.Dispatch(r) }))
 	e.clock.RunUntil(9 * time.Second)
 	_, fullsBefore, _ := e.sched.RoutePushStats()
 	if err := e.sched.RunEpoch(); err != nil {

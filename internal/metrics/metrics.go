@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"nexus/internal/runner"
+	"nexus/internal/session"
 )
 
 // Histogram is a logarithmically-bucketed latency histogram with ~2%
@@ -246,31 +247,48 @@ func (s *SessionStats) Merge(other *SessionStats) {
 	s.Latency.Merge(&other.Latency)
 }
 
-// Recorder aggregates SessionStats by session ID.
+// Recorder aggregates SessionStats by session. The request path reaches a
+// session's stats by its handle (Stats); the string API (Session,
+// SessionIDs) resolves IDs through the deployment's session table.
 type Recorder struct {
-	sessions map[string]*SessionStats
+	names *session.Table
+	stats []*SessionStats // by handle; nil until the session is first touched
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{sessions: make(map[string]*SessionStats)}
+// NewRecorder returns an empty recorder over a session table (nil = a table
+// of its own).
+func NewRecorder(names *session.Table) *Recorder {
+	if names == nil {
+		names = session.NewTable()
+	}
+	return &Recorder{names: names}
+}
+
+// Stats returns (creating if needed) the stats of a session handle.
+func (r *Recorder) Stats(h session.Handle) *SessionStats {
+	if int(h) < len(r.stats) {
+		if s := r.stats[h]; s != nil {
+			return s
+		}
+	}
+	r.stats = session.Fit(r.stats, h)
+	s := &SessionStats{}
+	r.stats[h] = s
+	return s
 }
 
 // Session returns (creating if needed) the stats for a session ID.
 func (r *Recorder) Session(id string) *SessionStats {
-	s, ok := r.sessions[id]
-	if !ok {
-		s = &SessionStats{}
-		r.sessions[id] = s
-	}
-	return s
+	return r.Stats(r.names.Intern(id))
 }
 
-// SessionIDs returns the known session IDs in sorted order.
+// SessionIDs returns the IDs of the sessions with stats, in sorted order.
 func (r *Recorder) SessionIDs() []string {
-	ids := make([]string, 0, len(r.sessions))
-	for id := range r.sessions {
-		ids = append(ids, id)
+	ids := []string{}
+	for h, s := range r.stats {
+		if s != nil {
+			ids = append(ids, r.names.ID(session.Handle(h)))
+		}
 	}
 	sort.Strings(ids)
 	return ids
@@ -279,8 +297,10 @@ func (r *Recorder) SessionIDs() []string {
 // Total returns stats merged across all sessions.
 func (r *Recorder) Total() *SessionStats {
 	t := &SessionStats{}
-	for _, s := range r.sessions {
-		t.Merge(s)
+	for _, s := range r.stats {
+		if s != nil {
+			t.Merge(s)
+		}
 	}
 	return t
 }

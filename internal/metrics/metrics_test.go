@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"nexus/internal/runner"
+	"nexus/internal/session"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -150,7 +151,8 @@ func TestSessionStats(t *testing.T) {
 }
 
 func TestRecorder(t *testing.T) {
-	r := NewRecorder()
+	names := session.NewTable()
+	r := NewRecorder(names)
 	r.Session("b").Sent = 5
 	r.Session("a").Sent = 3
 	r.Session("a").Dropped = 1
@@ -165,6 +167,15 @@ func TestRecorder(t *testing.T) {
 	// Session must return the same pointer on repeat calls.
 	if r.Session("a") != r.Session("a") {
 		t.Fatal("Session not stable")
+	}
+	// The handle path reaches the same stats, and an untouched session has
+	// none until it is.
+	if h, _ := names.Lookup("a"); r.Stats(h) != r.Session("a") {
+		t.Fatal("Stats(handle) differs from Session(id)")
+	}
+	names.Intern("c")
+	if ids := r.SessionIDs(); len(ids) != 2 {
+		t.Fatalf("ids with an untouched session = %v", ids)
 	}
 }
 

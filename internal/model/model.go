@@ -287,6 +287,7 @@ func CommonPrefixLen(a, b *Model) int {
 // DB is a model database (the management plane's model store, §5).
 type DB struct {
 	models map[string]*Model
+	order  []string // IDs in registration order
 }
 
 // NewDB returns an empty model database.
@@ -300,6 +301,7 @@ func (db *DB) Register(m *Model) error {
 		return fmt.Errorf("model %q already registered", m.ID)
 	}
 	db.models[m.ID] = m
+	db.order = append(db.order, m.ID)
 	return nil
 }
 
@@ -371,59 +373,37 @@ func (db *DB) IDs() []string {
 // Len returns the number of registered models.
 func (db *DB) Len() int { return len(db.models) }
 
-// PrefixGroup is a set of models that share their first PrefixLen layers
-// and can therefore execute that prefix as one batch (§6.3).
-type PrefixGroup struct {
-	PrefixLen int
-	ModelIDs  []string // sorted
-}
+// Since returns the IDs of the models registered after the first n, in
+// registration order: a caller that remembers Len can walk only what is
+// new.
+func (db *DB) Since(n int) []string { return db.order[n:] }
 
-// PrefixGroups partitions the given model IDs into maximal groups of models
-// sharing a common prefix of at least minShared layers. Models with no
-// sufficiently-shared partner form singleton groups with PrefixLen equal to
-// their own depth. Groups are returned in a deterministic order.
-func (db *DB) PrefixGroups(ids []string, minShared int) ([]PrefixGroup, error) {
-	minShared = max(minShared, 1)
-	models := make([]*Model, len(ids))
-	for i, id := range ids {
+// SharedPrefix returns how many leading layers all the distinct models
+// among ids share, so they can execute that prefix as one batch (§6.3); 0
+// when ids name fewer than two distinct models. Prefix equality at a given
+// length is an equivalence, so comparing every model against the first
+// answers for all pairs, in any order.
+func (db *DB) SharedPrefix(ids []string) (int, error) {
+	if len(ids) == 0 {
+		return 0, nil
+	}
+	first, err := db.Get(ids[0])
+	if err != nil {
+		return 0, err
+	}
+	shared, distinct := first.NumLayers(), false
+	for _, id := range ids[1:] {
 		m, err := db.Get(id)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		models[i] = m
-	}
-	type group struct {
-		prefixLen int
-		members   []*Model
-	}
-	var groups []*group
-	sort.Slice(models, func(i, j int) bool { return models[i].ID < models[j].ID })
-	for _, m := range models {
-		best := -1
-		bestLCP := 0
-		for gi, g := range groups {
-			lcp := min(CommonPrefixLen(g.members[0], m), g.prefixLen)
-			if lcp >= minShared && lcp > bestLCP {
-				best, bestLCP = gi, lcp
-			}
-		}
-		if best >= 0 {
-			g := groups[best]
-			g.members = append(g.members, m)
-			g.prefixLen = min(g.prefixLen, bestLCP)
-		} else {
-			groups = append(groups, &group{prefixLen: m.NumLayers(), members: []*Model{m}})
+		if id != first.ID {
+			distinct = true
+			shared = min(shared, CommonPrefixLen(first, m))
 		}
 	}
-	out := make([]PrefixGroup, len(groups))
-	for i, g := range groups {
-		pg := PrefixGroup{PrefixLen: g.prefixLen}
-		for _, m := range g.members {
-			pg.ModelIDs = append(pg.ModelIDs, m.ID)
-		}
-		sort.Strings(pg.ModelIDs)
-		out[i] = pg
+	if !distinct {
+		return 0, nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ModelIDs[0] < out[j].ModelIDs[0] })
-	return out, nil
+	return shared, nil
 }

@@ -48,7 +48,7 @@ func sampleLog() Log {
 
 // spansOf packs evs, in order, as a dump holds them.
 func spansOf(evs ...trace.Event) trace.Spans {
-	tr := trace.New(len(evs))
+	tr := trace.New(len(evs), nil)
 	for _, e := range evs {
 		tr.Record(e)
 	}

@@ -274,9 +274,12 @@ func EvenSplit(q *Query) (*Split, error) {
 	return split, nil
 }
 
+// StageID returns the session ID of a query stage: "<query>/<node>".
+func StageID(q *Query, n *Node) string { return q.Name + "/" + n.Name }
+
 // Sessions converts a query plus a latency split into scheduler sessions,
 // one per node, with rates derived from the root rate. Session IDs are
-// "<query>/<node>".
+// StageIDs.
 func Sessions(q *Query, rootRate float64, split *Split) ([]scheduler.Session, error) {
 	rates := q.Rates(rootRate)
 	var out []scheduler.Session
@@ -286,7 +289,7 @@ func Sessions(q *Query, rootRate float64, split *Split) ([]scheduler.Session, er
 			return nil, fmt.Errorf("queryopt: split missing node %s", n.Name)
 		}
 		out = append(out, scheduler.Session{
-			ID:      q.Name + "/" + n.Name,
+			ID:      StageID(q, n),
 			ModelID: n.ModelID,
 			SLO:     budget,
 			Rate:    rates[n.Name],

@@ -12,7 +12,7 @@ import (
 // Spans reach disk as span records of the observation log; decoding them
 // must give back the tracer's events exactly.
 func TestWriteJSONRoundTrip(t *testing.T) {
-	tr := trace.New(4)
+	tr := trace.New(4, nil)
 	tr.Record(trace.Event{At: time.Millisecond, Kind: trace.Execute, ReqID: 1, Backend: "be0", Unit: "u",
 		Batch: 8, Dur: 2500 * time.Microsecond, Inc: 3})
 	tr.Record(trace.Event{At: 7*time.Millisecond + 123*time.Nanosecond, Kind: trace.Drop, ReqID: 2,

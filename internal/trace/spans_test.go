@@ -44,7 +44,7 @@ func randomEvents(rng *rand.Rand, n int) []trace.Event {
 
 // packed returns evs as a dump holds them.
 func packed(evs []trace.Event) trace.Spans {
-	tr := trace.New(max(len(evs), 1))
+	tr := trace.New(max(len(evs), 1), nil)
 	for _, e := range evs {
 		tr.Record(e)
 	}

@@ -26,6 +26,8 @@ import (
 	"io"
 	"math"
 	"time"
+
+	"nexus/internal/session"
 )
 
 // Kind classifies an event.
@@ -130,8 +132,9 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Name is a handle into a name table: it stands for a session, backend,
-// unit, kind, cause or detail string in a packed Span. Handle 0 is "".
+// Name is a handle into a name table: it stands for a backend, unit, kind,
+// cause or detail string in a packed Span. Handle 0 is "". A Span's
+// session is a handle in a session.Table instead.
 type Name uint32
 
 // The kinds' handles, the same in every name table.
@@ -173,11 +176,12 @@ func (n *names) intern(v string) Name {
 	return h
 }
 
-// pack returns e as a record, interning its strings.
-func (n *names) pack(e *Event) Span {
+// pack returns e as a record, interning its session in sessions and its
+// other strings in n.
+func (n *names) pack(e *Event, sessions *session.Table) Span {
 	return Span{
 		At: e.At, Dur: e.Dur, Req: e.ReqID, Inc: e.Inc, Batch: e.Batch,
-		Kind: n.intern(string(e.Kind)), Session: n.intern(e.Session), Backend: n.intern(e.Backend),
+		Kind: n.intern(string(e.Kind)), Session: sessions.Intern(e.Session), Backend: n.intern(e.Backend),
 		Unit: n.intern(e.Unit), Cause: n.intern(e.Cause), Detail: n.intern(e.Detail),
 	}
 }
@@ -187,9 +191,10 @@ func (n *names) pack(e *Event) Span {
 // single-threaded by design.
 //
 // The ring holds packed Spans whose names are handles into the tracer's
-// name table. Callers intern their names once, at control-plane speed
-// (Name), and record with Put, which interns nothing; Record takes a
-// whole Event and interns its strings as it goes.
+// name table, and whose sessions are handles into the session table it
+// reads them through (its deployment's). Callers intern their names once,
+// at control-plane speed (Name), and record with Put, which interns
+// nothing; Record takes a whole Event and interns its strings as it goes.
 //
 // The ring is stored as chunks of chunkEvents slots, each allocated on its
 // first write, so a tracer's memory follows what it has recorded and never
@@ -203,6 +208,7 @@ type Tracer struct {
 	total    uint64
 	filter   func(req uint64) bool
 	names    names
+	sessions *session.Table
 }
 
 // chunkEvents is the size of one ring chunk (2^16 spans, ~3.7 MB). Smaller
@@ -215,13 +221,17 @@ const (
 )
 
 // New creates a tracer holding up to capacity events (older events are
-// overwritten). Storage is allocated as events arrive, so New itself costs
-// the same at any capacity. Capacity below 1 panics.
-func New(capacity int) *Tracer {
+// overwritten) whose spans name sessions by their handles in sessions (nil
+// = a table of the tracer's own). Storage is allocated as events arrive,
+// so New itself costs the same at any capacity. Capacity below 1 panics.
+func New(capacity int, sessions *session.Table) *Tracer {
 	if capacity < 1 {
 		panic("trace: capacity must be >= 1")
 	}
-	return &Tracer{capacity: capacity, names: newNames()}
+	if sessions == nil {
+		sessions = session.NewTable()
+	}
+	return &Tracer{capacity: capacity, names: newNames(), sessions: sessions}
 }
 
 // SetFilter installs a predicate on request IDs; events of requests
@@ -243,17 +253,8 @@ func (t *Tracer) Name(v string) Name {
 	return t.names.intern(v)
 }
 
-// Handle returns a request's session handle: h itself when the request
-// carries one, or else the handle of its session name, interned.
-func (t *Tracer) Handle(h uint32, session string) Name {
-	if h != 0 || session == "" {
-		return Name(h)
-	}
-	return t.Name(session)
-}
-
-// Put appends a record whose names are this tracer's handles (no-op on a
-// nil tracer). A filtered record is discarded before touching the ring: it
+// Put appends a record whose names are this tracer's handles and whose
+// session is a handle in its session table (no-op on a nil tracer). A filtered record is discarded before touching the ring: it
 // advances neither the write cursor nor the total, so a filter cannot
 // evict retained events.
 func (t *Tracer) Put(s Span) {
@@ -276,7 +277,7 @@ func (t *Tracer) Record(e Event) {
 	if t.filter != nil && !t.filter(e.ReqID) {
 		return
 	}
-	*t.slot() = t.names.pack(&e)
+	*t.slot() = t.names.pack(&e, t.sessions)
 }
 
 // slot advances the cursor and returns the slot it passed. It allocates
@@ -342,9 +343,10 @@ func (t *Tracer) Events() []Event {
 		n = t.capacity
 	}
 	out := make([]Event, 0, n)
+	sessions := t.sessions.IDs()
 	t.runs(func(run []Span) {
 		for i := range run {
-			out = append(out, unpack(&run[i], t.names.list))
+			out = append(out, unpack(&run[i], t.names.list, sessions))
 		}
 	})
 	return out
@@ -353,8 +355,8 @@ func (t *Tracer) Events() []Event {
 // Between returns the retained events with from <= At <= to, in
 // chronological order, as Spans. It walks the ring in place twice: once to
 // count the matching records, so they are allocated once at their exact
-// size, and once to copy them. The copy shares the name table as it
-// stands: the table only appends, so that prefix never changes.
+// size, and once to copy them. The copy shares the name and session tables
+// as they stand: both only append, so those prefixes never change.
 func (t *Tracer) Between(from, to time.Duration) Spans {
 	if t == nil {
 		return Spans{}
@@ -379,7 +381,7 @@ func (t *Tracer) Between(from, to time.Duration) Spans {
 		}
 	})
 	l := t.names.list
-	return Spans{recs: recs, names: l[:len(l):len(l)]}
+	return Spans{recs: recs, names: l[:len(l):len(l)], sessions: t.sessions.IDs()}
 }
 
 // WriteText renders events human-readably, one per line.

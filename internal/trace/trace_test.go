@@ -13,6 +13,8 @@ import (
 	"testing/quick"
 	"time"
 	"unsafe"
+
+	"nexus/internal/session"
 )
 
 func ev(at int, kind Kind, req uint64) Event {
@@ -34,11 +36,11 @@ func TestNewValidation(t *testing.T) {
 			t.Fatal("capacity 0 accepted")
 		}
 	}()
-	New(0)
+	New(0, nil)
 }
 
 func TestRecordAndOrder(t *testing.T) {
-	tr := New(10)
+	tr := New(10, nil)
 	tr.Record(ev(1, Arrive, 1))
 	tr.Record(ev(2, Enqueue, 1))
 	tr.Record(ev(3, Complete, 1))
@@ -55,7 +57,7 @@ func TestRecordAndOrder(t *testing.T) {
 }
 
 func TestRingOverwrite(t *testing.T) {
-	tr := New(3)
+	tr := New(3, nil)
 	for i := 0; i < 5; i++ {
 		tr.Record(ev(i, Arrive, uint64(i)))
 	}
@@ -73,7 +75,7 @@ func TestRingOverwrite(t *testing.T) {
 }
 
 func TestFilter(t *testing.T) {
-	tr := New(10)
+	tr := New(10, nil)
 	tr.SetFilter(func(req uint64) bool { return req == 2 })
 	tr.Record(ev(1, Arrive, 1))
 	tr.Record(ev(2, Drop, 2))
@@ -86,7 +88,7 @@ func TestFilter(t *testing.T) {
 // neither the write cursor nor the total, so rejected events can never
 // evict retained ones or inflate the overwrite accounting.
 func TestFilterDoesNotAdvanceRing(t *testing.T) {
-	tr := New(3)
+	tr := New(3, nil)
 	tr.SetFilter(func(req uint64) bool { return req < 100 })
 	tr.Record(ev(0, Arrive, 0))
 	tr.Record(ev(1, Arrive, 1))
@@ -151,7 +153,7 @@ func requestLatency(events []Event) map[uint64]time.Duration {
 }
 
 func TestByRequestAndLatency(t *testing.T) {
-	tr := New(16)
+	tr := New(16, nil)
 	tr.Record(ev(10, Arrive, 7))
 	tr.Record(ev(11, Enqueue, 7))
 	tr.Record(ev(12, Arrive, 8))
@@ -172,7 +174,7 @@ func TestByRequestAndLatency(t *testing.T) {
 // Events must keep chronological order within each request even when the
 // ring has wrapped and the oldest retained events sit mid-buffer.
 func TestByRequestOrderingUnderWraparound(t *testing.T) {
-	tr := New(6)
+	tr := New(6, nil)
 	// Request 1's lifecycle interleaved with filler; capacity 6 retains
 	// only the last 6 of 9 events.
 	tr.Record(ev(0, Arrive, 1))
@@ -257,7 +259,7 @@ func TestEventUnmarshalRejectsOutOfRange(t *testing.T) {
 }
 
 func TestWriteText(t *testing.T) {
-	tr := New(8)
+	tr := New(8, nil)
 	tr.Record(ev(1, Arrive, 1))
 	tr.Record(Event{At: 2 * time.Millisecond, Kind: Execute, ReqID: 1, Backend: "be0", Unit: "u", Batch: 4})
 	tr.Record(Event{At: 3 * time.Millisecond, Kind: Drop, ReqID: 2, Session: "s", Cause: "deadline"})
@@ -274,7 +276,7 @@ func TestWriteText(t *testing.T) {
 }
 
 func TestSummaryAndSessions(t *testing.T) {
-	tr := New(8)
+	tr := New(8, nil)
 	tr.Record(Event{Kind: Arrive, Session: "b"})
 	tr.Record(Event{Kind: Arrive, Session: "a"})
 	tr.Record(Event{Kind: Drop, Session: "a"})
@@ -301,7 +303,7 @@ func TestSummaryAndSessions(t *testing.T) {
 // closed interval come back, oldest first. A ring not yet full yields only
 // the events recorded, never its empty slots.
 func TestBetween(t *testing.T) {
-	tr := New(4)
+	tr := New(4, nil)
 	for i := 0; i < 7; i++ { // retains requests 3..6
 		tr.Record(ev(10*i, Arrive, uint64(i)))
 	}
@@ -316,7 +318,7 @@ func TestBetween(t *testing.T) {
 	if nilTracer.Between(0, time.Second).Len() != 0 {
 		t.Fatal("nil tracer returned events")
 	}
-	part := New(8)
+	part := New(8, nil)
 	part.Record(ev(10, Arrive, 1))
 	part.Record(ev(20, Complete, 1))
 	if got := part.Between(0, time.Second).Events(); len(got) != 2 || got[1].Kind != Complete {
@@ -332,7 +334,7 @@ func TestPropertyRing(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		capn := rng.Intn(16) + 1
 		n := rng.Intn(100)
-		tr := New(capn)
+		tr := New(capn, nil)
 		for i := 0; i < n; i++ {
 			tr.Record(ev(i, Arrive, uint64(i)))
 		}
@@ -370,9 +372,9 @@ func TestPropertyFilterTransparent(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		capn := rng.Intn(8) + 1
 		n := rng.Intn(80)
-		filtered := New(capn)
+		filtered := New(capn, nil)
 		filtered.SetFilter(func(req uint64) bool { return req < 1<<40 })
-		plain := New(capn)
+		plain := New(capn, nil)
 		for i := 0; i < n; i++ {
 			if rng.Intn(2) == 0 {
 				e := ev(i, Arrive, uint64(i))
@@ -440,7 +442,7 @@ func (r *flatRing) retained() []Event {
 func TestTracerRingMatchesFlat(t *testing.T) {
 	for _, capn := range []int{1, chunkEvents - 1, chunkEvents, chunkEvents + 1, 3*chunkEvents - 1} {
 		for _, filtered := range []bool{false, true} {
-			tr := New(capn)
+			tr := New(capn, nil)
 			ref := &flatRing{events: make([]Event, capn)}
 			if filtered {
 				keep := func(req uint64) bool { return req%3 != 0 }
@@ -456,7 +458,7 @@ func TestTracerRingMatchesFlat(t *testing.T) {
 				}
 			}
 			last := uint64(2*capn + 1)
-			s := tr.Name("s")
+			s := tr.sessions.Intern("s")
 			for i := 0; ref.total < last; i++ {
 				e := ev(i, Arrive, uint64(i))
 				if i%2 == 0 {
@@ -506,8 +508,8 @@ func allocBytes(f func()) uint64 {
 // allocates nothing.
 func TestTracerAllocatesOnDemand(t *testing.T) {
 	var tr *Tracer
-	if b := allocBytes(func() { tr = New(1 << 18) }); b >= 1<<10 {
-		t.Fatalf("New(1<<18) allocated %d B, want under 1 KiB", b)
+	if b := allocBytes(func() { tr = New(1<<18, nil) }); b >= 1<<10 {
+		t.Fatalf("New(1<<18, nil) allocated %d B, want under 1 KiB", b)
 	}
 	// The chunk table's own growth is the slack.
 	chunkBytes := uint64(chunkEvents) * uint64(unsafe.Sizeof(Span{}))
@@ -525,7 +527,7 @@ func TestTracerAllocatesOnDemand(t *testing.T) {
 		}
 	}
 
-	small := New(chunkEvents + 1)
+	small := New(chunkEvents+1, nil)
 	for i := 0; i <= chunkEvents+1; i++ {
 		small.Record(ev(i, Arrive, uint64(i)))
 	}
@@ -533,7 +535,7 @@ func TestTracerAllocatesOnDemand(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { small.Record(e) }); n != 0 {
 		t.Fatalf("Record after the wrap: %v allocs, want 0", n)
 	}
-	s := Span{At: e.At, Kind: CompleteName, Req: e.ReqID, Session: small.Name(e.Session)}
+	s := Span{At: e.At, Kind: CompleteName, Req: e.ReqID, Session: small.sessions.Intern(e.Session)}
 	if n := testing.AllocsPerRun(100, func() { small.Put(s) }); n != 0 {
 		t.Fatalf("Put after the wrap: %v allocs, want 0", n)
 	}
@@ -555,7 +557,7 @@ func TestRingRecordPointerFree(t *testing.T) {
 	}
 	var tr *Tracer
 	b := allocBytes(func() {
-		tr = New(chunkEvents)
+		tr = New(chunkEvents, nil)
 		for i := range chunkEvents {
 			tr.Put(Span{At: time.Duration(i), Kind: ArriveName, Req: uint64(i)})
 		}
@@ -590,11 +592,11 @@ func hasPointer(typ reflect.Type) bool {
 
 // TestRecordInternsNothing: once a deployment's names are interned, its
 // request lifecycles record through handles without allocating and without
-// growing the name table.
+// growing the name or session table.
 func TestRecordInternsNothing(t *testing.T) {
-	tr := New(1 << 12)
+	tr := New(1<<12, nil)
 	tr.SetFilter(func(req uint64) bool { return req%7 != 0 })
-	sessions := []Name{tr.Name("game-0"), tr.Name("traffic/det")}
+	sessions := []session.Handle{tr.sessions.Intern("game-0"), tr.sessions.Intern("traffic/det")}
 	be, unit := tr.Name("be0"), tr.Name("game-0/u0")
 	deadline := tr.Name("deadline")
 	lifecycle := func(req uint64) {
@@ -613,7 +615,7 @@ func TestRecordInternsNothing(t *testing.T) {
 	for req := range uint64(1 << 12) { // wrap the ring first
 		lifecycle(req)
 	}
-	names := len(tr.names.list)
+	names, ids := len(tr.names.list), tr.sessions.Len()
 	if n := testing.AllocsPerRun(1, func() {
 		for req := range uint64(20000) { // 10^5 records
 			lifecycle(req)
@@ -624,6 +626,9 @@ func TestRecordInternsNothing(t *testing.T) {
 	if len(tr.names.list) != names || len(tr.names.index) != names {
 		t.Fatalf("recording grew the name table from %d to %d", names, len(tr.names.list))
 	}
+	if tr.sessions.Len() != ids {
+		t.Fatalf("recording grew the session table from %d to %d", ids, tr.sessions.Len())
+	}
 	last := tr.Events()[len(tr.Events())-1]
 	if last != (Event{At: 19998, Kind: Drop, ReqID: 19998, Session: "game-0", Backend: "be0",
 		Unit: "game-0/u0", Cause: "deadline"}) {
@@ -631,25 +636,37 @@ func TestRecordInternsNothing(t *testing.T) {
 	}
 }
 
-// TestHandleFallsBackToName: a request that carries no session handle still
-// records its session's name, interned on the spot; one with a handle
-// records the handle as is, and a nil tracer resolves nothing.
-func TestHandleFallsBackToName(t *testing.T) {
-	tr := New(4)
-	h := tr.Name("s")
-	if got := tr.Handle(0, "s"); got != h {
-		t.Fatalf("Handle(0, s) = %d, want the interned %d", got, h)
+// TestSessionNamesFromTable: a tracer names sessions through the session
+// table it is given, the one its deployment's requests carry handles of. A
+// span resolves its session when read, so a session registered after the
+// tracer was built still resolves; Record interns into that table, never
+// into the tracer's name table; a window copied by Between keeps resolving
+// after the table grows.
+func TestSessionNamesFromTable(t *testing.T) {
+	names := session.NewTable()
+	tr := New(8, names)
+	s := names.Intern("s")
+	tr.Put(Span{Kind: RouteName, Req: 1, Session: s})
+	tr.Record(Event{Kind: Route, ReqID: 2, Session: "late"})
+	late, ok := names.Lookup("late")
+	if !ok {
+		t.Fatal("Record did not intern its session in the shared table")
 	}
-	tr.Put(Span{Kind: RouteName, Req: 1, Session: tr.Handle(0, "unstamped")})
-	tr.Put(Span{Kind: RouteName, Req: 2, Session: tr.Handle(uint32(h), "ignored")})
-	if got := tr.Events(); got[0].Session != "unstamped" || got[1].Session != "s" {
-		t.Fatalf("sessions %q, %q; want unstamped, s", got[0].Session, got[1].Session)
+	if _, ok := tr.names.index["late"]; ok {
+		t.Fatal("a session name went into the tracer's name table")
 	}
-	if tr.Handle(0, "") != 0 {
-		t.Fatal("an empty session name got a handle")
+	window := tr.Between(0, 0)
+	names.Intern("after")
+	tr.Put(Span{Kind: RouteName, Req: 3, Session: late})
+	got := tr.Events()
+	if got[0].Session != "s" || got[1].Session != "late" || got[2].Session != "late" {
+		t.Fatalf("sessions %q, %q, %q; want s, late, late", got[0].Session, got[1].Session, got[2].Session)
+	}
+	if w := window.Events(); len(w) != 2 || w[0].Session != "s" || w[1].Session != "late" {
+		t.Fatalf("window events %+v", w)
 	}
 	var nilTracer *Tracer
-	if nilTracer.Name("s") != 0 || nilTracer.Handle(0, "s") != 0 {
+	if nilTracer.Name("s") != 0 {
 		t.Fatal("a nil tracer interned a name")
 	}
 }

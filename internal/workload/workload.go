@@ -11,18 +11,19 @@ import (
 	"math/rand"
 	"time"
 
+	"nexus/internal/session"
 	"nexus/internal/simclock"
 )
 
-// Request is one inference request of a session.
+// Request is one inference request of a session: 32 bytes with no
+// pointers, so queues of requests cost the garbage collector nothing. The
+// session is a handle in the deployment's session table; its ID string is
+// looked up only where it is shown.
 type Request struct {
 	ID       uint64
-	Session  string
-	Arrival  time.Duration // virtual time the request entered the frontend
-	Deadline time.Duration // Arrival + session SLO
-	// Handle is the session's handle in the deployment's trace name table,
-	// so tracing the request never looks its name up; 0 = none.
-	Handle uint32
+	Arrival  time.Duration  // virtual time the request entered the frontend
+	Deadline time.Duration  // Arrival + session SLO
+	Session  session.Handle // 0 = no session
 }
 
 // Process produces inter-arrival times.
@@ -78,9 +79,9 @@ type Generator struct {
 	Session string
 	SLO     time.Duration
 	Proc    Process
-	// Handle is stamped on every request (Request.Handle); set it before
+	// Handle is stamped on every request (Request.Session); set it before
 	// the clock reaches the first arrival.
-	Handle uint32
+	Handle session.Handle
 
 	clock  *simclock.Clock
 	rng    *rand.Rand
@@ -101,13 +102,13 @@ type Generator struct {
 // Start begins emitting requests for session until the given virtual time
 // (inclusive of arrivals strictly before it). sink is called at each
 // arrival instant.
-func Start(clock *simclock.Clock, rng *rand.Rand, session string, slo time.Duration,
+func Start(clock *simclock.Clock, rng *rand.Rand, sessionID string, slo time.Duration,
 	proc Process, until time.Duration, sink func(Request)) *Generator {
 	if slo <= 0 {
-		panic(fmt.Sprintf("workload: session %s has non-positive SLO", session))
+		panic(fmt.Sprintf("workload: session %s has non-positive SLO", sessionID))
 	}
 	g := &Generator{
-		Session: session, SLO: slo, Proc: proc,
+		Session: sessionID, SLO: slo, Proc: proc,
 		clock: clock, rng: rng, sink: sink, until: until,
 	}
 	g.emitFn = g.emit
@@ -146,10 +147,9 @@ func (g *Generator) schedule() {
 func (g *Generator) emit() {
 	req := Request{
 		ID:       g.nextID,
-		Session:  g.Session,
 		Arrival:  g.clock.Now(),
 		Deadline: g.clock.Now() + g.SLO,
-		Handle:   g.Handle,
+		Session:  g.Handle,
 	}
 	g.nextID++
 	g.sent++

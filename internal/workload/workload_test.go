@@ -87,6 +87,7 @@ func TestGenerator(t *testing.T) {
 	var reqs []Request
 	g := Start(clock, rng, "s1", 100*time.Millisecond, Uniform{Rate: 100},
 		10*time.Second, func(r Request) { reqs = append(reqs, r) })
+	g.Handle = 7
 	clock.Run()
 	// ~1000 requests in 10s at 100 r/s.
 	if len(reqs) < 900 || len(reqs) > 1100 {
@@ -109,7 +110,7 @@ func TestGenerator(t *testing.T) {
 		if r.ID != uint64(i) {
 			t.Fatal("IDs not sequential")
 		}
-		if r.Session != "s1" {
+		if r.Session != 7 || g.Session != "s1" {
 			t.Fatal("wrong session")
 		}
 		prev = r.Arrival
