@@ -31,6 +31,16 @@ func TestFigure13WindowGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "fig13_window_short.golden"), runShort(t, "ctrl-shard", "fig13"))
 }
 
+// TestGPUMultiplexGolden pins the -short fig14 and spatial tables, event
+// counts included, to the bytes `nexus-bench -run fig14,spatial -short`
+// prints on stdout. fig14 runs Clipper and Nexus-parallel on Shared-mode
+// devices and spatial runs units on compute partitions, so a change to
+// either of gpusim's processor-sharing paths shows up here. Rewrite with
+// -update after an intentional change.
+func TestGPUMultiplexGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "gpu_multiplex_short.golden"), runShort(t, "fig14", "spatial"))
+}
+
 // runShort runs the given experiments in -short mode and returns their
 // tables and event counts as nexus-bench prints them.
 func runShort(t *testing.T, ids ...string) string {
