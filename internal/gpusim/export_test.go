@@ -13,15 +13,12 @@ func (d *Device) IsLoaded(key string) bool {
 // QueueLen returns the number of submitted-but-unfinished work items,
 // including work queued on compute partitions.
 func (d *Device) QueueLen() int {
-	n := len(d.queue) - d.qhead + len(d.shared)
-	if d.running != nil {
-		n++
+	n := 0
+	for _, l := range d.whole.lanes {
+		n += l.n
 	}
-	for _, p := range d.parts {
-		n += len(p.queue) - p.qhead
-		if p.running != nil {
-			n++
-		}
+	for _, l := range d.slices.lanes {
+		n += l.n
 	}
 	return n
 }
@@ -36,13 +33,7 @@ func (d *Device) Utilization(t0 time.Duration) float64 {
 }
 
 // QueueLen returns submitted-but-unfinished work items on this partition.
-func (p *Partition) QueueLen() int {
-	n := len(p.queue) - p.qhead
-	if p.running != nil {
-		n++
-	}
-	return n
-}
+func (p *Partition) QueueLen() int { return p.lane.n }
 
 // Utilization returns the partition's BusyTime / elapsed since t0.
 func (p *Partition) Utilization(t0 time.Duration) float64 {

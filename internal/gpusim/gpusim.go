@@ -1,16 +1,24 @@
 // Package gpusim simulates a GPU device for DNN serving.
 //
 // A Device executes opaque work items whose exclusive-execution duration
-// the caller supplies (computed from a batching profile). Two execution
-// modes reproduce the behaviours §6.3 ("GPU Multiplexing") contrasts:
+// the caller supplies (computed from a batching profile). Every work item
+// runs on a lane (lane.go): a lane is a FIFO of jobs, and a set of lanes
+// runs the head job of each busy lane at a rate r(k) that depends only on
+// the number k of busy lanes. The two modes §6.3 ("GPU Multiplexing")
+// contrasts are two ways of filling the device's lanes:
 //
-//   - Exclusive: one owner issues kernels; work runs FIFO, back to back.
-//     This is how the Nexus node runtime and TF Serving drive a GPU.
+//   - Exclusive: one owner issues kernels; work runs FIFO, back to back,
+//     on a single lane at rate 1. This is how the Nexus node runtime and TF
+//     Serving drive a GPU.
 //   - Shared: multiple independent clients (Clipper containers,
 //     Nexus-parallel) issue kernels concurrently. The GPU runtime
-//     interleaves them arbitrarily, modeled as processor sharing with a
-//     per-concurrency interference overhead, which increases and blurs
-//     everyone's latency — exactly the effect Figure 14 measures.
+//     interleaves them arbitrarily: each job gets a lane of its own and k
+//     jobs share the device at 1/(k·(1+o·(k−1))) each, processor sharing
+//     with a per-concurrency interference overhead, which increases and
+//     blurs everyone's latency — exactly the effect Figure 14 measures.
+//
+// Compute partitions (partition.go) are lanes in a second set that runs
+// beside the device's own, one lane per fractional slice.
 //
 // The device also models GPU memory (models must be loaded before
 // execution, loads take hundreds of ms and consume capacity) and tracks
@@ -58,41 +66,18 @@ type Device struct {
 	memUsed int64
 	loaded  map[string]int64
 
-	// Exclusive mode state. queue is a head-indexed slice: Submit appends,
-	// maybeStart pops from qhead, and the backing array is reused instead
-	// of re-allocated on every drain.
-	queue   []*job
-	qhead   int
-	running *job
-	// execDone is the exclusive-mode completion callback, bound once so
-	// each job does not allocate a fresh closure.
-	execDone func()
+	// whole runs the work submitted to the device itself: one lane in
+	// Exclusive mode, a lane per job in Shared mode. slices runs the compute
+	// partitions, a lane each. The two sets are timed independently, so a
+	// whole-device batch running beside slices neither slows them nor is
+	// slowed by them.
+	whole, slices laneSet
 
-	// Shared mode state.
-	shared     map[*job]struct{}
-	sharedAt   time.Duration // last time remaining-work was advanced
-	sharedNext simclock.Timer
-	sharedDone func()
-	// finBuf is scratch for collecting finished shared jobs.
-	finBuf []*job
-
-	// Spatial partition state (see partition.go). parts holds attached
-	// partitions in creation order for deterministic iteration.
-	parts       []*Partition
-	partRunning int           // partitions with a job executing right now
-	partAt      time.Duration // last time partition progress was advanced
-	partNext    simclock.Timer
-	partDone    func()
-	partFin     []*Partition // scratch for collecting finished partitions
-
-	// Utilization accounting.
+	// Utilization accounting: the union of both sets' busy periods.
 	busy      time.Duration
 	busySince time.Duration
-	idleFrom  time.Duration
 
 	jobSeq uint64
-	// freeJobs recycles job structs through the submit/complete hot path.
-	freeJobs []*job
 
 	// slow stretches the execution time of newly submitted work (straggler
 	// injection): effective work = work * slow. Always ≥ the neutral 1.
@@ -100,10 +85,9 @@ type Device struct {
 }
 
 type job struct {
-	work      time.Duration // exclusive-execution time remaining
-	submitted time.Duration
-	seq       uint64 // submission order, for deterministic tie-breaks
-	done      func()
+	work time.Duration // exclusive-execution time remaining
+	seq  uint64        // submission order, for deterministic tie-breaks
+	done func()
 }
 
 // New creates a device of the given type. It panics on unknown GPU types,
@@ -119,34 +103,25 @@ func New(clock *simclock.Clock, id string, gpu profiler.GPUType, mode Mode) *Dev
 		Mode:   mode,
 		clock:  clock,
 		loaded: make(map[string]int64),
-		shared: make(map[*job]struct{}),
 		slow:   1,
 	}
-	d.execDone = d.onExclusiveDone
-	d.sharedDone = d.onSharedDone
+	// sharedRate(1) is exactly 1, so the Exclusive lane runs at full speed.
+	d.whole.init(d, sharedRate, mode == Shared)
+	d.slices.init(d, partRate, true)
+	if mode == Exclusive {
+		d.whole.lanes = []*lane{{}}
+	}
 	return d
 }
 
-// allocJob takes a job from the free list or allocates a fresh one.
-func (d *Device) allocJob(work time.Duration, done func()) *job {
-	var j *job
-	if n := len(d.freeJobs); n > 0 {
-		j = d.freeJobs[n-1]
-		d.freeJobs[n-1] = nil
-		d.freeJobs = d.freeJobs[:n-1]
-	} else {
-		j = &job{}
+// newJob stretches work by the current slowdown and stamps the job with its
+// submission order.
+func (d *Device) newJob(work time.Duration, done func()) job {
+	if d.slow > 1 {
+		work = time.Duration(float64(work) * d.slow)
 	}
-	j.work, j.submitted, j.seq, j.done = work, d.clock.Now(), d.jobSeq, done
 	d.jobSeq++
-	return j
-}
-
-// recycleJob returns a completed job to the free list, releasing its
-// completion closure.
-func (d *Device) recycleJob(j *job) {
-	j.done = nil
-	d.freeJobs = append(d.freeJobs, j)
+	return job{work: work, seq: d.jobSeq, done: done}
 }
 
 // MemUsed returns the bytes currently allocated for loaded models.
@@ -210,22 +185,13 @@ func (d *Device) Submit(work time.Duration, done func()) {
 	if work <= 0 {
 		panic(fmt.Sprintf("gpusim %s: non-positive work %v", d.ID, work))
 	}
-	if d.slow > 1 {
-		work = time.Duration(float64(work) * d.slow)
+	var l *lane
+	if d.Mode == Shared {
+		l = d.whole.idleLane() // a lane per job
+	} else {
+		l = d.whole.lanes[0]
 	}
-	j := d.allocJob(work, done)
-	switch d.Mode {
-	case Exclusive:
-		d.queue = append(d.queue, j)
-		d.maybeStart()
-	case Shared:
-		d.advanceShared()
-		if !d.isBusy() {
-			d.markBusy()
-		}
-		d.shared[j] = struct{}{}
-		d.rescheduleShared()
-	}
+	d.whole.submit(l, d.newJob(work, done))
 }
 
 // BusyTime returns accumulated busy time (including a current in-progress
@@ -239,146 +205,14 @@ func (d *Device) BusyTime() time.Duration {
 }
 
 func (d *Device) isBusy() bool {
-	return d.running != nil || len(d.shared) > 0 || d.partRunning > 0
+	return d.whole.busy > 0 || d.slices.busy > 0
 }
 
-func (d *Device) markBusy() {
-	d.busySince = d.clock.Now()
-}
-
-func (d *Device) markIdle() {
-	d.busy += d.clock.Now() - d.busySince
-}
-
-// --- exclusive mode ----------------------------------------------------
-
-func (d *Device) maybeStart() {
-	if d.running != nil || d.qhead == len(d.queue) {
-		return
-	}
-	j := d.queue[d.qhead]
-	d.queue[d.qhead] = nil
-	d.qhead++
-	switch {
-	case d.qhead == len(d.queue):
-		// Drained: rewind to reuse the backing array.
-		d.queue = d.queue[:0]
-		d.qhead = 0
-	case d.qhead > 64 && d.qhead*2 >= len(d.queue):
-		// Mostly-consumed prefix: slide the tail down so a device that
-		// never fully drains still has bounded queue memory.
-		n := copy(d.queue, d.queue[d.qhead:])
-		for i := n; i < len(d.queue); i++ {
-			d.queue[i] = nil
-		}
-		d.queue = d.queue[:n]
-		d.qhead = 0
-	}
-	if !d.isBusy() {
-		d.markBusy()
-	}
-	d.running = j
-	d.clock.After(j.work, d.execDone)
-}
-
-// onExclusiveDone completes the running job. It is bound once at device
-// construction (see execDone) so job completion allocates no closure.
-func (d *Device) onExclusiveDone() {
-	j := d.running
-	d.running = nil
-	if !d.isBusy() {
-		d.markIdle()
-	}
-	done := j.done
-	d.recycleJob(j)
-	if done != nil {
-		done()
-	}
-	d.maybeStart()
-}
-
-// --- shared (processor sharing) mode ------------------------------------
-
-// rate returns per-job progress per unit time with n concurrent jobs.
+// sharedRate is per-job progress per unit time with n jobs sharing the
+// device: 1/(n·(1+o·(n−1))).
 func sharedRate(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
 	return 1 / (float64(n) * (1 + InterferenceOverhead*float64(n-1)))
-}
-
-// advanceShared applies elapsed progress to all active shared jobs.
-func (d *Device) advanceShared() {
-	now := d.clock.Now()
-	elapsed := now - d.sharedAt
-	d.sharedAt = now
-	if elapsed <= 0 || len(d.shared) == 0 {
-		return
-	}
-	progress := time.Duration(float64(elapsed) * sharedRate(len(d.shared)))
-	for j := range d.shared {
-		j.work -= progress
-	}
-}
-
-// rescheduleShared sets the completion timer for the job with least
-// remaining work.
-func (d *Device) rescheduleShared() {
-	d.sharedNext.Stop()
-	d.sharedNext = simclock.Timer{}
-	if len(d.shared) == 0 {
-		return
-	}
-	var minJob *job
-	for j := range d.shared {
-		if minJob == nil || j.work < minJob.work {
-			minJob = j
-		}
-	}
-	rate := sharedRate(len(d.shared))
-	wait := time.Duration(float64(minJob.work) / rate)
-	if wait < 0 {
-		wait = 0
-	}
-	d.sharedNext = d.clock.After(wait, d.sharedDone)
-}
-
-// onSharedDone fires when the shared job with least remaining work should
-// finish. Bound once at construction (see sharedDone) to keep reschedules
-// allocation-free.
-func (d *Device) onSharedDone() {
-	d.advanceShared()
-	// Complete every job whose work is exhausted (ties finish together).
-	finished := d.finBuf[:0]
-	for j := range d.shared {
-		if j.work <= time.Nanosecond {
-			finished = append(finished, j)
-		}
-	}
-	for _, j := range finished {
-		delete(d.shared, j)
-	}
-	if !d.isBusy() {
-		d.markIdle()
-	}
-	// Deterministic completion order: by submission sequence.
-	for i := 0; i < len(finished); i++ {
-		for k := i + 1; k < len(finished); k++ {
-			if finished[k].seq < finished[i].seq {
-				finished[i], finished[k] = finished[k], finished[i]
-			}
-		}
-	}
-	for _, j := range finished {
-		done := j.done
-		d.recycleJob(j)
-		if done != nil {
-			done()
-		}
-	}
-	for i := range finished {
-		finished[i] = nil
-	}
-	d.finBuf = finished[:0]
-	d.rescheduleShared()
 }

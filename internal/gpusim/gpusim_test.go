@@ -264,8 +264,8 @@ func TestNewUnknownGPUPanics(t *testing.T) {
 func TestJobStructsAreReused(t *testing.T) {
 	c := simclock.New()
 	d := New(c, "g", profiler.GTX1080Ti, Exclusive)
-	// Steady-state submit/complete churn: each completion resubmits. After
-	// warmup the device must cycle job structs through its free list.
+	// Steady-state submit/complete churn: each completion resubmits. Jobs
+	// are values in the lane's ring, so after warmup churn allocates nothing.
 	n := 0
 	var resubmit func()
 	resubmit = func() {
@@ -280,37 +280,6 @@ func TestJobStructsAreReused(t *testing.T) {
 		t.Fatalf("completed %d jobs, want 500", n)
 	}
 	if allocs > 50 {
-		t.Fatalf("steady-state churn allocated %.0f objects; jobs are not being reused", allocs)
-	}
-}
-
-func TestExclusiveQueueCompaction(t *testing.T) {
-	c := simclock.New()
-	d := New(c, "g", profiler.GTX1080Ti, Exclusive)
-	// Keep the device permanently backlogged so the queue never fully
-	// drains, and verify FIFO order survives the compaction path.
-	var got []int
-	next := 0
-	for i := 0; i < 400; i++ {
-		i := i
-		d.Submit(time.Millisecond, func() {
-			got = append(got, i)
-			// Keep ~2 jobs queued at all times.
-			if next < 400 {
-				next++
-			}
-		})
-	}
-	c.Run()
-	if len(got) != 400 {
-		t.Fatalf("completed %d, want 400", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("completion order broken at %d: got %d", i, v)
-		}
-	}
-	if d.QueueLen() != 0 {
-		t.Fatalf("QueueLen = %d after drain, want 0", d.QueueLen())
+		t.Fatalf("steady-state churn allocated %.0f objects; job storage is not being reused", allocs)
 	}
 }

@@ -14,6 +14,11 @@ func TestPartitionFractionAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// NaN fails every comparison. Attached, it would make the used sum NaN
+	// and the overflow guard would pass every later fraction.
+	if _, err := d.Partition("nan", math.NaN()); err == nil {
+		t.Fatal("NaN fraction accepted")
+	}
 	if _, err := d.Partition("b", 0.6); err == nil {
 		t.Fatal("overflowing fraction accepted")
 	}
@@ -28,7 +33,7 @@ func TestPartitionFractionAccounting(t *testing.T) {
 	}
 	b, err := d.Partition("b", 0.5)
 	if err != nil {
-		t.Fatalf("exact fill rejected: %v", err)
+		t.Fatalf("exact fill after a rejected NaN: %v", err)
 	}
 	// Releasing an idle partition frees its fraction immediately.
 	a.Release()
