@@ -10,7 +10,7 @@ import (
 	"nexus/internal/simclock"
 )
 
-// engine is what the differential driver needs from a device; the lane
+// engine is what runLanes needs from a device; the lane
 // engine and the oracle each satisfy it through a thin adapter.
 type engine interface {
 	Submit(time.Duration, func())
@@ -47,8 +47,8 @@ func (e oracleEngine) partition(id string, frac float64) (slice, error) {
 }
 
 var (
-	driverFracs    = []float64{0.25, 0.5, 0.125, 1, 0.3, 0.75, 0.1}
-	driverSlowdown = []float64{0, 1, 1.5, 2, 3.7}
+	scriptFracs     = []float64{0.25, 0.5, 0.125, 1, 0.3, 0.75, 0.1}
+	scriptSlowdowns = []float64{0, 1, 1.5, 2, 3.7}
 )
 
 // runLanes decodes data into a script of timed operations — whole-device
@@ -149,7 +149,7 @@ func runLanes(data []byte, mk func(*simclock.Clock, Mode) engine) []string {
 		case 4:
 			fn = func() {
 				parts++
-				p, err := dev.partition(fmt.Sprintf("p%d", parts), driverFracs[a%len(driverFracs)])
+				p, err := dev.partition(fmt.Sprintf("p%d", parts), scriptFracs[a%len(scriptFracs)])
 				logf("partition %d: %v", parts, err == nil)
 				if err == nil {
 					slots[b%4] = p
@@ -162,7 +162,7 @@ func runLanes(data []byte, mk func(*simclock.Clock, Mode) engine) []string {
 				}
 			}
 		case 6:
-			fn = func() { dev.SetSlowdown(driverSlowdown[a%len(driverSlowdown)]) }
+			fn = func() { dev.SetSlowdown(scriptSlowdowns[a%len(scriptSlowdowns)]) }
 		case 7:
 			fn = func() { logf("busy %d", dev.BusyTime()) }
 		}
