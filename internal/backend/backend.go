@@ -24,12 +24,14 @@ const (
 	Parallel
 )
 
+// CPUWorkers is the size of a backend's preprocessing thread pool (§6.3).
+const CPUWorkers = 5
+
 // Config selects the runtime features under test (the ablation switches of
 // §7.3: ED = early drop, OL = overlapped processing).
 type Config struct {
 	Policy     DropPolicy // nil = EarlyDrop
 	Overlap    bool       // overlap CPU pre/post-processing with GPU work
-	CPUWorkers int        // preprocessing thread pool size; 0 = 5 (§6.3)
 	Discipline Discipline
 	// MaxQueue bounds each unit's queue; Enqueue returns ErrQueueFull at
 	// capacity. 0 = unbounded (the default; the drop policy sheds load).
@@ -147,9 +149,6 @@ type unitState struct {
 func New(id string, clock *simclock.Clock, dev *gpusim.Device, cfg Config, onDone CompletionFunc) *Backend {
 	if cfg.Policy == nil {
 		cfg.Policy = EarlyDrop{}
-	}
-	if cfg.CPUWorkers <= 0 {
-		cfg.CPUWorkers = 5
 	}
 	b := &Backend{
 		ID: id, clock: clock, dev: dev, cfg: cfg,
@@ -481,7 +480,7 @@ func (b *Backend) estimate(u *unitState, n int) time.Duration {
 }
 
 func (b *Backend) cpuTime(perItem time.Duration, n int) time.Duration {
-	workers := b.cfg.CPUWorkers
+	workers := CPUWorkers
 	if n < workers {
 		workers = n
 	}

@@ -132,9 +132,9 @@ type Config struct {
 	// (the default) changes nothing — goldens stay byte-identical.
 	Forensics *forensics.Config
 
-	// Degraded-mode survival layer. Every knob below is off by default and
-	// nil-no-op when off: a deployment that sets none of them runs the
-	// exact pre-existing instruction stream (goldens stay byte-identical).
+	// Degraded-mode survival layer. Every knob below is off by default, and
+	// with all of them off the outputs (goldens, observation logs) stay
+	// byte-identical to a build without the layer.
 
 	// RouteLeaseTTL arms routing-table leases on every frontend: a table
 	// that has not seen a control-plane push (full, delta, or empty-epoch
@@ -591,7 +591,6 @@ func (d *Deployment) controlConfig() globalsched.Config {
 			SliceGranularity: d.cfg.SliceGranularity,
 		},
 		Overlap:        beCfg.Overlap,
-		CPUWorkers:     beCfg.CPUWorkers,
 		SpreadReplicas: d.cfg.FixedCluster,
 		// Slack for the dispatch hop plus event-granularity margin.
 		PlanningSlack: 2*netDelay + 2*time.Millisecond,

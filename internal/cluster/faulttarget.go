@@ -76,7 +76,7 @@ func (d *Deployment) SetExtraNetDelay(delay time.Duration) {
 func (d *Deployment) Failures() int { return d.Sched.Failures() }
 
 // ---------------------------------------------------------------------
-// Degraded-mode fault surface (faults.DegradedTarget).
+// Degraded-mode fault surface: scheduler outages, link partitions, surges.
 
 // chaos records one degraded-mode event on the audit plane's chaos
 // timeline (no-op when auditing is off).

@@ -171,13 +171,6 @@ type Target interface {
 	SlowBackend(id string, factor float64) bool
 	// SetExtraNetDelay adds d to every dispatch hop (≤0 clears it).
 	SetExtraNetDelay(d time.Duration)
-}
-
-// DegradedTarget is the extended fault surface for control-plane and
-// admission faults (SchedulerOutage, Partition, Surge). Targets that do
-// not implement it record those injections as not applied, so old targets
-// keep working against new scripts.
-type DegradedTarget interface {
 	// SetSchedulerOutage takes the global scheduler down (true) or brings
 	// it back up (false, triggering recovery); false when the transition
 	// was not applicable (already in that state).
@@ -199,8 +192,8 @@ type Injection struct {
 	Backend string // resolved target ("" for non-backend faults)
 	Applied bool   // false when the fault could not be applied
 	// Note explains an unapplied injection ("no live backends", "target
-	// does not support partitions", "empty script"), so experiment logs
-	// reconcile with their scripts instead of silently dropping events.
+	// rejected the fault", "empty script"), so experiment logs reconcile
+	// with their scripts instead of silently dropping events.
 	Note string
 }
 
@@ -230,7 +223,7 @@ func New(clock *simclock.Clock, target Target, seed int64) *Injector {
 // next clock step. An empty script arms nothing but records one Noop
 // injection, so a log that should have N entries never silently has none.
 func (in *Injector) Schedule(script Script) error {
-	if err := in.Validate(script); err != nil {
+	if err := script.Validate(); err != nil {
 		return err
 	}
 	if len(script) == 0 {
@@ -245,9 +238,6 @@ func (in *Injector) Schedule(script Script) error {
 	}
 	return nil
 }
-
-// Validate is Script.Validate, exposed on the injector for symmetry.
-func (in *Injector) Validate(script Script) error { return script.Validate() }
 
 // Log returns the injections fired so far, in firing order.
 func (in *Injector) Log() []Injection {
@@ -308,35 +298,28 @@ func (in *Injector) fire(e Event) {
 			}
 		})
 	case SchedulerOutage:
-		dt, ok := in.target.(DegradedTarget)
-		applied := ok && dt.SetSchedulerOutage(true)
-		in.record(now, e.Kind, "", applied, in.degradedNote(ok, applied))
+		applied := in.target.SetSchedulerOutage(true)
+		in.record(now, e.Kind, "", applied, in.resolveNote(true, applied))
 		if applied && e.Duration > 0 {
 			in.clock.At(now+e.Duration, func() {
-				dt.SetSchedulerOutage(false)
+				in.target.SetSchedulerOutage(false)
 			})
 		}
 	case Partition:
-		dt, dok := in.target.(DegradedTarget)
-		if !dok {
-			in.record(now, e.Kind, e.Backend, false, "target does not support degraded faults")
-			return
-		}
 		id, ok := in.resolve(e.Backend)
-		applied := ok && dt.CutLink(e.Link, id, true)
+		applied := ok && in.target.CutLink(e.Link, id, true)
 		in.record(now, e.Kind, id, applied, in.resolveNote(ok, applied))
 		if applied && e.Duration > 0 {
 			in.clock.At(now+e.Duration, func() {
-				dt.CutLink(e.Link, id, false)
+				in.target.CutLink(e.Link, id, false)
 			})
 		}
 	case Surge:
-		dt, ok := in.target.(DegradedTarget)
-		applied := ok && dt.SetRateMultiplier(e.Session, e.Factor)
-		in.record(now, e.Kind, "", applied, in.degradedNote(ok, applied))
+		applied := in.target.SetRateMultiplier(e.Session, e.Factor)
+		in.record(now, e.Kind, "", applied, in.resolveNote(true, applied))
 		if applied && e.Duration > 0 {
 			in.clock.At(now+e.Duration, func() {
-				dt.SetRateMultiplier(e.Session, 1)
+				in.target.SetRateMultiplier(e.Session, 1)
 			})
 		}
 	}
@@ -349,18 +332,6 @@ func (in *Injector) resolveNote(resolved, applied bool) string {
 		return ""
 	case !resolved:
 		return "no live backends"
-	default:
-		return "target rejected the fault"
-	}
-}
-
-// degradedNote explains an unapplied degraded-mode injection.
-func (in *Injector) degradedNote(supported, applied bool) string {
-	switch {
-	case applied:
-		return ""
-	case !supported:
-		return "target does not support degraded faults"
 	default:
 		return "target rejected the fault"
 	}

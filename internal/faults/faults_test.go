@@ -12,12 +12,15 @@ import (
 // fakeTarget records every injector call so tests can assert exact timing
 // and ordering without standing up a cluster.
 type fakeTarget struct {
-	clock *simclock.Clock
-	ids   []string
-	dead  map[string]bool
-	slow  map[string]float64
-	net   time.Duration
-	calls []string
+	clock     *simclock.Clock
+	ids       []string
+	dead      map[string]bool
+	slow      map[string]float64
+	net       time.Duration
+	schedDown bool
+	cut       map[string]bool // "link/backend" -> severed
+	rate      map[string]float64
+	calls     []string
 }
 
 func newFakeTarget(clock *simclock.Clock, ids ...string) *fakeTarget {
@@ -26,6 +29,8 @@ func newFakeTarget(clock *simclock.Clock, ids ...string) *fakeTarget {
 		ids:   ids,
 		dead:  make(map[string]bool),
 		slow:  make(map[string]float64),
+		cut:   make(map[string]bool),
+		rate:  make(map[string]float64),
 	}
 }
 
@@ -72,23 +77,7 @@ func (t *fakeTarget) SetExtraNetDelay(d time.Duration) {
 	t.record("netdelay %v", d)
 }
 
-// fakeDegradedTarget extends fakeTarget with the DegradedTarget surface.
-type fakeDegradedTarget struct {
-	*fakeTarget
-	schedDown bool
-	cut       map[string]bool // "link/backend" -> severed
-	rate      map[string]float64
-}
-
-func newFakeDegradedTarget(clock *simclock.Clock, ids ...string) *fakeDegradedTarget {
-	return &fakeDegradedTarget{
-		fakeTarget: newFakeTarget(clock, ids...),
-		cut:        make(map[string]bool),
-		rate:       make(map[string]float64),
-	}
-}
-
-func (t *fakeDegradedTarget) SetSchedulerOutage(down bool) bool {
+func (t *fakeTarget) SetSchedulerOutage(down bool) bool {
 	if t.schedDown == down {
 		t.record("schedoutage %v refused", down)
 		return false
@@ -98,7 +87,7 @@ func (t *fakeDegradedTarget) SetSchedulerOutage(down bool) bool {
 	return true
 }
 
-func (t *fakeDegradedTarget) CutLink(link Link, backendID string, cut bool) bool {
+func (t *fakeTarget) CutLink(link Link, backendID string, cut bool) bool {
 	key := link.String() + "/" + backendID
 	if t.cut[key] == cut {
 		t.record("cutlink %s %v refused", key, cut)
@@ -109,7 +98,7 @@ func (t *fakeDegradedTarget) CutLink(link Link, backendID string, cut bool) bool
 	return true
 }
 
-func (t *fakeDegradedTarget) SetRateMultiplier(session string, factor float64) bool {
+func (t *fakeTarget) SetRateMultiplier(session string, factor float64) bool {
 	t.rate[session] = factor
 	t.record("surge %q %.1f", session, factor)
 	return true
@@ -379,7 +368,7 @@ func TestUnresolvableEventNote(t *testing.T) {
 
 func TestSchedulerOutageWindow(t *testing.T) {
 	clock := simclock.New()
-	tgt := newFakeDegradedTarget(clock, "a")
+	tgt := newFakeTarget(clock, "a")
 	in := New(clock, tgt, 1)
 	err := in.Schedule(Script{
 		{At: 2 * time.Second, Kind: SchedulerOutage, Duration: 3 * time.Second},
@@ -403,7 +392,7 @@ func TestSchedulerOutageWindow(t *testing.T) {
 
 func TestPartitionCutsAndHeals(t *testing.T) {
 	clock := simclock.New()
-	tgt := newFakeDegradedTarget(clock, "a", "b")
+	tgt := newFakeTarget(clock, "a", "b")
 	in := New(clock, tgt, 1)
 	err := in.Schedule(Script{
 		{At: 1 * time.Second, Kind: Partition, Backend: "b", Link: ControlLink, Duration: 2 * time.Second},
@@ -427,7 +416,7 @@ func TestPartitionCutsAndHeals(t *testing.T) {
 
 func TestSurgeWindowRestoresRate(t *testing.T) {
 	clock := simclock.New()
-	tgt := newFakeDegradedTarget(clock, "a")
+	tgt := newFakeTarget(clock, "a")
 	in := New(clock, tgt, 1)
 	err := in.Schedule(Script{
 		{At: 1 * time.Second, Kind: Surge, Session: "lo", Factor: 3, Duration: 2 * time.Second},
@@ -442,35 +431,6 @@ func TestSurgeWindowRestoresRate(t *testing.T) {
 	clock.Run()
 	if tgt.rate["lo"] != 1 {
 		t.Fatalf("surge multiplier after window = %v, want 1", tgt.rate["lo"])
-	}
-}
-
-// Degraded-mode events against a target that lacks the DegradedTarget
-// surface log unapplied injections with a note instead of panicking.
-func TestDegradedEventsOnPlainTarget(t *testing.T) {
-	clock := simclock.New()
-	tgt := newFakeTarget(clock, "a")
-	in := New(clock, tgt, 1)
-	err := in.Schedule(Script{
-		{At: 1 * time.Second, Kind: SchedulerOutage, Duration: time.Second},
-		{At: 2 * time.Second, Kind: Partition, Backend: "a", Link: DataLink},
-		{At: 3 * time.Second, Kind: Surge, Session: "s", Factor: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock.Run()
-	log := in.Log()
-	if len(log) != 3 {
-		t.Fatalf("log has %d entries, want 3: %+v", len(log), log)
-	}
-	for _, inj := range log {
-		if inj.Applied || inj.Note != "target does not support degraded faults" {
-			t.Fatalf("injection = %+v, want unapplied with unsupported note", inj)
-		}
-	}
-	if len(tgt.calls) != 0 {
-		t.Fatalf("plain target received degraded calls: %v", tgt.calls)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Degraded-mode survival layer: routing-table leases, per-backend circuit
 // breakers with an exponential-backoff retry budget, priority-aware
 // token-bucket admission control, and data-link partition awareness. Every
-// feature is opt-in and nil/zero when off, so a deployment that never
-// enables it runs the exact same instruction stream as before (goldens
-// stay byte-identical).
+// feature is opt-in and nil/zero when off, and with all of them off a
+// deployment's outputs stay byte-identical to a build without the layer.
 package frontend
 
 import (
@@ -175,38 +174,6 @@ func (f *Frontend) markProbe(beID string) {
 	if b, ok := f.breakers[beID]; ok && b.state == breakerOpen && f.clock.Now() >= b.until {
 		f.transition(beID, b, breakerHalfOpen)
 	}
-}
-
-// pickAvoiding is smooth weighted round-robin restricted to routes whose
-// breakers admit traffic. A cut data link is deliberately NOT consulted
-// here: the frontend has no oracle for link state and must discover a
-// partition the way a real one does — failed dispatches trip the breaker,
-// which then routes around the backend. Skipped routes neither accumulate
-// credit nor count in the rotation total, so a recovered replica rejoins
-// without a burst of banked credit. Returns false when no replica is
-// currently allowed.
-func (f *Frontend) pickAvoiding(st *sessionState) (resolvedRoute, bool) {
-	state := st.wrr
-	var total float64
-	best := -1
-	for i := range st.routes {
-		beID := st.routes[i].BackendID
-		if !f.routeAllowed(beID) {
-			continue
-		}
-		w := st.routes[i].Weight
-		state[i] += w
-		total += w
-		if best < 0 || state[i] > state[best] {
-			best = i
-		}
-	}
-	if best < 0 {
-		return resolvedRoute{}, false
-	}
-	state[best] -= total
-	f.markProbe(st.routes[best].BackendID)
-	return st.routes[best], true
 }
 
 // BreakerTransitions returns the lifetime count of breaker state changes.

@@ -94,7 +94,7 @@ func TestApplyDeltaPreservesUntouchedWRR(t *testing.T) {
 	before := fe.state("s1")
 	counts := map[string]int{}
 	for i := 0; i < 2; i++ { // mid-cycle: accumulator holds credit
-		counts[before.pick().BackendID]++
+		counts[fe.next(before).BackendID]++
 	}
 	err := fe.applyDelta(deltaByID{
 		FromGen: 1, Gen: 2,
@@ -108,7 +108,7 @@ func TestApplyDeltaPreservesUntouchedWRR(t *testing.T) {
 		t.Fatal("untouched session's dispatch state was rebuilt by the delta")
 	}
 	for i := 0; i < 398; i++ {
-		counts[after.pick().BackendID]++
+		counts[fe.next(after).BackendID]++
 	}
 	if counts["a"] != 300 || counts["b"] != 100 {
 		t.Fatalf("WRR counts after delta = %v, want a:300 b:100", counts)

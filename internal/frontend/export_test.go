@@ -96,3 +96,9 @@ func (f *Frontend) state(id string) *sessionState {
 	}
 	return &f.sessions[h]
 }
+
+// next is Frontend.pick for tests that run with breakers off, where a pick
+// always succeeds.
+func (f *Frontend) next(st *sessionState) resolvedRoute {
+	return st.routes[f.pick(st)]
+}

@@ -32,7 +32,7 @@ func TestWRRResetOnTableUpdate(t *testing.T) {
 	}
 	// Park the accumulator mid-cycle so backend b holds stale credit.
 	for i := 0; i < 3; i++ {
-		fe.state("s").pick()
+		fe.next(fe.state("s"))
 	}
 	if err := fe.SetTable(byID{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
@@ -42,7 +42,7 @@ func TestWRRResetOnTableUpdate(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < 100; i++ {
-		counts[fe.state("s").pick().BackendID]++
+		counts[fe.next(fe.state("s")).BackendID]++
 	}
 	if counts["a"] != 50 || counts["b"] != 50 {
 		t.Fatalf("picks after table swap = %v, want an exact 50/50 split", counts)

@@ -160,6 +160,7 @@ type Frontend struct {
 	// breakers holds per-backend circuit state, one breaker per known
 	// backend, built at EnableBreakers.
 	breakers           map[string]*breaker
+	barred             []bool // the pick's per-route scratch
 	breakerThreshold   int
 	breakerCooloff     time.Duration
 	breakerTransitions uint64
@@ -457,18 +458,14 @@ func (f *Frontend) Dispatch(req workload.Request) {
 		}
 		f.staleServed++
 	}
-	var r resolvedRoute
-	if f.breakers != nil {
-		var ok bool
-		if r, ok = f.pickAvoiding(st); !ok {
-			// Every replica's breaker is open: fail fast instead of
-			// burning a network hop on a known-bad target.
-			f.drop(req, backend.DropFailure)
-			return
-		}
-	} else {
-		r = st.pick()
+	i := f.pick(st)
+	if i < 0 {
+		// Every replica's breaker is open: fail fast instead of burning a
+		// network hop on a known-bad target.
+		f.drop(req, backend.DropFailure)
+		return
 	}
+	r := &st.routes[i]
 	st.count++
 	f.dispatches++
 	if f.tracer != nil {
@@ -477,7 +474,7 @@ func (f *Frontend) Dispatch(req workload.Request) {
 			Session: h, Backend: r.backendH, Unit: r.unitH,
 		})
 	}
-	f.send(req, r, 1)
+	f.send(req, *r, 1)
 }
 
 // send delivers req to route r after the network delay, classifying any
@@ -591,22 +588,49 @@ func (f *Frontend) ArenaStats() (hits, grows uint64) {
 	return f.arenaHits, f.arenaGrows
 }
 
-// pick implements smooth weighted round-robin, which spreads a session's
-// requests across its replicas proportionally and deterministically.
-func (st *sessionState) pick() resolvedRoute {
-	state := st.wrr
-	var total float64
-	best := 0
-	for i := range st.routes {
-		w := st.routes[i].Weight
+// pick is smooth weighted round-robin over the session's routes, which
+// spreads its requests across replicas proportionally and
+// deterministically. With breakers on, routes whose breaker is open are
+// skipped. A cut data link is deliberately NOT consulted: the frontend has
+// no oracle for link state and must discover a partition the way a real
+// one does, through failed dispatches that trip the breaker. Skipped
+// routes neither accumulate credit nor count in the rotation total, so a
+// recovered replica rejoins without a burst of banked credit, and while no
+// breaker is open the pick is plain smooth WRR. Returns the picked route's
+// index, or -1 when no replica is currently allowed.
+func (f *Frontend) pick(st *sessionState) int {
+	routes := st.routes
+	// Breakers decide which routes they bar before the loop, so the loop
+	// makes no calls: one there would cost every pick its registers.
+	var barred []bool
+	if f.breakers != nil {
+		barred = f.barred[:0]
+		for i := range routes {
+			barred = append(barred, !f.routeAllowed(routes[i].BackendID))
+		}
+		f.barred = barred
+	}
+	state := st.wrr[:len(routes)]
+	var total, top float64 // top is state[best]
+	best := -1
+	for i := range routes {
+		if barred != nil && barred[i] {
+			continue
+		}
+		w := routes[i].Weight
 		state[i] += w
 		total += w
-		if state[i] > state[best] {
-			best = i
+		if best < 0 || state[i] > top {
+			best, top = i, state[i]
 		}
 	}
-	state[best] -= total
-	return st.routes[best]
+	if best >= 0 {
+		state[best] -= total
+		if barred != nil {
+			f.markProbe(routes[best].BackendID)
+		}
+	}
+	return best
 }
 
 // ObservedRates returns each session's request rate (req/s) since the last

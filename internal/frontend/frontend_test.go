@@ -118,7 +118,7 @@ func TestSmoothWRRExactProportions(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < 400; i++ {
-		r := fe.state("s").pick()
+		r := fe.next(fe.state("s"))
 		counts[r.BackendID]++
 	}
 	if counts["a"] != 300 || counts["b"] != 100 {

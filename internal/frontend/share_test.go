@@ -118,7 +118,7 @@ func TestSharedRoutesPickSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000*len(sids); i++ {
 		sid := sids[rng.Intn(len(sids))]
-		got, want := fe.state(sid).pick(), private[sid].pick()
+		got, want := fe.next(fe.state(sid)), oraclePick(private[sid])
 		if got.BackendID != want.BackendID || got.be != want.be {
 			t.Fatalf("pick %d of %s: %s, want %s", i, sid, got.BackendID, want.BackendID)
 		}

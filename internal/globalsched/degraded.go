@@ -67,13 +67,8 @@ func (s *Scheduler) recover() {
 	s.recoveries++
 	now := s.clock.Now()
 	dropped := 0
-	nodeIDs := make([]string, 0, len(s.nodeBackend))
-	for nodeID := range s.nodeBackend {
-		nodeIDs = append(nodeIDs, nodeID)
-	}
-	sort.Strings(nodeIDs)
-	for _, nodeID := range nodeIDs {
-		for _, beID := range append([]string(nil), s.nodeBackend[nodeID]...) {
+	for _, nodeID := range s.sortedNodes() {
+		for _, beID := range s.nodeBackend[nodeID] {
 			be := s.pool.Get(beID)
 			inc, known := s.lastInc[beID]
 			switch {
@@ -109,24 +104,6 @@ func (s *Scheduler) recover() {
 	}
 	s.recoveryPending = true
 	_ = s.RunEpoch()
-}
-
-// dropReplica removes one backend from its node assignment, releases it,
-// and repairs every frontend's routes around it.
-func (s *Scheduler) dropReplica(nodeID, beID string) {
-	kept := s.nodeBackend[nodeID][:0:0]
-	for _, id := range s.nodeBackend[nodeID] {
-		if id != beID {
-			kept = append(kept, id)
-		}
-	}
-	s.nodeBackend[nodeID] = kept
-	delete(s.lastBeat, beID)
-	delete(s.lastInc, beID)
-	s.pool.Release(beID)
-	for _, fe := range s.frontends {
-		fe.RemoveBackend(beID)
-	}
 }
 
 // CutControl severs (cut) or restores the scheduler<->backend control link

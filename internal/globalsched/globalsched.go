@@ -64,30 +64,14 @@ type Config struct {
 	// ObliviousGPUs fixes the cluster size for the batch-oblivious
 	// baseline (which cannot size itself). Required when !Squishy.
 	ObliviousGPUs int
-	// Headroom over-provisions for observed rates (default 1.1).
-	Headroom float64
-	// RateSmoothing is the EWMA weight of the newest observation (0..1,
-	// default 0.7).
-	RateSmoothing float64
-	// MinPrefixLayers is the smallest shared prefix worth combining
-	// (default: half the model depth).
-	MinPrefixLayers int
-	Sched           scheduler.Config
-	// Epsilon for the query-split DP (0 = queryopt.DefaultEpsilon).
-	Epsilon time.Duration
+	Sched         scheduler.Config
 	// Overlap mirrors the runtime's CPU/GPU overlap setting: when false,
 	// preprocessing is charged against the SLO during planning too.
 	Overlap bool
-	// CPUWorkers is the runtime's preprocessing pool size (default 5).
-	CPUWorkers int
 	// PlanningSlack is subtracted from every SLO before planning to cover
 	// costs the batching profile does not capture (network hops, dispatch
 	// granularity). Default 3ms.
 	PlanningSlack time.Duration
-	// StageHeadroom over-provisions non-root query stages (default 1.25):
-	// their arrivals are batch-correlated bursts from upstream stages, not
-	// smooth processes, so rate-proportional provisioning under-serves them.
-	StageHeadroom float64
 	// OnEpoch, when set, observes every completed epoch (for telemetry).
 	OnEpoch func(epoch int, stats scheduler.MoveStats, gpusInUse int)
 	// SpreadReplicas replicates plan nodes onto spare pool capacity so a
@@ -135,6 +119,17 @@ const DefaultPlanningSlack = 3 * time.Millisecond
 
 // DefaultEpoch matches the paper's epoch granularity.
 const DefaultEpoch = 30 * time.Second
+
+const (
+	// headroom over-provisions for observed rates.
+	headroom = 1.1
+	// stageHeadroom over-provisions non-root query stages: their arrivals
+	// are batch-correlated bursts from upstream stages, not smooth
+	// processes, so rate-proportional provisioning under-serves them.
+	stageHeadroom = 1.25
+	// rateSmoothing is the EWMA weight of the newest rate observation.
+	rateSmoothing = 0.7
+)
 
 // Scheduler is the global scheduler.
 type Scheduler struct {
@@ -260,12 +255,6 @@ func New(clock *simclock.Clock, pool Pool, frontends []*frontend.Frontend, names
 	modelDB *model.DB, profiles map[string]*profiler.Profile, cfg Config) *Scheduler {
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = DefaultEpoch
-	}
-	if cfg.Headroom <= 0 {
-		cfg.Headroom = 1.1
-	}
-	if cfg.RateSmoothing <= 0 || cfg.RateSmoothing > 1 {
-		cfg.RateSmoothing = 0.7
 	}
 	return &Scheduler{
 		clock: clock, pool: pool, frontends: frontends, names: names,
@@ -408,13 +397,8 @@ func (s *Scheduler) checkLeases() {
 	}
 	lease := time.Duration(s.leaseMisses()) * s.cfg.Heartbeat
 	now := s.clock.Now()
-	nodeIDs := make([]string, 0, len(s.nodeBackend))
-	for nodeID := range s.nodeBackend {
-		nodeIDs = append(nodeIDs, nodeID)
-	}
-	sort.Strings(nodeIDs)
-	for _, nodeID := range nodeIDs {
-		for _, beID := range append([]string(nil), s.nodeBackend[nodeID]...) {
+	for _, nodeID := range s.sortedNodes() {
+		for _, beID := range s.nodeBackend[nodeID] {
 			last, ok := s.lastBeat[beID]
 			if !ok || now-last <= lease {
 				continue
@@ -432,20 +416,8 @@ func (s *Scheduler) checkLeases() {
 // in flight on the dead node were accounted as failures when it crashed.
 func (s *Scheduler) handleFailure(nodeID, beID string) {
 	s.failures++
-	delete(s.lastBeat, beID)
-	delete(s.lastInc, beID)
-	beIDs := s.nodeBackend[nodeID]
-	kept := beIDs[:0:0]
-	for _, id := range beIDs {
-		if id != beID {
-			kept = append(kept, id)
-		}
-	}
-	s.nodeBackend[nodeID] = kept
-	s.pool.Release(beID) // parks the dead node outside the free list
-	for _, fe := range s.frontends {
-		fe.RemoveBackend(beID)
-	}
+	s.dropReplica(nodeID, beID)
+	kept := s.nodeBackend[nodeID]
 	if s.prevPlan != nil {
 		if g := s.planNode(nodeID); g != nil {
 			s.replaceReplica(nodeID, g)
@@ -656,7 +628,7 @@ func (s *Scheduler) observeRates() {
 			}
 		}
 	}
-	a := s.cfg.RateSmoothing
+	a := rateSmoothing // a variable: 1-a must round as float64, not as an exact constant
 	if merged == nil {
 		if s.everyRates {
 			// Traffic stopped entirely: decay every estimate so the
@@ -710,7 +682,7 @@ func (s *Scheduler) rateOf(h session.Handle, expected float64) float64 {
 	if s.everyRates {
 		r = s.rate(h)
 	}
-	r *= s.cfg.Headroom
+	r *= headroom
 	if r < minSessionRate {
 		r = minSessionRate
 	}
@@ -794,7 +766,7 @@ func (s *Scheduler) querySessions(qs QuerySpec) ([]scheduler.Session, error) {
 	var split *queryopt.Split
 	var err error
 	if s.cfg.QueryAnalysis {
-		split, err = queryopt.Optimize(adapted, rootRate, planProf, s.cfg.Epsilon, s.cfg.Sched)
+		split, err = queryopt.Optimize(adapted, rootRate, planProf, queryopt.DefaultEpsilon, s.cfg.Sched)
 		if err != nil {
 			return nil, err
 		}
@@ -835,10 +807,6 @@ func (s *Scheduler) querySessions(qs QuerySpec) ([]scheduler.Session, error) {
 	}
 	// Non-root stages receive their work in bursts aligned with upstream
 	// batch completions; provision extra headroom for them.
-	stageHeadroom := s.cfg.StageHeadroom
-	if stageHeadroom <= 0 {
-		stageHeadroom = 1.25
-	}
 	for i := range sessions {
 		if sessions[i].ID != rootID { // rootID declared at the top of querySessions
 			sessions[i].Rate *= stageHeadroom
@@ -925,16 +893,14 @@ func (s *Scheduler) groupPrefixes(sessions []scheduler.Session, handles []sessio
 		for k, i := range members {
 			ids[k] = sessions[i].ModelID
 		}
-		minShared := s.cfg.MinPrefixLayers
 		baseModel, err := s.modelDB.Get(key.base)
 		if err != nil {
 			// Models not in the DB (synthetic tests): skip grouping.
 			ungrouped()
 			continue
 		}
-		if minShared <= 0 {
-			minShared = baseModel.NumLayers() / 2
-		}
+		// The smallest shared prefix worth combining is half the model.
+		minShared := baseModel.NumLayers() / 2
 		prefixLen, err := s.modelDB.SharedPrefix(ids)
 		if err != nil {
 			return nil, err
@@ -1002,13 +968,9 @@ func (s *Scheduler) slack() time.Duration {
 // cpuOverhead is the per-item CPU cost the pipeline cannot hide from the
 // SLO: postprocessing always; preprocessing too without overlap (§6.3).
 func (s *Scheduler) cpuOverhead(p *profiler.Profile) time.Duration {
-	w := s.cfg.CPUWorkers
-	if w <= 0 {
-		w = 5
-	}
-	oh := p.PostprocCPU / time.Duration(w)
+	oh := p.PostprocCPU / backend.CPUWorkers
 	if !s.cfg.Overlap {
-		oh += p.PreprocCPU / time.Duration(w)
+		oh += p.PreprocCPU / backend.CPUWorkers
 	}
 	return oh
 }
@@ -1324,29 +1286,58 @@ func routesEqual(a, b []frontend.Route) bool {
 // its crashed backends — epoch-granularity recovery, the baseline the
 // chaos experiments compare against.
 func (s *Scheduler) sweepDead() {
+	for _, nodeID := range s.sortedNodes() {
+		for _, beID := range s.nodeBackend[nodeID] {
+			if be := s.pool.Get(beID); be == nil || !be.Alive() {
+				s.dropReplica(nodeID, beID)
+			}
+		}
+	}
+}
+
+// sortedNodes returns the assigned plan node IDs, sorted, so walks over
+// the assignment act in a deterministic order.
+func (s *Scheduler) sortedNodes() []string {
 	nodeIDs := make([]string, 0, len(s.nodeBackend))
 	for nodeID := range s.nodeBackend {
 		nodeIDs = append(nodeIDs, nodeID)
 	}
 	sort.Strings(nodeIDs)
-	for _, nodeID := range nodeIDs {
-		beIDs := s.nodeBackend[nodeID]
-		kept := beIDs[:0:0]
-		for _, beID := range beIDs {
-			be := s.pool.Get(beID)
-			if be != nil && be.Alive() {
-				kept = append(kept, beID)
-				continue
-			}
-			delete(s.lastBeat, beID)
-			delete(s.lastInc, beID)
-			s.pool.Release(beID)
-			for _, fe := range s.frontends {
-				fe.RemoveBackend(beID)
-			}
+	return nodeIDs
+}
+
+// dropReplica is the one way a dead or unreachable backend leaves: it is
+// removed from its node's replicas, forgotten by the lease monitor and
+// released (the pool parks a dead node outside the free list), and every
+// frontend's routes are repaired around it. The node's replica list is
+// rebuilt rather than edited in place, so a caller may keep ranging over
+// the list it read before the call.
+func (s *Scheduler) dropReplica(nodeID, beID string) {
+	kept := s.nodeBackend[nodeID][:0:0]
+	for _, id := range s.nodeBackend[nodeID] {
+		if id != beID {
+			kept = append(kept, id)
 		}
-		s.nodeBackend[nodeID] = kept
 	}
+	s.nodeBackend[nodeID] = kept
+	delete(s.lastBeat, beID)
+	delete(s.lastInc, beID)
+	s.pool.Release(beID)
+	for _, fe := range s.frontends {
+		fe.RemoveBackend(beID)
+	}
+}
+
+// release is the one way apply hands back a backend the plan no longer
+// needs. It clears the backend's units first, because the pool parks an
+// isolated backend without resetting it.
+func (s *Scheduler) release(beID string) {
+	if be := s.pool.Get(beID); be != nil {
+		_ = be.Configure(nil)
+	}
+	delete(s.lastBeat, beID)
+	delete(s.lastInc, beID)
+	s.pool.Release(beID)
 }
 
 // apply maps plan nodes onto pool backends, configures them, and publishes
@@ -1370,11 +1361,7 @@ func (s *Scheduler) apply(plan *scheduler.Plan, memberUnit []string) error {
 		if len(prev) > want {
 			// Shrink: release the extras.
 			for _, beID := range prev[want:] {
-				if be := s.pool.Get(beID); be != nil {
-					_ = be.Configure(nil)
-				}
-				delete(s.lastInc, beID)
-				s.pool.Release(beID)
+				s.release(beID)
 			}
 			prev = prev[:want]
 		}
@@ -1403,21 +1390,11 @@ func (s *Scheduler) apply(plan *scheduler.Plan, memberUnit []string) error {
 	}
 	// Release backends whose nodes vanished (sorted for a deterministic
 	// free-list order).
-	var vanished []string
-	for nodeID := range s.nodeBackend {
+	for _, nodeID := range s.sortedNodes() {
 		if _, ok := newMapping[nodeID]; !ok {
-			vanished = append(vanished, nodeID)
-		}
-	}
-	sort.Strings(vanished)
-	for _, nodeID := range vanished {
-		for _, beID := range s.nodeBackend[nodeID] {
-			if be := s.pool.Get(beID); be != nil {
-				_ = be.Configure(nil)
+			for _, beID := range s.nodeBackend[nodeID] {
+				s.release(beID)
 			}
-			delete(s.lastBeat, beID)
-			delete(s.lastInc, beID)
-			s.pool.Release(beID)
 		}
 	}
 	s.nodeBackend = newMapping
