@@ -4,8 +4,8 @@
 // window [at-window, at], and the request spans of that window.
 //
 // Spans are the one plane a dump copies, because the tracer's ring
-// overwrites them; a dump keeps them packed (trace.Spans), in under half
-// the ring's bytes per span. Everything else a dump shows — placements,
+// overwrites them; a dump keeps them delta-encoded (trace.Spans), at
+// about 9 bytes per span against the ring's 56. Everything else a dump shows — placements,
 // plan diffs, chaos edges, metric snapshots — the audit log and the
 // telemetry collector keep for the whole run, so it is read from the
 // observation log the dump belongs to (obslog.Log.Window) rather than

@@ -2,8 +2,11 @@ package forensics_test
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"testing"
 	"time"
 
@@ -149,40 +152,102 @@ func TestDumpWriteText(t *testing.T) {
 	}
 }
 
-// TestDumpSpanBytes: a dump keeps each captured span in at most 64 bytes of
-// heap, and taking a window's spans allocates once, for the records: the
-// names are the tracer's table, shared.
+// TestDumpSpanBytes: a dump keeps each captured span in at most 16 bytes of
+// heap, and taking a window's spans allocates once, for their encoding: the
+// names are the tracer's table, shared. Two window shapes: one session's
+// requests on one backend, each finished before the next arrives, and a
+// traffic-shaped window whose requests interleave across sessions and
+// backends and whose drops carry a cause and a detail.
 func TestDumpSpanBytes(t *testing.T) {
-	// One session's requests on one backend: the window's distinct names,
-	// which a capture stores once each, stay fixed while the spans grow.
-	kinds := []trace.Kind{trace.Arrive, trace.Route, trace.Enqueue, trace.Execute, trace.Complete}
-	for _, n := range []int{10, 1000, 100000} {
-		tr := trace.New(n, nil)
-		for i := range n {
-			tr.Record(trace.Event{At: time.Duration(i) * time.Microsecond, Kind: kinds[i%len(kinds)],
-				ReqID: uint64(i / len(kinds)), Session: "game-0", Backend: "be0", Unit: "game-0/u0", Batch: 4})
-		}
-		at := time.Duration(n) * time.Microsecond
-		r := forensics.New(forensics.Config{Window: at})
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		r.Trigger(at, alert("slo-burn-rate"), tr)
-		runtime.ReadMemStats(&after)
-		if got := r.Dumps()[0].Spans.Len(); got != n {
-			t.Fatalf("dump holds %d spans, want %d", got, n)
-		}
-		// The dump's own header and the recorder's slice are a fixed cost,
-		// amortized only over a large window.
-		if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(n); n >= 1000 && per > 64 {
-			t.Errorf("%d spans: %.1f heap bytes per captured span, want <= 64", n, per)
-		}
-		// With the collector off, a cycle's background work (the runtime
-		// allocates in it under -race) cannot land in the count.
-		gc := debug.SetGCPercent(-1)
-		allocs := testing.AllocsPerRun(20, func() { tr.Between(0, at) })
-		debug.SetGCPercent(gc)
-		if allocs != 1 {
-			t.Errorf("%d spans: Between makes %.0f allocations, want 1", n, allocs)
+	for _, shape := range []struct {
+		name   string
+		events func(n int) []trace.Event
+	}{
+		{"one-session", oneSessionEvents},
+		{"traffic", trafficEvents},
+	} {
+		for _, n := range []int{10, 1000, 100000} {
+			evs := shape.events(n)
+			tr := trace.New(n, nil)
+			for _, e := range evs {
+				tr.Record(e)
+			}
+			at := evs[n-1].At
+			r := forensics.New(forensics.Config{Window: at})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r.Trigger(at, alert("slo-burn-rate"), tr)
+			runtime.ReadMemStats(&after)
+			if got := r.Dumps()[0].Spans.Len(); got != n {
+				t.Fatalf("%s: dump holds %d spans, want %d", shape.name, got, n)
+			}
+			// The dump's own header and the recorder's slice are a fixed
+			// cost, amortized only over a large window.
+			per := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+			t.Logf("%s, %d spans: %.2f heap bytes per captured span", shape.name, n, per)
+			if n >= 1000 && per > 16 {
+				t.Errorf("%s, %d spans: %.1f heap bytes per captured span, want <= 16", shape.name, n, per)
+			}
+			// With the collector off, a cycle's background work (the
+			// runtime allocates in it under -race) cannot land in the count.
+			gc := debug.SetGCPercent(-1)
+			allocs := testing.AllocsPerRun(20, func() { tr.Between(0, at) })
+			debug.SetGCPercent(gc)
+			if allocs != 1 {
+				t.Errorf("%s, %d spans: Between makes %.0f allocations, want 1", shape.name, n, allocs)
+			}
 		}
 	}
+}
+
+// oneSessionEvents returns n spans of one session's requests on one
+// backend, one span a microsecond: the window's distinct names, which a
+// capture stores once each, stay fixed while the spans grow.
+func oneSessionEvents(n int) []trace.Event {
+	kinds := []trace.Kind{trace.Arrive, trace.Route, trace.Enqueue, trace.Execute, trace.Complete}
+	evs := make([]trace.Event, n)
+	for i := range evs {
+		evs[i] = trace.Event{At: time.Duration(i) * time.Microsecond, Kind: kinds[i%len(kinds)],
+			ReqID: uint64(i / len(kinds)), Session: "game-0", Backend: "be0", Unit: "game-0/u0", Batch: 4}
+	}
+	return evs
+}
+
+// trafficEvents returns n time-ordered spans shaped like traffic-chaos: a
+// request arrives every ~70µs from one of six sessions, so hundreds are in
+// flight and their spans interleave; each is routed to one of four
+// backends, executes in a batch of 1–32 for 5–30 ms, and one in eight
+// drops with a cause and a detail.
+func trafficEvents(n int) []trace.Event {
+	sessions := []string{"game-0", "game-1", "game-2", "traffic/det", "traffic/car", "traffic/face"}
+	causes := [][2]string{{"deadline", "early drop"}, {"overload", "queue full"}, {"failure", "backend down"}}
+	rng := rand.New(rand.NewSource(int64(n)))
+	var evs []trace.Event
+	arrive := time.Duration(0)
+	for req := uint64(1); len(evs) < n; req++ {
+		arrive += time.Duration(40+rng.Intn(60)) * time.Microsecond
+		s := sessions[rng.Intn(len(sessions))]
+		be := fmt.Sprintf("be%d", rng.Intn(4))
+		unit := s + "/" + be
+		enq := arrive + time.Duration(500+rng.Intn(1000))*time.Microsecond
+		exec := enq + time.Duration(rng.Intn(20))*time.Millisecond
+		gpu := time.Duration(5+rng.Intn(25)) * time.Millisecond
+		evs = append(evs,
+			trace.Event{At: arrive, Kind: trace.Arrive, ReqID: req, Session: s},
+			trace.Event{At: arrive, Kind: trace.Route, ReqID: req, Session: s, Backend: be, Unit: unit},
+			trace.Event{At: enq, Kind: trace.Enqueue, ReqID: req, Session: s, Backend: be, Unit: unit, Dur: enq - arrive})
+		if rng.Intn(8) == 0 {
+			c := causes[rng.Intn(len(causes))]
+			evs = append(evs, trace.Event{At: exec, Kind: trace.Drop, ReqID: req, Session: s, Backend: be,
+				Dur: exec - arrive, Cause: c[0], Detail: c[1]})
+			continue
+		}
+		evs = append(evs,
+			trace.Event{At: exec, Kind: trace.Execute, ReqID: req, Session: s, Backend: be, Unit: unit,
+				Batch: int32(1 + rng.Intn(32)), Dur: gpu, Inc: 1},
+			trace.Event{At: exec + gpu, Kind: trace.Complete, ReqID: req, Session: s, Backend: be, Dur: exec + gpu - arrive})
+	}
+	evs = evs[:n]
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+	return evs
 }

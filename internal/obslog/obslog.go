@@ -328,12 +328,14 @@ func checkDump(d *forensics.Dump, old *legacyDump) error {
 		}
 	}
 	from, to := window(d)
-	for i := range d.Spans.Len() {
-		if at := d.Spans.At(i); at < from || at > to {
-			return fmt.Errorf("span %d at %v outside the window [%v, %v]", i, at, from, to)
+	i := 0
+	return d.Spans.Walk(func(sp trace.Span) error {
+		if sp.At < from || sp.At > to {
+			return fmt.Errorf("span %d at %v outside the window [%v, %v]", i, sp.At, from, to)
 		}
-	}
-	return nil
+		i++
+		return nil
+	})
 }
 
 // window returns d's window [at-window, at] in nanoseconds, as the

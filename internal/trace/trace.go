@@ -354,34 +354,38 @@ func (t *Tracer) Events() []Event {
 
 // Between returns the retained events with from <= At <= to, in
 // chronological order, as Spans. It walks the ring in place twice: once to
-// count the matching records, so they are allocated once at their exact
-// size, and once to copy them. The copy shares the name and session tables
-// as they stand: both only append, so those prefixes never change.
+// count the matching records and sum their encoded lengths, so the
+// encoding is allocated once at its exact size, and once to encode them.
+// The copy shares the name and session tables as they stand: both only
+// append, so those prefixes never change.
 func (t *Tracer) Between(from, to time.Duration) Spans {
 	if t == nil {
 		return Spans{}
 	}
-	n := 0
+	n, size := 0, 0
+	var c codec
 	t.runs(func(run []Span) {
 		for i := range run {
 			if at := run[i].At; at >= from && at <= to {
 				n++
+				size += c.size(&run[i])
 			}
 		}
 	})
 	if n == 0 {
 		return Spans{}
 	}
-	recs := make([]Span, 0, n)
+	enc := make([]byte, 0, size)
+	c = codec{}
 	t.runs(func(run []Span) {
 		for i := range run {
 			if at := run[i].At; at >= from && at <= to {
-				recs = append(recs, run[i])
+				enc = c.append(enc, &run[i])
 			}
 		}
 	})
 	l := t.names.list
-	return Spans{recs: recs, names: l[:len(l):len(l)], sessions: t.sessions.IDs()}
+	return Spans{enc: enc, n: n, names: l[:len(l):len(l)], sessions: t.sessions.IDs()}
 }
 
 // WriteText renders events human-readably, one per line.
