@@ -10,8 +10,10 @@
 //	                                    breakdown, then the whole trace's
 //	nexus-obs diff LOG                  the scheduler's plan-diff history
 //	nexus-obs top [-follow] [-refresh D] [-plain] LOG
-//	                                    the live-telemetry dashboard, once or by
+//	                                    the telemetry dashboard, once or by
 //	                                    tailing a log still being written
+//	nexus-obs prom LOG                  the last telemetry snapshot in the
+//	                                    Prometheus text exposition format
 //
 // LOG "-" reads standard input.
 //
@@ -31,10 +33,11 @@ import (
 	"time"
 
 	"nexus/internal/obslog"
+	"nexus/internal/telemetry"
 	"nexus/internal/trace"
 )
 
-const usage = "usage: nexus-obs <trace|blame|diff|top> [flags] LOG"
+const usage = "usage: nexus-obs <trace|blame|diff|top|prom> [flags] LOG"
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -74,6 +77,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			}
 			return obslog.WriteTop(w, l)
 		}
+	case "prom":
+		render = writeProm
 	default:
 		return fmt.Errorf("unknown subcommand %q; %s", cmd, usage)
 	}
@@ -154,6 +159,14 @@ func tail(ctx context.Context, w io.Writer, path string, refresh time.Duration, 
 		case <-time.After(refresh):
 		}
 	}
+}
+
+// writeProm renders the log's last telemetry snapshot as Prometheus text.
+func writeProm(w io.Writer, l obslog.Log) error {
+	if len(l.Snapshots) == 0 {
+		return errors.New("no telemetry snapshot")
+	}
+	return telemetry.WritePrometheus(w, &l.Snapshots[len(l.Snapshots)-1])
 }
 
 // writeChrome exports spans in Chrome trace-event format to path.

@@ -9,6 +9,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nexus/internal/faults"
+	"nexus/internal/obslog"
+	"nexus/internal/spec"
+	"nexus/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from the current output")
@@ -41,7 +46,7 @@ func writeTemp(t *testing.T, content string) string {
 // separate files (nexus-trace -trace -audit; nexus-forensics -dumps -trace;
 // nexus-forensics -audit; nexus-top -plain -alerts -audit).
 func TestSubcommandsMatchGoldens(t *testing.T) {
-	for _, args := range [][]string{{"trace"}, {"blame"}, {"diff"}, {"top", "-plain"}} {
+	for _, args := range [][]string{{"trace"}, {"blame"}, {"diff"}, {"top", "-plain"}, {"prom"}} {
 		got, err := runObs(t, append(args, mixedLog)...)
 		if err != nil {
 			t.Fatalf("%v: %v", args, err)
@@ -205,5 +210,57 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if _, err := runObs(t, "diff", filepath.Join(t.TempDir(), "nope.jsonl")); err == nil {
 		t.Error("missing file must be an error")
+	}
+}
+
+// TestPromMatchesLastSnapshot: `nexus-obs prom` over a run's observation
+// log prints what telemetry.WritePrometheus prints for the collector's last
+// in-memory snapshot. The run crashes a backend, so alert records sit
+// among the snapshots the reader must pass over.
+func TestPromMatchesLastSnapshot(t *testing.T) {
+	doc, err := spec.Parse(strings.NewReader(`{"gpus":4,"epoch_sec":5,"seed":7,"telemetry_sec":0.25,
+		"heartbeat_sec":0.1,"retry_budget":1,
+		"sessions":[{"id":"s","model":"resnet50","slo_ms":100,"rate":1500}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := doc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := faults.Script{{At: 9 * time.Second, Kind: faults.Crash, Backend: "be0"}}
+	if err := faults.New(d.Clock, d, 7).Schedule(crash); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c := d.Telemetry()
+	if len(c.Alerts()) == 0 {
+		t.Fatal("the crash fired no alert")
+	}
+	snaps := c.Snapshots()
+	var want strings.Builder
+	if err := telemetry.WritePrometheus(&want, &snaps[len(snaps)-1]); err != nil {
+		t.Fatal(err)
+	}
+	var obs strings.Builder
+	if err := obslog.Write(&obs, d.ObsLog()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := runObs(t, "prom", writeTemp(t, obs.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want.String() {
+		t.Errorf("nexus-obs prom:\n%s\nwant the last snapshot:\n%s", got, want.String())
+	}
+}
+
+// TestPromNoSnapshot: a log without telemetry has nothing to render.
+func TestPromNoSnapshot(t *testing.T) {
+	p := writeTemp(t, `{"v":1,"kind":"span","at_ms":1,"data":{"at_ms":1,"kind":"arrive","req":1,"session":"s","batch":0,"dur_ms":0}}`+"\n")
+	if _, err := runObs(t, "prom", p); err == nil || !strings.Contains(err.Error(), "no telemetry snapshot") {
+		t.Fatalf("snapshot-less log: err = %v, want a no-snapshot explanation", err)
 	}
 }

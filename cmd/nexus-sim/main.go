@@ -12,10 +12,10 @@
 // With -spec, a knob flag given on the command line overrides the file's
 // key, and a key the file omits takes its spec default. Without -spec the
 // run starts from the spec defaults with -gpus 16, -epoch 10s and -seed 1.
-// The workload flags (-app, -rate, -scale, -rush, -duration) and output
-// flags (-obs-out, -telemetry-listen, -telemetry-hold) apply on both paths;
-// with -spec, -app adds its sessions only when given. -obs-out writes every
-// observation plane to one log that nexus-obs reads.
+// The workload flags (-app, -rate, -scale, -rush, -duration) and the output
+// flag -obs-out apply on both paths; with -spec, -app adds its sessions only
+// when given. -obs-out writes every observation plane to one log that
+// nexus-obs reads.
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -50,8 +49,6 @@ type options struct {
 	rush        bool
 	duration    time.Duration
 	obsOut      string
-	telemListen string
-	telemHold   time.Duration
 }
 
 // flags declares the command line: the knob flags bound to c, then the
@@ -66,8 +63,6 @@ func flags(c *spec.Config, o *options) *flag.FlagSet {
 	fs.BoolVar(&o.rush, "rush", false, "rush-hour traffic (higher per-frame fan-out)")
 	fs.DurationVar(&o.duration, "duration", 60*time.Second, "measured virtual time")
 	fs.StringVar(&o.obsOut, "obs-out", "", "write the observation log (spans, audit, telemetry, dumps) to this file for nexus-obs (implies tracing, -audit and -telemetry)")
-	fs.StringVar(&o.telemListen, "telemetry-listen", "", "serve /metrics (Prometheus text), /alerts, /health on this address (implies -telemetry)")
-	fs.DurationVar(&o.telemHold, "telemetry-hold", 0, "keep the telemetry endpoint up this long after the run finishes")
 	return fs
 }
 
@@ -113,7 +108,7 @@ func parseArgs(args []string) (*spec.Deployment, *options, error) {
 		doc.TraceCapacity = 1 << 20 // a generously sized ring
 	}
 	doc.Audit = doc.Audit || o.obsOut != ""
-	if (o.obsOut != "" || o.telemListen != "") && doc.Telemetry == 0 {
+	if o.obsOut != "" && doc.Telemetry == 0 {
 		doc.Telemetry = spec.Seconds(telemetry.DefaultInterval.Seconds())
 	}
 	return doc, o, nil
@@ -124,6 +119,14 @@ func run(args []string, stdout io.Writer) error {
 	doc, o, err := parseArgs(args)
 	if err != nil {
 		return err
+	}
+	// Create the log before the run, so a bad path fails without simulating.
+	var obs *os.File
+	if o.obsOut != "" {
+		if obs, err = os.Create(o.obsOut); err != nil {
+			return err
+		}
+		defer obs.Close()
 	}
 	d, err := doc.Build()
 	if err != nil {
@@ -144,7 +147,7 @@ func run(args []string, stdout io.Writer) error {
 			label = fmt.Sprintf("%s/%s", doc.System, o.app)
 		}
 	}
-	return report(stdout, d, o, label, doc.GPUs)
+	return report(stdout, d, o.duration, label, doc.GPUs, obs)
 }
 
 // appBuilders returns the builders of the -app workload.
@@ -171,21 +174,9 @@ func appBuilders(o *options) ([]apps.Builder, error) {
 }
 
 // report executes the deployment and prints the standard panels, then each
-// enabled plane inline or, with -obs-out, into the observation log (the
+// enabled plane inline or, when obs is set, into the observation log (the
 // plane summaries stay inline).
-func report(w io.Writer, d *cluster.Deployment, o *options, label string, gpus int) error {
-	if o.telemListen != "" && d.Telemetry() != nil {
-		// Serve the live endpoint while the simulation runs: /metrics reads
-		// only the mutex-published latest snapshot, so scraping is race-free.
-		srv := &http.Server{Addr: o.telemListen, Handler: telemetry.Handler(d.Telemetry())}
-		go func() {
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Fatal(err)
-			}
-		}()
-		fmt.Fprintf(w, "telemetry: serving /metrics on %s\n", o.telemListen)
-	}
-	duration := o.duration
+func report(w io.Writer, d *cluster.Deployment, duration time.Duration, label string, gpus int, obs *os.File) error {
 	bad, err := d.Run(duration)
 	if err != nil {
 		return err
@@ -224,14 +215,13 @@ func report(w io.Writer, d *cluster.Deployment, o *options, label string, gpus i
 			(i+1)*step, offered/float64(step), g/float64(step), badPct)
 	}
 	l := d.ObsLog()
-	obs := o.obsOut != ""
-	if tr := d.Tracer(); tr != nil && !obs {
+	if tr := d.Tracer(); tr != nil && obs == nil {
 		fmt.Fprintf(w, "\n  trace (last %d of %d events):\n", len(l.Spans), tr.Total())
 		if err := trace.WriteText(w, l.Spans); err != nil {
 			return err
 		}
 	}
-	if l.Audit != nil && !obs {
+	if l.Audit != nil && obs == nil {
 		fmt.Fprintln(w, "\n  control-plane audit log:")
 		if err := l.Audit.WriteText(w); err != nil {
 			return err
@@ -240,7 +230,7 @@ func report(w io.Writer, d *cluster.Deployment, o *options, label string, gpus i
 	if fr := d.Flight(); fr != nil {
 		fmt.Fprintf(w, "\n  flight recorder: %d dump bundle(s), %d trigger(s) suppressed\n",
 			len(l.Dumps), fr.Suppressed())
-		if !obs {
+		if obs == nil {
 			for i := range l.Dumps {
 				dump := func(w io.Writer) error { return obslog.WriteDump(w, l, &l.Dumps[i]) }
 				if err := indented(w, "  ", dump); err != nil {
@@ -265,15 +255,14 @@ func report(w io.Writer, d *cluster.Deployment, o *options, label string, gpus i
 			}
 		}
 	}
-	if obs {
-		if err := writeFile(o.obsOut, func(f io.Writer) error { return obslog.Write(f, l) }); err != nil {
+	if obs != nil {
+		if err := obslog.Write(obs, l); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "\n  observation log written to %s (read with nexus-obs trace|blame|diff|top %s)\n", o.obsOut, o.obsOut)
-	}
-	if o.telemListen != "" && o.telemHold > 0 {
-		fmt.Fprintf(w, "  holding %s for %v (scrape %s/metrics)\n", o.telemListen, o.telemHold, o.telemListen)
-		time.Sleep(o.telemHold)
+		if err := obs.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\n  observation log written to %s (read with nexus-obs trace|blame|diff|top|prom %s)\n", obs.Name(), obs.Name())
 	}
 	return nil
 }
@@ -292,17 +281,4 @@ func indented(w io.Writer, prefix string, write func(io.Writer) error) error {
 		}
 	}
 	return nil
-}
-
-// writeFile streams write into path, creating or truncating it.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

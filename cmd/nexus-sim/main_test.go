@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -145,6 +147,20 @@ func TestSpecFlagsTakeEffect(t *testing.T) {
 	}
 	if fi, err := os.Stat(obsPath); err != nil || fi.Size() == 0 {
 		t.Errorf("-obs-out wrote no log: %v", err)
+	}
+}
+
+// TestObsOutBadPathFailsBeforeRun: an -obs-out path in a missing
+// directory is an error before the deployment runs, so nothing is reported.
+func TestObsOutBadPathFailsBeforeRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "run.jsonl")
+	var out strings.Builder
+	err := run([]string{"-spec", mixedSpec, "-obs-out", path}, &out)
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("err = %v, want the missing directory reported", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("the run went ahead and reported:\n%s", out.String())
 	}
 }
 

@@ -623,7 +623,6 @@ func (d *Deployment) controlConfig() globalsched.Config {
 	cfg.LeaseMisses = d.cfg.LeaseMisses
 	cfg.Audit = d.audit
 	if d.telem != nil {
-		cfg.PlanWallClock = d.telem.WallTimings()
 		// Capture the per-epoch health report before handing the epoch to
 		// the user's observer.
 		userOnEpoch := cfg.OnEpoch

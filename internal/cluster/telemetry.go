@@ -218,7 +218,6 @@ func (ts *telemetrySampler) sample() {
 	reg.Gauge("sched_gpus_allocated").Set(float64(d.Pool.InUse()))
 	reg.Gauge("sched_gpus_demanded").Set(float64(d.Sched.GPUsDemanded()))
 	reg.Gauge("cluster_gpus_capacity").Set(float64(d.Pool.Capacity()))
-	reg.Gauge("sched_plan_wall_ms").Set(telemetry.MS(d.Sched.LastPlanWall()))
 	reg.Counter("cluster_unroutable_total").Set(float64(d.unroutable))
 
 	// Shard counters only when the plan is partitioned: a one-shard
@@ -228,33 +227,11 @@ func (ts *telemetrySampler) sample() {
 		reg.Counter("sched_shards_replanned_total").Set(float64(replanned))
 		reg.Counter("sched_shards_skipped_total").Set(float64(skipped))
 		reg.Counter("sched_cross_shard_moves_total").Set(float64(crossMoves))
-		for k, wall := range d.Sched.LastShardStats().ShardWall {
-			reg.Gauge("sched_shard_plan_wall_ms", "shard", strconv.Itoa(k)).Set(telemetry.MS(wall))
-		}
 	}
 	deltas, fulls, sessions := d.Sched.RoutePushStats()
 	reg.Counter("sched_delta_pushes_total").Set(float64(deltas))
 	reg.Counter("sched_full_pushes_total").Set(float64(fulls))
 	reg.Counter("sched_delta_sessions_total").Set(float64(sessions))
-
-	// Runtime self-observability, only on request: goroutines, heap, GC
-	// pause, plus the simulator's own send-arena reuse. Like WallTimings
-	// these are nondeterministic, so they never appear in golden-compared
-	// streams.
-	if d.telem.SelfObserve() {
-		telemetry.SampleRuntime(reg)
-		for i, fe := range d.Frontends {
-			l := strconv.Itoa(i)
-			hits, grows := fe.ArenaStats()
-			reg.Counter("frontend_arena_hits_total", "frontend", l).Set(float64(hits))
-			reg.Counter("frontend_arena_grows_total", "frontend", l).Set(float64(grows))
-			rate := 0.0
-			if hits+grows > 0 {
-				rate = float64(hits) / float64(hits+grows)
-			}
-			reg.Gauge("frontend_arena_reuse_rate", "frontend", l).Set(rate)
-		}
-	}
 
 	ts.lastAt = now
 	d.telem.Tick(now)

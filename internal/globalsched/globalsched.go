@@ -90,11 +90,6 @@ type Config struct {
 	// Audit, when set, receives per-epoch placement records and query
 	// budget splits (the control-plane audit log).
 	Audit *trace.Audit
-	// PlanWallClock measures each epoch's real (wall-clock) planning time,
-	// surfaced via LastPlanWall and the telemetry health report. Off by
-	// default: wall time is nondeterministic, and determinism tests require
-	// identical telemetry streams across runs.
-	PlanWallClock bool
 	// Shards partitions squishy planning deterministically across this many
 	// concurrent shard planners, with a cross-shard rebalance step. Every
 	// epoch re-plans each shard incrementally against its committed plan
@@ -185,9 +180,6 @@ type Scheduler struct {
 	// capacity-driven rate scaling (what the workload wanted, not what the
 	// pool could grant).
 	lastDemand int
-	// lastPlanWall is the last epoch's wall-clock planning time (zero
-	// unless Config.PlanWallClock).
-	lastPlanWall time.Duration
 	// lastPlannedRates remembers the rates the last batch-oblivious plan
 	// was computed for (stability guard).
 	lastPlannedRates map[string]float64
@@ -483,10 +475,6 @@ func (s *Scheduler) RunEpoch() error {
 	if s.down {
 		return nil
 	}
-	var wallStart time.Time
-	if s.cfg.PlanWallClock {
-		wallStart = time.Now()
-	}
 	s.epochs++
 	s.lastStats = scheduler.MoveStats{}
 	// Shed replicas that died since the last epoch before planning, so the
@@ -511,9 +499,6 @@ func (s *Scheduler) RunEpoch() error {
 		s.planner.Commit(pass)
 	}
 	s.prevPlan = plan
-	if s.cfg.PlanWallClock {
-		s.lastPlanWall = time.Since(wallStart)
-	}
 	s.auditEpoch(plan)
 	if s.cfg.OnEpoch != nil {
 		s.cfg.OnEpoch(s.epochs, s.lastStats, s.pool.InUse())
@@ -560,10 +545,6 @@ func (s *Scheduler) auditEpoch(plan *scheduler.Plan) {
 // capacity-driven rate scaling.
 func (s *Scheduler) GPUsDemanded() int { return s.lastDemand }
 
-// LastPlanWall returns the last epoch's wall-clock planning time (zero
-// unless Config.PlanWallClock).
-func (s *Scheduler) LastPlanWall() time.Duration { return s.lastPlanWall }
-
 // Explain builds the per-epoch scheduler health report: one entry per
 // (session, node) allocation of the current plan with its batch, rate
 // share, node occupancy/headroom, and a rendered reason; plus the
@@ -577,7 +558,6 @@ func (s *Scheduler) Explain() telemetry.HealthReport {
 		GPUsAllocated:   s.pool.InUse(),
 		GPUsCapacity:    s.pool.Capacity(),
 		SessionsMoved:   s.lastStats.SessionsMoved,
-		PlanWallMS:      telemetry.MS(s.lastPlanWall),
 		ShardsReplanned: s.lastShardStats.Replanned,
 		ShardsSkipped:   s.lastShardStats.Skipped,
 		CrossShardMoves: s.lastShardStats.CrossShardMoves,
@@ -1076,7 +1056,6 @@ func (s *Scheduler) plan(sessions []scheduler.Session) (*scheduler.Plan, *schedu
 		res, err := s.planner.Plan(scaled, profiles, s.cfg.Sched, scheduler.ShardOpts{
 			Hysteresis: s.cfg.PlanHysteresis,
 			Force:      iter > 0,
-			WallClock:  s.cfg.PlanWallClock,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -1114,10 +1093,6 @@ func (s *Scheduler) plan(sessions []scheduler.Session) (*scheduler.Plan, *schedu
 // Shard attribution (node-ID prefixes, audit and health shard fields, shard
 // counters) appears only then, so a one-shard plan carries none of it.
 func (s *Scheduler) Partitioned() bool { return s.planner.Shards() >= 2 }
-
-// LastShardStats returns the accepted planning pass of the latest epoch
-// (zero value unless Partitioned).
-func (s *Scheduler) LastShardStats() scheduler.ShardStats { return s.lastShardStats }
 
 // ShardTotals returns cumulative shard-planner counters: shards replanned,
 // shards skipped by the hysteresis band, and sessions migrated across

@@ -74,9 +74,6 @@ type ShardOpts struct {
 	// plane sets it on admission-control re-iterations, where globally
 	// scaled rates must reach every shard.
 	Force bool
-	// WallClock records per-shard planning wall time in ShardStats.
-	// Off by default: wall time is nondeterministic.
-	WallClock bool
 }
 
 // rateHysteresisFloor is the absolute rate change (r/s) below which a
@@ -99,9 +96,6 @@ type ShardStats struct {
 	// CrossShardMoves counts session placements migrated to a different
 	// shard by the rebalance step.
 	CrossShardMoves int
-	// ShardWall holds per-shard planning wall time (nil unless
-	// ShardOpts.WallClock; zero for skipped shards).
-	ShardWall []time.Duration
 }
 
 // sessionSig is the per-session signature hysteresis compares against: the
@@ -182,22 +176,14 @@ func (sp *ShardPlanner) Plan(sessions []Session, profiles map[string]*profiler.P
 	type shardOut struct {
 		plan  *Plan
 		stats MoveStats
-		wall  time.Duration
 		err   error
 	}
 	outs := runner.Map(n, func(k int) shardOut {
 		if !dirty[k] {
 			return shardOut{plan: sp.prev[k]}
 		}
-		var start time.Time
-		if opts.WallClock {
-			start = time.Now()
-		}
 		var o shardOut
 		o.plan, o.stats, o.err = replan(sp.prev[k], members[k], profiles, cfg)
-		if opts.WallClock {
-			o.wall = time.Since(start)
-		}
 		return o
 	})
 	for k, o := range outs {
@@ -218,13 +204,6 @@ func (sp *ShardPlanner) Plan(sessions []Session, profiles map[string]*profiler.P
 			res.sigs[k] = sp.sigs[k]
 		}
 	}
-	if opts.WallClock {
-		res.Stats.ShardWall = make([]time.Duration, n)
-		for k, o := range outs {
-			res.Stats.ShardWall[k] = o.wall
-		}
-	}
-
 	if n >= 2 {
 		sp.rebalance(res, dirty, profiles, cfg)
 	}

@@ -169,18 +169,3 @@ func ScheduleSpatial(residue []Session, profiles map[string]*profiler.Profile, c
 	}
 	return nodes, kept, nil
 }
-
-// SliceDuty returns the batch-gather window a pinned slice runs at: the
-// time to collect `batch` requests at `rate`, clamped so a batch started at
-// the window's close still meets the SLO. The backend uses it as the flush
-// timeout for spatial units.
-func SliceDuty(lat, slo time.Duration, batch int, rate float64) time.Duration {
-	gather := time.Duration(float64(batch) / rate * float64(time.Second))
-	if m := slo - lat; gather > m {
-		gather = m
-	}
-	if gather < 0 {
-		gather = 0
-	}
-	return gather
-}

@@ -45,8 +45,6 @@ type Config struct {
 	TraceCapacity     int     `json:"trace" usage:"record and print the last N request lifecycle events"`
 	Audit             bool    `json:"audit" usage:"keep and print the control-plane audit log"`
 	Telemetry         Seconds `json:"telemetry_sec" usage:"live telemetry sampling interval (0 = off)"`
-	TelemetryWall     bool    `json:"telemetry_wall" usage:"measure real plan wall time (nondeterministic; needs -telemetry)"`
-	TelemetrySelf     bool    `json:"telemetry_self" usage:"export runtime self-observability gauges (goroutines, heap, GC, send-arena reuse; nondeterministic, needs -telemetry)"`
 	Forensics         bool    `json:"forensics" usage:"arm the flight recorder (implies tracing, -audit, and -telemetry)"`
 	ForensicsWindow   Seconds `json:"forensics_window_sec" usage:"capture horizon before each anomaly (0 = 5s; implies -forensics)"`
 	ForensicsMaxDumps int     `json:"forensics_max_dumps" usage:"dump bundles kept; later triggers are only counted (0 = 8; needs -forensics)"`
@@ -165,9 +163,7 @@ func (c *Config) Cluster() cluster.Config {
 		cfg.System = cluster.Nexus
 	}
 	if c.Telemetry > 0 {
-		cfg.Telemetry = &telemetry.Config{
-			Interval: c.Telemetry.Duration(), WallTimings: c.TelemetryWall, SelfObserve: c.TelemetrySelf,
-		}
+		cfg.Telemetry = &telemetry.Config{Interval: c.Telemetry.Duration()}
 	}
 	if c.Forensics || c.ForensicsWindow > 0 {
 		cfg.Forensics = &forensics.Config{

@@ -67,6 +67,9 @@ func TestValidateErrors(t *testing.T) {
 		{"unknown gpu", `{"gpus":1,"gpu":"h100","sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
 		{"unknown placement", `{"gpus":1,"placement":"diagonal","sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
 		{"duration out of range", `{"gpus":1,"epoch_sec":1e300,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		// Removed wall-clock knobs: a document still setting them fails.
+		{"removed telemetry_wall", `{"gpus":1,"telemetry_sec":0.5,"telemetry_wall":true,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		{"removed telemetry_self", `{"gpus":1,"telemetry_sec":0.5,"telemetry_self":true,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
 	}
 	for _, c := range cases {
 		if _, err := Parse(strings.NewReader(c.doc)); err == nil {

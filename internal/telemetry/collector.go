@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -17,36 +16,18 @@ type Config struct {
 	// Rules is the alerting rule set; nil = DefaultRules(). An explicit
 	// empty slice disables alerting while keeping snapshots.
 	Rules []Rule
-	// WallTimings additionally measures real (wall-clock) control-plane
-	// plan time. Off by default: wall time is nondeterministic, and leaving
-	// it out keeps the snapshot stream byte-identical across runs.
-	WallTimings bool
-	// SelfObserve additionally exports runtime self-observability gauges
-	// (goroutine count, heap bytes, cumulative GC pause, send-arena reuse
-	// rate). Off by default: runtime state is
-	// nondeterministic, like WallTimings, and leaving it out keeps the
-	// snapshot stream byte-identical across runs and worker counts.
-	SelfObserve bool
 }
 
 // Collector owns the registry, the snapshot stream, the alert engine, and
-// the health-report log for one deployment. Sampling happens on the
-// simulation goroutine; the latest snapshot, the alert log, and the health
-// log are additionally published under a mutex so a live HTTP scrape
-// handler can read them from another goroutine without racing the
-// simulation. Both logs are append-only, so a published slice stays valid
-// while the simulation appends past its end. The nil Collector accepts
-// every call and does nothing.
+// the health-report log for one deployment. It holds no lock: every call
+// runs on the simulation goroutine or after the run, and the snapshot and
+// alert streams reach other tools through the observation log. The nil
+// Collector accepts every call and does nothing.
 type Collector struct {
 	cfg    Config
 	reg    *Registry
 	engine *Engine
 	snaps  []Snapshot
-
-	mu     sync.Mutex
-	latest Snapshot
-	has    bool
-	alerts []Alert
 	health []HealthReport
 
 	// onAlert sees each new firing transition during Tick, on the
@@ -74,12 +55,6 @@ func (c *Collector) Interval() time.Duration {
 	return c.cfg.Interval
 }
 
-// WallTimings reports whether real plan-time measurement was requested.
-func (c *Collector) WallTimings() bool { return c != nil && c.cfg.WallTimings }
-
-// SelfObserve reports whether runtime self-observability was requested.
-func (c *Collector) SelfObserve() bool { return c != nil && c.cfg.SelfObserve }
-
 // SetOnAlert installs a hook that sees each new firing alert transition,
 // invoked on the simulation goroutine during the tick that fired it.
 // Resolved transitions are not delivered: the flight recorder dumps on
@@ -101,8 +76,7 @@ func (c *Collector) Registry() *Registry {
 }
 
 // Tick samples the registry at virtual time `at`, feeds the alert engine,
-// appends to the snapshot stream, and publishes the snapshot for
-// concurrent scrapes. Duplicate timestamps (e.g. a flush landing on a tick
+// and appends to the snapshot stream. Duplicate timestamps (e.g. a flush landing on a tick
 // boundary) are dropped so the stream stays strictly increasing.
 func (c *Collector) Tick(at time.Duration) {
 	if c == nil {
@@ -122,11 +96,6 @@ func (c *Collector) Tick(at time.Duration) {
 		}
 	}
 	c.snaps = append(c.snaps, s)
-	c.mu.Lock()
-	c.latest = s
-	c.has = true
-	c.alerts = c.engine.Alerts()
-	c.mu.Unlock()
 }
 
 // Snapshots returns the full snapshot stream.
@@ -137,26 +106,12 @@ func (c *Collector) Snapshots() []Snapshot {
 	return c.snaps
 }
 
-// Latest returns a copy of the most recent snapshot. Safe to call from any
-// goroutine while the simulation runs.
-func (c *Collector) Latest() (Snapshot, bool) {
-	if c == nil {
-		return Snapshot{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.latest, c.has
-}
-
-// Alerts returns the chronological alert log. Safe to call from any
-// goroutine while the simulation runs.
+// Alerts returns the chronological alert log.
 func (c *Collector) Alerts() []Alert {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.alerts
+	return c.engine.Alerts()
 }
 
 // Firing returns the currently firing rule(target) pairs, sorted.
@@ -174,19 +129,14 @@ func (c *Collector) AddHealth(h HealthReport) {
 		return
 	}
 	h.FiringAlerts = c.engine.Firing()
-	c.mu.Lock()
 	c.health = append(c.health, h)
-	c.mu.Unlock()
 }
 
-// Health returns the per-epoch health reports. Safe to call from any
-// goroutine while the simulation runs.
+// Health returns the per-epoch health reports.
 func (c *Collector) Health() []HealthReport {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.health
 }
 
@@ -198,17 +148,6 @@ func (c *Collector) WriteAlertsText(w io.Writer) error {
 			line += fmt.Sprintf("  value=%.2f  %s", a.Value, a.Detail)
 		}
 		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteHealthText renders every epoch's health report for terminals.
-func (c *Collector) WriteHealthText(w io.Writer) error {
-	health := c.Health()
-	for i := range health {
-		if err := health[i].WriteText(w); err != nil {
 			return err
 		}
 	}

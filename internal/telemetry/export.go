@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strconv"
 )
@@ -72,42 +70,4 @@ func writeFamilies(w io.Writer, values map[string]float64, typ, help string) {
 
 func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Handler serves the collector over HTTP for live runs:
-//
-//	/metrics       — latest snapshot, Prometheus text format
-//	/alerts        — alert log, plain text
-//	/health        — per-epoch scheduler health reports, plain text
-//	/debug/pprof/  — Go runtime profiles (CPU, heap, goroutines, ...)
-//
-// /metrics, /alerts and /health read only what the collector publishes
-// under its mutex, so scraping a running simulation is race-free. The
-// pprof routes profile the simulator process itself — the
-// self-observability counterpart to the gauges SampleRuntime exports.
-func Handler(c *Collector) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		s, ok := c.Latest()
-		if !ok {
-			http.Error(w, "no snapshot yet", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WritePrometheus(w, &s)
-	})
-	mux.HandleFunc("/alerts", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = c.WriteAlertsText(w)
-	})
-	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = c.WriteHealthText(w)
-	})
-	return mux
 }

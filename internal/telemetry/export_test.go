@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -22,12 +21,12 @@ func sampleCollector(t *testing.T) *Collector {
 
 func TestWritePrometheus(t *testing.T) {
 	c := sampleCollector(t)
-	s, ok := c.Latest()
-	if !ok {
+	snaps := c.Snapshots()
+	if len(snaps) == 0 {
 		t.Fatal("no snapshot")
 	}
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, &s); err != nil {
+	if err := WritePrometheus(&buf, &snaps[len(snaps)-1]); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -50,59 +49,15 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestHandler(t *testing.T) {
-	c := NewCollector(Config{})
-	h := Handler(c)
-
-	// Before any tick: /metrics is 503, not an empty 200 a scraper would
-	// silently record as all-zeros.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 503 {
-		t.Errorf("pre-tick /metrics: %d, want 503", rec.Code)
-	}
-
-	c.Registry().Gauge("sched_gpus_allocated").Set(3)
-	c.Tick(time.Second)
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/metrics: %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "text/plain") {
-		t.Errorf("content type: %q", ct)
-	}
-	if !strings.Contains(rec.Body.String(), "nexus_sched_gpus_allocated 3") {
-		t.Errorf("/metrics body:\n%s", rec.Body.String())
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/alerts", nil))
-	if rec.Code != 200 {
-		t.Errorf("/alerts: %d", rec.Code)
-	}
-
-	c.AddHealth(HealthReport{Epoch: 1, AtMS: 5000, GPUsAllocated: 2, GPUsCapacity: 4})
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/health", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "epoch 1") {
-		t.Errorf("/health: %d %q", rec.Code, rec.Body.String())
-	}
-}
-
 func TestCollectorLifecycle(t *testing.T) {
 	var nilC *Collector
 	nilC.Tick(time.Second) // all nil-safe
 	if nilC.Registry() != nil || nilC.Snapshots() != nil || nilC.Alerts() != nil {
 		t.Error("nil collector must return nils")
 	}
-	if _, ok := nilC.Latest(); ok {
-		t.Error("nil collector has no latest")
-	}
 	nilC.AddHealth(HealthReport{})
-	if nilC.Interval() != 0 || nilC.WallTimings() {
-		t.Error("nil collector config accessors")
+	if nilC.Health() != nil || nilC.Interval() != 0 {
+		t.Error("nil collector accessors")
 	}
 
 	c := NewCollector(Config{})
@@ -114,11 +69,12 @@ func TestCollectorLifecycle(t *testing.T) {
 	c.Tick(time.Second)             // duplicate timestamp: dropped
 	c.Tick(500 * time.Millisecond)  // regression: dropped
 	c.Tick(1500 * time.Millisecond) // advances
-	if n := len(c.Snapshots()); n != 2 {
-		t.Errorf("duplicate ticks must be dropped: %d snapshots", n)
+	snaps := c.Snapshots()
+	if n := len(snaps); n != 2 {
+		t.Fatalf("duplicate ticks must be dropped: %d snapshots", n)
 	}
-	if s, ok := c.Latest(); !ok || s.At != 1500*time.Millisecond {
-		t.Errorf("latest: %+v %v", s.At, ok)
+	if last := snaps[len(snaps)-1]; last.At != 1500*time.Millisecond {
+		t.Errorf("last snapshot at %v, want 1.5s", last.At)
 	}
 }
 
@@ -143,7 +99,7 @@ func TestCollectorHealthStampsFiring(t *testing.T) {
 		t.Errorf("alert text: %q", buf.String())
 	}
 	buf.Reset()
-	if err := c.WriteHealthText(&buf); err != nil {
+	if err := hs[0].WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "firing at plan time") {
@@ -154,15 +110,15 @@ func TestCollectorHealthStampsFiring(t *testing.T) {
 func TestHealthReportText(t *testing.T) {
 	r := HealthReport{
 		Epoch: 3, AtMS: 30000, GPUsDemanded: 5, GPUsAllocated: 4, GPUsCapacity: 8,
-		SessionsMoved: 1, PlanWallMS: 0.42,
-		Allocs: []SessionAlloc{{Session: "s", Node: "gpu0", Reason: "100.0 r/s at batch 8"}},
+		SessionsMoved: 1,
+		Allocs:        []SessionAlloc{{Session: "s", Node: "gpu0", Reason: "100.0 r/s at batch 8"}},
 	}
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"epoch 3 @ t=30.0s", "4/8 GPUs allocated (demand 5)", "planned in 0.42ms", "100.0 r/s at batch 8"} {
+	for _, want := range []string{"epoch 3 @ t=30.0s", "4/8 GPUs allocated (demand 5), 1 session move(s)\n", "100.0 r/s at batch 8"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("health text missing %q:\n%s", want, out)
 		}

@@ -33,7 +33,6 @@ type HealthReport struct {
 	GPUsAllocated int           `json:"gpus_allocated"`
 	GPUsCapacity  int           `json:"gpus_capacity"`
 	SessionsMoved int           `json:"sessions_moved"`
-	PlanWallMS    float64       `json:"plan_wall_ms,omitempty"`
 	// Sharded-planner counters; zero and omitted unless the plan is
 	// partitioned (>= 2 shards), so one-shard goldens are unchanged.
 	ShardsReplanned int            `json:"shards_replanned,omitempty"`
@@ -45,16 +44,8 @@ type HealthReport struct {
 
 // WriteText renders the report for terminals.
 func (r *HealthReport) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "epoch %d @ t=%.1fs: %d/%d GPUs allocated (demand %d), %d session move(s)",
+	if _, err := fmt.Fprintf(w, "epoch %d @ t=%.1fs: %d/%d GPUs allocated (demand %d), %d session move(s)\n",
 		r.Epoch, r.AtMS/1000, r.GPUsAllocated, r.GPUsCapacity, r.GPUsDemanded, r.SessionsMoved); err != nil {
-		return err
-	}
-	if r.PlanWallMS > 0 {
-		if _, err := fmt.Fprintf(w, ", planned in %.2fms", r.PlanWallMS); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
 		return err
 	}
 	for _, a := range r.Allocs {

@@ -4,9 +4,9 @@
 // snapshots; an alerting engine evaluating declarative rules over the
 // snapshot stream (SLO burn rate, queue saturation, stragglers, backend
 // flaps); per-epoch scheduler health reports ("explain" output); and
-// the Prometheus text exporter for live HTTP scraping. Snapshots and alerts
-// go to disk through the observation log (internal/obslog), which
-// `nexus-obs top` reads.
+// the Prometheus text renderer. Snapshots and alerts go to disk through
+// the observation log (internal/obslog), which `nexus-obs top` and
+// `nexus-obs prom` read. The plane carries only virtual time.
 //
 // Like the lifecycle Tracer, the whole plane follows the nil-no-op
 // discipline: a nil Collector/Registry/instrument accepts every call and
