@@ -7,6 +7,7 @@ package apps
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"nexus/internal/cluster"
@@ -50,6 +51,7 @@ func Deploy(d *cluster.Deployment, build Builder) (*Spec, error) {
 	if err := d.RefreshProfiles(); err != nil {
 		return nil, err
 	}
+	d.GrowSessions(len(spec.Sessions))
 	for _, s := range spec.Sessions {
 		if err := d.AddSession(s.Spec, s.Proc); err != nil {
 			return nil, fmt.Errorf("apps: deploying %s: %w", spec.Name, err)
@@ -67,7 +69,11 @@ func Deploy(d *cluster.Deployment, build Builder) (*Spec, error) {
 // each load's expected rate (the Figure 13 deployment uses Poisson
 // arrivals).
 func WithPoisson(spec *Spec) *Spec {
-	out := &Spec{Name: spec.Name}
+	out := &Spec{
+		Name:     spec.Name,
+		Sessions: make([]SessionLoad, 0, len(spec.Sessions)),
+		Queries:  make([]QueryLoad, 0, len(spec.Queries)),
+	}
 	for _, s := range spec.Sessions {
 		s.Proc = workload.Poisson{Rate: s.Spec.ExpectedRate}
 		out.Sessions = append(out.Sessions, s)
@@ -105,7 +111,8 @@ func GameSLO(games int, totalRate float64, slo time.Duration) Builder {
 		if games < 1 {
 			return nil, fmt.Errorf("apps: game needs >= 1 stream")
 		}
-		spec := &Spec{Name: "game"}
+		spec := &Spec{Name: "game", Sessions: make([]SessionLoad, 0, 2*games)}
+		mdb.Grow(2 * games)
 		rates := workload.SplitRate(totalRate, games, 0.9)
 		for g := 0; g < games; g++ {
 			digitID, err := mdb.Variant(model.LeNet5, gameIdx*100+g, 1)
@@ -117,13 +124,14 @@ func GameSLO(games int, totalRate float64, slo time.Duration) Builder {
 				return nil, err
 			}
 			// Six digit crops and one icon per sampled frame.
+			n := strconv.Itoa(g)
 			spec.Sessions = append(spec.Sessions,
 				SessionLoad{Spec: globalsched.SessionSpec{
-					ID: fmt.Sprintf("game/digits-%d", g), ModelID: digitID,
+					ID: "game/digits-" + n, ModelID: digitID,
 					SLO: slo, ExpectedRate: rates[g] * 6,
 				}},
 				SessionLoad{Spec: globalsched.SessionSpec{
-					ID: fmt.Sprintf("game/icon-%d", g), ModelID: iconID,
+					ID: "game/icon-" + n, ModelID: iconID,
 					SLO: slo, ExpectedRate: rates[g],
 				}},
 			)
@@ -295,9 +303,4 @@ func All(scale float64) []Builder {
 		Amber(40 * scale),
 		Logo(30 * scale),
 	}
-}
-
-// Names lists the Table 4 application names in order.
-func Names() []string {
-	return []string{"game", "traffic", "dance", "bb", "bike", "amber", "logo"}
 }

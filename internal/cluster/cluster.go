@@ -10,6 +10,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -253,9 +254,12 @@ type Deployment struct {
 	flight *forensics.Recorder
 }
 
+// sessionLoad is a standalone session's arrival process. The scheduler
+// holds the session's spec; the load keeps only what Run starts its
+// generator with, and takes the ID from the session table.
 type sessionLoad struct {
-	spec   globalsched.SessionSpec
 	proc   workload.Process
+	slo    time.Duration
 	handle session.Handle
 }
 
@@ -485,16 +489,18 @@ func (d *Deployment) RefreshProfiles() error { return d.rebuildProfiles() }
 // replaces a registered model, so a derived profile stays current: set-up
 // cost grows with the models added, not with the models registered so far.
 func (d *Deployment) rebuildProfiles() error {
+	fresh := d.mdb.Since(d.profiled)
 	if d.profiles == nil {
-		d.profiles = make(map[string]*profiler.Profile)
+		// Only the first call can size the map: the scheduler shares it.
+		d.profiles = make(map[string]*profiler.Profile, len(fresh))
 	}
-	for _, id := range d.mdb.Since(d.profiled) {
-		if profiler.Calibrated(id, d.cfg.GPU) {
-			p, err := profiler.Calibrate(d.mdb.MustGet(id), d.cfg.GPU)
+	for _, m := range fresh {
+		if profiler.Calibrated(m.ID, d.cfg.GPU) {
+			p, err := profiler.Calibrate(m, d.cfg.GPU)
 			if err != nil {
 				return err
 			}
-			d.profiles[id] = p
+			d.profiles[m.ID] = p
 		}
 		d.profiled++
 	}
@@ -646,8 +652,15 @@ func (d *Deployment) AddSession(spec globalsched.SessionSpec, proc workload.Proc
 	if proc == nil {
 		proc = workload.Uniform{Rate: spec.ExpectedRate}
 	}
-	d.loads = append(d.loads, sessionLoad{spec: spec, proc: proc, handle: h})
+	d.loads = append(d.loads, sessionLoad{proc: proc, slo: spec.SLO, handle: h})
 	return nil
+}
+
+// GrowSessions makes room for n more standalone sessions, so that adding
+// them grows the deployment's per-session tables once.
+func (d *Deployment) GrowSessions(n int) {
+	d.loads = slices.Grow(d.loads, n)
+	d.Sched.GrowSessions(n)
 }
 
 // AddQuery adds a complex query load (nil proc = uniform arrivals at the
@@ -708,7 +721,7 @@ func (d *Deployment) Run(duration time.Duration) (float64, error) {
 	d.Clock.At(d.cfg.Warmup, func() { d.collecting, d.warmEnd = true, d.seq })
 	// Start generators (kept so fault injection can modulate their rates).
 	for _, l := range d.loads {
-		g := workload.Start(d.Clock, d.rng, l.spec.ID, l.spec.SLO, l.proc, horizon, d.dispatchStandalone)
+		g := workload.Start(d.Clock, d.rng, d.names.ID(l.handle), l.slo, l.proc, horizon, d.dispatchStandalone)
 		g.Handle = l.handle
 		d.gens = append(d.gens, g)
 	}

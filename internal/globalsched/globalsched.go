@@ -10,7 +10,9 @@ package globalsched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"nexus/internal/backend"
@@ -276,6 +278,14 @@ func (s *Scheduler) AddSession(spec SessionSpec) (session.Handle, error) {
 	s.sessions = append(s.sessions, spec)
 	s.handles = append(s.handles, h)
 	return h, nil
+}
+
+// GrowSessions makes room for n more standalone sessions, so that adding
+// them grows the per-session tables once rather than step by step.
+func (s *Scheduler) GrowSessions(n int) {
+	s.sessions = slices.Grow(s.sessions, n)
+	s.handles = slices.Grow(s.handles, n)
+	s.names.Grow(n)
 }
 
 // AddQuery declares a complex query and gives each of its stage sessions
@@ -673,7 +683,7 @@ func (s *Scheduler) rateOf(h session.Handle, expected float64) float64 {
 // member map for routing: the unit (group or self) ID by member session
 // handle.
 func (s *Scheduler) buildSessions() ([]scheduler.Session, []string, error) {
-	var out []scheduler.Session
+	out := make([]scheduler.Session, 0, len(s.sessions))
 	handles := append([]session.Handle(nil), s.handles...)
 	slack := s.slack()
 	for i, spec := range s.sessions {
@@ -836,29 +846,37 @@ func (s *Scheduler) stageRate(q *queryopt.Query, n *queryopt.Node) float64 {
 // of sessions[i]; memberUnit records each grouped member's group.
 func (s *Scheduler) groupPrefixes(sessions []scheduler.Session, handles []session.Handle,
 	memberUnit []string) ([]scheduler.Session, error) {
-	// Bucket by (SLO, base family); a bucket holds indices into sessions.
+	// Bucket by (SLO, base family); a bucket holds indices into sessions,
+	// and slot finds a key's bucket.
 	type bucketKey struct {
 		slo  time.Duration
 		base string
 	}
-	buckets := make(map[bucketKey][]int)
-	var order []bucketKey
+	type bucket struct {
+		key     bucketKey
+		members []int
+	}
+	slot := make(map[bucketKey]int)
+	var buckets []bucket
 	for i, sess := range sessions {
 		key := bucketKey{sess.SLO, profiler.BaseOf(sess.ModelID)}
-		if _, ok := buckets[key]; !ok {
-			order = append(order, key)
+		b, ok := slot[key]
+		if !ok {
+			b = len(buckets)
+			slot[key] = b
+			buckets = append(buckets, bucket{key: key})
 		}
-		buckets[key] = append(buckets[key], i)
+		buckets[b].members = append(buckets[b].members, i)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].base != order[j].base {
-			return order[i].base < order[j].base
+	sort.Slice(buckets, func(i, j int) bool {
+		if buckets[i].key.base != buckets[j].key.base {
+			return buckets[i].key.base < buckets[j].key.base
 		}
-		return order[i].slo < order[j].slo
+		return buckets[i].key.slo < buckets[j].key.slo
 	})
 	var out []scheduler.Session
-	for _, key := range order {
-		members := buckets[key]
+	for _, b := range buckets {
+		key, members := b.key, b.members
 		ungrouped := func() {
 			for _, i := range members {
 				out = append(out, sessions[i])
@@ -901,13 +919,13 @@ func (s *Scheduler) groupPrefixes(sessions []scheduler.Session, handles []sessio
 		if err != nil {
 			return nil, err
 		}
-		groupID := fmt.Sprintf("pg/%s/%dms", key.base, key.slo.Milliseconds())
+		groupID := prefixGroupID(key.base, key.slo)
 		comb.ModelID = groupID
 		s.combined[groupID] = comb
 		pre, suf := baseProfile.Split(1 - suffixFrac)
 		s.groupParts[groupID] = [2]*profiler.Profile{&pre, &suf}
 		var rate float64
-		var memberIDs []string
+		memberIDs := make([]string, 0, len(members))
 		for _, i := range members {
 			rate += sessions[i].Rate
 			memberIDs = append(memberIDs, sessions[i].ID)
@@ -919,6 +937,14 @@ func (s *Scheduler) groupPrefixes(sessions []scheduler.Session, handles []sessio
 		})
 	}
 	return out, nil
+}
+
+// prefixGroupID names the prefix group of base's sessions at slo:
+// "pg/<base>/<slo in ms>ms", with the fraction of a millisecond only when
+// slo has one, so buckets whose SLOs share a whole millisecond stay apart.
+func prefixGroupID(base string, slo time.Duration) string {
+	ms := strconv.FormatFloat(float64(slo)/float64(time.Millisecond), 'f', -1, 64)
+	return "pg/" + base + "/" + ms + "ms"
 }
 
 // profileOf resolves a model ID against combined and base profiles,

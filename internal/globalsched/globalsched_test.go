@@ -226,6 +226,73 @@ func TestPrefixGroupingReducesGPUs(t *testing.T) {
 	}
 }
 
+// TestPrefixGroupsApartWithinMillisecond: two SLOs in the same whole
+// millisecond (80 ms and 80.5 ms, so 77 ms and 77.5 ms after slack) form
+// two prefix groups with two names, each holding only its own members,
+// and whole-millisecond names keep their old form.
+func TestPrefixGroupsApartWithinMillisecond(t *testing.T) {
+	e := newEnv(t, nexusConfig(), 16)
+	slos := []time.Duration{80 * time.Millisecond, 80 * time.Millisecond, 80500 * time.Microsecond, 80500 * time.Microsecond}
+	for i, slo := range slos {
+		if _, err := e.sched.AddSession(SessionSpec{
+			ID:      fmt.Sprintf("s%d", i),
+			ModelID: fmt.Sprintf("%s-v%d", model.ResNet50, i),
+			SLO:     slo, ExpectedRate: 100,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.sched.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		"pg/resnet50/77ms":   {"s0", "s1"},
+		"pg/resnet50/77.5ms": {"s2", "s3"},
+	}
+	if fmt.Sprint(e.sched.groups) != fmt.Sprint(want) {
+		t.Fatalf("groups = %v, want %v", e.sched.groups, want)
+	}
+	for id, members := range want {
+		if e.sched.combined[id] == nil {
+			t.Errorf("%s has no combined profile", id)
+		}
+		for _, m := range members {
+			h, _ := e.sched.names.Lookup(m)
+			if got := e.sched.memberUnit[h]; got != id {
+				t.Errorf("%s routes through %q, want %q", m, got, id)
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for _, g := range e.sched.Plan().GPUs {
+		for _, a := range g.Allocs {
+			if want[a.SessionID] == nil {
+				t.Errorf("plan allocates %q, not a prefix group", a.SessionID)
+			}
+			seen[a.SessionID] = true
+		}
+	}
+	if len(seen) != 2 {
+		t.Fatalf("plan allocates %d prefix groups, want 2: %v", len(seen), seen)
+	}
+}
+
+func TestPrefixGroupID(t *testing.T) {
+	for _, c := range []struct {
+		slo  time.Duration
+		want string
+	}{
+		{47 * time.Millisecond, "pg/lenet5/47ms"},
+		{1000 * time.Millisecond, "pg/lenet5/1000ms"},
+		{77500 * time.Microsecond, "pg/lenet5/77.5ms"},
+		{77*time.Millisecond + 1, "pg/lenet5/77.000001ms"},
+	} {
+		if got := prefixGroupID(model.LeNet5, c.slo); got != c.want {
+			t.Errorf("prefixGroupID(%v) = %q, want %q", c.slo, got, c.want)
+		}
+	}
+}
+
 func TestQueryDeployment(t *testing.T) {
 	e := newEnv(t, nexusConfig(), 16)
 	q := &queryopt.Query{

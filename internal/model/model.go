@@ -1,7 +1,12 @@
 // Package model implements DNN model schemas for Nexus: layer chains with
-// compute/size metadata, a model database, SHA-256 prefix hashing for
-// common-subgraph detection, and the transfer-learning "specialize"
-// operation that retrains only the last few layers (§2.2, §6.3).
+// compute/size metadata, a model database, common-prefix detection, and the
+// transfer-learning "specialize" operation that retrains only the last few
+// layers (§2.2, §6.3).
+//
+// The prefix check is structural: models derived from one base read their
+// shared layers from it, so those layers match by construction, and only
+// the layers after them are compared field by field. The SHA-256 prefix
+// chain it replaced is kept in the tests as the oracle it must agree with.
 //
 // Models here are structural: they carry the FLOP counts, parameter sizes
 // and weight identities that scheduling and prefix batching depend on, not
@@ -11,18 +16,18 @@
 package model
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // LayerKind identifies the operator a layer computes.
 type LayerKind string
 
 // Layer kinds used by the catalog. The set is open: any string works, and
-// hashing treats kinds opaquely.
+// prefix detection treats kinds opaquely.
 const (
 	Input   LayerKind = "input"
 	Conv    LayerKind = "conv"
@@ -48,21 +53,12 @@ type Layer struct {
 	WeightsID string
 }
 
-// appendIdentity appends the layer's batching-relevant identity to buf:
-// kind, FLOPs, parameter and activation sizes, and weights, with strings
-// length-prefixed. Name is deliberately excluded: renaming a layer must not
-// break sharing.
-func (l *Layer) appendIdentity(buf []byte) []byte {
-	buf = appendString(buf, string(l.Kind))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.FLOPs))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.ParamBytes))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.ActBytes))
-	return appendString(buf, l.WeightsID)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
-	return append(buf, s...)
+// sameAs reports whether l and o are batchable as one layer: equal kind,
+// FLOPs, parameter and activation sizes, and weights. Name is deliberately
+// excluded: renaming a layer must not break sharing.
+func (l *Layer) sameAs(o *Layer) bool {
+	return l.Kind == o.Kind && l.FLOPs == o.FLOPs && l.ParamBytes == o.ParamBytes &&
+		l.ActBytes == o.ActBytes && l.WeightsID == o.WeightsID
 }
 
 // Model is a DNN schema: a chain of layers from input to output. Nexus
@@ -78,14 +74,12 @@ type Model struct {
 	shared int
 	layers []Layer // layers from index shared on; layer 0 is the input
 
-	// digests[i] is the rolling SHA-256 after layer shared+i, from an
-	// all-zero state: equal digests imply equal prefixes. Built lazily, or
-	// by derive before anything shares them, so shared digests are read-only.
-	digests [][32]byte
-
 	// sums[i] is the cost of layers 0 through shared+i. Built with the model,
-	// never lazily, because shared models are read-only.
-	sums []cost
+	// never lazily, because shared models are read-only. A specialization
+	// has none: retraining keeps every layer's cost, so it reads them from
+	// costs, the model it (or its own source) specializes.
+	sums  []cost
+	costs *Model
 }
 
 // cost is a running total of layer costs.
@@ -126,11 +120,15 @@ func (m *Model) NumLayers() int { return m.shared + len(m.layers) }
 
 // Layer returns layer i (0 <= i < NumLayers). It returns a copy, so no
 // caller can change a prefix other models share.
-func (m *Model) Layer(i int) Layer {
-	if i < m.shared {
-		return m.base.Layer(i)
+func (m *Model) Layer(i int) Layer { return *m.layer(i) }
+
+// layer returns where layer i is stored, in m or in the model it shares
+// the layer with; callers must not change it.
+func (m *Model) layer(i int) *Layer {
+	for i < m.shared {
+		m = m.base
 	}
-	return m.layers[i-m.shared]
+	return &m.layers[i-m.shared]
 }
 
 // FLOPs returns total compute per input.
@@ -152,6 +150,9 @@ func (m *Model) SuffixParamBytes(k int) int64 {
 // prefix returns the cost of the first k layers; k past the last layer
 // counts them all.
 func (m *Model) prefix(k int) cost {
+	if m.costs != nil {
+		return m.costs.prefix(k)
+	}
 	k = min(k, m.NumLayers())
 	switch {
 	case k <= 0:
@@ -173,50 +174,10 @@ func (m *Model) buildSums() {
 	}
 }
 
-// PrefixHash returns the hash of the first k layers (1 <= k <= NumLayers).
-// Equal hashes mean the two prefixes compute the same function with the
-// same weights, so their executions can be batched together.
-func (m *Model) PrefixHash(k int) string {
-	if k < 1 || k > m.NumLayers() {
-		panic(fmt.Sprintf("model %q: PrefixHash(%d) out of range [1,%d]", m.ID, k, m.NumLayers()))
-	}
-	m.buildHashes()
-	d := m.digest(k - 1)
-	return hex.EncodeToString(d[:])
-}
-
-// digest returns the digest after layer i; m's hashes must be built.
-func (m *Model) digest(i int) [32]byte {
-	if i < m.shared {
-		return m.base.digest(i)
-	}
-	return m.digests[i-m.shared]
-}
-
-// buildHashes chains m's own layers onto the digest of its shared prefix.
-func (m *Model) buildHashes() {
-	if len(m.digests) == len(m.layers) {
-		return
-	}
-	var state [32]byte
-	if m.shared > 0 {
-		state = m.base.digest(m.shared - 1)
-	}
-	digests := make([][32]byte, len(m.layers))
-	var scratch [128]byte
-	for i := range m.layers {
-		buf := m.layers[i].appendIdentity(append(scratch[:0], state[:]...))
-		state = sha256.Sum256(buf)
-		digests[i] = state
-	}
-	m.digests = digests
-}
-
 // derive returns a model with no layers of its own yet that shares the
-// first k (>= 1) layers of m, whose digests it builds first. If m inherits
-// all k itself, the result shares them with m's base: chains stay flat.
+// first k (>= 1) layers of m. If m inherits all k itself, the result shares
+// them with m's base: chains stay flat.
 func (m *Model) derive(id string, k int) *Model {
-	m.buildHashes()
 	s := &Model{ID: id, Task: m.Task, shared: k}
 	for k <= m.shared {
 		m = m.base
@@ -227,9 +188,10 @@ func (m *Model) derive(id string, k int) *Model {
 
 // Specialize models transfer learning: it returns a variant of m whose last
 // retrain layers carry fresh weights (and hence fresh WeightsIDs). The
-// structure is unchanged, so the first NumLayers-retrain layers still hash
-// identically to the base model and remain prefix-batchable with it: the
-// variant shares them, and stores and hashes only the retrained layers.
+// structure is unchanged, so the first NumLayers-retrain layers still match
+// the base model and remain prefix-batchable with it: the variant shares
+// them and stores only the retrained layers, whose WeightsIDs are
+// "<newID>/<kind>#<index>". It shares m's layer costs too.
 func Specialize(m *Model, newID string, retrain int) (*Model, error) {
 	if retrain < 1 || retrain >= m.NumLayers() {
 		return nil, fmt.Errorf("model %q: retrain %d out of range [1,%d)", m.ID, retrain, m.NumLayers())
@@ -238,26 +200,29 @@ func Specialize(m *Model, newID string, retrain int) (*Model, error) {
 	s.layers = make([]Layer, retrain)
 	for i := range s.layers {
 		l := m.Layer(s.shared + i)
-		l.WeightsID = fmt.Sprintf("%s/%s#%d", newID, l.Kind, s.shared+i)
+		l.WeightsID = newID + "/" + string(l.Kind) + "#" + strconv.Itoa(s.shared+i)
 		s.layers[i] = l
 	}
-	s.buildSums()
+	s.costs = m
+	if m.costs != nil {
+		s.costs = m.costs
+	}
 	return s, nil
 }
 
 // AppendFC returns a copy of m with extra FC layers appended before output,
 // used to build the "2 FC" / "3 FC" suffix variants of Figure 15. The copy
-// shares every layer of m and stores and hashes only the appended layers.
+// shares every layer of m and stores only the appended layers.
 func AppendFC(m *Model, newID string, extra int, units int64) *Model {
 	s := m.derive(newID, m.NumLayers())
 	for i := 0; i < extra; i++ {
 		s.layers = append(s.layers, Layer{
-			Name:       fmt.Sprintf("fc_extra%d", i),
+			Name:       "fc_extra" + strconv.Itoa(i),
 			Kind:       FC,
 			FLOPs:      2 * units * units,
 			ParamBytes: units * units * 4,
 			ActBytes:   units * 4,
-			WeightsID:  fmt.Sprintf("%s/fc_extra#%d", newID, i),
+			WeightsID:  newID + "/fc_extra#" + strconv.Itoa(i),
 		})
 	}
 	s.buildSums()
@@ -265,29 +230,37 @@ func AppendFC(m *Model, newID string, extra int, units int64) *Model {
 }
 
 // CommonPrefixLen returns the number of leading layers a and b share
-// (identical structure and weights).
+// (identical structure and weights, see Layer.sameAs). The layers both read
+// from one model match by construction; only those after them are compared.
 func CommonPrefixLen(a, b *Model) int {
 	n := min(a.NumLayers(), b.NumLayers())
-	a.buildHashes()
-	b.buildHashes()
-	// Binary search on the longest matching prefix: prefix hashes are
-	// cumulative, so match(k) is monotone.
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if a.digest(mid-1) == b.digest(mid-1) {
-			lo = mid
-		} else {
-			hi = mid - 1
+	k := min(storedTogether(a, b), n)
+	for k < n && a.layer(k).sameAs(b.layer(k)) {
+		k++
+	}
+	return k
+}
+
+// storedTogether returns how many leading layers a and b read from one
+// model: walking each one's base chain, where x serves a's first la layers
+// and y serves b's first lb, the first model on both chains serves both
+// their first min(la, lb). Chains are flat (see derive), so this is a few
+// pointer comparisons.
+func storedTogether(a, b *Model) int {
+	for x, la := a, a.NumLayers(); x != nil; x, la = x.base, x.shared {
+		for y, lb := b, b.NumLayers(); y != nil; y, lb = y.base, y.shared {
+			if x == y {
+				return min(la, lb)
+			}
 		}
 	}
-	return lo
+	return 0
 }
 
 // DB is a model database (the management plane's model store, §5).
 type DB struct {
 	models map[string]*Model
-	order  []string // IDs in registration order
+	order  []*Model // in registration order
 }
 
 // NewDB returns an empty model database.
@@ -295,14 +268,31 @@ func NewDB() *DB {
 	return &DB{models: make(map[string]*Model)}
 }
 
+// Grow makes room for n more models. When n outnumbers the models already
+// registered it also rebuilds the index at the final size, so registering
+// them grows no table; a smaller n leaves the index to grow as it would.
+func (db *DB) Grow(n int) {
+	db.order = slices.Grow(db.order, n)
+	if n > len(db.models) {
+		models := make(map[string]*Model, len(db.models)+n)
+		maps.Copy(models, db.models)
+		db.models = models
+	}
+}
+
 // Register adds a model. Re-registering an ID is an error.
 func (db *DB) Register(m *Model) error {
 	if _, ok := db.models[m.ID]; ok {
 		return fmt.Errorf("model %q already registered", m.ID)
 	}
-	db.models[m.ID] = m
-	db.order = append(db.order, m.ID)
+	db.add(m)
 	return nil
+}
+
+// add registers m, whose ID the caller has checked is new.
+func (db *DB) add(m *Model) {
+	db.models[m.ID] = m
+	db.order = append(db.order, m)
 }
 
 // MustRegister is Register but panics on error.
@@ -317,13 +307,15 @@ func (db *DB) MustRegister(m *Model) {
 // returns its ID. A registered variant that retrains a different number of
 // layers is an error.
 func (db *DB) Variant(base string, k, retrain int) (string, error) {
-	id := fmt.Sprintf("%s-v%d", base, k)
-	if v, ok := db.Lookup(id); ok {
+	var buf [64]byte
+	name := strconv.AppendInt(append(append(buf[:0], base...), "-v"...), int64(k), 10)
+	if v, ok := db.models[string(name)]; ok {
 		if own := len(v.layers); own != retrain {
-			return "", fmt.Errorf("model %q already registered with retrain %d, not %d", id, own, retrain)
+			return "", fmt.Errorf("model %q already registered with retrain %d, not %d", v.ID, own, retrain)
 		}
-		return id, nil
+		return v.ID, nil
 	}
+	id := string(name)
 	bm, err := db.Get(base)
 	if err != nil {
 		return "", err
@@ -332,7 +324,8 @@ func (db *DB) Variant(base string, k, retrain int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return id, db.Register(v)
+	db.add(v)
+	return id, nil
 }
 
 // Lookup returns the model and whether it is registered. Unlike Get it
@@ -373,10 +366,10 @@ func (db *DB) IDs() []string {
 // Len returns the number of registered models.
 func (db *DB) Len() int { return len(db.models) }
 
-// Since returns the IDs of the models registered after the first n, in
-// registration order: a caller that remembers Len can walk only what is
-// new.
-func (db *DB) Since(n int) []string { return db.order[n:] }
+// Since returns the models registered after the first n, in registration
+// order: a caller that remembers Len can walk only what is new. The result
+// is a read-only view.
+func (db *DB) Since(n int) []*Model { return db.order[n:len(db.order):len(db.order)] }
 
 // SharedPrefix returns how many leading layers all the distinct models
 // among ids share, so they can execute that prefix as one batch (§6.3); 0

@@ -312,8 +312,7 @@ func TestPropertySpecialize(t *testing.T) {
 	}
 }
 
-// fromScratch returns a copy of m whose digests are hashed layer by layer
-// from the all-zero state, inheriting nothing.
+// fromScratch returns a copy of m built from its layers, sharing nothing.
 func fromScratch(t *testing.T, m *Model) *Model {
 	t.Helper()
 	layers := make([]Layer, m.NumLayers())
@@ -327,12 +326,18 @@ func fromScratch(t *testing.T, m *Model) *Model {
 	return c
 }
 
+// sameDigests checks that a derived model and its from-scratch copy agree
+// on every prefix digest, and that the structural check, which can no
+// longer lean on shared storage, still finds every layer shared.
 func sameDigests(t *testing.T, got, want *Model) {
 	t.Helper()
 	for k := 1; k <= want.NumLayers(); k++ {
 		if g, w := got.PrefixHash(k), want.PrefixHash(k); g != w {
 			t.Fatalf("%s: inherited PrefixHash(%d) = %s, from scratch %s", got.ID, k, g, w)
 		}
+	}
+	if n := CommonPrefixLen(got, want); n != want.NumLayers() {
+		t.Fatalf("%s: CommonPrefixLen with its from-scratch copy = %d, want %d", got.ID, n, want.NumLayers())
 	}
 }
 
@@ -442,7 +447,6 @@ func TestVariantCostsSuffixOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v.buildHashes()
 			vs[i] = v
 		}
 		after := liveHeap()
@@ -465,8 +469,8 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// TestConcurrentSiblingReads reads prefix hashes of sibling variants from
-// concurrent goroutines: the base's layers and digests they share must be
+// TestConcurrentSiblingReads reads the layers of sibling variants from
+// concurrent goroutines: the base's layers and costs they share must be
 // read-only once Specialize returns (run with -race).
 func TestConcurrentSiblingReads(t *testing.T) {
 	base := Catalog().MustGet(ResNet50)
@@ -515,8 +519,36 @@ func TestVariantRejectsConflictingRetrain(t *testing.T) {
 	}
 }
 
-// TestPrefixHashGolden pins the hex encoding of catalog digests: prefix
-// hashes are the model store's sharing key and must not drift.
+// TestVariantAllocs bounds what registering a variant in a grown DB
+// allocates: its ID, the model, its retrained layer and that layer's
+// WeightsID, with no formatting, no hashing and no cost table. Finding an
+// already registered variant allocates nothing.
+func TestVariantAllocs(t *testing.T) {
+	const runs = 1000
+	db := Catalog()
+	db.Grow(runs + 1) // AllocsPerRun makes one warm-up call
+	k := 0
+	fresh := testing.AllocsPerRun(runs, func() {
+		if _, err := db.Variant(ResNet50, k, 1); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	if fresh > 4 {
+		t.Errorf("registering a variant allocates %.1f times, want at most 4", fresh)
+	}
+	again := testing.AllocsPerRun(runs, func() {
+		if _, err := db.Variant(ResNet50, 7, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if again != 0 {
+		t.Errorf("finding a registered variant allocates %.1f times, want 0", again)
+	}
+}
+
+// TestPrefixHashGolden pins the hex encoding of catalog digests, so the
+// oracle the structural prefix check is tested against cannot drift.
 func TestPrefixHashGolden(t *testing.T) {
 	db := Catalog()
 	golden := map[string]string{

@@ -1,11 +1,69 @@
 package model
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 )
+
+// PrefixHash is the SHA-256 prefix chain the structural CommonPrefixLen
+// replaced, kept as the test oracle: the rolling digest of the first k
+// layers (1 <= k <= NumLayers), from an all-zero state. Equal hashes mean
+// the two prefixes compute the same function with the same weights.
+func (m *Model) PrefixHash(k int) string {
+	if k < 1 || k > m.NumLayers() {
+		panic(fmt.Sprintf("model %q: PrefixHash(%d) out of range [1,%d]", m.ID, k, m.NumLayers()))
+	}
+	d := digests(m)[k-1]
+	return hex.EncodeToString(d[:])
+}
+
+// digests returns the rolling SHA-256 after each layer of m: digest i
+// covers layers 0 through i.
+func digests(m *Model) [][32]byte {
+	out := make([][32]byte, m.NumLayers())
+	var state [32]byte
+	var buf []byte
+	for i := range out {
+		l := m.Layer(i)
+		buf = l.appendIdentity(append(buf[:0], state[:]...))
+		state = sha256.Sum256(buf)
+		out[i] = state
+	}
+	return out
+}
+
+// digestPrefixLen is CommonPrefixLen by the oracle: the longest k whose
+// prefix digests agree.
+func digestPrefixLen(a, b *Model) int {
+	da, db := digests(a), digests(b)
+	k := 0
+	for k < min(len(da), len(db)) && da[k] == db[k] {
+		k++
+	}
+	return k
+}
+
+// appendIdentity appends the layer's batching-relevant identity to buf:
+// kind, FLOPs, parameter and activation sizes, and weights, with strings
+// length-prefixed. Name is deliberately excluded, as in Layer.sameAs.
+func (l *Layer) appendIdentity(buf []byte) []byte {
+	buf = appendString(buf, string(l.Kind))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.FLOPs))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.ParamBytes))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.ActBytes))
+	return appendString(buf, l.WeightsID)
+}
+
+func appendString(buf []byte, s string) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
+	return append(buf, s...)
+}
 
 // PrefixGroup is a set of models that share their first PrefixLen layers.
 type PrefixGroup struct {
@@ -151,4 +209,130 @@ func TestSharedPrefixUnknownModel(t *testing.T) {
 			t.Fatalf("%v: unknown model accepted", ids)
 		}
 	}
+}
+
+// FuzzCommonPrefixLen checks the structural CommonPrefixLen and
+// SharedPrefix against the SHA-256 digest oracle. The input is a program
+// that grows a model DB from one base: new bases equal to it up to a
+// random divergence (or not at all), Specialize of any model, Specialize
+// of the newest model (a variant of a variant), AppendFC, and independently
+// built copies of any model with at most one layer field changed, so equal
+// layers meet both through shared storage and through separate copies.
+func FuzzCommonPrefixLen(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{6, 1, 0, 3, 1, 1, 2, 1, 3, 4, 0, 1, 4, 2, 3, 2, 1, 5})
+	f.Add([]byte{9, 0, 7, 2, 2, 4, 5, 0, 6, 1, 0, 0, 1, 3, 4, 1, 3, 7, 2, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		next := func() int {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := prog[0]
+			prog = prog[1:]
+			return int(b)
+		}
+		db := NewDB()
+		var ms []*Model
+		add := func(m *Model) {
+			db.MustRegister(m)
+			ms = append(ms, m)
+		}
+		pick := func() *Model { return ms[next()%len(ms)] }
+		depth := 2 + next()%10
+		add(MustNew("b0", "t", simpleLayers(depth)))
+		for step := 0; len(prog) > 0 && step < 24; step++ {
+			id := "m" + strconv.Itoa(len(ms))
+			switch op := next() % 5; op {
+			case 0:
+				add(MustNew(id, "t", mutate(simpleLayers(2+next()%10), next(), next())))
+			case 1, 2:
+				src := ms[len(ms)-1]
+				if op == 1 {
+					src = pick()
+				}
+				if src.NumLayers() < 2 {
+					continue
+				}
+				v, err := Specialize(src, id, 1+next()%(src.NumLayers()-1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				add(v)
+			case 3:
+				add(AppendFC(pick(), id, next()%3, int64(8<<(next()%3))))
+			case 4:
+				src := pick()
+				layers := make([]Layer, src.NumLayers())
+				for i := range layers {
+					layers[i] = src.Layer(i)
+				}
+				add(MustNew(id, "t", mutate(layers, next(), next())))
+			}
+		}
+		ds := make([][][32]byte, len(ms))
+		for i, m := range ms {
+			ds[i] = digests(m)
+		}
+		oracle := func(i, j int) int {
+			k := 0
+			for k < min(len(ds[i]), len(ds[j])) && ds[i][k] == ds[j][k] {
+				k++
+			}
+			return k
+		}
+		for i, a := range ms {
+			for j, b := range ms {
+				if got, want := CommonPrefixLen(a, b), oracle(i, j); got != want {
+					t.Fatalf("CommonPrefixLen(%s, %s) = %d, digest oracle %d", a.ID, b.ID, got, want)
+				}
+			}
+		}
+		// SharedPrefix over a sample with repeats: the oracle is the
+		// minimum over every pair of distinct models, 0 below two.
+		idx := make([]int, 1+next()%len(ms))
+		for k := range idx {
+			idx[k] = next() % len(ms)
+		}
+		ids := make([]string, len(idx))
+		want, distinct := ms[idx[0]].NumLayers(), false
+		for k, i := range idx {
+			ids[k] = ms[i].ID
+			for _, j := range idx {
+				if i != j {
+					distinct = true
+					want = min(want, oracle(i, j))
+				}
+			}
+		}
+		if !distinct {
+			want = 0
+		}
+		if got, err := db.SharedPrefix(ids); err != nil || got != want {
+			t.Fatalf("SharedPrefix(%v) = %d, %v; digest oracle %d", ids, got, err, want)
+		}
+	})
+}
+
+// mutate changes one field of layers[1+at%(len-1)] as op selects: nothing,
+// the name (which sharing ignores), the weights, a size, or the kind.
+func mutate(layers []Layer, at, op int) []Layer {
+	if len(layers) < 2 {
+		return layers
+	}
+	l := &layers[1+at%(len(layers)-1)]
+	switch op % 7 {
+	case 1:
+		l.Name += "'"
+	case 2:
+		l.WeightsID += "'"
+	case 3:
+		l.FLOPs++
+	case 4:
+		l.ParamBytes++
+	case 5:
+		l.ActBytes++
+	case 6:
+		l.Kind = Pool
+	}
+	return layers
 }

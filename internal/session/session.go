@@ -6,6 +6,8 @@
 // the deployment's one Table.
 package session
 
+import "slices"
+
 // Handle names a session in its deployment's Table. Handles are dense:
 // a Table of n sessions hands out 1..n, so per-session state is a slice
 // indexed by handle. Handle 0 is no session (ID "").
@@ -34,6 +36,20 @@ func (t *Table) Intern(id string) Handle {
 		t.index[id] = h
 	}
 	return h
+}
+
+// Grow makes room for n more IDs. When n outnumbers the IDs already held
+// it also rebuilds the index at the final size, so interning them grows no
+// table; a smaller n leaves the index to grow as it would anyway.
+func (t *Table) Grow(n int) {
+	t.ids = slices.Grow(t.ids, n)
+	if n > len(t.ids) {
+		index := make(map[string]Handle, len(t.ids)+n)
+		for h, id := range t.ids {
+			index[id] = Handle(h)
+		}
+		t.index = index
+	}
 }
 
 // Lookup returns id's handle, if it has one.

@@ -1,6 +1,9 @@
 package session
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 func TestTableAssignsDenseHandles(t *testing.T) {
 	tab := NewTable()
@@ -48,5 +51,34 @@ func TestFit(t *testing.T) {
 	}
 	if s = Fit(s, 5); len(s) != 6 || s[3] != 7 || s[5] != 0 {
 		t.Fatalf("Fit(s, 5) = %v", s)
+	}
+}
+
+// TestGrowInternsWithoutGrowing: after Grow(n), interning n new IDs
+// allocates nothing, and handles stay what they would have been.
+func TestGrowInternsWithoutGrowing(t *testing.T) {
+	tab := NewTable()
+	tab.Intern("first")
+	ids := make([]string, 1000)
+	for i := range ids {
+		ids[i] = "s" + strconv.Itoa(i)
+	}
+	tab.Grow(len(ids))
+	k := 0
+	// AllocsPerRun calls once more than it is asked to, for warm-up.
+	if n := testing.AllocsPerRun(len(ids)-1, func() { tab.Intern(ids[k]); k++ }); n != 0 {
+		t.Fatalf("interning after Grow allocates %.2f times per ID, want 0", n)
+	}
+	if h, ok := tab.Lookup("first"); !ok || h != 1 {
+		t.Fatalf("Lookup(first) = %d, %v after Grow; want 1, true", h, ok)
+	}
+	for i, id := range ids {
+		if h, _ := tab.Lookup(id); h != Handle(i+2) || tab.ID(h) != id {
+			t.Fatalf("%s: handle %d (ID %q), want %d", id, h, tab.ID(h), i+2)
+		}
+	}
+	tab.Grow(1) // a small grow keeps the index
+	if h := tab.Intern("first"); h != 1 {
+		t.Fatalf("re-Intern(first) = %d after a small Grow, want 1", h)
 	}
 }

@@ -146,6 +146,50 @@ func TestBuildAndRun(t *testing.T) {
 	}
 }
 
+// TestBuildSubMillisecondSLOs: a spec whose sessions' SLOs share a whole
+// millisecond (80 and 80.5 ms) plans two prefix groups, one per SLO, and
+// every session is routed and served.
+func TestBuildSubMillisecondSLOs(t *testing.T) {
+	doc := `{"gpus":8,"fixed":true,
+	  "specialize":[{"base":"resnet50","count":4,"retrain":1}],
+	  "sessions":[
+	    {"id":"a","model":"resnet50-v0","slo_ms":80,"rate":100},
+	    {"id":"b","model":"resnet50-v1","slo_ms":80,"rate":100},
+	    {"id":"c","model":"resnet50-v2","slo_ms":80.5,"rate":100},
+	    {"id":"d","model":"resnet50-v3","slo_ms":80.5,"rate":100}]}`
+	d, err := Parse(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := d.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dep.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	groups := map[string]bool{}
+	for _, g := range dep.Sched.Plan().GPUs {
+		for _, a := range g.Allocs {
+			groups[a.SessionID] = true
+		}
+	}
+	for id := range groups {
+		if !strings.HasPrefix(id, "pg/resnet50/") {
+			t.Errorf("plan allocates %s, not a resnet50 prefix group", id)
+		}
+	}
+	if len(groups) != 2 {
+		t.Fatalf("plan allocates %v, want two prefix groups", groups)
+	}
+	for _, sid := range []string{"a", "b", "c", "d"} {
+		s := dep.Recorder.Session(sid)
+		if s.Completed == 0 || s.Unroutable > 0 {
+			t.Errorf("session %s: %d completed, %d unroutable", sid, s.Completed, s.Unroutable)
+		}
+	}
+}
+
 func TestBuildUnknownModel(t *testing.T) {
 	doc := `{"gpus":1,"sessions":[{"id":"a","model":"ghost","slo_ms":100,"rate":1}]}`
 	d, err := Parse(strings.NewReader(doc))
