@@ -30,7 +30,7 @@ const MaxSessions = 14
 // meets each SLO (constraint f). Like the paper's formulation, each session
 // is assigned to exactly one GPU (constraint b), so every session's rate
 // must be below single-GPU capacity — true of residual loads by
-// construction; larger sessions must be reduced by ScheduleSaturate first.
+// construction; larger sessions must be reduced by Pack's saturate pass first.
 func MinGPUs(sessions []scheduler.Session, profiles map[string]*profiler.Profile, cfg scheduler.Config) (int, error) {
 	if len(sessions) == 0 {
 		return 0, nil

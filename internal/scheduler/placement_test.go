@@ -18,7 +18,7 @@ func TestResidualPlacementSustainable(t *testing.T) {
 	// discussion in DESIGN.md).
 	p := linearProfile("m", time.Millisecond, 25*time.Millisecond, 64)
 	s := Session{ID: "s", ModelID: "m", SLO: 60 * time.Millisecond, Rate: 150}
-	dedicated, rest, err := ResidualPlacement(s, p, Config{})
+	dedicated, rest, err := residualPlacement(s, p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestResidualPlacementSustainable(t *testing.T) {
 func TestResidualPlacementShareable(t *testing.T) {
 	p := linearProfile("m", time.Millisecond, 10*time.Millisecond, 64)
 	s := Session{ID: "s", ModelID: "m", SLO: 200 * time.Millisecond, Rate: 50}
-	dedicated, rest, err := ResidualPlacement(s, p, Config{})
+	dedicated, rest, err := residualPlacement(s, p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestResidualPlacementShareable(t *testing.T) {
 	}
 }
 
-// Property: ResidualPlacement conserves rate and produces only sustainable
+// Property: residualPlacement conserves rate and produces only sustainable
 // pieces (dedicated nodes run at most at capacity, shareable occ <= 1).
 func TestPropertyResidualPlacement(t *testing.T) {
 	f := func(seed int64) bool {
@@ -69,7 +69,7 @@ func TestPropertyResidualPlacement(t *testing.T) {
 		slo := 2*p.BatchLatency(1) + time.Duration(rng.Intn(200)+5)*time.Millisecond
 		rate := float64(rng.Intn(3000)) + 1
 		s := Session{ID: "s", ModelID: "m", SLO: slo, Rate: rate}
-		dedicated, rest, err := ResidualPlacement(s, p, Config{})
+		dedicated, rest, err := residualPlacement(s, p, Config{})
 		if err != nil {
 			return false
 		}
@@ -160,7 +160,7 @@ func TestIncrementalReuseStableBatches(t *testing.T) {
 		{ID: "s1", ModelID: "m", SLO: 150 * time.Millisecond, Rate: 101},
 		{ID: "s2", ModelID: "m", SLO: 150 * time.Millisecond, Rate: 79.5},
 	}
-	next, stats, err := Incremental(prev, jittered, profiles, Config{})
+	next, stats, err := incremental(prev, jittered, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestIncrementalReuseStableBatches(t *testing.T) {
 		{ID: "s1", ModelID: "m", SLO: 150 * time.Millisecond, Rate: 95},
 		{ID: "s2", ModelID: "m", SLO: 150 * time.Millisecond, Rate: 76},
 	}
-	reused, _, err := Incremental(prev, lower, profiles, Config{})
+	reused, _, err := incremental(prev, lower, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestIncrementalDedicatedKeepHysteresis(t *testing.T) {
 	}
 	// Rate drops to 100 (60% of capacity): keep the dedicated node.
 	mid := []Session{{ID: "s", ModelID: "m", SLO: 60 * time.Millisecond, Rate: 100}}
-	next, stats, err := Incremental(prev, mid, profiles, Config{})
+	next, stats, err := incremental(prev, mid, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestIncrementalDedicatedKeepHysteresis(t *testing.T) {
 	}
 	// Rate collapses to 20 (12%): release it.
 	lo := []Session{{ID: "s", ModelID: "m", SLO: 60 * time.Millisecond, Rate: 20}}
-	next2, stats2, err := Incremental(next, lo, profiles, Config{})
+	next2, stats2, err := incremental(next, lo, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ type GPUPlan struct {
 	ID        string
 	Duty      time.Duration
 	Allocs    []Alloc
-	Saturated bool // a whole-GPU node created by ScheduleSaturate
+	Saturated bool // a whole-GPU node created by scheduleSaturate
 	// Spatial marks a node multiplexed by fractional-SM slices instead of a
 	// duty cycle: Duty is 0 and every alloc carries its Slice fraction.
 	Spatial bool

@@ -224,7 +224,7 @@ func TestResidualBatchLowRateFallback(t *testing.T) {
 	p := linearProfile("m", time.Millisecond, 10*time.Millisecond, 32)
 	// 1 req/s, SLO 100ms: gathering even one request takes ~1s, so the
 	// duty cycle clamps to SLO - l(1) = 89ms with batch 1.
-	b, d, err := ResidualBatch(p, 100*time.Millisecond, 1)
+	b, d, err := residualBatch(p, 100*time.Millisecond, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestResidualBatchLowRateFallback(t *testing.T) {
 		t.Fatalf("got batch %d duty %v, want 1, 89ms", b, d)
 	}
 	// High rate: l(b) + b/1000 <= 100ms; b=32 -> 42ms+32ms=74 <= 100. MaxBatch caps.
-	b, d, err = ResidualBatch(p, 100*time.Millisecond, 1000)
+	b, d, err = residualBatch(p, 100*time.Millisecond, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +242,10 @@ func TestResidualBatchLowRateFallback(t *testing.T) {
 	if d != 32*time.Millisecond {
 		t.Fatalf("duty = %v, want 32ms", d)
 	}
-	if _, _, err := ResidualBatch(p, 5*time.Millisecond, 1); err == nil {
+	if _, _, err := residualBatch(p, 5*time.Millisecond, 1); err == nil {
 		t.Fatal("SLO below l(1) accepted")
 	}
-	if _, _, err := ResidualBatch(p, time.Second, 0); err == nil {
+	if _, _, err := residualBatch(p, time.Second, 0); err == nil {
 		t.Fatal("zero rate accepted")
 	}
 }
@@ -462,7 +462,7 @@ func TestIncrementalStableWhenUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, stats, err := Incremental(prev, sessions, profiles, Config{})
+	next, stats, err := incremental(prev, sessions, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestIncrementalScaleUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := table2Sessions(320, 32, 32) // A needs a saturated GPU now
-	next, stats, err := Incremental(prev, after, profiles, Config{})
+	next, stats, err := incremental(prev, after, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +519,7 @@ func TestIncrementalScaleDownConsolidates(t *testing.T) {
 	}
 	// Load collapses: everything should fit on one GPU.
 	after := table2Sessions(8, 4, 4)
-	next, _, err := Incremental(prev, after, profiles, Config{})
+	next, _, err := incremental(prev, after, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestIncrementalRemovedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := before[:2] // C disappears
-	next, _, err := Incremental(prev, after, profiles, Config{})
+	next, _, err := incremental(prev, after, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func TestPropertyIncrementalValid(t *testing.T) {
 				next[i].Rate = 0
 			}
 		}
-		plan, _, err := Incremental(prev, next, profiles, cfg)
+		plan, _, err := incremental(prev, next, profiles, cfg)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

@@ -3,6 +3,7 @@ package scheduler
 import (
 	"fmt"
 	"hash/fnv"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -22,10 +23,10 @@ import (
 // schedulers; the hysteresis band reuses the split-hysteresis idiom the
 // control plane already applies to query latency splits.
 
-// ShardOf returns the deterministic home shard for a session: FNV-1a over
+// shardOf returns the deterministic home shard for a session: FNV-1a over
 // the session ID, modulo the shard count. Sessions keep this home until a
 // cross-shard rebalance migrates them.
-func ShardOf(sessionID string, shards int) int {
+func shardOf(sessionID string, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
@@ -155,7 +156,7 @@ func (sp *ShardPlanner) Plan(sessions []Session, profiles map[string]*profiler.P
 	for _, s := range sortSessions(sessions) {
 		k, ok := sp.home[s.ID]
 		if !ok || k < 0 || k >= n {
-			k = ShardOf(s.ID, n)
+			k = shardOf(s.ID, n)
 		}
 		home[s.ID] = k
 		members[k] = append(members[k], s)
@@ -262,10 +263,15 @@ func shardDirty(members []Session, sigs map[string]sessionSig, band float64) boo
 // shardNode is one shared node of a freshly replanned shard, a candidate
 // donor or recipient for the cross-shard rebalance.
 type shardNode struct {
+	shard int
+	pos   int      // index in the shard plan's GPUs slice
+	res   *resNode // nil once drained away
+}
+
+// pinKey names a session's dedicated nodes within one shard.
+type pinKey struct {
 	shard   int
-	pos     int // index in the shard plan's GPUs slice
-	res     *resNode
-	removed bool
+	session string
 }
 
 // rebalance is the lightweight cross-shard step: the lowest-occupancy
@@ -280,7 +286,7 @@ type shardNode struct {
 func (sp *ShardPlanner) rebalance(res *ShardResult, dirty []bool,
 	profiles map[string]*profiler.Profile, cfg Config) {
 	var nodes []*shardNode
-	pinned := make(map[string]bool) // sessions with dedicated nodes, by shard
+	pinned := make(map[pinKey]bool) // sessions with dedicated nodes
 	for k := range res.local {
 		if !dirty[k] {
 			continue
@@ -288,7 +294,7 @@ func (sp *ShardPlanner) rebalance(res *ShardResult, dirty []bool,
 		for _, g := range res.local[k].GPUs {
 			if g.Saturated {
 				for _, a := range g.Allocs {
-					pinned[pinKey(k, a.SessionID)] = true
+					pinned[pinKey{k, a.SessionID}] = true
 				}
 			}
 		}
@@ -315,7 +321,7 @@ func (sp *ShardPlanner) rebalance(res *ShardResult, dirty []bool,
 		}
 		eligible := true
 		for _, a := range sn.res.allocs {
-			if pinned[pinKey(sn.shard, a.session.ID)] {
+			if pinned[pinKey{sn.shard, a.session.ID}] {
 				eligible = false
 				break
 			}
@@ -324,24 +330,36 @@ func (sp *ShardPlanner) rebalance(res *ShardResult, dirty []bool,
 			donors = append(donors, sn)
 		}
 	}
-	sortShardNodes(donors)
+	sort.Slice(donors, func(i, j int) bool { return shardNodeLess(donors[i], donors[j]) })
 	if len(donors) > maxShardDonors {
 		donors = donors[:maxShardDonors]
 	}
+	// Each donor drains into every other live node, all or nothing. There
+	// is no growth margin as in intra-shard consolidation: flap protection
+	// comes from the hysteresis band upstream (a shard whose rates stay in
+	// band never re-plans, so never re-balances), and with hysteresis off
+	// the decision is a pure function of this epoch's rates.
 	changed := make(map[int]bool)
+	cands := make([]*resNode, len(nodes))
 	for _, d := range donors {
-		if d.removed {
-			continue
+		for i, sn := range nodes {
+			cands[i] = sn.res
+			if sn == d {
+				cands[i] = nil
+			}
 		}
-		dests, ok := drainShardNode(d, nodes, cfg)
+		allocs := d.res.allocs
+		dests, ok := placeAll(allocs, cands, cfg)
 		if !ok {
 			continue
 		}
-		d.removed = true
+		for i, sn := range nodes {
+			sn.res = cands[i]
+		}
 		changed[d.shard] = true
 		res.Stats.NodesRemoved++
-		res.Stats.SessionsMoved += len(d.res.allocs)
-		for i, a := range d.res.allocs {
+		res.Stats.SessionsMoved += len(allocs)
+		for i, a := range allocs {
 			to := nodes[dests[i]]
 			changed[to.shard] = true
 			if to.shard != d.shard {
@@ -373,7 +391,7 @@ func (sp *ShardPlanner) rebalance(res *ShardResult, dirty []bool,
 				rebuilt = append(rebuilt, old[pos])
 				continue
 			}
-			if sn.removed {
+			if sn.res == nil {
 				continue
 			}
 			g := sn.res.toPlan()
@@ -384,20 +402,8 @@ func (sp *ShardPlanner) rebalance(res *ShardResult, dirty []bool,
 	}
 }
 
-func pinKey(shard int, sessionID string) string {
-	return strconv.Itoa(shard) + "\x00" + sessionID
-}
-
-// sortShardNodes orders rebalance donors: occupancy ascending, then shard,
+// shardNodeLess orders rebalance donors: occupancy ascending, then shard,
 // then position — a total, deterministic order.
-func sortShardNodes(nodes []*shardNode) {
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && shardNodeLess(nodes[j], nodes[j-1]); j-- {
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-		}
-	}
-}
-
 func shardNodeLess(a, b *shardNode) bool {
 	if a.res.occ != b.res.occ {
 		return a.res.occ < b.res.occ
@@ -413,59 +419,19 @@ func shardNodeLess(a, b *shardNode) bool {
 // (defensive: such a node is simply not a rebalance candidate).
 func gpuToRes(g *GPUPlan, profiles map[string]*profiler.Profile) *resNode {
 	rn := &resNode{duty: g.Duty, planID: g.ID}
+	var busy time.Duration
 	for _, a := range g.Allocs {
 		p, ok := profiles[a.ModelID]
 		if !ok || a.Batch < 1 {
 			return nil
 		}
+		lat := p.BatchLatency(a.Batch)
+		busy += lat
 		rn.allocs = append(rn.allocs, residualAlloc{
-			session: Session{ID: a.SessionID, ModelID: a.ModelID, SLO: g.Duty + p.BatchLatency(a.Batch), Rate: a.Rate},
-			profile: p, batch: a.Batch, duty: g.Duty,
-			occ: float64(p.BatchLatency(a.Batch)) / float64(g.Duty),
+			session: Session{ID: a.SessionID, ModelID: a.ModelID, SLO: g.Duty + lat, Rate: a.Rate},
+			profile: p, batch: a.Batch, duty: g.Duty, occ: float64(lat) / float64(g.Duty),
 		})
 	}
-	rn.computeOcc()
+	rn.occ = float64(busy) / float64(g.Duty)
 	return rn
-}
-
-// drainShardNode tries to move every allocation of donor d into other live
-// shard nodes, best-fit. On success the moves are applied in place and the
-// destination index of each allocation is returned; on failure nothing
-// changes. Unlike intra-shard consolidation there is no growth margin:
-// flap protection comes from the hysteresis band upstream (a shard whose
-// rates stay in band never re-plans, so never re-balances), and with
-// hysteresis off the decision is a pure function of this epoch's rates.
-func drainShardNode(d *shardNode, nodes []*shardNode, cfg Config) ([]int, bool) {
-	// mergeNodes never mutates its inputs, so speculative placement just
-	// swaps node pointers; rollback restores the originals.
-	touched := make(map[int]*resNode)
-	dests := make([]int, 0, len(d.res.allocs))
-	for _, a := range d.res.allocs {
-		item := &resNode{duty: a.duty, allocs: []residualAlloc{a}}
-		item.computeOcc()
-		bestIdx := -1
-		var best *resNode
-		for i, sn := range nodes {
-			if sn == d || sn.removed {
-				continue
-			}
-			merged, ok := mergeNodes(sn.res, item, cfg)
-			if ok && (best == nil || merged.occ > best.occ) {
-				best, bestIdx = merged, i
-			}
-		}
-		if best == nil {
-			for i, saved := range touched {
-				nodes[i].res = saved
-			}
-			return nil, false
-		}
-		if _, saved := touched[bestIdx]; !saved {
-			touched[bestIdx] = nodes[bestIdx].res
-		}
-		best.planID = nodes[bestIdx].res.planID
-		nodes[bestIdx].res = best
-		dests = append(dests, bestIdx)
-	}
-	return dests, true
 }

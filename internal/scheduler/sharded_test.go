@@ -12,15 +12,15 @@ import (
 
 func TestShardOfDeterministic(t *testing.T) {
 	for _, id := range []string{"a", "session-7", "game/chat"} {
-		k := ShardOf(id, 8)
+		k := shardOf(id, 8)
 		if k < 0 || k >= 8 {
-			t.Fatalf("ShardOf(%q, 8) = %d out of range", id, k)
+			t.Fatalf("shardOf(%q, 8) = %d out of range", id, k)
 		}
-		if k2 := ShardOf(id, 8); k2 != k {
-			t.Fatalf("ShardOf(%q) not stable: %d then %d", id, k, k2)
+		if k2 := shardOf(id, 8); k2 != k {
+			t.Fatalf("shardOf(%q) not stable: %d then %d", id, k, k2)
 		}
-		if ShardOf(id, 1) != 0 {
-			t.Fatalf("ShardOf(%q, 1) != 0", id)
+		if shardOf(id, 1) != 0 {
+			t.Fatalf("shardOf(%q, 1) != 0", id)
 		}
 	}
 }

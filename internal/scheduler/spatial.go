@@ -50,14 +50,14 @@ func spatialSlice(s Session, p *profiler.Profile, gran int) (frac float64, batch
 	for g := 1; g <= gran; g++ {
 		f := float64(g) / float64(gran)
 		q := p.SliceProfile(f, spatialWorstCo(f, gran))
-		b, _, err := ResidualBatch(q, s.SLO, s.Rate)
+		b, _, err := residualBatch(q, s.SLO, s.Rate)
 		if err != nil {
 			continue // slice too slow for even batch 1; try a bigger one
 		}
 		// Sustainable: the slice's service rate must cover the arrival
 		// rate, or the queue grows without bound. Unlike a duty-cycle
 		// share, the slice serves this session alone, so the bound is the
-		// raw gather time b/rate — not ResidualBatch's SLO-clamped duty.
+		// raw gather time b/rate — not residualBatch's SLO-clamped duty.
 		// That difference is the whole point: a low-rate tight-SLO session
 		// whose clamped duty cannot fit ℓ(b) (temporally unsustainable,
 		// forcing a dedicated GPU) still sits comfortably on a slice that
@@ -75,7 +75,7 @@ func spatialSlice(s Session, p *profiler.Profile, gran int) (frac float64, batch
 // sustainable shared allocation, 1.0 (a dedicated node) otherwise. The
 // hybrid policy compares this against the slice fraction.
 func temporalOccupancy(s Session, p *profiler.Profile) float64 {
-	b, duty, err := ResidualBatch(p, s.SLO, s.Rate)
+	b, duty, err := residualBatch(p, s.SLO, s.Rate)
 	if err != nil {
 		return 1
 	}
@@ -86,11 +86,11 @@ func temporalOccupancy(s Session, p *profiler.Profile) float64 {
 	return float64(lat) / float64(duty)
 }
 
-// ScheduleSpatial consumes residual sessions the configured placement
+// scheduleSpatial consumes residual sessions the configured placement
 // assigns to compute slices and first-fit-decreasing packs their slices
 // onto spatial nodes. Sessions left temporal (by policy or infeasibility)
 // are returned for ScheduleResidue. Under PlaceTemporal it is a no-op.
-func ScheduleSpatial(residue []Session, profiles map[string]*profiler.Profile, cfg Config) ([]GPUPlan, []Session, error) {
+func scheduleSpatial(residue []Session, profiles map[string]*profiler.Profile, cfg Config) ([]GPUPlan, []Session, error) {
 	if cfg.Placement == PlaceTemporal {
 		return nil, residue, nil
 	}

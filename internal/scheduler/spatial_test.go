@@ -55,7 +55,7 @@ func TestSpatialSliceInfeasibleSLO(t *testing.T) {
 
 func TestScheduleSpatialTemporalIsNoOp(t *testing.T) {
 	residue := []Session{{ID: "s", ModelID: "tiny", SLO: 50 * time.Millisecond, Rate: 10}}
-	nodes, kept, err := ScheduleSpatial(residue, map[string]*profiler.Profile{"tiny": smallProfile(t)}, Config{})
+	nodes, kept, err := scheduleSpatial(residue, map[string]*profiler.Profile{"tiny": smallProfile(t)}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,14 @@ import (
 // large sessions, then best-fit-decreasing merges the residual loads into
 // shared duty cycles. When cfg.Placement allows spatial multiplexing, a
 // slice-packing pass between the two pins suitable residuals to
-// fractional-SM partitions instead (ScheduleSpatial). The returned plan
+// fractional-SM partitions instead (scheduleSpatial). The returned plan
 // always passes Validate for the given sessions, profiles and config.
 func Pack(sessions []Session, profiles map[string]*profiler.Profile, cfg Config) (*Plan, error) {
-	nodes, residue, err := ScheduleSaturate(sessions, profiles, cfg)
+	nodes, residue, err := scheduleSaturate(sessions, profiles, cfg)
 	if err != nil {
 		return nil, err
 	}
-	spatialNodes, residue, err := ScheduleSpatial(residue, profiles, cfg)
+	spatialNodes, residue, err := scheduleSpatial(residue, profiles, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -35,10 +35,10 @@ func Pack(sessions []Session, profiles map[string]*profiler.Profile, cfg Config)
 	return plan, nil
 }
 
-// ScheduleSaturate allocates whole GPUs to sessions with enough load to
+// scheduleSaturate allocates whole GPUs to sessions with enough load to
 // saturate them (Algorithm 1, lines 4-11). It returns the saturated nodes
 // and the residual per-session loads still to be packed.
-func ScheduleSaturate(sessions []Session, profiles map[string]*profiler.Profile, cfg Config) ([]GPUPlan, []Session, error) {
+func scheduleSaturate(sessions []Session, profiles map[string]*profiler.Profile, cfg Config) ([]GPUPlan, []Session, error) {
 	var nodes []GPUPlan
 	var residue []Session
 	for _, s := range sortSessions(sessions) {
@@ -52,24 +52,14 @@ func ScheduleSaturate(sessions []Session, profiles map[string]*profiler.Profile,
 		if !ok {
 			return nil, nil, fmt.Errorf("scheduler: no profile for model %s (session %s)", s.ModelID, s.ID)
 		}
-		// B = argmax{b : factor*ℓ(b) <= SLO}; worst case is one full
-		// batch of waiting plus one of execution (§4.1).
-		maxLat := time.Duration(float64(s.SLO) / cfg.sloFactor())
-		b := p.MaxBatchWithin(maxLat)
-		if b == 0 {
-			return nil, nil, fmt.Errorf("scheduler: session %s infeasible: %v*l(1)=%v exceeds SLO %v",
-				s.ID, cfg.sloFactor(), time.Duration(cfg.sloFactor()*float64(p.BatchLatency(1))), s.SLO)
+		b, err := saturateBatch(s, p, cfg)
+		if err != nil {
+			return nil, nil, err
 		}
 		t := p.Throughput(b)
 		n := int(s.Rate / t)
 		for i := 0; i < n; i++ {
-			nodes = append(nodes, GPUPlan{
-				Duty:      p.BatchLatency(b),
-				Saturated: true,
-				Allocs: []Alloc{{
-					SessionID: s.ID, ModelID: s.ModelID, Batch: b, Rate: t,
-				}},
-			})
+			nodes = append(nodes, dedicatedNode(s, p, b, t))
 		}
 		if r := s.Rate - float64(n)*t; r > rateEpsilon {
 			rs := s
@@ -78,6 +68,27 @@ func ScheduleSaturate(sessions []Session, profiles map[string]*profiler.Profile,
 		}
 	}
 	return nodes, residue, nil
+}
+
+// saturateBatch is B = argmax{b : factor·ℓ(b) <= SLO}, the batch a whole
+// GPU runs back to back for s: the worst case is one full batch of waiting
+// plus one of execution (§4.1).
+func saturateBatch(s Session, p *profiler.Profile, cfg Config) (int, error) {
+	b := p.MaxBatchWithin(time.Duration(float64(s.SLO) / cfg.sloFactor()))
+	if b == 0 {
+		return 0, fmt.Errorf("scheduler: session %s infeasible: %v*l(1)=%v exceeds SLO %v",
+			s.ID, cfg.sloFactor(), time.Duration(cfg.sloFactor()*float64(p.BatchLatency(1))), s.SLO)
+	}
+	return b, nil
+}
+
+// dedicatedNode is a whole GPU serving rate of s at batch b.
+func dedicatedNode(s Session, p *profiler.Profile, b int, rate float64) GPUPlan {
+	return GPUPlan{
+		Duty:      p.BatchLatency(b),
+		Saturated: true,
+		Allocs:    []Alloc{{SessionID: s.ID, ModelID: s.ModelID, Batch: b, Rate: rate}},
+	}
 }
 
 // residualAlloc is the initial single-session allocation of a residual
@@ -91,13 +102,13 @@ type residualAlloc struct {
 	occ     float64
 }
 
-// ResidualBatch computes the batch size and duty cycle for a residual load
+// residualBatch computes the batch size and duty cycle for a residual load
 // of the given rate under the SLO: the largest b with ℓ(b) + b/rate <= SLO.
 // Low-rate sessions for which even b=1 cannot fill a duty cycle in time run
 // at batch 1 with the duty cycle clamped to SLO - ℓ(1).
-func ResidualBatch(p *profiler.Profile, slo time.Duration, rate float64) (batch int, duty time.Duration, err error) {
+func residualBatch(p *profiler.Profile, slo time.Duration, rate float64) (batch int, duty time.Duration, err error) {
 	if rate <= 0 {
-		return 0, 0, fmt.Errorf("scheduler: ResidualBatch with rate %v", rate)
+		return 0, 0, fmt.Errorf("scheduler: residualBatch with rate %v", rate)
 	}
 	gather := func(b int) time.Duration {
 		return time.Duration(float64(b) / rate * float64(time.Second))
@@ -126,20 +137,20 @@ func ResidualBatch(p *profiler.Profile, slo time.Duration, rate float64) (batch 
 	return lo, gather(lo), nil
 }
 
-// ResidualPlacement expands one residual load into zero or more dedicated
+// residualPlacement expands one residual load into zero or more dedicated
 // nodes plus at most one shareable allocation. The paper's batch choice
 // (line 13) can select a batch whose execution latency exceeds its gather
 // time b/r — a load no shared duty cycle can sustain (occupancy would top
 // 1). Such loads get a dedicated node running the saturate batch
 // back-to-back (worst case 2ℓ(B) <= SLO, §4.1), and only a sustainable
 // remainder, if any, becomes a shareable residual allocation.
-func ResidualPlacement(s Session, p *profiler.Profile, cfg Config) (dedicated []GPUPlan, rest *residualAlloc, err error) {
+func residualPlacement(s Session, p *profiler.Profile, cfg Config) (dedicated []GPUPlan, rest *residualAlloc, err error) {
 	rate := s.Rate
 	for iter := 0; rate > rateEpsilon; iter++ {
 		if iter > 10000 {
 			return nil, nil, fmt.Errorf("scheduler: residual placement for %s did not converge", s.ID)
 		}
-		b, d, err := ResidualBatch(p, s.SLO, rate)
+		b, d, err := residualBatch(p, s.SLO, rate)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -153,21 +164,12 @@ func ResidualPlacement(s Session, p *profiler.Profile, cfg Config) (dedicated []
 			}, nil
 		}
 		// Unsustainable as a shared allocation: dedicate a saturated node.
-		maxLat := time.Duration(float64(s.SLO) / cfg.sloFactor())
-		bSat := p.MaxBatchWithin(maxLat)
-		if bSat == 0 {
-			return nil, nil, fmt.Errorf("scheduler: session %s infeasible under SLO %v", s.ID, s.SLO)
+		bSat, err := saturateBatch(s, p, cfg)
+		if err != nil {
+			return nil, nil, err
 		}
-		tput := p.Throughput(bSat)
-		serve := rate
-		if serve > tput {
-			serve = tput
-		}
-		dedicated = append(dedicated, GPUPlan{
-			Duty:      p.BatchLatency(bSat),
-			Saturated: true,
-			Allocs:    []Alloc{{SessionID: s.ID, ModelID: s.ModelID, Batch: bSat, Rate: serve}},
-		})
+		serve := math.Min(rate, p.Throughput(bSat))
+		dedicated = append(dedicated, dedicatedNode(s, p, bSat, serve))
 		rate -= serve
 	}
 	return dedicated, nil, nil
@@ -187,7 +189,7 @@ func ScheduleResidue(residue []Session, profiles map[string]*profiler.Profile, c
 		if !ok {
 			return nil, fmt.Errorf("scheduler: no profile for model %s (session %s)", s.ModelID, s.ID)
 		}
-		ded, rest, err := ResidualPlacement(s, p, cfg)
+		ded, rest, err := residualPlacement(s, p, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -204,19 +206,10 @@ func ScheduleResidue(residue []Session, profiles map[string]*profiler.Profile, c
 		return allocs[i].session.ID < allocs[j].session.ID
 	})
 	var nodes []*resNode
-	for i := range allocs {
-		item := &resNode{duty: allocs[i].duty, allocs: []residualAlloc{allocs[i]}}
-		item.computeOcc()
-		bestIdx := -1
-		var best *resNode
-		for ni, n := range nodes {
-			merged, ok := mergeNodes(n, item, cfg)
-			if ok && (best == nil || merged.occ > best.occ) {
-				best, bestIdx = merged, ni
-			}
-		}
-		if best != nil {
-			nodes[bestIdx] = best
+	for _, a := range allocs {
+		item := singleton(a)
+		if i, merged := bestFit(item, nodes, cfg); merged != nil {
+			nodes[i] = merged
 		} else {
 			nodes = append(nodes, item)
 		}
@@ -237,20 +230,11 @@ type resNode struct {
 	planID string // stable node ID, used by incremental scheduling
 }
 
-func (n *resNode) computeOcc() {
-	var busy time.Duration
-	for _, a := range n.allocs {
-		busy += a.profile.BatchLatency(a.batch)
-	}
-	n.occ = float64(busy) / float64(n.duty)
-}
-
-func (n *resNode) memBytes() int64 {
-	var sum int64
-	for _, a := range n.allocs {
-		sum += a.profile.MemBase + int64(a.batch)*a.profile.MemPerItem
-	}
-	return sum
+// singleton is a node holding one residual allocation at its own duty
+// cycle: the item the best-fit placement merges.
+func singleton(a residualAlloc) *resNode {
+	return &resNode{duty: a.duty, allocs: []residualAlloc{a},
+		occ: float64(a.profile.BatchLatency(a.batch)) / float64(a.duty)}
 }
 
 func (n *resNode) toPlan() GPUPlan {
@@ -266,42 +250,92 @@ func (n *resNode) toPlan() GPUPlan {
 	return g
 }
 
-// mergeNodes attempts to combine two nodes into one duty cycle (Figure 7):
-// the new duty cycle is the smaller of the two, every session's batch size
-// is recomputed as ceil(duty*rate) (which only shrinks batches, so SLOs
-// are preserved), and the merge succeeds if the batch executions fit within
-// the new duty cycle and memory capacity permits.
-func mergeNodes(a, b *resNode, cfg Config) (*resNode, bool) {
-	duty := a.duty
-	if b.duty < duty {
-		duty = b.duty
-	}
-	merged := &resNode{duty: duty}
+// dutyBatch is the batch that serves a's rate once per duty cycle:
+// ceil(duty*rate), at least 1.
+func dutyBatch(duty time.Duration, a residualAlloc) int {
+	return max(1, int(math.Ceil(duty.Seconds()*a.session.Rate-1e-12)))
+}
+
+// fillDuty runs the given allocations in one duty cycle (Figure 7): every
+// batch is recomputed as dutyBatch, which only shrinks the batches of
+// allocations whose own duty cycle is at least as long, so SLOs are
+// preserved. The node is feasible when every batch meets its session's
+// SLO, the batch executions fit within the duty cycle, and memory capacity
+// permits. A failed fill allocates nothing.
+func fillDuty(duty time.Duration, cfg Config, parts ...[]residualAlloc) (*resNode, bool) {
 	var busy time.Duration
-	for _, src := range [][]residualAlloc{a.allocs, b.allocs} {
-		for _, al := range src {
-			nb := int(math.Ceil(duty.Seconds()*al.session.Rate - 1e-12))
-			if nb < 1 {
-				nb = 1
-			}
-			if nb > al.profile.MaxBatch {
+	var mem int64
+	n := 0
+	for _, part := range parts {
+		for _, a := range part {
+			nb := dutyBatch(duty, a)
+			if nb > a.profile.MaxBatch {
 				return nil, false
 			}
-			lat := al.profile.BatchLatency(nb)
-			if duty+lat > al.session.SLO {
+			lat := a.profile.BatchLatency(nb)
+			if duty+lat > a.session.SLO {
 				return nil, false
 			}
 			busy += lat
-			al.batch = nb
-			merged.allocs = append(merged.allocs, al)
+			mem += a.profile.MemBase + int64(nb)*a.profile.MemPerItem
+			n++
 		}
 	}
-	if busy > duty {
+	if busy > duty || (cfg.GPUMemBytes > 0 && mem > cfg.GPUMemBytes) {
 		return nil, false
 	}
-	if cfg.GPUMemBytes > 0 && merged.memBytes() > cfg.GPUMemBytes {
-		return nil, false
+	node := &resNode{duty: duty, allocs: make([]residualAlloc, 0, n), occ: float64(busy) / float64(duty)}
+	for _, part := range parts {
+		for _, a := range part {
+			a.batch = dutyBatch(duty, a)
+			node.allocs = append(node.allocs, a)
+		}
 	}
-	merged.computeOcc()
-	return merged, true
+	return node, true
+}
+
+// mergeNodes attempts to combine two nodes into one duty cycle, the
+// smaller of the two (Figure 7).
+func mergeNodes(a, b *resNode, cfg Config) (*resNode, bool) {
+	return fillDuty(min(a.duty, b.duty), cfg, a.allocs, b.allocs)
+}
+
+// bestFit is the packer's one best-fit rule (Algorithm 1, lines 17-29): it
+// merges item into each candidate and returns the index and merged node of
+// the first candidate with strictly the highest post-merge occupancy, or
+// -1 and nil when item fits nowhere. Nil candidates are skipped, and the
+// merged node keeps its candidate's planID. Neither input is modified.
+func bestFit(item *resNode, cands []*resNode, cfg Config) (int, *resNode) {
+	bestIdx := -1
+	var best *resNode
+	for i, n := range cands {
+		if n == nil {
+			continue
+		}
+		merged, ok := mergeNodes(n, item, cfg)
+		if ok && (best == nil || merged.occ > best.occ) {
+			best, bestIdx = merged, i
+		}
+	}
+	if best != nil {
+		best.planID = cands[bestIdx].planID
+	}
+	return bestIdx, best
+}
+
+// placeAll best-fits allocs, in order, into cands, replacing each chosen
+// candidate with its merged node, and returns every alloc's destination
+// index. It reports false as soon as an alloc fits nowhere. It never
+// modifies the nodes cands points to, so callers hand it a scratch slice
+// of candidates and commit that slice only when every alloc placed.
+func placeAll(allocs []residualAlloc, cands []*resNode, cfg Config) ([]int, bool) {
+	dests := make([]int, len(allocs))
+	for k, a := range allocs {
+		i, merged := bestFit(singleton(a), cands, cfg)
+		if merged == nil {
+			return nil, false
+		}
+		cands[i], dests[k] = merged, i
+	}
+	return dests, true
 }
