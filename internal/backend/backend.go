@@ -230,14 +230,7 @@ func (b *Backend) Configure(units []Unit) error {
 			kept = append(kept, u)
 			continue
 		}
-		for _, r := range u.queue.PopN(u.queue.Len()) {
-			b.complete(r, DropReconfig)
-		}
-		for _, r := range u.deferred.PopN(u.deferred.Len()) {
-			b.complete(r, DropReconfig)
-		}
-		b.releaseSlice(u)
-		b.dev.Unload(u.ID)
+		b.evict(u, DropReconfig)
 		delete(b.byID, u.ID)
 	}
 	b.units = kept
@@ -298,6 +291,20 @@ func (b *Backend) attachSlice(u *unitState) error {
 	}
 	u.part = part
 	return nil
+}
+
+// evict takes a unit out of service: its queued requests, then its
+// deferred ones, complete with the given outcome, its slice goes back to
+// the device, and its model is unloaded.
+func (b *Backend) evict(u *unitState, outcome Outcome) {
+	for _, r := range u.queue.PopN(u.queue.Len()) {
+		b.complete(r, outcome)
+	}
+	for _, r := range u.deferred.PopN(u.deferred.Len()) {
+		b.complete(r, outcome)
+	}
+	b.releaseSlice(u)
+	b.dev.Unload(u.ID)
 }
 
 // releaseSlice hands the unit's partition back to the device; it merges in
@@ -377,14 +384,7 @@ func (b *Backend) Fail() {
 	b.failed = true
 	b.inc++
 	for _, u := range b.units {
-		for _, r := range u.queue.PopN(u.queue.Len()) {
-			b.complete(r, DropFailure)
-		}
-		for _, r := range u.deferred.PopN(u.deferred.Len()) {
-			b.complete(r, DropFailure)
-		}
-		b.releaseSlice(u)
-		b.dev.Unload(u.ID)
+		b.evict(u, DropFailure)
 	}
 	b.units = nil
 	b.byID = make(map[string]*unitState)
@@ -411,14 +411,7 @@ func (b *Backend) Restart() {
 // own callbacks.
 func (b *Backend) Reset() {
 	for _, u := range b.units {
-		for _, r := range u.queue.PopN(u.queue.Len()) {
-			b.complete(r, DropReconfig)
-		}
-		for _, r := range u.deferred.PopN(u.deferred.Len()) {
-			b.complete(r, DropReconfig)
-		}
-		b.releaseSlice(u)
-		b.dev.Unload(u.ID)
+		b.evict(u, DropReconfig)
 	}
 	b.units = nil
 	b.byID = make(map[string]*unitState)

@@ -107,29 +107,6 @@ func TestStageHeadroomAppliedToChildren(t *testing.T) {
 	}
 }
 
-func TestSessionSLOExposed(t *testing.T) {
-	e := newEnv(t, nexusConfig(), 16)
-	if _, err := e.sched.AddSession(SessionSpec{
-		ID: "s", ModelID: model.ResNet50, SLO: 100 * time.Millisecond, ExpectedRate: 10,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.sched.RunEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	slo, ok := e.sched.SessionSLO("s")
-	if !ok {
-		t.Fatal("session SLO not exposed")
-	}
-	// The planning SLO is the user SLO minus slack.
-	if slo <= 0 || slo > 100*time.Millisecond {
-		t.Fatalf("SLO = %v", slo)
-	}
-	if _, ok := e.sched.SessionSLO("ghost"); ok {
-		t.Fatal("unknown session has an SLO")
-	}
-}
-
 func TestObliviousPlanStableAcrossQuietEpochs(t *testing.T) {
 	cfg := nexusConfig()
 	cfg.Squishy = false

@@ -1,10 +1,6 @@
 package globalsched
 
-import (
-	"time"
-
-	"nexus/internal/scheduler"
-)
+import "nexus/internal/scheduler"
 
 // Accessors only the tests use.
 
@@ -22,14 +18,4 @@ func (s *Scheduler) Assignments() map[string][]string {
 		out[k] = append([]string(nil), v...)
 	}
 	return out
-}
-
-// SessionSLO returns the current latency budget of a user-facing session
-// (for query stages, the adaptive per-stage split of the latest epoch).
-func (s *Scheduler) SessionSLO(id string) (time.Duration, bool) {
-	h, ok := s.names.Lookup(id)
-	if !ok || int(h) >= len(s.sessionSLO) || s.sessionSLO[h] == 0 {
-		return 0, false
-	}
-	return s.sessionSLO[h], true
 }

@@ -149,17 +149,13 @@ type Scheduler struct {
 	everyRates  bool // true once real observations exist
 	prevPlan    *scheduler.Plan
 	nodeBackend map[string][]string // plan node ID -> replica backend IDs
-	// combined holds this epoch's synthetic prefix-group profiles.
-	combined map[string]*profiler.Profile
-	// groups maps group session ID -> member session IDs.
-	groups map[string][]string
-	// groupParts holds each group's prefix/suffix execution profiles.
-	groupParts map[string][2]*profiler.Profile
+	// groups holds this epoch's prefix groups by group ID, which is both
+	// the group's planning session ID and its model ID.
+	groups map[string]prefixGroup
 
-	epochs     int
-	lastStats  scheduler.MoveStats
-	ticker     *simclock.Ticker
-	sessionSLO []time.Duration // current SLO by user-facing session handle; 0 = none
+	epochs    int
+	lastStats scheduler.MoveStats
+	ticker    *simclock.Ticker
 
 	// gammaEst smooths per-edge fan-out observations across epochs so the
 	// latency-split DP does not chase workload noise.
@@ -542,7 +538,7 @@ func (s *Scheduler) auditEpoch(plan *scheduler.Plan) {
 			rec.Units = append(rec.Units, trace.PlacedUnit{
 				Unit: a.SessionID, Session: a.SessionID, Batch: a.Batch, Rate: a.Rate,
 				Slice:   a.Slice,
-				Members: append([]string(nil), s.groups[a.SessionID]...),
+				Members: append([]string(nil), s.groups[a.SessionID].members...),
 			})
 		}
 		s.cfg.Audit.RecordPlacement(rec)
@@ -587,7 +583,7 @@ func (s *Scheduler) Explain() telemetry.HealthReport {
 			if a.Slice > 0 {
 				reason += fmt.Sprintf(", pinned to a %.0f%% compute slice", 100*a.Slice)
 			}
-			if members := s.groups[a.SessionID]; len(members) > 0 {
+			if members := s.groups[a.SessionID].members; len(members) > 0 {
 				reason += fmt.Sprintf(", prefix group of %d", len(members))
 			}
 			rep.Allocs = append(rep.Allocs, telemetry.SessionAlloc{
@@ -709,18 +705,12 @@ func (s *Scheduler) buildSessions() ([]scheduler.Session, []string, error) {
 		}
 		out = append(out, qSessions...)
 	}
-	// Record user-facing session SLOs (stage budgets for queries) before
-	// grouping; the data plane derives per-request deadlines from these.
-	s.sessionSLO = make([]time.Duration, s.names.Len())
 	memberUnit := make([]string, s.names.Len())
 	for i, sess := range out {
-		s.sessionSLO[handles[i]] = sess.SLO
 		memberUnit[handles[i]] = sess.ID
 	}
 	// Prefix grouping.
-	s.combined = make(map[string]*profiler.Profile)
-	s.groups = make(map[string][]string)
-	s.groupParts = make(map[string][2]*profiler.Profile)
+	s.groups = make(map[string]prefixGroup)
 	if !s.cfg.PrefixBatch {
 		return out, memberUnit, nil
 	}
@@ -921,17 +911,15 @@ func (s *Scheduler) groupPrefixes(sessions []scheduler.Session, handles []sessio
 		}
 		groupID := prefixGroupID(key.base, key.slo)
 		comb.ModelID = groupID
-		s.combined[groupID] = comb
 		pre, suf := baseProfile.Split(1 - suffixFrac)
-		s.groupParts[groupID] = [2]*profiler.Profile{&pre, &suf}
+		g := prefixGroup{members: make([]string, 0, len(members)), profile: comb, prefix: &pre, suffix: &suf}
 		var rate float64
-		memberIDs := make([]string, 0, len(members))
 		for _, i := range members {
 			rate += sessions[i].Rate
-			memberIDs = append(memberIDs, sessions[i].ID)
+			g.members = append(g.members, sessions[i].ID)
 			memberUnit[handles[i]] = groupID
 		}
-		s.groups[groupID] = memberIDs
+		s.groups[groupID] = g
 		out = append(out, scheduler.Session{
 			ID: groupID, ModelID: groupID, SLO: key.slo, Rate: rate,
 		})
@@ -947,11 +935,19 @@ func prefixGroupID(base string, slo time.Duration) string {
 	return "pg/" + base + "/" + ms + "ms"
 }
 
-// profileOf resolves a model ID against combined and base profiles,
+// prefixGroup is one epoch's prefix group: its member session IDs, the
+// combined profile the packer plans it with, and the prefix and suffix
+// execution profiles its backend unit runs.
+type prefixGroup struct {
+	members                 []string
+	profile, prefix, suffix *profiler.Profile
+}
+
+// profileOf resolves a model ID against prefix-group and base profiles,
 // returning the RAW profile (actual execution costs) for the runtime.
 func (s *Scheduler) profileOf(modelID string) (*profiler.Profile, error) {
-	if p, ok := s.combined[modelID]; ok {
-		return p, nil
+	if g, ok := s.groups[modelID]; ok {
+		return g.profile, nil
 	}
 	if p, ok := s.profiles[modelID]; ok {
 		return p, nil
@@ -1011,16 +1007,16 @@ func (s *Scheduler) basePlanProfile(id string) (*profiler.Profile, bool) {
 // planProfiles builds the packer's view of one epoch: the adjusted profile
 // of every model the epoch's sessions plan with, and of every model the
 // previous plan allocates, which the incremental planner and the nodes it
-// keeps still look up. This epoch's combined prefix-group profiles shadow
-// base profiles of the same ID.
+// keeps still look up. This epoch's prefix-group profiles shadow base
+// profiles of the same ID.
 func (s *Scheduler) planProfiles(sessions []scheduler.Session) map[string]*profiler.Profile {
 	m := make(map[string]*profiler.Profile, len(sessions))
 	add := func(id string) {
 		if _, ok := m[id]; ok {
 			return
 		}
-		if p, ok := s.combined[id]; ok {
-			m[id] = s.planProfile(p)
+		if g, ok := s.groups[id]; ok {
+			m[id] = s.planProfile(g.profile)
 		} else if p, ok := s.basePlanProfile(id); ok {
 			m[id] = p
 		}
@@ -1146,7 +1142,7 @@ func (s *Scheduler) unitsFor(g *scheduler.GPUPlan) ([]backend.Unit, error) {
 			ID:          a.SessionID,
 			Profile:     p,
 			TargetBatch: a.Batch,
-			Members:     s.groups[a.SessionID],
+			Members:     s.groups[a.SessionID].members,
 		}
 		if a.Slice > 0 {
 			// Spatial placement: the unit runs pinned to a compute slice.
@@ -1155,8 +1151,8 @@ func (s *Scheduler) unitsFor(g *scheduler.GPUPlan) ([]backend.Unit, error) {
 			unit.Slice = a.Slice
 			unit.Profile = p.SliceProfile(a.Slice, 0)
 		}
-		if parts, ok := s.groupParts[a.SessionID]; ok {
-			unit.Prefix, unit.Suffix = parts[0], parts[1]
+		if g, ok := s.groups[a.SessionID]; ok {
+			unit.Prefix, unit.Suffix = g.prefix, g.suffix
 		}
 		units = append(units, unit)
 	}

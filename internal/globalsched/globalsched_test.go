@@ -249,12 +249,16 @@ func TestPrefixGroupsApartWithinMillisecond(t *testing.T) {
 		"pg/resnet50/77ms":   {"s0", "s1"},
 		"pg/resnet50/77.5ms": {"s2", "s3"},
 	}
-	if fmt.Sprint(e.sched.groups) != fmt.Sprint(want) {
-		t.Fatalf("groups = %v, want %v", e.sched.groups, want)
+	got := make(map[string][]string)
+	for id, g := range e.sched.groups {
+		got[id] = g.members
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("groups = %v, want %v", got, want)
 	}
 	for id, members := range want {
-		if e.sched.combined[id] == nil {
-			t.Errorf("%s has no combined profile", id)
+		if g := e.sched.groups[id]; g.profile == nil || g.prefix == nil || g.suffix == nil {
+			t.Errorf("%s lacks a combined, prefix or suffix profile", id)
 		}
 		for _, m := range members {
 			h, _ := e.sched.names.Lookup(m)
