@@ -15,7 +15,9 @@
 // The workload flags (-app, -rate, -scale, -rush, -duration) and the output
 // flag -obs-out apply on both paths; with -spec, -app adds its sessions only
 // when given. -obs-out writes every observation plane to one log that
-// nexus-obs reads.
+// nexus-obs reads; without it, each enabled plane prints after the panels
+// through the renderers nexus-obs uses. Either way the run ends with the
+// plane summaries and the last scheduler health report.
 package main
 
 import (
@@ -25,7 +27,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"nexus/internal/apps"
@@ -33,7 +34,6 @@ import (
 	"nexus/internal/obslog"
 	"nexus/internal/spec"
 	"nexus/internal/telemetry"
-	"nexus/internal/trace"
 )
 
 func main() {
@@ -174,8 +174,9 @@ func appBuilders(o *options) ([]apps.Builder, error) {
 }
 
 // report executes the deployment and prints the standard panels, then each
-// enabled plane inline or, when obs is set, into the observation log (the
-// plane summaries stay inline).
+// enabled plane inline through the renderers nexus-obs uses or, when obs is
+// set, into the observation log, then the plane summaries and the last
+// scheduler health report, which the log does not carry.
 func report(w io.Writer, d *cluster.Deployment, duration time.Duration, label string, gpus int, obs *os.File) error {
 	bad, err := d.Run(duration)
 	if err != nil {
@@ -215,42 +216,22 @@ func report(w io.Writer, d *cluster.Deployment, duration time.Duration, label st
 			(i+1)*step, offered/float64(step), g/float64(step), badPct)
 	}
 	l := d.ObsLog()
-	if tr := d.Tracer(); tr != nil && obs == nil {
-		fmt.Fprintf(w, "\n  trace (last %d of %d events):\n", len(l.Spans), tr.Total())
-		if err := trace.WriteText(w, l.Spans); err != nil {
-			return err
-		}
-	}
-	if l.Audit != nil && obs == nil {
-		fmt.Fprintln(w, "\n  control-plane audit log:")
-		if err := l.Audit.WriteText(w); err != nil {
+	if obs == nil {
+		if err := writePlanes(w, l); err != nil {
 			return err
 		}
 	}
 	if fr := d.Flight(); fr != nil {
 		fmt.Fprintf(w, "\n  flight recorder: %d dump bundle(s), %d trigger(s) suppressed\n",
 			len(l.Dumps), fr.Suppressed())
-		if obs == nil {
-			for i := range l.Dumps {
-				dump := func(w io.Writer) error { return obslog.WriteDump(w, l, &l.Dumps[i]) }
-				if err := indented(w, "  ", dump); err != nil {
-					return err
-				}
-			}
-		}
 	}
 	if c := d.Telemetry(); c != nil {
+		hs := c.Health()
 		fmt.Fprintf(w, "\n  telemetry: %d snapshots, %d alert transitions, %d health reports\n",
-			len(l.Snapshots), len(l.Alerts), len(c.Health()))
-		if len(l.Alerts) > 0 {
-			fmt.Fprintln(w, "  alert log:")
-			if err := indented(w, "    ", c.WriteAlertsText); err != nil {
-				return err
-			}
-		}
-		if hs := c.Health(); len(hs) > 0 {
-			fmt.Fprintln(w, "  scheduler health (last epoch):")
-			if err := indented(w, "    ", hs[len(hs)-1].WriteText); err != nil {
+			len(l.Snapshots), len(l.Alerts), len(hs))
+		if len(hs) > 0 {
+			fmt.Fprintln(w, "\nscheduler health (last epoch)")
+			if err := hs[len(hs)-1].WriteText(w); err != nil {
 				return err
 			}
 		}
@@ -267,18 +248,31 @@ func report(w io.Writer, d *cluster.Deployment, duration time.Duration, label st
 	return nil
 }
 
-// indented writes what write produces to w with prefix before each line.
-func indented(w io.Writer, prefix string, write func(io.Writer) error) error {
-	var b strings.Builder
-	if err := write(&b); err != nil {
-		return err
-	}
-	for _, line := range strings.SplitAfter(b.String(), "\n") {
-		if line != "" {
-			if _, err := io.WriteString(w, prefix+line); err != nil {
-				return err
-			}
+// writePlanes prints l's planes as nexus-obs does: the spans and the audit
+// log as `nexus-obs trace`, each dump as `nexus-obs blame`, and the
+// telemetry as one `nexus-obs top -plain` frame.
+func writePlanes(w io.Writer, l obslog.Log) error {
+	switch {
+	case len(l.Spans) > 0:
+		fmt.Fprintln(w)
+		if err := obslog.WriteTrace(w, l); err != nil {
+			return err
+		}
+	case l.Audit != nil:
+		fmt.Fprintln(w, "\ncontrol-plane audit log")
+		if err := l.Audit.WriteText(w); err != nil {
+			return err
 		}
 	}
-	return nil
+	for i := range l.Dumps {
+		fmt.Fprintln(w)
+		if err := obslog.WriteDump(w, l, &l.Dumps[i]); err != nil {
+			return err
+		}
+	}
+	if len(l.Snapshots) == 0 {
+		return nil
+	}
+	fmt.Fprintln(w)
+	return obslog.WriteTop(w, l)
 }

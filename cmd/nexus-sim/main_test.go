@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nexus/internal/obslog"
 )
 
 const mixedSpec = "../../examples/specs/mixed.json"
@@ -175,5 +179,79 @@ func TestSpatialFixedRunsComplete(t *testing.T) {
 		if out := runSim(t, args...); !strings.Contains(out, "t= 60s") {
 			t.Errorf("%v: run stopped before its last report line:\n%s", args, out)
 		}
+	}
+}
+
+// TestInlinePlanesMatchObsRenderers: without -obs-out, nexus-sim prints
+// each plane through the obslog renderers. A -obs-out run of the same
+// deployment prints the panels, then the plane summaries and the last
+// health report (the "tail"); the inline run must print the same panels,
+// then what the renderers print for the written log, then the same tail.
+func TestInlinePlanesMatchObsRenderers(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		tail bool // whether the inline run prints the -obs-out run's tail
+		// render prints the planes of l as the inline run must.
+		render func(w io.Writer, l obslog.Log) error
+	}{
+		{"forensics", []string{"-trace", "200", "-forensics"}, true, func(w io.Writer, l obslog.Log) error {
+			fmt.Fprintln(w)
+			if err := obslog.WriteTrace(w, l); err != nil {
+				return err
+			}
+			if len(l.Dumps) == 0 {
+				return errors.New("the run took no dump")
+			}
+			for i := range l.Dumps {
+				fmt.Fprintln(w)
+				if err := obslog.WriteDump(w, l, &l.Dumps[i]); err != nil {
+					return err
+				}
+			}
+			fmt.Fprintln(w)
+			return obslog.WriteTop(w, l)
+		}},
+		// -obs-out turns telemetry on; the audit-only run has no tail.
+		{"audit", []string{"-audit"}, false, func(w io.Writer, l obslog.Log) error {
+			fmt.Fprintln(w, "\ncontrol-plane audit log")
+			return l.Audit.WriteText(w)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			args := append([]string{"-spec", mixedSpec, "-duration", "3s"}, c.args...)
+			path := filepath.Join(t.TempDir(), "run.jsonl")
+			written := runSim(t, append(args, "-obs-out", path)...)
+			// The panels end with the timeline; the tail ends before the
+			// log's announcement.
+			i := strings.LastIndex(written, "\n    t=")
+			j := strings.Index(written, "\n  observation log written to ")
+			if i < 0 || j < i {
+				t.Fatalf("no timeline or announcement in:\n%s", written)
+			}
+			i += strings.Index(written[i+1:], "\n") + 2
+			panels, tail := written[:i], written[i:j]
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			l, err := obslog.Read(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want strings.Builder
+			want.WriteString(panels)
+			if err := c.render(&want, l); err != nil {
+				t.Fatal(err)
+			}
+			if c.tail {
+				want.WriteString(tail)
+			}
+			if got := runSim(t, args...); got != want.String() {
+				t.Errorf("inline output differs from the renderers' on the written log:\n--- got\n%s\n--- want\n%s", got, want.String())
+			}
+		})
 	}
 }

@@ -189,7 +189,7 @@ func TestHugeTraceCapacity(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 10; i++ {
-		d.Tracer().Record(trace.Event{At: time.Duration(i), Kind: trace.Arrive, ReqID: uint64(i)})
+		d.Tracer().Put(trace.Span{At: time.Duration(i), Kind: trace.ArriveName, Req: uint64(i)})
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(chunkBytes)+1<<16 {

@@ -12,6 +12,7 @@ import (
 
 	"nexus/internal/forensics"
 	"nexus/internal/obslog"
+	"nexus/internal/session"
 	"nexus/internal/telemetry"
 	"nexus/internal/trace"
 )
@@ -22,15 +23,30 @@ func alert(rule string) telemetry.Alert {
 	return telemetry.Alert{Rule: rule, Target: "s", State: "firing", Value: 9.5}
 }
 
+// tracerOf returns a tracer of capacity n holding evs, put through the
+// handles the request path records with.
+func tracerOf(n int, evs ...trace.Event) *trace.Tracer {
+	sessions := session.NewTable()
+	tr := trace.New(n, sessions)
+	for _, e := range evs {
+		tr.Put(trace.Span{At: e.At, Dur: e.Dur, Req: e.ReqID, Inc: e.Inc, Batch: e.Batch,
+			Kind: tr.Name(string(e.Kind)), Session: sessions.Intern(e.Session), Backend: tr.Name(e.Backend),
+			Unit: tr.Name(e.Unit), Cause: tr.Name(e.Cause), Detail: tr.Name(e.Detail)})
+	}
+	return tr
+}
+
 // seededPlanes builds a tracer and audit log with records on both sides of
-// the 5s default capture window around a trigger at t=10s.
-func seededPlanes() (*trace.Tracer, *trace.Audit) {
-	tr := trace.New(64, nil)
-	// Outside the [5s, 10s] window.
-	tr.Record(trace.Event{At: 2 * time.Second, Kind: trace.Arrive, ReqID: 1, Session: "s"})
-	// Inside.
-	tr.Record(trace.Event{At: 7 * time.Second, Kind: trace.Arrive, ReqID: 2, Session: "s"})
-	tr.Record(trace.Event{At: 8 * time.Second, Kind: trace.Complete, ReqID: 2, Session: "s"})
+// the 5s default capture window around a trigger at t=10s; the tracer holds
+// extra after its own spans.
+func seededPlanes(extra ...trace.Event) (*trace.Tracer, *trace.Audit) {
+	tr := tracerOf(64, append([]trace.Event{
+		// Outside the [5s, 10s] window.
+		{At: 2 * time.Second, Kind: trace.Arrive, ReqID: 1, Session: "s"},
+		// Inside.
+		{At: 7 * time.Second, Kind: trace.Arrive, ReqID: 2, Session: "s"},
+		{At: 8 * time.Second, Kind: trace.Complete, ReqID: 2, Session: "s"},
+	}, extra...)...)
 
 	audit := trace.NewAudit()
 	audit.RecordChaos(trace.ChaosRecord{AtMS: 1000, Kind: "outage", Backend: "be0", To: "down"})
@@ -123,12 +139,13 @@ func TestNilRecorderNoOps(t *testing.T) {
 }
 
 func TestDumpWriteText(t *testing.T) {
-	tr, audit := seededPlanes()
 	// Give the captured spans a full attributable request.
-	tr.Record(trace.Event{At: 8500 * ms, Kind: trace.Arrive, ReqID: 9, Session: "s"})
-	tr.Record(trace.Event{At: 8600 * ms, Kind: trace.Enqueue, ReqID: 9, Session: "s", Backend: "be0", Unit: "u"})
-	tr.Record(trace.Event{At: 8700 * ms, Kind: trace.Execute, ReqID: 9, Session: "s", Backend: "be0", Unit: "u", Dur: 100 * ms, Inc: 1})
-	tr.Record(trace.Event{At: 8900 * ms, Kind: trace.Complete, ReqID: 9, Session: "s"})
+	tr, audit := seededPlanes(
+		trace.Event{At: 8500 * ms, Kind: trace.Arrive, ReqID: 9, Session: "s"},
+		trace.Event{At: 8600 * ms, Kind: trace.Enqueue, ReqID: 9, Session: "s", Backend: "be0", Unit: "u"},
+		trace.Event{At: 8700 * ms, Kind: trace.Execute, ReqID: 9, Session: "s", Backend: "be0", Unit: "u", Dur: 100 * ms, Inc: 1},
+		trace.Event{At: 8900 * ms, Kind: trace.Complete, ReqID: 9, Session: "s"},
+	)
 	r := forensics.New(forensics.Config{})
 	r.Trigger(10*time.Second, alert("slo-burn-rate"), tr)
 
@@ -168,10 +185,7 @@ func TestDumpSpanBytes(t *testing.T) {
 	} {
 		for _, n := range []int{10, 1000, 100000} {
 			evs := shape.events(n)
-			tr := trace.New(n, nil)
-			for _, e := range evs {
-				tr.Record(e)
-			}
+			tr := tracerOf(n, evs...)
 			at := evs[n-1].At
 			r := forensics.New(forensics.Config{Window: at})
 			var before, after runtime.MemStats

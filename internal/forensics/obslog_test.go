@@ -15,9 +15,9 @@ import (
 // records their window covers. Decoding the log rebuilds the window's
 // samples' At, and re-encoding the decoded log gives back the same bytes.
 func TestDumpsJSONLRoundTrip(t *testing.T) {
-	tr := trace.New(64, nil)
-	tr.Record(trace.Event{At: 7 * time.Second, Kind: trace.Arrive, ReqID: 2, Session: "s"})
-	tr.Record(trace.Event{At: 8 * time.Second, Kind: trace.Complete, ReqID: 2, Session: "s"})
+	tr := tracerOf(64,
+		trace.Event{At: 7 * time.Second, Kind: trace.Arrive, ReqID: 2, Session: "s"},
+		trace.Event{At: 8 * time.Second, Kind: trace.Complete, ReqID: 2, Session: "s"})
 	audit := trace.NewAudit()
 	audit.RecordChaos(trace.ChaosRecord{AtMS: 9000, Kind: "outage", Backend: "be1", To: "down"})
 	audit.RecordPlacement(trace.PlacementRecord{Epoch: 1, AtMS: 9500, Node: "plan-0"})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"nexus/internal/forensics"
+	"nexus/internal/session"
 	"nexus/internal/telemetry"
 	"nexus/internal/trace"
 )
@@ -48,9 +49,12 @@ func sampleLog() Log {
 
 // spansOf packs evs, in order, as a dump holds them.
 func spansOf(evs ...trace.Event) trace.Spans {
-	tr := trace.New(len(evs), nil)
+	sessions := session.NewTable()
+	tr := trace.New(len(evs), sessions)
 	for _, e := range evs {
-		tr.Record(e)
+		tr.Put(trace.Span{At: e.At, Dur: e.Dur, Req: e.ReqID, Inc: e.Inc, Batch: e.Batch,
+			Kind: tr.Name(string(e.Kind)), Session: sessions.Intern(e.Session), Backend: tr.Name(e.Backend),
+			Unit: tr.Name(e.Unit), Cause: tr.Name(e.Cause), Detail: tr.Name(e.Detail)})
 	}
 	return tr.Between(math.MinInt64, math.MaxInt64)
 }

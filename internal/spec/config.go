@@ -42,7 +42,7 @@ type Config struct {
 	PlannerShards  int     `json:"shards" usage:"partition epoch planning across N parallel shards (0 and 1 = one unpartitioned shard)"`
 	PlanHysteresis float64 `json:"plan_hysteresis" usage:"relative rate band within which a quiet shard skips re-planning (0 = off)"`
 
-	TraceCapacity     int     `json:"trace" usage:"record and print the last N request lifecycle events"`
+	TraceCapacity     int     `json:"trace" usage:"record the last N request lifecycle events and print their breakdown as nexus-obs trace does"`
 	Audit             bool    `json:"audit" usage:"keep and print the control-plane audit log"`
 	Telemetry         Seconds `json:"telemetry_sec" usage:"live telemetry sampling interval (0 = off)"`
 	Forensics         bool    `json:"forensics" usage:"arm the flight recorder (implies tracing, -audit, and -telemetry)"`

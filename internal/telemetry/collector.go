@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"time"
 )
 
@@ -138,18 +136,4 @@ func (c *Collector) Health() []HealthReport {
 		return nil
 	}
 	return c.health
-}
-
-// WriteAlertsText renders the alert log for terminals.
-func (c *Collector) WriteAlertsText(w io.Writer) error {
-	for _, a := range c.Alerts() {
-		line := fmt.Sprintf("t=%8.3fs  %-8s %s(%s)", a.AtMS/1000, a.State, a.Rule, a.Target)
-		if a.State == "firing" {
-			line += fmt.Sprintf("  value=%.2f  %s", a.Value, a.Detail)
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	return nil
 }

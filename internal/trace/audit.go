@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 )
 
 // PlacedUnit is one session allocation inside a placement record: the
@@ -441,6 +440,3 @@ func WritePlanDiffText(w io.Writer, pd PlanDiffRecord) error {
 	}
 	return nil
 }
-
-// AtMS stamps a simulation time for audit records.
-func AtMS(at time.Duration) float64 { return MS(at) }

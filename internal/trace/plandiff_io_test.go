@@ -3,7 +3,6 @@ package trace
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestAuditPlanDiffAndChaosAccessors(t *testing.T) {
@@ -85,11 +84,5 @@ func TestWritePlanDiffText(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "(no changes)") {
 		t.Errorf("quiet diff missing the no-change marker: %q", sb.String())
-	}
-}
-
-func TestAtMS(t *testing.T) {
-	if got := AtMS(1500 * time.Millisecond); got != 1500 {
-		t.Fatalf("AtMS(1.5s) = %v, want 1500", got)
 	}
 }

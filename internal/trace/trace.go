@@ -23,7 +23,6 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -194,7 +193,7 @@ func (n *names) pack(e *Event, sessions *session.Table) Span {
 // name table, and whose sessions are handles into the session table it
 // reads them through (its deployment's). Callers intern their names once,
 // at control-plane speed (Name), and record with Put, which interns
-// nothing; Record takes a whole Event and interns its strings as it goes.
+// nothing.
 //
 // The ring is stored as chunks of chunkEvents slots, each allocated on its
 // first write, so a tracer's memory follows what it has recorded and never
@@ -265,19 +264,6 @@ func (t *Tracer) Put(s Span) {
 		return
 	}
 	*t.slot() = s
-}
-
-// Record appends an event, interning its strings (no-op on a nil tracer).
-// It is the slow path, for tests and callers without handles; the filter
-// runs first, so a discarded event interns nothing.
-func (t *Tracer) Record(e Event) {
-	if t == nil {
-		return
-	}
-	if t.filter != nil && !t.filter(e.ReqID) {
-		return
-	}
-	*t.slot() = t.names.pack(&e, t.sessions)
 }
 
 // slot advances the cursor and returns the slot it passed. It allocates
@@ -386,26 +372,4 @@ func (t *Tracer) Between(from, to time.Duration) Spans {
 	})
 	l := t.names.list
 	return Spans{enc: enc, n: n, names: l[:len(l):len(l)], sessions: t.sessions.IDs()}
-}
-
-// WriteText renders events human-readably, one per line.
-func WriteText(w io.Writer, events []Event) error {
-	for _, e := range events {
-		var err error
-		switch e.Kind {
-		case Execute:
-			_, err = fmt.Fprintf(w, "%-14v %-9s req=%-8d %s unit=%s batch=%d inc=%d\n",
-				e.At, e.Kind, e.ReqID, e.Backend, e.Unit, e.Batch, e.Inc)
-		case Drop:
-			_, err = fmt.Fprintf(w, "%-14v %-9s req=%-8d %s cause=%s %s\n",
-				e.At, e.Kind, e.ReqID, e.Session, e.Cause, e.Detail)
-		default:
-			_, err = fmt.Fprintf(w, "%-14v %-9s req=%-8d %s %s\n",
-				e.At, e.Kind, e.ReqID, e.Session, e.Backend)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
