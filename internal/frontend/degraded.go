@@ -15,7 +15,7 @@ import (
 // Routing-table leases.
 
 // EnableRouteLease arms a TTL on the routing table: if no control-plane
-// push (full table, delta, or explicit renewal) lands within ttl, the
+// push (a delta or an explicit renewal) lands within ttl, the
 // table is stale. With serveStale the frontend keeps routing on the stale
 // table and counts every such dispatch; without it, stale dispatches are
 // dropped unroutable — the "lease-expiry-without-repair" posture that
@@ -42,11 +42,6 @@ func (f *Frontend) RouteStaleness() time.Duration {
 		return 0
 	}
 	return f.clock.Now() - f.lastPush
-}
-
-// LeaseExpired reports whether the routing table has outlived its TTL.
-func (f *Frontend) LeaseExpired() bool {
-	return f.leaseTTL > 0 && f.RouteStaleness() > f.leaseTTL
 }
 
 // StaleServed returns how many requests were routed on an expired lease.

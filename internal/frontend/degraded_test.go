@@ -1,7 +1,6 @@
 package frontend
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -328,13 +327,13 @@ func TestConcurrentApplyDeltaDuringBackoffRetry(t *testing.T) {
 	}
 }
 
-// TestBreakerOpenSurvivesStaleDeltaResync pins the ordering between local
-// breaker knowledge and control-plane resyncs: a local RemoveBackend
-// repair bumps the generation, the next delta is rejected ErrStaleDelta,
-// and the full SetTableGen resync — which may reinstall routes to the
-// still-dead backend — must not reset the open breaker. The resync lands
-// while the repaired table's dispatches are still in flight.
-func TestBreakerOpenSurvivesStaleDeltaResync(t *testing.T) {
+// TestBreakerOpenSurvivesDeltaReinstall pins the ordering between local
+// breaker knowledge and the control plane's deltas: after a delta drops a
+// dead backend's routes, a later delta that reinstalls routes to it — the
+// control plane has not noticed the death — must not reset its open
+// breaker. The reinstall lands while the dispatches routed without it are
+// still in flight.
+func TestBreakerOpenSurvivesDeltaReinstall(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 2)
 	fe.EnableBreakers(1, time.Hour)
 	fe.EnableRetry(2, time.Millisecond)
@@ -353,34 +352,25 @@ func TestBreakerOpenSurvivesStaleDeltaResync(t *testing.T) {
 	if fe.OpenBreakers() != 1 {
 		t.Fatalf("open breakers = %d, want 1", fe.OpenBreakers())
 	}
-	// Local repair: routes to a removed, generation bumped off the
-	// control plane's sequence.
-	fe.RemoveBackend("a")
-	staleGen := uint64(1)
+	if err := fe.applyDelta(dropBackend(rt, "a", 1)); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 50; i++ {
 		fe.Dispatch(workload.Request{ID: uint64(i + 1), Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
-	// The control plane, unaware of the repair, pushes a delta built on the
-	// pre-repair generation: it must be rejected stale.
-	d := deltaByID{
-		FromGen: staleGen, Gen: staleGen + 1,
-		Set: byID{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}},
-	}
-	if err := fe.applyDelta(d); !errors.Is(err, ErrStaleDelta) {
-		t.Fatalf("ApplyDelta after local repair = %v, want ErrStaleDelta", err)
-	}
-	// Full resync reinstalls routes to the still-dead a.
-	if err := fe.setTableGen(rt, 10); err != nil {
+	// The next delta reinstalls routes to the still-dead a.
+	if err := fe.applyDelta(deltaByID{FromGen: 2, Gen: 3, Set: rt}); err != nil {
 		t.Fatal(err)
 	}
 	clock.Run()
-	if fe.Generation() != 10 {
-		t.Fatalf("generation = %d, want 10 after resync", fe.Generation())
+	if fe.TableVersion() != 3 {
+		t.Fatalf("generation = %d, want 3 after the reinstall", fe.TableVersion())
 	}
 	if fe.OpenBreakers() != 1 {
-		t.Fatalf("open breakers after resync = %d, want a's breaker to survive", fe.OpenBreakers())
+		t.Fatalf("open breakers after the reinstall = %d, want a's breaker to survive", fe.OpenBreakers())
 	}
-	// Post-resync traffic must still route around a via its open breaker.
+	// Traffic after the reinstall must still route around a via its open
+	// breaker.
 	for i := 0; i < 20; i++ {
 		fe.Dispatch(workload.Request{ID: uint64(100 + i), Session: fe.sid("s"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}

@@ -3,11 +3,46 @@ package frontend
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
 	"nexus/internal/workload"
 )
+
+// dropBackend is the delta the control plane publishes after backend beID
+// dies, on top of rt at generation from: each session routed to beID gets
+// its surviving routes, sessions that shared a route list share the
+// repaired list (as members of one unit do), and sessions left without
+// routes are removed.
+func dropBackend(rt byID, beID string, from uint64) deltaByID {
+	d := deltaByID{FromGen: from, Gen: from + 1, Set: byID{}}
+	ids := make([]string, 0, len(rt))
+	for id := range rt {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	kept := map[*Route][]Route{}
+	for _, id := range ids {
+		routes := rt[id]
+		keep, ok := kept[&routes[0]]
+		if !ok {
+			for _, r := range routes {
+				if r.BackendID != beID {
+					keep = append(keep, r)
+				}
+			}
+			kept[&routes[0]] = keep
+		}
+		switch {
+		case len(keep) == 0:
+			d.Remove = append(d.Remove, id)
+		case len(keep) < len(routes):
+			d.Set[id] = keep
+		}
+	}
+	return d
+}
 
 func TestApplyDeltaSetRemove(t *testing.T) {
 	_, _, fe, _ := setup(t, 2)
@@ -26,8 +61,8 @@ func TestApplyDeltaSetRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fe.Generation() != 2 {
-		t.Fatalf("generation = %d, want 2", fe.Generation())
+	if fe.TableVersion() != 2 {
+		t.Fatalf("generation = %d, want 2", fe.TableVersion())
 	}
 	got := fe.Sessions()
 	if len(got) != 2 || got[0] != "s1" || got[1] != "s3" {
@@ -35,10 +70,9 @@ func TestApplyDeltaSetRemove(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaCarriesCounts extends the SetTable/RemoveBackend carry-over
-// contract to deltas: in-window request counts survive both a route change
-// (Set) and a removal (residual window), so ObservedRates never loses
-// traffic across an incremental push.
+// TestApplyDeltaCarriesCounts: in-window request counts survive both a
+// route change (Set) and a removal (residual window), so ObservedRates
+// never loses traffic across a push.
 func TestApplyDeltaCarriesCounts(t *testing.T) {
 	clock, _, fe, _ := setup(t, 2)
 	rt := byID{
@@ -128,48 +162,8 @@ func TestApplyDeltaStaleGeneration(t *testing.T) {
 	if !errors.Is(err, ErrStaleDelta) {
 		t.Fatalf("stale delta error = %v, want ErrStaleDelta", err)
 	}
-	if fe.Generation() != 5 || len(fe.Sessions()) != 1 {
+	if fe.TableVersion() != 5 || len(fe.Sessions()) != 1 {
 		t.Fatal("rejected delta mutated routing state")
-	}
-}
-
-// TestRemoveBackendInvalidatesDeltas: a local failure repair moves the
-// frontend off the control plane's generation sequence, so the next delta is
-// detectably stale and a SetTableGen resync restores delta routing.
-func TestRemoveBackendInvalidatesDeltas(t *testing.T) {
-	_, _, fe, _ := setup(t, 2)
-	rt := byID{"s1": {
-		{BackendID: "a", UnitID: "u", Weight: 1},
-		{BackendID: "b", UnitID: "u", Weight: 1},
-	}}
-	if err := fe.setTableGen(rt, 1); err != nil {
-		t.Fatal(err)
-	}
-	if n := fe.RemoveBackend("b"); n != 1 {
-		t.Fatalf("RemoveBackend repaired %d sessions, want 1", n)
-	}
-	// The control plane still believes generation 1; its delta must bounce.
-	err := fe.applyDelta(deltaByID{
-		FromGen: 1, Gen: 2,
-		Set: byID{"s2": {{BackendID: "a", UnitID: "u", Weight: 1}}},
-	})
-	if !errors.Is(err, ErrStaleDelta) {
-		t.Fatalf("delta after local repair = %v, want ErrStaleDelta", err)
-	}
-	// Resync: a stamped full table re-aligns generations, deltas flow again.
-	resync := byID{"s1": {{BackendID: "a", UnitID: "u", Weight: 1}}}
-	if err := fe.setTableGen(resync, 2); err != nil {
-		t.Fatal(err)
-	}
-	err = fe.applyDelta(deltaByID{
-		FromGen: 2, Gen: 3,
-		Set: byID{"s2": {{BackendID: "a", UnitID: "u", Weight: 1}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fe.Generation() != 3 {
-		t.Fatalf("generation after resync+delta = %d, want 3", fe.Generation())
 	}
 }
 
@@ -189,7 +183,7 @@ func TestApplyDeltaRejectsBadRoutes(t *testing.T) {
 			t.Errorf("case %d: invalid delta accepted", i)
 		}
 	}
-	if fe.Generation() != 1 || len(fe.Sessions()) != 1 {
+	if fe.TableVersion() != 1 || len(fe.Sessions()) != 1 {
 		t.Fatal("rejected delta mutated routing state")
 	}
 }

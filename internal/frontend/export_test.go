@@ -38,14 +38,22 @@ func (f *Frontend) table(routes byID) RoutingTable {
 	return rt
 }
 
-// SetTable installs a new routing table (control plane push, §5).
+// SetTable replaces the routing table with the next generation's.
 func (f *Frontend) SetTable(routes byID) error {
-	return f.SetTableGen(f.table(routes), f.gen+1)
+	return f.setTableGen(routes, f.gen+1)
 }
 
-// setTableGen is SetTableGen by session ID.
+// setTableGen replaces the routing table as the control plane does, with a
+// delta from the held generation to gen: every session in routes is set
+// and every other routed session removed.
 func (f *Frontend) setTableGen(routes byID, gen uint64) error {
-	return f.SetTableGen(f.table(routes), gen)
+	d := deltaByID{FromGen: f.gen, Gen: gen, Set: routes}
+	for _, id := range f.Sessions() {
+		if _, ok := routes[id]; !ok {
+			d.Remove = append(d.Remove, id)
+		}
+	}
+	return f.applyDelta(d)
 }
 
 // applyDelta is ApplyDelta by session ID.
@@ -95,6 +103,11 @@ func (f *Frontend) state(id string) *sessionState {
 		return nil
 	}
 	return &f.sessions[h]
+}
+
+// LeaseExpired reports whether the routing table has outlived its TTL.
+func (f *Frontend) LeaseExpired() bool {
+	return f.leaseTTL > 0 && f.RouteStaleness() > f.leaseTTL
 }
 
 // next is Frontend.pick for tests that run with breakers off, where a pick

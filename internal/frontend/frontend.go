@@ -40,13 +40,12 @@ type SessionRoutes struct {
 	Routes  []Route
 }
 
-// TableDelta is an incremental routing update: the control plane sends only
-// the sessions whose routes changed since the generation it last pushed,
-// instead of replacing the whole table. FromGen names the generation the
-// delta applies on top of; a frontend holding any other generation (it
-// missed a push, or repaired routes locally after a backend death) rejects
-// the delta with ErrStaleDelta so the control plane falls back to a full
-// SetTableGen resync.
+// TableDelta is an incremental routing update, and the only way routes
+// enter a frontend: the control plane sends only the sessions whose routes
+// changed since the generation it last pushed (every session, onto the
+// empty generation-0 table, for the first install). FromGen names the
+// generation the delta applies on top of; a frontend holding any other
+// generation rejects it with ErrStaleDelta.
 type TableDelta struct {
 	FromGen uint64
 	Gen     uint64
@@ -57,8 +56,10 @@ type TableDelta struct {
 }
 
 // ErrStaleDelta reports a generation mismatch between a delta and the
-// frontend's routing state; the sender must full-resync.
-var ErrStaleDelta = errors.New("frontend: delta generation mismatch, full resync required")
+// frontend's routing state. The control plane is the frontend's only
+// writer and pushes every generation to every frontend, so it never sees
+// this error unless that contract breaks.
+var ErrStaleDelta = errors.New("frontend: delta generation mismatch")
 
 // DropFunc observes every request the frontend loses, with the reason:
 // DropUnroutable (no route for the session, or route lease expired),
@@ -116,9 +117,6 @@ type Frontend struct {
 	// the scheduler's last published table.
 	sessions []sessionState
 	gen      uint64
-	// tableVersion counts routing-table changes (control-plane pushes and
-	// failure repairs), for telemetry.
-	tableVersion uint64
 	// dispatches and retries count routed requests and retry re-sends over
 	// the frontend's lifetime, for telemetry.
 	dispatches uint64
@@ -306,78 +304,41 @@ func (f *Frontend) SetExtraDelay(d time.Duration) {
 	f.extraDelay = d
 }
 
-// SetTableGen installs a full routing table stamped with the control
-// plane's generation: the first publish, and the resync of a frontend whose
-// generation diverged. Every session gets fresh dispatch state that keeps
-// its rate count; sessions without routes in rt lose theirs. An invalid
-// table changes nothing.
-func (f *Frontend) SetTableGen(rt RoutingTable, gen uint64) error {
-	memo := routeMemo{}
-	for h, routes := range rt {
-		if routes != nil {
-			if _, err := f.resolve(memo, session.Handle(h), routes); err != nil {
-				return err
-			}
-		}
-	}
-	for h := range f.sessions {
-		f.sessions[h].route(nil)
-	}
-	if n := len(rt); n > 0 {
-		f.sessions = session.Fit(f.sessions, session.Handle(n-1))
-	}
-	for h, routes := range rt {
-		if routes != nil {
-			f.sessions[h].route(memo[routeListOf(routes)])
-		}
-	}
-	f.installed(gen)
-	return nil
-}
-
 // ApplyDelta applies an incremental routing update on top of the current
-// table. Sessions in d.Remove lose their routes, sessions in d.Set get
-// fresh dispatch state, and every other session keeps its state, including
-// the smooth-WRR accumulator, so an unchanged session's replica split is
-// not perturbed by other sessions' route changes. Rate counts survive
-// either way. A generation mismatch (missed push, or local route repair
-// after a backend death) returns ErrStaleDelta without touching anything;
-// the caller resyncs with SetTableGen. An invalid delta changes nothing
-// either.
+// table; it is the only way routes enter a frontend. Sessions in d.Remove
+// lose their routes, sessions in d.Set get fresh dispatch state, and every
+// other session keeps its state, including the smooth-WRR accumulator, so
+// an unchanged session's replica split is not perturbed by other sessions'
+// route changes. Rate counts survive either way. A generation mismatch
+// returns ErrStaleDelta and an invalid delta an error, both without
+// touching anything.
 func (f *Frontend) ApplyDelta(d TableDelta) error {
 	if f.gen != d.FromGen {
 		return fmt.Errorf("%w (have generation %d, delta from %d)", ErrStaleDelta, f.gen, d.FromGen)
 	}
 	memo := routeMemo{}
+	top := -1 // highest handle in d.Set, so the state grows once per install
 	for _, e := range d.Set {
 		if _, err := f.resolve(memo, e.Session, e.Routes); err != nil {
 			return err
 		}
+		top = max(top, int(e.Session))
 	}
 	for _, h := range d.Remove {
 		if int(h) < len(f.sessions) {
 			f.sessions[h].route(nil)
 		}
 	}
+	if top >= 0 {
+		f.sessions = session.Fit(f.sessions, session.Handle(top))
+	}
 	for _, e := range d.Set {
-		f.sessions = session.Fit(f.sessions, e.Session)
 		f.sessions[e.Session].route(memo[routeListOf(e.Routes)])
 	}
-	f.installed(d.Gen)
+	f.gen = d.Gen
+	f.RenewRouteLease()
 	return nil
 }
-
-// installed records a control-plane install of generation gen.
-func (f *Frontend) installed(gen uint64) {
-	f.gen = gen
-	f.tableVersion++
-	f.RenewRouteLease()
-}
-
-// Generation returns the control-plane generation of the routing state the
-// frontend currently holds. Local route repairs bump it off the control
-// plane's sequence, which is what makes the next delta detectably stale.
-func (f *Frontend) Generation() uint64 { return f.gen }
 
 // routeList identifies a []Route by its backing array and length: two
 // slices with the same key hold the same routes, as long as both stay
@@ -528,51 +489,10 @@ func (f *Frontend) drop(req workload.Request, reason backend.Outcome) {
 	}
 }
 
-// RemoveBackend repairs the routing state after a backend is declared
-// dead: every route to it is deleted. Smooth-WRR weights are
-// proportional, which redistributes the dead replica's share across the
-// survivors of each session automatically; the session's WRR accumulator
-// is reset so stale credit cannot skew the new split. Sessions whose last
-// replica died become unroutable until the control plane re-plans. Returns
-// the number of sessions whose routes changed. A repair advances the
-// generation off the control plane's sequence, so the next routing delta
-// is rejected and the control plane resyncs in full.
-func (f *Frontend) RemoveBackend(beID string) int {
-	affected := 0
-	// Sessions sharing a resolved list share its repaired list too, so a
-	// backend death does not give each of them a private copy. A resolved
-	// list is never resliced, so its first element identifies it.
-	kept := make(map[*resolvedRoute][]resolvedRoute)
-	for h := range f.sessions {
-		st := &f.sessions[h]
-		if len(st.routes) == 0 {
-			continue
-		}
-		keep, ok := kept[&st.routes[0]]
-		if !ok {
-			for _, r := range st.routes {
-				if r.BackendID != beID {
-					keep = append(keep, r)
-				}
-			}
-			kept[&st.routes[0]] = keep
-		}
-		if len(keep) == len(st.routes) {
-			continue
-		}
-		affected++
-		st.route(keep)
-	}
-	if affected > 0 {
-		f.gen++
-		f.tableVersion++
-	}
-	return affected
-}
-
-// TableVersion returns how many times the routing table has changed
-// (control-plane pushes plus failure repairs).
-func (f *Frontend) TableVersion() uint64 { return f.tableVersion }
+// TableVersion returns the control-plane generation of the routes the
+// frontend holds. The control plane numbers its pushes 1, 2, ... and
+// delivers each to every frontend, so this is also the install count.
+func (f *Frontend) TableVersion() uint64 { return f.gen }
 
 // Dispatches returns how many requests this frontend has routed (excludes
 // unroutable admission drops, which never reached a backend).

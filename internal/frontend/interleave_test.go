@@ -15,13 +15,15 @@ import (
 )
 
 // TestInterleavedControlPlaneAndDispatch replays one seeded interleaving of
-// dispatches with every mutation the frontend accepts — full pushes
-// (SetTable, SetTableGen), routing deltas, backend-death repairs
-// (RemoveBackend), breaker trips and recoveries driven by crashing and
-// restarting backends — and clock steps, all on one goroutine as in a
-// deployment. Every dispatched request must end exactly once, served or
-// dropped with a cause, and a delta built on a generation the frontend no
-// longer holds must be rejected so the control plane resyncs in full.
+// dispatches with every mutation the frontend accepts — routing deltas
+// that replace the whole table, change a few sessions, or drop a dead
+// backend's routes as the control plane's failure repair does, breaker
+// trips and recoveries driven by crashing and restarting backends — and
+// clock steps, all on one goroutine as in a deployment. Every dispatched
+// request must end exactly once, served or dropped with a cause; a delta
+// built on a generation the frontend does not hold must be rejected
+// without effect; and the frontend must end holding exactly the table the
+// control plane pushed.
 func TestInterleavedControlPlaneAndDispatch(t *testing.T) {
 	const (
 		seed     = 1
@@ -79,22 +81,26 @@ func TestInterleavedControlPlaneAndDispatch(t *testing.T) {
 		return rt
 	}
 
-	// gen is the control plane's generation; repaired records a local
-	// repair since its last push, which must make the next delta stale.
+	// cur is the table the control plane last pushed, at generation gen.
+	cur := full()
 	gen := uint64(1)
-	repaired := false
-	if err := fe.setTableGen(full(), gen); err != nil {
+	if err := fe.setTableGen(cur, gen); err != nil {
 		t.Fatal(err)
 	}
-	resync := func() {
-		gen++
-		if err := fe.setTableGen(full(), gen); err != nil {
-			t.Fatal(err)
+	push := func(d deltaByID) {
+		if err := fe.applyDelta(d); err != nil {
+			t.Fatalf("delta on generation %d: %v", gen, err)
 		}
-		repaired = false
+		for _, id := range d.Remove {
+			delete(cur, id)
+		}
+		for id, routes := range d.Set {
+			cur[id] = routes
+		}
+		gen++
 	}
 	var sent uint64
-	stale := 0
+	stale, repairs := 0, 0
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(20); {
 		case op < 10: // a burst of dispatches, one session past the table
@@ -109,12 +115,17 @@ func TestInterleavedControlPlaneAndDispatch(t *testing.T) {
 		case op < 13:
 			clock.RunUntil(clock.Now() + time.Duration(rng.Intn(20))*time.Millisecond)
 		case op == 13:
-			if err := fe.SetTable(full()); err != nil {
+			next := full()
+			if err := fe.SetTable(next); err != nil {
 				t.Fatal(err)
 			}
-			gen, repaired = fe.Generation(), false
-		case op == 14:
-			resync()
+			cur, gen = next, gen+1
+		case op == 14: // a delta from a generation the frontend left behind
+			err := fe.applyDelta(deltaByID{FromGen: gen - 1, Gen: gen + 1, Remove: []string{"s0"}})
+			if !errors.Is(err, ErrStaleDelta) {
+				t.Fatalf("step %d: delta from generation %d = %v, want ErrStaleDelta", step, gen-1, err)
+			}
+			stale++
 		case op < 17:
 			d := deltaByID{FromGen: gen, Gen: gen + 1, Set: byID{
 				fmt.Sprintf("s%d", rng.Intn(sessions)): routes(),
@@ -122,25 +133,11 @@ func TestInterleavedControlPlaneAndDispatch(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				d.Remove = []string{fmt.Sprintf("s%d", rng.Intn(sessions))}
 			}
-			err := fe.applyDelta(d)
-			switch {
-			case repaired:
-				if !errors.Is(err, ErrStaleDelta) {
-					t.Fatalf("step %d: delta after a local repair = %v, want ErrStaleDelta", step, err)
-				}
-				stale++
-				resync()
-			case err != nil:
-				t.Fatalf("step %d: delta on generation %d: %v", step, gen, err)
-			default:
-				gen++
-			}
-		case op == 17:
-			if fe.RemoveBackend(ids[rng.Intn(len(ids))]) > 0 {
-				repaired = true
-				if fe.Generation() == gen {
-					t.Fatalf("step %d: repair kept control-plane generation %d", step, gen)
-				}
+			push(d)
+		case op == 17: // the control plane's repair after a backend death
+			if d := dropBackend(cur, ids[rng.Intn(len(ids))], gen); len(d.Set)+len(d.Remove) > 0 {
+				push(d)
+				repairs++
 			}
 		case op == 18: // crash: failed dispatches trip its breaker
 			backends[ids[rng.Intn(len(ids))]].Fail()
@@ -164,16 +161,29 @@ func TestInterleavedControlPlaneAndDispatch(t *testing.T) {
 	if len(ends) != int(sent) {
 		t.Fatalf("%d request IDs ended, %d dispatched", len(ends), sent)
 	}
-	t.Logf("%d requests ended %v; %d stale deltas, %d breaker transitions, %d retries",
-		sent, causes, stale, fe.BreakerTransitions(), fe.Retries())
+	t.Logf("%d requests ended %v; %d repairs, %d stale deltas, %d breaker transitions, %d retries",
+		sent, causes, repairs, stale, fe.BreakerTransitions(), fe.Retries())
+	if got := fe.snapshotByID(); len(got) != len(cur) {
+		t.Fatalf("frontend routes %d sessions, control plane pushed %d", len(got), len(cur))
+	}
+	for id, routes := range fe.snapshotByID() {
+		for i := range routes {
+			if len(routes) != len(cur[id]) || routes[i] != cur[id][i] {
+				t.Fatalf("session %s routes %v, control plane pushed %v", id, routes, cur[id])
+			}
+		}
+	}
+	if fe.TableVersion() != gen {
+		t.Fatalf("frontend holds generation %d, control plane pushed %d", fe.TableVersion(), gen)
+	}
 	// The interleaving must reach every path it claims to cover.
 	for _, o := range []backend.Outcome{backend.OK, backend.DropUnroutable, backend.DropFailure} {
 		if causes[o] == 0 {
 			t.Errorf("no request ended %v; outcomes %v", o, causes)
 		}
 	}
-	if stale == 0 {
-		t.Error("no delta was rejected stale after a local repair")
+	if stale == 0 || repairs == 0 {
+		t.Errorf("stale deltas %d, repairs %d: want both exercised", stale, repairs)
 	}
 	if fe.BreakerTransitions() == 0 || fe.Retries() == 0 {
 		t.Errorf("breaker transitions %d, retries %d: want both exercised",
@@ -195,9 +205,9 @@ func raceTable(backends map[string]*backend.Backend, n int) byID {
 }
 
 // TestConcurrentDispatchAgainstControlPlane interleaves eight dispatch
-// streams with control-plane churn — deltas, full resyncs and backend-death
-// repairs landing at seeded points mid-burst, before the burst's sends are
-// delivered. Every dispatch must be accounted for: routed or observed as a
+// streams with control-plane churn — deltas, whole-table replacements and
+// backend-death repairs landing at seeded points mid-burst, before the
+// burst's sends are delivered. Every dispatch must be accounted for: routed or observed as a
 // drop, never lost or double-counted.
 func TestConcurrentDispatchAgainstControlPlane(t *testing.T) {
 	const (
@@ -218,8 +228,10 @@ func TestConcurrentDispatchAgainstControlPlane(t *testing.T) {
 	var sent uint64
 	gen := uint64(1)
 	// churn is the control plane's turn: a delta that rewrites half the
-	// sessions and, on odd phases, a backend repair and a full resync.
+	// sessions and, on odd phases, a backend repair and a whole-table
+	// replacement.
 	churn := func(phase int) {
+		rt := raceTable(backends, sessions)
 		set := make(byID, sessions/2)
 		for i := 0; i < sessions/2; i++ {
 			set[fmt.Sprintf("s%02d", i)] = []Route{
@@ -232,11 +244,16 @@ func TestConcurrentDispatchAgainstControlPlane(t *testing.T) {
 		}
 		gen++
 		if phase%2 == 1 {
-			fe.RemoveBackend("c")
-			if err := fe.setTableGen(raceTable(backends, sessions), gen+1); err != nil {
+			for id, routes := range set {
+				rt[id] = routes
+			}
+			if err := fe.applyDelta(dropBackend(rt, "c", gen)); err != nil {
 				t.Fatal(err)
 			}
-			gen++
+			if err := fe.setTableGen(raceTable(backends, sessions), gen+2); err != nil {
+				t.Fatal(err)
+			}
+			gen += 2
 		}
 	}
 	for phase := 0; phase < phases; phase++ {

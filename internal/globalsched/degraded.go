@@ -63,6 +63,8 @@ func (s *Scheduler) SetOutage(down bool) bool {
 // stale (wrong incarnation) and rejected back to the free pool; a
 // surviving instance is re-adopted with a fresh lease grace period. Then
 // the first post-outage epoch runs immediately, its publish rate-limited.
+// If that epoch fails, the last plan's routes go out without the dropped
+// replicas instead.
 func (s *Scheduler) recover() {
 	s.recoveries++
 	now := s.clock.Now()
@@ -94,16 +96,12 @@ func (s *Scheduler) recover() {
 			}
 		}
 	}
-	if dropped > 0 {
-		// dropReplica surgically repaired the frontends' tables behind the
-		// delta stream's back, and the recovery plan may re-acquire the very
-		// same backend IDs — an empty diff against lastTable would then skip
-		// the push and leave the frontends routeless. Forget the baseline so
-		// the first post-outage publish is a full resync.
-		s.lastTable = nil
-	}
 	s.recoveryPending = true
-	_ = s.RunEpoch()
+	if err := s.RunEpoch(); err != nil && dropped > 0 && s.prevPlan != nil {
+		// No recovery plan went out, so the frontends still route to the
+		// dropped replicas: publish the last plan without them.
+		_ = s.publishRoutes(s.prevPlan)
+	}
 }
 
 // CutControl severs (cut) or restores the scheduler<->backend control link

@@ -277,6 +277,45 @@ func TestRecoveryCappedPublish(t *testing.T) {
 	}
 }
 
+// TestRecoveryKeepsHealthyRoutes: a backend that dies during an outage
+// costs only its own sessions' routes. The capped first post-outage
+// publish is a delta against the table the frontends hold, so sessions on
+// healthy backends stay routable right after recovery, not only once the
+// staged flushes land.
+func TestRecoveryKeepsHealthyRoutes(t *testing.T) {
+	cfg := degradedConfig()
+	cfg.Heartbeat = 0
+	cfg.RecoveryMaxRouteChanges = 1
+	e := newEnv(t, cfg, 8)
+	sessions := []string{"s0", "s1", "s2"}
+	models := []string{model.ResNet50, model.InceptionV3, model.Darknet53}
+	for i, sid := range sessions {
+		if _, err := e.sched.AddSession(SessionSpec{
+			ID: sid, ModelID: models[i], SLO: 150 * time.Millisecond, ExpectedRate: 100,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.sched.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if got := assignedBackends(e); len(got) != 3 {
+		t.Fatalf("backends = %v, want three nodes", got)
+	}
+	e.clock.RunUntil(time.Second)
+
+	e.sched.SetOutage(true)
+	e.pool.Get(assignedBackends(e)[0]).Fail()
+	e.sched.SetOutage(false)
+
+	if got := e.fe.Sessions(); len(got) != len(sessions) {
+		t.Fatalf("routable sessions right after recovery = %v, want %v", got, sessions)
+	}
+	if diff := e.sched.OutOfSync(e.fe); diff != "" {
+		t.Fatal(diff)
+	}
+}
+
 // TestEmptyDeltaEpochRenewsLease: an epoch whose routing delta is empty
 // pushes nothing but still renews the frontends' route leases, so a
 // healthy idle scheduler never lets a lease lapse.

@@ -1,6 +1,12 @@
 package globalsched
 
-import "nexus/internal/scheduler"
+import (
+	"fmt"
+
+	"nexus/internal/frontend"
+	"nexus/internal/scheduler"
+	"nexus/internal/session"
+)
 
 // Accessors only the tests use.
 
@@ -18,4 +24,29 @@ func (s *Scheduler) Assignments() map[string][]string {
 		out[k] = append([]string(nil), v...)
 	}
 	return out
+}
+
+// OutOfSync describes how fe's routing state differs from the scheduler's
+// last publish, or returns "" when fe holds exactly that table at that
+// generation — the state the control plane, as the frontends' only writer,
+// must keep them in.
+func (s *Scheduler) OutOfSync(fe *frontend.Frontend) string {
+	if gen := fe.TableVersion(); gen != s.pubGen {
+		return fmt.Sprintf("frontend holds generation %d, scheduler published %d", gen, s.pubGen)
+	}
+	held := fe.TableSnapshot()
+	for h := 0; h < max(len(held), len(s.lastTable)); h++ {
+		var got, want []frontend.Route
+		if h < len(held) {
+			got = held[h]
+		}
+		if h < len(s.lastTable) {
+			want = s.lastTable[h]
+		}
+		if !routesEqual(got, want) {
+			return fmt.Sprintf("session %s: frontend routes %v, scheduler published %v",
+				s.names.ID(session.Handle(h)), got, want)
+		}
+	}
+	return ""
 }

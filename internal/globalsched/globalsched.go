@@ -8,7 +8,6 @@
 package globalsched
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -191,7 +190,7 @@ type Scheduler struct {
 	crossShardMoves int
 
 	// Route-publish state: the generation and table of the last successful
-	// publish, plus push counters for telemetry.
+	// publish, which every frontend holds, plus push counters for telemetry.
 	pubGen        uint64
 	lastTable     frontend.RoutingTable
 	deltaPushes   uint64
@@ -407,11 +406,12 @@ func (s *Scheduler) checkLeases() {
 }
 
 // handleFailure is the emergency recovery path for one dead backend:
-// (a) every frontend's routing table is repaired immediately, shifting the
-// dead replica's traffic share onto survivors; (b) a replacement GPU is
-// acquired from the pool, configured with the dead node's plan units, and
-// adopted; (c) repaired routes are republished. Requests already queued or
-// in flight on the dead node were accounted as failures when it crashed.
+// (a) the dead replica leaves its node; (b) a replacement GPU is acquired
+// from the pool, configured with the dead node's plan units, and adopted;
+// (c) the repaired routes go out as a delta, shifting the dead replica's
+// traffic share onto the survivors and the replacement. Requests already
+// queued or in flight on the dead node were accounted as failures when it
+// crashed.
 func (s *Scheduler) handleFailure(nodeID, beID string) {
 	s.failures++
 	s.dropReplica(nodeID, beID)
@@ -1123,9 +1123,9 @@ func (s *Scheduler) ShardTotals() (replanned, skipped, crossMoves int) {
 	return s.shardsReplanned, s.shardsSkipped, s.crossShardMoves
 }
 
-// RoutePushStats returns cumulative routing-publish counters: delta pushes
-// applied, full-table pushes (initial publishes and generation-mismatch
-// resyncs), and the total per-session entries carried by deltas.
+// RoutePushStats returns cumulative routing-publish counters, per
+// frontend: delta pushes, full-table pushes (the first publish, onto empty
+// frontends), and the total per-session entries carried by the deltas.
 func (s *Scheduler) RoutePushStats() (delta, full, sessions uint64) {
 	return s.deltaPushes, s.fullPushes, s.deltaSessions
 }
@@ -1184,32 +1184,22 @@ func (s *Scheduler) publishRoutes(plan *scheduler.Plan) error {
 	return s.publishDelta(table)
 }
 
-// publishDelta pushes the new routing table as a per-session delta against
-// the last published generation, the only way routes reach frontends (§5).
-// The first publish, with no baseline, installs the whole table; so does
-// the resync of a frontend that diverged (a local route repair after a
-// backend death bumps its generation, and it rejects the delta). An empty
-// delta means every frontend already holds exactly this table — the common
-// steady-state epoch — and nothing is pushed at all; route leases are still
-// renewed, so an idle but healthy scheduler keeps the data plane's leases
-// alive.
+// publishDelta pushes the new routing table to every frontend as a
+// per-session delta against the last published generation, the only way
+// routes reach frontends (§5); the first publish is the delta from the
+// empty generation 0. An empty delta means every frontend already holds
+// exactly this table — the common steady-state epoch — and nothing is
+// pushed at all; route leases are still renewed, so an idle but healthy
+// scheduler keeps the data plane's leases alive.
 func (s *Scheduler) publishDelta(table frontend.RoutingTable) error {
-	limit := s.cfg.RecoveryMaxRouteChanges
-	capped := s.recoveryPending && limit > 0
-	var set []frontend.SessionRoutes
-	var remove []session.Handle
-	// Without a baseline the whole table goes out, so there is nothing to
-	// diff — unless a capped recovery must stage it from an empty table.
-	if s.lastTable != nil || capped {
-		set, remove = s.tableDiff(s.lastTable, table)
-	}
-	if s.lastTable != nil && len(set) == 0 && len(remove) == 0 {
+	set, remove := s.tableDiff(s.lastTable, table)
+	if len(set) == 0 && len(remove) == 0 {
 		s.lastTable = table
 		s.recoveryPending = false
 		s.renewLeases()
 		return nil
 	}
-	if capped && len(set)+len(remove) > limit {
+	if limit := s.cfg.RecoveryMaxRouteChanges; s.recoveryPending && limit > 0 && len(set)+len(remove) > limit {
 		// First post-outage publish: stage the repair wave instead of
 		// thrashing every route at once. A capped subset goes out now;
 		// the rest follows in flushes until the diff converges.
@@ -1217,33 +1207,19 @@ func (s *Scheduler) publishDelta(table frontend.RoutingTable) error {
 	} else {
 		s.recoveryPending = false
 	}
-	gen := s.pubGen + 1
-	delta := frontend.TableDelta{FromGen: s.pubGen, Gen: gen, Set: set, Remove: remove}
+	delta := frontend.TableDelta{FromGen: s.pubGen, Gen: s.pubGen + 1, Set: set, Remove: remove}
 	for _, fe := range s.frontends {
-		if s.lastTable == nil {
-			// First publish: no baseline to delta against.
-			if err := fe.SetTableGen(table, gen); err != nil {
-				return err
-			}
-			s.fullPushes++
-			continue
-		}
-		err := fe.ApplyDelta(delta)
-		switch {
-		case err == nil:
-			s.deltaPushes++
-			s.deltaSessions += uint64(len(set) + len(remove))
-		case errors.Is(err, frontend.ErrStaleDelta):
-			if err := fe.SetTableGen(table, gen); err != nil {
-				return err
-			}
-			s.fullPushes++
-		default:
+		if err := fe.ApplyDelta(delta); err != nil {
 			return err
 		}
 	}
-	s.pubGen = gen
-	s.lastTable = table
+	if n := uint64(len(s.frontends)); s.pubGen == 0 {
+		s.fullPushes += n
+	} else {
+		s.deltaPushes += n
+		s.deltaSessions += n * uint64(len(set)+len(remove))
+	}
+	s.pubGen, s.lastTable = delta.Gen, table
 	return nil
 }
 
@@ -1251,6 +1227,11 @@ func (s *Scheduler) publishDelta(table frontend.RoutingTable) error {
 // whose routes changed or appeared go in set, vanished sessions in remove
 // (sorted by session ID, for determinism).
 func (s *Scheduler) tableDiff(prev, next frontend.RoutingTable) (set []frontend.SessionRoutes, remove []session.Handle) {
+	if n := len(next) - len(prev); n > 0 {
+		// Sessions past prev's end (all of them, on the first publish) can
+		// only be set: size for them once.
+		set = make([]frontend.SessionRoutes, 0, n)
+	}
 	for h, routes := range next {
 		if routes != nil && (h >= len(prev) || !routesEqual(prev[h], routes)) {
 			set = append(set, frontend.SessionRoutes{Session: session.Handle(h), Routes: routes})
@@ -1277,18 +1258,24 @@ func routesEqual(a, b []frontend.Route) bool {
 	return true
 }
 
-// sweepDead drops dead replicas from the node assignment and parks them in
-// the pool. With heartbeats enabled the lease monitor normally does this
-// first; without them, the epoch boundary is where a deployment notices
-// its crashed backends — epoch-granularity recovery, the baseline the
-// chaos experiments compare against.
+// sweepDead drops dead replicas from the node assignment, parks them in
+// the pool and republishes the routes without them. With heartbeats
+// enabled the lease monitor normally does this first; without them, the
+// epoch boundary is where a deployment notices its crashed backends —
+// epoch-granularity recovery, the baseline the chaos experiments compare
+// against.
 func (s *Scheduler) sweepDead() {
+	dropped := false
 	for _, nodeID := range s.sortedNodes() {
 		for _, beID := range s.nodeBackend[nodeID] {
 			if be := s.pool.Get(beID); be == nil || !be.Alive() {
 				s.dropReplica(nodeID, beID)
+				dropped = true
 			}
 		}
+	}
+	if dropped && s.prevPlan != nil {
+		_ = s.publishRoutes(s.prevPlan)
 	}
 }
 
@@ -1305,10 +1292,10 @@ func (s *Scheduler) sortedNodes() []string {
 
 // dropReplica is the one way a dead or unreachable backend leaves: it is
 // removed from its node's replicas, forgotten by the lease monitor and
-// released (the pool parks a dead node outside the free list), and every
-// frontend's routes are repaired around it. The node's replica list is
-// rebuilt rather than edited in place, so a caller may keep ranging over
-// the list it read before the call.
+// released (the pool parks a dead node outside the free list). It leaves
+// the frontends alone: each caller then publishes the routes around it.
+// The node's replica list is rebuilt rather than edited in place, so a
+// caller may keep ranging over the list it read before the call.
 func (s *Scheduler) dropReplica(nodeID, beID string) {
 	kept := s.nodeBackend[nodeID][:0:0]
 	for _, id := range s.nodeBackend[nodeID] {
@@ -1320,9 +1307,6 @@ func (s *Scheduler) dropReplica(nodeID, beID string) {
 	delete(s.lastBeat, beID)
 	delete(s.lastInc, beID)
 	s.pool.Release(beID)
-	for _, fe := range s.frontends {
-		fe.RemoveBackend(beID)
-	}
 }
 
 // release is the one way apply hands back a backend the plan no longer

@@ -76,6 +76,9 @@ func TestReplicaRemovalForgetsBackend(t *testing.T) {
 			if _, ok := e.sched.lastInc[victim]; ok {
 				t.Errorf("%s still has an incarnation entry", victim)
 			}
+			if diff := e.sched.OutOfSync(e.fe); diff != "" {
+				t.Error(diff)
+			}
 			routed := 0
 			for _, routes := range e.fe.TableSnapshot() {
 				for _, r := range routes {

@@ -148,54 +148,43 @@ func TestDeltaRoutingSteadyState(t *testing.T) {
 	}
 }
 
-// TestDeltaRoutingResyncAfterLocalRepair: a frontend that repaired routes
-// locally (backend death) diverges from the publish generation; the next
-// epoch's delta bounces and the control plane full-resyncs it.
-func TestDeltaRoutingResyncAfterLocalRepair(t *testing.T) {
-	e := newEnv(t, nexusConfig(), 32)
+// TestFailureRepairGoesOutAsDelta: the control plane is the frontends'
+// only writer, so a backend death reaches them as a delta of the repaired
+// routes, never as a full push, and they end holding the scheduler's
+// published table at its generation.
+func TestFailureRepairGoesOutAsDelta(t *testing.T) {
+	e := newEnv(t, degradedConfig(), 32)
 	addMixedSessions(t, e, 6)
 	if err := e.sched.RunEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	genBefore := e.fe.Generation()
-	// Simulate a local repair: the frontend deletes a backend's routes on
-	// its own and moves off the control plane's generation sequence.
-	// Pick the lexicographically smallest in-use backend: iterating the map
-	// directly made the victim — and therefore whether the repaired routes
-	// intersect the next epoch's plan — vary run to run.
-	var victim string
-	for beID := range e.pool.inUse {
-		if victim == "" || beID < victim {
-			victim = beID
+	e.clock.RunUntil(time.Second) // let beats flow
+	victim := assignedBackends(e)[0]
+	deltas, fulls, _ := e.sched.RoutePushStats()
+	e.pool.Get(victim).Fail()
+	e.clock.RunUntil(e.clock.Now() + time.Second)
+	e.sched.checkLeases()
+	if e.sched.Failures() != 1 {
+		t.Fatalf("failures = %d, want 1", e.sched.Failures())
+	}
+	deltasAfter, fullsAfter, _ := e.sched.RoutePushStats()
+	if fullsAfter != fulls || deltasAfter != deltas+1 {
+		t.Fatalf("repair pushes: deltas %d -> %d, fulls %d -> %d; want one delta and no full push",
+			deltas, deltasAfter, fulls, fullsAfter)
+	}
+	if diff := e.sched.OutOfSync(e.fe); diff != "" {
+		t.Fatal(diff)
+	}
+	for _, routes := range e.fe.TableSnapshot() {
+		for _, r := range routes {
+			if r.BackendID == victim {
+				t.Fatalf("a route still names dead %s", victim)
+			}
 		}
 	}
-	if e.fe.RemoveBackend(victim) == 0 {
-		t.Fatalf("backend %s had no routes to repair", victim)
-	}
-	if e.fe.Generation() == genBefore {
-		t.Fatal("local repair did not move the generation")
-	}
-	// Drive real traffic so the next epoch re-plans with changed rates and
-	// must push an update.
-	e.clock.RunUntil(2 * time.Second)
-	rng := rand.New(rand.NewSource(3))
-	e.stamp(workload.Start(e.clock, rng, "s00", 200*time.Millisecond, workload.Uniform{Rate: 400},
-		e.clock.Now()+6*time.Second, func(r workload.Request) { e.fe.Dispatch(r) }))
-	e.clock.RunUntil(9 * time.Second)
-	_, fullsBefore, _ := e.sched.RoutePushStats()
-	if err := e.sched.RunEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	_, fullsAfter, _ := e.sched.RoutePushStats()
-	if fullsAfter != fullsBefore+1 {
-		t.Fatalf("diverged frontend was not full-resynced: fulls %d -> %d", fullsBefore, fullsAfter)
-	}
-	// After the resync, generations re-align and the frontend serves the
-	// scheduler's full session set again.
 	if len(e.fe.Sessions()) != 6 {
-		t.Fatalf("routable sessions after resync = %v", e.fe.Sessions())
+		t.Fatalf("routable sessions after the repair = %v", e.fe.Sessions())
 	}
-	e.clock.Run()
 }
 
 // TestShardedAuditRecordsShard: audit placements, plan diffs, and health
