@@ -15,8 +15,8 @@ import (
 
 // recoveryFlushDelay spaces the staged flushes of a rate-limited
 // post-outage repair wave: each flush pushes at most
-// RecoveryMaxRouteChanges more session changes until the routing state
-// converges on the recovery plan.
+// RecoveryMaxRouteChanges more session changes until the frontends hold
+// the current plan's routes.
 const recoveryFlushDelay = time.Second
 
 // Down reports whether the scheduler is currently in an outage.
@@ -160,50 +160,33 @@ func (s *Scheduler) renewLeases() {
 
 // capRecovery bounds a post-outage publish to at most limit per-session
 // changes: removes first (they never point traffic at a wrong replica),
-// then sets, both in sorted session order for determinism. The returned
-// table is the partial state the frontends will actually hold, so the
-// next diff picks up exactly where this push stopped; the remainder is
-// flushed on a timer until the routing state converges on the full
-// recovery target.
-func (s *Scheduler) capRecovery(target frontend.RoutingTable, set []frontend.SessionRoutes,
-	remove []session.Handle, limit int) (frontend.RoutingTable, []frontend.SessionRoutes, []session.Handle) {
+// then sets, both in sorted session order for determinism. The remainder
+// is left to flushRecovery, which republishes the current plan's routes on
+// a timer until the delta drains.
+func (s *Scheduler) capRecovery(set []frontend.SessionRoutes, remove []session.Handle,
+	limit int) ([]frontend.SessionRoutes, []session.Handle) {
 	s.cappedPushes++
-	s.recoveryTarget = target
-
-	partial := append(make(frontend.RoutingTable, 0, len(target)), s.lastTable...)
-	budget := limit
-	cappedRemove := remove
-	if len(cappedRemove) > budget {
-		cappedRemove = cappedRemove[:budget]
-	}
-	for _, h := range cappedRemove {
-		partial[h] = nil
-	}
-	budget -= len(cappedRemove)
+	remove = remove[:min(len(remove), limit)]
 	sort.Slice(set, func(i, j int) bool { return s.names.ID(set[i].Session) < s.names.ID(set[j].Session) })
-	cappedSet := set
-	if len(cappedSet) > budget {
-		cappedSet = cappedSet[:budget]
-	}
-	for _, e := range cappedSet {
-		partial = session.Fit(partial, e.Session)
-		partial[e.Session] = e.Routes
-	}
+	set = set[:min(len(set), limit-len(remove))]
 	if !s.recoveryFlushArmed {
 		s.recoveryFlushArmed = true
 		s.clock.After(recoveryFlushDelay, s.flushRecovery)
 	}
-	return partial, cappedSet, cappedRemove
+	return set, remove
 }
 
 // flushRecovery publishes the next staged slice of a rate-limited repair
 // wave. Each slice is itself capped, so a large wave converges over
-// several flushes; an epoch that lands in between simply replaces the
-// recovery target with its newer table.
+// several flushes. Every writer of the node assignment and the member
+// units publishes right after writing, so republishing the current plan
+// continues the wave that the last capped push started. The exception is
+// an apply that fails after reassigning nodes: the flush then publishes
+// the current plan over the assignment the cluster actually has.
 func (s *Scheduler) flushRecovery() {
 	s.recoveryFlushArmed = false
-	if s.down || !s.recoveryPending || s.recoveryTarget == nil {
+	if s.down || !s.recoveryPending || s.prevPlan == nil {
 		return
 	}
-	_ = s.publishDelta(s.recoveryTarget)
+	_ = s.publishRoutes(s.prevPlan)
 }

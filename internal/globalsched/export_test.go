@@ -2,6 +2,7 @@ package globalsched
 
 import (
 	"fmt"
+	"slices"
 
 	"nexus/internal/frontend"
 	"nexus/internal/scheduler"
@@ -43,7 +44,7 @@ func (s *Scheduler) OutOfSync(fe *frontend.Frontend) string {
 		if h < len(s.lastTable) {
 			want = s.lastTable[h]
 		}
-		if !routesEqual(got, want) {
+		if !slices.Equal(got, want) {
 			return fmt.Sprintf("session %s: frontend routes %v, scheduler published %v",
 				s.names.ID(session.Handle(h)), got, want)
 		}

@@ -221,10 +221,9 @@ type Scheduler struct {
 	cutCtrl map[string]bool
 	lastInc map[string]uint32
 	// recoveryPending arms the rate-limited publish for the first
-	// post-outage plan; recoveryTarget is the full table the staged
-	// flushes converge to, and recoveryFlushArmed dedups flush timers.
+	// post-outage plan until a publish goes out uncapped;
+	// recoveryFlushArmed dedups flush timers.
 	recoveryPending    bool
-	recoveryTarget     frontend.RoutingTable
 	recoveryFlushArmed bool
 	// Degraded counters for telemetry.
 	recoveries   int
@@ -1159,9 +1158,15 @@ func (s *Scheduler) unitsFor(g *scheduler.GPUPlan) ([]backend.Unit, error) {
 	return units, nil
 }
 
-// publishRoutes derives the routing table from the plan and the current
-// node -> backend assignment and publishes it to every frontend. Each
-// unit's traffic splits evenly across its node's replica backends.
+// publishRoutes derives each session's routes from the plan and the current
+// node -> backend assignment and pushes them to every frontend as a
+// per-session delta against lastTable, the table every frontend holds at
+// pubGen: the only way routes reach frontends (§5). The first publish is
+// the delta from the empty generation 0. Each unit's traffic splits evenly
+// across its node's replica backends. An empty delta means every frontend
+// already holds these routes — the common steady-state epoch — and nothing
+// is pushed at all; route leases are still renewed, so an idle but healthy
+// scheduler keeps the data plane's leases alive.
 func (s *Scheduler) publishRoutes(plan *scheduler.Plan) error {
 	unitWeights := make(map[string][]frontend.Route)
 	for _, g := range plan.GPUs {
@@ -1175,26 +1180,31 @@ func (s *Scheduler) publishRoutes(plan *scheduler.Plan) error {
 			}
 		}
 	}
-	table := make(frontend.RoutingTable, len(s.memberUnit))
-	for h, unit := range s.memberUnit {
-		if routes := unitWeights[unit]; len(routes) > 0 {
-			table[h] = routes
+	// Sets go out ascending by handle, removes sorted by session ID (for
+	// determinism).
+	var set []frontend.SessionRoutes
+	var remove []session.Handle
+	if n := len(s.memberUnit) - len(s.lastTable); n > 0 {
+		// A nil entry is a session the frontends hold no routes for (all
+		// of them, before the first publish): grow the held table once,
+		// and size set for the new sessions, which can only be set.
+		s.lastTable = append(s.lastTable, make(frontend.RoutingTable, n)...)
+		set = make([]frontend.SessionRoutes, 0, n)
+	}
+	for h, held := range s.lastTable {
+		var routes []frontend.Route
+		if h < len(s.memberUnit) {
+			routes = unitWeights[s.memberUnit[h]]
+		}
+		switch {
+		case len(routes) > 0 && !slices.Equal(routes, held):
+			set = append(set, frontend.SessionRoutes{Session: session.Handle(h), Routes: routes})
+		case len(routes) == 0 && held != nil:
+			remove = append(remove, session.Handle(h))
 		}
 	}
-	return s.publishDelta(table)
-}
-
-// publishDelta pushes the new routing table to every frontend as a
-// per-session delta against the last published generation, the only way
-// routes reach frontends (§5); the first publish is the delta from the
-// empty generation 0. An empty delta means every frontend already holds
-// exactly this table — the common steady-state epoch — and nothing is
-// pushed at all; route leases are still renewed, so an idle but healthy
-// scheduler keeps the data plane's leases alive.
-func (s *Scheduler) publishDelta(table frontend.RoutingTable) error {
-	set, remove := s.tableDiff(s.lastTable, table)
+	sort.Slice(remove, func(i, j int) bool { return s.names.ID(remove[i]) < s.names.ID(remove[j]) })
 	if len(set) == 0 && len(remove) == 0 {
-		s.lastTable = table
 		s.recoveryPending = false
 		s.renewLeases()
 		return nil
@@ -1202,8 +1212,8 @@ func (s *Scheduler) publishDelta(table frontend.RoutingTable) error {
 	if limit := s.cfg.RecoveryMaxRouteChanges; s.recoveryPending && limit > 0 && len(set)+len(remove) > limit {
 		// First post-outage publish: stage the repair wave instead of
 		// thrashing every route at once. A capped subset goes out now;
-		// the rest follows in flushes until the diff converges.
-		table, set, remove = s.capRecovery(table, set, remove, limit)
+		// the rest follows in flushes until the delta drains.
+		set, remove = s.capRecovery(set, remove, limit)
 	} else {
 		s.recoveryPending = false
 	}
@@ -1219,43 +1229,14 @@ func (s *Scheduler) publishDelta(table frontend.RoutingTable) error {
 		s.deltaPushes += n
 		s.deltaSessions += n * uint64(len(set)+len(remove))
 	}
-	s.pubGen, s.lastTable = delta.Gen, table
+	s.pubGen = delta.Gen
+	for _, h := range remove {
+		s.lastTable[h] = nil
+	}
+	for _, e := range set {
+		s.lastTable[e.Session] = e.Routes
+	}
 	return nil
-}
-
-// tableDiff computes the per-session delta from prev to next: sessions
-// whose routes changed or appeared go in set, vanished sessions in remove
-// (sorted by session ID, for determinism).
-func (s *Scheduler) tableDiff(prev, next frontend.RoutingTable) (set []frontend.SessionRoutes, remove []session.Handle) {
-	if n := len(next) - len(prev); n > 0 {
-		// Sessions past prev's end (all of them, on the first publish) can
-		// only be set: size for them once.
-		set = make([]frontend.SessionRoutes, 0, n)
-	}
-	for h, routes := range next {
-		if routes != nil && (h >= len(prev) || !routesEqual(prev[h], routes)) {
-			set = append(set, frontend.SessionRoutes{Session: session.Handle(h), Routes: routes})
-		}
-	}
-	for h, routes := range prev {
-		if routes != nil && (h >= len(next) || next[h] == nil) {
-			remove = append(remove, session.Handle(h))
-		}
-	}
-	sort.Slice(remove, func(i, j int) bool { return s.names.ID(remove[i]) < s.names.ID(remove[j]) })
-	return set, remove
-}
-
-func routesEqual(a, b []frontend.Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // sweepDead drops dead replicas from the node assignment, parks them in

@@ -90,7 +90,7 @@ func (e *env) stamp(g *workload.Generator) {
 	g.Handle, _ = e.sched.names.Lookup(g.Session)
 }
 
-func newEnv(t *testing.T, cfg Config, poolSize int) *env {
+func newEnv(t testing.TB, cfg Config, poolSize int) *env {
 	t.Helper()
 	e := &env{clock: simclock.New()}
 	onDone := func(req backend.Request, outcome backend.Outcome, at time.Duration) {

@@ -1,6 +1,7 @@
 package globalsched_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -34,25 +35,45 @@ func TestFrontendsHoldPublishedRoutes(t *testing.T) {
 		BreakerThreshold: 3, BreakerCooloff: time.Second,
 		RecoveryMaxRouteChanges: 4,
 	}
+	// capped lets one session's routes change per recovery push, so a
+	// post-outage repair wave over six sessions is staged over several
+	// flushes.
+	capped := degraded
+	capped.GPUs, capped.RecoveryMaxRouteChanges = 8, 1
+	cappedEpochOnly := capped
+	cappedEpochOnly.Heartbeat = 0
 	for _, tc := range []struct {
 		name   string
 		cfg    cluster.Config
 		script faults.Script
+		// sessions is how many ResNet-50 sessions to deploy, with distinct
+		// SLOs so they form no prefix group. More than one also requires a
+		// capped push.
+		sessions int
 	}{
-		{"crash", chaos, faults.Script{{At: faultAt, Kind: faults.Crash, Backend: "be0"}}},
-		{"crash-epoch-only", epochOnly, faults.Script{{At: faultAt, Kind: faults.Crash, Backend: "be0"}}},
-		{"transient", chaos, faults.Script{{At: faultAt, Kind: faults.Crash, Backend: "be0", Duration: 3 * time.Second}}},
+		{"crash", chaos, faults.Script{{At: faultAt, Kind: faults.Crash, Backend: "be0"}}, 1},
+		{"crash-epoch-only", epochOnly, faults.Script{{At: faultAt, Kind: faults.Crash, Backend: "be0"}}, 1},
+		{"transient", chaos, faults.Script{{At: faultAt, Kind: faults.Crash, Backend: "be0", Duration: 3 * time.Second}}, 1},
 		{"control-partition", degraded, faults.Script{
-			{At: faultAt, Kind: faults.Partition, Link: faults.ControlLink, Backend: "be0", Duration: 6 * time.Second}}},
+			{At: faultAt, Kind: faults.Partition, Link: faults.ControlLink, Backend: "be0", Duration: 6 * time.Second}}, 1},
 		{"data-partition", degraded, faults.Script{
-			{At: faultAt, Kind: faults.Partition, Link: faults.DataLink, Backend: "be0", Duration: 6 * time.Second}}},
-		{"surge", degraded, faults.Script{{At: faultAt, Kind: faults.Surge, Factor: 3, Duration: 10 * time.Second}}},
+			{At: faultAt, Kind: faults.Partition, Link: faults.DataLink, Backend: "be0", Duration: 6 * time.Second}}, 1},
+		{"surge", degraded, faults.Script{{At: faultAt, Kind: faults.Surge, Factor: 3, Duration: 10 * time.Second}}, 1},
 		{"outage-with-crash", degraded, faults.Script{
 			{At: faultAt, Kind: faults.SchedulerOutage, Duration: 8 * time.Second},
-			{At: faultAt + 2*time.Second, Kind: faults.Crash, Backend: "be0"}}},
+			{At: faultAt + 2*time.Second, Kind: faults.Crash, Backend: "be0"}}, 1},
 		{"outage-with-crash-epoch-only", epochOnly, faults.Script{
 			{At: faultAt, Kind: faults.SchedulerOutage, Duration: 8 * time.Second},
-			{At: faultAt + 2*time.Second, Kind: faults.Crash, Backend: "be0"}}},
+			{At: faultAt + 2*time.Second, Kind: faults.Crash, Backend: "be0"}}, 1},
+		{"capped-outage-with-crashes", cappedEpochOnly, faults.Script{
+			{At: faultAt, Kind: faults.SchedulerOutage, Duration: 8 * time.Second},
+			{At: faultAt + 2*time.Second, Kind: faults.Crash, Backend: "be0"},
+			{At: faultAt + 3*time.Second, Kind: faults.Crash, Backend: "be1"}}, 6},
+		// The crash is detected 300 ms after it lands, so its repair
+		// publishes between the capped recovery push and its first flush.
+		{"capped-repair-before-flush", capped, faults.Script{
+			{At: faultAt, Kind: faults.SchedulerOutage, Duration: 8 * time.Second},
+			{At: faultAt + 8*time.Second + 500*time.Millisecond, Kind: faults.Crash, Backend: "be0"}}, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -61,10 +82,14 @@ func TestFrontendsHoldPublishedRoutes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.AddSession(globalsched.SessionSpec{
-				ID: "s", ModelID: model.ResNet50, SLO: 100 * time.Millisecond, ExpectedRate: 1500,
-			}, workload.Uniform{Rate: 1500}); err != nil {
-				t.Fatal(err)
+			for i := range tc.sessions {
+				rate := 1500.0 / float64(tc.sessions)
+				if err := d.AddSession(globalsched.SessionSpec{
+					ID: fmt.Sprintf("s%d", i), ModelID: model.ResNet50,
+					SLO: time.Duration(100+10*i) * time.Millisecond, ExpectedRate: rate,
+				}, workload.Uniform{Rate: rate}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			in := faults.New(d.Clock, d, 7)
 			if err := in.Schedule(tc.script); err != nil {
@@ -95,6 +120,9 @@ func TestFrontendsHoldPublishedRoutes(t *testing.T) {
 			}
 			if len(gens) < 3 {
 				t.Fatalf("%d checks saw generations %v, want the routes republished", checks, gens)
+			}
+			if tc.sessions > 1 && d.Sched.CappedPushes() == 0 {
+				t.Fatal("no recovery push was capped")
 			}
 		})
 	}
