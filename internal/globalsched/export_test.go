@@ -11,12 +11,13 @@ import (
 
 // Accessors only the tests use.
 
-// LastMoveStats returns the disturbance of the latest incremental epoch.
+// LastMoveStats returns the moves of the last applied plan: DiffPlans
+// against the plan it replaced.
 func (s *Scheduler) LastMoveStats() scheduler.MoveStats { return s.lastStats }
 
-// LastShardStats returns the accepted planning pass of the latest epoch
-// (zero value unless Partitioned).
-func (s *Scheduler) LastShardStats() scheduler.ShardStats { return s.lastShardStats }
+// LastShardStats returns the planning pass of the last applied plan (zero
+// value unless Partitioned).
+func (s *Scheduler) LastShardStats() scheduler.ShardStats { return s.lastShard }
 
 // Assignments returns the current node -> replica backend IDs mapping.
 func (s *Scheduler) Assignments() map[string][]string {

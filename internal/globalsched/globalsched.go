@@ -152,9 +152,12 @@ type Scheduler struct {
 	// the group's planning session ID and its model ID.
 	groups map[string]prefixGroup
 
-	epochs    int
-	lastStats scheduler.MoveStats
-	ticker    *simclock.Ticker
+	epochs int
+	// lastStats is DiffPlans of the last applied plan against the one
+	// before it; totalMoved sums its SessionsMoved over every applied plan.
+	lastStats  scheduler.MoveStats
+	totalMoved int
+	ticker     *simclock.Ticker
 
 	// gammaEst smooths per-edge fan-out observations across epochs so the
 	// latency-split DP does not chase workload noise.
@@ -171,8 +174,6 @@ type Scheduler struct {
 	// epochProf is the planning view of the last plan's models, built once
 	// per plan by planProfiles.
 	epochProf map[string]*profiler.Profile
-	// totalMoved accumulates SessionsMoved across incremental epochs.
-	totalMoved int
 	// lastDemand is the GPU count the last plan asked for before any
 	// capacity-driven rate scaling (what the workload wanted, not what the
 	// pool could grant).
@@ -181,13 +182,12 @@ type Scheduler struct {
 	// was computed for (stability guard).
 	lastPlannedRates map[string]float64
 
-	// planner is the squishy packer. lastShardStats and the cumulative
-	// shard counters below stay zero unless the plan is Partitioned.
-	planner         *scheduler.ShardPlanner
-	lastShardStats  scheduler.ShardStats
-	shardsReplanned int
-	shardsSkipped   int
-	crossShardMoves int
+	// planner is the squishy packer. lastShard (the pass of the last
+	// applied plan) and shardTotals (the sums over applied plans) stay zero
+	// unless the plan is Partitioned.
+	planner     *scheduler.ShardPlanner
+	lastShard   scheduler.ShardStats
+	shardTotals scheduler.ShardStats
 
 	// Route-publish state: the generation and table of the last successful
 	// publish, which every frontend holds, plus push counters for telemetry.
@@ -304,7 +304,7 @@ func (s *Scheduler) AddQuery(spec QuerySpec) error {
 // Epochs returns how many epochs have run.
 func (s *Scheduler) Epochs() int { return s.epochs }
 
-// TotalMoved returns cumulative session movements across epochs.
+// TotalMoved returns the sessions moved by every applied plan so far.
 func (s *Scheduler) TotalMoved() int { return s.totalMoved }
 
 // Plan returns the current cluster plan (nil before the first epoch).
@@ -426,14 +426,7 @@ func (s *Scheduler) handleFailure(nodeID, beID string) {
 		// waiting for the next epoch's full placement diff.
 		changes := []trace.PlanChange{{Kind: "replica-removed", Node: nodeID, From: beID}}
 		for _, id := range s.nodeBackend[nodeID] {
-			found := false
-			for _, old := range kept {
-				if old == id {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(kept, id) {
 				changes = append(changes, trace.PlanChange{Kind: "replica-added", Node: nodeID, To: id})
 			}
 		}
@@ -481,7 +474,6 @@ func (s *Scheduler) RunEpoch() error {
 		return nil
 	}
 	s.epochs++
-	s.lastStats = scheduler.MoveStats{}
 	// Shed replicas that died since the last epoch before planning, so the
 	// packer sees the shrunken grantable capacity and the assignment loops
 	// below replace the dead nodes.
@@ -498,10 +490,18 @@ func (s *Scheduler) RunEpoch() error {
 	if err := s.apply(plan, routingMembers); err != nil {
 		return err
 	}
+	s.lastStats = scheduler.DiffPlans(s.prevPlan, plan)
+	s.totalMoved += s.lastStats.SessionsMoved
 	if pass != nil {
 		// Commit only an applied plan: the next epoch re-plans against what
 		// the cluster actually runs, not a plan the pool could not host.
 		s.planner.Commit(pass)
+		if s.Partitioned() {
+			s.lastShard = pass.Stats
+			s.shardTotals.Replanned += pass.Stats.Replanned
+			s.shardTotals.Skipped += pass.Stats.Skipped
+			s.shardTotals.CrossShardMoves += pass.Stats.CrossShardMoves
+		}
 	}
 	s.prevPlan = plan
 	s.auditEpoch(plan)
@@ -563,9 +563,9 @@ func (s *Scheduler) Explain() telemetry.HealthReport {
 		GPUsAllocated:   s.pool.InUse(),
 		GPUsCapacity:    s.pool.Capacity(),
 		SessionsMoved:   s.lastStats.SessionsMoved,
-		ShardsReplanned: s.lastShardStats.Replanned,
-		ShardsSkipped:   s.lastShardStats.Skipped,
-		CrossShardMoves: s.lastShardStats.CrossShardMoves,
+		ShardsReplanned: s.lastShard.Replanned,
+		ShardsSkipped:   s.lastShard.Skipped,
+		CrossShardMoves: s.lastShard.CrossShardMoves,
 	}
 	if s.prevPlan == nil {
 		return rep
@@ -1081,20 +1081,12 @@ func (s *Scheduler) plan(sessions []scheduler.Session) (*scheduler.Plan, *schedu
 		if err != nil {
 			return nil, nil, err
 		}
-		s.lastStats = res.Stats.MoveStats
-		s.totalMoved += res.Stats.SessionsMoved
 		if iter == 0 {
 			// Demand is what the unscaled workload asked for, recorded
 			// before admission control shrinks rates to fit the pool.
 			s.lastDemand = res.Plan.GPUCount()
 		}
 		if capacity <= 0 || res.Plan.GPUCount() <= capacity {
-			if s.Partitioned() {
-				s.lastShardStats = res.Stats
-				s.shardsReplanned += res.Stats.Replanned
-				s.shardsSkipped += res.Stats.Skipped
-				s.crossShardMoves += res.Stats.CrossShardMoves
-			}
 			return res.Plan, res, nil
 		}
 		if iter >= 20 {
@@ -1115,11 +1107,12 @@ func (s *Scheduler) plan(sessions []scheduler.Session) (*scheduler.Plan, *schedu
 // counters) appears only then, so a one-shard plan carries none of it.
 func (s *Scheduler) Partitioned() bool { return s.planner.Shards() >= 2 }
 
-// ShardTotals returns cumulative shard-planner counters: shards replanned,
-// shards skipped by the hysteresis band, and sessions migrated across
-// shards by the rebalance step (all zero unless Partitioned).
+// ShardTotals sums the shard-planner counters of every applied plan:
+// shards replanned, shards skipped by the hysteresis band, and sessions
+// migrated across shards by the rebalance step (all zero unless
+// Partitioned).
 func (s *Scheduler) ShardTotals() (replanned, skipped, crossMoves int) {
-	return s.shardsReplanned, s.shardsSkipped, s.crossShardMoves
+	return s.shardTotals.Replanned, s.shardTotals.Skipped, s.shardTotals.CrossShardMoves
 }
 
 // RoutePushStats returns cumulative routing-publish counters, per

@@ -13,6 +13,7 @@ import (
 	"nexus/internal/model"
 	"nexus/internal/profiler"
 	"nexus/internal/queryopt"
+	"nexus/internal/scheduler"
 	"nexus/internal/session"
 	"nexus/internal/simclock"
 	"nexus/internal/workload"
@@ -479,6 +480,70 @@ func TestUnappliedPlanNotCommitted(t *testing.T) {
 			}
 			if e.sched.Plan().SessionRate("late") <= 0 {
 				t.Fatal("the new session is not planned")
+			}
+		})
+	}
+}
+
+// TestTotalMovedCountsAppliedPlans: the moved-session total sums the moves
+// of applied plans only, each measured by DiffPlans between consecutive
+// committed plans. Demand outgrows the pool, so every epoch plans more
+// than once before admission control fits it, and the last epoch's plan is
+// refused by the pool: neither the discarded passes nor the refused plan
+// may count, in the moves or in the shard counters.
+func TestTotalMovedCountsAppliedPlans(t *testing.T) {
+	const pool, epochs = 6, 5
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := nexusConfig()
+			cfg.Shards = shards
+			e := newEnv(t, cfg, pool)
+			addMixedSessions(t, e, 6)
+			for i := 0; i < 3; i++ {
+				if _, err := e.sched.AddSession(SessionSpec{
+					ID: fmt.Sprintf("heavy%d", i), ModelID: model.Darknet53,
+					SLO: 200 * time.Millisecond, ExpectedRate: 600,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sum := 0
+			for epoch := 1; epoch <= epochs; epoch++ {
+				if epoch == epochs {
+					// A heavy new session needs GPUs the pool will not grant.
+					if _, err := e.sched.AddSession(SessionSpec{
+						ID: "late", ModelID: model.ResNet50, SLO: 200 * time.Millisecond, ExpectedRate: 2000,
+					}); err != nil {
+						t.Fatal(err)
+					}
+					e.pool.deny = true
+				}
+				prev := e.sched.Plan()
+				replanned, _, _ := e.sched.ShardTotals()
+				err := e.sched.RunEpoch()
+				if e.pool.deny {
+					if err == nil {
+						t.Fatal("epoch applied a plan the pool refused to host")
+					}
+					if again, _, _ := e.sched.ShardTotals(); again != replanned {
+						t.Fatalf("refused epoch counted %d replanned shards", again-replanned)
+					}
+				} else if err != nil {
+					t.Fatalf("epoch %d: %v", epoch, err)
+				} else {
+					if demanded := e.sched.GPUsDemanded(); demanded <= pool {
+						t.Fatalf("epoch %d: demanded %d GPUs, want more than the %d-GPU pool", epoch, demanded, pool)
+					}
+					got := e.sched.LastMoveStats()
+					if want := scheduler.DiffPlans(prev, e.sched.Plan()); got != want {
+						t.Fatalf("epoch %d: LastMoveStats = %+v, DiffPlans of the committed plans = %+v", epoch, got, want)
+					}
+					sum += got.SessionsMoved
+				}
+				if total := e.sched.TotalMoved(); total != sum {
+					t.Fatalf("epoch %d: TotalMoved = %d, applied plans moved %d", epoch, total, sum)
+				}
+				e.clock.RunUntil(e.clock.Now() + 10*time.Second)
 			}
 		})
 	}

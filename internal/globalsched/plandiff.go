@@ -180,8 +180,8 @@ func (s *Scheduler) auditPlanDiff(nowMS float64, recs []trace.PlacementRecord) {
 	rec := trace.PlanDiffRecord{
 		Epoch: s.epochs, AtMS: nowMS, Cause: cause,
 		SessionsMoved: s.lastStats.SessionsMoved,
-		ShardsReplan:  s.lastShardStats.Replanned, // zero unless Partitioned
-		ShardsSkipped: s.lastShardStats.Skipped,
+		ShardsReplan:  s.lastShard.Replanned, // zero unless Partitioned
+		ShardsSkipped: s.lastShard.Skipped,
 		Changes:       DiffPlacements(s.lastAudited, recs),
 	}
 	s.cfg.Audit.RecordPlanDiff(rec)

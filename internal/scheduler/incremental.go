@@ -8,14 +8,50 @@ import (
 	"nexus/internal/profiler"
 )
 
-// MoveStats summarizes how much an incremental epoch disturbed the cluster.
+// MoveStats summarizes how much a plan disturbed the cluster relative to
+// the plan before it. DiffPlans is its only source.
 type MoveStats struct {
-	NodesKept    int // nodes whose ID survives from the previous plan
-	NodesAdded   int
-	NodesRemoved int
-	// SessionsMoved counts session placements whose node changed (a model
-	// load on a new backend).
+	NodesKept    int // node IDs in both plans
+	NodesAdded   int // node IDs only in the new plan
+	NodesRemoved int // node IDs only in the previous plan
+	// SessionsMoved counts session allocations on a node ID that did not
+	// hold the session before: each loads its model on a new backend. A
+	// session new to the plan is placed, not moved.
 	SessionsMoved int
+}
+
+// DiffPlans measures the disturbance from prev to cur. Nodes match by ID,
+// because the control plane binds backends to plan node IDs. With prev nil
+// every node is added and nothing moved.
+func DiffPlans(prev, cur *Plan) MoveStats {
+	if prev == nil {
+		return MoveStats{NodesAdded: len(cur.GPUs)}
+	}
+	type placed struct{ node, session string }
+	held := make(map[placed]bool)
+	known := make(map[string]bool) // sessions with an allocation in prev
+	nodes := make(map[string]bool, len(prev.GPUs))
+	for _, g := range prev.GPUs {
+		nodes[g.ID] = true
+		for _, a := range g.Allocs {
+			held[placed{g.ID, a.SessionID}] = true
+			known[a.SessionID] = true
+		}
+	}
+	var st MoveStats
+	for _, g := range cur.GPUs {
+		if nodes[g.ID] {
+			st.NodesKept++
+		}
+		for _, a := range g.Allocs {
+			if known[a.SessionID] && !held[placed{g.ID, a.SessionID}] {
+				st.SessionsMoved++
+			}
+		}
+	}
+	st.NodesAdded = len(cur.GPUs) - st.NodesKept
+	st.NodesRemoved = len(prev.GPUs) - st.NodesKept
+	return st
 }
 
 // lowOccupancy is the consolidation threshold: shared nodes under this
@@ -24,13 +60,13 @@ type MoveStats struct {
 const lowOccupancy = 0.25
 
 // replan re-plans a shard's sessions against its committed plan prev:
-// incrementally when one exists, from scratch otherwise. The incremental
-// path reuses prior shared nodes and does not understand slice-pinned
-// placements, so spatial and hybrid configs always full-pack.
-func replan(prev *Plan, sessions []Session, profiles map[string]*profiler.Profile, cfg Config) (*Plan, MoveStats, error) {
+// incrementally under temporal placement once a committed plan exists,
+// with a fresh Pack otherwise. The incremental path reuses prior shared
+// nodes and does not understand slice-pinned placements, so spatial and
+// hybrid configs always re-pack from scratch.
+func replan(prev *Plan, sessions []Session, profiles map[string]*profiler.Profile, cfg Config) (*Plan, error) {
 	if prev == nil || cfg.Placement != PlaceTemporal {
-		plan, err := Pack(sessions, profiles, cfg)
-		return plan, MoveStats{}, err
+		return Pack(sessions, profiles, cfg)
 	}
 	return incremental(prev, sessions, profiles, cfg)
 }
@@ -40,14 +76,11 @@ func replan(prev *Plan, sessions []Session, profiles map[string]*profiler.Profil
 // their (re-derived) allocations still fit; overloaded nodes evict their
 // cheapest sessions; underutilized nodes are drained into others and
 // released; evicted and new sessions are bin-packed into whatever is left.
-func incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.Profile, cfg Config) (*Plan, MoveStats, error) {
-	var stats MoveStats
-	byID := make(map[string]Session)
+func incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.Profile, cfg Config) (*Plan, error) {
 	for _, s := range sessions {
 		if err := s.Validate(); err != nil {
-			return nil, stats, err
+			return nil, err
 		}
-		byID[s.ID] = s
 	}
 	prevNode := make(map[string]string) // session -> shared node ID in prev
 
@@ -81,11 +114,11 @@ func incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.P
 		}
 		p, ok := profiles[s.ModelID]
 		if !ok {
-			return nil, stats, fmt.Errorf("scheduler: no profile for model %s (session %s)", s.ModelID, s.ID)
+			return nil, fmt.Errorf("scheduler: no profile for model %s (session %s)", s.ModelID, s.ID)
 		}
 		b, err := saturateBatch(s, p, cfg)
 		if err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 		t := p.Throughput(b)
 		n := int(s.Rate / t)
@@ -114,16 +147,10 @@ func incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.P
 			node := dedicatedNode(s, p, b, serve)
 			if i < len(reuse) {
 				node.ID = reuse[i].ID
-				stats.NodesKept++
 			} else {
 				node.ID = newID()
-				stats.NodesAdded++
-				stats.SessionsMoved++
 			}
 			out = append(out, node)
-		}
-		if dedicated < len(reuse) {
-			stats.NodesRemoved += len(reuse) - dedicated
 		}
 		if serveLeft > rateEpsilon {
 			rs := s
@@ -160,22 +187,17 @@ func incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.P
 		// about reconfiguration churn).
 		if node := reuseNode(prevByID[nid], members, profiles, cfg); node != nil {
 			node.planID = nid
-			stats.NodesKept++
 			keptNodes = append(keptNodes, node)
 			continue
 		}
 		node, evicted, err := rebuildNode(members, profiles, cfg)
 		if err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 		pending = append(pending, evicted...)
-		stats.SessionsMoved += len(evicted)
 		if node != nil {
 			node.planID = nid
-			stats.NodesKept++
 			keptNodes = append(keptNodes, node)
-		} else {
-			stats.NodesRemoved++
 		}
 	}
 
@@ -186,12 +208,11 @@ func incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.P
 		p := profiles[s.ModelID]
 		dedicated, rest, err := residualPlacement(s, p, cfg)
 		if err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 		for _, g := range dedicated {
 			g.ID = newID()
 			out = append(out, g)
-			stats.NodesAdded++
 		}
 		if rest == nil {
 			continue
@@ -204,16 +225,7 @@ func incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.P
 		} else {
 			item.planID = newID()
 			freshNodes = append(freshNodes, item)
-			stats.NodesAdded++
 		}
-		if prevNode[s.ID] != "" {
-			// It had a home before; wherever it landed counts as a move
-			// only if the node differs. The best fit into kept nodes may
-			// land it back home, but eviction already counted it, so do
-			// not double count here.
-			continue
-		}
-		stats.SessionsMoved++
 	}
 
 	// --- consolidate underutilized nodes -----------------------------------
@@ -230,9 +242,6 @@ func incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.P
 		if drainNode(n, cands, cfg) {
 			copy(keptNodes, cands)
 			copy(freshNodes, cands[len(keptNodes):])
-			stats.SessionsMoved += len(n.allocs)
-			stats.NodesRemoved++
-			stats.NodesKept--
 		}
 	}
 
@@ -249,8 +258,7 @@ func incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.P
 		g.ID = n.planID
 		out = append(out, g)
 	}
-	plan := &Plan{GPUs: out}
-	return plan, stats, nil
+	return &Plan{GPUs: out}, nil
 }
 
 // reuseNode checks whether a previous shared node's exact schedule (duty

@@ -160,11 +160,11 @@ func TestIncrementalReuseStableBatches(t *testing.T) {
 		{ID: "s1", ModelID: "m", SLO: 150 * time.Millisecond, Rate: 101},
 		{ID: "s2", ModelID: "m", SLO: 150 * time.Millisecond, Rate: 79.5},
 	}
-	next, stats, err := incremental(prev, jittered, profiles, Config{})
+	next, err := incremental(prev, jittered, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SessionsMoved != 0 {
+	if stats := DiffPlans(prev, next); stats.SessionsMoved != 0 {
 		t.Fatalf("jitter moved sessions: %+v", stats)
 	}
 	if err := Validate(next, jittered, profiles, Config{}); err != nil {
@@ -181,7 +181,7 @@ func TestIncrementalReuseStableBatches(t *testing.T) {
 		{ID: "s1", ModelID: "m", SLO: 150 * time.Millisecond, Rate: 95},
 		{ID: "s2", ModelID: "m", SLO: 150 * time.Millisecond, Rate: 76},
 	}
-	reused, _, err := incremental(prev, lower, profiles, Config{})
+	reused, err := incremental(prev, lower, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,23 +209,24 @@ func TestIncrementalDedicatedKeepHysteresis(t *testing.T) {
 	}
 	// Rate drops to 100 (60% of capacity): keep the dedicated node.
 	mid := []Session{{ID: "s", ModelID: "m", SLO: 60 * time.Millisecond, Rate: 100}}
-	next, stats, err := incremental(prev, mid, profiles, Config{})
+	next, err := incremental(prev, mid, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := DiffPlans(prev, next)
 	if stats.NodesRemoved != 0 || !next.GPUs[0].Saturated {
 		t.Fatalf("boundary jitter flapped the dedicated node: %+v", stats)
 	}
 	// Rate collapses to 20 (12%): release it.
 	lo := []Session{{ID: "s", ModelID: "m", SLO: 60 * time.Millisecond, Rate: 20}}
-	next2, stats2, err := incremental(next, lo, profiles, Config{})
+	next2, err := incremental(next, lo, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Validate(next2, lo, profiles, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if stats2.NodesRemoved == 0 {
+	if stats2 := DiffPlans(next, next2); stats2.NodesRemoved == 0 {
 		t.Fatalf("collapsed load kept its dedicated node: %+v", stats2)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -455,6 +456,42 @@ func TestBatchObliviousEmpty(t *testing.T) {
 	}
 }
 
+func TestDiffPlans(t *testing.T) {
+	// plan builds a plan from "node:session,session" specs.
+	plan := func(nodes ...string) *Plan {
+		p := &Plan{}
+		for _, n := range nodes {
+			id, sessions, _ := strings.Cut(n, ":")
+			g := GPUPlan{ID: id}
+			for _, sid := range strings.Split(sessions, ",") {
+				g.Allocs = append(g.Allocs, Alloc{SessionID: sid, ModelID: "m"})
+			}
+			p.GPUs = append(p.GPUs, g)
+		}
+		return p
+	}
+	base := plan("n0:a,b", "n1:c")
+	cases := []struct {
+		name      string
+		prev, cur *Plan
+		want      MoveStats
+	}{
+		{"nil prev", nil, base, MoveStats{NodesAdded: 2}},
+		{"unchanged", base, plan("n0:a,b", "n1:c"), MoveStats{NodesKept: 2}},
+		{"session changes node", base, plan("n0:a", "n1:c,b"), MoveStats{NodesKept: 2, SessionsMoved: 1}},
+		{"node added and removed", base, plan("n0:a,b", "n2:c"),
+			MoveStats{NodesKept: 1, NodesAdded: 1, NodesRemoved: 1, SessionsMoved: 1}},
+		{"split session gains a node", base, plan("n0:a,b", "n1:c", "n2:c"),
+			MoveStats{NodesKept: 2, NodesAdded: 1, SessionsMoved: 1}},
+		{"new session is placed", base, plan("n0:a,b", "n1:c,d"), MoveStats{NodesKept: 2}},
+	}
+	for _, c := range cases {
+		if got := DiffPlans(c.prev, c.cur); got != c.want {
+			t.Errorf("%s: DiffPlans = %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestIncrementalStableWhenUnchanged(t *testing.T) {
 	profiles := table2Profiles(t)
 	sessions := table2Sessions(64, 32, 32)
@@ -462,14 +499,14 @@ func TestIncrementalStableWhenUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, stats, err := incremental(prev, sessions, profiles, Config{})
+	next, err := incremental(prev, sessions, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Validate(next, sessions, profiles, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if stats.SessionsMoved != 0 || stats.NodesAdded != 0 || stats.NodesRemoved != 0 {
+	if stats := DiffPlans(prev, next); stats.SessionsMoved != 0 || stats.NodesAdded != 0 || stats.NodesRemoved != 0 {
 		t.Fatalf("unchanged workload moved things: %+v", stats)
 	}
 	if next.GPUCount() != prev.GPUCount() {
@@ -495,7 +532,7 @@ func TestIncrementalScaleUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := table2Sessions(320, 32, 32) // A needs a saturated GPU now
-	next, stats, err := incremental(prev, after, profiles, Config{})
+	next, err := incremental(prev, after, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +542,7 @@ func TestIncrementalScaleUp(t *testing.T) {
 	if next.GPUCount() <= prev.GPUCount() {
 		t.Fatalf("scale-up did not add GPUs: %d -> %d", prev.GPUCount(), next.GPUCount())
 	}
-	if stats.NodesAdded == 0 {
+	if stats := DiffPlans(prev, next); stats.NodesAdded == 0 {
 		t.Fatalf("expected added nodes, got %+v", stats)
 	}
 }
@@ -519,7 +556,7 @@ func TestIncrementalScaleDownConsolidates(t *testing.T) {
 	}
 	// Load collapses: everything should fit on one GPU.
 	after := table2Sessions(8, 4, 4)
-	next, _, err := incremental(prev, after, profiles, Config{})
+	next, err := incremental(prev, after, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +579,7 @@ func TestIncrementalRemovedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := before[:2] // C disappears
-	next, _, err := incremental(prev, after, profiles, Config{})
+	next, err := incremental(prev, after, profiles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +611,7 @@ func TestPropertyIncrementalValid(t *testing.T) {
 				next[i].Rate = 0
 			}
 		}
-		plan, _, err := incremental(prev, next, profiles, cfg)
+		plan, err := incremental(prev, next, profiles, cfg)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

@@ -88,9 +88,9 @@ const rateHysteresisFloor = 0.5
 // cheap relative to the parallel packing it follows.
 const maxShardDonors = 64
 
-// ShardStats summarizes one sharded planning pass.
+// ShardStats summarizes one sharded planning pass. The moves it caused
+// are not counted here: DiffPlans measures them from the plans themselves.
 type ShardStats struct {
-	MoveStats
 	Shards    int // shard count of the planner
 	Replanned int // shards that ran packing this epoch
 	Skipped   int // shards that carried their plan forward (hysteresis)
@@ -175,16 +175,15 @@ func (sp *ShardPlanner) Plan(sessions []Session, profiles map[string]*profiler.P
 	}
 
 	type shardOut struct {
-		plan  *Plan
-		stats MoveStats
-		err   error
+		plan *Plan
+		err  error
 	}
 	outs := runner.Map(n, func(k int) shardOut {
 		if !dirty[k] {
 			return shardOut{plan: sp.prev[k]}
 		}
 		var o shardOut
-		o.plan, o.stats, o.err = replan(sp.prev[k], members[k], profiles, cfg)
+		o.plan, o.err = replan(sp.prev[k], members[k], profiles, cfg)
 		return o
 	})
 	for k, o := range outs {
@@ -194,14 +193,9 @@ func (sp *ShardPlanner) Plan(sessions []Session, profiles map[string]*profiler.P
 		res.local[k] = o.plan
 		if dirty[k] {
 			res.Stats.Replanned++
-			res.Stats.NodesKept += o.stats.NodesKept
-			res.Stats.NodesAdded += o.stats.NodesAdded
-			res.Stats.NodesRemoved += o.stats.NodesRemoved
-			res.Stats.SessionsMoved += o.stats.SessionsMoved
 			res.sigs[k] = signatures(members[k])
 		} else {
 			res.Stats.Skipped++
-			res.Stats.NodesKept += len(o.plan.GPUs)
 			res.sigs[k] = sp.sigs[k]
 		}
 	}
@@ -357,8 +351,6 @@ func (sp *ShardPlanner) rebalance(res *ShardResult, dirty []bool,
 			sn.res = cands[i]
 		}
 		changed[d.shard] = true
-		res.Stats.NodesRemoved++
-		res.Stats.SessionsMoved += len(allocs)
 		for i, a := range allocs {
 			to := nodes[dests[i]]
 			changed[to.shard] = true

@@ -149,8 +149,8 @@ func TestShardedHysteresisSkip(t *testing.T) {
 	if !reflect.DeepEqual(second.Plan, first.Plan) {
 		t.Fatal("carried-forward plan differs from committed plan")
 	}
-	if second.Stats.NodesKept != len(first.Plan.GPUs) {
-		t.Fatalf("NodesKept = %d, want %d", second.Stats.NodesKept, len(first.Plan.GPUs))
+	if kept := DiffPlans(first.Plan, second.Plan).NodesKept; kept != len(first.Plan.GPUs) {
+		t.Fatalf("NodesKept = %d, want %d", kept, len(first.Plan.GPUs))
 	}
 
 	// In-band wobble (well under 5% and under the absolute floor) still skips.

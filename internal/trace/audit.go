@@ -77,9 +77,11 @@ type ChaosRecord struct {
 // PlanChange is one structured difference between two consecutive epoch
 // placements: a session's unit appearing, disappearing, or moving between
 // nodes, or a retained allocation whose batch, slice, rate, or replica set
-// changed. Kind is one of "session-moved", "unit-added", "unit-dropped",
-// "batch-changed", "slice-changed", "rate-changed", "replicas-changed",
-// "replica-removed", "replica-added".
+// changed. An epoch diff's Kind is one of "session-moved", "unit-added",
+// "unit-dropped", "batch-changed", "slice-changed", "rate-changed" or
+// "replicas-changed". The off-epoch record of a failure repair carries
+// "replica-removed" for the dead backend and "replica-added" for its
+// replacement.
 type PlanChange struct {
 	Kind    string `json:"kind"`
 	Session string `json:"session,omitempty"`
