@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,15 +17,20 @@ import (
 // Histogram is a logarithmically-bucketed latency histogram with ~2%
 // relative precision from 1µs to ~30s. The zero value is ready to use.
 //
-// It stores only the window of bucket indices its values have touched,
-// plus up to histSlack spare buckets beyond each end: buckets[i] counts
-// bucket off+i, and every bucket outside the window is zero. A session's
-// latencies span a few dozen buckets, far fewer than the index of its
-// highest one, so its histogram costs memory in proportion to the spread
-// of its values, not their magnitude. The window grows in either
-// direction and never shrinks; Reset keeps it for reuse.
+// It starts sparse: entries lists the buckets its values have hit, in
+// index order, each packed as index<<sparseShift | count in 8 bytes. A
+// session's latencies hit about a dozen distinct buckets, so most
+// histograms never hold more than a few entries. On the (sparseMax+1)th
+// distinct bucket, or when an entry's count would reach sparseCountMask,
+// it switches for good to the dense form: a window of the bucket indices
+// its values have touched, plus up to histSlack spare buckets beyond each
+// end, where buckets[i] counts bucket off+i and every bucket outside the
+// window is zero. The window grows in either direction and never shrinks,
+// so a high-rate session records in O(1). Merge makes the receiver dense;
+// Reset keeps the form and its storage for reuse.
 type Histogram struct {
-	buckets  []uint64
+	entries  []uint64 // sparse form; unused once buckets is non-nil
+	buckets  []uint64 // dense form
 	off      int
 	count    uint64
 	sum      time.Duration
@@ -37,6 +43,12 @@ const (
 	// histSlack is how far past a new extreme the window extends, so
 	// values near the current ones record without regrowing it.
 	histSlack = 4
+	// sparseMax is the most entries the sparse form holds. Bucket indices
+	// stay below 2^11 (bucketIndex(math.MaxInt64) is 1,857), so an index
+	// fits above a 48-bit count.
+	sparseMax       = 32
+	sparseShift     = 48
+	sparseCountMask = 1<<sparseShift - 1
 )
 
 var histLogGrowth = math.Log(histGrowth)
@@ -82,16 +94,73 @@ func (h *Histogram) cover(lo, hi int) {
 	h.buckets, h.off = nb, newLo
 }
 
+// recordSparse counts one value in bucket idx of the sparse form. It
+// reports false, changing nothing, when the form cannot take it: idx
+// would be entry sparseMax+1, or its entry's count would reach
+// sparseCountMask.
+func (h *Histogram) recordSparse(idx int) bool {
+	key := uint64(idx) << sparseShift
+	// The first entry whose index is >= idx; no entry equals key, whose
+	// count is 0.
+	lo, _ := slices.BinarySearch(h.entries, key)
+	if lo < len(h.entries) && h.entries[lo]>>sparseShift == uint64(idx) {
+		if h.entries[lo]&sparseCountMask+1 == sparseCountMask {
+			return false
+		}
+		h.entries[lo]++
+		return true
+	}
+	if len(h.entries) == sparseMax {
+		return false
+	}
+	h.entries = append(h.entries, 0)
+	copy(h.entries[lo+1:], h.entries[lo:])
+	h.entries[lo] = key | 1
+	return true
+}
+
+// recordDense counts one value in bucket idx of the dense form.
+func (h *Histogram) recordDense(idx int) {
+	if i := idx - h.off; i < 0 || i >= len(h.buckets) {
+		h.cover(idx, idx)
+	}
+	h.buckets[idx-h.off]++
+}
+
+// densify switches h to the dense form, moving its entries into a window
+// that covers them. An h with no entries gets its window from the next
+// cover.
+func (h *Histogram) densify() {
+	if h.buckets == nil {
+		h.addEntries(h.entries)
+		h.entries = nil
+	}
+}
+
+// addEntries adds sparse entries into h's dense window, growing the window
+// to cover them.
+func (h *Histogram) addEntries(entries []uint64) {
+	if len(entries) == 0 {
+		return
+	}
+	h.cover(int(entries[0]>>sparseShift), int(entries[len(entries)-1]>>sparseShift))
+	for _, e := range entries {
+		h.buckets[int(e>>sparseShift)-h.off] += e & sparseCountMask
+	}
+}
+
 // Record adds one observation.
 func (h *Histogram) Record(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	idx := bucketIndex(d)
-	if i := idx - h.off; i < 0 || i >= len(h.buckets) {
-		h.cover(idx, idx)
+	if h.buckets != nil {
+		h.recordDense(idx)
+	} else if !h.recordSparse(idx) {
+		h.densify()
+		h.recordDense(idx)
 	}
-	h.buckets[idx-h.off]++
 	if h.count == 0 || d < h.min {
 		h.min = d
 	}
@@ -120,6 +189,8 @@ func (h *Histogram) Min() time.Duration { return h.min }
 func (h *Histogram) Max() time.Duration { return h.max }
 
 // Quantile returns the q-quantile (0 <= q <= 1) with ~2% relative error.
+// Both forms walk the buckets in index order; the dense form's zero
+// buckets never move the running sum, so they answer alike.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h.count == 0 {
 		return 0
@@ -132,56 +203,52 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	}
 	rank := uint64(q * float64(h.count))
 	var seen uint64
+	if h.buckets == nil {
+		for _, e := range h.entries {
+			seen += e & sparseCountMask
+			if seen > rank {
+				return h.clampedValue(int(e >> sparseShift))
+			}
+		}
+		return h.max
+	}
 	for i, c := range h.buckets {
 		seen += c
 		if seen > rank {
-			v := bucketValue(h.off + i)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
+			return h.clampedValue(h.off + i)
 		}
 	}
 	return h.max
 }
 
-// FractionAbove returns the fraction of observations strictly greater
-// than limit, up to bucket resolution.
-func (h *Histogram) FractionAbove(limit time.Duration) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	// The first window slot above limit's bucket, clamped to the window.
-	start := min(max(bucketIndex(limit)+1-h.off, 0), len(h.buckets))
-	var above uint64
-	for _, c := range h.buckets[start:] {
-		above += c
-	}
-	return float64(above) / float64(h.count)
+// clampedValue returns bucket idx's value, clamped to [min, max].
+func (h *Histogram) clampedValue(idx int) time.Duration {
+	return min(max(bucketValue(idx), h.min), h.max)
 }
 
-// Reset clears all observations, keeping the bucket window for reuse.
-// This is what makes the histogram usable as a tumbling window: rotate by
-// summarizing and resetting in place, no per-window allocation.
+// Reset clears all observations, keeping the form and its storage for
+// reuse. This is what makes the histogram usable as a tumbling window:
+// rotate by summarizing and resetting in place, no per-window allocation.
 func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
+	h.entries = h.entries[:0]
+	clear(h.buckets)
 	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
 }
 
-// Merge adds all observations of other into h.
+// Merge adds all observations of other into h, leaving h dense.
 func (h *Histogram) Merge(other *Histogram) {
 	if other.count == 0 {
 		return
 	}
-	h.cover(other.off, other.off+len(other.buckets)-1)
-	dst := h.buckets[other.off-h.off:]
-	for i, c := range other.buckets {
-		dst[i] += c
+	h.densify()
+	if other.buckets == nil {
+		h.addEntries(other.entries)
+	} else {
+		h.cover(other.off, other.off+len(other.buckets)-1)
+		dst := h.buckets[other.off-h.off:]
+		for i, c := range other.buckets {
+			dst[i] += c
+		}
 	}
 	if h.count == 0 || other.min < h.min {
 		h.min = other.min

@@ -387,8 +387,8 @@ func TestPropertyMaxGoodputK(t *testing.T) {
 }
 
 // denseHistogram is the reference Histogram: one counter per bucket index
-// from 0 up to the highest index seen. The windowed Histogram must answer
-// every accessor exactly as it does.
+// from 0 up to the highest index seen. The Histogram must answer every
+// accessor exactly as it does, in either form.
 type denseHistogram struct {
 	buckets  []uint64
 	count    uint64
@@ -490,18 +490,40 @@ func (h *denseHistogram) Merge(other *denseHistogram) {
 	h.sum += other.sum
 }
 
-// histPair drives a windowed histogram and its dense reference in step.
+// histPair drives a Histogram and its dense reference in step. dense is
+// the form the Histogram must be in: it goes dense on a merge of a
+// non-empty histogram or when its values since the last Reset hit more
+// than sparseMax distinct buckets, and stays dense.
 type histPair struct {
-	w Histogram
-	d denseHistogram
+	w     Histogram
+	d     denseHistogram
+	dense bool
 }
 
-func (p *histPair) record(d time.Duration) { p.w.Record(d); p.d.Record(d) }
-func (p *histPair) merge(o *histPair)      { p.w.Merge(&o.w); p.d.Merge(&o.d) }
-func (p *histPair) reset()                 { p.w.Reset(); p.d.Reset() }
+func (p *histPair) record(d time.Duration) {
+	p.w.Record(d)
+	p.d.Record(d)
+	distinct := 0
+	for _, c := range p.d.buckets {
+		if c > 0 {
+			distinct++
+		}
+	}
+	p.dense = p.dense || distinct > sparseMax
+}
 
-// check asserts every accessor of p's windowed histogram equals the
-// reference's, and that the window holds every recorded count.
+func (p *histPair) merge(o *histPair) {
+	p.dense = p.dense || o.d.count > 0
+	p.w.Merge(&o.w)
+	p.d.Merge(&o.d)
+}
+
+func (p *histPair) reset() { p.w.Reset(); p.d.Reset() }
+
+// check asserts every accessor of p's histogram equals the reference's,
+// that the histogram is in the form p expects, and that the active form
+// holds every recorded count: sorted, non-zero sparse entries, at most
+// sparseMax of them, or a dense window.
 func (p *histPair) check(t *testing.T, label string) {
 	t.Helper()
 	w, d := &p.w, &p.d
@@ -509,7 +531,9 @@ func (p *histPair) check(t *testing.T, label string) {
 		t.Fatalf("%s: count/mean/min/max = %d/%v/%v/%v, want %d/%v/%v/%v", label,
 			w.Count(), w.Mean(), w.Min(), w.Max(), d.count, d.Mean(), d.min, d.max)
 	}
-	for _, q := range []float64{-1, 0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1, 2} {
+	// The eighths make small counts land ranks exactly on a bucket's
+	// cumulative count, so a walk that stops one bucket early shows.
+	for _, q := range []float64{-1, 0, 0.001, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 0.9, 0.99, 0.999, 1, 2} {
 		if got, want := w.Quantile(q), d.Quantile(q); got != want {
 			t.Fatalf("%s: Quantile(%v) = %v, want %v", label, q, got, want)
 		}
@@ -521,19 +545,40 @@ func (p *histPair) check(t *testing.T, label string) {
 			t.Fatalf("%s: FractionAbove(%v) = %v, want %v", label, limit, got, want)
 		}
 	}
-	var inWindow uint64
-	for _, c := range w.buckets {
-		inWindow += c
+	if dense := w.buckets != nil; dense != p.dense {
+		t.Fatalf("%s: dense form = %v, want %v (%d sparse entries)", label, dense, p.dense, len(w.entries))
 	}
-	if inWindow != w.count {
-		t.Fatalf("%s: window holds %d counts, want %d", label, inWindow, w.count)
+	if len(w.entries) > sparseMax || (p.dense && len(w.entries) > 0) {
+		t.Fatalf("%s: %d sparse entries with dense=%v", label, len(w.entries), p.dense)
+	}
+	var stored uint64
+	for i, e := range w.entries {
+		if e&sparseCountMask == 0 || (i > 0 && e>>sparseShift <= w.entries[i-1]>>sparseShift) {
+			t.Fatalf("%s: sparse entries %x are not sorted non-zero counts", label, w.entries)
+		}
+		stored += e & sparseCountMask
+	}
+	for _, c := range w.buckets {
+		stored += c
+	}
+	if stored != w.count {
+		t.Fatalf("%s: the histogram stores %d counts, want %d", label, stored, w.count)
 	}
 }
 
-// TestHistogramMatchesDense pins the windowed representation to the dense
-// reference on adversarial sequences: a window that moves down then up,
-// merges of disjoint windows in both orders and into an empty histogram,
-// reuse after Reset, and values below zero and below 1µs.
+// distinctRun records n values in n distinct buckets, from 100µs up in
+// 100µs steps: up to n = 40, each is more than a 2% bucket above the last.
+func (p *histPair) distinctRun(n int) {
+	for i := 1; i <= n; i++ {
+		p.record(time.Duration(i) * 100 * time.Microsecond)
+	}
+}
+
+// TestHistogramMatchesDense pins the Histogram to the dense reference on
+// adversarial sequences: a window that moves down then up, the switch from
+// the sparse to the dense form, merges of disjoint windows in both orders,
+// into an empty histogram and in all four sparse/dense pairings, reuse
+// after Reset in each form, and values below zero and below 1µs.
 func TestHistogramMatchesDense(t *testing.T) {
 	var p histPair
 	p.check(t, "empty")
@@ -542,6 +587,14 @@ func TestHistogramMatchesDense(t *testing.T) {
 		0, -time.Millisecond, 5 * time.Second, 40 * time.Second, 11 * time.Millisecond} {
 		p.record(d)
 		p.check(t, fmt.Sprintf("after recording %v", d))
+	}
+
+	// Cross the sparse form's limit one distinct bucket at a time; check
+	// sees it switch on bucket sparseMax+1 and stay dense.
+	var grow histPair
+	for i := 1; i <= sparseMax+3; i++ {
+		grow.distinctRun(i)
+		grow.check(t, fmt.Sprintf("%d distinct buckets", i))
 	}
 
 	low, high := &histPair{}, &histPair{}
@@ -565,20 +618,60 @@ func TestHistogramMatchesDense(t *testing.T) {
 	high.merge(high)
 	high.check(t, "high<-high")
 
-	// Reset keeps the window; reuse below, inside and above it.
-	p.reset()
-	p.check(t, "after reset")
-	for _, d := range []time.Duration{time.Millisecond, 100 * time.Nanosecond, time.Minute} {
-		p.record(d)
-		p.check(t, fmt.Sprintf("reuse %v", d))
+	// Merge in every pairing of forms, over overlapping and disjoint
+	// ranges. The source keeps its form.
+	sparse := func(scale time.Duration) *histPair {
+		s := &histPair{}
+		for i := 1; i <= 6; i++ {
+			s.record(time.Duration(i) * scale)
+		}
+		return s
 	}
-	p.merge(lowHigh)
-	p.check(t, "reused<-low<-high")
+	dense := func(scale time.Duration) *histPair {
+		d := &histPair{}
+		for i := 1; i <= sparseMax+8; i++ {
+			d.record(time.Duration(i) * scale / 10)
+		}
+		return d
+	}
+	forms := map[bool]func(time.Duration) *histPair{false: sparse, true: dense}
+	for _, dstDense := range []bool{false, true} {
+		for _, srcDense := range []bool{false, true} {
+			for _, scales := range [][2]time.Duration{{time.Millisecond, time.Millisecond},
+				{time.Microsecond, time.Second}, {time.Second, time.Microsecond}} {
+				dst, src := forms[dstDense](scales[0]), forms[srcDense](scales[1])
+				label := fmt.Sprintf("dense=%v<-dense=%v at %v<-%v", dstDense, srcDense, scales[0], scales[1])
+				dst.check(t, label+" before")
+				dst.merge(src)
+				dst.check(t, label)
+				src.check(t, label+" source")
+			}
+		}
+	}
+
+	// Reset keeps the form and its storage; reuse below, inside and above
+	// the old values.
+	for _, form := range []*histPair{sparse(time.Millisecond), dense(time.Millisecond)} {
+		entries, buckets := cap(form.w.entries), len(form.w.buckets)
+		form.reset()
+		form.check(t, "after reset")
+		if cap(form.w.entries) != entries || len(form.w.buckets) != buckets {
+			t.Fatalf("reset changed storage: %d entries, %d buckets; want %d, %d",
+				cap(form.w.entries), len(form.w.buckets), entries, buckets)
+		}
+		for _, d := range []time.Duration{time.Millisecond, 100 * time.Nanosecond, time.Minute} {
+			form.record(d)
+			form.check(t, fmt.Sprintf("reuse %v", d))
+		}
+		form.merge(lowHigh)
+		form.check(t, "reused<-low<-high")
+	}
 }
 
 // TestHistogramMatchesDenseRandom drives random mixes of Record, Merge and
-// Reset across a few histograms, comparing against the dense reference
-// after every step.
+// Reset across a few histograms, replacing one with a fresh histogram now
+// and then so that both forms keep being exercised, comparing against the
+// dense reference after every step.
 func TestHistogramMatchesDenseRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	value := func() time.Duration {
@@ -595,13 +688,21 @@ func TestHistogramMatchesDenseRandom(t *testing.T) {
 	for i := range hs {
 		hs[i] = &histPair{}
 	}
+	// merges counts Merge calls by the forms of receiver and source.
+	merges := map[[2]bool]int{}
 	for step := 0; step < 4000; step++ {
 		i := rng.Intn(len(hs))
 		switch op := rng.Intn(100); {
 		case op < 3:
+			hs[i] = &histPair{}
+		case op < 6:
 			hs[i].reset()
-		case op < 8:
-			hs[i].merge(hs[rng.Intn(len(hs))])
+		case op < 11:
+			src := hs[rng.Intn(len(hs))]
+			if src.d.count > 0 {
+				merges[[2]bool{hs[i].dense, src.dense}]++
+			}
+			hs[i].merge(src)
 		default:
 			// Runs of nearby values, like one session's latencies.
 			center := value()
@@ -611,33 +712,149 @@ func TestHistogramMatchesDenseRandom(t *testing.T) {
 		}
 		hs[i].check(t, fmt.Sprintf("step %d", step))
 	}
+	for _, dst := range []bool{false, true} {
+		for _, src := range []bool{false, true} {
+			if merges[[2]bool{dst, src}] == 0 {
+				t.Errorf("no merge of a dense=%v histogram into a dense=%v one", src, dst)
+			}
+		}
+	}
 }
 
-// TestHistogramRecordNoAlloc pins that recording inside the covered
-// window never allocates.
+// checkHistogramScript decodes a byte script into Record, Merge and Reset
+// operations on three histograms and checks each histogram the operation
+// touched against the dense reference. Each operation takes four bytes
+// op, a, b, c: the low two bits of op pick the histogram (3 wraps to 0),
+// the next three the operation, and the top three a run length.
+//   - 0: Reset.
+//   - 1: Merge from histogram a%3 (itself included).
+//   - otherwise: Record 1+op>>5 values, value k at fuzzValue(a<<8|b +
+//     k*c), so a run spreads over up to 8 buckets.
+func checkHistogramScript(t *testing.T, script []byte) {
+	var hs [3]histPair
+	for step := 0; len(script) >= 4; step++ {
+		op, a, b, c := script[0], script[1], script[2], script[3]
+		script = script[4:]
+		p := &hs[int(op&3)%3]
+		switch op >> 2 & 7 {
+		case 0:
+			p.reset()
+		case 1:
+			p.merge(&hs[a%3])
+		default:
+			x := int(a)<<8 | int(b)
+			for k := 0; k <= int(op>>5); k++ {
+				p.record(fuzzValue(x + k*int(c)))
+			}
+		}
+		p.check(t, fmt.Sprintf("step %d", step))
+	}
+}
+
+// fuzzValue maps x to a latency: below 256 a value from -128ns to 127ns,
+// above it a log-uniform spread from ~1µs to ~10 minutes (66 steps of x
+// per bucket), and math.MaxInt64 at the top.
+func fuzzValue(x int) time.Duration {
+	switch {
+	case x < 256:
+		return time.Duration(x - 128)
+	case x >= 1<<16-1:
+		return math.MaxInt64
+	}
+	return time.Duration(float64(time.Microsecond) * math.Pow(1.0003, float64(x)))
+}
+
+// FuzzHistogram is checkHistogramScript over fuzzed scripts, seeded by the
+// committed corpus under testdata/fuzz.
+func FuzzHistogram(f *testing.F) {
+	f.Fuzz(checkHistogramScript)
+}
+
+// TestHistogramRecordNoAlloc pins that recording into an existing sparse
+// entry, or inside the covered window of the dense form, never allocates.
 func TestHistogramRecordNoAlloc(t *testing.T) {
-	var h Histogram
-	h.Record(time.Millisecond)
-	h.Record(2 * time.Millisecond)
 	vals := []time.Duration{time.Millisecond, 1500 * time.Microsecond, 2 * time.Millisecond}
-	i := 0
-	if n := testing.AllocsPerRun(1000, func() {
-		h.Record(vals[i%len(vals)])
-		i++
-	}); n != 0 {
-		t.Fatalf("Record inside the window allocates %v times per call", n)
+	for _, dense := range []bool{false, true} {
+		var p histPair
+		if dense {
+			p.distinctRun(sparseMax + 1)
+		}
+		for _, v := range vals {
+			p.record(v)
+		}
+		p.check(t, fmt.Sprintf("dense=%v", dense))
+		h := &p.w
+		i := 0
+		if n := testing.AllocsPerRun(1000, func() {
+			h.Record(vals[i%len(vals)])
+			i++
+		}); n != 0 {
+			t.Fatalf("dense=%v: Record of a stored bucket allocates %v times per call", dense, n)
+		}
 	}
 }
 
-// TestHistogramWindowSize pins the point of the windowed representation:
-// a histogram of values spanning a few buckets stores a few dozen counters,
-// however large the values are.
-func TestHistogramWindowSize(t *testing.T) {
+// TestHistogramFootprint pins the point of the sparse form: a session's
+// latencies, 52 samples over 11 buckets spread across ~100 bucket
+// indices, cost at most 16 packed entries and no dense window (which
+// would hold ~100 counters).
+func TestHistogramFootprint(t *testing.T) {
 	var h Histogram
-	for i := 0; i < 100; i++ {
-		h.Record(time.Duration(100+i%10) * time.Millisecond)
+	for i := 0; i < 52; i++ {
+		h.Record(time.Duration(float64(5*time.Millisecond) * math.Pow(histGrowth, float64(10*(i%11)))))
 	}
-	if n := len(h.buckets); n > 2*histSlack+8 {
-		t.Fatalf("window of %d buckets for values spanning ~6; dense would hold %d", n, bucketIndex(h.Max())+1)
+	if h.buckets != nil || len(h.entries) != 11 || cap(h.entries) > 16 {
+		t.Fatalf("52 samples in 11 buckets: dense window of %d, %d entries (cap %d); want no window and <= 16 entries",
+			len(h.buckets), len(h.entries), cap(h.entries))
+	}
+}
+
+// TestHistogramSparseCountLimit pins the other switch to the dense form:
+// an entry whose count would reach sparseCountMask, which no test can
+// reach by recording.
+func TestHistogramSparseCountLimit(t *testing.T) {
+	v := 5 * time.Millisecond
+	idx := uint64(bucketIndex(v))
+	h := Histogram{entries: []uint64{idx<<sparseShift | (sparseCountMask - 2)}, count: sparseCountMask - 2, min: v, max: v}
+	h.Record(v)
+	if h.buckets != nil || h.entries[0] != idx<<sparseShift|(sparseCountMask-1) {
+		t.Fatalf("count %d below the limit: dense=%v, entries %x", sparseCountMask-1, h.buckets != nil, h.entries)
+	}
+	h.Record(v)
+	if h.buckets == nil || h.entries != nil || h.Count() != sparseCountMask || h.buckets[int(idx)-h.off] != sparseCountMask {
+		t.Fatalf("count %d: dense=%v, entries %x, count %d", uint64(sparseCountMask), h.buckets != nil, h.entries, h.Count())
+	}
+	if got := h.Quantile(0.5); got != v {
+		t.Fatalf("Quantile(0.5) = %v, want %v", got, v)
+	}
+}
+
+// BenchmarkHistogramRecord records a steady stream of latencies over ten
+// buckets into a histogram in each form; both must stay at 0 allocs/op.
+func BenchmarkHistogramRecord(b *testing.B) {
+	vals := make([]time.Duration, 64)
+	for i := range vals {
+		vals[i] = time.Duration(float64(5*time.Millisecond) * math.Pow(histGrowth, float64(i%10)))
+	}
+	for _, form := range []string{"sparse", "dense"} {
+		b.Run(form, func(b *testing.B) {
+			var h Histogram
+			if form == "dense" {
+				for i := 1; i <= sparseMax+1; i++ {
+					h.Record(time.Duration(i) * 100 * time.Microsecond)
+				}
+			}
+			for _, v := range vals {
+				h.Record(v)
+			}
+			if dense := h.buckets != nil; dense != (form == "dense") {
+				b.Fatalf("%s histogram has dense=%v", form, dense)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Record(vals[i%len(vals)])
+			}
+		})
 	}
 }
