@@ -488,6 +488,8 @@ func (d *Deployment) RefreshProfiles() error { return d.rebuildProfiles() }
 // calibrated model registered since the last call. The model DB never
 // replaces a registered model, so a derived profile stays current: set-up
 // cost grows with the models added, not with the models registered so far.
+// A specialization shares its source's profile when it can (see
+// sourceProfile), so a variant costs one map entry.
 func (d *Deployment) rebuildProfiles() error {
 	fresh := d.mdb.Since(d.profiled)
 	if d.profiles == nil {
@@ -495,7 +497,9 @@ func (d *Deployment) rebuildProfiles() error {
 		d.profiles = make(map[string]*profiler.Profile, len(fresh))
 	}
 	for _, m := range fresh {
-		if profiler.Calibrated(m.ID, d.cfg.GPU) {
+		if p := d.sourceProfile(m); p != nil {
+			d.profiles[m.ID] = p
+		} else if profiler.Calibrated(m.ID, d.cfg.GPU) {
 			p, err := profiler.Calibrate(m, d.cfg.GPU)
 			if err != nil {
 				return err
@@ -505,6 +509,23 @@ func (d *Deployment) rebuildProfiles() error {
 		d.profiled++
 	}
 	return nil
+}
+
+// sourceProfile returns the validated profile of the model m specializes,
+// or nil when m must be calibrated itself. A specialization keeps its
+// source's structure and layer costs, so when both calibrate from one base
+// (profiler.BaseOf), Calibrate(m) would differ from the source's profile
+// only in ModelID. The source must be the model this deployment profiled
+// under its ID.
+func (d *Deployment) sourceProfile(m *model.Model) *profiler.Profile {
+	src := m.Source()
+	if src == nil || profiler.BaseOf(m.ID) != profiler.BaseOf(src.ID) {
+		return nil
+	}
+	if reg, ok := d.mdb.Lookup(src.ID); !ok || reg != src {
+		return nil
+	}
+	return d.profiles[src.ID]
 }
 
 // Tracer returns the deployment's lifecycle tracer (nil unless enabled

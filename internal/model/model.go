@@ -53,12 +53,13 @@ type Layer struct {
 	WeightsID string
 }
 
-// sameAs reports whether l and o are batchable as one layer: equal kind,
-// FLOPs, parameter and activation sizes, and weights. Name is deliberately
-// excluded: renaming a layer must not break sharing.
-func (l *Layer) sameAs(o *Layer) bool {
+// sameShape reports whether l and o have equal kind, FLOPs, parameter and
+// activation sizes: all that batching them as one layer needs but equal
+// weights. Name is deliberately excluded: renaming a layer must not break
+// sharing.
+func (l *Layer) sameShape(o *Layer) bool {
 	return l.Kind == o.Kind && l.FLOPs == o.FLOPs && l.ParamBytes == o.ParamBytes &&
-		l.ActBytes == o.ActBytes && l.WeightsID == o.WeightsID
+		l.ActBytes == o.ActBytes
 }
 
 // Model is a DNN schema: a chain of layers from input to output. Nexus
@@ -75,11 +76,16 @@ type Model struct {
 	layers []Layer // layers from index shared on; layer 0 is the input
 
 	// sums[i] is the cost of layers 0 through shared+i. Built with the model,
-	// never lazily, because shared models are read-only. A specialization
-	// has none: retraining keeps every layer's cost, so it reads them from
-	// costs, the model it (or its own source) specializes.
-	sums  []cost
-	costs *Model
+	// never lazily, because shared models are read-only.
+	sums []cost
+
+	// A specialization stores no layers: its last retrain layers are those
+	// of costs, the model it (or its own source) specializes, with fresh
+	// weights, built on demand by Layer. Retraining keeps every layer's
+	// cost, so it reads its costs from there too. costs is nil on any other
+	// model.
+	costs   *Model
+	retrain int
 }
 
 // cost is a running total of layer costs.
@@ -116,20 +122,60 @@ func MustNew(id, task string, layers []Layer) *Model {
 }
 
 // NumLayers returns the layer count.
-func (m *Model) NumLayers() int { return m.shared + len(m.layers) }
+func (m *Model) NumLayers() int { return m.shared + len(m.layers) + m.retrain }
 
 // Layer returns layer i (0 <= i < NumLayers). It returns a copy, so no
-// caller can change a prefix other models share.
-func (m *Model) Layer(i int) Layer { return *m.layer(i) }
-
-// layer returns where layer i is stored, in m or in the model it shares
-// the layer with; callers must not change it.
-func (m *Model) layer(i int) *Layer {
-	for i < m.shared {
-		m = m.base
+// caller can change a prefix other models share. A retrained layer is
+// built here: its source's layer with WeightsID "<id>/<kind>#<i>", where
+// id names the specialization that retrained it.
+func (m *Model) Layer(i int) Layer {
+	l, by := m.layer(i)
+	c := *l
+	if by != nil {
+		c.WeightsID = retrainedWeights(by.ID, l.Kind, i)
 	}
-	return &m.layers[i-m.shared]
+	return c
 }
+
+// layer returns the stored layer that layer i of m is, in m or in the
+// model it shares the layer with. When a specialization retrained layer i,
+// it also returns that specialization, and the stored layer gives all but
+// the weights. Callers must not change the layer.
+func (m *Model) layer(i int) (l *Layer, retrainedBy *Model) {
+	for {
+		for i < m.shared {
+			m = m.base
+		}
+		if m.costs == nil {
+			return &m.layers[i-m.shared], retrainedBy
+		}
+		if retrainedBy == nil {
+			retrainedBy = m
+		}
+		m = m.costs
+	}
+}
+
+// retrainedWeights is the WeightsID specialization id gives the layer of
+// the given kind it retrains at index i.
+func retrainedWeights(id string, kind LayerKind, i int) string {
+	return id + "/" + string(kind) + "#" + strconv.Itoa(i)
+}
+
+// isRetrainedWeights reports whether w == retrainedWeights(id, kind, i),
+// without building the latter.
+func isRetrainedWeights(w, id string, kind LayerKind, i int) bool {
+	var buf [20]byte
+	idx := strconv.AppendInt(buf[:0], int64(i), 10)
+	k := len(id) + 1 + len(kind)
+	return len(w) == k+1+len(idx) && w[:len(id)] == id && w[len(id)] == '/' &&
+		w[len(id)+1:k] == string(kind) && w[k] == '#' && w[k+1:] == string(idx)
+}
+
+// Source returns the model a specialization keeps the structure and layer
+// costs of: the first model along its chain of Specialize calls that is not
+// itself a specialization. It returns nil when m is not a specialization.
+func (m *Model) Source() *Model { return m.costs }
 
 // FLOPs returns total compute per input.
 func (m *Model) FLOPs() int64 { return m.SuffixFLOPs(0) }
@@ -190,19 +236,15 @@ func (m *Model) derive(id string, k int) *Model {
 // retrain layers carry fresh weights (and hence fresh WeightsIDs). The
 // structure is unchanged, so the first NumLayers-retrain layers still match
 // the base model and remain prefix-batchable with it: the variant shares
-// them and stores only the retrained layers, whose WeightsIDs are
+// them. It stores only its ID, the model it reads them through and the
+// retrain count: Layer builds each retrained layer from m's, with WeightsID
 // "<newID>/<kind>#<index>". It shares m's layer costs too.
 func Specialize(m *Model, newID string, retrain int) (*Model, error) {
 	if retrain < 1 || retrain >= m.NumLayers() {
 		return nil, fmt.Errorf("model %q: retrain %d out of range [1,%d)", m.ID, retrain, m.NumLayers())
 	}
 	s := m.derive(newID, m.NumLayers()-retrain)
-	s.layers = make([]Layer, retrain)
-	for i := range s.layers {
-		l := m.Layer(s.shared + i)
-		l.WeightsID = newID + "/" + string(l.Kind) + "#" + strconv.Itoa(s.shared+i)
-		s.layers[i] = l
-	}
+	s.retrain = retrain
 	s.costs = m
 	if m.costs != nil {
 		s.costs = m.costs
@@ -230,15 +272,36 @@ func AppendFC(m *Model, newID string, extra int, units int64) *Model {
 }
 
 // CommonPrefixLen returns the number of leading layers a and b share
-// (identical structure and weights, see Layer.sameAs). The layers both read
-// from one model match by construction; only those after them are compared.
+// (identical structure and weights). The layers both read from one model
+// match by construction; only those after them are compared.
 func CommonPrefixLen(a, b *Model) int {
 	n := min(a.NumLayers(), b.NumLayers())
 	k := min(storedTogether(a, b), n)
-	for k < n && a.layer(k).sameAs(b.layer(k)) {
+	for k < n && sameLayer(a, b, k) {
 		k++
 	}
 	return k
+}
+
+// sameLayer reports whether layer i of a and layer i of b batch as one:
+// equal shape (Layer.sameShape) and weights. It builds no retrained layer's
+// WeightsID.
+func sameLayer(a, b *Model, i int) bool {
+	la, ra := a.layer(i)
+	lb, rb := b.layer(i)
+	if !la.sameShape(lb) {
+		return false
+	}
+	switch {
+	case ra == nil && rb == nil:
+		return la.WeightsID == lb.WeightsID
+	case ra != nil && rb != nil:
+		// Same kind, same index: the two WeightsIDs differ only in the ID.
+		return ra.ID == rb.ID
+	case ra != nil:
+		return isRetrainedWeights(lb.WeightsID, ra.ID, la.Kind, i)
+	}
+	return isRetrainedWeights(la.WeightsID, rb.ID, lb.Kind, i)
 }
 
 // storedTogether returns how many leading layers a and b read from one
@@ -310,7 +373,7 @@ func (db *DB) Variant(base string, k, retrain int) (string, error) {
 	var buf [64]byte
 	name := strconv.AppendInt(append(append(buf[:0], base...), "-v"...), int64(k), 10)
 	if v, ok := db.models[string(name)]; ok {
-		if own := len(v.layers); own != retrain {
+		if own := v.NumLayers() - v.shared; own != retrain {
 			return "", fmt.Errorf("model %q already registered with retrain %d, not %d", v.ID, own, retrain)
 		}
 		return v.ID, nil

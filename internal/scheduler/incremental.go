@@ -335,7 +335,7 @@ func rebuildNode(members []Session, profiles map[string]*profiler.Profile, cfg C
 		if !ok {
 			return nil, nil, fmt.Errorf("scheduler: no profile for model %s", s.ModelID)
 		}
-		b, d, err := residualBatch(p, s.SLO, s.Rate)
+		b, d, err := residualBatch(p, s, s.Rate)
 		if err != nil {
 			return nil, nil, err
 		}

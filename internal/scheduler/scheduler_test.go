@@ -223,9 +223,12 @@ func TestSessionValidate(t *testing.T) {
 
 func TestResidualBatchLowRateFallback(t *testing.T) {
 	p := linearProfile("m", time.Millisecond, 10*time.Millisecond, 32)
+	// The session runs a variant of m on m's profile, as a deployment
+	// shares a source's profile with its variants.
+	s := Session{ID: "s", ModelID: "m-v1", SLO: 100 * time.Millisecond}
 	// 1 req/s, SLO 100ms: gathering even one request takes ~1s, so the
 	// duty cycle clamps to SLO - l(1) = 89ms with batch 1.
-	b, d, err := residualBatch(p, 100*time.Millisecond, 1)
+	b, d, err := residualBatch(p, s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +236,7 @@ func TestResidualBatchLowRateFallback(t *testing.T) {
 		t.Fatalf("got batch %d duty %v, want 1, 89ms", b, d)
 	}
 	// High rate: l(b) + b/1000 <= 100ms; b=32 -> 42ms+32ms=74 <= 100. MaxBatch caps.
-	b, d, err = residualBatch(p, 100*time.Millisecond, 1000)
+	b, d, err = residualBatch(p, s, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +246,19 @@ func TestResidualBatchLowRateFallback(t *testing.T) {
 	if d != 32*time.Millisecond {
 		t.Fatalf("duty = %v, want 32ms", d)
 	}
-	if _, _, err := residualBatch(p, 5*time.Millisecond, 1); err == nil {
+	tight := s
+	tight.SLO = 5 * time.Millisecond
+	_, _, err = residualBatch(p, tight, 1)
+	if err == nil {
 		t.Fatal("SLO below l(1) accepted")
 	}
-	if _, _, err := residualBatch(p, time.Second, 0); err == nil {
+	// The error names the session's model, not the profile's source.
+	if msg := err.Error(); !strings.HasSuffix(msg, "for m-v1") {
+		t.Fatalf("infeasible-SLO error %q does not name the session's model m-v1", msg)
+	}
+	loose := s
+	loose.SLO = time.Second
+	if _, _, err := residualBatch(p, loose, 0); err == nil {
 		t.Fatal("zero rate accepted")
 	}
 }

@@ -50,7 +50,7 @@ func spatialSlice(s Session, p *profiler.Profile, gran int) (frac float64, batch
 	for g := 1; g <= gran; g++ {
 		f := float64(g) / float64(gran)
 		q := p.SliceProfile(f, spatialWorstCo(f, gran))
-		b, _, err := residualBatch(q, s.SLO, s.Rate)
+		b, _, err := residualBatch(q, s, s.Rate)
 		if err != nil {
 			continue // slice too slow for even batch 1; try a bigger one
 		}
@@ -75,7 +75,7 @@ func spatialSlice(s Session, p *profiler.Profile, gran int) (frac float64, batch
 // sustainable shared allocation, 1.0 (a dedicated node) otherwise. The
 // hybrid policy compares this against the slice fraction.
 func temporalOccupancy(s Session, p *profiler.Profile) float64 {
-	b, duty, err := residualBatch(p, s.SLO, s.Rate)
+	b, duty, err := residualBatch(p, s, s.Rate)
 	if err != nil {
 		return 1
 	}

@@ -103,10 +103,13 @@ type residualAlloc struct {
 }
 
 // residualBatch computes the batch size and duty cycle for a residual load
-// of the given rate under the SLO: the largest b with ℓ(b) + b/rate <= SLO.
-// Low-rate sessions for which even b=1 cannot fill a duty cycle in time run
-// at batch 1 with the duty cycle clamped to SLO - ℓ(1).
-func residualBatch(p *profiler.Profile, slo time.Duration, rate float64) (batch int, duty time.Duration, err error) {
+// of session s at the given rate under its SLO: the largest b with
+// ℓ(b) + b/rate <= SLO. Low-rate sessions for which even b=1 cannot fill a
+// duty cycle in time run at batch 1 with the duty cycle clamped to
+// SLO - ℓ(1). Errors name s's model, not p's: a variant's profile may be
+// its source's.
+func residualBatch(p *profiler.Profile, s Session, rate float64) (batch int, duty time.Duration, err error) {
+	slo := s.SLO
 	if rate <= 0 {
 		return 0, 0, fmt.Errorf("scheduler: residualBatch with rate %v", rate)
 	}
@@ -121,7 +124,7 @@ func residualBatch(p *profiler.Profile, slo time.Duration, rate float64) (batch 
 		duty = slo - p.BatchLatency(1)
 		if duty <= 0 {
 			return 0, 0, fmt.Errorf("scheduler: SLO %v below batch-1 latency %v for %s",
-				slo, p.BatchLatency(1), p.ModelID)
+				slo, p.BatchLatency(1), s.ModelID)
 		}
 		return 1, duty, nil
 	}
@@ -150,7 +153,7 @@ func residualPlacement(s Session, p *profiler.Profile, cfg Config) (dedicated []
 		if iter > 10000 {
 			return nil, nil, fmt.Errorf("scheduler: residual placement for %s did not converge", s.ID)
 		}
-		b, d, err := residualBatch(p, s.SLO, rate)
+		b, d, err := residualBatch(p, s, rate)
 		if err != nil {
 			return nil, nil, err
 		}
