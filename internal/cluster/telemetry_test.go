@@ -103,11 +103,11 @@ func TestTelemetryCapturesClusterState(t *testing.T) {
 		t.Fatal("no scheduler health reports")
 	}
 	h := health[len(health)-1]
-	if h.GPUsCapacity != 2 || len(h.Allocs) == 0 {
-		t.Errorf("health report: %+v", h)
+	if h.GPUsCapacity != 2 || len(h.Placements) == 0 || len(h.Placements[0].Units) == 0 {
+		t.Fatalf("health report: %+v", h)
 	}
-	if h.Allocs[0].Session != "s" || h.Allocs[0].Reason == "" {
-		t.Errorf("health alloc lacks an explanation: %+v", h.Allocs[0])
+	if u := h.Placements[0].Units[0]; u.Session != "s" || u.Rate <= 0 {
+		t.Errorf("health placement lacks an allocation: %+v", u)
 	}
 }
 

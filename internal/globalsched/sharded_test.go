@@ -69,9 +69,9 @@ func TestShardedEpochServesTraffic(t *testing.T) {
 			t.Fatalf("plan node %q lacks shard prefix", g.ID)
 		}
 	}
-	for _, a := range e.sched.Explain().Allocs {
-		if a.Shard == "" {
-			t.Fatalf("explain alloc for %s lacks shard tag", a.Session)
+	for _, rec := range e.sched.Explain().Placements {
+		if rec.Shard == "" {
+			t.Fatalf("explain placement %s lacks shard tag", rec.Node)
 		}
 	}
 }

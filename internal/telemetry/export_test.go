@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nexus/internal/trace"
 )
 
 // sampleCollector builds a collector with one tick of representative data.
@@ -104,16 +106,28 @@ func TestHealthReportText(t *testing.T) {
 	r := HealthReport{
 		Epoch: 3, AtMS: 30000, GPUsDemanded: 5, GPUsAllocated: 4, GPUsCapacity: 8,
 		SessionsMoved: 1,
-		Allocs:        []SessionAlloc{{Session: "s", Node: "gpu0", Reason: "100.0 r/s at batch 8"}},
+		Placements: []trace.PlacementRecord{
+			{Node: "gpu1", Backends: []string{"be1"}, Spatial: true, Occupancy: 0.5,
+				Units: []trace.PlacedUnit{{Session: "s", Batch: 2, Rate: 30, Slice: 0.5}}},
+			{Node: "gpu0", Backends: []string{"be0", "be2"}, DutyMS: 40, Occupancy: 0.75,
+				Units: []trace.PlacedUnit{
+					{Session: "t", Batch: 4, Rate: 50, Members: []string{"t1", "t2"}},
+					{Session: "s", Batch: 8, Rate: 100},
+				}},
+			{Node: "gpu2", Backends: []string{"be3"},
+				Units: []trace.PlacedUnit{{Session: "u", Batch: 16, Rate: 70}}},
+		},
 	}
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"epoch 3 @ t=30.0s", "4/8 GPUs allocated (demand 5), 1 session move(s)\n", "100.0 r/s at batch 8"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("health text missing %q:\n%s", want, out)
-		}
+	want := "epoch 3 @ t=30.0s: 4/8 GPUs allocated (demand 5), 1 session move(s)\n" +
+		"  s                        100.0 r/s at batch 8 on gpu0 (duty 40.0ms, occupancy 75%, headroom 25%, 2 replica(s))\n" +
+		"  s                        30.0 r/s at batch 2 on gpu1 (duty 0.0ms, occupancy 50%, headroom 50%, 1 replica(s)), pinned to a 50% compute slice\n" +
+		"  t                        50.0 r/s at batch 4 on gpu0 (duty 40.0ms, occupancy 75%, headroom 25%, 2 replica(s)), prefix group of 2\n" +
+		"  u                        70.0 r/s at batch 16 on gpu2 (1 replica(s))\n"
+	if got := buf.String(); got != want {
+		t.Errorf("health text:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 )
@@ -85,124 +87,68 @@ func makeStats(samples []time.Duration) StageStats {
 // missing their Arrive event (evicted by ring wraparound) are excluded from
 // stage stats; Drop events always count toward attribution.
 func Analyze(events []Event) *Analysis {
-	a := &Analysis{DropsByCause: make(map[string]int)}
-
-	type span struct {
-		arrive, enqueue, execute time.Duration
-		hasEnqueue, hasExecute   bool
+	r := replayEvents(events)
+	a := &Analysis{
+		Requests: r.arrived, Completed: r.completed, Dropped: r.dropped,
+		DropsByCause: r.drops,
 	}
-	spans := make(map[uint64]*span)
 	var dispatch, queue, gpu, total []time.Duration
-
-	type unitKey struct{ backend, unit string }
-	type batchKey struct {
-		unitKey
-		at  time.Duration
-		inc uint32
-	}
-	seenBatch := map[batchKey]bool{}
-	busy := map[unitKey]map[int]time.Duration{}
-	batches := map[unitKey]int{}
-	// A batch's GPU time is spread no further than one second past the
-	// trace's last event: a batch still running when the trace ends keeps
-	// its last slot, and a corrupt Dur cannot make the loop below run once
-	// per second of it.
-	var horizon time.Duration
-	for _, e := range events {
-		horizon = max(horizon, e.At)
-	}
-	horizon += time.Second
-
-	for _, e := range events {
-		switch e.Kind {
-		case Arrive:
-			a.Requests++
-			spans[e.ReqID] = &span{arrive: e.At}
-		case Enqueue:
-			if s, ok := spans[e.ReqID]; ok {
-				s.enqueue, s.hasEnqueue = e.At, true
+	for _, q := range r.done {
+		total = append(total, q.complete-q.arrive)
+		if q.hasEnqueue {
+			dispatch = append(dispatch, q.enqueue-q.arrive)
+			if q.hasExecute {
+				queue = append(queue, q.execute-q.enqueue)
+				gpu = append(gpu, q.complete-q.execute)
 			}
-		case Execute:
-			if s, ok := spans[e.ReqID]; ok {
-				s.execute, s.hasExecute = e.At, true
-			}
-			uk := unitKey{e.Backend, e.Unit}
-			bk := batchKey{uk, e.At, e.Inc}
-			if !seenBatch[bk] {
-				seenBatch[bk] = true
-				batches[uk]++
-				if busy[uk] == nil {
-					busy[uk] = map[int]time.Duration{}
-				}
-				// Spread the batch's GPU time across the seconds it spans.
-				start, remaining := e.At, min(e.Dur, horizon-e.At)
-				for remaining > 0 {
-					sec := int(start / time.Second)
-					end := time.Duration(sec+1) * time.Second
-					chunk := remaining
-					if start+chunk > end {
-						chunk = end - start
-					}
-					busy[uk][sec] += chunk
-					start += chunk
-					remaining -= chunk
-				}
-			}
-		case Complete:
-			a.Completed++
-			s, ok := spans[e.ReqID]
-			if !ok {
-				continue
-			}
-			total = append(total, e.At-s.arrive)
-			if s.hasEnqueue {
-				dispatch = append(dispatch, s.enqueue-s.arrive)
-				if s.hasExecute {
-					queue = append(queue, s.execute-s.enqueue)
-					gpu = append(gpu, e.At-s.execute)
-				}
-			}
-			delete(spans, e.ReqID)
-		case Drop:
-			a.Dropped++
-			cause := e.Cause
-			if cause == "" {
-				cause = "unknown"
-			}
-			a.DropsByCause[cause]++
-			delete(spans, e.ReqID)
 		}
 	}
-
 	a.Dispatch = makeStats(dispatch)
 	a.Queue = makeStats(queue)
 	a.GPU = makeStats(gpu)
 	a.Total = makeStats(total)
-
-	units := make([]unitKey, 0, len(batches))
-	for uk := range batches {
-		units = append(units, uk)
-	}
-	sort.Slice(units, func(i, j int) bool {
-		if units[i].backend != units[j].backend {
-			return units[i].backend < units[j].backend
-		}
-		return units[i].unit < units[j].unit
-	})
-	for _, uk := range units {
-		tl := UnitTimeline{Backend: uk.backend, Unit: uk.unit, Batches: batches[uk]}
-		secs := make([]int, 0, len(busy[uk]))
-		for s := range busy[uk] {
-			secs = append(secs, s)
-		}
-		sort.Ints(secs)
-		for _, s := range secs {
-			tl.Slots = append(tl.Slots, GPUSlot{Second: s, Busy: busy[uk][s]})
-		}
-		a.Timelines = append(a.Timelines, tl)
-	}
-	a.Blame = SessionBlames(AttributeBlame(events))
+	a.Timelines = timelines(r)
+	a.Blame = SessionBlames(r.blame())
 	return a
+}
+
+// timelines spreads each batch's GPU time across the seconds it spans, per
+// unit, sorted by backend then unit. A batch's time is spread no further
+// than one second past the trace's last event: a batch still running when
+// the trace ends keeps its last slot, and a corrupt Dur cannot make the
+// spread run once per second of it.
+func timelines(r *replay) []UnitTimeline {
+	byUnit := slices.Clone(r.batches)
+	slices.SortStableFunc(byUnit, func(x, y *batch) int {
+		return cmp.Or(cmp.Compare(x.backend, y.backend), cmp.Compare(x.unit, y.unit))
+	})
+	horizon := r.last + time.Second
+	var out []UnitTimeline
+	for len(byUnit) > 0 {
+		n := 1
+		for n < len(byUnit) && byUnit[n].backend == byUnit[0].backend && byUnit[n].unit == byUnit[0].unit {
+			n++
+		}
+		busy := map[int]time.Duration{}
+		for _, b := range byUnit[:n] {
+			start, remaining := b.start, min(b.dur, horizon-b.start)
+			for remaining > 0 {
+				sec := int(start / time.Second)
+				chunk := min(remaining, time.Duration(sec+1)*time.Second-start)
+				busy[sec] += chunk
+				start += chunk
+				remaining -= chunk
+			}
+		}
+		tl := UnitTimeline{Backend: byUnit[0].backend, Unit: byUnit[0].unit, Batches: n}
+		for s, d := range busy {
+			tl.Slots = append(tl.Slots, GPUSlot{Second: s, Busy: d})
+		}
+		sort.Slice(tl.Slots, func(i, j int) bool { return tl.Slots[i].Second < tl.Slots[j].Second })
+		out = append(out, tl)
+		byUnit = byUnit[n:]
+	}
+	return out
 }
 
 func fmtStage(w io.Writer, name string, s StageStats) error {

@@ -74,28 +74,21 @@ func WriteChrome(w io.Writer, events []Event) error {
 		return t
 	}
 
-	// One "X" slice per GPU batch: Execute events are per-request, so
-	// dedupe on (backend, unit, at, inc) — requests batched together share
-	// all four.
-	type batchKey struct {
-		backend, unit string
-		at            time.Duration
-		inc           uint32
-	}
-	seenBatch := map[batchKey]bool{}
-
-	arrivals := map[uint64]Event{}
-	for _, e := range events {
+	// One "X" slice per GPU batch, at its first member's Execute: Execute
+	// events are per-request, and the replay keys each batch once.
+	batches := replayEvents(events).batches
+	arrivals := map[uint64]bool{}
+	for i, e := range events {
 		switch e.Kind {
 		case Arrive:
-			arrivals[e.ReqID] = e
+			arrivals[e.ReqID] = true
 			out = append(out, chromeEvent{
 				Name: e.Session, Cat: "request", Phase: "b",
 				TS: us(e.At), PID: frontendPID, TID: 1,
 				ID: fmt.Sprintf("req%d", e.ReqID),
 			})
 		case Complete, Drop:
-			if _, ok := arrivals[e.ReqID]; ok {
+			if arrivals[e.ReqID] {
 				out = append(out, chromeEvent{
 					Name: e.Session, Cat: "request", Phase: "e",
 					TS: us(e.At), PID: frontendPID, TID: 1,
@@ -110,11 +103,10 @@ func WriteChrome(w io.Writer, events []Event) error {
 				})
 			}
 		case Execute:
-			k := batchKey{e.Backend, e.Unit, e.At, e.Inc}
-			if seenBatch[k] {
+			if len(batches) == 0 || batches[0].first != i {
 				continue
 			}
-			seenBatch[k] = true
+			batches = batches[1:]
 			p := pid(e.Backend)
 			out = append(out, chromeEvent{
 				Name: fmt.Sprintf("%s batch=%d", e.Session, e.Batch),
