@@ -184,6 +184,9 @@ func TestDataPartitionBreakersRouteAround(t *testing.T) {
 	if d.Frontend.Retries() == 0 {
 		t.Fatal("no dispatch retries despite a cut data link")
 	}
+	if d.Frontend.BreakerTransitions() == 0 {
+		t.Fatal("no breaker transitions despite a cut data link")
+	}
 	s := d.Recorder.Session("s")
 	// Retries + breakers route around the cut; only the first few
 	// dispatches (before the breaker opens) may be lost.

@@ -91,10 +91,7 @@ func (f *Frontend) EnableBreakers(threshold int, cooloff time.Duration) {
 	if threshold < 1 {
 		threshold = 1
 	}
-	f.breakers = make(map[string]*breaker, len(f.backends))
-	for beID := range f.backends {
-		f.breakers[beID] = &breaker{}
-	}
+	f.breakers = make(map[string]*breaker)
 	f.breakerThreshold = threshold
 	f.breakerCooloff = cooloff
 }
@@ -112,11 +109,16 @@ func (f *Frontend) transition(beID string, b *breaker, to int) {
 	}
 }
 
-// breakerFailure records a dispatch failure against a backend.
+// breakerFailure records a dispatch failure against a backend, creating its
+// breaker on the first one. Without breakers armed it does nothing.
 func (f *Frontend) breakerFailure(beID string) {
+	if f.breakers == nil {
+		return
+	}
 	b, ok := f.breakers[beID]
 	if !ok {
-		return
+		b = &breaker{}
+		f.breakers[beID] = b
 	}
 	switch b.state {
 	case breakerHalfOpen:

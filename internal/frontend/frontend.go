@@ -155,8 +155,8 @@ type Frontend struct {
 	serveStale  bool
 	lastPush    time.Duration
 	staleServed uint64
-	// breakers holds per-backend circuit state, one breaker per known
-	// backend, built at EnableBreakers.
+	// breakers holds per-backend circuit state (nil = breakers off); a
+	// backend's breaker is created on its first dispatch failure.
 	breakers           map[string]*breaker
 	barred             []bool // the pick's per-route scratch
 	breakerThreshold   int

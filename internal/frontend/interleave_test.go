@@ -293,6 +293,7 @@ func TestConcurrentDispatchAgainstBreakerFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	fe.breakerFailure("a") // creates a's breaker, still closed
 	b := fe.breakers["a"]
 	flip := func(i int) {
 		switch i % 3 {
