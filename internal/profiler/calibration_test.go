@@ -117,33 +117,3 @@ func TestCalibrateRejectsUncalibrated(t *testing.T) {
 		t.Fatal("unprofiled GPU type profiled")
 	}
 }
-
-func TestOverheadCacheMatchesWithCPUOverhead(t *testing.T) {
-	mdb := model.Catalog()
-	var c OverheadCache
-	for _, base := range []string{model.LeNet5, model.ResNet50} {
-		var table *time.Duration
-		for _, m := range calibrationFamily(t, mdb, base) {
-			p, err := Calibrate(m, K80)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, perItem := range []time.Duration{0, 100 * time.Microsecond, 2 * time.Millisecond} {
-				sameProfile(t, c.WithCPUOverhead(p, perItem), p.WithCPUOverhead(perItem))
-			}
-			q := c.WithCPUOverhead(p, 100*time.Microsecond)
-			if table == nil {
-				table = &q.lat[0]
-			} else if &q.lat[0] != table {
-				t.Fatalf("%s: adjusted table not shared across the family", m.ID)
-			}
-		}
-	}
-	// Measured tables and profiles that never memoized take the same path
-	// as WithCPUOverhead itself.
-	pts := testProfile().WithPoints([]time.Duration{2 * time.Millisecond, 3 * time.Millisecond, 5 * time.Millisecond})
-	for i := 0; i < 2; i++ {
-		sameProfile(t, c.WithCPUOverhead(pts, time.Millisecond), pts.WithCPUOverhead(time.Millisecond))
-		sameProfile(t, c.WithCPUOverhead(testProfile(), time.Millisecond), testProfile().WithCPUOverhead(time.Millisecond))
-	}
-}

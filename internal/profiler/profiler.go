@@ -418,45 +418,6 @@ func (p *Profile) WithCPUOverhead(perItem time.Duration) *Profile {
 	return &q
 }
 
-// OverheadCache derives WithCPUOverhead profiles for a set of profiles that
-// share memo tables: every model Calibrate derives from one base on one GPU
-// type shares one table. The adjusted table is built once per (source
-// table, per-item cost) and shared by every profile adjusted from it, so
-// deriving the planning view of n variants of a few bases costs one struct
-// copy each. It relies on memoize's contract: profiles that share a memo
-// table share the latency model it was built from. Entries are never
-// evicted, so feed it long-lived profiles only. The zero value is ready to
-// use; it is not safe for concurrent use.
-type OverheadCache struct {
-	adjusted map[overheadKey]*Profile
-}
-
-type overheadKey struct {
-	table   *time.Duration // first element of the source memo table
-	perItem time.Duration
-}
-
-// WithCPUOverhead returns p.WithCPUOverhead(perItem).
-func (c *OverheadCache) WithCPUOverhead(p *Profile, perItem time.Duration) *Profile {
-	if perItem <= 0 || len(p.lat) == 0 {
-		return p.WithCPUOverhead(perItem)
-	}
-	k := overheadKey{&p.lat[0], perItem}
-	first, ok := c.adjusted[k]
-	if !ok {
-		if c.adjusted == nil {
-			c.adjusted = make(map[overheadKey]*Profile)
-		}
-		q := p.WithCPUOverhead(perItem)
-		c.adjusted[k] = q
-		return q
-	}
-	q := *p
-	q.Alpha += perItem
-	q.points, q.lat = first.points, first.lat
-	return &q
-}
-
 // DB stores profiles keyed by (model, GPU type).
 type DB struct {
 	profiles map[string]*Profile
