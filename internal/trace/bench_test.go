@@ -32,6 +32,43 @@ func BenchmarkTracerBetween(b *testing.B) {
 	b.ReportMetric(float64(betweenSink.Len()), "spans/op")
 }
 
+// BenchmarkAnalyze and BenchmarkAttributeBlame read the events of a full
+// 2^18-span ring of trafficSpans, as `nexus-obs trace` and `blame` read a
+// traced traffic-chaos log.
+func BenchmarkAnalyze(b *testing.B) {
+	events := ringEvents()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analysisSink = Analyze(events)
+	}
+}
+
+func BenchmarkAttributeBlame(b *testing.B) {
+	events := ringEvents()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blameSink = AttributeBlame(events)
+	}
+}
+
+// analysisSink and blameSink keep the readers' results live.
+var (
+	analysisSink *Analysis
+	blameSink    []RequestBlame
+)
+
+// ringEvents returns the events of a full 2^18-span ring of trafficSpans.
+func ringEvents() []Event {
+	const capacity = 1 << 18
+	tr := New(capacity, nil)
+	for _, s := range trafficSpans(tr, capacity) {
+		tr.Put(s)
+	}
+	return tr.Events()
+}
+
 // trafficSpans returns n time-ordered spans, named through tr's tables: a
 // request arrives every ~73µs on average, so a span lands every ~14.6µs
 // as in traffic-chaos, and each is routed, enqueued ~1 ms later, executed
