@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,12 +52,14 @@ func TestVariantsShareSourceProfile(t *testing.T) {
 	}
 
 	// Calibrated from inception_v3 while specializing resnet50, and
-	// specializing a resnet50 this deployment never registered.
+	// specializing a resnet50 this deployment never registered: a twin of
+	// the registered one, since every catalog shares that very model.
 	other, err := model.Specialize(mdb.MustGet(model.ResNet50), "inception_v3-v900", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stranger, err := model.Specialize(model.Catalog().MustGet(model.ResNet50), "resnet50-v900", 1)
+	twin := model.AppendFC(mdb.MustGet(model.ResNet50), model.ResNet50, 0, 0)
+	stranger, err := model.Specialize(twin, "resnet50-v900", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +79,49 @@ func TestVariantsShareSourceProfile(t *testing.T) {
 		}
 		if !reflect.DeepEqual(p, want) {
 			t.Fatalf("%s: profile %+v, calibrated %+v", v.ID, *p, *want)
+		}
+	}
+}
+
+// TestConcurrentDeploymentsShareCatalog builds deployments and their
+// variants from concurrent goroutines (run with -race). Every deployment
+// holds the catalog's shared base models, which must stay read-only, and
+// only its own variants.
+func TestConcurrentDeploymentsShareCatalog(t *testing.T) {
+	t.Parallel()
+	const n = 4
+	dbs := make([]*model.DB, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d, err := cluster.New(cluster.Config{
+				System: cluster.Nexus, Features: cluster.AllFeatures(),
+				GPUs: 4, Seed: int64(i), Epoch: time.Hour, FixedCluster: true,
+			})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			_, errs[i] = apps.Deploy(d, apps.GameSLO(1+i, 2000, 50*time.Millisecond))
+			dbs[i] = d.ModelDB()
+		}()
+	}
+	wg.Wait()
+	for i, db := range dbs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for _, id := range model.CatalogIDs() {
+			if db.MustGet(id) != dbs[0].MustGet(id) {
+				t.Fatalf("deployment %d: %s is not the shared catalog model", i, id)
+			}
+		}
+		// GameSLO(g) registers two variants per game.
+		if want := len(model.CatalogIDs()) + 2*(1+i); db.Len() != want {
+			t.Fatalf("deployment %d holds %d models, want %d", i, db.Len(), want)
 		}
 	}
 }

@@ -17,8 +17,11 @@ import (
 // wave dispatches a batch of requests at one instant; the clock then
 // delivers them and the backends batch and execute them with the timer
 // stopped, so the timed region holds Dispatch calls only. It runs with
-// breakers off and on (none opens: every dispatch succeeds), and the pools
-// are warmed first, so steady state must not allocate.
+// breakers off and on. A breaker exists only once its backend has failed,
+// so breakers-on first gives each of the four replicas one failure and
+// one success: every pick then consults four closed breakers (none opens:
+// every dispatch succeeds). The pools are warmed first, so steady state
+// must not allocate.
 func BenchmarkFrontendDispatch(b *testing.B) {
 	const wave = 1024
 	prof := &profiler.Profile{
@@ -50,6 +53,13 @@ func BenchmarkFrontendDispatch(b *testing.B) {
 			fe := New(clock, backends, nil, 0, func(workload.Request, backend.Outcome) { dropped++ })
 			if bc.breakers {
 				fe.EnableBreakers(3, time.Second)
+				for id := range backends {
+					fe.breakerFailure(id)
+					fe.breakerSuccess(id)
+				}
+				if len(fe.breakers) != len(backends) {
+					b.Fatalf("%d breakers armed, want %d", len(fe.breakers), len(backends))
+				}
 			}
 			clock.RunUntil(5 * time.Second) // model load
 			if err := fe.SetTable(routes); err != nil {

@@ -91,11 +91,7 @@ func Pack(sessions []scheduler.Session, profiles TypedProfiles, capacity Capacit
 			if err != nil {
 				return nil, err
 			}
-			factor := cfg.SLOFactor
-			if factor == 0 {
-				factor = 2
-			}
-			maxLat := time.Duration(float64(s.SLO) / factor)
+			maxLat := time.Duration(float64(s.SLO) / cfg.WorstCaseFactor())
 			b := p.MaxBatchWithin(maxLat)
 			if b == 0 {
 				continue // SLO infeasible on this type

@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Catalog model IDs. These are the models the paper's evaluation uses
 // (Table 1, §7.1, §7.3, §7.5).
@@ -32,7 +35,23 @@ func CatalogIDs() []string {
 // total FLOPs and parameter sizes, with compute concentrated in conv stacks
 // and parameters concentrated in the final FC layers — the shape that makes
 // prefix batching profitable (§6.3).
+//
+// Every DB Catalog returns holds the same base models, built once per
+// process; they are read-only and must not be mutated. Models registered
+// later, variants included, belong to their DB alone.
 func Catalog() *DB {
+	base := catalogBase().order
+	db := NewDB()
+	db.Grow(len(base))
+	for _, m := range base {
+		db.add(m)
+	}
+	return db
+}
+
+// catalogBase builds the catalog's base models into one DB on its first
+// call; later calls return that DB, which nothing may change.
+var catalogBase = sync.OnceValue(func() *DB {
 	db := NewDB()
 	db.MustRegister(buildConvNet(LeNet5, "digit-recognition", convNetSpec{
 		blocks: 2, blockFLOPs: 8e6, blockParams: 20e3,
@@ -80,7 +99,7 @@ func Catalog() *DB {
 		fcUnits: 512, classes: 96,
 	}))
 	return db
-}
+})
 
 type convNetSpec struct {
 	blocks      int

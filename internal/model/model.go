@@ -8,6 +8,11 @@
 // the layers after them are compared field by field. The SHA-256 prefix
 // chain it replaced is kept in the tests as the oracle it must agree with.
 //
+// Models are read-only once built: derived models read their shared
+// layers through their source, and every DB Catalog returns holds the same
+// base models, built once per process. No caller may mutate a catalog
+// model; register a derived model instead.
+//
 // Models here are structural: they carry the FLOP counts, parameter sizes
 // and weight identities that scheduling and prefix batching depend on, not
 // numerical weights. Executing one on the simulated GPU consumes virtual

@@ -260,6 +260,62 @@ func TestCatalogSpecializationShares(t *testing.T) {
 	}
 }
 
+// TestCatalogSharesBaseModels checks that every Catalog DB holds the same
+// base models, built once per process, and that a variant registered in
+// one DB stays out of the others. The parallel case builds catalogs and
+// variants from concurrent goroutines (run with -race): the shared base
+// models must be read-only.
+func TestCatalogSharesBaseModels(t *testing.T) {
+	a, b := Catalog(), Catalog()
+	for _, id := range CatalogIDs() {
+		if a.MustGet(id) != b.MustGet(id) {
+			t.Fatalf("%s: two catalogs hold different models", id)
+		}
+	}
+	id, err := a.Variant(ResNet50, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Lookup(id); ok {
+		t.Fatalf("%s registered in one catalog shows up in another", id)
+	}
+	if n := len(CatalogIDs()); a.Len() != n+1 || b.Len() != n {
+		t.Fatalf("catalog sizes %d and %d, want %d and %d", a.Len(), b.Len(), n+1, n)
+	}
+
+	t.Run("concurrent", func(t *testing.T) {
+		t.Parallel()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				db := Catalog()
+				retrain := 1 + g%3
+				ids, err := SpecializeFamily(db, ResNet50, 8, retrain)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				base := db.MustGet(ResNet50)
+				for _, id := range ids {
+					v := db.MustGet(id)
+					if got, want := CommonPrefixLen(base, v), base.NumLayers()-retrain; got != want {
+						t.Errorf("%s: CommonPrefixLen with base = %d, want %d", id, got, want)
+					}
+					if w := v.Layer(v.NumLayers() - 1).WeightsID; !strings.HasPrefix(w, id+"/") {
+						t.Errorf("%s: last layer weights %q", id, w)
+					}
+				}
+				if db.Len() != len(CatalogIDs())+len(ids) {
+					t.Errorf("catalog holds %d models, want %d", db.Len(), len(CatalogIDs())+len(ids))
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}
+
 // Property: CommonPrefixLen(a,b) equals a linear scan comparison, for random
 // divergence points.
 func TestPropertyCommonPrefix(t *testing.T) {

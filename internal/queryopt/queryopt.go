@@ -119,18 +119,29 @@ type Split struct {
 // DefaultEpsilon is the DP discretization when the caller passes zero.
 const DefaultEpsilon = 5 * time.Millisecond
 
+// MaxSteps bounds the DP grid SLO/ε. Each node's tables hold MaxSteps+1
+// entries and its min-plus loop takes O(MaxSteps²) additions, so a tiny ε
+// (1 ns at a 400 ms SLO asks for 4·10⁸ entries per node) is refused
+// instead of allocated. The finest grid the repository plans on is 600
+// steps (a 600 ms SLO at ε = 1 ms).
+const MaxSteps = 4096
+
 // Optimize computes the latency split minimizing estimated GPU count for
 // serving the query at rootRate (§6.2). The cost of a node under budget k
 // uses the same worst-case rule the packer enforces downstream: the best
 // batch b with factor*ℓ(b) <= k, costing R·ℓ(b)/b GPUs. Infeasible
 // (model slower than any split permits) returns an error.
+//
+// Each node's cost curve over the budgets ε..SLO is tabulated once, so a
+// query of N nodes on S = SLO/ε steps costs O(N·S) profile evaluations and
+// O(N·S²) additions.
 func Optimize(q *Query, rootRate float64, profiles map[string]*profiler.Profile,
 	eps time.Duration, cfg scheduler.Config) (*Split, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if rootRate <= 0 {
-		return nil, fmt.Errorf("queryopt: non-positive root rate %v", rootRate)
+	if err := checkRate(rootRate); err != nil {
+		return nil, err
 	}
 	if eps <= 0 {
 		eps = DefaultEpsilon
@@ -139,25 +150,12 @@ func Optimize(q *Query, rootRate float64, profiles map[string]*profiler.Profile,
 	if steps < 1 {
 		return nil, fmt.Errorf("queryopt: SLO %v below epsilon %v", q.SLO, eps)
 	}
+	if steps > MaxSteps {
+		return nil, fmt.Errorf("queryopt: SLO %v over epsilon %v is %d steps, above the %d-step limit",
+			q.SLO, eps, steps, MaxSteps)
+	}
 	rates := q.Rates(rootRate)
-	factor := cfg.SLOFactor
-	if factor == 0 {
-		factor = 2
-	}
-
-	// nodeCost[v][k] = GPUs for node v with a budget of k*eps.
-	cost := func(n *Node, k int) (float64, error) {
-		p, ok := profiles[n.ModelID]
-		if !ok {
-			return 0, fmt.Errorf("queryopt: no profile for model %s (node %s)", n.ModelID, n.Name)
-		}
-		budget := time.Duration(k) * eps
-		b := p.MaxBatchWithin(time.Duration(float64(budget) / factor))
-		if b == 0 {
-			return math.Inf(1), nil
-		}
-		return rates[n.Name] / p.Throughput(b), nil
-	}
+	factor := cfg.WorstCaseFactor()
 
 	// f[v] is a table over budgets 0..steps: min GPUs for v's subtree.
 	// split[v][t] records the budget v takes for itself at table entry t.
@@ -166,28 +164,37 @@ func Optimize(q *Query, rootRate float64, profiles map[string]*profiler.Profile,
 		taken []int
 	}
 	tables := make(map[*Node]*table)
+	// cost[k] = GPUs for the node being built with a budget of k*eps,
+	// filled once its children's tables are done.
+	cost := make([]float64, steps+1)
 	var build func(n *Node) error
 	build = func(n *Node) error {
-		for _, e := range n.Edges {
+		kids := make([][]float64, len(n.Edges))
+		for i, e := range n.Edges {
 			if err := build(e.Child); err != nil {
 				return err
 			}
+			kids[i] = tables[e.Child].f
+		}
+		p, ok := profiles[n.ModelID]
+		if !ok {
+			return fmt.Errorf("queryopt: no profile for model %s (node %s)", n.ModelID, n.Name)
+		}
+		rate := rates[n.Name]
+		for k := 1; k <= steps; k++ {
+			cost[k] = stageCost(p, rate, time.Duration(k)*eps, factor)
 		}
 		tb := &table{f: make([]float64, steps+1), taken: make([]int, steps+1)}
 		for t := 0; t <= steps; t++ {
 			bestVal := math.Inf(1)
 			bestK := -1
 			for k := 1; k <= t; k++ {
-				c, err := cost(n, k)
-				if err != nil {
-					return err
-				}
-				if math.IsInf(c, 1) {
+				if math.IsInf(cost[k], 1) {
 					continue
 				}
-				total := c
-				for _, e := range n.Edges {
-					total += tables[e.Child].f[t-k]
+				total := cost[k]
+				for _, f := range kids {
+					total += f[t-k]
 				}
 				if total < bestVal {
 					bestVal, bestK = total, k
@@ -220,14 +227,33 @@ func Optimize(q *Query, rootRate float64, profiles map[string]*profiler.Profile,
 	return split, nil
 }
 
+// checkRate rejects a root rate that is not a positive finite number.
+func checkRate(rootRate float64) error {
+	if !(rootRate > 0) || math.IsInf(rootRate, 1) {
+		return fmt.Errorf("queryopt: root rate %v is not positive and finite", rootRate)
+	}
+	return nil
+}
+
+// stageCost is the GPUs a stage at rate needs under budget: rate over the
+// throughput of the largest batch b with factor*ℓ(b) <= budget, or +Inf
+// when no batch fits.
+func stageCost(p *profiler.Profile, rate float64, budget time.Duration, factor float64) float64 {
+	b := p.MaxBatchWithin(time.Duration(float64(budget) / factor))
+	if b == 0 {
+		return math.Inf(1)
+	}
+	return rate / p.Throughput(b)
+}
+
 // SplitCost evaluates the estimated GPU cost of serving the query at
 // rootRate under a given latency split, with the same cost model Optimize
 // uses. It returns +Inf when a stage is infeasible under its budget.
 func SplitCost(q *Query, rootRate float64, split *Split, profiles map[string]*profiler.Profile, cfg scheduler.Config) (float64, error) {
-	factor := cfg.SLOFactor
-	if factor == 0 {
-		factor = 2
+	if err := checkRate(rootRate); err != nil {
+		return 0, err
 	}
+	factor := cfg.WorstCaseFactor()
 	rates := q.Rates(rootRate)
 	var total float64
 	for _, n := range q.Nodes() {
@@ -239,11 +265,11 @@ func SplitCost(q *Query, rootRate float64, split *Split, profiles map[string]*pr
 		if !ok {
 			return 0, fmt.Errorf("queryopt: no profile for model %s", n.ModelID)
 		}
-		b := p.MaxBatchWithin(time.Duration(float64(budget) / factor))
-		if b == 0 {
-			return math.Inf(1), nil
+		c := stageCost(p, rates[n.Name], budget, factor)
+		if math.IsInf(c, 1) {
+			return c, nil
 		}
-		total += rates[n.Name] / p.Throughput(b)
+		total += c
 	}
 	return total, nil
 }

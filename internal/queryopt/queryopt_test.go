@@ -1,12 +1,15 @@
 package queryopt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"nexus/internal/model"
 	"nexus/internal/profiler"
 	"nexus/internal/scheduler"
 )
@@ -159,6 +162,52 @@ func TestOptimizeErrors(t *testing.T) {
 	}
 }
 
+// TestMalformedInput checks that a root rate that is not a positive finite
+// number, or a grid finer than MaxSteps, is refused with its own error
+// before the DP runs, by Optimize and, for rates, by SplitCost.
+func TestMalformedInput(t *testing.T) {
+	profiles := map[string]*profiler.Profile{
+		"mx": linearProfile("mx", time.Millisecond, time.Millisecond),
+		"my": linearProfile("my", time.Millisecond, time.Millisecond),
+	}
+	q := chainQuery(400 * time.Millisecond)
+	split := &Split{Budgets: map[string]time.Duration{"x": 200 * time.Millisecond, "y": 200 * time.Millisecond}}
+	for _, tc := range []struct {
+		name string
+		rate float64
+		eps  time.Duration
+		want string // error substring; "" = no error
+	}{
+		{"NaN rate", math.NaN(), 0, "not positive and finite"},
+		{"+Inf rate", math.Inf(1), 0, "not positive and finite"},
+		{"-Inf rate", math.Inf(-1), 0, "not positive and finite"},
+		{"negative rate", -1, 0, "not positive and finite"},
+		{"1ns grid", 10, time.Nanosecond, "above the 4096-step limit"},
+		{"one step past the limit", 10, 400 * time.Millisecond / (MaxSteps + 1), "above the 4096-step limit"},
+		{"at the limit", 10, 400 * time.Millisecond / MaxSteps, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Optimize(q, tc.rate, profiles, tc.eps, scheduler.Config{})
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Optimize: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Optimize: error %v, want one containing %q", err, tc.want)
+			}
+			if tc.eps != 0 {
+				return // SplitCost takes no grid
+			}
+			if _, err := SplitCost(q, tc.rate, split, profiles, scheduler.Config{}); err == nil ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("SplitCost: error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestEvenSplit(t *testing.T) {
 	q := &Query{Name: "q", SLO: 300 * time.Millisecond,
 		Root: &Node{Name: "a", ModelID: "m", Edges: []Edge{
@@ -308,5 +357,34 @@ func TestPropertyOptimizeBeatsEvenSplit(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkOptimize times one latency split of the traffic query (SSD, then
+// car recognition at γ 1.5 and face recognition at γ 0.5, 400 ms) on
+// catalog profiles, at the default grid and at the 1 ms one.
+func BenchmarkOptimize(b *testing.B) {
+	pdb, err := profiler.CatalogProfiles(model.Catalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	profiles := make(map[string]*profiler.Profile)
+	for _, id := range []string{model.SSD, model.GoogLeNetCar, model.VGGFace} {
+		profiles[id] = pdb.MustGet(id, profiler.GTX1080Ti)
+	}
+	q := &Query{Name: "traffic", SLO: 400 * time.Millisecond,
+		Root: &Node{Name: "det", ModelID: model.SSD, Edges: []Edge{
+			{Gamma: 1.5, Child: &Node{Name: "car", ModelID: model.GoogLeNetCar}},
+			{Gamma: 0.5, Child: &Node{Name: "face", ModelID: model.VGGFace}},
+		}}}
+	for _, eps := range []time.Duration{5 * time.Millisecond, time.Millisecond} {
+		b.Run(fmt.Sprintf("eps-%v", eps), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Optimize(q, 80, profiles, eps, scheduler.Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

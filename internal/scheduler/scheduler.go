@@ -180,7 +180,8 @@ type Config struct {
 	SliceGranularity int
 }
 
-func (c Config) sloFactor() float64 {
+// WorstCaseFactor is the SLOFactor in effect: 2 when unset.
+func (c Config) WorstCaseFactor() float64 {
 	if c.SLOFactor == 0 {
 		return 2
 	}
@@ -262,7 +263,7 @@ func Validate(plan *Plan, sessions []Session, profiles map[string]*profiler.Prof
 			}
 			var worst time.Duration
 			if g.Saturated {
-				worst = time.Duration(cfg.sloFactor() * float64(p.BatchLatency(a.Batch)))
+				worst = time.Duration(cfg.WorstCaseFactor() * float64(p.BatchLatency(a.Batch)))
 			} else {
 				worst = g.Duty + p.BatchLatency(a.Batch)
 			}

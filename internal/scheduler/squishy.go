@@ -74,10 +74,10 @@ func scheduleSaturate(sessions []Session, profiles map[string]*profiler.Profile,
 // GPU runs back to back for s: the worst case is one full batch of waiting
 // plus one of execution (§4.1).
 func saturateBatch(s Session, p *profiler.Profile, cfg Config) (int, error) {
-	b := p.MaxBatchWithin(time.Duration(float64(s.SLO) / cfg.sloFactor()))
+	b := p.MaxBatchWithin(time.Duration(float64(s.SLO) / cfg.WorstCaseFactor()))
 	if b == 0 {
 		return 0, fmt.Errorf("scheduler: session %s infeasible: %v*l(1)=%v exceeds SLO %v",
-			s.ID, cfg.sloFactor(), time.Duration(cfg.sloFactor()*float64(p.BatchLatency(1))), s.SLO)
+			s.ID, cfg.WorstCaseFactor(), time.Duration(cfg.WorstCaseFactor()*float64(p.BatchLatency(1))), s.SLO)
 	}
 	return b, nil
 }

@@ -124,7 +124,9 @@ const (
 	GoogLeNetCar = model.GoogLeNetCar
 )
 
-// Catalog returns the built-in model database.
+// Catalog returns a new model database holding the built-in models. Every
+// such database shares one read-only copy of those models, so callers must
+// not mutate them; models registered later belong to that database alone.
 func Catalog() *model.DB { return model.Catalog() }
 
 // Pack runs squishy bin packing (Algorithm 1) over sessions and returns
