@@ -41,6 +41,43 @@ func TestGPUMultiplexGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "gpu_multiplex_short.golden"), runShort(t, "fig14", "spatial"))
 }
 
+// TestMicroGolden pins the -short table1, table2, fig4, fig5, fig9 and fig15
+// tables, event counts included, to the bytes `nexus-bench -run
+// table1,table2,fig4,fig5,fig9,fig15 -short` prints on stdout. They cover
+// the profiles and their costs, one squishy pack, the latency-split DP over
+// fan-out, lazy and early dropping, and prefix batching, so a change to the
+// profiler, the packer's worked example, queryopt or the backend's drop
+// policies shows up here. Rewrite with -update after an intentional change.
+func TestMicroGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "micro_short.golden"),
+		runShort(t, "table1", "table2", "fig4", "fig5", "fig9", "fig15"))
+}
+
+// TestAblationsGolden pins the -short abl-slofactor, abl-epsilon, abl-slack,
+// abl-window and abl-defer tables, event counts included, to the bytes
+// `nexus-bench -run abl-slofactor,abl-epsilon,abl-slack,abl-window,abl-defer
+// -short` prints on stdout. Each sweeps one planning or serving knob
+// (worst-case SLO factor, DP grid, planning slack, early-drop window,
+// drop versus defer), so a change to how a knob is applied shows up here.
+// Rewrite with -update after an intentional change.
+func TestAblationsGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "ablations_short.golden"),
+		runShort(t, "abl-slofactor", "abl-epsilon", "abl-slack", "abl-window", "abl-defer"))
+}
+
+// TestSearchedGolden pins the -short fig11, fig12, fig17 and sec7.4 tables,
+// event counts included, to the bytes `nexus-bench -run
+// fig11,fig12,fig17,sec7.4 -short` prints on stdout. They search for the
+// goodput of whole deployments (the traffic query's systems and ablation,
+// rush versus non-rush hour, query analysis versus an even split, and GPU
+// efficiency against the lower bound), so a change anywhere on the request
+// path or in the goodput search shows up here. Rewrite with -update after
+// an intentional change.
+func TestSearchedGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "searched_short.golden"),
+		runShort(t, "fig11", "fig12", "fig17", "sec7.4"))
+}
+
 // runShort runs the given experiments in -short mode and returns their
 // tables and event counts as nexus-bench prints them.
 func runShort(t *testing.T, ids ...string) string {

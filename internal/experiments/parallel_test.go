@@ -37,9 +37,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	// A representative slice of the registry: plain sweeps (fig5), k-probe
 	// goodput searches (fig9, abl-window), concurrent deployments
-	// (abl-defer), the packing fan-out (ext-hetero), and the seeded
-	// fault-injection sweep (chaos).
-	ids := []string{"fig5", "fig9", "abl-window", "abl-defer", "ext-hetero", "chaos"}
+	// (abl-defer), the packing fan-out (ctrl-shard, whose sharded planner
+	// packs its shards through runner.Map at 4 and 8 shards), and the
+	// seeded fault-injection sweep (chaos).
+	ids := []string{"fig5", "fig9", "abl-window", "abl-defer", "ctrl-shard", "chaos"}
 
 	runAll := func(workers int) (map[string]string, map[string]uint64) {
 		prev := runner.SetDefaultWorkers(workers)
