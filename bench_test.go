@@ -105,10 +105,6 @@ func BenchmarkAblationWindow(b *testing.B) { runExperiment(b, "abl-window") }
 // BenchmarkAblationDefer contrasts drop vs defer-at-low-priority (§5).
 func BenchmarkAblationDefer(b *testing.B) { runExperiment(b, "abl-defer") }
 
-// BenchmarkExtensionHetero packs a mixed workload onto a heterogeneous
-// K80/1080Ti/V100 fleet and compares dollar cost with homogeneous options.
-func BenchmarkExtensionHetero(b *testing.B) { runExperiment(b, "ext-hetero") }
-
 // BenchmarkCtrlShard compares the one-shard epoch planner against
 // partitioned planning with hysteresis and delta routing on the Figure 13
 // deployment window.

@@ -9,8 +9,8 @@ import (
 
 func TestRegistry(t *testing.T) {
 	all := List()
-	if len(all) != 24 {
-		t.Fatalf("registry has %d experiments, want 24", len(all))
+	if len(all) != 23 {
+		t.Fatalf("registry has %d experiments, want 23", len(all))
 	}
 	// Sorted by ID.
 	for i := 1; i < len(all); i++ {

@@ -207,8 +207,9 @@ type Injector struct {
 	// window, so overlapping spikes do not clear each other early.
 	netUntil time.Duration
 	// netPinned marks an active permanent (Duration 0) NetDelay spike: the
-	// delay stays applied until ClearNetDelay, no matter how many earlier
-	// bounded windows expire after it fired.
+	// delay stays applied for the rest of the run (the tests clear it with
+	// ClearNetDelay), no matter how many earlier bounded windows expire
+	// after it fired.
 	netPinned bool
 }
 
@@ -242,14 +243,6 @@ func (in *Injector) Schedule(script Script) error {
 // Log returns the injections fired so far, in firing order.
 func (in *Injector) Log() []Injection {
 	return append([]Injection(nil), in.log...)
-}
-
-// ClearNetDelay explicitly clears any injected network delay, including a
-// pinned permanent spike.
-func (in *Injector) ClearNetDelay() {
-	in.netPinned = false
-	in.netUntil = 0
-	in.target.SetExtraNetDelay(0)
 }
 
 // record appends one injection to the log.

@@ -10,6 +10,9 @@ func (d *Device) IsLoaded(key string) bool {
 	return ok
 }
 
+// LoadedKeys returns the number of resident models.
+func (d *Device) LoadedKeys() int { return len(d.loaded) }
+
 // QueueLen returns the number of submitted-but-unfinished work items,
 // including work queued on compute partitions.
 func (d *Device) QueueLen() int {
@@ -43,3 +46,6 @@ func (p *Partition) Utilization(t0 time.Duration) float64 {
 	}
 	return float64(p.BusyTime()) / float64(elapsed)
 }
+
+// Released reports whether the partition has merged back into the device.
+func (p *Partition) Released() bool { return p.lane.released }

@@ -130,9 +130,6 @@ func (d *Device) MemUsed() int64 { return d.memUsed }
 // MemFree returns remaining capacity.
 func (d *Device) MemFree() int64 { return d.Spec.MemBytes - d.memUsed }
 
-// LoadedKeys returns the number of resident models.
-func (d *Device) LoadedKeys() int { return len(d.loaded) }
-
 // LoadTime returns how long loading `bytes` of weights takes.
 func LoadTime(bytes int64) time.Duration {
 	return loadFixed + time.Duration(float64(bytes)/float64(loadBandwidth)*float64(time.Second))

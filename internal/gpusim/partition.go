@@ -94,9 +94,6 @@ func (p *Partition) BusyTime() time.Duration {
 	return b
 }
 
-// Released reports whether the partition has merged back into the device.
-func (p *Partition) Released() bool { return p.lane.released }
-
 // Release marks the partition for merge-back. An idle partition detaches
 // immediately; one with queued or running work detaches when it drains, so
 // in-flight completion callbacks still run.

@@ -26,11 +26,11 @@ import (
 	"sync/atomic"
 )
 
-// defaultWorkers is the pool size used by Map/MapErr when the caller does
+// defaultWorkers is the pool size used by Map/MapNamed when the caller does
 // not specify one. <= 0 means runtime.GOMAXPROCS(0).
 var defaultWorkers atomic.Int64
 
-// SetDefaultWorkers sets the default parallelism for Map and MapErr.
+// SetDefaultWorkers sets the default parallelism for Map and MapNamed.
 // n <= 0 resets to GOMAXPROCS. It returns the previous setting.
 // nexus-bench wires its -parallel flag here; 1 forces fully sequential
 // execution.
@@ -118,28 +118,4 @@ func mapN[T any](label string, workers, n int, fn func(i int) T) []T {
 	}
 	wg.Wait()
 	return out
-}
-
-// MapErr runs fn(0..n-1) concurrently like Map. If any invocation returns
-// an error, MapErr reports the error with the lowest index (deterministic
-// regardless of completion order) alongside the partial results; result i
-// is valid iff fn(i) returned nil.
-func MapErr[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	type slot struct {
-		v   T
-		err error
-	}
-	slots := MapN(DefaultWorkers(), n, func(i int) slot {
-		v, err := fn(i)
-		return slot{v, err}
-	})
-	out := make([]T, n)
-	var firstErr error
-	for i, s := range slots {
-		out[i] = s.v
-		if s.err != nil && firstErr == nil {
-			firstErr = s.err
-		}
-	}
-	return out, firstErr
 }

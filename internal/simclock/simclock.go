@@ -49,7 +49,8 @@ type Clock struct {
 	stepped uint64
 	// limit aborts Run after this many events when non-zero.
 	limit uint64
-	// live counts scheduled, uncancelled events so Pending is O(1).
+	// live counts scheduled, uncancelled events. Only the tests read it,
+	// through Pending.
 	live int
 	// free recycles event structs; each reuse bumps the event's generation
 	// so stale Timer handles cannot touch the new occupant.
@@ -125,9 +126,6 @@ func New() *Clock {
 
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Duration { return c.now }
-
-// Pending returns the number of scheduled, uncancelled events.
-func (c *Clock) Pending() int { return c.live }
 
 // Executed returns the total number of events that have fired.
 func (c *Clock) Executed() uint64 { return c.stepped }
