@@ -485,11 +485,12 @@ func (d *Deployment) ModelDB() *model.DB { return d.mdb }
 func (d *Deployment) RefreshProfiles() error { return d.rebuildProfiles() }
 
 // rebuildProfiles profiles, on the deployment's GPU type only, each
-// calibrated model registered since the last call. The model DB never
-// replaces a registered model, so a derived profile stays current: set-up
-// cost grows with the models added, not with the models registered so far.
-// A specialization shares its source's profile when it can (see
-// sourceProfile), so a variant costs one map entry.
+// calibrated model registered since the last call that needs a profile of
+// its own. The model DB never replaces a registered model, so a derived
+// profile stays current: set-up cost grows with the models added, not with
+// the models registered so far. A specialization that can share its
+// source's profile (globalsched.ResolveProfile) gets no entry, so a
+// variant costs nothing here.
 func (d *Deployment) rebuildProfiles() error {
 	fresh := d.mdb.Since(d.profiled)
 	if d.profiles == nil {
@@ -497,9 +498,7 @@ func (d *Deployment) rebuildProfiles() error {
 		d.profiles = make(map[string]*profiler.Profile, len(fresh))
 	}
 	for _, m := range fresh {
-		if p := d.sourceProfile(m); p != nil {
-			d.profiles[m.ID] = p
-		} else if profiler.Calibrated(m.ID, d.cfg.GPU) {
+		if globalsched.ResolveProfile(d.profiles, d.mdb, m.ID) == nil && profiler.Calibrated(m.ID, d.cfg.GPU) {
 			p, err := profiler.Calibrate(m, d.cfg.GPU)
 			if err != nil {
 				return err
@@ -509,23 +508,6 @@ func (d *Deployment) rebuildProfiles() error {
 		d.profiled++
 	}
 	return nil
-}
-
-// sourceProfile returns the validated profile of the model m specializes,
-// or nil when m must be calibrated itself. A specialization keeps its
-// source's structure and layer costs, so when both calibrate from one base
-// (profiler.BaseOf), Calibrate(m) would differ from the source's profile
-// only in ModelID. The source must be the model this deployment profiled
-// under its ID.
-func (d *Deployment) sourceProfile(m *model.Model) *profiler.Profile {
-	src := m.Source()
-	if src == nil || profiler.BaseOf(m.ID) != profiler.BaseOf(src.ID) {
-		return nil
-	}
-	if reg, ok := d.mdb.Lookup(src.ID); !ok || reg != src {
-		return nil
-	}
-	return d.profiles[src.ID]
 }
 
 // Tracer returns the deployment's lifecycle tracer (nil unless enabled

@@ -74,7 +74,7 @@ func TestApplyDeltaSetRemove(t *testing.T) {
 }
 
 // TestApplyDeltaCarriesCounts: in-window request counts survive both a
-// route change (Set) and a removal (residual window), so ObservedRates
+// route change (Set) and a removal (residual window), so AddObservedRates
 // never loses traffic across a push.
 func TestApplyDeltaCarriesCounts(t *testing.T) {
 	clock, _, fe, _ := setup(t, 2)

@@ -72,11 +72,11 @@ func (f *Frontend) applyDelta(d deltaByID) error {
 	return f.ApplyDelta(td)
 }
 
-// observedByID returns ObservedRates by session ID, sessions with traffic
-// only.
+// observedByID returns the observed rates (AddObservedRates) by session
+// ID, sessions with traffic only.
 func (f *Frontend) observedByID() map[string]float64 {
 	out := make(map[string]float64)
-	for h, r := range f.ObservedRates() {
+	for h, r := range f.AddObservedRates(nil) {
 		if r > 0 {
 			out[f.names.ID(session.Handle(h))] = r
 		}

@@ -702,17 +702,18 @@ func (f *Frontend) pick(st *sessionState) int {
 	return best
 }
 
-// ObservedRates returns each session's request rate (req/s) since the last
-// call, indexed by session handle (0 for a session without traffic), then
-// resets the window. This feeds epoch scheduling ("load statistics from the
-// runtime", §5).
-func (f *Frontend) ObservedRates() []float64 {
+// AddObservedRates adds each session's request rate (req/s) since the last
+// call into rates, indexed by session handle, then resets the window. It
+// grows rates only as far as the highest handle with traffic, so several
+// frontends merge into one buffer that the caller reuses. This feeds epoch
+// scheduling ("load statistics from the runtime", §5).
+func (f *Frontend) AddObservedRates(rates []float64) []float64 {
 	elapsed := (f.clock.Now() - f.windowFrom).Seconds()
-	rates := make([]float64, len(f.sessions))
 	for h := range f.sessions {
 		st := &f.sessions[h]
 		if st.count > 0 && elapsed > 0 {
-			rates[h] = float64(st.count) / elapsed
+			rates = session.Fit(rates, session.Handle(h))
+			rates[h] += float64(st.count) / elapsed
 		}
 		st.count = 0
 	}

@@ -149,6 +149,38 @@ func TestObservedRates(t *testing.T) {
 	}
 }
 
+// TestAddObservedRatesMerges checks that AddObservedRates adds into the
+// caller's buffer: entries for sessions without traffic keep their value,
+// and the buffer grows only to the highest handle with traffic.
+func TestAddObservedRatesMerges(t *testing.T) {
+	clock, _, fe, _ := setup(t, 1)
+	if err := fe.SetTable(byID{
+		"x": {{BackendID: "a", UnitID: "u", Weight: 1}},
+		"y": {{BackendID: "a", UnitID: "u", Weight: 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	x, y := fe.sid("x"), fe.sid("y")
+	clock.RunUntil(time.Second)
+	fe.AddObservedRates(nil) // reset window
+	for i := range 10 {
+		fe.Dispatch(workload.Request{ID: uint64(i), Session: x, Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	}
+	clock.RunUntil(clock.Now() + 2*time.Second)
+	buf := make([]float64, int(x)+1, 64)
+	buf[x] = 1
+	got := fe.AddObservedRates(buf)
+	if len(got) != int(x)+1 || &got[0] != &buf[0] {
+		t.Fatalf("merged into len %d (reused %v), want the caller's buffer at len %d", len(got), &got[0] == &buf[0], int(x)+1)
+	}
+	if got[x] != 1+5 {
+		t.Fatalf("rate of x = %v, want 1 already in the buffer + 5 r/s", got[x])
+	}
+	if int(y) < len(got) && got[y] != 0 {
+		t.Fatalf("rate of y = %v, want 0 (no traffic)", got[y])
+	}
+}
+
 func TestSessions(t *testing.T) {
 	_, _, fe, _ := setup(t, 1)
 	if err := fe.SetTable(byID{

@@ -55,3 +55,20 @@ func BenchmarkPublishRoutes(b *testing.B) {
 		b.Fatalf("deltas carried %d session entries over %d publishes, want %d each", carried, b.N, sessions)
 	}
 }
+
+// BenchmarkRunEpoch measures one control-plane epoch at the fleet-churn
+// shape: 8,000 sessions in two prefix families at two SLOs, two planner
+// shards with a 5% hysteresis band, and rates that swing ±25% from epoch
+// to epoch, so every epoch re-plans and its publish carries all 8,000
+// sessions. Membership never changes, so the families are not re-derived.
+func BenchmarkRunEpoch(b *testing.B) {
+	e := runEpochEnv(b, 8000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		driftRates(e.sched, i)
+		if err := e.sched.RunEpoch(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"time"
 
 	"nexus/internal/backend"
@@ -134,12 +133,19 @@ type Scheduler struct {
 	frontends []*frontend.Frontend
 	names     *session.Table // the deployment's sessions, shared with the frontends
 	modelDB   *model.DB
-	profiles  map[string]*profiler.Profile // base profiles by model ID
+	profiles  map[string]*profiler.Profile // base profiles by model ID (see ResolveProfile)
 	cfg       Config
 
 	sessions []SessionSpec
 	handles  []session.Handle // handles[i] is sessions[i]'s
 	queries  []QuerySpec
+	// families are the standalone sessions' prefix families in key order
+	// (compareKeys), and familyOf finds one by key (see families.go).
+	families []*family
+	familyOf map[familyKey]*family
+	// unitTable is the member -> unit table of the standalone sessions,
+	// kept while membership is unchanged (nil = rebuild).
+	unitTable []string
 
 	// rates is the smoothed observed rate by session handle; observed marks
 	// the sessions whose EWMA has been seeded.
@@ -151,6 +157,10 @@ type Scheduler struct {
 	// groups holds this epoch's prefix groups by group ID, which is both
 	// the group's planning session ID and its model ID.
 	groups map[string]prefixGroup
+	// rateBuf and setBuf are observeRates' merge and publishRoutes' set,
+	// reused across epochs.
+	rateBuf []float64
+	setBuf  []frontend.SessionRoutes
 
 	epochs int
 	// lastStats is DiffPlans of the last applied plan against the one
@@ -264,12 +274,14 @@ func (s *Scheduler) AddSession(spec SessionSpec) (session.Handle, error) {
 	if spec.ID == "" || spec.ModelID == "" || spec.SLO <= 0 {
 		return 0, fmt.Errorf("globalsched: invalid session spec %+v", spec)
 	}
-	if _, ok := s.profiles[spec.ModelID]; !ok {
+	if s.profile(spec.ModelID) == nil {
 		return 0, fmt.Errorf("globalsched: no profile for model %s", spec.ModelID)
 	}
+	m, _ := s.modelDB.Lookup(spec.ModelID)
 	h := s.names.Intern(spec.ID)
 	s.sessions = append(s.sessions, spec)
 	s.handles = append(s.handles, h)
+	s.join(len(s.sessions)-1, m)
 	return h, nil
 }
 
@@ -289,7 +301,7 @@ func (s *Scheduler) AddQuery(spec QuerySpec) error {
 	}
 	nodes := spec.Query.Nodes()
 	for _, n := range nodes {
-		if _, ok := s.profiles[n.ModelID]; !ok {
+		if s.profile(n.ModelID) == nil {
 			return fmt.Errorf("globalsched: no profile for model %s (query %s)", n.ModelID, spec.Query.Name)
 		}
 	}
@@ -581,17 +593,13 @@ func (s *Scheduler) Explain() telemetry.HealthReport {
 
 // observeRates folds the frontends' observed rates into the EWMA state.
 func (s *Scheduler) observeRates() {
-	var merged []float64
+	merged := s.rateBuf[:0]
 	for _, fe := range s.frontends {
-		for h, r := range fe.ObservedRates() {
-			if r > 0 {
-				merged = session.Fit(merged, session.Handle(h))
-				merged[h] += r
-			}
-		}
+		merged = fe.AddObservedRates(merged)
 	}
+	s.rateBuf = merged
 	a := rateSmoothing // a variable: 1-a must round as float64, not as an exact constant
-	if merged == nil {
+	if len(merged) == 0 {
 		if s.everyRates {
 			// Traffic stopped entirely: decay every estimate so the
 			// cluster can shrink.
@@ -649,52 +657,6 @@ func (s *Scheduler) rateOf(h session.Handle, expected float64) float64 {
 		r = minSessionRate
 	}
 	return r
-}
-
-// buildSessions produces the scheduler sessions for this epoch and the
-// member map for routing: the unit (group or self) ID by member session
-// handle.
-func (s *Scheduler) buildSessions() ([]scheduler.Session, []string, error) {
-	out := make([]scheduler.Session, 0, len(s.sessions))
-	handles := append([]session.Handle(nil), s.handles...)
-	slack := s.slack()
-	for i, spec := range s.sessions {
-		slo := spec.SLO - slack
-		if slo < spec.SLO/2 {
-			slo = spec.SLO / 2
-		}
-		out = append(out, scheduler.Session{
-			ID:      spec.ID,
-			ModelID: spec.ModelID,
-			SLO:     slo,
-			Rate:    s.rateOf(s.handles[i], spec.ExpectedRate),
-		})
-	}
-	for _, qs := range s.queries {
-		qSessions, err := s.querySessions(qs)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, sess := range qSessions {
-			h, _ := s.names.Lookup(sess.ID)
-			handles = append(handles, h)
-		}
-		out = append(out, qSessions...)
-	}
-	memberUnit := make([]string, s.names.Len())
-	for i, sess := range out {
-		memberUnit[handles[i]] = sess.ID
-	}
-	// Prefix grouping.
-	s.groups = make(map[string]prefixGroup)
-	if !s.cfg.PrefixBatch {
-		return out, memberUnit, nil
-	}
-	grouped, err := s.groupPrefixes(out, handles, memberUnit)
-	if err != nil {
-		return nil, nil, err
-	}
-	return grouped, memberUnit, nil
 }
 
 // querySessions derives per-stage sessions for a query, adapting gamma
@@ -807,130 +769,6 @@ func (s *Scheduler) stageRate(q *queryopt.Query, n *queryopt.Node) float64 {
 	return s.rate(h)
 }
 
-// groupPrefixes combines sessions of specialized sibling models with equal
-// SLOs into prefix-batched group sessions (§6.3). handles[i] is the handle
-// of sessions[i]; memberUnit records each grouped member's group.
-func (s *Scheduler) groupPrefixes(sessions []scheduler.Session, handles []session.Handle,
-	memberUnit []string) ([]scheduler.Session, error) {
-	// Bucket by (SLO, base family); a bucket holds indices into sessions,
-	// and slot finds a key's bucket.
-	type bucketKey struct {
-		slo  time.Duration
-		base string
-	}
-	type bucket struct {
-		key     bucketKey
-		members []int
-	}
-	slot := make(map[bucketKey]int)
-	var buckets []bucket
-	for i, sess := range sessions {
-		key := bucketKey{sess.SLO, profiler.BaseOf(sess.ModelID)}
-		b, ok := slot[key]
-		if !ok {
-			b = len(buckets)
-			slot[key] = b
-			buckets = append(buckets, bucket{key: key})
-		}
-		buckets[b].members = append(buckets[b].members, i)
-	}
-	sort.Slice(buckets, func(i, j int) bool {
-		if buckets[i].key.base != buckets[j].key.base {
-			return buckets[i].key.base < buckets[j].key.base
-		}
-		return buckets[i].key.slo < buckets[j].key.slo
-	})
-	var out []scheduler.Session
-	for _, b := range buckets {
-		key, members := b.key, b.members
-		ungrouped := func() {
-			for _, i := range members {
-				out = append(out, sessions[i])
-			}
-		}
-		if len(members) < 2 {
-			ungrouped()
-			continue
-		}
-		// Confirm a real shared prefix via the model DB.
-		ids := make([]string, len(members))
-		for k, i := range members {
-			ids[k] = sessions[i].ModelID
-		}
-		baseModel, err := s.modelDB.Get(key.base)
-		if err != nil {
-			// Models not in the DB (synthetic tests): skip grouping.
-			ungrouped()
-			continue
-		}
-		// The smallest shared prefix worth combining is half the model.
-		minShared := baseModel.NumLayers() / 2
-		prefixLen, err := s.modelDB.SharedPrefix(ids)
-		if err != nil {
-			return nil, err
-		}
-		// Only group when the members' distinct models all share a long
-		// enough prefix (the common case: one specialized family per
-		// application).
-		if prefixLen < max(minShared, 1) {
-			ungrouped()
-			continue
-		}
-		suffixFrac := float64(baseModel.SuffixFLOPs(prefixLen)) / float64(baseModel.FLOPs())
-		baseProfile, ok := s.profiles[key.base]
-		if !ok {
-			baseProfile = s.profiles[sessions[members[0]].ModelID]
-		}
-		comb, err := profiler.CombinedProfile(baseProfile, suffixFrac, len(members))
-		if err != nil {
-			return nil, err
-		}
-		groupID := prefixGroupID(key.base, key.slo)
-		comb.ModelID = groupID
-		pre, suf := baseProfile.Split(1 - suffixFrac)
-		g := prefixGroup{members: make([]string, 0, len(members)), profile: comb, prefix: &pre, suffix: &suf}
-		var rate float64
-		for _, i := range members {
-			rate += sessions[i].Rate
-			g.members = append(g.members, sessions[i].ID)
-			memberUnit[handles[i]] = groupID
-		}
-		s.groups[groupID] = g
-		out = append(out, scheduler.Session{
-			ID: groupID, ModelID: groupID, SLO: key.slo, Rate: rate,
-		})
-	}
-	return out, nil
-}
-
-// prefixGroupID names the prefix group of base's sessions at slo:
-// "pg/<base>/<slo in ms>ms", with the fraction of a millisecond only when
-// slo has one, so buckets whose SLOs share a whole millisecond stay apart.
-func prefixGroupID(base string, slo time.Duration) string {
-	ms := strconv.FormatFloat(float64(slo)/float64(time.Millisecond), 'f', -1, 64)
-	return "pg/" + base + "/" + ms + "ms"
-}
-
-// prefixGroup is one epoch's prefix group: its member session IDs, the
-// combined profile the packer plans it with, and the prefix and suffix
-// execution profiles its backend unit runs.
-type prefixGroup struct {
-	members                 []string
-	profile, prefix, suffix *profiler.Profile
-}
-
-// profileOf resolves a model ID against prefix-group and base profiles,
-// returning the RAW profile (actual execution costs) for the runtime.
-func (s *Scheduler) profileOf(modelID string) (*profiler.Profile, error) {
-	if g, ok := s.groups[modelID]; ok {
-		return g.profile, nil
-	}
-	if p, ok := s.profiles[modelID]; ok {
-		return p, nil
-	}
-	return nil, fmt.Errorf("globalsched: no profile for %s", modelID)
-}
-
 // slack returns the planning slack subtracted from SLOs.
 func (s *Scheduler) slack() time.Duration {
 	switch {
@@ -963,8 +801,8 @@ func (s *Scheduler) planProfile(p *profiler.Profile) *profiler.Profile {
 // derived on the profile's first lookup and cached. Grouped variants plan
 // through their group's combined profile and are never derived.
 func (s *Scheduler) basePlanProfile(id string) (*profiler.Profile, bool) {
-	p, ok := s.profiles[id]
-	if !ok {
+	p := s.profile(id)
+	if p == nil {
 		return nil, false
 	}
 	adj, ok := s.adjBase[p]
@@ -990,7 +828,7 @@ func (s *Scheduler) planProfiles(sessions []scheduler.Session) map[string]*profi
 			return
 		}
 		if g, ok := s.groups[id]; ok {
-			m[id] = s.planProfile(g.profile)
+			m[id] = g.plan
 		} else if p, ok := s.basePlanProfile(id); ok {
 			m[id] = p
 		}
@@ -1150,14 +988,14 @@ func (s *Scheduler) publishRoutes(plan *scheduler.Plan) error {
 	}
 	// Sets go out ascending by handle, removes sorted by session ID (for
 	// determinism).
-	var set []frontend.SessionRoutes
+	set := s.setBuf[:0]
 	var remove []session.Handle
 	if n := len(s.memberUnit) - len(s.lastTable); n > 0 {
 		// A nil entry is a session the frontends hold no routes for (all
 		// of them, before the first publish): grow the held table once,
-		// and size set for the new sessions, which can only be set.
+		// and make room in set for the new sessions, which can only be set.
 		s.lastTable = append(s.lastTable, make(frontend.RoutingTable, n)...)
-		set = make([]frontend.SessionRoutes, 0, n)
+		set = slices.Grow(set, n)
 	}
 	for h, held := range s.lastTable {
 		var routes []frontend.Route
@@ -1171,6 +1009,7 @@ func (s *Scheduler) publishRoutes(plan *scheduler.Plan) error {
 			remove = append(remove, session.Handle(h))
 		}
 	}
+	s.setBuf = set
 	sort.Slice(remove, func(i, j int) bool { return s.names.ID(remove[i]) < s.names.ID(remove[j]) })
 	if len(set) == 0 && len(remove) == 0 {
 		s.recoveryPending = false

@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -53,11 +54,85 @@ const (
 
 var histLogGrowth = math.Log(histGrowth)
 
-func bucketIndex(d time.Duration) int {
+// logBucketIndex is the bucket formula: 0 below 1µs, else 1 plus the whole
+// number of histGrowth factors from 1µs to d. It is monotone in d, so a
+// bucket is a range of durations; bucketIndex finds it from the ranges'
+// bounds, derived once from this formula, without a logarithm.
+func logBucketIndex(d time.Duration) int {
 	if d < time.Microsecond {
 		return 0
 	}
 	return 1 + int(math.Log(float64(d)/histBase)/histLogGrowth)
+}
+
+// subBits is how many bits after the leading one key a duration's
+// bucketStart entry: 2^subBits slices per power of two, each narrower than
+// two buckets.
+const subBits = 5
+
+var (
+	// bucketLow[i] is the smallest duration in bucket i >= 1, for every
+	// bucket up to logBucketIndex(math.MaxInt64).
+	bucketLow = bucketBounds()
+	// bucketStart[b<<subBits | s] is the bucket of the smallest duration of
+	// at least 1µs whose leading one is bit b and whose next subBits bits
+	// are s.
+	bucketStart = bucketStarts()
+)
+
+// bucketBounds binary-searches logBucketIndex for each bucket's smallest
+// duration, starting from the one below it.
+func bucketBounds() []time.Duration {
+	top := logBucketIndex(math.MaxInt64)
+	low := make([]time.Duration, top+1)
+	low[1] = time.Microsecond
+	for i := 2; i <= top; i++ {
+		lo, hi := low[i-1], time.Duration(math.MaxInt64)
+		// Buckets are histGrowth wide, so the next bound lies within a few
+		// percent; when the guess is no upper bound, search to the top.
+		if g := float64(lo) * 1.05; g < math.MaxInt64/2 && logBucketIndex(time.Duration(g)) >= i {
+			hi = time.Duration(g)
+		}
+		for lo < hi { // logBucketIndex(lo-1) < i, logBucketIndex(hi) >= i
+			mid := lo + (hi-lo)/2
+			if logBucketIndex(mid) >= i {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		low[i] = lo
+	}
+	return low
+}
+
+func bucketStarts() *[64 << subBits]uint16 {
+	var start [64 << subBits]uint16
+	for k := range start {
+		b, s := k>>subBits, uint64(k&(1<<subBits-1))
+		if b <= subBits || b >= 63 {
+			continue // below 1µs, or beyond int64
+		}
+		d := time.Duration(1<<b | s<<(b-subBits))
+		start[k] = uint16(logBucketIndex(max(d, time.Microsecond)))
+	}
+	return &start
+}
+
+// bucketIndex returns logBucketIndex(d): the bucket the leading bits of d
+// key in bucketStart, moved up past every bucket that starts at or below
+// d (at most two).
+func bucketIndex(d time.Duration) int {
+	if d < time.Microsecond {
+		return 0
+	}
+	u := uint64(d)
+	b := bits.Len64(u) - 1
+	i := int(bucketStart[b<<subBits|int(u>>(b-subBits))&(1<<subBits-1)])
+	for i+1 < len(bucketLow) && bucketLow[i+1] <= d {
+		i++
+	}
+	return i
 }
 
 func bucketValue(idx int) time.Duration {

@@ -858,3 +858,36 @@ func BenchmarkHistogramRecord(b *testing.B) {
 		})
 	}
 }
+
+// TestBucketIndexMatchesLog checks the table lookup against the logarithm
+// formula it is derived from: at every bucket's lower bound, one below
+// and one above it, at the edges of the int64 range, and at random
+// durations spread over every magnitude up to math.MaxInt64.
+func TestBucketIndexMatchesLog(t *testing.T) {
+	check := func(d time.Duration) {
+		t.Helper()
+		if got, want := bucketIndex(d), logBucketIndex(d); got != want {
+			t.Fatalf("bucketIndex(%d) = %d, logarithm formula %d", int64(d), got, want)
+		}
+	}
+	if n := len(bucketLow) - 1; n != logBucketIndex(math.MaxInt64) {
+		t.Fatalf("%d bucket bounds, want one per bucket up to %d", n, logBucketIndex(math.MaxInt64))
+	}
+	for i := 1; i < len(bucketLow); i++ {
+		lo := bucketLow[i]
+		if logBucketIndex(lo) != i || logBucketIndex(lo-1) != i-1 {
+			t.Fatalf("bucket %d bound %d: formula gives %d there and %d below", i, int64(lo), logBucketIndex(lo), logBucketIndex(lo-1))
+		}
+		check(lo - 1)
+		check(lo)
+		check(lo + 1)
+	}
+	for _, d := range []time.Duration{math.MinInt64, -1, 0, 1, 999, 1000, 1001, 1 << 40, math.MaxInt64 - 1, math.MaxInt64} {
+		check(d)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 200_000 {
+		check(time.Duration(rng.Int63() >> rng.Intn(63)))
+		check(time.Duration(rng.Int63()))
+	}
+}

@@ -49,9 +49,6 @@ type Clock struct {
 	stepped uint64
 	// limit aborts Run after this many events when non-zero.
 	limit uint64
-	// live counts scheduled, uncancelled events. Only the tests read it,
-	// through Pending.
-	live int
 	// free recycles event structs; each reuse bumps the event's generation
 	// so stale Timer handles cannot touch the new occupant.
 	free []*event
@@ -78,9 +75,8 @@ type Clock struct {
 // firing. Timers are small values: copying one copies the handle, and the
 // zero Timer is valid and inert (Stop reports false).
 type Timer struct {
-	clock *Clock
-	ev    *event
-	gen   uint64
+	ev  *event
+	gen uint64
 }
 
 // Stop cancels the timer. It reports whether the call prevented the event
@@ -90,7 +86,6 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	t.ev.cancelled = true
-	t.clock.live--
 	return true
 }
 
@@ -194,9 +189,8 @@ func (c *Clock) At(t time.Duration, fn func()) Timer {
 	e := c.alloc()
 	e.at, e.seq, e.fn = t, c.seq, fn
 	c.seq++
-	c.live++
 	c.insert(e)
-	return Timer{clock: c, ev: e, gen: e.gen}
+	return Timer{ev: e, gen: e.gen}
 }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
@@ -324,7 +318,6 @@ func (c *Clock) Step() bool {
 	c.curHeap.pop()
 	c.now = e.at
 	c.stepped++
-	c.live--
 	fn := e.fn
 	// Recycle before running fn: the event is out of the wheel and fn may
 	// legitimately schedule new events that reuse the struct.
