@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nexus/internal/telemetry"
+	"nexus/internal/trace"
 )
 
 // telemetrySampler is the pull side of the telemetry plane: every sampling
@@ -99,7 +100,7 @@ func (ts *telemetrySampler) sample() {
 	if d.cfg.degraded() {
 		for i, fe := range d.Frontends {
 			l := strconv.Itoa(i)
-			reg.Gauge("frontend_route_staleness_ms", "frontend", l).Set(telemetry.MS(fe.RouteStaleness()))
+			reg.Gauge("frontend_route_staleness_ms", "frontend", l).Set(trace.MS(fe.RouteStaleness()))
 			reg.Counter("frontend_stale_served_total", "frontend", l).Set(float64(fe.StaleServed()))
 			reg.Gauge("frontend_breakers_open", "frontend", l).Set(float64(fe.OpenBreakers()))
 			reg.Counter("frontend_breaker_transitions_total", "frontend", l).Set(float64(fe.BreakerTransitions()))

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -15,14 +14,13 @@ import (
 
 // Prefix batching (§6.3) combines the sessions of specialized sibling
 // models that share a planning SLO and a base model into one group unit,
-// whose members run a shared prefix as one batch. The set of standalone
-// sessions changes only when one is added, while their rates drift every
-// epoch (§6.1), so each standalone session joins its (SLO, base) family
-// once, in AddSession, and a family re-derives its group only when its
-// membership changes. An epoch then only sums member rates. Query stages
-// are the exception: their SLOs follow the latency split, so they are
-// bucketed every epoch, after the standalone members of a family with the
-// same key.
+// whose members run a shared prefix as one batch. The sessions change only
+// when one is added, while their rates drift every epoch (§6.1), so every
+// session belongs to a persistent (SLO, base) family, and a family
+// re-derives its group only when its membership changes. An epoch then
+// only sums member rates. A standalone session joins its family once, in
+// AddSession. A query stage's SLO follows the latency split (§6.2), so each
+// epoch a stage whose key changed moves to the family of its new key.
 
 // familyKey is a prefix bucket: a planning SLO and a base model ID.
 type familyKey struct {
@@ -39,49 +37,16 @@ func compareKeys(a, b familyKey) int {
 	return cmp.Compare(a.slo, b.slo)
 }
 
-// prefixRun is the shared prefix of a bucket's member models, kept as
-// members join: DB.SharedPrefix's answer, one member at a time. shared is
-// the shortest CommonPrefixLen of a member against the first member's
-// model, and distinct whether two members name different models. missing
-// is the first member model that is not registered: it makes any grouped
-// bucket an error, so the other fields stop changing once it is set.
-type prefixRun struct {
-	n        int
-	first    *model.Model
-	shared   int
-	distinct bool
-	missing  string
-}
-
-// add appends one member with model m (nil when id is not registered).
-func (r *prefixRun) add(id string, m *model.Model) {
-	switch {
-	case r.n == 0:
-		r.first = m
-		if m == nil {
-			r.missing = id
-		} else {
-			r.shared = m.NumLayers()
-		}
-	case r.missing != "":
-	case m == nil:
-		r.missing = id
-	case id != r.first.ID:
-		r.distinct = true
-		r.shared = min(r.shared, model.CommonPrefixLen(r.first, m))
-	}
-	r.n++
-}
-
-// family is the persistent prefix bucket of the standalone sessions that
-// share a key. Its group is re-derived when members join (stale), and a
-// derived group is never changed in place: backend units and placement
-// records may hold its member slice.
+// family is the persistent prefix bucket of the sessions that share a key:
+// its standalone members, then its query stages. Its group is re-derived
+// when its membership changes (stale), and a derived group is never
+// changed in place: backend units and placement records may hold its
+// member slice.
 type family struct {
 	key       familyKey
 	baseModel *model.Model // nil when the base is not registered
 	members   []int        // indices into Scheduler.sessions, in add order
-	run       prefixRun
+	stages    []int        // positions in the epoch's stage list, ascending
 
 	stale   bool
 	grouped bool
@@ -114,11 +79,18 @@ func (s *Scheduler) planningSLO(slo time.Duration) time.Duration {
 	return max(slo-s.slack(), slo/2)
 }
 
-// join adds standalone session i, whose model is m (nil if unregistered),
-// to its family.
-func (s *Scheduler) join(i int, m *model.Model) {
-	spec := s.sessions[i]
-	key := familyKey{s.planningSLO(spec.SLO), profiler.BaseOf(spec.ModelID)}
+// familyAt returns the index of key's family in s.families, or where it
+// would go.
+func (s *Scheduler) familyAt(key familyKey) int {
+	at, _ := slices.BinarySearchFunc(s.families, key, func(g *family, k familyKey) int {
+		return compareKeys(g.key, k)
+	})
+	return at
+}
+
+// enter returns key's family, created if need be, marked stale for the
+// member the caller adds to it.
+func (s *Scheduler) enter(key familyKey) *family {
 	f := s.familyOf[key]
 	if f == nil {
 		f = &family{key: key}
@@ -127,86 +99,101 @@ func (s *Scheduler) join(i int, m *model.Model) {
 			s.familyOf = make(map[familyKey]*family)
 		}
 		s.familyOf[key] = f
-		at, _ := slices.BinarySearchFunc(s.families, key, func(g *family, k familyKey) int {
-			return compareKeys(g.key, k)
-		})
-		s.families = slices.Insert(s.families, at, f)
+		s.families = slices.Insert(s.families, s.familyAt(key), f)
 	}
-	f.members = append(f.members, i)
-	f.run.add(spec.ModelID, m)
 	f.stale = true
 	s.unitTable = nil
+	return f
 }
 
-// derive re-derives a stale family's group from its members.
-func (s *Scheduler) derive(f *family) {
-	f.grouped, f.err = false, nil
-	g, ok, err := s.groupOf(f.key, f.baseModel, f.run)
+// join adds standalone session i to its family.
+func (s *Scheduler) join(i int) {
+	spec := s.sessions[i]
+	f := s.enter(familyKey{s.planningSLO(spec.SLO), profiler.BaseOf(spec.ModelID)})
+	f.members = append(f.members, i)
+}
+
+// moveStages puts each of the epoch's query stages in the family of its
+// key. A stage's position is stable: every query emits one stage per node,
+// in node order, and queries are only appended. A stage whose key changed
+// leaves its old family, which goes once it has no members.
+func (s *Scheduler) moveStages(stages []scheduler.Session) {
+	for j, st := range stages {
+		key := familyKey{st.SLO, profiler.BaseOf(st.ModelID)}
+		if j < len(s.stageFam) {
+			old := s.stageFam[j]
+			if old.key == key {
+				continue
+			}
+			k, _ := slices.BinarySearch(old.stages, j)
+			old.stages = slices.Delete(old.stages, k, k+1)
+			old.stale = true
+			if len(old.members)+len(old.stages) == 0 {
+				delete(s.familyOf, old.key)
+				at := s.familyAt(old.key)
+				s.families = slices.Delete(s.families, at, at+1)
+			}
+		} else {
+			s.stageFam = append(s.stageFam, nil)
+		}
+		f := s.enter(key)
+		k, _ := slices.BinarySearch(f.stages, j)
+		f.stages = slices.Insert(f.stages, k, j)
+		s.stageFam[j] = f
+	}
+}
+
+// derive re-derives a stale family's group from its members, standalone
+// members first, or finds that they plan as themselves: fewer than two
+// members, an unregistered base, or a shared prefix shorter than half the
+// base model. stages is the epoch's stage list.
+func (s *Scheduler) derive(f *family, stages []scheduler.Session) {
+	f.stale, f.grouped, f.err = false, false, nil
+	n := len(f.members) + len(f.stages)
+	if n < 2 || f.baseModel == nil {
+		// Models not in the DB (synthetic tests): skip grouping.
+		return
+	}
+	models, members := make([]string, 0, n), make([]string, 0, n)
+	for _, i := range f.members {
+		models, members = append(models, s.sessions[i].ModelID), append(members, s.sessions[i].ID)
+	}
+	for _, j := range f.stages {
+		models, members = append(models, stages[j].ModelID), append(members, stages[j].ID)
+	}
+	prefixLen, err := s.modelDB.SharedPrefix(models)
 	if err != nil {
 		f.err = err
-	} else if ok {
-		g.members = make([]string, len(f.members))
-		for k, i := range f.members {
-			g.members[k] = s.sessions[i].ID
-		}
-		f.group, f.grouped = g, true
-	}
-	f.stale = false
-}
-
-// groupOf derives the prefix group of a bucket whose members' models make
-// up run, or reports that its members plan as themselves: fewer than two
-// members, an unregistered base, or a shared prefix shorter than half the
-// base model. The group's members are the caller's to fill in.
-func (s *Scheduler) groupOf(key familyKey, baseModel *model.Model, run prefixRun) (prefixGroup, bool, error) {
-	if run.n < 2 || baseModel == nil {
-		// Models not in the DB (synthetic tests): skip grouping.
-		return prefixGroup{}, false, nil
-	}
-	if run.missing != "" {
-		_, err := s.modelDB.Get(run.missing)
-		return prefixGroup{}, false, err
-	}
-	prefixLen := 0
-	if run.distinct {
-		prefixLen = run.shared
+		return
 	}
 	// Only group when the members' distinct models all share a long enough
 	// prefix (the common case: one specialized family per application); the
 	// smallest worth combining is half the model.
-	if prefixLen < max(baseModel.NumLayers()/2, 1) {
-		return prefixGroup{}, false, nil
+	if prefixLen < max(f.baseModel.NumLayers()/2, 1) {
+		return
 	}
-	suffixFrac := float64(baseModel.SuffixFLOPs(prefixLen)) / float64(baseModel.FLOPs())
-	baseProfile := s.profile(key.base)
+	suffixFrac := float64(f.baseModel.SuffixFLOPs(prefixLen)) / float64(f.baseModel.FLOPs())
+	baseProfile := s.profile(f.key.base)
 	if baseProfile == nil {
-		baseProfile = s.profile(run.first.ID)
+		baseProfile = s.profile(models[0])
 	}
-	comb, err := profiler.CombinedProfile(baseProfile, suffixFrac, run.n)
+	comb, err := profiler.CombinedProfile(baseProfile, suffixFrac, n)
 	if err != nil {
-		return prefixGroup{}, false, err
+		f.err = err
+		return
 	}
-	id := prefixGroupID(key.base, key.slo)
+	id := prefixGroupID(f.key.base, f.key.slo)
 	comb.ModelID = id
 	pre, suf := baseProfile.Split(1 - suffixFrac)
-	return prefixGroup{id: id, profile: comb, prefix: &pre, suffix: &suf, plan: s.planProfile(comb)}, true, nil
-}
-
-// epochBucket is one bucket of an epoch: a standalone family (nil for a
-// bucket of query stages only), the indices of the stages that join it,
-// and the group ID its members route to ("" when ungrouped).
-type epochBucket struct {
-	key    familyKey
-	fam    *family
-	stages []int
-	unit   string
+	f.group = prefixGroup{id: id, members: members, profile: comb, prefix: &pre, suffix: &suf, plan: s.planProfile(comb)}
+	f.grouped = true
 }
 
 // buildSessions produces the scheduler sessions for this epoch and the
 // member map for routing: the unit (group or self) ID by member session
-// handle. Standalone sessions come in add order and query stages after
-// them; with prefix batching, each bucket in key order emits its group or
-// its members.
+// handle. Without prefix batching, standalone sessions come in add order
+// and query stages after them; with it, each family in key order emits its
+// group or its members.
 func (s *Scheduler) buildSessions() ([]scheduler.Session, []string, error) {
 	var stages []scheduler.Session
 	for _, qs := range s.queries {
@@ -216,6 +203,7 @@ func (s *Scheduler) buildSessions() ([]scheduler.Session, []string, error) {
 		}
 		stages = append(stages, qSessions...)
 	}
+	s.moveStages(stages)
 	if s.groups == nil {
 		s.groups = make(map[string]prefixGroup)
 	}
@@ -226,41 +214,36 @@ func (s *Scheduler) buildSessions() ([]scheduler.Session, []string, error) {
 			out = append(out, s.standalone(i))
 		}
 		out = append(out, stages...)
-		return out, s.memberUnits(nil, stages), nil
+		return out, s.memberUnits(stages), nil
 	}
-	buckets := s.bucketStages(stages)
 	var out []scheduler.Session
-	for b := range buckets {
-		bk := &buckets[b]
-		g, ok, err := s.bucketGroup(bk, stages)
-		if err != nil {
-			return nil, nil, err
+	for _, f := range s.families {
+		if f.stale {
+			s.derive(f, stages)
 		}
-		if !ok {
-			if bk.fam != nil {
-				for _, i := range bk.fam.members {
-					out = append(out, s.standalone(i))
-				}
+		if f.err != nil {
+			return nil, nil, f.err
+		}
+		if !f.grouped {
+			for _, i := range f.members {
+				out = append(out, s.standalone(i))
 			}
-			for _, j := range bk.stages {
+			for _, j := range f.stages {
 				out = append(out, stages[j])
 			}
 			continue
 		}
 		var rate float64
-		if bk.fam != nil {
-			for _, i := range bk.fam.members {
-				rate += s.rateOf(s.handles[i], s.sessions[i].ExpectedRate)
-			}
+		for _, i := range f.members {
+			rate += s.rateOf(s.handles[i], s.sessions[i].ExpectedRate)
 		}
-		for _, j := range bk.stages {
+		for _, j := range f.stages {
 			rate += stages[j].Rate
 		}
-		s.groups[g.id] = g
-		bk.unit = g.id
-		out = append(out, scheduler.Session{ID: g.id, ModelID: g.id, SLO: bk.key.slo, Rate: rate})
+		s.groups[f.group.id] = f.group
+		out = append(out, scheduler.Session{ID: f.group.id, ModelID: f.group.id, SLO: f.key.slo, Rate: rate})
 	}
-	return out, s.memberUnits(buckets, stages), nil
+	return out, s.memberUnits(stages), nil
 }
 
 // standalone returns standalone session i as this epoch plans it.
@@ -272,73 +255,13 @@ func (s *Scheduler) standalone(i int) scheduler.Session {
 	}
 }
 
-// bucketStages lists the epoch's buckets in key order: every family, each
-// with the stages that share its key, and the buckets of stages only.
-func (s *Scheduler) bucketStages(stages []scheduler.Session) []epochBucket {
-	buckets := make([]epochBucket, len(s.families), len(s.families)+len(stages))
-	for k, f := range s.families {
-		buckets[k] = epochBucket{key: f.key, fam: f}
-	}
-	if len(stages) == 0 {
-		return buckets
-	}
-	slot := make(map[familyKey]int, len(buckets))
-	for k, bk := range buckets {
-		slot[bk.key] = k
-	}
-	for j, st := range stages {
-		key := familyKey{st.SLO, profiler.BaseOf(st.ModelID)}
-		k, ok := slot[key]
-		if !ok {
-			k = len(buckets)
-			slot[key] = k
-			buckets = append(buckets, epochBucket{key: key})
-		}
-		buckets[k].stages = append(buckets[k].stages, j)
-	}
-	sort.Slice(buckets, func(i, j int) bool { return compareKeys(buckets[i].key, buckets[j].key) < 0 })
-	return buckets
-}
-
-// bucketGroup returns a bucket's group for this epoch: a family's own when
-// no stage joins it, re-derived only if its membership changed; otherwise
-// one derived for this epoch's members, standalone members first.
-func (s *Scheduler) bucketGroup(bk *epochBucket, stages []scheduler.Session) (prefixGroup, bool, error) {
-	f := bk.fam
-	if len(bk.stages) == 0 {
-		if f.stale {
-			s.derive(f)
-		}
-		return f.group, f.grouped, f.err
-	}
-	var run prefixRun
-	var baseModel *model.Model
-	var members []string
-	if f != nil {
-		run, baseModel = f.run, f.baseModel
-		for _, i := range f.members {
-			members = append(members, s.sessions[i].ID)
-		}
-	} else {
-		baseModel, _ = s.modelDB.Lookup(bk.key.base)
-	}
-	for _, j := range bk.stages {
-		m, _ := s.modelDB.Lookup(stages[j].ModelID)
-		run.add(stages[j].ModelID, m)
-		members = append(members, stages[j].ID)
-	}
-	g, ok, err := s.groupOf(bk.key, baseModel, run)
-	g.members = members
-	return g, ok, err
-}
-
 // memberUnits returns the epoch's member -> unit table: every session's
-// own ID, then, bucket by bucket in key order, each grouped member's group
-// ID. Without query stages the table depends only on membership, so it is
-// kept and rebuilt when a session joins; a kept table is never changed in
-// place, since the last applied epoch's may still be in use.
-func (s *Scheduler) memberUnits(buckets []epochBucket, stages []scheduler.Session) []string {
-	if len(stages) == 0 && s.unitTable != nil && len(s.unitTable) == s.names.Len() {
+// own ID, then each grouped member's group ID. The table depends only on
+// membership, so it is kept and rebuilt when a member joins or a stage
+// moves; a kept table is never changed in place, since the last applied
+// epoch's may still be in use.
+func (s *Scheduler) memberUnits(stages []scheduler.Session) []string {
+	if s.unitTable != nil && len(s.unitTable) == s.names.Len() {
 		return s.unitTable
 	}
 	table := make([]string, s.names.Len())
@@ -349,23 +272,19 @@ func (s *Scheduler) memberUnits(buckets []epochBucket, stages []scheduler.Sessio
 		h, _ := s.names.Lookup(st.ID)
 		table[h] = st.ID
 	}
-	for _, bk := range buckets {
-		if bk.unit == "" {
+	for _, f := range s.families {
+		if !f.grouped {
 			continue
 		}
-		if bk.fam != nil {
-			for _, i := range bk.fam.members {
-				table[s.handles[i]] = bk.unit
-			}
+		for _, i := range f.members {
+			table[s.handles[i]] = f.group.id
 		}
-		for _, j := range bk.stages {
+		for _, j := range f.stages {
 			h, _ := s.names.Lookup(stages[j].ID)
-			table[h] = bk.unit
+			table[h] = f.group.id
 		}
 	}
-	if len(stages) == 0 {
-		s.unitTable = table
-	}
+	s.unitTable = table
 	return table
 }
 

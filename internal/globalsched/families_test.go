@@ -143,6 +143,23 @@ type familyCoverage struct {
 	epochs, failed, groups, ungroupedFamilies int
 	// mixed counts groups of standalone sessions and query stages.
 	mixed int
+	// moves counts query stages that left a family, emptied those that
+	// left it with no members, and besideStage standalone sessions that
+	// joined a family already holding a stage.
+	moves, emptied, besideStage int
+}
+
+// setObservedRates gives every named session an observed rate drawn from
+// a and b, as an epoch of traffic would.
+func setObservedRates(s *Scheduler, a, b int) {
+	n := s.names.Len()
+	s.rates = session.Fit(s.rates, session.Handle(n))
+	s.observed = session.Fit(s.observed, session.Handle(n))
+	for h := range s.rates {
+		s.rates[h] = float64(1+(a+7*h)%13) * (1 + float64(b)/16)
+		s.observed[h] = true
+	}
+	s.everyRates = true
 }
 
 // runFamilyScript drives a scheduler with persistent families and one with
@@ -193,6 +210,10 @@ func runFamilyScript(t testing.TB, script []byte) familyCoverage {
 			if hf != ho || fmt.Sprint(errF) != fmt.Sprint(errO) {
 				t.Fatalf("AddSession(%+v) = %d, %v; oracle %d, %v", spec, hf, errF, ho, errO)
 			}
+			key := familyKey{fam.planningSLO(spec.SLO), profiler.BaseOf(spec.ModelID)}
+			if f := fam.familyOf[key]; errF == nil && len(f.stages) > 0 {
+				cov.besideStage++
+			}
 			ids = append(ids, spec.ID)
 		case 2:
 			k, slo := r.next(), familyQuerySLOs[r.next()%len(familyQuerySLOs)]
@@ -207,21 +228,22 @@ func runFamilyScript(t testing.TB, script []byte) familyCoverage {
 			}
 		case 3, 4:
 			a, b := r.next(), r.next()
-			for _, s := range []*Scheduler{fam, orc} {
-				n := s.names.Len()
-				s.rates = session.Fit(s.rates, session.Handle(n))
-				s.observed = session.Fit(s.observed, session.Handle(n))
-				for h := range s.rates {
-					s.rates[h] = float64(1+(a+7*h)%13) * (1 + float64(b)/16)
-					s.observed[h] = true
-				}
-				s.everyRates = true
-			}
+			setObservedRates(fam, a, b)
+			setObservedRates(orc, a, b)
 		case 5:
 			cov.epochs++
 			fam.epochs++
 			orc.epochs++
+			before := slices.Clone(fam.stageFam)
 			got, gotUnits, errF := fam.buildSessions()
+			for j, f := range before {
+				if fam.stageFam[j] != f {
+					cov.moves++
+					if len(f.members)+len(f.stages) == 0 {
+						cov.emptied++
+					}
+				}
+			}
 			want, wantUnits, errO := orc.oracleBuildSessions()
 			if fmt.Sprint(errF) != fmt.Sprint(errO) {
 				t.Fatalf("epoch %d: error %v, oracle %v", cov.epochs, errF, errO)
@@ -252,6 +274,9 @@ func runFamilyScript(t testing.TB, script []byte) familyCoverage {
 				held = append(held, heldSlice{gotUnits, slices.Clone(gotUnits)})
 			}
 			for _, f := range fam.families {
+				if len(f.members)+len(f.stages) == 0 {
+					t.Fatalf("epoch %d: family %v has no members but is still kept", cov.epochs, f.key)
+				}
 				if !f.stale && !f.grouped && f.err == nil && len(f.members) > 1 {
 					cov.ungroupedFamilies++
 				}
@@ -283,8 +308,9 @@ func runFamilyScript(t testing.TB, script []byte) familyCoverage {
 // must emit the same sessions, the same prefix-group records and the same
 // member -> unit table, or fail with the same error, and nothing an epoch
 // handed out may change later. The committed corpus covers single
-// members, unregistered bases and members, sub-millisecond SLO splits and
-// query stages that share a standalone family.
+// members, unregistered bases and members, sub-millisecond SLO splits,
+// query stages that share a standalone family and stages that move
+// between families.
 func FuzzPrefixFamilies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 256 {
@@ -388,6 +414,41 @@ var familyCases = []struct {
 		check:  func(c familyCoverage) bool { return c.epochs == 2 },
 	},
 	{
+		// A 50 ms resnet50-v0 session plans at 47 ms. A 53 ms one-stage
+		// query plans its stage at 50 ms, then, once rates are observed,
+		// at 47 ms beside it; a second standalone session joins after the
+		// stage and still comes first in the group.
+		name:   "standalone joins after a stage",
+		script: []byte{0, 0, 0, 0, 10, 0, 2, 0, 0, 5, 3, 1, 1, 5, 0, 2, 0, 11, 0, 5},
+		check: func(c familyCoverage) bool {
+			return c.besideStage == 1 && c.moves == 1 && c.emptied == 1 && c.mixed == 2
+		},
+	},
+	{
+		// A 53 ms one-stage query completes a 53 ms session's 50 ms family
+		// in the first epoch. No rate is observed, so each later epoch
+		// takes the slack off the query's SLO again: the stage leaves the
+		// pair, which ungroups, for a family of its own, then leaves that
+		// too, which then emits nothing.
+		name:   "stage leaves a family it completed",
+		script: []byte{0, 0, 0, 1, 10, 0, 2, 0, 0, 5, 5, 5},
+		check: func(c familyCoverage) bool {
+			return c.moves == 2 && c.emptied == 1 && c.mixed == 1 && c.groups == 1
+		},
+	},
+	{
+		// Query analysis on and no slack: the DP splits a 53 ms chain's
+		// resnet50 stages 20 and 25 ms, then, once rates are observed, 25
+		// and 20 ms. The first stage to move joins the second in its family
+		// and empties its own, which goes; the second then leaves for a new
+		// family under the emptied one's key.
+		name:   "dp split moves stages",
+		script: []byte{12, 2, 3, 0, 5, 3, 6, 0, 5},
+		check: func(c familyCoverage) bool {
+			return c.moves == 2 && c.emptied == 1 && c.failed == 0 && c.epochs == 2
+		},
+	},
+	{
 		// Prefix batching off: no groups at all.
 		name:   "prefix batching off",
 		script: []byte{3, 0, 0, 0, 10, 0, 0, 1, 0, 11, 0, 2, 0, 0, 5},
@@ -404,6 +465,56 @@ func TestPrefixFamilyCases(t *testing.T) {
 				t.Fatalf("script ran but missed its case: %+v", cov)
 			}
 		})
+	}
+}
+
+// TestStageFamilySteady checks that a query stage is a family member like
+// any other: once its SLO has settled beside standalone resnet50 variants,
+// epochs with drifting rates re-derive nothing, so the mixed group keeps
+// its member slice and the epoch its member -> unit table.
+func TestStageFamilySteady(t *testing.T) {
+	fx, err := newFamilyFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(simclock.New(), nil, nil, session.NewTable(), fx.mdb, fx.profiles, Config{PrefixBatch: true})
+	for i, m := range []string{"resnet50-v0", "resnet50-v2", "resnet50-v3"} {
+		if _, err := s.AddSession(SessionSpec{ID: fmt.Sprintf("s%d", i), ModelID: m, SLO: 50 * time.Millisecond, ExpectedRate: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The 50 ms sessions plan at 47 ms. The query's one resnet50-v1 stage
+	// plans at 50 ms in the first epoch and, once rates are observed, at
+	// 47 ms beside them.
+	if err := s.AddQuery(QuerySpec{Query: familyQuery(0, "q", 53*time.Millisecond), ExpectedRate: 20}); err != nil {
+		t.Fatal(err)
+	}
+	const mixed = "pg/resnet50/47ms"
+	var members, table []string
+	for epoch := 1; epoch <= 6; epoch++ {
+		s.epochs++
+		_, units, err := s.buildSessions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		setObservedRates(s, epoch, epoch)
+		if epoch == 1 {
+			continue
+		}
+		g, ok := s.groups[mixed]
+		if !ok || !slices.Equal(g.members, []string{"s0", "s1", "s2", "q/r"}) {
+			t.Fatalf("epoch %d: group %s = %v, want s0, s1, s2 and q/r", epoch, mixed, g.members)
+		}
+		if epoch == 2 {
+			members, table = g.members, units
+			continue
+		}
+		if &g.members[0] != &members[0] {
+			t.Errorf("epoch %d: the group's member slice was re-derived", epoch)
+		}
+		if &units[0] != &table[0] {
+			t.Errorf("epoch %d: the member -> unit table was rebuilt", epoch)
+		}
 	}
 }
 

@@ -139,12 +139,14 @@ type Scheduler struct {
 	sessions []SessionSpec
 	handles  []session.Handle // handles[i] is sessions[i]'s
 	queries  []QuerySpec
-	// families are the standalone sessions' prefix families in key order
-	// (compareKeys), and familyOf finds one by key (see families.go).
+	// families are the prefix families in key order (compareKeys),
+	// familyOf finds one by key, and stageFam[j] is the family of the
+	// epoch's j-th query stage (see families.go).
 	families []*family
 	familyOf map[familyKey]*family
-	// unitTable is the member -> unit table of the standalone sessions,
-	// kept while membership is unchanged (nil = rebuild).
+	stageFam []*family
+	// unitTable is the member -> unit table, kept while membership is
+	// unchanged (nil = rebuild).
 	unitTable []string
 
 	// rates is the smoothed observed rate by session handle; observed marks
@@ -277,11 +279,10 @@ func (s *Scheduler) AddSession(spec SessionSpec) (session.Handle, error) {
 	if s.profile(spec.ModelID) == nil {
 		return 0, fmt.Errorf("globalsched: no profile for model %s", spec.ModelID)
 	}
-	m, _ := s.modelDB.Lookup(spec.ModelID)
 	h := s.names.Intern(spec.ID)
 	s.sessions = append(s.sessions, spec)
 	s.handles = append(s.handles, h)
-	s.join(len(s.sessions)-1, m)
+	s.join(len(s.sessions) - 1)
 	return h, nil
 }
 
@@ -576,7 +577,7 @@ func (s *Scheduler) GPUsDemanded() int { return s.lastDemand }
 func (s *Scheduler) Explain() telemetry.HealthReport {
 	now := s.clock.Now()
 	rep := telemetry.HealthReport{
-		Epoch: s.epochs, At: now, AtMS: telemetry.MS(now),
+		Epoch: s.epochs, At: now, AtMS: trace.MS(now),
 		GPUsDemanded:    s.lastDemand,
 		GPUsAllocated:   s.pool.InUse(),
 		GPUsCapacity:    s.pool.Capacity(),

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nexus/internal/metrics"
+	"nexus/internal/trace"
 )
 
 // Alert is one transition in the alert log: a rule target starting to fire
@@ -191,7 +192,7 @@ func (e *Engine) apply(rule string, at time.Duration, violations []Violation) {
 		}
 		e.firing[key] = true
 		e.log = append(e.log, Alert{
-			At: at, AtMS: MS(at), Rule: rule, Target: v.Target,
+			At: at, AtMS: trace.MS(at), Rule: rule, Target: v.Target,
 			State: "firing", Value: v.Value, Detail: v.Detail,
 		})
 	}
@@ -205,7 +206,7 @@ func (e *Engine) apply(rule string, at time.Duration, violations []Violation) {
 	for _, key := range resolved {
 		delete(e.firing, key)
 		e.log = append(e.log, Alert{
-			At: at, AtMS: MS(at), Rule: rule, Target: key[len(rule)+1:], State: "resolved",
+			At: at, AtMS: trace.MS(at), Rule: rule, Target: key[len(rule)+1:], State: "resolved",
 		})
 	}
 }

@@ -3,11 +3,13 @@ package telemetry
 import (
 	"testing"
 	"time"
+
+	"nexus/internal/trace"
 )
 
 // snapAt builds a synthetic snapshot for rule tests.
 func snapAt(at time.Duration, counters, gauges map[string]float64, windows map[string]WindowStats) Snapshot {
-	s := Snapshot{At: at, AtMS: MS(at), Counters: map[string]float64{}, Gauges: map[string]float64{}, Windows: map[string]WindowStats{}}
+	s := Snapshot{At: at, AtMS: trace.MS(at), Counters: map[string]float64{}, Gauges: map[string]float64{}, Windows: map[string]WindowStats{}}
 	for k, v := range counters {
 		s.Counters[k] = v
 	}

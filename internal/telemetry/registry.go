@@ -23,10 +23,8 @@ import (
 	"time"
 
 	"nexus/internal/metrics"
+	"nexus/internal/trace"
 )
-
-// MS converts a virtual-time duration to export milliseconds.
-func MS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // Key builds the canonical instrument key from a metric name and
 // alternating label name/value pairs, with labels sorted by name:
@@ -181,10 +179,10 @@ func (w *Window) ObserveExemplar(d time.Duration, reqID uint64) {
 func (w *Window) take() WindowStats {
 	s := WindowStats{
 		Count:  w.h.Count(),
-		MeanMS: MS(w.h.Mean()),
-		P50MS:  MS(w.h.Quantile(0.5)),
-		P99MS:  MS(w.h.Quantile(0.99)),
-		MaxMS:  MS(w.h.Max()),
+		MeanMS: trace.MS(w.h.Mean()),
+		P50MS:  trace.MS(w.h.Quantile(0.5)),
+		P99MS:  trace.MS(w.h.Quantile(0.99)),
+		MaxMS:  trace.MS(w.h.Max()),
 	}
 	if w.exSet {
 		s.ExemplarID = w.exID
@@ -272,7 +270,7 @@ func (r *Registry) Window(name string, labels ...string) *Window {
 func (r *Registry) Sample(at time.Duration) Snapshot {
 	s := Snapshot{
 		At:       at,
-		AtMS:     MS(at),
+		AtMS:     trace.MS(at),
 		Counters: map[string]float64{},
 		Gauges:   map[string]float64{},
 		Windows:  map[string]WindowStats{},
