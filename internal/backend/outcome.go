@@ -26,10 +26,8 @@ const (
 	// DropFailure: the request was lost to a backend failure — queued or
 	// in flight on a node that crashed.
 	DropFailure
-	// DropAdmission: the frontend's priority-aware admission control shed
-	// the request before routing — its session exceeded its token-bucket
-	// rate during an overload, and its priority did not entitle it to the
-	// shared reserve.
+	// DropAdmission: the frontend's admission control shed the request
+	// before routing — its session's own token bucket was empty.
 	DropAdmission
 )
 

@@ -156,18 +156,11 @@ type Config struct {
 	// succeeds after BreakerCooloff (default 1s).
 	BreakerThreshold int
 	BreakerCooloff   time.Duration
-	// Admission installs priority-aware token-bucket admission control:
-	// per-session sustained rate + burst, with Priority > 0 sessions
-	// drawing from the shared reserve when their bucket runs dry, so
-	// overload sheds the lowest-value sessions first (DropAdmission).
+	// Admission installs token-bucket admission control: each listed
+	// session gets its own sustained rate and burst, so a session that
+	// floods past its bucket is shed (DropAdmission) without taking
+	// capacity from the others.
 	Admission map[string]frontend.AdmissionConfig
-	// AdmissionReserveRate/Burst size the shared priority reserve bucket.
-	AdmissionReserveRate  float64
-	AdmissionReserveBurst float64
-	// RecoveryMaxRouteChanges rate-limits the first post-outage route
-	// publish to this many per-session changes per push; 0 disables the
-	// cap.
-	RecoveryMaxRouteChanges int
 	// Placement selects the packer's multiplexing axes: temporal duty
 	// cycles only (the zero value — every pre-existing experiment is
 	// unchanged), spatial compute slices, or the hybrid policy that picks
@@ -183,7 +176,7 @@ type Config struct {
 // deployments keep their exact metric key sets.
 func (c *Config) degraded() bool {
 	return c.RouteLeaseTTL > 0 || c.BreakerThreshold > 0 ||
-		c.Admission != nil || c.RecoveryMaxRouteChanges > 0
+		c.Admission != nil
 }
 
 // Deployment is a running simulated cluster.
@@ -458,9 +451,6 @@ func New(cfg Config) (*Deployment, error) {
 			for _, sid := range sids {
 				fe.SetAdmission(sid, cfg.Admission[sid])
 			}
-			if cfg.AdmissionReserveRate > 0 || cfg.AdmissionReserveBurst > 0 {
-				fe.SetAdmissionReserve(cfg.AdmissionReserveRate, cfg.AdmissionReserveBurst)
-			}
 		}
 		d.Frontends = append(d.Frontends, fe)
 	}
@@ -626,7 +616,6 @@ func (d *Deployment) controlConfig() globalsched.Config {
 	// Control-plane scaling knobs are orthogonal to the system kind.
 	cfg.Shards = d.cfg.PlannerShards
 	cfg.PlanHysteresis = d.cfg.PlanHysteresis
-	cfg.RecoveryMaxRouteChanges = d.cfg.RecoveryMaxRouteChanges
 	// Failure detection is orthogonal to the system kind.
 	cfg.Heartbeat = d.cfg.Heartbeat
 	cfg.LeaseMisses = d.cfg.LeaseMisses

@@ -14,18 +14,17 @@ import (
 
 // fullFT is the full degraded-mode survival configuration: heartbeat
 // failure detection, route leases with stale serving,
-// backoff retries, circuit breakers, and a rate-limited recovery publish.
+// backoff retries, and circuit breakers.
 func fullFT() Config {
 	return Config{
 		System: Nexus, Features: AllFeatures(), GPUs: 4, Seed: 7, Epoch: 5 * time.Second,
 		Heartbeat: 100 * time.Millisecond, LeaseMisses: 3,
-		RouteLeaseTTL:           8 * time.Second,
-		ServeStale:              true,
-		RetryBudget:             3,
-		RetryBackoff:            time.Millisecond,
-		BreakerThreshold:        3,
-		BreakerCooloff:          time.Second,
-		RecoveryMaxRouteChanges: 4,
+		RouteLeaseTTL:    8 * time.Second,
+		ServeStale:       true,
+		RetryBudget:      3,
+		RetryBackoff:     time.Millisecond,
+		BreakerThreshold: 3,
+		BreakerCooloff:   time.Second,
 	}
 }
 
@@ -198,18 +197,17 @@ func TestDataPartitionBreakersRouteAround(t *testing.T) {
 	}
 }
 
-// TestSurgeShedsLowPriorityFirst: a 3x surge on the low-priority session
-// is shed by its token bucket; the high-priority session, entitled to the
-// reserve, stays within its nominal goodput.
+// TestSurgeShedsLowPriorityFirst: each session has its own token bucket,
+// sized above its nominal rate. A 3x surge on "lo" is shed by lo's bucket;
+// "hi", whose offered rate stays under its own bucket's, sheds nothing and
+// stays within its nominal goodput.
 func TestSurgeShedsLowPriorityFirst(t *testing.T) {
 	cfg := fullFT()
 	cfg.GPUs = 6
 	cfg.Admission = map[string]frontend.AdmissionConfig{
-		"hi": {Rate: 1000, Burst: 100, Priority: 1},
-		"lo": {Rate: 1000, Burst: 100, Priority: 0},
+		"hi": {Rate: 1000, Burst: 100},
+		"lo": {Rate: 1000, Burst: 100},
 	}
-	cfg.AdmissionReserveRate = 200
-	cfg.AdmissionReserveBurst = 200
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -232,15 +230,15 @@ func TestSurgeShedsLowPriorityFirst(t *testing.T) {
 	}
 	lo, hi := d.Recorder.Session("lo"), d.Recorder.Session("hi")
 	if lo.Admission == 0 {
-		t.Fatal("surge produced no admission sheds on the low-priority session")
+		t.Fatal("surge produced no admission sheds on the surging session")
 	}
 	if hi.Admission != 0 {
-		t.Fatalf("high-priority session shed %d requests, want 0", hi.Admission)
+		t.Fatalf("session hi shed %d requests, want 0", hi.Admission)
 	}
 	// hi's goodput is unaffected: its bad fraction stays nominal.
 	hiBad := float64(hi.Bad()) / float64(hi.Sent)
 	if hiBad > 0.05 {
-		t.Fatalf("high-priority bad rate %.3f during the surge, want < 5%%", hiBad)
+		t.Fatalf("session hi bad rate %.3f during the surge, want < 5%%", hiBad)
 	}
 	// lo's shed requests bound its queue damage: everything admitted is
 	// within the bucket rate the cluster was sized for.

@@ -118,7 +118,6 @@ func (ts *telemetrySampler) sample() {
 		reg.Counter("sched_recoveries_total").Set(float64(d.Sched.Recoveries()))
 		reg.Counter("sched_stale_echoes_total").Set(float64(d.Sched.StaleEchoes()))
 		reg.Counter("sched_reregistered_total").Set(float64(d.Sched.Reregistered()))
-		reg.Counter("sched_capped_pushes_total").Set(float64(d.Sched.CappedPushes()))
 	}
 
 	// Per-backend data-plane state. Live backends export real values;

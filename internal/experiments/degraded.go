@@ -31,14 +31,13 @@ type degradedSystem struct {
 }
 
 // degradedSweep crosses degraded-mode faults — a long scheduler outage, a
-// split control/data partition, and a low-priority demand surge — with
+// split control/data partition, and a demand surge on session "lo" — with
 // three survival postures: the full degraded-mode stack (stale-serving
-// leases, backoff retries, circuit breakers, priority admission, capped
-// recovery), leases alone (routes expire with no repair path), and the
-// full stack minus breakers. Two sessions share the cluster, one entitled
-// to the high-priority admission reserve. Each cell is an isolated
-// deployment with its own clock and seeded injector, so the sweep is
-// byte-identical at any worker count.
+// leases, backoff retries, circuit breakers, per-session admission
+// buckets), leases alone (routes expire with no repair path), and the
+// full stack minus breakers. Two sessions, "hi" and "lo", share the
+// cluster. Each cell is an isolated deployment with its own clock and
+// seeded injector, so the sweep is byte-identical at any worker count.
 func degradedSweep(rc *RunContext) (*Table, error) {
 	const (
 		gpus    = 4
@@ -55,11 +54,9 @@ func degradedSweep(rc *RunContext) (*Table, error) {
 	}
 	admission := func(cfg *cluster.Config) {
 		cfg.Admission = map[string]frontend.AdmissionConfig{
-			"hi": {Rate: 1.25 * rate, Burst: 150, Priority: 1},
-			"lo": {Rate: 1.25 * rate, Burst: 150, Priority: 0},
+			"hi": {Rate: 1.25 * rate, Burst: 150},
+			"lo": {Rate: 1.25 * rate, Burst: 150},
 		}
-		cfg.AdmissionReserveRate = 200
-		cfg.AdmissionReserveBurst = 200
 	}
 	scenarios := []degradedScenario{
 		{name: "none", script: func(_, _ time.Duration) faults.Script { return nil }},
@@ -88,7 +85,6 @@ func degradedSweep(rc *RunContext) (*Table, error) {
 			cfg.RetryBackoff = time.Millisecond
 			cfg.BreakerThreshold = 3
 			cfg.BreakerCooloff = time.Second
-			cfg.RecoveryMaxRouteChanges = 4
 			admission(cfg)
 		}},
 		// Leases without any repair machinery: once the scheduler goes
@@ -102,7 +98,6 @@ func degradedSweep(rc *RunContext) (*Table, error) {
 			cfg.ServeStale = true
 			cfg.RetryBudget = 3
 			cfg.RetryBackoff = time.Millisecond
-			cfg.RecoveryMaxRouteChanges = 4
 			admission(cfg)
 		}},
 	}
@@ -179,7 +174,7 @@ func degradedSweep(rc *RunContext) (*Table, error) {
 		Title:  fmt.Sprintf("degraded-mode survival, 2x ResNet-50 @ %.0f r/s each (SLO %v, %d GPUs, fault at t=%v for %v)", rate, slo, gpus, faultAt, faultLen),
 		Header: []string{"Scenario", "System", "good %", "hi good %", "lo good %", "shed", "stale", "detected", "recovery"},
 		Notes: []string{
-			"full-FT: 8s route leases served stale, 3-retry backoff budget, breakers (3 fails, 1s cooloff), priority admission with reserve, capped recovery publish",
+			"full-FT: 8s route leases served stale, 3-retry backoff budget, breakers (3 fails, 1s cooloff), per-session admission buckets",
 			"lease-only: 8s leases with no stale serving, retries, breakers, or admission — expiry with no repair path",
 			"outage: scheduler down for the fault window; partition: control cut to be0 (false-positive failover) + data cut to be1; surge: 10x offered rate on the low-priority session",
 			"shed: requests dropped by admission control; stale: dispatches served past the route lease; recovery: time until goodput regains 95% of its pre-fault mean",

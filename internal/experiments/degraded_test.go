@@ -46,8 +46,8 @@ func TestDegradedDeterminism(t *testing.T) {
 // TestDegradedSurvivalClaims checks the sweep's headline numbers: the full
 // degraded-mode stack rides out a long scheduler outage within a few
 // points of its fault-free goodput, while leases without a repair path
-// collapse; and a surge is shed from the low-priority session while the
-// high-priority one stays at its nominal attainment.
+// collapse; and a surge on session lo is shed by lo's admission bucket
+// while session hi stays at its nominal attainment.
 func TestDegradedSurvivalClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full sweep")
@@ -94,6 +94,6 @@ func TestDegradedSurvivalClaims(t *testing.T) {
 	hiNominal := cell("none", "full-FT", "hi good %")
 	hiSurge := cell("surge", "full-FT", "hi good %")
 	if hiNominal-hiSurge > 5 {
-		t.Fatalf("high-priority goodput %.1f%% under surge vs %.1f%% nominal, want within 5 points", hiSurge, hiNominal)
+		t.Fatalf("session hi goodput %.1f%% under surge vs %.1f%% nominal, want within 5 points", hiSurge, hiNominal)
 	}
 }

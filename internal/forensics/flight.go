@@ -38,10 +38,6 @@ type Config struct {
 	// MaxDumps bounds retained dumps; triggers past it are counted, not
 	// captured (0 = DefaultMaxDumps).
 	MaxDumps int
-	// Cooldown suppresses triggers arriving within this span of the last
-	// captured dump — an incident typically fires several rules in a burst,
-	// and one dump per burst is the useful granularity (0 = Window).
-	Cooldown time.Duration
 }
 
 func (c Config) window() time.Duration {
@@ -56,13 +52,6 @@ func (c Config) maxDumps() int {
 		return DefaultMaxDumps
 	}
 	return c.MaxDumps
-}
-
-func (c Config) cooldown() time.Duration {
-	if c.Cooldown <= 0 {
-		return c.window()
-	}
-	return c.Cooldown
 }
 
 // Dump is one flight-recorder capture: the alert that triggered it, the
@@ -107,21 +96,19 @@ type Recorder struct {
 func New(cfg Config) *Recorder { return &Recorder{cfg: cfg} }
 
 // Trigger records one dump for a firing alert, taking the window's spans
-// from the tracer's retained ring. Triggers inside the cooldown of the
-// previous capture, or past the dump cap, are counted as suppressed instead.
+// from the tracer's retained ring. Triggers within one window of the
+// previous capture (the cooldown: an incident typically fires several
+// rules in a burst, and one dump per burst is the useful granularity), or
+// past the dump cap, are counted as suppressed instead.
 func (r *Recorder) Trigger(at time.Duration, alert telemetry.Alert, tracer *trace.Tracer) {
 	if r == nil {
 		return
 	}
-	if r.hasDumped && at-r.lastDump < r.cfg.cooldown() {
-		r.suppressed++
-		return
-	}
-	if len(r.dumps) >= r.cfg.maxDumps() {
-		r.suppressed++
-		return
-	}
 	window := r.cfg.window()
+	if r.hasDumped && at-r.lastDump < window || len(r.dumps) >= r.cfg.maxDumps() {
+		r.suppressed++
+		return
+	}
 	r.dumps = append(r.dumps, Dump{
 		AtMS: trace.MS(at), Rule: alert.Rule, Target: alert.Target,
 		Value: alert.Value, Detail: alert.Detail, WindowMS: trace.MS(window),

@@ -108,9 +108,9 @@ func TestWindowIncludesTriggerInstant(t *testing.T) {
 
 func TestTriggerCooldownAndCap(t *testing.T) {
 	tr, _ := seededPlanes()
-	r := forensics.New(forensics.Config{Window: time.Second, Cooldown: 2 * time.Second, MaxDumps: 2})
+	r := forensics.New(forensics.Config{Window: 2 * time.Second, MaxDumps: 2})
 	r.Trigger(10*time.Second, alert("a"), tr)
-	// Inside the cooldown: suppressed.
+	// Inside the cooldown, which is one window: suppressed.
 	r.Trigger(11*time.Second, alert("b"), tr)
 	if got := len(r.Dumps()); got != 1 {
 		t.Fatalf("cooldown leaked: %d dumps", got)

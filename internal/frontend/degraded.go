@@ -1,5 +1,5 @@
 // Degraded-mode survival layer: routing-table leases, per-backend circuit
-// breakers with an exponential-backoff retry budget, priority-aware
+// breakers with an exponential-backoff retry budget, per-session
 // token-bucket admission control, and data-link partition awareness. Every
 // feature is opt-in and nil/zero when off, and with all of them off a
 // deployment's outputs stay byte-identical to a build without the layer.
@@ -227,27 +227,24 @@ func (f *Frontend) SetLinkDown(beID string, down bool) bool {
 }
 
 // ---------------------------------------------------------------------
-// Priority-aware admission control.
+// Per-session admission control.
 
 // AdmissionConfig is one session's token-bucket admission policy. Rate is
-// the sustained admit rate (req/s) and Burst the bucket depth; Priority
-// > 0 entitles the session to draw from the shared reserve (see
-// SetAdmissionReserve) when its own bucket is empty, so overload sheds
-// the lowest-value sessions first.
+// the sustained admit rate (req/s) and Burst the bucket depth. Each
+// session draws only from its own bucket, so a flood on one session is
+// shed without touching another's admissions.
 type AdmissionConfig struct {
-	Rate     float64 `json:"rate"`
-	Burst    float64 `json:"burst"`
-	Priority int     `json:"priority"`
+	Rate  float64 `json:"rate"`
+	Burst float64 `json:"burst"`
 }
 
 // tokenBucket refills by elapsed virtual time, which keeps admission
 // decisions deterministic: same arrival sequence, same sheds.
 type tokenBucket struct {
-	rate     float64
-	burst    float64
-	tokens   float64
-	last     time.Duration
-	priority int
+	rate   float64
+	burst  float64
+	tokens float64
+	last   time.Duration
 }
 
 // take refills the bucket to now and charges one token if one is there.
@@ -271,31 +268,16 @@ func (tb *tokenBucket) take(now time.Duration) bool {
 func (f *Frontend) SetAdmission(sessionID string, cfg AdmissionConfig) {
 	h := f.names.Intern(sessionID)
 	f.admission = session.Fit(f.admission, h)
-	f.admission[h] = &tokenBucket{
-		rate:     cfg.Rate,
-		burst:    cfg.Burst,
-		tokens:   cfg.Burst,
-		last:     f.clock.Now(),
-		priority: cfg.Priority,
-	}
+	f.admission[h] = &tokenBucket{rate: cfg.Rate, burst: cfg.Burst, tokens: cfg.Burst, last: f.clock.Now()}
 }
 
-// SetAdmissionReserve installs the shared reserve bucket that priority
-// sessions may draw from when their own bucket runs dry.
-func (f *Frontend) SetAdmissionReserve(rate, burst float64) {
-	f.reserve = &tokenBucket{rate: rate, burst: burst, tokens: burst, last: f.clock.Now()}
-}
-
-// admit charges one request against the session's bucket (or, for
-// priority sessions, the shared reserve). Sessions without a policy are
-// always admitted.
+// admit charges one request against the session's bucket. Sessions
+// without a policy are always admitted.
 func (f *Frontend) admit(h session.Handle) bool {
 	if int(h) >= len(f.admission) || f.admission[h] == nil {
 		return true
 	}
-	tb := f.admission[h]
-	now := f.clock.Now()
-	return tb.take(now) || (tb.priority > 0 && f.reserve != nil && f.reserve.take(now))
+	return f.admission[h].take(f.clock.Now())
 }
 
 // AdmissionSheds returns how many requests admission control dropped.

@@ -219,6 +219,9 @@ func TestLinkDownFailsDispatchAndRetryReroutes(t *testing.T) {
 	}
 }
 
+// TestAdmissionShedsLowPriorityFirst: each session draws only from its own
+// bucket, so a flood on "lo" is shed by lo's bucket and leaves hi's
+// admissions untouched.
 func TestAdmissionShedsLowPriorityFirst(t *testing.T) {
 	clock, _, fe, drops := dropSetup(t, 1)
 	if err := fe.SetTable(byID{
@@ -228,27 +231,31 @@ func TestAdmissionShedsLowPriorityFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second)
-	fe.SetAdmission("hi", AdmissionConfig{Rate: 10, Burst: 5, Priority: 1})
-	fe.SetAdmission("lo", AdmissionConfig{Rate: 10, Burst: 5, Priority: 0})
-	fe.SetAdmissionReserve(5, 10)
-	// Burst of 12 to each session in the same instant: lo admits its 5
-	// bucketed requests and sheds 7; hi admits 5 + up to 10 from reserve.
+	fe.SetAdmission("hi", AdmissionConfig{Rate: 10, Burst: 5})
+	fe.SetAdmission("lo", AdmissionConfig{Rate: 10, Burst: 5})
+	// In the same instant, lo floods 12 requests and hi sends its burst
+	// of 5: lo admits its 5 bucketed requests and sheds 7; hi admits all
+	// 5. A sixth hi request finds hi's own bucket empty.
 	for i := 0; i < 12; i++ {
 		fe.Dispatch(workload.Request{ID: uint64(i), Session: fe.sid("lo"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
 	loSheds := fe.AdmissionSheds()
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 5; i++ {
 		fe.Dispatch(workload.Request{ID: uint64(100 + i), Session: fe.sid("hi"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
+	if hiSheds := fe.AdmissionSheds() - loSheds; hiSheds != 0 {
+		t.Fatalf("hi sheds = %d, want 0 (lo's flood drew only lo's bucket)", hiSheds)
+	}
+	fe.Dispatch(workload.Request{ID: 105, Session: fe.sid("hi"), Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	clock.Run()
 	if loSheds != 7 {
 		t.Fatalf("lo sheds = %d, want 7", loSheds)
 	}
-	if hiSheds := fe.AdmissionSheds() - loSheds; hiSheds != 0 {
-		t.Fatalf("hi sheds = %d, want 0 (reserve absorbs its burst)", hiSheds)
+	if hiSheds := fe.AdmissionSheds() - loSheds; hiSheds != 1 {
+		t.Fatalf("hi sheds = %d, want 1 past its own burst", hiSheds)
 	}
-	if drops[backend.DropAdmission] != 7 {
-		t.Fatalf("DropAdmission = %d, want 7", drops[backend.DropAdmission])
+	if drops[backend.DropAdmission] != 8 {
+		t.Fatalf("DropAdmission = %d, want 8", drops[backend.DropAdmission])
 	}
 }
 

@@ -253,11 +253,9 @@ type Frontend struct {
 	// linkDown marks backends behind a severed frontend<->backend link
 	// (data partition): alive from the scheduler's view, unreachable here.
 	linkDown map[string]bool
-	// admission holds token buckets by session handle (nil = no policy);
-	// reserve is the shared priority pool. admissionSheds counts
-	// DropAdmission outcomes.
+	// admission holds token buckets by session handle (nil = no policy).
+	// admissionSheds counts DropAdmission outcomes.
 	admission      []*tokenBucket
-	reserve        *tokenBucket
 	admissionSheds uint64
 }
 

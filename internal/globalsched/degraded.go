@@ -1,23 +1,9 @@
 // Degraded-mode control plane: scheduler outages with re-registration
-// recovery, control-link partitions with incarnation-checked split-brain
-// reconciliation, and rate-limited post-outage route repair. Everything
-// here is a no-op for deployments that never inject these faults, so
-// fault-free runs keep byte-identical outputs.
+// recovery and control-link partitions with incarnation-checked
+// split-brain reconciliation. Everything here is a no-op for deployments
+// that never inject these faults, so fault-free runs keep byte-identical
+// outputs.
 package globalsched
-
-import (
-	"sort"
-	"time"
-
-	"nexus/internal/frontend"
-	"nexus/internal/session"
-)
-
-// recoveryFlushDelay spaces the staged flushes of a rate-limited
-// post-outage repair wave: each flush pushes at most
-// RecoveryMaxRouteChanges more session changes until the frontends hold
-// the current plan's routes.
-const recoveryFlushDelay = time.Second
 
 // Down reports whether the scheduler is currently in an outage.
 func (s *Scheduler) Down() bool { return s.down }
@@ -34,17 +20,13 @@ func (s *Scheduler) StaleEchoes() int { return s.staleEchoes }
 // outage recoveries and partition heals.
 func (s *Scheduler) Reregistered() int { return s.reregistered }
 
-// CappedPushes returns how many route publishes were rate-limited by
-// RecoveryMaxRouteChanges.
-func (s *Scheduler) CappedPushes() int { return s.cappedPushes }
-
 // SetOutage takes the scheduler down (true) or brings it back up (false).
 // While down, epoch planning, route publishing, lease monitoring, and
 // heartbeat intake all stop — the data plane keeps serving on its last
 // routing table. Coming back up runs recovery: state is reconstructed from
 // backend re-registration, stale echoes are rejected, and the first
-// post-outage plan publishes rate-limited. Reports whether the state
-// changed.
+// post-outage plan publishes its delta in one push. Reports whether the
+// state changed.
 func (s *Scheduler) SetOutage(down bool) bool {
 	if s.down == down {
 		return false
@@ -62,9 +44,9 @@ func (s *Scheduler) SetOutage(down bool) bool {
 // crashed AND restarted is alive but empty, so its matching-ID echo is
 // stale (wrong incarnation) and rejected back to the free pool; a
 // surviving instance is re-adopted with a fresh lease grace period. Then
-// the first post-outage epoch runs immediately, its publish rate-limited.
-// If that epoch fails, the last plan's routes go out without the dropped
-// replicas instead.
+// the first post-outage epoch runs immediately and publishes like any
+// other epoch. If that epoch fails, the last plan's routes go out without
+// the dropped replicas instead.
 func (s *Scheduler) recover() {
 	s.recoveries++
 	now := s.clock.Now()
@@ -96,7 +78,6 @@ func (s *Scheduler) recover() {
 			}
 		}
 	}
-	s.recoveryPending = true
 	if err := s.RunEpoch(); err != nil && dropped > 0 && s.prevPlan != nil {
 		// No recovery plan went out, so the frontends still route to the
 		// dropped replicas: publish the last plan without them.
@@ -156,37 +137,4 @@ func (s *Scheduler) renewLeases() {
 	for _, fe := range s.frontends {
 		fe.RenewRouteLease()
 	}
-}
-
-// capRecovery bounds a post-outage publish to at most limit per-session
-// changes: removes first (they never point traffic at a wrong replica),
-// then sets, both in sorted session order for determinism. The remainder
-// is left to flushRecovery, which republishes the current plan's routes on
-// a timer until the delta drains.
-func (s *Scheduler) capRecovery(set []frontend.SessionRoutes, remove []session.Handle,
-	limit int) ([]frontend.SessionRoutes, []session.Handle) {
-	s.cappedPushes++
-	remove = remove[:min(len(remove), limit)]
-	sort.Slice(set, func(i, j int) bool { return s.names.ID(set[i].Session) < s.names.ID(set[j].Session) })
-	set = set[:min(len(set), limit-len(remove))]
-	if !s.recoveryFlushArmed {
-		s.recoveryFlushArmed = true
-		s.clock.After(recoveryFlushDelay, s.flushRecovery)
-	}
-	return set, remove
-}
-
-// flushRecovery publishes the next staged slice of a rate-limited repair
-// wave. Each slice is itself capped, so a large wave converges over
-// several flushes. Every writer of the node assignment and the member
-// units publishes right after writing, so republishing the current plan
-// continues the wave that the last capped push started. The exception is
-// an apply that fails after reassigning nodes: the flush then publishes
-// the current plan over the assignment the cluster actually has.
-func (s *Scheduler) flushRecovery() {
-	s.recoveryFlushArmed = false
-	if s.down || !s.recoveryPending || s.prevPlan == nil {
-		return
-	}
-	_ = s.publishRoutes(s.prevPlan)
 }

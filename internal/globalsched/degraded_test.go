@@ -221,98 +221,59 @@ func TestReregisterHandshake(t *testing.T) {
 	}
 }
 
-// TestRecoveryCappedPublish: the first post-outage publish is rate-limited
-// to RecoveryMaxRouteChanges session changes; staged flushes converge the
-// frontends onto the full recovery table.
-func TestRecoveryCappedPublish(t *testing.T) {
-	cfg := degradedConfig()
-	cfg.Heartbeat = 0 // no beats: isolate the publish path
-	cfg.RecoveryMaxRouteChanges = 1
-	e := newEnv(t, cfg, 8)
-	sessions := []string{"s0", "s1", "s2"}
-	models := []string{model.ResNet50, model.InceptionV3, model.Darknet53}
-	for i, sid := range sessions {
-		if _, err := e.sched.AddSession(SessionSpec{
-			ID: sid, ModelID: models[i], SLO: 150 * time.Millisecond, ExpectedRate: 100,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.sched.RunEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	e.clock.RunUntil(time.Second)
-
-	// Outage: every backend crashes and restarts, so recovery rejects all
-	// echoes and must republish routes for every session.
-	e.sched.SetOutage(true)
-	for _, beID := range assignedBackends(e) {
-		be := e.pool.Get(beID)
-		be.Fail()
-		be.Restart()
-	}
-	e.sched.SetOutage(false)
-
-	if e.sched.CappedPushes() == 0 {
-		t.Fatal("recovery publish was not rate-limited")
-	}
-	if !e.sched.recoveryPending {
-		t.Fatal("capped recovery cleared recoveryPending before converging")
-	}
-	// Staged flushes land every recoveryFlushDelay until the diff drains.
-	e.clock.RunUntil(e.clock.Now() + 10*recoveryFlushDelay)
-	if e.sched.recoveryPending {
-		t.Fatal("staged flushes never converged")
-	}
-	got := e.fe.Sessions()
-	if len(got) != len(sessions) {
-		t.Fatalf("routable sessions after convergence = %v, want %v", got, sessions)
-	}
-	// The frontend's table matches the scheduler's published view.
-	for _, sid := range sessions {
-		h, _ := e.sched.names.Lookup(sid)
-		if int(h) >= len(e.sched.lastTable) || len(e.sched.lastTable[h]) == 0 {
-			t.Fatalf("session %s converged with no routes", sid)
-		}
-	}
-}
-
-// TestRecoveryKeepsHealthyRoutes: a backend that dies during an outage
-// costs only its own sessions' routes. The capped first post-outage
-// publish is a delta against the table the frontends hold, so sessions on
-// healthy backends stay routable right after recovery, not only once the
-// staged flushes land.
+// TestRecoveryKeepsHealthyRoutes: the first post-outage publish is one
+// delta against the table the frontends hold. A backend that dies during
+// the outage costs only its own sessions' routes, so sessions on healthy
+// backends stay routable. When every backend crashes and restarts, every
+// echo is stale and the recovery plan republishes routes for every
+// session. Either way, every session is routable right after recovery.
 func TestRecoveryKeepsHealthyRoutes(t *testing.T) {
-	cfg := degradedConfig()
-	cfg.Heartbeat = 0
-	cfg.RecoveryMaxRouteChanges = 1
-	e := newEnv(t, cfg, 8)
-	sessions := []string{"s0", "s1", "s2"}
-	models := []string{model.ResNet50, model.InceptionV3, model.Darknet53}
-	for i, sid := range sessions {
-		if _, err := e.sched.AddSession(SessionSpec{
-			ID: sid, ModelID: models[i], SLO: 150 * time.Millisecond, ExpectedRate: 100,
-		}); err != nil {
-			t.Fatal(err)
-		}
+	cases := []struct {
+		name  string
+		crash func(e *env)
+	}{
+		{"one backend dies", func(e *env) { e.pool.Get(assignedBackends(e)[0]).Fail() }},
+		{"every backend restarts", func(e *env) {
+			for _, beID := range assignedBackends(e) {
+				be := e.pool.Get(beID)
+				be.Fail()
+				be.Restart()
+			}
+		}},
 	}
-	if err := e.sched.RunEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	if got := assignedBackends(e); len(got) != 3 {
-		t.Fatalf("backends = %v, want three nodes", got)
-	}
-	e.clock.RunUntil(time.Second)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := degradedConfig()
+			cfg.Heartbeat = 0
+			e := newEnv(t, cfg, 8)
+			sessions := []string{"s0", "s1", "s2"}
+			models := []string{model.ResNet50, model.InceptionV3, model.Darknet53}
+			for i, sid := range sessions {
+				if _, err := e.sched.AddSession(SessionSpec{
+					ID: sid, ModelID: models[i], SLO: 150 * time.Millisecond, ExpectedRate: 100,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.sched.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			if got := assignedBackends(e); len(got) != 3 {
+				t.Fatalf("backends = %v, want three nodes", got)
+			}
+			e.clock.RunUntil(time.Second)
 
-	e.sched.SetOutage(true)
-	e.pool.Get(assignedBackends(e)[0]).Fail()
-	e.sched.SetOutage(false)
+			e.sched.SetOutage(true)
+			tc.crash(e)
+			e.sched.SetOutage(false)
 
-	if got := e.fe.Sessions(); len(got) != len(sessions) {
-		t.Fatalf("routable sessions right after recovery = %v, want %v", got, sessions)
-	}
-	if diff := e.sched.OutOfSync(e.fe); diff != "" {
-		t.Fatal(diff)
+			if got := e.fe.Sessions(); len(got) != len(sessions) {
+				t.Fatalf("routable sessions right after recovery = %v, want %v", got, sessions)
+			}
+			if diff := e.sched.OutOfSync(e.fe); diff != "" {
+				t.Fatal(diff)
+			}
+		})
 	}
 }
 

@@ -102,11 +102,6 @@ type Config struct {
 	// applies at any shard count. This is the splitHysteresis idiom applied
 	// to arrival rates: small workload noise must not re-pack the cluster.
 	PlanHysteresis float64
-	// RecoveryMaxRouteChanges rate-limits the first post-outage publish:
-	// at most this many per-session route changes go out per push, the
-	// remainder following in staged flushes, so the repair wave cannot
-	// thrash every route at once; 0 disables the limit.
-	RecoveryMaxRouteChanges int
 }
 
 // DefaultPlanningSlack covers round-trip dispatch latency plus margin.
@@ -231,16 +226,10 @@ type Scheduler struct {
 	down    bool
 	cutCtrl map[string]bool
 	lastInc map[string]uint32
-	// recoveryPending arms the rate-limited publish for the first
-	// post-outage plan until a publish goes out uncapped;
-	// recoveryFlushArmed dedups flush timers.
-	recoveryPending    bool
-	recoveryFlushArmed bool
 	// Degraded counters for telemetry.
 	recoveries   int
 	staleEchoes  int
 	reregistered int
-	cappedPushes int
 }
 
 // splitHysteresis is the relative improvement a new latency split must
@@ -1013,17 +1002,8 @@ func (s *Scheduler) publishRoutes(plan *scheduler.Plan) error {
 	s.setBuf = set
 	sort.Slice(remove, func(i, j int) bool { return s.names.ID(remove[i]) < s.names.ID(remove[j]) })
 	if len(set) == 0 && len(remove) == 0 {
-		s.recoveryPending = false
 		s.renewLeases()
 		return nil
-	}
-	if limit := s.cfg.RecoveryMaxRouteChanges; s.recoveryPending && limit > 0 && len(set)+len(remove) > limit {
-		// First post-outage publish: stage the repair wave instead of
-		// thrashing every route at once. A capped subset goes out now;
-		// the rest follows in flushes until the delta drains.
-		set, remove = s.capRecovery(set, remove, limit)
-	} else {
-		s.recoveryPending = false
 	}
 	delta := frontend.TableDelta{FromGen: s.pubGen, Gen: s.pubGen + 1, Set: set, Remove: remove}
 	for _, fe := range s.frontends {

@@ -15,8 +15,8 @@ import (
 // TestFrontendsHoldPublishedRoutes runs the cluster's chaos and degraded
 // fault scripts against a two-frontend deployment and checks, every 10 ms
 // of virtual time, that each frontend holds exactly the scheduler's last
-// published table at its generation. Epochs, failure repairs, staged
-// recovery flushes and outages all publish between those checks; no
+// published table at its generation. Epochs, failure repairs and outage
+// recoveries all publish between those checks; no
 // frontend changes its routes any other way, so the generation check in
 // ApplyDelta is never hit.
 func TestFrontendsHoldPublishedRoutes(t *testing.T) {
@@ -33,22 +33,19 @@ func TestFrontendsHoldPublishedRoutes(t *testing.T) {
 		RouteLeaseTTL: 8 * time.Second, ServeStale: true,
 		RetryBudget: 3, RetryBackoff: time.Millisecond,
 		BreakerThreshold: 3, BreakerCooloff: time.Second,
-		RecoveryMaxRouteChanges: 4,
 	}
-	// capped lets one session's routes change per recovery push, so a
-	// post-outage repair wave over six sessions is staged over several
-	// flushes.
-	capped := degraded
-	capped.GPUs, capped.RecoveryMaxRouteChanges = 8, 1
-	cappedEpochOnly := capped
-	cappedEpochOnly.Heartbeat = 0
+	// wide has room for six sessions, so a post-outage repair wave
+	// republishes several sessions' routes in one push.
+	wide := degraded
+	wide.GPUs = 8
+	wideEpochOnly := wide
+	wideEpochOnly.Heartbeat = 0
 	for _, tc := range []struct {
 		name   string
 		cfg    cluster.Config
 		script faults.Script
 		// sessions is how many ResNet-50 sessions to deploy, with distinct
-		// SLOs so they form no prefix group. More than one also requires a
-		// capped push.
+		// SLOs so they form no prefix group.
 		sessions int
 	}{
 		{"crash", chaos, faults.Script{{At: faultAt, Kind: faults.Crash, Backend: "be0"}}, 1},
@@ -65,13 +62,13 @@ func TestFrontendsHoldPublishedRoutes(t *testing.T) {
 		{"outage-with-crash-epoch-only", epochOnly, faults.Script{
 			{At: faultAt, Kind: faults.SchedulerOutage, Duration: 8 * time.Second},
 			{At: faultAt + 2*time.Second, Kind: faults.Crash, Backend: "be0"}}, 1},
-		{"capped-outage-with-crashes", cappedEpochOnly, faults.Script{
+		{"six-sessions-outage-with-crashes", wideEpochOnly, faults.Script{
 			{At: faultAt, Kind: faults.SchedulerOutage, Duration: 8 * time.Second},
 			{At: faultAt + 2*time.Second, Kind: faults.Crash, Backend: "be0"},
 			{At: faultAt + 3*time.Second, Kind: faults.Crash, Backend: "be1"}}, 6},
 		// The crash is detected 300 ms after it lands, so its repair
-		// publishes between the capped recovery push and its first flush.
-		{"capped-repair-before-flush", capped, faults.Script{
+		// publishes shortly after the recovery push.
+		{"six-sessions-repair-after-recovery", wide, faults.Script{
 			{At: faultAt, Kind: faults.SchedulerOutage, Duration: 8 * time.Second},
 			{At: faultAt + 8*time.Second + 500*time.Millisecond, Kind: faults.Crash, Backend: "be0"}}, 6},
 	} {
@@ -120,9 +117,6 @@ func TestFrontendsHoldPublishedRoutes(t *testing.T) {
 			}
 			if len(gens) < 3 {
 				t.Fatalf("%d checks saw generations %v, want the routes republished", checks, gens)
-			}
-			if tc.sessions > 1 && d.Sched.CappedPushes() == 0 {
-				t.Fatal("no recovery push was capped")
 			}
 		})
 	}

@@ -2,6 +2,11 @@ package runner
 
 // Helpers only the tests use.
 
+// MapN is Map with an explicit worker bound (<= 0 means GOMAXPROCS).
+func MapN[T any](workers, n int, fn func(i int) T) []T {
+	return mapN("", workers, n, fn)
+}
+
 // MapErr runs fn(0..n-1) concurrently like Map. If any invocation returns
 // an error, MapErr reports the error with the lowest index (deterministic
 // regardless of completion order) alongside the partial results; result i

@@ -61,11 +61,6 @@ func MapNamed[T any](name string, n int, fn func(i int) T) []T {
 	return mapN(name, DefaultWorkers(), n, fn)
 }
 
-// MapN is Map with an explicit worker bound (<= 0 means GOMAXPROCS).
-func MapN[T any](workers, n int, fn func(i int) T) []T {
-	return mapN("", workers, n, fn)
-}
-
 // mapN is the shared fork-join core. A non-empty label wraps each worker
 // body in pprof.Do so profile samples carry sweep/worker tags.
 func mapN[T any](label string, workers, n int, fn func(i int) T) []T {

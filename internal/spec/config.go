@@ -48,21 +48,17 @@ type Config struct {
 	Forensics         bool    `json:"forensics" usage:"arm the flight recorder (implies tracing, -audit, and -telemetry)"`
 	ForensicsWindow   Seconds `json:"forensics_window_sec" usage:"capture horizon before each anomaly (0 = 5s; implies -forensics)"`
 	ForensicsMaxDumps int     `json:"forensics_max_dumps" usage:"dump bundles kept; later triggers are only counted (0 = 8; needs -forensics)"`
-	ForensicsCooldown Seconds `json:"forensics_cooldown_sec" usage:"span after a dump in which triggers are suppressed (0 = the window; needs -forensics)"`
 
-	Heartbeat               Seconds `json:"heartbeat_sec" usage:"backend heartbeat period for failure detection (0 = off)"`
-	LeaseMisses             int     `json:"lease_misses" usage:"missed beats before a backend is declared dead (0 = 3; needs -heartbeat)"`
-	RouteLeaseTTL           Seconds `json:"lease_ttl_sec" usage:"routing-table lease TTL on each frontend (0 = no leases)"`
-	ServeStale              bool    `json:"serve_stale" usage:"keep routing on an expired lease instead of dropping (needs -lease-ttl)"`
-	RetryBudget             int     `json:"retry_budget" usage:"dispatch retries per request on a dead or unreachable backend (0 = off)"`
-	RetryBackoff            Seconds `json:"retry_backoff_sec" usage:"wait before the first retry, doubling per attempt (0 = re-send at once)"`
-	BreakerThreshold        int     `json:"breaker" usage:"consecutive dispatch failures that open a backend's circuit breaker (0 = off)"`
-	BreakerCooloff          Seconds `json:"breaker_cooloff_sec" usage:"open-breaker cooloff before a half-open probe (needs -breaker)"`
-	RecoveryMaxRouteChanges int     `json:"recovery_cap" usage:"max per-session route changes per post-outage push (0 = uncapped)"`
+	Heartbeat        Seconds `json:"heartbeat_sec" usage:"backend heartbeat period for failure detection (0 = off)"`
+	LeaseMisses      int     `json:"lease_misses" usage:"missed beats before a backend is declared dead (0 = 3; needs -heartbeat)"`
+	RouteLeaseTTL    Seconds `json:"lease_ttl_sec" usage:"routing-table lease TTL on each frontend (0 = no leases)"`
+	ServeStale       bool    `json:"serve_stale" usage:"keep routing on an expired lease instead of dropping (needs -lease-ttl)"`
+	RetryBudget      int     `json:"retry_budget" usage:"dispatch retries per request on a dead or unreachable backend (0 = off)"`
+	RetryBackoff     Seconds `json:"retry_backoff_sec" usage:"wait before the first retry, doubling per attempt (0 = re-send at once)"`
+	BreakerThreshold int     `json:"breaker" usage:"consecutive dispatch failures that open a backend's circuit breaker (0 = off)"`
+	BreakerCooloff   Seconds `json:"breaker_cooloff_sec" usage:"open-breaker cooloff before a half-open probe (needs -breaker)"`
 	// Admission maps session IDs to token-bucket admission policies.
-	Admission             map[string]frontend.AdmissionConfig `json:"admission"`
-	AdmissionReserveRate  float64                             `json:"admission_reserve_rate" usage:"refill rate of the shared priority reserve (req/s; needs admission)"`
-	AdmissionReserveBurst float64                             `json:"admission_reserve_burst" usage:"depth of the shared priority reserve (needs admission)"`
+	Admission map[string]frontend.AdmissionConfig `json:"admission"`
 }
 
 // Defaults returns the knob values a document starts from: a key it omits
@@ -131,6 +127,18 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("spec: %s must not be negative, got %v", key, f.Interface())
 		}
 	}
+	// A bucket with a negative rate or room for less than one token sheds
+	// every request of its session.
+	sids := make([]string, 0, len(c.Admission))
+	for sid := range c.Admission {
+		sids = append(sids, sid)
+	}
+	slices.Sort(sids)
+	for _, sid := range sids {
+		if a := c.Admission[sid]; a.Rate < 0 || a.Burst < 1 {
+			return fmt.Errorf("spec: admission %q needs rate >= 0 and burst >= 1, got rate %v, burst %v", sid, a.Rate, a.Burst)
+		}
+	}
 	return nil
 }
 
@@ -168,7 +176,6 @@ func (c *Config) Cluster() cluster.Config {
 	if c.Forensics || c.ForensicsWindow > 0 {
 		cfg.Forensics = &forensics.Config{
 			Window: c.ForensicsWindow.Duration(), MaxDumps: c.ForensicsMaxDumps,
-			Cooldown: c.ForensicsCooldown.Duration(),
 		}
 	}
 	return cfg

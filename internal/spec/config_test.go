@@ -50,8 +50,8 @@ func TestConfigCoversCluster(t *testing.T) {
 		case reflect.TypeOf(&cluster.Features{}):
 			in, want = `{"prefix_batch":false,"squishy":false,"early_drop":false,"overlap":false,"query_analysis":false}`, "false"
 		case reflect.TypeOf(map[string]frontend.AdmissionConfig{}):
-			in = `{"a":{"rate":1,"burst":2,"priority":3}}`
-			want = fmt.Sprint(map[string]frontend.AdmissionConfig{"a": {Rate: 1, Burst: 2, Priority: 3}})
+			in = `{"a":{"rate":1,"burst":2}}`
+			want = fmt.Sprint(map[string]frontend.AdmissionConfig{"a": {Rate: 1, Burst: 2}})
 		default:
 			t.Fatalf("key %q: no sample for type %v", key, typ.Field(i).Type)
 		}

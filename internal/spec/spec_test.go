@@ -70,6 +70,15 @@ func TestValidateErrors(t *testing.T) {
 		// Removed wall-clock knobs: a document still setting them fails.
 		{"removed telemetry_wall", `{"gpus":1,"telemetry_sec":0.5,"telemetry_wall":true,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
 		{"removed telemetry_self", `{"gpus":1,"telemetry_sec":0.5,"telemetry_self":true,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		// Admission buckets that would shed every request of their session.
+		{"negative admission rate", `{"gpus":1,"admission":{"a":{"rate":-5,"burst":10}},"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		{"sub-1 admission burst", `{"gpus":1,"admission":{"a":{"rate":5,"burst":0.5}},"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		// Removed degraded-mode knobs: a document still setting them fails.
+		{"removed recovery_cap", `{"gpus":1,"recovery_cap":4,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		{"removed admission_reserve_rate", `{"gpus":1,"admission":{"a":{"rate":5,"burst":10}},"admission_reserve_rate":200,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		{"removed admission_reserve_burst", `{"gpus":1,"admission":{"a":{"rate":5,"burst":10}},"admission_reserve_burst":200,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		{"removed forensics_cooldown_sec", `{"gpus":1,"forensics":true,"forensics_cooldown_sec":2,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		{"removed admission priority", `{"gpus":1,"admission":{"a":{"rate":5,"burst":10,"priority":1}},"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
 	}
 	for _, c := range cases {
 		if _, err := Parse(strings.NewReader(c.doc)); err == nil {
@@ -93,11 +102,8 @@ func TestValidateRejectsNegativeKnobs(t *testing.T) {
 		{"breaker", "-1", false},
 		{"lease_misses", "-1", false},
 		{"slice_granularity", "-2", false},
-		{"recovery_cap", "-1", false},
 		{"forensics_max_dumps", "-1", false},
 		{"plan_hysteresis", "-1", false},
-		{"admission_reserve_rate", "-5", false},
-		{"admission_reserve_burst", "-0.5", false},
 		{"epoch_sec", "-1", false},
 		{"heartbeat_sec", "-0.1", false},
 		{"retry_backoff_sec", "-0.001", false},
