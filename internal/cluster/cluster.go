@@ -119,7 +119,7 @@ type Config struct {
 	DeltaRouting bool
 	// Telemetry enables the live telemetry plane: a streaming metrics
 	// registry sampled every Telemetry.Interval of virtual time, the
-	// alerting engine, and per-epoch scheduler health reports; read them
+	// fixed alert rules, and per-epoch scheduler health reports; read them
 	// via Deployment.Telemetry. nil (the default) disables the plane
 	// entirely — no instruments, no sampling tick, goldens unchanged.
 	Telemetry *telemetry.Config

@@ -23,13 +23,7 @@ func forensicsChaosConfig() Config {
 	return Config{
 		System: Nexus, Features: AllFeatures(), GPUs: 4, Seed: 7, Epoch: 5 * time.Second,
 		Heartbeat: 100 * time.Millisecond, LeaseMisses: 3, RetryBudget: 1,
-		Telemetry: &telemetry.Config{
-			Interval: 250 * time.Millisecond,
-			Rules: []telemetry.Rule{
-				telemetry.BurnRate{Short: 500 * time.Millisecond, Long: 2 * time.Second, Threshold: 2},
-				telemetry.BackendFlap{},
-			},
-		},
+		Telemetry: &telemetry.Config{Interval: 250 * time.Millisecond},
 		Forensics: &forensics.Config{},
 	}
 }

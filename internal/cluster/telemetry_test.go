@@ -163,13 +163,7 @@ func TestChaosBurnRateAlert(t *testing.T) {
 	d := chaosDeployment(t, Config{
 		System: Nexus, Features: AllFeatures(), GPUs: 4, Seed: 7, Epoch: epoch,
 		Heartbeat: 100 * time.Millisecond, LeaseMisses: 3, RetryBudget: 1,
-		Telemetry: &telemetry.Config{
-			Interval: 250 * time.Millisecond,
-			Rules: []telemetry.Rule{
-				telemetry.BurnRate{Short: 500 * time.Millisecond, Long: 2 * time.Second, Threshold: 2},
-				telemetry.BackendFlap{},
-			},
-		},
+		Telemetry: &telemetry.Config{Interval: 250 * time.Millisecond},
 	})
 	in := faults.New(d.Clock, d, 7)
 	if err := in.Schedule(faults.Script{{At: chaosFaultAt, Kind: faults.Crash, Backend: "be0"}}); err != nil {

@@ -12,9 +12,8 @@ import (
 
 // notKnobs lists the cluster.Config fields no spec key sets.
 var notKnobs = map[string]bool{
-	"OnEpoch":         true, // an in-process observer hook, not a value
-	"Telemetry.Rules": true, // the alert rule set is code; nil selects the default rules
-	"DeltaRouting":    true, // deprecated and ignored: every epoch pushes deltas
+	"OnEpoch":      true, // an in-process observer hook, not a value
+	"DeltaRouting": true, // deprecated and ignored: every epoch pushes deltas
 }
 
 // TestConfigCoversCluster sets each spec key on its own to a non-default

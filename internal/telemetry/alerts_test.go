@@ -1,250 +1,360 @@
 package telemetry
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"nexus/internal/trace"
 )
 
-// snapAt builds a synthetic snapshot for rule tests.
-func snapAt(at time.Duration, counters, gauges map[string]float64, windows map[string]WindowStats) Snapshot {
-	s := Snapshot{At: at, AtMS: trace.MS(at), Counters: map[string]float64{}, Gauges: map[string]float64{}, Windows: map[string]WindowStats{}}
+// snapAt builds a synthetic snapshot for the stream-helper tests.
+func snapAt(at time.Duration, counters, gauges map[string]float64) Snapshot {
+	s := Snapshot{At: at, AtMS: trace.MS(at), Counters: map[string]float64{}, Gauges: map[string]float64{}}
 	for k, v := range counters {
 		s.Counters[k] = v
 	}
 	for k, v := range gauges {
 		s.Gauges[k] = v
 	}
-	for k, v := range windows {
-		s.Windows[k] = v
-	}
 	return s
 }
 
-func TestHistoryCounterDelta(t *testing.T) {
-	h := &History{}
-	key := Key("session_good_total", "session", "s")
-	for i := 0; i <= 5; i++ {
-		h.snaps = append(h.snaps, snapAt(time.Duration(i)*time.Second,
-			map[string]float64{key: float64(10 * i)}, nil, nil))
-	}
-	if d, ok := h.CounterDelta(key, 2*time.Second); !ok || d != 20 {
-		t.Errorf("delta over 2s: %v %v", d, ok)
-	}
-	if _, ok := h.CounterDelta(key, time.Hour); ok {
-		t.Error("window beyond history must report !ok")
-	}
-	if _, ok := h.CounterDelta("absent", 2*time.Second); ok {
-		t.Error("absent counter must report !ok")
-	}
-}
-
-func TestHistoryTransitions(t *testing.T) {
-	h := &History{}
-	key := Key("backend_up", "backend", "be0")
-	ups := []float64{1, 0, 1, 0, 0}
-	for i, v := range ups {
-		h.snaps = append(h.snaps, snapAt(time.Duration(i)*time.Second, nil,
-			map[string]float64{key: v}, nil))
-	}
-	if n := h.Transitions(key, 10*time.Second); n != 3 {
-		t.Errorf("transitions over full history: %d, want 3", n)
-	}
-	// Narrow window: only the last flip (1→0 at t=3) is inside, with the
-	// pre-window value as baseline.
-	if n := h.Transitions(key, 1500*time.Millisecond); n != 1 {
-		t.Errorf("transitions over 1.5s: %d, want 1", n)
-	}
-}
-
-// burnSnaps drives a session through healthy → burning → recovered phases,
-// one snapshot per second.
-func burnSnaps(seconds int, badStart, badStop int) []Snapshot {
-	good := Key("session_good_total", "session", "s")
-	bad := Key("session_bad_total", "session", "s")
-	var out []Snapshot
-	g, b := 0.0, 0.0
+// ticks drives a fresh collector through one Tick per second, from t=0s,
+// calling set before each to publish that second's instrument values.
+func ticks(seconds int, set func(r *Registry, i int)) *Collector {
+	c := NewCollector(Config{})
 	for i := 0; i <= seconds; i++ {
-		if i > 0 {
-			if i > badStart && i <= badStop {
-				g += 40
-				b += 20 // 33% bad ≫ 1% budget
-			} else {
-				g += 60
-			}
-		}
-		out = append(out, snapAt(time.Duration(i)*time.Second,
-			map[string]float64{good: g, bad: b}, nil, nil))
+		set(c.Registry(), i)
+		c.Tick(time.Duration(i) * time.Second)
+	}
+	return c
+}
+
+// logLines renders the alert log one transition per line.
+func logLines(alerts []Alert) []string {
+	var out []string
+	for _, a := range alerts {
+		out = append(out, fmt.Sprintf("%v %s %s(%s)", a.At, a.State, a.Rule, a.Target))
 	}
 	return out
 }
 
+func checkLog(t *testing.T, c *Collector, want ...string) {
+	t.Helper()
+	if got := logLines(c.Alerts()); !reflect.DeepEqual(got, want) {
+		t.Errorf("alert log:\n got %q\nwant %q", got, want)
+	}
+}
+
+func TestHistoryCounterDelta(t *testing.T) {
+	key := Key("session_good_total", "session", "s")
+	var snaps []Snapshot
+	for i := 0; i <= 5; i++ {
+		snaps = append(snaps, snapAt(time.Duration(i)*time.Second, map[string]float64{key: float64(10 * i)}, nil))
+	}
+	if d, ok := counterDelta(snaps, key, 2*time.Second); !ok || d != 20 {
+		t.Errorf("delta over 2s: %v %v", d, ok)
+	}
+	// Window edge: a snapshot exactly one window back is the baseline.
+	if d, ok := counterDelta(snaps, key, 5*time.Second); !ok || d != 50 {
+		t.Errorf("delta over the whole stream: %v %v", d, ok)
+	}
+	// Between samples, the newest snapshot at least a window back is used.
+	if d, ok := counterDelta(snaps, key, 1500*time.Millisecond); !ok || d != 20 {
+		t.Errorf("delta over 1.5s: %v %v", d, ok)
+	}
+	if _, ok := counterDelta(snaps, key, 5001*time.Millisecond); ok {
+		t.Error("window beyond the stream must report !ok")
+	}
+	if _, ok := counterDelta(snaps, "absent", 2*time.Second); ok {
+		t.Error("absent counter must report !ok")
+	}
+	// A counter missing from the baseline counts from zero; one that fell
+	// reports no growth.
+	late := slices.Clone(snaps)
+	late[3] = snapAt(3*time.Second, nil, nil)
+	if d, ok := counterDelta(late, key, 2*time.Second); !ok || d != 50 {
+		t.Errorf("delta from a missing baseline: %v %v", d, ok)
+	}
+	fallen := slices.Clone(snaps)
+	fallen[5] = snapAt(5*time.Second, map[string]float64{key: 1}, nil)
+	if d, ok := counterDelta(fallen, key, 2*time.Second); !ok || d != 0 {
+		t.Errorf("delta of a fallen counter: %v %v", d, ok)
+	}
+}
+
+func TestHistoryTransitions(t *testing.T) {
+	key := Key("backend_up", "backend", "be0")
+	var snaps []Snapshot
+	for i, v := range []float64{1, 0, 1, 0, 0} {
+		snaps = append(snaps, snapAt(time.Duration(i)*time.Second, nil, map[string]float64{key: v}))
+	}
+	if n := transitions(nil, snaps, key); n != 3 {
+		t.Errorf("transitions over the whole stream: %d, want 3", n)
+	}
+	// The baseline's value counts against the window's first sample.
+	if n := transitions(&snaps[2], snaps[3:], key); n != 1 {
+		t.Errorf("transitions after a baseline: %d, want 1", n)
+	}
+	// Missing samples are bridged with the last seen value.
+	gap := []Snapshot{snaps[1], snapAt(2*time.Second, nil, nil), snaps[3]}
+	if n := transitions(&snaps[0], gap, key); n != 1 {
+		t.Errorf("transitions across a gap: %d, want 1", n)
+	}
+}
+
+// burnTicks drives session "s" at 60 finished requests per second, of
+// which `bad` per second are bad during (badStart, badStop].
+func burnTicks(seconds, badStart, badStop int, bad float64) *Collector {
+	var g, b float64
+	return ticks(seconds, func(r *Registry, i int) {
+		switch {
+		case i == 0:
+		case i > badStart && i <= badStop:
+			g, b = g+60-bad, b+bad
+		default:
+			g += 60
+		}
+		r.Counter("session_good_total", "session", "s").Set(g)
+		r.Counter("session_bad_total", "session", "s").Set(b)
+	})
+}
+
 func TestBurnRateFiresAndResolves(t *testing.T) {
-	e := NewEngine([]Rule{BurnRate{Short: time.Second, Long: 3 * time.Second, Threshold: 4}})
-	for _, s := range burnSnaps(20, 5, 10) {
-		e.Observe(s)
+	// 20 of 60 bad is 33x the 1% budget. At 6s the short window is all
+	// burn and the long one (1s, 6s] is 6.7x. At 11s the short window is
+	// clean again and the alert resolves, though the long one still burns
+	// 26.7x.
+	c := burnTicks(20, 5, 10, 20)
+	checkLog(t, c, "6s firing slo-burn-rate(s)", "11s resolved slo-burn-rate(s)")
+	a := c.Alerts()[0]
+	if want := 20.0 / 60 / 0.01; math.Abs(a.Value-want) > 1e-9 {
+		t.Errorf("burn value %v, want %v", a.Value, want)
 	}
-	alerts := e.Alerts()
-	if len(alerts) < 2 {
-		t.Fatalf("want a firing and a resolve, got %+v", alerts)
-	}
-	first := alerts[0]
-	if first.Rule != "slo-burn-rate" || first.Target != "s" || first.State != "firing" {
-		t.Fatalf("first alert: %+v", first)
-	}
-	// Burn starts after t=5s; both windows must agree, so firing lands in
-	// (5s, 10s]; it must resolve after recovery.
-	if first.At <= 5*time.Second || first.At > 10*time.Second {
-		t.Errorf("firing at %v, want within the burn phase", first.At)
-	}
-	last := alerts[len(alerts)-1]
-	if last.State != "resolved" || last.At <= first.At {
-		t.Errorf("last alert must resolve later: %+v", last)
-	}
-	if len(e.Firing()) != 0 {
-		t.Errorf("nothing should still fire: %v", e.Firing())
+	if want := "burn 33.3x budget over 1s, 6.7x over 5s (target 99.00%)"; a.Detail != want {
+		t.Errorf("detail %q, want %q", a.Detail, want)
 	}
 }
 
 func TestBurnRateHonorsMinSent(t *testing.T) {
-	e := NewEngine([]Rule{BurnRate{Short: time.Second, Long: 3 * time.Second, Threshold: 4, MinSent: 1e6}})
-	for _, s := range burnSnaps(20, 5, 10) {
-		e.Observe(s)
-	}
-	if len(e.Alerts()) != 0 {
-		t.Errorf("below MinSent nothing may fire: %+v", e.Alerts())
+	// Every request bad, but the long window must hold 20 finished ones:
+	// 3 a second is 15 in 5s, 4 a second is 20.
+	for _, tc := range []struct {
+		rate float64
+		want []string
+	}{
+		{3, nil},
+		{4, []string{"5s firing slo-burn-rate(s)"}},
+	} {
+		var b float64
+		c := ticks(8, func(r *Registry, i int) {
+			if i > 0 {
+				b += tc.rate
+			}
+			r.Counter("session_good_total", "session", "s").Set(0)
+			r.Counter("session_bad_total", "session", "s").Set(b)
+		})
+		t.Run(fmt.Sprint(tc.rate), func(t *testing.T) { checkLog(t, c, tc.want...) })
 	}
 }
 
 func TestBurnRateNeedsBothWindows(t *testing.T) {
-	// One bad second inside an otherwise healthy run: the short window
-	// spikes but the long window stays under threshold.
-	e := NewEngine([]Rule{BurnRate{Short: time.Second, Long: 10 * time.Second, Threshold: 30}})
-	for _, s := range burnSnaps(20, 5, 6) {
-		e.Observe(s)
-	}
-	for _, a := range e.Alerts() {
-		t.Errorf("short-window blip must not fire alone: %+v", a)
-	}
+	// One second at 5 bad of 60: the short window burns 8.3x, the long one
+	// only 1.7x. (A long window burning alone resolves the alert, in
+	// TestBurnRateFiresAndResolves.)
+	checkLog(t, burnTicks(20, 5, 6, 5))
 }
 
 func TestQueueSaturation(t *testing.T) {
-	key := Key("backend_queue_depth", "backend", "be0")
-	e := NewEngine([]Rule{QueueSaturation{Limit: 100, Consecutive: 2}})
-	depths := []float64{10, 150, 20, 150, 151, 0}
-	for i, d := range depths {
-		e.Observe(snapAt(time.Duration(i)*time.Second, nil, map[string]float64{key: d}, nil))
-	}
-	alerts := e.Alerts()
-	if len(alerts) != 2 {
-		t.Fatalf("want fire+resolve, got %+v", alerts)
-	}
-	// A single saturated sample (t=1s) must not fire; two consecutive
-	// (t=3s,4s) fire at t=4s; the drain at t=5s resolves.
-	if alerts[0].At != 4*time.Second || alerts[0].State != "firing" || alerts[0].Target != "be0" {
-		t.Errorf("firing: %+v", alerts[0])
-	}
-	if alerts[1].At != 5*time.Second || alerts[1].State != "resolved" {
-		t.Errorf("resolved: %+v", alerts[1])
+	depths := []float64{10, 300, 20, 256, 300, 0}
+	c := ticks(len(depths)-1, func(r *Registry, i int) {
+		r.Gauge("backend_queue_depth", "backend", "be0").Set(depths[i])
+	})
+	// A single saturated sample (1s) must not fire; two in a row (3s, at
+	// the limit, and 4s) fire at 4s; the drain at 5s resolves.
+	checkLog(t, c, "4s firing queue-saturation(be0)", "5s resolved queue-saturation(be0)")
+	if a := c.Alerts()[0]; a.Value != 300 || a.Detail != "queue depth 300 >= 256 for 2 samples" {
+		t.Errorf("firing alert: %+v", a)
 	}
 }
 
-func TestStraggler(t *testing.T) {
-	e := NewEngine([]Rule{Straggler{}})
-	mk := func(at time.Duration, slow float64) Snapshot {
-		w := map[string]WindowStats{}
-		for _, be := range []string{"be0", "be1", "be2"} {
-			w[Key("backend_exec_ms", "backend", be)] = WindowStats{Count: 10, MeanMS: 10}
+// execTicks drives one tick per entry of means: in tick i, GPU g runs
+// batches[g] batches of means[i][g] milliseconds each.
+func execTicks(batches []int, means [][]float64) *Collector {
+	return ticks(len(means)-1, func(r *Registry, i int) {
+		for g, ms := range means[i] {
+			w := r.Window("backend_exec_ms", "backend", fmt.Sprintf("be%d", g))
+			for k := 0; k < batches[g]; k++ {
+				w.Observe(time.Duration(ms * float64(time.Millisecond)))
+			}
 		}
-		w[Key("backend_exec_ms", "backend", "be3")] = WindowStats{Count: 10, MeanMS: slow}
-		return snapAt(at, nil, nil, w)
+	})
+}
+
+func TestStraggler(t *testing.T) {
+	// Uniform fleet (zero variance is skipped, not divided by), then be3
+	// at 30ms against 10ms peers: z = (30-15)/8.66 ≈ 1.73 at 2x the fleet
+	// mean; back to uniform resolves.
+	c := execTicks([]int{10, 10, 10, 10}, [][]float64{
+		{10, 10, 10, 10}, {10, 10, 10, 30}, {10, 10, 10, 10},
+	})
+	checkLog(t, c, "1s firing gpu-straggler(be3)", "2s resolved gpu-straggler(be3)")
+	if want := "exec mean 30.00ms vs fleet 15.00ms (z=1.73 over 4 GPUs)"; c.Alerts()[0].Detail != want {
+		t.Errorf("detail %q, want %q", c.Alerts()[0].Detail, want)
 	}
-	// Uniform fleet: no alert (zero variance is skipped, not divided by).
-	e.Observe(mk(time.Second, 10))
-	if len(e.Alerts()) != 0 {
-		t.Fatalf("uniform fleet fired: %+v", e.Alerts())
-	}
-	// be3 at 30ms vs fleet 10ms: z = (30-15)/8.66 ≈ 1.73, ratio 2× fleet mean.
-	e.Observe(mk(2*time.Second, 30))
-	alerts := e.Alerts()
-	if len(alerts) != 1 || alerts[0].Rule != "gpu-straggler" || alerts[0].Target != "be3" {
-		t.Fatalf("want be3 straggler, got %+v", alerts)
-	}
-	// Back to uniform: resolves.
-	e.Observe(mk(3*time.Second, 10))
-	if got := e.Alerts(); got[len(got)-1].State != "resolved" {
-		t.Errorf("want resolve, got %+v", got[len(got)-1])
+}
+
+func TestStragglerPeerFloor(t *testing.T) {
+	// One GPU among n reaches at most z = √(n−1): 1.41 with three peers,
+	// below the 1.5 threshold however slow it runs, and 1.73 with four.
+	for _, slow := range []float64{30, 100, 1000} {
+		three := execTicks([]int{10, 10, 10}, [][]float64{{10, 10, slow}})
+		checkLog(t, three)
+		four := execTicks([]int{10, 10, 10, 10}, [][]float64{{10, 10, 10, slow}})
+		checkLog(t, four, "0s firing gpu-straggler(be3)")
 	}
 }
 
 func TestStragglerIgnoresIdleGPUs(t *testing.T) {
-	e := NewEngine([]Rule{Straggler{}})
-	w := map[string]WindowStats{
-		Key("backend_exec_ms", "backend", "be0"): {Count: 10, MeanMS: 10},
-		Key("backend_exec_ms", "backend", "be1"): {Count: 10, MeanMS: 10},
-		// Too few batches to be considered — also drops peers below MinPeers.
-		Key("backend_exec_ms", "backend", "be2"): {Count: 1, MeanMS: 500},
-	}
-	e.Observe(snapAt(time.Second, nil, nil, w))
-	if len(e.Alerts()) != 0 {
-		t.Errorf("idle GPU must not count: %+v", e.Alerts())
-	}
+	// be4 ran one batch, below the 3 a GPU needs to be compared; counted,
+	// it would be an outlier at z = 2.
+	c := execTicks([]int{10, 10, 10, 10, 1}, [][]float64{{10, 10, 10, 10, 500}})
+	checkLog(t, c)
+	// Idle GPUs also do not make up the peer count.
+	c = execTicks([]int{10, 10, 10, 1}, [][]float64{{10, 10, 30, 10}})
+	checkLog(t, c)
 }
 
 func TestBackendFlap(t *testing.T) {
-	key := Key("backend_up", "backend", "be1")
-	e := NewEngine([]Rule{BackendFlap{Win: 10 * time.Second, Transitions: 3}})
-	ups := []float64{1, 0, 1, 0}
-	var at time.Duration
-	for i, v := range ups {
-		at = time.Duration(i) * time.Second
-		e.Observe(snapAt(at, nil, map[string]float64{key: v}, nil))
-	}
-	alerts := e.Alerts()
-	if len(alerts) != 1 || alerts[0].Rule != "backend-flap" || alerts[0].Target != "be1" {
-		t.Fatalf("want one flap alert, got %+v", alerts)
-	}
-	if alerts[0].At != at || alerts[0].Value != 3 {
-		t.Errorf("flap alert detail: %+v", alerts[0])
-	}
-}
-
-func TestEngineNilAndHistoryTrim(t *testing.T) {
-	var nilEngine *Engine
-	nilEngine.Observe(Snapshot{}) // must not panic
-	if nilEngine.Alerts() != nil || nilEngine.Firing() != nil {
-		t.Error("nil engine must return nil logs")
-	}
-
-	e := NewEngine(nil) // no rules: keep defaults to 10s
-	for i := 0; i < 100; i++ {
-		e.Observe(snapAt(time.Duration(i)*time.Second, nil, nil, nil))
-	}
-	if n := len(e.hist.snaps); n > 13 {
-		t.Errorf("history must trim to the keep window, got %d snapshots", n)
-	}
-	latest := e.hist.Latest()
-	if latest == nil || latest.At != 99*time.Second {
-		t.Errorf("latest after trim: %+v", latest)
+	// Flips at 1s, 2s and 3s fire at 3s. At 11s the window [1s, 11s] still
+	// holds all three against the 0s baseline; at 12s the baseline is the
+	// 1s sample and only two remain.
+	c := ticks(12, func(r *Registry, i int) {
+		up := 1.0
+		if i == 1 || i >= 3 {
+			up = 0
+		}
+		r.Gauge("backend_up", "backend", "be1").Set(up)
+	})
+	checkLog(t, c, "3s firing backend-flap(be1)", "12s resolved backend-flap(be1)")
+	if a := c.Alerts()[0]; a.Value != 3 || a.Detail != "3 up/down transitions in 10s" {
+		t.Errorf("flap alert: %+v", a)
 	}
 }
 
 func TestDefaultRules(t *testing.T) {
-	rules := DefaultRules()
-	if len(rules) != 4 {
-		t.Fatalf("want 4 default rules, got %d", len(rules))
-	}
-	names := map[string]bool{}
+	var names []string
 	for _, r := range rules {
-		names[r.Name()] = true
-		if r.Window() <= 0 {
-			t.Errorf("rule %s has no window", r.Name())
+		names = append(names, r.name)
+	}
+	want := []string{"slo-burn-rate", "queue-saturation", "gpu-straggler", "backend-flap"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("rules %v, want %v in evaluation order", names, want)
+	}
+}
+
+// TestRulesReadOnlyTheirWindow checks that each rule's verdict on the whole
+// stream equals its verdict on the stream's tail from the newest snapshot
+// before its window on, every tick of a long run that trips every rule: a
+// tick costs the same however long the run.
+func TestRulesReadOnlyTheirWindow(t *testing.T) {
+	from := func(snaps []Snapshot, in func(at time.Duration) bool) []Snapshot {
+		i := len(snaps) - 1
+		for i > 0 && in(snaps[i-1].At) {
+			i--
+		}
+		if i > 0 {
+			i--
+		}
+		return snaps[i:]
+	}
+	last := func(n int) func([]Snapshot) []Snapshot {
+		return func(snaps []Snapshot) []Snapshot { return snaps[max(len(snaps)-n, 0):] }
+	}
+	tails := map[string]func([]Snapshot) []Snapshot{
+		"slo-burn-rate": func(snaps []Snapshot) []Snapshot {
+			now := snaps[len(snaps)-1].At
+			return from(snaps, func(at time.Duration) bool { return at > now-burnLong })
+		},
+		"queue-saturation": last(queueSamples),
+		"gpu-straggler":    last(1),
+		"backend-flap": func(snaps []Snapshot) []Snapshot {
+			now := snaps[len(snaps)-1].At
+			return from(snaps, func(at time.Duration) bool { return at >= now-flapWindow })
+		},
+	}
+	c := NewCollector(Config{})
+	r := c.Registry()
+	var good, bad float64
+	for i := 0; i < 240; i++ {
+		phase := i / 20 % 4 // 10 s phases at 2 ticks per second
+		good += 60
+		if phase == 1 {
+			bad += 30
+		}
+		r.Counter("session_good_total", "session", "s").Set(good)
+		r.Counter("session_bad_total", "session", "s").Set(bad)
+		depth := 10.0
+		if phase == 2 && i%5 != 0 {
+			depth = 300
+		}
+		r.Gauge("backend_queue_depth", "backend", "be0").Set(depth)
+		up := 1.0
+		if phase == 3 && i%3 == 0 {
+			up = 0
+		}
+		r.Gauge("backend_up", "backend", "be0").Set(up)
+		for g := 0; g < 4; g++ {
+			ms := 10.0
+			if g == 3 && phase == 3 {
+				ms = 40
+			}
+			w := r.Window("backend_exec_ms", "backend", fmt.Sprintf("be%d", g))
+			for k := 0; k < 4; k++ {
+				w.Observe(time.Duration(ms * float64(time.Millisecond)))
+			}
+		}
+		c.Tick(time.Duration(i) * 500 * time.Millisecond)
+		for _, rule := range rules {
+			full, tail := rule.check(c.snaps), rule.check(tails[rule.name](c.snaps))
+			if !reflect.DeepEqual(full, tail) {
+				t.Fatalf("tick %d: %s reads beyond its window: %+v on the stream, %+v on its tail", i, rule.name, full, tail)
+			}
 		}
 	}
-	for _, want := range []string{"slo-burn-rate", "queue-saturation", "gpu-straggler", "backend-flap"} {
-		if !names[want] {
-			t.Errorf("missing default rule %s", want)
+	fired := map[string]bool{}
+	for _, a := range c.Alerts() {
+		fired[a.Rule] = true
+	}
+	if len(fired) != len(rules) {
+		t.Errorf("the run must trip every rule; fired %v", fired)
+	}
+}
+
+// TestAlertTargetsKeepTheirLabels runs the burn-rate rule on sessions whose
+// IDs need escaping in a key: each must alert under its own ID.
+func TestAlertTargetsKeepTheirLabels(t *testing.T) {
+	ids := []string{"a,b", `q"x`, `back\slash`, "new\nline"}
+	var g, b float64
+	c := ticks(8, func(r *Registry, i int) {
+		if i > 0 {
+			g, b = g+40, b+20
 		}
+		for _, id := range ids {
+			r.Counter("session_good_total", "session", id).Set(g)
+			r.Counter("session_bad_total", "session", id).Set(b)
+		}
+	})
+	var got []string
+	for _, a := range c.Alerts() {
+		got = append(got, a.Target)
+	}
+	want := []string{"a,b", `back\slash`, "new\nline", `q"x`}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("burn-rate targets %q, want %q", got, want)
 	}
 }

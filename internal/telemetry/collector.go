@@ -11,21 +11,19 @@ const DefaultInterval = 500 * time.Millisecond
 type Config struct {
 	// Interval is the virtual-time sampling period (0 = DefaultInterval).
 	Interval time.Duration
-	// Rules is the alerting rule set; nil = DefaultRules(). An explicit
-	// empty slice disables alerting while keeping snapshots.
-	Rules []Rule
 }
 
-// Collector owns the registry, the snapshot stream, the alert engine, and
-// the health-report log for one deployment. It holds no lock: every call
-// runs on the simulation goroutine or after the run, and the snapshot and
-// alert streams reach other tools through the observation log. The nil
-// Collector accepts every call and does nothing.
+// Collector owns the registry, the snapshot stream, the alert rules' state
+// and log, and the health-report log for one deployment. It holds no lock:
+// every call runs on the simulation goroutine or after the run, and the
+// snapshot and alert streams reach other tools through the observation
+// log. The nil Collector accepts every call and does nothing.
 type Collector struct {
 	cfg    Config
 	reg    *Registry
-	engine *Engine
 	snaps  []Snapshot
+	firing map[alertKey]bool // rule targets currently firing
+	alerts []Alert
 	health []HealthReport
 
 	// onAlert sees each new firing transition during Tick, on the
@@ -38,11 +36,7 @@ func NewCollector(cfg Config) *Collector {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	rules := cfg.Rules
-	if rules == nil {
-		rules = DefaultRules()
-	}
-	return &Collector{cfg: cfg, reg: NewRegistry(), engine: NewEngine(rules)}
+	return &Collector{cfg: cfg, reg: NewRegistry(), firing: make(map[alertKey]bool)}
 }
 
 // Interval returns the resolved sampling period.
@@ -73,9 +67,10 @@ func (c *Collector) Registry() *Registry {
 	return c.reg
 }
 
-// Tick samples the registry at virtual time `at`, feeds the alert engine,
-// and appends to the snapshot stream. Duplicate timestamps (e.g. a flush landing on a tick
-// boundary) are dropped so the stream stays strictly increasing.
+// Tick samples the registry at virtual time `at`, appends the sample to
+// the snapshot stream and evaluates the alert rules over it. Duplicate
+// timestamps (e.g. a flush landing on a tick boundary) are dropped so the
+// stream stays strictly increasing.
 func (c *Collector) Tick(at time.Duration) {
 	if c == nil {
 		return
@@ -83,17 +78,18 @@ func (c *Collector) Tick(at time.Duration) {
 	if n := len(c.snaps); n > 0 && c.snaps[n-1].At >= at {
 		return
 	}
-	s := c.reg.Sample(at)
-	before := len(c.engine.Alerts())
-	c.engine.Observe(s)
+	c.snaps = append(c.snaps, c.reg.Sample(at))
+	logged := len(c.alerts)
+	for _, r := range rules {
+		c.apply(r.name, at, r.check(c.snaps))
+	}
 	if c.onAlert != nil {
-		for _, a := range c.engine.Alerts()[before:] {
+		for _, a := range c.alerts[logged:] {
 			if a.State == "firing" {
 				c.onAlert(a)
 			}
 		}
 	}
-	c.snaps = append(c.snaps, s)
 }
 
 // Snapshots returns the full snapshot stream.
@@ -109,15 +105,7 @@ func (c *Collector) Alerts() []Alert {
 	if c == nil {
 		return nil
 	}
-	return c.engine.Alerts()
-}
-
-// Firing returns the currently firing rule(target) pairs, sorted.
-func (c *Collector) Firing() []string {
-	if c == nil {
-		return nil
-	}
-	return c.engine.Firing()
+	return c.alerts
 }
 
 // AddHealth appends a per-epoch health report, stamping it with the alerts
@@ -126,7 +114,7 @@ func (c *Collector) AddHealth(h HealthReport) {
 	if c == nil {
 		return
 	}
-	h.FiringAlerts = c.engine.Firing()
+	h.FiringAlerts = c.firingNames()
 	c.health = append(c.health, h)
 }
 

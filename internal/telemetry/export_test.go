@@ -12,7 +12,7 @@ import (
 // sampleCollector builds a collector with one tick of representative data.
 func sampleCollector(t *testing.T) *Collector {
 	t.Helper()
-	c := NewCollector(Config{Interval: 500 * time.Millisecond, Rules: []Rule{}})
+	c := NewCollector(Config{Interval: 500 * time.Millisecond})
 	r := c.Registry()
 	r.Counter("session_good_total", "session", "s").Set(120)
 	r.Gauge("backend_queue_depth", "backend", "be0").Set(7)
@@ -45,6 +45,18 @@ func TestWritePrometheus(t *testing.T) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
 		}
 	}
+	// Escaped label values stay valid exposition lines.
+	c.Registry().Counter("session_good_total", "session", `q"x`).Set(3)
+	c.Tick(2 * time.Second)
+	snaps = c.Snapshots()
+	buf.Reset()
+	if err := WritePrometheus(&buf, &snaps[len(snaps)-1]); err != nil {
+		t.Fatal(err)
+	}
+	out = buf.String()
+	if want := `nexus_session_good_total{session="q\"x"} 3` + "\n"; !strings.Contains(out, want) {
+		t.Errorf("prometheus output missing %q:\n%s", want, out)
+	}
 	// Exactly one TYPE header per family.
 	if n := strings.Count(out, "# TYPE nexus_session_good_total "); n != 1 {
 		t.Errorf("want one TYPE header, got %d", n)
@@ -66,7 +78,7 @@ func TestCollectorLifecycle(t *testing.T) {
 	if c.Interval() != DefaultInterval {
 		t.Errorf("default interval: %v", c.Interval())
 	}
-	c.Registry().Counter("x").Add(1)
+	c.Registry().Counter("x").Set(1)
 	c.Tick(time.Second)
 	c.Tick(time.Second)             // duplicate timestamp: dropped
 	c.Tick(500 * time.Millisecond)  // regression: dropped
@@ -81,20 +93,22 @@ func TestCollectorLifecycle(t *testing.T) {
 }
 
 func TestCollectorHealthStampsFiring(t *testing.T) {
-	c := NewCollector(Config{Rules: []Rule{QueueSaturation{Limit: 10, Consecutive: 1}}})
-	c.Registry().Gauge("backend_queue_depth", "backend", "be0").Set(50)
+	c := NewCollector(Config{})
+	c.AddHealth(HealthReport{Epoch: 1})
+	c.Registry().Gauge("backend_queue_depth", "backend", "be0").Set(300)
 	c.Tick(time.Second)
-	if len(c.Firing()) != 1 {
-		t.Fatalf("firing: %v", c.Firing())
-	}
+	c.Tick(2 * time.Second)
 	c.AddHealth(HealthReport{Epoch: 2})
 	hs := c.Health()
-	if len(hs) != 1 || len(hs[0].FiringAlerts) != 1 || hs[0].FiringAlerts[0] != "queue-saturation(be0)" {
-		t.Errorf("health must carry the firing set: %+v", hs)
+	if len(hs) != 2 || hs[0].FiringAlerts == nil || len(hs[0].FiringAlerts) != 0 {
+		t.Fatalf("health before any alert must carry an empty firing set: %+v", hs)
+	}
+	if len(hs[1].FiringAlerts) != 1 || hs[1].FiringAlerts[0] != "queue-saturation(be0)" {
+		t.Errorf("health must carry the firing set: %+v", hs[1])
 	}
 
 	var buf bytes.Buffer
-	if err := hs[0].WriteText(&buf); err != nil {
+	if err := hs[1].WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "firing at plan time") {

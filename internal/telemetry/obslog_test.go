@@ -13,7 +13,7 @@ import (
 // tests pin that the telemetry planes survive obslog.Write then obslog.Read.
 
 func tickedCollector() *telemetry.Collector {
-	c := telemetry.NewCollector(telemetry.Config{Interval: 500 * time.Millisecond, Rules: []telemetry.Rule{}})
+	c := telemetry.NewCollector(telemetry.Config{Interval: 500 * time.Millisecond})
 	r := c.Registry()
 	r.Counter("session_good_total", "session", "s").Set(120)
 	r.Gauge("backend_queue_depth", "backend", "be0").Set(7)

@@ -1,12 +1,13 @@
 // Package telemetry is the live observability plane: a streaming metrics
 // registry every layer publishes into (frontends, backends, the global
 // scheduler), sampled on the simulation clock into deterministic
-// snapshots; an alerting engine evaluating declarative rules over the
-// snapshot stream (SLO burn rate, queue saturation, stragglers, backend
-// flaps); per-epoch scheduler health reports ("explain" output); and
-// the Prometheus text renderer. Snapshots and alerts go to disk through
-// the observation log (internal/obslog), which `nexus-obs top` and
-// `nexus-obs prom` read. The plane carries only virtual time.
+// snapshots; a fixed set of four alert rules evaluated over that stream
+// after every sample (SLO burn rate, queue saturation, stragglers, backend
+// flaps; their thresholds are constants in alerts.go); per-epoch scheduler
+// health reports ("explain" output); and the Prometheus text renderer.
+// Snapshots and alerts go to disk through the observation log
+// (internal/obslog), which `nexus-obs top` and `nexus-obs prom` read. The
+// plane carries only virtual time.
 //
 // Like the lifecycle Tracer, the whole plane follows the nil-no-op
 // discipline: a nil Collector/Registry/instrument accepts every call and
@@ -27,7 +28,9 @@ import (
 )
 
 // Key builds the canonical instrument key from a metric name and
-// alternating label name/value pairs, with labels sorted by name:
+// alternating label name/value pairs, with labels sorted by name and values
+// escaped as the Prometheus text format escapes them (backslash, double
+// quote and newline):
 //
 //	Key("queue_depth", "backend", "be0") == `queue_depth{backend="be0"}`
 //
@@ -55,12 +58,19 @@ func Key(name string, labels ...string) string {
 		}
 		b.WriteString(labels[2*j])
 		b.WriteString(`="`)
-		b.WriteString(labels[2*j+1])
+		b.WriteString(labelEscaper.Replace(labels[2*j+1]))
 		b.WriteString(`"`)
 	}
 	b.WriteByte('}')
 	return b.String()
 }
+
+// labelEscaper and labelUnescaper map a label value to and from its
+// escaped form in a key.
+var (
+	labelEscaper   = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	labelUnescaper = strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
+)
 
 // Family returns the metric name of a key, i.e. everything before the
 // label block.
@@ -71,37 +81,47 @@ func Family(key string) string {
 	return key
 }
 
-// LabelValue extracts one label's value from a canonical key, or "" when
-// the label is absent.
+// LabelValue extracts one label's unescaped value from a canonical key, or
+// "" when the label is absent.
 func LabelValue(key, label string) string {
 	i := strings.IndexByte(key, '{')
 	if i < 0 {
 		return ""
 	}
-	rest := key[i+1 : len(key)-1]
-	for _, pair := range strings.Split(rest, ",") {
-		eq := strings.IndexByte(pair, '=')
-		if eq < 0 {
-			continue
+	rest := key[i+1:]
+	for {
+		eq := strings.IndexByte(rest, '=')
+		if eq < 0 || eq+1 == len(rest) || rest[eq+1] != '"' {
+			return ""
 		}
-		if pair[:eq] == label {
-			return strings.Trim(pair[eq+1:], `"`)
+		// The value runs to the first quote no backslash escapes.
+		end, escaped := eq+2, false
+		for ; end < len(rest) && rest[end] != '"'; end++ {
+			if rest[end] == '\\' {
+				end++
+				escaped = true
+			}
 		}
+		if end >= len(rest) {
+			return ""
+		}
+		if rest[:eq] == label {
+			v := rest[eq+2 : end]
+			if escaped {
+				v = labelUnescaper.Replace(v)
+			}
+			return v
+		}
+		if rest = rest[end+1:]; len(rest) == 0 || rest[0] != ',' {
+			return ""
+		}
+		rest = rest[1:]
 	}
-	return ""
 }
 
 // Counter is a monotonically non-decreasing instrument. The nil Counter
 // accepts every call and does nothing.
 type Counter struct{ v float64 }
-
-// Add increments the counter by d (negative d is ignored).
-func (c *Counter) Add(d float64) {
-	if c == nil || d <= 0 {
-		return
-	}
-	c.v += d
-}
 
 // Set raises the counter to v if v is larger — the pull-based idiom for
 // mirroring a cumulative count the simulation already maintains.

@@ -51,16 +51,40 @@ func TestFamilyAndLabelValue(t *testing.T) {
 	}
 }
 
+// TestLabelValuesEscaped checks that label values holding a comma, quote,
+// backslash or newline are escaped in the key as the Prometheus text format
+// escapes them, and read back whole.
+func TestLabelValuesEscaped(t *testing.T) {
+	for _, tc := range []struct{ id, key string }{
+		{"a,b", `m{backend="be0",session="a,b"}`},
+		{`q"x`, `m{backend="be0",session="q\"x"}`},
+		{`back\slash`, `m{backend="be0",session="back\\slash"}`},
+		{"new\nline", `m{backend="be0",session="new\nline"}`},
+		{`\"`, `m{backend="be0",session="\\\""}`},
+		{`end\`, `m{backend="be0",session="end\\"}`},
+	} {
+		k := Key("m", "session", tc.id, "backend", "be0")
+		if k != tc.key {
+			t.Errorf("Key for %q: got %s, want %s", tc.id, k, tc.key)
+		}
+		if v := LabelValue(k, "session"); v != tc.id {
+			t.Errorf("LabelValue(%s, session) = %q, want %q", k, v, tc.id)
+		}
+		if v := LabelValue(k, "backend"); v != "be0" {
+			t.Errorf("LabelValue(%s, backend) = %q, want be0", k, v)
+		}
+		// The value comes first when its label sorts first.
+		k = Key("m", "session", tc.id, "unit", "u1")
+		if v := LabelValue(k, "unit"); v != "u1" {
+			t.Errorf("LabelValue(%s, unit) = %q, want u1", k, v)
+		}
+	}
+}
+
 func TestCounterSemantics(t *testing.T) {
 	var c Counter
-	c.Add(3)
-	c.Add(-1) // ignored: counters never decrease
-	c.Add(0)  // ignored
-	if c.Value() != 3 {
-		t.Errorf("after adds: %v", c.Value())
-	}
 	c.Set(10) // pull-style raise
-	c.Set(5)  // lower: ignored
+	c.Set(5)  // lower: ignored, counters never decrease
 	if c.Value() != 10 {
 		t.Errorf("after sets: %v", c.Value())
 	}
@@ -79,7 +103,6 @@ func TestNilInstrumentsNoop(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var w *Window
-	c.Add(1)
 	c.Set(1)
 	g.Set(1)
 	w.Observe(time.Second)
@@ -107,7 +130,7 @@ func TestRegistryIdentityAndSample(t *testing.T) {
 	if r.Counter("hits", "s", "a") != r.Counter("hits", "s", "a") {
 		t.Error("same key must return the same counter")
 	}
-	r.Counter("hits", "s", "a").Add(7)
+	r.Counter("hits", "s", "a").Set(7)
 	r.Gauge("depth").Set(3)
 	r.Window("exec_ms", "backend", "be0").Observe(20 * time.Millisecond)
 	r.Window("exec_ms", "backend", "be0").Observe(40 * time.Millisecond)
@@ -143,10 +166,10 @@ func TestRegistryIdentityAndSample(t *testing.T) {
 
 func TestSnapshotKeysScansAllStores(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("m", "id", "b").Add(1)
+	r.Counter("m", "id", "b").Set(1)
 	r.Gauge("m", "id", "a").Set(1)
 	r.Window("m", "id", "c").Observe(time.Millisecond)
-	r.Counter("other").Add(1)
+	r.Counter("other").Set(1)
 	s := r.Sample(time.Second)
 	keys := s.Keys("m")
 	want := []string{Key("m", "id", "a"), Key("m", "id", "b"), Key("m", "id", "c")}
