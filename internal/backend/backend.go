@@ -143,6 +143,11 @@ type unitState struct {
 	// resume restarts the unit's Parallel-discipline loop after a batch,
 	// allocated once for the same reason.
 	resume func()
+	// trimPending is set when the unit's model becomes ready: the backlog
+	// that queued during the load may have grown the ring past its
+	// reserved size, and the ring goes back to that size once the backlog
+	// drains. Steady-state dispatch never sets it.
+	trimPending bool
 }
 
 // New creates a backend on the given device.
@@ -271,6 +276,7 @@ func (b *Backend) Configure(units []Unit) error {
 		bytes := nu.Profile.MemBase + int64(nu.TargetBatch)*nu.Profile.MemPerItem
 		if err := b.dev.Load(nu.ID, bytes, func() {
 			us.ready = true
+			us.trimPending = true
 			b.wake(us)
 		}); err != nil {
 			return fmt.Errorf("backend %s: %w", b.ID, err)
@@ -297,11 +303,13 @@ func (b *Backend) attachSlice(u *unitState) error {
 // deferred ones, complete with the given outcome, its slice goes back to
 // the device, and its model is unloaded.
 func (b *Backend) evict(u *unitState, outcome Outcome) {
-	for _, r := range u.queue.PopN(u.queue.Len()) {
-		b.complete(r, outcome)
+	// Count first: a completion may enqueue, and those later requests are
+	// not this eviction's.
+	for n := u.queue.Len(); n > 0; n-- {
+		b.complete(u.queue.pop(), outcome)
 	}
-	for _, r := range u.deferred.PopN(u.deferred.Len()) {
-		b.complete(r, outcome)
+	for n := u.deferred.Len(); n > 0; n-- {
+		b.complete(u.deferred.pop(), outcome)
 	}
 	b.releaseSlice(u)
 	b.dev.Unload(u.ID)
@@ -545,12 +553,7 @@ func (b *Backend) stepRR() {
 		if u.part != nil || !u.ready || u.queue.Len() == 0 {
 			continue
 		}
-		target := b.dynamicTarget(u)
-		batch, dropped := b.cfg.Policy.Pick(&u.queue, b.clock.Now(), target, u.est)
-		if len(dropped) > 0 && b.cfg.OnDropWindow != nil {
-			b.cfg.OnDropWindow(b.ID, u.ID, target, len(dropped))
-		}
-		b.handleDropped(u, dropped)
+		batch := b.pick(u)
 		if len(batch) == 0 {
 			continue
 		}
@@ -577,18 +580,37 @@ func (b *Backend) stepRR() {
 	b.rrRunning = false
 }
 
-// handleDropped either reports drops or, in deferred mode, requeues them
-// at low priority (dropping only past the deferred-queue bound). The
-// dropped slice is consumed: it returns to the queue's batch free list.
-func (b *Backend) handleDropped(u *unitState, dropped []Request) {
-	for _, r := range dropped {
+// pick runs the drop policy on u's queue: the dropped head requests are
+// consumed in place, then the batch is popped (nil when the policy only
+// dropped). A load backlog's ring is handed back once it has drained.
+func (b *Backend) pick(u *unitState) []Request {
+	target := b.dynamicTarget(u)
+	drop, take := b.cfg.Policy.Pick(&u.queue, b.clock.Now(), target, u.est)
+	if drop > 0 {
+		if b.cfg.OnDropWindow != nil {
+			b.cfg.OnDropWindow(b.ID, u.ID, target, drop)
+		}
+		b.dropHead(u, drop)
+	}
+	batch := u.queue.PopN(take)
+	if u.trimPending && u.queue.trim() {
+		u.trimPending = false
+	}
+	return batch
+}
+
+// dropHead consumes the oldest n requests of u's queue: in deferred mode
+// each is requeued at low priority while the deferred queue has room, and
+// the rest complete as deadline drops.
+func (b *Backend) dropHead(u *unitState, n int) {
+	for ; n > 0; n-- {
+		r := u.queue.pop()
 		if b.cfg.DeferDropped && u.deferred.Len() < maxDeferred {
 			u.deferred.Push(r)
 			continue
 		}
 		b.complete(r, DropDeadline)
 	}
-	u.queue.Recycle(dropped)
 }
 
 // stepUnit runs one unit's independent loop (Parallel discipline).
@@ -596,12 +618,7 @@ func (b *Backend) stepUnit(u *unitState) {
 	if b.failed || u.running || !u.ready || u.queue.Len() == 0 {
 		return
 	}
-	target := b.dynamicTarget(u)
-	batch, dropped := b.cfg.Policy.Pick(&u.queue, b.clock.Now(), target, u.est)
-	if len(dropped) > 0 && b.cfg.OnDropWindow != nil {
-		b.cfg.OnDropWindow(b.ID, u.ID, target, len(dropped))
-	}
-	b.handleDropped(u, dropped)
+	batch := b.pick(u)
 	if len(batch) == 0 {
 		if u.queue.Len() > 0 {
 			// Policy made progress by dropping; try again.

@@ -52,11 +52,11 @@ func TestLazyDropExpired(t *testing.T) {
 	q.Push(mkReq(0, 0, 10*time.Millisecond)) // expired at now=20ms
 	q.Push(mkReq(1, 0, 15*time.Millisecond)) // expired
 	q.Push(mkReq(2, 0, 100*time.Millisecond))
-	batch, dropped := LazyDrop{}.Pick(&q, 20*time.Millisecond, 8, constEstimate(10*time.Millisecond))
-	if len(dropped) != 2 {
-		t.Fatalf("dropped %d, want 2", len(dropped))
+	drop, take := LazyDrop{}.Pick(&q, 20*time.Millisecond, 8, constEstimate(10*time.Millisecond))
+	if drop != 2 {
+		t.Fatalf("dropped %d, want 2", drop)
 	}
-	if len(batch) != 1 || batch[0].ID != 2 {
+	if _, batch := consume(&q, drop, take); len(batch) != 1 || batch[0].ID != 2 {
 		t.Fatalf("batch = %v", batch)
 	}
 }
@@ -67,12 +67,12 @@ func TestLazyDropBatchSizedByHeadBudget(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		q.Push(mkReq(uint64(i), 0, 25*time.Millisecond))
 	}
-	batch, dropped := LazyDrop{}.Pick(&q, 0, 8, linEstimate(10*time.Millisecond, 0))
-	if len(dropped) != 0 {
-		t.Fatalf("dropped %d", len(dropped))
+	drop, take := LazyDrop{}.Pick(&q, 0, 8, linEstimate(10*time.Millisecond, 0))
+	if drop != 0 {
+		t.Fatalf("dropped %d", drop)
 	}
-	if len(batch) != 2 {
-		t.Fatalf("batch size %d, want 2 (head budget limits)", len(batch))
+	if take != 2 {
+		t.Fatalf("batch size %d, want 2 (head budget limits)", take)
 	}
 }
 
@@ -85,7 +85,8 @@ func TestEarlyDropSkipsDoomedPrefix(t *testing.T) {
 	for i := 2; i < 8; i++ {
 		q.Push(mkReq(uint64(i), 0, 100*time.Millisecond))
 	}
-	batch, dropped := EarlyDrop{}.Pick(&q, 0, 4, linEstimate(10*time.Millisecond, 0))
+	drop, take := EarlyDrop{}.Pick(&q, 0, 4, linEstimate(10*time.Millisecond, 0))
+	dropped, batch := consume(&q, drop, take)
 	if len(dropped) != 2 || dropped[0].ID != 0 || dropped[1].ID != 1 {
 		t.Fatalf("dropped = %v, want requests 0,1", dropped)
 	}
@@ -100,9 +101,9 @@ func TestEarlyDropWindowShrinksAtQueueTail(t *testing.T) {
 	q.Push(mkReq(1, 0, 25*time.Millisecond))
 	// Window target 8 but only 2 queued: estimate(2)=20ms fits the 25ms
 	// deadline, so no drops.
-	batch, dropped := EarlyDrop{}.Pick(&q, 0, 8, linEstimate(10*time.Millisecond, 0))
-	if len(dropped) != 0 || len(batch) != 2 {
-		t.Fatalf("batch=%d dropped=%d, want 2/0", len(batch), len(dropped))
+	drop, take := EarlyDrop{}.Pick(&q, 0, 8, linEstimate(10*time.Millisecond, 0))
+	if drop != 0 || take != 2 {
+		t.Fatalf("batch=%d dropped=%d, want 2/0", take, drop)
 	}
 }
 
@@ -111,9 +112,9 @@ func TestEarlyDropFallsBackToLazy(t *testing.T) {
 	q.Push(mkReq(0, 0, 5*time.Millisecond))
 	// No window fits (estimate(1)=50ms) and the head is hopeless: the lazy
 	// fallback drops it, making progress.
-	batch, dropped := EarlyDrop{}.Pick(&q, 0, 4, constEstimate(50*time.Millisecond))
-	if len(batch) != 0 || len(dropped) != 1 {
-		t.Fatalf("batch=%d dropped=%d, want 0/1", len(batch), len(dropped))
+	drop, take := EarlyDrop{}.Pick(&q, 0, 4, constEstimate(50*time.Millisecond))
+	if take != 0 || drop != 1 {
+		t.Fatalf("batch=%d dropped=%d, want 0/1", take, drop)
 	}
 }
 
@@ -121,7 +122,8 @@ func TestLazyDropHopelessHeadDropped(t *testing.T) {
 	var q Queue
 	q.Push(mkReq(0, 0, 5*time.Millisecond))  // cannot finish within 50ms estimate
 	q.Push(mkReq(1, 0, 80*time.Millisecond)) // can
-	batch, dropped := LazyDrop{}.Pick(&q, 0, 8, constEstimate(50*time.Millisecond))
+	drop, take := LazyDrop{}.Pick(&q, 0, 8, constEstimate(50*time.Millisecond))
+	dropped, batch := consume(&q, drop, take)
 	if len(dropped) != 1 || dropped[0].ID != 0 {
 		t.Fatalf("dropped = %v, want the hopeless head", dropped)
 	}
@@ -150,7 +152,8 @@ func TestPropertyPoliciesConserveRequests(t *testing.T) {
 		est := linEstimate(time.Duration(rng.Intn(5)+1)*time.Millisecond, 5*time.Millisecond)
 		now := time.Duration(0)
 		for iter := 0; q.Len() > 0 && iter < 1000; iter++ {
-			batch, dropped := policy.Pick(&q, now, rng.Intn(8)+1, est)
+			drop, take := policy.Pick(&q, now, rng.Intn(8)+1, est)
+			dropped, batch := consume(&q, drop, take)
 			for _, r := range batch {
 				ids[r.ID]++
 			}
@@ -484,6 +487,41 @@ func TestDeferredQueueBounded(t *testing.T) {
 	clock.Run()
 	if dropped == 0 {
 		t.Fatal("deferred queue bound not enforced")
+	}
+}
+
+// TestDeferredFillsBeforeDropping pins deferred mode over in-place drops:
+// a backlog that is hopeless by the time the model loads fills the
+// deferred queue up to maxDeferred in arrival order, and only the rest
+// completes as DropDeadline.
+func TestDeferredFillsBeforeDropping(t *testing.T) {
+	clock := simclock.New()
+	dev := gpusim.New(clock, "g", profiler.GTX1080Ti, gpusim.Exclusive)
+	late, deadline := 0, 0
+	be := New("b", clock, dev, Config{Overlap: true, DeferDropped: true},
+		func(r Request, outcome Outcome, at time.Duration) {
+			switch outcome {
+			case OK:
+				late++
+			case DropDeadline:
+				if r.ID < maxDeferred {
+					t.Fatalf("request %d dropped while the deferred queue had room", r.ID)
+				}
+				deadline++
+			default:
+				t.Fatalf("request %d completed as %v", r.ID, outcome)
+			}
+		})
+	if err := be.Configure([]Unit{{ID: "u", Profile: testUnitProfile(), TargetBatch: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	const extra = 1000
+	for i := 0; i < maxDeferred+extra; i++ {
+		_ = be.Enqueue("u", Request{ID: uint64(i), Session: 1, Deadline: time.Millisecond})
+	}
+	clock.Run()
+	if late != maxDeferred || deadline != extra {
+		t.Fatalf("served late %d, dropped %d; want %d and %d", late, deadline, maxDeferred, extra)
 	}
 }
 

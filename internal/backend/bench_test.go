@@ -31,43 +31,7 @@ func BenchmarkDispatchHotPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	clock.RunUntil(2 * time.Second) // model load
-
-	// Precompute the wave: the same one second of arrivals the original
-	// per-iteration form generated live (seed 7, Uniform rate 2000).
-	rng := rand.New(rand.NewSource(7))
-	proc := workload.Uniform{Rate: 2000}
-	var offsets []time.Duration
-	for t := proc.Interarrival(0, rng); t < time.Second; t += proc.Interarrival(t, rng) {
-		offsets = append(offsets, t)
-	}
-
-	// Self-rescheduling arrival pump: one pending timer walks the offset
-	// schedule, so replaying a wave keeps exactly one generator event live
-	// and reuses the closure across iterations.
-	const slo = 100 * time.Millisecond
-	var (
-		start time.Duration
-		idx   int
-		id    uint64
-		pump  func()
-	)
-	pump = func() {
-		now := clock.Now()
-		if err := be.Enqueue("u", Request{ID: id, Session: 1, Arrival: now, Deadline: now + slo}); err != nil {
-			b.Fatal(err)
-		}
-		id++
-		idx++
-		if idx < len(offsets) {
-			clock.At(start+offsets[idx], pump)
-		}
-	}
-	wave := func() {
-		idx = 0
-		start = clock.Now()
-		clock.At(start+offsets[0], pump)
-		clock.Run()
-	}
+	wave := hotPathWave(b, clock, be, 1)
 	// Warm every pool (event free list, wheel buckets, batch and run
 	// arenas) so the timed region measures steady state.
 	wave()
@@ -129,39 +93,7 @@ func BenchmarkDispatchHotPathTraced(b *testing.B) {
 		b.Fatal(err)
 	}
 	clock.RunUntil(2 * time.Second) // model load
-
-	rng := rand.New(rand.NewSource(7))
-	proc := workload.Uniform{Rate: 2000}
-	var offsets []time.Duration
-	for t := proc.Interarrival(0, rng); t < time.Second; t += proc.Interarrival(t, rng) {
-		offsets = append(offsets, t)
-	}
-
-	const slo = 100 * time.Millisecond
-	var (
-		start time.Duration
-		idx   int
-		id    uint64
-		pump  func()
-	)
-	pump = func() {
-		now := clock.Now()
-		req := Request{ID: id, Session: sess, Arrival: now, Deadline: now + slo}
-		if err := be.Enqueue("u", req); err != nil {
-			b.Fatal(err)
-		}
-		id++
-		idx++
-		if idx < len(offsets) {
-			clock.At(start+offsets[idx], pump)
-		}
-	}
-	wave := func() {
-		idx = 0
-		start = clock.Now()
-		clock.At(start+offsets[0], pump)
-		clock.Run()
-	}
+	wave := hotPathWave(b, clock, be, sess)
 	wave()
 	wave()
 
@@ -176,6 +108,44 @@ func BenchmarkDispatchHotPathTraced(b *testing.B) {
 	}
 	if tr.Total() == 0 {
 		b.Fatal("no events traced")
+	}
+}
+
+// hotPathWave precomputes one second of Uniform rate-2000 arrivals (seed
+// 7) and returns a replay of them into be's unit "u", with a 100 ms SLO,
+// that runs the clock dry. A self-rescheduling pump walks the offset
+// schedule, so a replay keeps exactly one generator event live and reuses
+// its closure: once the pools are warm, a replay allocates nothing.
+func hotPathWave(tb testing.TB, clock *simclock.Clock, be *Backend, sess session.Handle) func() {
+	rng := rand.New(rand.NewSource(7))
+	proc := workload.Uniform{Rate: 2000}
+	var offsets []time.Duration
+	for t := proc.Interarrival(0, rng); t < time.Second; t += proc.Interarrival(t, rng) {
+		offsets = append(offsets, t)
+	}
+	const slo = 100 * time.Millisecond
+	var (
+		start time.Duration
+		idx   int
+		id    uint64
+		pump  func()
+	)
+	pump = func() {
+		now := clock.Now()
+		if err := be.Enqueue("u", Request{ID: id, Session: sess, Arrival: now, Deadline: now + slo}); err != nil {
+			tb.Fatal(err)
+		}
+		id++
+		idx++
+		if idx < len(offsets) {
+			clock.At(start+offsets[idx], pump)
+		}
+	}
+	return func() {
+		idx = 0
+		start = clock.Now()
+		clock.At(start+offsets[0], pump)
+		clock.Run()
 	}
 }
 

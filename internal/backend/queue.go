@@ -21,11 +21,16 @@ type Request = workload.Request
 // It is a growable ring buffer: Push and PopN are amortized O(1) per
 // request, and once the ring and the batch free list have grown to the
 // workload's steady state, the dispatch loop runs without allocating.
-// Vacated slots are zeroed so popped requests do not pin their payloads.
+// Drops and evictions consume requests in place, one at a time, so the
+// free list only ever holds batches. Vacated slots are zeroed so popped
+// requests do not pin their payloads.
 type Queue struct {
 	buf  []Request // ring storage; len(buf) is a power of two (or 0)
 	head int       // index of the oldest request
 	n    int       // live request count
+	// reserved is the ring size Reserve asked for, and the size trim
+	// returns a larger ring to.
+	reserved int
 	// free recycles batch slices handed out by PopN: callers return them
 	// via Recycle once the batch has fully completed.
 	free [][]Request
@@ -35,7 +40,7 @@ type Queue struct {
 const minQueueCap = 16
 
 // maxFreeBatches bounds the per-queue batch free list; at most this many
-// batches of one unit are ever in flight plus being dropped concurrently.
+// batches of one unit are ever in flight at once.
 const maxFreeBatches = 8
 
 // Push appends a request.
@@ -53,10 +58,7 @@ func (q *Queue) grow() {
 	if newCap < minQueueCap {
 		newCap = minQueueCap
 	}
-	buf := make([]Request, newCap)
-	q.copyOut(buf[:q.n])
-	q.buf = buf
-	q.head = 0
+	q.resize(newCap)
 }
 
 // copyOut copies the oldest len(dst) requests into dst in FIFO order.
@@ -95,9 +97,9 @@ func (q *Queue) At(i int) Request {
 }
 
 // PopN removes and returns the first n requests (fewer when the queue is
-// shorter). The returned slice comes from the queue's free list when one is
-// available; callers that are done with a batch should hand it back with
-// Recycle so steady-state dispatch does not allocate.
+// shorter) as a batch. The returned slice comes from the queue's free list
+// when one is available; callers hand it back with Recycle once the batch
+// has completed, so steady-state dispatch does not allocate.
 func (q *Queue) PopN(n int) []Request {
 	if n > q.n {
 		n = q.n
@@ -108,7 +110,7 @@ func (q *Queue) PopN(n int) []Request {
 	out := q.batchSlice(n)
 	q.copyOut(out)
 	// Zero the vacated region: a slice-based queue that only re-slices
-	// would pin dropped requests (and their payloads) indefinitely.
+	// would pin popped requests (and their payloads) indefinitely.
 	mask := len(q.buf) - 1
 	for i := 0; i < n; i++ {
 		q.buf[(q.head+i)&mask] = Request{}
@@ -116,6 +118,16 @@ func (q *Queue) PopN(n int) []Request {
 	q.head = (q.head + n) & mask
 	q.n -= n
 	return out
+}
+
+// pop removes and returns the oldest request, which must exist. Drops and
+// evictions consume the queue with it, so they build no slice.
+func (q *Queue) pop() Request {
+	r := q.buf[q.head]
+	q.buf[q.head] = Request{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return r
 }
 
 // batchSlice returns a length-n slice, reusing a recycled batch when able.
@@ -133,10 +145,10 @@ func (q *Queue) batchSlice(n int) []Request {
 	return make([]Request, n)
 }
 
-// Recycle returns a batch slice obtained from PopN to the queue's free
-// list once every request in it has completed. The slice must not be used
-// after the call. Recycling foreign slices is allowed (they join the pool);
-// nil and zero-capacity slices are ignored.
+// Recycle returns a batch obtained from PopN to the queue's free list once
+// every request in it has completed. The slice must not be used after the
+// call. Recycling foreign slices is allowed (they join the pool); nil and
+// zero-capacity slices are ignored.
 //
 // Only batch[:len(batch)] is cleared. That suffices because every
 // free-list slice is zero over its whole capacity: fresh and primed slices
@@ -153,17 +165,40 @@ func (q *Queue) Recycle(batch []Request) {
 	q.free = append(q.free, batch[:0])
 }
 
-// Reserve pre-sizes the ring to hold at least n requests without growing
-// (rounded up to a power of two). Configure calls it with an arena bound
+// Reserve pre-sizes the ring to hold at least n requests without growing,
+// rounded up to a power of two. Configure calls it with an arena bound
 // derived from the unit's profile so steady-state dispatch never regrows.
+// The rounded size is recorded even when the ring is already that large:
+// it is the size trim hands a grown ring back to.
 func (q *Queue) Reserve(n int) {
-	if n <= len(q.buf) {
-		return
-	}
 	c := minQueueCap
 	for c < n {
 		c <<= 1
 	}
+	q.reserved = c
+	if c <= len(q.buf) {
+		return
+	}
+	q.resize(c)
+}
+
+// trim hands a ring that grew past its reserved size back to that size,
+// once the live requests fit in it again. It reports whether the ring now
+// has its reserved size.
+func (q *Queue) trim() bool {
+	if len(q.buf) <= q.reserved {
+		return true
+	}
+	if q.n > q.reserved {
+		return false
+	}
+	q.resize(q.reserved)
+	return true
+}
+
+// resize moves the live requests to a fresh ring of c slots, unwrapped to
+// the front.
+func (q *Queue) resize(c int) {
 	buf := make([]Request, c)
 	q.copyOut(buf[:q.n])
 	q.buf = buf
@@ -188,13 +223,13 @@ func (q *Queue) PrimeBatches(k, c int) {
 // DropPolicy selects which queued requests to execute and which to drop
 // (§4.3, §6.3 "Adaptive Batching").
 type DropPolicy interface {
-	// Pick returns the batch to execute now and the requests dropped.
-	// target is the scheduler-assigned batch size; estimate(b) is the
-	// predicted completion latency of a batch of size b (queueing excluded).
-	// When the queue is non-empty, Pick must make progress: return a
-	// non-empty batch or drop at least one request.
-	Pick(q *Queue, now time.Duration, target int, estimate func(int) time.Duration) (batch, dropped []Request)
-	Name() string
+	// Pick returns how many requests at the queue head to drop and how many
+	// of the requests after them to take as the batch to execute now; it
+	// does not change the queue. target is the scheduler-assigned batch
+	// size; estimate(b) is the predicted completion latency of a batch of
+	// size b (queueing excluded). When the queue is non-empty, Pick must
+	// make progress: drop+take > 0.
+	Pick(q *Queue, now time.Duration, target int, estimate func(int) time.Duration) (drop, take int)
 }
 
 // LazyDrop is the Clipper-style policy (§4.3): requests are dropped only
@@ -203,35 +238,29 @@ type DropPolicy interface {
 // earliest remaining request's budget allows.
 type LazyDrop struct{}
 
-// Name implements DropPolicy.
-func (LazyDrop) Name() string { return "lazy" }
-
 // Pick implements DropPolicy.
-func (LazyDrop) Pick(q *Queue, now time.Duration, target int, estimate func(int) time.Duration) (batch, dropped []Request) {
+func (LazyDrop) Pick(q *Queue, now time.Duration, target int, estimate func(int) time.Duration) (drop, take int) {
 	return lazyPick(q, now, target, estimate, now+estimate(1))
 }
 
 // lazyPick is LazyDrop.Pick with the batch-of-one completion bound already
 // computed, so EarlyDrop's fallback can reuse the estimate from its scan.
-func lazyPick(q *Queue, now time.Duration, target int, estimate func(int) time.Duration, minFinish time.Duration) (batch, dropped []Request) {
+func lazyPick(q *Queue, now time.Duration, target int, estimate func(int) time.Duration, minFinish time.Duration) (drop, take int) {
 	// Drop requests whose deadline cannot be met even alone.
-	expired := 0
-	for expired < q.n && q.At(expired).Deadline < minFinish {
-		expired++
+	for drop < q.n && q.At(drop).Deadline < minFinish {
+		drop++
 	}
-	if expired > 0 {
-		dropped = q.PopN(expired)
-	}
-	if q.n == 0 {
-		return nil, dropped
+	rest := q.n - drop
+	if rest == 0 {
+		return drop, 0
 	}
 	// Size the batch by the head-of-line request's remaining budget.
-	budget := q.buf[q.head].Deadline - now
-	b := 1
-	for b < target && b < q.n && estimate(b+1) <= budget {
-		b++
+	budget := q.At(drop).Deadline - now
+	take = 1
+	for take < target && take < rest && estimate(take+1) <= budget {
+		take++
 	}
-	return q.PopN(b), dropped
+	return drop, take
 }
 
 // EarlyDrop is the Nexus policy (§6.3): slide a window of the target batch
@@ -240,17 +269,14 @@ func lazyPick(q *Queue, now time.Duration, target int, estimate func(int) time.D
 // window fits, so it always makes progress.
 type EarlyDrop struct{}
 
-// Name implements DropPolicy.
-func (EarlyDrop) Name() string { return "early" }
-
 // Pick implements DropPolicy.
-func (EarlyDrop) Pick(q *Queue, now time.Duration, target int, estimate func(int) time.Duration) (batch, dropped []Request) {
+func (EarlyDrop) Pick(q *Queue, now time.Duration, target int, estimate func(int) time.Duration) (drop, take int) {
 	if target < 1 {
 		target = 1
 	}
 	n := q.Len()
 	if n == 0 {
-		return nil, nil
+		return 0, 0
 	}
 	// While a full window remains, the anchor test compares against the
 	// same now+estimate(target) at every position — hoist it instead of
@@ -259,8 +285,7 @@ func (EarlyDrop) Pick(q *Queue, now time.Duration, target int, estimate func(int
 		threshold := now + estimate(target)
 		for i := 0; i <= full; i++ {
 			if q.At(i).Deadline >= threshold {
-				dropped = q.PopN(i)
-				return q.PopN(target), dropped
+				return i, target
 			}
 		}
 	}
@@ -278,8 +303,7 @@ func (EarlyDrop) Pick(q *Queue, now time.Duration, target int, estimate func(int
 			est1 = est
 		}
 		if q.At(i).Deadline >= now+est {
-			dropped = q.PopN(i)
-			return q.PopN(w), dropped
+			return i, w
 		}
 	}
 	// No request can anchor a window; behave lazily on what is left,

@@ -172,6 +172,15 @@ func refLazyPick(q *refQueue, now time.Duration, target int, estimate func(int) 
 	return q.PopN(b), dropped
 }
 
+// consume applies a pick to q the way the backend does: the dropped head
+// requests leave one at a time, then the batch is popped.
+func consume(q *Queue, drop, take int) (dropped, batch []Request) {
+	for ; drop > 0; drop-- {
+		dropped = append(dropped, q.pop())
+	}
+	return dropped, q.PopN(take)
+}
+
 func sameIDs(t *testing.T, kind string, got, want []Request) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -188,7 +197,10 @@ func sameIDs(t *testing.T, kind string, got, want []Request) {
 // policies against the reference model on randomized workloads: random
 // pushes (including non-monotone deadlines, as the frontend retry path can
 // produce), random targets, and a counting estimate so the optimized scan
-// is also checked for not calling estimate more often than it must.
+// is also checked for not calling estimate more often than it must. A pick
+// must match the reference's drop count, and the batch popped once the
+// drops are consumed must match its batch. Since drops build no slice, no
+// free-list slice may outgrow the largest batch the queue handed out.
 func TestDifferentialDropPolicies(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -201,6 +213,7 @@ func TestDifferentialDropPolicies(t *testing.T) {
 		estimate := func(b int) time.Duration { return alpha*time.Duration(b) + beta }
 		now := time.Duration(0)
 		id := uint64(0)
+		maxBatch := 0
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(10); {
 			case op < 6: // push a burst
@@ -213,25 +226,36 @@ func TestDifferentialDropPolicies(t *testing.T) {
 					q.Push(r)
 					ref.Push(r)
 				}
-			case op < 9: // early-drop pick
-				target := rng.Intn(8)
-				gotB, gotD := early.Pick(&q, now, target, estimate)
-				wantB, wantD := refEarlyPick(&ref, now, target, estimate)
-				sameIDs(t, "early batch", gotB, wantB)
-				sameIDs(t, "early dropped", gotD, wantD)
-				q.Recycle(gotB)
-				q.Recycle(gotD)
-			default: // lazy pick
-				target := rng.Intn(8) + 1
-				gotB, gotD := lazy.Pick(&q, now, target, estimate)
-				wantB, wantD := refLazyPick(&ref, now, target, estimate)
-				sameIDs(t, "lazy batch", gotB, wantB)
-				sameIDs(t, "lazy dropped", gotD, wantD)
-				q.Recycle(gotB)
-				q.Recycle(gotD)
+			default:
+				kind := "early"
+				var drop, take int
+				var wantB, wantD []Request
+				if op < 9 { // early-drop pick
+					target := rng.Intn(8)
+					drop, take = early.Pick(&q, now, target, estimate)
+					wantB, wantD = refEarlyPick(&ref, now, target, estimate)
+				} else { // lazy pick
+					kind = "lazy"
+					target := rng.Intn(8) + 1
+					drop, take = lazy.Pick(&q, now, target, estimate)
+					wantB, wantD = refLazyPick(&ref, now, target, estimate)
+				}
+				if drop != len(wantD) {
+					t.Fatalf("seed %d step %d: %s drop = %d, want %d", seed, step, kind, drop, len(wantD))
+				}
+				dropped, batch := consume(&q, drop, take)
+				sameIDs(t, kind+" dropped", dropped, wantD)
+				sameIDs(t, kind+" batch", batch, wantB)
+				maxBatch = max(maxBatch, len(batch))
+				q.Recycle(batch)
 			}
 			if q.Len() != ref.Len() {
 				t.Fatalf("seed %d step %d: len %d vs ref %d", seed, step, q.Len(), ref.Len())
+			}
+			for _, s := range q.free {
+				if cap(s) > maxBatch {
+					t.Fatalf("seed %d step %d: free-list slice of capacity %d, largest batch %d", seed, step, cap(s), maxBatch)
+				}
 			}
 			now += time.Duration(rng.Intn(20)) * time.Millisecond
 		}
@@ -252,9 +276,9 @@ func TestEstimateCallBudget(t *testing.T) {
 		return time.Duration(b) * time.Millisecond
 	}
 	var early EarlyDrop
-	batch, dropped := early.Pick(&q, 0, 8, estimate)
-	if len(batch) != 8 || len(dropped) != 0 {
-		t.Fatalf("pick = %d batch / %d dropped, want 8/0", len(batch), len(dropped))
+	drop, take := early.Pick(&q, 0, 8, estimate)
+	if take != 8 || drop != 0 {
+		t.Fatalf("pick = %d batch / %d dropped, want 8/0", take, drop)
 	}
 	if calls != 1 {
 		t.Fatalf("estimate called %d times for a hoistable scan, want 1", calls)
@@ -283,8 +307,9 @@ func TestRecycledBatchesStayZeroed(t *testing.T) {
 		case 0:
 			held = append(held, q.PopN(1+rng.Intn(8)))
 		case 1:
-			batch, dropped := policies[rng.Intn(2)].Pick(&q, now, 1+rng.Intn(16), estimate)
-			held = append(held, batch, dropped)
+			drop, take := policies[rng.Intn(2)].Pick(&q, now, 1+rng.Intn(16), estimate)
+			_, batch := consume(&q, drop, take)
+			held = append(held, batch)
 		}
 		for len(held) > 0 && rng.Intn(2) == 0 {
 			i := rng.Intn(len(held))
@@ -299,5 +324,36 @@ func TestRecycledBatchesStayZeroed(t *testing.T) {
 			}
 		}
 		now += time.Millisecond
+	}
+}
+
+// TestTrimKeepsOrder pins that handing a grown ring back to its reserved
+// size keeps a wrapped live region in FIFO order, and that trim waits
+// until the live requests fit.
+func TestTrimKeepsOrder(t *testing.T) {
+	var q Queue
+	q.Reserve(minQueueCap)
+	id := uint64(0)
+	for i := 0; i < 4*minQueueCap; i++ {
+		q.Push(ringReq(id, 0))
+		id++
+	}
+	if q.trim() {
+		t.Fatalf("trim with %d live requests reported a %d-slot ring", q.Len(), minQueueCap)
+	}
+	// Drain to a wrapped region of fewer than minQueueCap requests.
+	q.Recycle(q.PopN(4*minQueueCap - 3))
+	for i := 0; i < minQueueCap-5; i++ {
+		q.Push(ringReq(id, 0))
+		id++
+	}
+	if !q.trim() || len(q.buf) != minQueueCap {
+		t.Fatalf("trim left a %d-slot ring, want %d", len(q.buf), minQueueCap)
+	}
+	want := uint64(4*minQueueCap - 3)
+	for i := 0; i < q.Len(); i++ {
+		if got := q.At(i).ID; got != want+uint64(i) {
+			t.Fatalf("At(%d) = %d after trim, want %d", i, got, want+uint64(i))
+		}
 	}
 }
