@@ -557,7 +557,7 @@ func (b *Backend) stepRR() {
 		if len(batch) == 0 {
 			continue
 		}
-		b.execute(u, batch, b.rrStepFn)
+		b.execute(u, &u.queue, batch, b.rrStepFn)
 		return
 	}
 	// No unit has on-time work; serve deferred low-priority requests, if
@@ -573,7 +573,7 @@ func (b *Backend) stepRR() {
 			if l := u.deferred.Len(); l < n {
 				n = l
 			}
-			b.execute(u, u.deferred.PopN(n), b.rrStepFn)
+			b.execute(u, &u.deferred, u.deferred.PopN(n), b.rrStepFn)
 			return
 		}
 	}
@@ -630,13 +630,13 @@ func (b *Backend) stepUnit(u *unitState) {
 			if l := u.deferred.Len(); l < n {
 				n = l
 			}
-			b.execute(u, u.deferred.PopN(n), u.resume)
+			b.execute(u, &u.deferred, u.deferred.PopN(n), u.resume)
 			u.running = true
 		}
 		return
 	}
 	u.running = true
-	b.execute(u, batch, u.resume)
+	b.execute(u, &u.queue, batch, u.resume)
 }
 
 // gpuTime returns the GPU execution time of a batch. Plain units use the
@@ -680,6 +680,7 @@ func (b *Backend) gpuTime(u *unitState, batch []Request) time.Duration {
 type batchRun struct {
 	b       *Backend
 	u       *unitState
+	from    *Queue // the unit queue the batch was popped from
 	batch   []Request
 	inc     uint32
 	done    func()
@@ -740,12 +741,13 @@ func (r *batchRun) afterPost() {
 	for _, q := range r.batch {
 		b.complete(q, outcome)
 	}
-	// The batch is fully reported; its slice can serve the next pick.
-	r.u.queue.Recycle(r.batch)
+	// The batch is fully reported; its slice can serve the next pick from
+	// the queue it came from.
+	r.from.Recycle(r.batch)
 	overlap, inc, done := r.overlap, r.inc, r.done
 	// Release the run before resuming the loop: done may start the next
 	// batch, which is free to reuse this object.
-	r.u, r.batch, r.done = nil, nil, nil
+	r.u, r.from, r.batch, r.done = nil, nil, nil, nil
 	b.runPool = append(b.runPool, r)
 	if !overlap && b.inc == inc {
 		done()
@@ -756,13 +758,14 @@ func (r *batchRun) afterPost() {
 // postprocessing. With Overlap, preprocessing hides behind the previous
 // GPU batch (when warm) and postprocessing does not gate the next batch;
 // without it, all three serialize and the GPU idles during CPU work (§6.3
-// "Overlapping CPU and GPU computation").
-func (b *Backend) execute(u *unitState, batch []Request, done func()) {
+// "Overlapping CPU and GPU computation"). The batch goes back to from, the
+// queue it was popped from, once every request in it is reported.
+func (b *Backend) execute(u *unitState, from *Queue, batch []Request, done func()) {
 	n := len(batch)
 	b.batches++
 	b.items += uint64(n)
 	r := b.newRun()
-	r.u, r.batch, r.done = u, batch, done
+	r.u, r.from, r.batch, r.done = u, from, batch, done
 	// Capture the incarnation: if the node crashes while this batch is in
 	// flight, its device timers still fire, but the results are lost — the
 	// requests complete as failures and the old execution chain halts

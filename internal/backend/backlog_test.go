@@ -108,3 +108,68 @@ func checkFreeBatchSized(t *testing.T, when string, q *Queue, memo int) {
 		}
 	}
 }
+
+// TestFullFreeListKeepsLargestBatches checks that a full batch free list
+// trades its smallest slice for a larger recycled one. Eight batches of one
+// in flight at once fill the list with slices too small for a full batch;
+// three full batches in flight then allocate once, and not on every cycle.
+func TestFullFreeListKeepsLargestBatches(t *testing.T) {
+	const memo = 8
+	var q Queue
+	q.Reserve(4 * memo)
+	q.PrimeBatches(2, memo)
+	fill := func() {
+		for q.Len() < 3*memo {
+			q.Push(Request{ID: 1, Session: 1})
+		}
+	}
+	fill()
+	var held [][]Request
+	for range maxFreeBatches {
+		held = append(held, q.PopN(1))
+	}
+	for _, b := range held {
+		q.Recycle(b)
+	}
+	cycle := func() {
+		fill()
+		a, b, c := q.PopN(memo), q.PopN(memo), q.PopN(memo)
+		q.Recycle(a)
+		q.Recycle(b)
+		q.Recycle(c)
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("three full batches in flight: %v allocs/cycle, want 0", allocs)
+	}
+	checkFreeBatchSized(t, "after the cycles", &q, memo)
+}
+
+// TestDeferredBatchesRecycled checks that a batch served from a unit's
+// deferred queue goes back to that queue's free list, not the on-time
+// queue's, so an overloaded wave that defers its drops and serves them
+// once the unit idles runs without allocating.
+func TestDeferredBatchesRecycled(t *testing.T) {
+	clock := simclock.New()
+	dev := gpusim.New(clock, "gpu0", profiler.GTX1080Ti, gpusim.Exclusive)
+	deferredServed := 0
+	be := New("b0", clock, dev, Config{Overlap: true, Discipline: RoundRobin, DeferDropped: true},
+		func(req Request, outcome Outcome, at time.Duration) {
+			if outcome == OK && at > req.Deadline {
+				deferredServed++
+			}
+		})
+	if err := be.Configure([]Unit{{ID: "u", Profile: testUnitProfile(), TargetBatch: 16}}); err != nil {
+		t.Fatal(err)
+	}
+	clock.Run() // the model load
+	wave := hotPathWave(t, clock, be, 1)
+	wave()
+	wave()
+	before := deferredServed
+	if allocs := testing.AllocsPerRun(5, wave); allocs != 0 {
+		t.Fatalf("overloaded wave with deferred drops: %v allocs/run, want 0", allocs)
+	}
+	if deferredServed == before {
+		t.Fatal("no deferred request was served; the test is vacuous")
+	}
+}

@@ -157,12 +157,29 @@ func (q *Queue) batchSlice(n int) []Request {
 // re-slicing or appending to it, and a foreign slice must be zero past its
 // length, as one from make is. Clearing the whole memo-sized capacity
 // would cost as much for a batch of one as for a full one.
+//
+// A full free list keeps its largest slices: the batch replaces the
+// smallest one when it is larger. Otherwise a list filled with small
+// batches would make every larger batch allocate, for the rest of the run.
 func (q *Queue) Recycle(batch []Request) {
-	if cap(batch) == 0 || len(q.free) >= maxFreeBatches {
+	if cap(batch) == 0 {
 		return
 	}
-	clear(batch) // release request payloads held by the batch
-	q.free = append(q.free, batch[:0])
+	if len(q.free) < maxFreeBatches {
+		clear(batch) // release request payloads held by the batch
+		q.free = append(q.free, batch[:0])
+		return
+	}
+	small := 0
+	for i := range q.free {
+		if cap(q.free[i]) < cap(q.free[small]) {
+			small = i
+		}
+	}
+	if cap(q.free[small]) < cap(batch) {
+		clear(batch)
+		q.free[small] = batch[:0]
+	}
 }
 
 // Reserve pre-sizes the ring to hold at least n requests without growing,

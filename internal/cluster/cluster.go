@@ -212,7 +212,9 @@ type Deployment struct {
 	warmDone   []uint64
 	seq        uint64
 	queryTrack map[uint64]*queryInstance
-	queryMeta  []*stageMeta // by stage session handle; nil = not a stage
+	// freeQueries holds finished query instances for reuse.
+	freeQueries []*queryInstance
+	queryMeta   []*stageMeta // by stage session handle; nil = not a stage
 
 	loads      []sessionLoad
 	queryLoads []queryLoad

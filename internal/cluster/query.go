@@ -10,14 +10,18 @@ import (
 )
 
 // startQuery begins one end-to-end query: dispatch the root stage and
-// track the instance until every spawned stage resolves.
+// track the instance until every spawned stage resolves. Instances come
+// from a free list that finishQuery refills, so a warm run allocates none.
 func (d *Deployment) startQuery(ql *queryLoad, arrival workload.Request) {
 	q := ql.spec.Query
-	qi := &queryInstance{
-		queryName:   q.Name,
-		deadline:    arrival.Arrival + q.SLO,
-		outstanding: 0,
+	var qi *queryInstance
+	if n := len(d.freeQueries); n > 0 {
+		qi = d.freeQueries[n-1]
+		d.freeQueries = d.freeQueries[:n-1]
+	} else {
+		qi = new(queryInstance)
 	}
+	*qi = queryInstance{queryName: q.Name, deadline: arrival.Arrival + q.SLO}
 	if d.collecting {
 		d.QueryStats(q.Name).Sent++
 		d.Arrivals.Add(d.Clock.Now(), 1)
@@ -49,9 +53,11 @@ func (d *Deployment) dispatchStage(qi *queryInstance, stage session.Handle) {
 }
 
 // stageDone handles completion of one stage invocation. be is the handle
-// of the backend that reported it (0 for frontend-side drops).
+// of the backend that reported it (0 for frontend-side drops). The stage
+// keeps its reference on the instance until its children are dispatched:
+// a frontend drop resolves a child during dispatch, and must not finish
+// the query while siblings are still to be sent.
 func (d *Deployment) stageDone(qi *queryInstance, req workload.Request, outcome backend.Outcome, at time.Duration, be trace.Name) {
-	qi.outstanding--
 	lost := outcome.Bad()
 	if qi.queryName != "" {
 		// Warmup instances stay out of the trace, mirroring the metrics.
@@ -90,7 +96,7 @@ func (d *Deployment) stageDone(qi *queryInstance, req workload.Request, outcome 
 			qi.bad = true
 		}
 	}
-	if qi.outstanding == 0 {
+	if qi.outstanding--; qi.outstanding == 0 {
 		d.finishQuery(qi)
 	}
 }
@@ -105,8 +111,10 @@ func (meta *stageMeta) fanOut(childIdx int) int {
 	return n
 }
 
-// finishQuery records the end-to-end outcome.
+// finishQuery records the end-to-end outcome and returns the instance to
+// the free list.
 func (d *Deployment) finishQuery(qi *queryInstance) {
+	d.freeQueries = append(d.freeQueries, qi)
 	if qi.queryName == "" {
 		return // warmup instance, not measured
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -200,5 +201,53 @@ func TestChaosBurnRateAlert(t *testing.T) {
 		if a.At < chaosFaultAt {
 			t.Fatalf("alert before the fault: %+v", a)
 		}
+	}
+}
+
+// TestTelemetryTickAllocs checks that a warm sampler looks its instruments
+// up only once: a tick then allocates its snapshot row (values and window
+// summaries) and nothing else, however many sessions and backends it
+// samples.
+func TestTelemetryTickAllocs(t *testing.T) {
+	tickAllocs := func(gpus int) float64 {
+		d, err := New(Config{
+			System: Nexus, Features: AllFeatures(), GPUs: gpus, Seed: 1,
+			Epoch: 5 * time.Second, FixedCluster: true,
+			RouteLeaseTTL: 8 * time.Second, ServeStale: true,
+			BreakerThreshold: 3, BreakerCooloff: time.Second,
+			Telemetry: &telemetry.Config{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < gpus; i++ {
+			if err := d.AddSession(globalsched.SessionSpec{
+				ID: fmt.Sprintf("s%d", i), ModelID: model.GoogLeNetCar, SLO: 100 * time.Millisecond, ExpectedRate: 100,
+			}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := d.Run(3 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(d.Pool.backends); n != gpus {
+			t.Fatalf("%d backends in the pool, want all %d GPUs", n, gpus)
+		}
+		tick := func() {
+			d.Clock.RunUntil(d.Clock.Now() + d.telem.Interval())
+			d.telemSample.sample()
+		}
+		tick()
+		n := len(d.telem.Snapshots())
+		allocs := testing.AllocsPerRun(100, tick)
+		if got := len(d.telem.Snapshots()) - n; got != 101 {
+			t.Fatalf("%d ticks sampled %d snapshots", 101, got)
+		}
+		return allocs
+	}
+	few, many := tickAllocs(4), tickAllocs(48)
+	t.Logf("allocs per warm tick: %v at 4 backends, %v at 48", few, many)
+	if few != many || many > 2 {
+		t.Fatalf("a warm tick allocates %v times at 4 backends and %v at 48, want the same and at most 2 (the row)", few, many)
 	}
 }

@@ -57,13 +57,19 @@ func (c Config) maxDumps() int {
 // Dump is one flight-recorder capture: the alert that triggered it, the
 // capture window [at-window, at], and the request spans recorded in it. The
 // window's other records live in the observation log's own planes.
+//
+// SpansFromMS is set only when the tracer's ring no longer reached back
+// before the window's start: it is the time of the oldest span the ring
+// still held, inside the window, so spans of the window before it may
+// have been overwritten and Spans covers [spans_from, at] only.
 type Dump struct {
-	AtMS     float64 `json:"at_ms"`
-	Rule     string  `json:"rule"`
-	Target   string  `json:"target,omitempty"`
-	Value    float64 `json:"value,omitempty"`
-	Detail   string  `json:"detail,omitempty"`
-	WindowMS float64 `json:"window_ms"`
+	AtMS        float64 `json:"at_ms"`
+	Rule        string  `json:"rule"`
+	Target      string  `json:"target,omitempty"`
+	Value       float64 `json:"value,omitempty"`
+	Detail      string  `json:"detail,omitempty"`
+	WindowMS    float64 `json:"window_ms"`
+	SpansFromMS float64 `json:"spans_from_ms,omitempty"`
 
 	Spans trace.Spans `json:"spans"`
 }
@@ -109,11 +115,16 @@ func (r *Recorder) Trigger(at time.Duration, alert telemetry.Alert, tracer *trac
 		r.suppressed++
 		return
 	}
-	r.dumps = append(r.dumps, Dump{
+	from := at - window
+	d := Dump{
 		AtMS: trace.MS(at), Rule: alert.Rule, Target: alert.Target,
 		Value: alert.Value, Detail: alert.Detail, WindowMS: trace.MS(window),
-		Spans: tracer.Between(at-window, at),
-	})
+		Spans: tracer.Between(from, at),
+	}
+	if oldest, ok := tracer.Overwritten(); ok && oldest >= from {
+		d.SpansFromMS = trace.MS(oldest)
+	}
+	r.dumps = append(r.dumps, d)
 	r.lastDump, r.hasDumped = at, true
 }
 

@@ -94,6 +94,38 @@ func TestTriggerCapturesWindow(t *testing.T) {
 // TestWindowIncludesTriggerInstant pins the window's closed upper bound: a
 // record stamped at the trigger instant is inside even when it is logged
 // after the trigger fired, and one a nanosecond later is not.
+// TestDumpSaysWhenRingOverwroteWindow checks spans_from_ms: absent while
+// the tracer's ring reaches back to the window's start, and the time of the
+// oldest retained span once the ring has overwritten part of the window.
+func TestDumpSaysWhenRingOverwroteWindow(t *testing.T) {
+	var evs []trace.Event
+	for i := 1; i <= 8; i++ {
+		evs = append(evs, trace.Event{At: time.Duration(i) * time.Second, Kind: trace.Arrive, ReqID: uint64(i), Session: "s"})
+	}
+	alert := telemetry.Alert{Rule: "slo-burn-rate", Target: "s", State: "firing"}
+	for _, c := range []struct {
+		ring int
+		want float64 // 0 = absent
+	}{
+		{8, 0},    // nothing overwritten
+		{7, 0},    // only the 1s span, before the window [3s, 8s]
+		{6, 3000}, // the oldest retained span is at the window's start
+		{4, 5000}, // the 3s and 4s spans overwritten
+	} {
+		r := forensics.New(forensics.Config{Window: 5 * time.Second})
+		r.Trigger(8*time.Second, alert, tracerOf(c.ring, evs...))
+		d := r.Dumps()[0]
+		if d.SpansFromMS != c.want {
+			t.Errorf("ring of %d: spans_from_ms %v, want %v", c.ring, d.SpansFromMS, c.want)
+		}
+		if c.want != 0 {
+			if first := d.Spans.Events()[0].At; trace.MS(first) != c.want {
+				t.Errorf("ring of %d: first span at %v, want spans_from_ms %v", c.ring, first, c.want)
+			}
+		}
+	}
+}
+
 func TestWindowIncludesTriggerInstant(t *testing.T) {
 	tr, audit := seededPlanes()
 	r := forensics.New(forensics.Config{})

@@ -22,8 +22,8 @@ func TestDumpsJSONLRoundTrip(t *testing.T) {
 	audit.RecordChaos(trace.ChaosRecord{AtMS: 9000, Kind: "outage", Backend: "be1", To: "down"})
 	audit.RecordPlacement(trace.PlacementRecord{Epoch: 1, AtMS: 9500, Node: "plan-0"})
 	audit.RecordPlanDiff(trace.PlanDiffRecord{Epoch: 1, AtMS: 9500, Cause: "periodic"})
-	snaps := []telemetry.Snapshot{{At: 9 * time.Second, AtMS: 9000,
-		Counters: map[string]float64{"session_good_total|session=s": 12}}}
+	snaps := []telemetry.Snapshot{telemetry.SnapshotOf(9*time.Second,
+		map[string]float64{"session_good_total|session=s": 12}, nil, nil)}
 
 	r := forensics.New(forensics.Config{})
 	r.Trigger(10*time.Second, telemetry.Alert{Rule: "slo-burn-rate", Target: "s", State: "firing", Value: 9.5}, tr)

@@ -436,6 +436,15 @@ func (r *Recorder) SessionIDs() []string {
 	return ids
 }
 
+// Each calls f with every session that has stats, in handle order.
+func (r *Recorder) Each(f func(session.Handle, *SessionStats)) {
+	for h, s := range r.stats {
+		if s != nil {
+			f(session.Handle(h), s)
+		}
+	}
+}
+
 // Total returns stats merged across all sessions.
 func (r *Recorder) Total() *SessionStats {
 	t := &SessionStats{}

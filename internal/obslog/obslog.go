@@ -247,7 +247,6 @@ func (l *Log) decode(line []byte) error {
 		var s telemetry.Snapshot
 		err = json.Unmarshal(env.Data, &s)
 		at = s.AtMS
-		s.At = trace.FromMS(s.AtMS)
 		l.Snapshots = append(l.Snapshots, s)
 	case "alert":
 		var a telemetry.Alert
@@ -328,6 +327,11 @@ func checkDump(d *forensics.Dump, old *legacyDump) error {
 		}
 	}
 	from, to := window(d)
+	if d.SpansFromMS != 0 {
+		if at := trace.FromMS(d.SpansFromMS); !trace.ValidMS(d.SpansFromMS) || at < from || at > to {
+			return fmt.Errorf("spans_from_ms %v outside the window [%v, %v]", d.SpansFromMS, from, to)
+		}
+	}
 	i := 0
 	return d.Spans.Walk(func(sp trace.Span) error {
 		if sp.At < from || sp.At > to {

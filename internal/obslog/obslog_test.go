@@ -29,9 +29,9 @@ func sampleLog() Log {
 	a.RecordDropWindow(trace.DropWindowRecord{AtMS: 1200, Backend: "be0", Unit: "s", Window: 3, Dropped: 3})
 	a.RecordChaos(trace.ChaosRecord{AtMS: 900, Kind: "outage", Backend: "be0", From: "up", To: "down"})
 	a.AddLost(trace.Lost{DropWindows: 4, PlanDiffs: 1})
-	snap := telemetry.Snapshot{At: time.Second, AtMS: 1000,
-		Counters: map[string]float64{`session_good_total{session="s"}`: 12},
-		Windows:  map[string]telemetry.WindowStats{`backend_exec_ms{backend="be0"}`: {Count: 2, P99MS: 30, ExemplarID: 7}}}
+	snap := telemetry.SnapshotOf(time.Second,
+		map[string]float64{`session_good_total{session="s"}`: 12}, nil,
+		map[string]telemetry.WindowStats{`backend_exec_ms{backend="be0"}`: {Count: 2, P99MS: 30, ExemplarID: 7}})
 	return Log{
 		Spans: []trace.Event{
 			{At: 500 * ms, Kind: trace.Arrive, ReqID: 7, Session: "s"},
@@ -160,6 +160,9 @@ func TestReadRejects(t *testing.T) {
 		{`{"v":1,"kind":"dump","at_ms":0,"data":{"samples":[{"at_ms":-3}]}}`, "outside"},
 		{`{"v":1,"kind":"dump","at_ms":0,"data":{"window_ms":-1}}`, "window_ms -1 outside"},
 		{`{"v":1,"kind":"dump","at_ms":0,"data":{"window_ms":1e13}}`, "window_ms 1e+13 outside"},
+		{`{"v":1,"kind":"dump","at_ms":1000,"data":{"at_ms":1000,"window_ms":500,"spans_from_ms":499}}`, "spans_from_ms 499 outside"},
+		{`{"v":1,"kind":"dump","at_ms":1000,"data":{"at_ms":1000,"window_ms":500,"spans_from_ms":1001}}`, "spans_from_ms 1001 outside"},
+		{`{"v":1,"kind":"dump","at_ms":1000,"data":{"at_ms":1000,"window_ms":500,"spans_from_ms":-1}}`, "spans_from_ms -1 outside"},
 		{`{"v":1,"kind":"lost","at_ms":0,"data":{}}`, "not all positive"},
 		{`{"v":1,"kind":"lost","at_ms":0,"data":{"chaos":-1}}`, "not all positive"},
 		{`{"v":1,"kind":"placement","at_ms":0}`, "placement"},

@@ -177,7 +177,7 @@ func WriteTop(w io.Writer, l Log) error {
 			upStr = "up"
 		}
 		p99, exemplar := "-", "-"
-		if w, ok := cur.Windows[telemetry.Key("backend_exec_ms", "backend", beID)]; ok && w.Count > 0 {
+		if w, ok := cur.Window(telemetry.Key("backend_exec_ms", "backend", beID)); ok && w.Count > 0 {
 			p99 = fmt.Sprintf("%.2fms", w.P99MS)
 			if w.ExemplarID != 0 {
 				exemplar = fmt.Sprintf("req %d", w.ExemplarID)

@@ -3,7 +3,9 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"nexus/internal/metrics"
@@ -86,11 +88,9 @@ type alertKey struct{ rule, target string }
 
 // apply reconciles one rule's current violations against its firing set.
 func (c *Collector) apply(rule string, at time.Duration, violations []violation) {
-	sort.Slice(violations, func(i, j int) bool { return violations[i].target < violations[j].target })
-	active := make(map[alertKey]bool, len(violations))
+	slices.SortFunc(violations, func(a, b violation) int { return strings.Compare(a.target, b.target) })
 	for _, v := range violations {
 		key := alertKey{rule, v.target}
-		active[key] = true
 		if c.firing[key] {
 			continue
 		}
@@ -102,7 +102,12 @@ func (c *Collector) apply(rule string, at time.Duration, violations []violation)
 	}
 	var resolved []string
 	for key := range c.firing {
-		if key.rule == rule && !active[key] {
+		if key.rule != rule {
+			continue
+		}
+		if _, active := slices.BinarySearchFunc(violations, key.target, func(v violation, t string) int {
+			return strings.Compare(v.target, t)
+		}); !active {
 			resolved = append(resolved, key.target)
 		}
 	}
@@ -140,22 +145,24 @@ func before(snaps []Snapshot, window time.Duration) *Snapshot {
 	return nil
 }
 
-// counterDelta returns how much a counter grew over the trailing window.
-// ok is false when the stream does not span the window yet.
-func counterDelta(snaps []Snapshot, key string, window time.Duration) (float64, bool) {
+// counterDelta returns how much the counter family+labels grew over the
+// trailing window. ok is false when the stream does not span the window
+// yet.
+func counterDelta(snaps []Snapshot, family, labels string, window time.Duration) (float64, bool) {
 	old := before(snaps, window)
 	if old == nil {
 		return 0, false
 	}
-	cur, ok := snaps[len(snaps)-1].Counter(key)
+	cur, ok := snaps[len(snaps)-1].counterOf(family, labels)
 	if !ok {
 		return 0, false
 	}
-	prev, _ := old.Counter(key)
+	prev, _ := old.counterOf(family, labels)
 	return math.Max(cur-prev, 0), true
 }
 
-// checkBurnRate is the multi-window SLO burn-rate rule.
+// checkBurnRate is the multi-window SLO burn-rate rule. A session's bad
+// counter is the session_bad_total series with its good counter's labels.
 func checkBurnRate(snaps []Snapshot) []violation {
 	// A variable, so the budget is rounded float64 arithmetic: the exact
 	// constant 1 - 0.99 rounds to a different float64 and shifts every
@@ -165,11 +172,10 @@ func checkBurnRate(snaps []Snapshot) []violation {
 	last := &snaps[len(snaps)-1]
 	var out []violation
 	for _, goodKey := range last.Keys("session_good_total") {
-		sid := LabelValue(goodKey, "session")
-		badKey := Key("session_bad_total", "session", sid)
+		labels := goodKey[len("session_good_total"):]
 		burn := func(w time.Duration) (float64, float64, bool) {
-			good, ok1 := counterDelta(snaps, goodKey, w)
-			bad, ok2 := counterDelta(snaps, badKey, w)
+			good, ok1 := counterDelta(snaps, goodKey, "", w)
+			bad, ok2 := counterDelta(snaps, "session_bad_total", labels, w)
 			if !ok1 || !ok2 || good+bad == 0 {
 				return 0, 0, false
 			}
@@ -183,7 +189,7 @@ func checkBurnRate(snaps []Snapshot) []violation {
 		}
 		if bs >= burnFactor && bl >= burnFactor {
 			out = append(out, violation{
-				target: sid,
+				target: LabelValue(goodKey, "session"),
 				value:  bs,
 				detail: fmt.Sprintf("burn %.1fx budget over %v, %.1fx over %v (target %.2f%%)",
 					bs, burnShort, bl, burnLong, 100*target),
@@ -221,45 +227,50 @@ func checkQueueSaturation(snaps []Snapshot) []violation {
 	return out
 }
 
-// checkStraggler is the gpu-straggler rule.
+// checkStraggler is the gpu-straggler rule. It walks the exec windows
+// three times (fleet mean, deviation, outliers) instead of collecting the
+// peers.
 func checkStraggler(snaps []Snapshot) []violation {
 	last := &snaps[len(snaps)-1]
-	type peer struct {
-		id   string
-		mean float64
+	keys := last.Keys("backend_exec_ms")
+	// peer returns a window's mean when its GPU ran enough batches to count.
+	peer := func(key string) (float64, bool) {
+		w, ok := last.Window(key)
+		return w.MeanMS, ok && w.Count >= stragglerBatches
 	}
-	var peers []peer
-	for _, key := range last.Keys("backend_exec_ms") {
-		w, ok := last.Windows[key]
-		if !ok || w.Count < stragglerBatches {
-			continue
+	n, sum := 0, 0.0
+	for _, key := range keys {
+		if mean, ok := peer(key); ok {
+			n++
+			sum += mean
 		}
-		peers = append(peers, peer{id: LabelValue(key, "backend"), mean: w.MeanMS})
 	}
-	if len(peers) < stragglerPeers {
+	if n < stragglerPeers {
 		return nil
 	}
-	var sum float64
-	for _, p := range peers {
-		sum += p.mean
-	}
-	mu := sum / float64(len(peers))
+	mu := sum / float64(n)
 	var varsum float64
-	for _, p := range peers {
-		varsum += (p.mean - mu) * (p.mean - mu)
+	for _, key := range keys {
+		if mean, ok := peer(key); ok {
+			varsum += (mean - mu) * (mean - mu)
+		}
 	}
-	sigma := math.Sqrt(varsum / float64(len(peers)))
+	sigma := math.Sqrt(varsum / float64(n))
 	if sigma <= 1e-9 {
 		return nil
 	}
 	var out []violation
-	for _, p := range peers {
-		score := (p.mean - mu) / sigma
-		if score >= stragglerZ && p.mean >= stragglerRatio*mu {
+	for _, key := range keys {
+		mean, ok := peer(key)
+		if !ok {
+			continue
+		}
+		score := (mean - mu) / sigma
+		if score >= stragglerZ && mean >= stragglerRatio*mu {
 			out = append(out, violation{
-				target: p.id,
+				target: LabelValue(key, "backend"),
 				value:  score,
-				detail: fmt.Sprintf("exec mean %.2fms vs fleet %.2fms (z=%.2f over %d GPUs)", p.mean, mu, score, len(peers)),
+				detail: fmt.Sprintf("exec mean %.2fms vs fleet %.2fms (z=%.2f over %d GPUs)", mean, mu, score, n),
 			})
 		}
 	}

@@ -7,20 +7,11 @@ import (
 	"slices"
 	"testing"
 	"time"
-
-	"nexus/internal/trace"
 )
 
 // snapAt builds a synthetic snapshot for the stream-helper tests.
 func snapAt(at time.Duration, counters, gauges map[string]float64) Snapshot {
-	s := Snapshot{At: at, AtMS: trace.MS(at), Counters: map[string]float64{}, Gauges: map[string]float64{}}
-	for k, v := range counters {
-		s.Counters[k] = v
-	}
-	for k, v := range gauges {
-		s.Gauges[k] = v
-	}
-	return s
+	return SnapshotOf(at, counters, gauges, nil)
 }
 
 // ticks drives a fresh collector through one Tick per second, from t=0s,
@@ -56,33 +47,43 @@ func TestHistoryCounterDelta(t *testing.T) {
 	for i := 0; i <= 5; i++ {
 		snaps = append(snaps, snapAt(time.Duration(i)*time.Second, map[string]float64{key: float64(10 * i)}, nil))
 	}
-	if d, ok := counterDelta(snaps, key, 2*time.Second); !ok || d != 20 {
+	if d, ok := counterDelta(snaps, key, "", 2*time.Second); !ok || d != 20 {
 		t.Errorf("delta over 2s: %v %v", d, ok)
 	}
 	// Window edge: a snapshot exactly one window back is the baseline.
-	if d, ok := counterDelta(snaps, key, 5*time.Second); !ok || d != 50 {
+	if d, ok := counterDelta(snaps, key, "", 5*time.Second); !ok || d != 50 {
 		t.Errorf("delta over the whole stream: %v %v", d, ok)
 	}
 	// Between samples, the newest snapshot at least a window back is used.
-	if d, ok := counterDelta(snaps, key, 1500*time.Millisecond); !ok || d != 20 {
+	if d, ok := counterDelta(snaps, key, "", 1500*time.Millisecond); !ok || d != 20 {
 		t.Errorf("delta over 1.5s: %v %v", d, ok)
 	}
-	if _, ok := counterDelta(snaps, key, 5001*time.Millisecond); ok {
+	if _, ok := counterDelta(snaps, key, "", 5001*time.Millisecond); ok {
 		t.Error("window beyond the stream must report !ok")
 	}
-	if _, ok := counterDelta(snaps, "absent", 2*time.Second); ok {
+	// A key split into family and labels finds the same series; a sibling
+	// family's does not.
+	if d, ok := counterDelta(snaps, "session_good_total", `{session="s"}`, 2*time.Second); !ok || d != 20 {
+		t.Errorf("delta by family and labels: %v %v", d, ok)
+	}
+	for _, fam := range []string{"session_bad_total", "session_good", "session_good_total_x"} {
+		if _, ok := counterDelta(snaps, fam, `{session="s"}`, 2*time.Second); ok {
+			t.Errorf("family %s must not match %s", fam, key)
+		}
+	}
+	if _, ok := counterDelta(snaps, "absent", "", 2*time.Second); ok {
 		t.Error("absent counter must report !ok")
 	}
 	// A counter missing from the baseline counts from zero; one that fell
 	// reports no growth.
 	late := slices.Clone(snaps)
 	late[3] = snapAt(3*time.Second, nil, nil)
-	if d, ok := counterDelta(late, key, 2*time.Second); !ok || d != 50 {
+	if d, ok := counterDelta(late, key, "", 2*time.Second); !ok || d != 50 {
 		t.Errorf("delta from a missing baseline: %v %v", d, ok)
 	}
 	fallen := slices.Clone(snaps)
 	fallen[5] = snapAt(5*time.Second, map[string]float64{key: 1}, nil)
-	if d, ok := counterDelta(fallen, key, 2*time.Second); !ok || d != 0 {
+	if d, ok := counterDelta(fallen, key, "", 2*time.Second); !ok || d != 0 {
 		t.Errorf("delta of a fallen counter: %v %v", d, ok)
 	}
 }

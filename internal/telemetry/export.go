@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -16,18 +15,28 @@ const promPrefix = "nexus_"
 // _p99 gauges in milliseconds.
 func WritePrometheus(w io.Writer, s *Snapshot) error {
 	bw := bufio.NewWriter(w)
-	writeFamilies(bw, s.Counters, "counter", "")
-	writeFamilies(bw, s.Gauges, "gauge", "")
-	if len(s.Windows) > 0 {
-		flat := make(map[string]float64, 4*len(s.Windows))
-		for k, ws := range s.Windows {
-			fam, labels := splitKey(k)
-			flat[fam+"_count"+labels] = float64(ws.Count)
-			flat[fam+"_mean"+labels] = ws.MeanMS
-			flat[fam+"_p50"+labels] = ws.P50MS
-			flat[fam+"_p99"+labels] = ws.P99MS
+	if c := s.cols; c != nil {
+		nc := len(c.counters)
+		writeFamilies(bw, c.counters, s.vals[:nc], "counter")
+		writeFamilies(bw, c.gauges, s.vals[nc:], "gauge")
+		if len(c.windows) > 0 {
+			// The flattened names sort apart from the window keys.
+			flat := make(map[string]float64, 4*len(c.windows))
+			for i, k := range c.windows {
+				fam, labels := splitKey(k)
+				ws := s.wins[i]
+				flat[fam+"_count"+labels] = float64(ws.Count)
+				flat[fam+"_mean"+labels] = ws.MeanMS
+				flat[fam+"_p50"+labels] = ws.P50MS
+				flat[fam+"_p99"+labels] = ws.P99MS
+			}
+			keys := sortedKeys(flat)
+			vals := make([]float64, len(keys))
+			for i, k := range keys {
+				vals[i] = flat[k]
+			}
+			writeFamilies(bw, keys, vals, "gauge")
 		}
-		writeFamilies(bw, flat, "gauge", "")
 	}
 	fmt.Fprintf(bw, "# HELP %ssnapshot_at_ms virtual time of this snapshot\n", promPrefix)
 	fmt.Fprintf(bw, "# TYPE %ssnapshot_at_ms gauge\n", promPrefix)
@@ -47,24 +56,16 @@ func splitKey(key string) (family, labels string) {
 }
 
 // writeFamilies emits one # TYPE header per metric family, then its
-// samples, all sorted.
-func writeFamilies(w io.Writer, values map[string]float64, typ, help string) {
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// samples, from sorted keys and their values.
+func writeFamilies(w io.Writer, keys []string, values []float64, typ string) {
 	lastFam := ""
-	for _, k := range keys {
+	for i, k := range keys {
 		fam, labels := splitKey(k)
 		if fam != lastFam {
-			if help != "" {
-				fmt.Fprintf(w, "# HELP %s%s %s\n", promPrefix, fam, help)
-			}
 			fmt.Fprintf(w, "# TYPE %s%s %s\n", promPrefix, fam, typ)
 			lastFam = fam
 		}
-		fmt.Fprintf(w, "%s%s%s %s\n", promPrefix, fam, labels, formatValue(values[k]))
+		fmt.Fprintf(w, "%s%s%s %s\n", promPrefix, fam, labels, formatValue(values[i]))
 	}
 }
 

@@ -19,6 +19,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -230,6 +231,16 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	windows  map[string]*Window
+
+	// cols is the series table the next sample writes its row over, and
+	// cs, gs and ws are its instruments in column order. Adding an
+	// instrument marks it stale; the next sample builds a new version, so
+	// earlier snapshots keep the version they were sampled over.
+	cols  *columns
+	stale bool
+	cs    []*Counter
+	gs    []*Gauge
+	ws    []*Window
 }
 
 // NewRegistry returns an empty registry.
@@ -246,13 +257,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	k := Key(name, labels...)
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
+	return instrument(r, r.counters, Key(name, labels...))
 }
 
 // Gauge returns (creating if needed) the gauge for name+labels.
@@ -260,13 +265,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	k := Key(name, labels...)
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
+	return instrument(r, r.gauges, Key(name, labels...))
 }
 
 // Window returns (creating if needed) the windowed histogram for
@@ -275,82 +274,67 @@ func (r *Registry) Window(name string, labels ...string) *Window {
 	if r == nil {
 		return nil
 	}
-	k := Key(name, labels...)
-	w, ok := r.windows[k]
+	return instrument(r, r.windows, Key(name, labels...))
+}
+
+// instrument returns the instrument at key in m, adding a new one (and
+// marking the series table stale) when there is none.
+func instrument[T any](r *Registry, m map[string]*T, key string) *T {
+	v, ok := m[key]
 	if !ok {
-		w = &Window{}
-		r.windows[k] = w
+		v = new(T)
+		m[key] = v
+		r.stale = true
 	}
-	return w
+	return v
 }
 
 // Sample captures every instrument's current value into a Snapshot stamped
-// at virtual time `at`, rotating all windows. A nil registry samples to an
-// empty snapshot.
+// at virtual time `at`, rotating all windows. Once no instrument has been
+// added since the previous sample, it allocates only the snapshot's row.
+// A nil registry samples to an empty snapshot.
 func (r *Registry) Sample(at time.Duration) Snapshot {
-	s := Snapshot{
-		At:       at,
-		AtMS:     trace.MS(at),
-		Counters: map[string]float64{},
-		Gauges:   map[string]float64{},
-		Windows:  map[string]WindowStats{},
-	}
+	s := Snapshot{At: at, AtMS: trace.MS(at)}
 	if r == nil {
 		return s
 	}
-	for k, c := range r.counters {
-		s.Counters[k] = c.Value()
+	if r.stale {
+		r.rebuild()
 	}
-	for k, g := range r.gauges {
-		s.Gauges[k] = g.Value()
+	s.cols = r.cols
+	s.vals, s.wins = r.cols.row()
+	for i, c := range r.cs {
+		s.vals[i] = c.v
 	}
-	for k, w := range r.windows {
-		s.Windows[k] = w.take()
+	for i, g := range r.gs {
+		s.vals[len(r.cs)+i] = g.v
+	}
+	for i, w := range r.ws {
+		s.wins[i] = w.take()
 	}
 	return s
 }
 
-// Snapshot is one sampled state of the registry. Map keys serialize
-// sorted, so encoded snapshots are deterministic.
-type Snapshot struct {
-	At       time.Duration          `json:"-"`
-	AtMS     float64                `json:"at_ms"`
-	Counters map[string]float64     `json:"counters,omitempty"`
-	Gauges   map[string]float64     `json:"gauges,omitempty"`
-	Windows  map[string]WindowStats `json:"windows,omitempty"`
+// rebuild builds a new version of the series table over every instrument.
+func (r *Registry) rebuild() {
+	var ck, gk, wk []string
+	ck, r.cs = inOrder(r.counters, r.cs[:0])
+	gk, r.gs = inOrder(r.gauges, r.gs[:0])
+	wk, r.ws = inOrder(r.windows, r.ws[:0])
+	r.cols = newColumns(ck, gk, wk)
+	r.stale = false
 }
 
-// Counter returns a counter's value in the snapshot.
-func (s *Snapshot) Counter(key string) (float64, bool) {
-	v, ok := s.Counters[key]
-	return v, ok
-}
-
-// Gauge returns a gauge's value in the snapshot.
-func (s *Snapshot) Gauge(key string) (float64, bool) {
-	v, ok := s.Gauges[key]
-	return v, ok
-}
-
-// Keys returns the snapshot's keys of one metric family, sorted. It scans
-// counters, gauges, and windows.
-func (s *Snapshot) Keys(family string) []string {
-	var out []string
-	for k := range s.Counters {
-		if Family(k) == family {
-			out = append(out, k)
-		}
+// inOrder returns m's keys, sorted, and its values in that order, appended
+// to vals.
+func inOrder[T any](m map[string]*T, vals []*T) ([]string, []*T) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	for k := range s.Gauges {
-		if Family(k) == family {
-			out = append(out, k)
-		}
+	slices.Sort(keys)
+	for _, k := range keys {
+		vals = append(vals, m[k])
 	}
-	for k := range s.Windows {
-		if Family(k) == family {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return keys, vals
 }

@@ -117,7 +117,7 @@ func TestNilRegistry(t *testing.T) {
 		t.Error("nil registry must hand out nil instruments")
 	}
 	s := r.Sample(time.Second)
-	if len(s.Counters)+len(s.Gauges)+len(s.Windows) != 0 {
+	if s.cols != nil || s.vals != nil || s.wins != nil {
 		t.Error("nil registry must sample empty")
 	}
 	if s.At != time.Second {
@@ -142,7 +142,7 @@ func TestRegistryIdentityAndSample(t *testing.T) {
 	if v, ok := s.Gauge("depth"); !ok || v != 3 {
 		t.Errorf("gauge in snapshot: %v %v", v, ok)
 	}
-	ws, ok := s.Windows[Key("exec_ms", "backend", "be0")]
+	ws, ok := s.Window(Key("exec_ms", "backend", "be0"))
 	if !ok || ws.Count != 2 {
 		t.Fatalf("window in snapshot: %+v %v", ws, ok)
 	}
@@ -155,7 +155,7 @@ func TestRegistryIdentityAndSample(t *testing.T) {
 
 	// Sampling rotates the window: the next sample sees an empty one.
 	s2 := r.Sample(3 * time.Second)
-	if ws2 := s2.Windows[Key("exec_ms", "backend", "be0")]; ws2.Count != 0 {
+	if ws2, _ := s2.Window(Key("exec_ms", "backend", "be0")); ws2.Count != 0 {
 		t.Errorf("window must reset on sample, got count %d", ws2.Count)
 	}
 	// Counters persist across samples.

@@ -293,6 +293,16 @@ func (t *Tracer) grow() {
 // the cursor.
 func (t *Tracer) wrapped() bool { return t.total >= uint64(t.capacity) }
 
+// Overwritten reports whether the ring has overwritten any span and, if it
+// has, the time of the oldest span it still holds: the ring covers only
+// from there on.
+func (t *Tracer) Overwritten() (oldest time.Duration, ok bool) {
+	if t == nil || t.total <= uint64(t.capacity) {
+		return 0, false
+	}
+	return t.chunks[t.next>>chunkShift][t.next&chunkMask].At, true
+}
+
 // Total returns how many events were recorded (including overwritten ones).
 func (t *Tracer) Total() uint64 {
 	if t == nil {
