@@ -204,7 +204,7 @@ func TestMaxGoodputSearch(t *testing.T) {
 		}
 		return bad
 	}
-	got := metrics.MaxGoodput(10, 4000, metrics.GoodputTarget, 0.05, eval)
+	got := metrics.MaxGoodputK(10, 4000, metrics.GoodputTarget, 0.05, 1, eval)
 	// One 1080Ti running InceptionV3 at batch ~45: ~600-1000 r/s.
 	if got < 300 || got > 2000 {
 		t.Fatalf("max goodput %.0f r/s outside plausible range", got)

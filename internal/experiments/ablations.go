@@ -115,41 +115,34 @@ func ablationSlack(rc *RunContext) (*Table, error) {
 		Notes:  []string{"zero slack under-provisions (planner believes the raw profile); the adaptive runtime hides most of the SLO damage at this load, but the safety margin is gone at the frontier"},
 	}
 	slacks := []time.Duration{-1, 3 * time.Millisecond, 10 * time.Millisecond}
-	type result struct {
-		bad  float64
-		gpus float64
-		err  error
-	}
-	results := runner.MapNamed("ablation-slack", len(slacks), func(i int) result {
+	rows, err := runCells("ablation-slack", len(slacks), func(i int) ([]string, error) {
 		d, err := cluster.New(cluster.Config{
 			System: cluster.Nexus, Features: cluster.AllFeatures(),
 			GPUs: 4, Seed: 5, Epoch: 10 * time.Second, PlanningSlack: slacks[i],
 		})
 		if err != nil {
-			return result{err: err}
+			return nil, err
 		}
 		if err := d.AddSession(globalsched.SessionSpec{
 			ID: "s", ModelID: model.ResNet50, SLO: 50 * time.Millisecond, ExpectedRate: 2500,
 		}, workload.Poisson{Rate: 2500}); err != nil {
-			return result{err: err}
+			return nil, err
 		}
 		bad, err := d.Run(horizon)
 		rc.AddEvents(d.Clock.Executed())
 		if err != nil {
-			return result{err: err}
+			return nil, err
 		}
-		return result{bad: bad, gpus: d.AvgGPUsUsed()}
-	})
-	for i, slack := range slacks {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		label := slack.String()
-		if slack < 0 {
+		label := slacks[i].String()
+		if slacks[i] < 0 {
 			label = "none"
 		}
-		t.AddRow(label, fmt.Sprintf("%.2f", 100*results[i].bad), fmt.Sprintf("%.1f", results[i].gpus))
+		return []string{label, fmt.Sprintf("%.2f", 100*bad), fmt.Sprintf("%.1f", d.AvgGPUsUsed())}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	t.Rows = rows
 	return t, nil
 }
 
@@ -172,19 +165,13 @@ func ablationWindow(rc *RunContext) (*Table, error) {
 	windows := []int{5, 10, 25, 40, 64}
 	tputs := runner.MapNamed("ablation-window", len(windows), func(i int) float64 {
 		return metrics.MaxGoodputK(50, 520, metrics.GoodputTarget, tol, goodputProbes, func(rate float64) float64 {
-			return dropPolicyBadRateWindow(rc, p, rate, windows[i], horizon)
+			return dropPolicyBadRate(rc, backend.EarlyDrop{}, p, workload.Poisson{Rate: rate}, horizon, 3, windows[i])
 		})
 	})
 	for i, window := range windows {
 		t.AddRow(fmt.Sprint(window), fmt.Sprintf("%.0f", tputs[i]))
 	}
 	return t, nil
-}
-
-// dropPolicyBadRateWindow is dropPolicyBadRate with an explicit target
-// batch (window) instead of the profile-derived one.
-func dropPolicyBadRateWindow(rc *RunContext, p *profiler.Profile, rate float64, window int, horizon time.Duration) float64 {
-	return dropPolicyBadRateTarget(rc, backend.EarlyDrop{}, p, workload.Poisson{Rate: rate}, horizon, 3, window)
 }
 
 // ablationDefer contrasts the paper's two service models (§5): drop
@@ -202,37 +189,33 @@ func ablationDefer(rc *RunContext) (*Table, error) {
 		Header: []string{"mode", "on-time %", "served late %", "lost %"},
 		Notes:  []string{"§5: \"we could configure our system to simply delay the execution of requests that miss their deadlines\""},
 	}
-	type result struct {
-		st  *metrics.SessionStats
-		err error
-	}
 	modes := []bool{false, true}
-	results := runner.MapNamed("ablation-defer", len(modes), func(i int) result {
+	stats, err := runCells("ablation-defer", len(modes), func(i int) (*metrics.SessionStats, error) {
 		d, err := cluster.New(cluster.Config{
 			System: cluster.Nexus, Features: cluster.AllFeatures(),
 			GPUs: 1, Seed: 9, Epoch: 10 * time.Second, DeferDropped: modes[i],
 		})
 		if err != nil {
-			return result{err: err}
+			return nil, err
 		}
 		// Base load within capacity; a 5s burst at ~2x capacity.
 		sched := workload.Burst(600, 2000, 12*time.Second, 17*time.Second)
 		if err := d.AddSession(globalsched.SessionSpec{
 			ID: "s", ModelID: model.InceptionV3, SLO: 100 * time.Millisecond, ExpectedRate: 600,
 		}, workload.Modulated{RateAt: sched.RateAt}); err != nil {
-			return result{err: err}
+			return nil, err
 		}
 		if _, err := d.Run(horizon); err != nil {
-			return result{err: err}
+			return nil, err
 		}
 		rc.AddEvents(d.Clock.Executed())
-		return result{st: d.Recorder.Session("s")}
+		return d.Recorder.Session("s"), nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, deferMode := range modes {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		st := results[i].st
+		st := stats[i]
 		total := float64(st.Sent)
 		mode := "drop (default)"
 		if deferMode {

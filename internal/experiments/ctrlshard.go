@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nexus/internal/cluster"
-	"nexus/internal/runner"
 )
 
 func init() {
@@ -68,14 +67,16 @@ func ctrlShard(rc *RunContext) (*Table, error) {
 		{name: "sharded-4", shards: 4, hysteresis: 0.05},
 		{name: "sharded-8", shards: 8, hysteresis: 0.05},
 	}
-	type cell struct {
-		res ctrlShardResult
-		err error
-	}
-	cells := runner.MapNamed("ctrlshard", len(variants), func(i int) cell {
+	results, err := runCells("ctrlshard", len(variants), func(i int) (ctrlShardResult, error) {
 		res, err := ctrlShardDeploy(rc, variants[i])
-		return cell{res, err}
+		if err != nil {
+			return res, fmt.Errorf("%s: %w", variants[i].name, err)
+		}
+		return res, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:     "ctrl-shard",
 		Title:  "control-plane sharding ablation on the Figure 13 deployment window",
@@ -85,15 +86,9 @@ func ctrlShard(rc *RunContext) (*Table, error) {
 			"sharded-4/8 add plan hysteresis (5% band); every row pushes routes as per-session deltas",
 		},
 	}
-	var mono ctrlShardResult
+	mono := results[0]
 	for i, v := range variants {
-		if cells[i].err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, cells[i].err)
-		}
-		res := cells[i].res
-		if i == 0 {
-			mono = res
-		}
+		res := results[i]
 		dash := func(n int, on bool) string {
 			if !on {
 				return "-"

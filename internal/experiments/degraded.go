@@ -7,10 +7,7 @@ import (
 	"nexus/internal/cluster"
 	"nexus/internal/faults"
 	"nexus/internal/frontend"
-	"nexus/internal/globalsched"
 	"nexus/internal/metrics"
-	"nexus/internal/model"
-	"nexus/internal/runner"
 	"nexus/internal/workload"
 )
 
@@ -111,18 +108,7 @@ func degradedSweep(rc *RunContext) (*Table, error) {
 			cells = append(cells, cell{sc, sys})
 		}
 	}
-	type result struct {
-		good      float64
-		hiGood    float64
-		loGood    float64
-		shed      uint64
-		stale     uint64
-		detected  int
-		recovery  time.Duration
-		recovered bool
-		err       error
-	}
-	results := runner.MapNamed("degraded", len(cells), func(i int) result {
+	rows, err := runCells("degraded", len(cells), func(i int) ([]string, error) {
 		c := cells[i]
 		cfg := cluster.Config{
 			System: cluster.Nexus, Features: cluster.AllFeatures(),
@@ -130,25 +116,10 @@ func degradedSweep(rc *RunContext) (*Table, error) {
 			Heartbeat: 100 * time.Millisecond, LeaseMisses: 3,
 		}
 		c.sys.mutate(&cfg)
-		d, err := cluster.New(cfg)
+		d, bad, rec, err := faultCell(rc, cfg, []string{"hi", "lo"}, slo, rate, workload.Uniform{Rate: rate},
+			c.sc.script(faultAt, faultLen), faultAt, duration)
 		if err != nil {
-			return result{err: err}
-		}
-		for _, sid := range []string{"hi", "lo"} {
-			if err := d.AddSession(globalsched.SessionSpec{
-				ID: sid, ModelID: model.ResNet50, SLO: slo, ExpectedRate: rate,
-			}, workload.Uniform{Rate: rate}); err != nil {
-				return result{err: err}
-			}
-		}
-		in := faults.New(d.Clock, d, 23)
-		if err := in.Schedule(c.sc.script(faultAt, faultLen)); err != nil {
-			return result{err: err}
-		}
-		bad, err := d.Run(duration)
-		rc.AddEvents(d.Clock.Executed())
-		if err != nil {
-			return result{err: err}
+			return nil, err
 		}
 		hi, lo := d.Recorder.Session("hi"), d.Recorder.Session("lo")
 		pct := func(s *metrics.SessionStats) float64 {
@@ -157,46 +128,28 @@ func degradedSweep(rc *RunContext) (*Table, error) {
 			}
 			return 100 * float64(s.Good()) / float64(s.Sent)
 		}
-		rec, ok := metrics.RecoveryTime(d.GoodEvts, faultAt, 5*time.Second, 0.95)
-		return result{
-			good:      100 * (1 - bad),
-			hiGood:    pct(hi),
-			loGood:    pct(lo),
-			shed:      hi.Admission + lo.Admission,
-			stale:     d.Frontend.StaleServed(),
-			detected:  d.Failures(),
-			recovery:  rec,
-			recovered: ok,
-		}
+		return []string{c.sc.name, c.sys.name,
+			fmt.Sprintf("%.1f", 100*(1-bad)),
+			fmt.Sprintf("%.1f", pct(hi)),
+			fmt.Sprintf("%.1f", pct(lo)),
+			fmt.Sprintf("%d", hi.Admission+lo.Admission),
+			fmt.Sprintf("%d", d.Frontend.StaleServed()),
+			fmt.Sprintf("%d", d.Failures()),
+			rec}, nil
 	})
-	t := &Table{
+	if err != nil {
+		return nil, err
+	}
+	return &Table{
 		ID:     "degraded",
 		Title:  fmt.Sprintf("degraded-mode survival, 2x ResNet-50 @ %.0f r/s each (SLO %v, %d GPUs, fault at t=%v for %v)", rate, slo, gpus, faultAt, faultLen),
 		Header: []string{"Scenario", "System", "good %", "hi good %", "lo good %", "shed", "stale", "detected", "recovery"},
+		Rows:   rows,
 		Notes: []string{
 			"full-FT: 8s route leases served stale, 3-retry backoff budget, breakers (3 fails, 1s cooloff), per-session admission buckets",
 			"lease-only: 8s leases with no stale serving, retries, breakers, or admission — expiry with no repair path",
 			"outage: scheduler down for the fault window; partition: control cut to be0 (false-positive failover) + data cut to be1; surge: 10x offered rate on the low-priority session",
 			"shed: requests dropped by admission control; stale: dispatches served past the route lease; recovery: time until goodput regains 95% of its pre-fault mean",
 		},
-	}
-	for i, c := range cells {
-		r := results[i]
-		if r.err != nil {
-			return nil, r.err
-		}
-		rec := "-"
-		if r.recovered {
-			rec = r.recovery.Round(time.Millisecond).String()
-		}
-		t.AddRow(c.sc.name, c.sys.name,
-			fmt.Sprintf("%.1f", r.good),
-			fmt.Sprintf("%.1f", r.hiGood),
-			fmt.Sprintf("%.1f", r.loGood),
-			fmt.Sprintf("%d", r.shed),
-			fmt.Sprintf("%d", r.stale),
-			fmt.Sprintf("%d", r.detected),
-			rec)
-	}
-	return t, nil
+	}, nil
 }

@@ -19,6 +19,8 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"nexus/internal/runner"
 )
 
 // Table is a printable experiment result.
@@ -109,6 +111,28 @@ func (rc *RunContext) Events() uint64 {
 		return 0
 	}
 	return rc.events.Load()
+}
+
+// runCells runs n independent sweep cells through the runner pool, under
+// name's profiling label, and returns their results in cell order, or the
+// error of the first cell (by index) that failed.
+func runCells[T any](name string, n int, cell func(i int) (T, error)) ([]T, error) {
+	type result struct {
+		v   T
+		err error
+	}
+	results := runner.MapNamed(name, n, func(i int) result {
+		v, err := cell(i)
+		return result{v, err}
+	})
+	out := make([]T, n)
+	for i, r := range results {
+		if r.err != nil {
+			return nil, r.err
+		}
+		out[i] = r.v
+	}
+	return out, nil
 }
 
 // Experiment is one registry entry.

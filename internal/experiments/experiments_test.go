@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"nexus/internal/cluster"
+	"nexus/internal/globalsched"
+	"nexus/internal/model"
 )
 
 func TestRegistry(t *testing.T) {
@@ -224,5 +229,49 @@ func TestFigure13ShortRun(t *testing.T) {
 	bad := cellFloat(t, tab, "overall", "bad %")
 	if bad > 2 {
 		t.Fatalf("overall bad %.2f%%, want well under 2%%", bad)
+	}
+}
+
+// TestSearchBuildErrorFailsExperiment: a searched cell whose install fails
+// (here, a session of an unknown model) fails its experiment instead of
+// printing goodput 0, while a probe whose pool cannot host the plan is
+// only a failed probe.
+func TestSearchBuildErrorFailsExperiment(t *testing.T) {
+	nexus := systemCell{"Nexus", cluster.Nexus, cluster.AllFeatures()}
+	session := func(modelID string) func(*cluster.Deployment, float64) error {
+		return func(d *cluster.Deployment, rate float64) error {
+			return d.AddSession(globalsched.SessionSpec{
+				ID: "s", ModelID: modelID, SLO: 100 * time.Millisecond, ExpectedRate: rate,
+			}, nil)
+		}
+	}
+	exp := func(modelID string) Experiment {
+		return Experiment{ID: "search", Run: func(rc *RunContext) (*Table, error) {
+			tputs, err := runCells("search", 2, func(int) (float64, error) {
+				return searchGoodput(rc, 10, 100000, nexus, 1, 1, session(modelID))
+			})
+			if err != nil {
+				return nil, err
+			}
+			t := &Table{ID: "search", Header: []string{"cell", "req/s"}}
+			t.AddRow("s", fmt.Sprintf("%.0f", tputs[0]))
+			return t, nil
+		}}
+	}
+	if tab, err := exp("no-such-model").Run(NewRunContext(true)); err == nil {
+		t.Fatalf("a cell of an unknown model ran without error:\n%s", tab)
+	}
+	// 100k r/s of ResNet-50 does not fit one GPU, so the hi probe's Run
+	// fails; the search still brackets the capacity.
+	rc := NewRunContext(true)
+	tab, err := exp(model.ResNet50).Run(rc)
+	if err != nil {
+		t.Fatalf("an unservable probe failed the experiment: %v", err)
+	}
+	if got := cellFloat(t, tab, "s", "req/s"); got <= 10 || got >= 100000 {
+		t.Fatalf("searched goodput %v, want inside the bracket", got)
+	}
+	if rc.Events() == 0 {
+		t.Fatal("the search counted no simulation events")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"nexus/internal/globalsched"
 	"nexus/internal/metrics"
 	"nexus/internal/model"
-	"nexus/internal/runner"
 	"nexus/internal/workload"
 )
 
@@ -92,26 +91,13 @@ func chaosSweep(rc *RunContext) (*Table, error) {
 			cells = append(cells, cell{sc, sys})
 		}
 	}
-	type result struct {
-		good       float64
-		failed     uint64
-		unroutable uint64
-		detected   int
-		recovery   time.Duration
-		recovered  bool
-		err        error
-	}
-	results := runner.MapNamed("chaos", len(cells), func(i int) result {
+	rows, err := runCells("chaos", len(cells), func(i int) ([]string, error) {
 		c := cells[i]
 		cfg := cluster.Config{
 			System: cluster.Nexus, Features: cluster.AllFeatures(),
 			GPUs: gpus, Seed: 23, Epoch: epoch,
 		}
 		c.sys.mutate(&cfg)
-		d, err := cluster.New(cfg)
-		if err != nil {
-			return result{err: err}
-		}
 		// Uniform arrivals keep both systems healthy pre-fault (lazy drop
 		// collapses under Poisson bursts even fault-free, Figure 5), so the
 		// table isolates the fault response. The surge scenario is the
@@ -125,56 +111,65 @@ func chaosSweep(rc *RunContext) (*Table, error) {
 			}
 			proc = workload.Modulated{RateAt: sched.RateAt}
 		}
-		if err := d.AddSession(globalsched.SessionSpec{
-			ID: "s", ModelID: model.ResNet50, SLO: slo, ExpectedRate: rate,
-		}, proc); err != nil {
-			return result{err: err}
-		}
-		in := faults.New(d.Clock, d, 23)
-		if err := in.Schedule(c.sc.script); err != nil {
-			return result{err: err}
-		}
-		bad, err := d.Run(duration)
-		rc.AddEvents(d.Clock.Executed())
+		d, bad, rec, err := faultCell(rc, cfg, []string{"s"}, slo, rate, proc, c.sc.script, faultAt, duration)
 		if err != nil {
-			return result{err: err}
+			return nil, err
 		}
 		s := d.Recorder.Session("s")
-		rec, ok := metrics.RecoveryTime(d.GoodEvts, faultAt, 5*time.Second, 0.95)
-		return result{
-			good:       100 * (1 - bad),
-			failed:     s.Failed,
-			unroutable: s.Unroutable,
-			detected:   d.Failures(),
-			recovery:   rec,
-			recovered:  ok,
-		}
+		return []string{c.sc.name, c.sys.name,
+			fmt.Sprintf("%.1f", 100*(1-bad)),
+			fmt.Sprintf("%d", s.Failed),
+			fmt.Sprintf("%d", s.Unroutable),
+			fmt.Sprintf("%d", d.Failures()),
+			rec}, nil
 	})
-	t := &Table{
+	if err != nil {
+		return nil, err
+	}
+	return &Table{
 		ID:     "chaos",
 		Title:  fmt.Sprintf("fault injection on ResNet-50 @ %.0f r/s (SLO %v, %d GPUs, fault at t=%v)", rate, slo, gpus, faultAt),
 		Header: []string{"Scenario", "System", "good %", "failed", "unroutable", "detected", "recovery"},
+		Rows:   rows,
 		Notes: []string{
 			"Nexus-FT: 100ms heartbeat, lease = 3 missed beats, retry-once; epoch-only: same runtime, failures noticed at 10s epoch boundaries",
 			"lazy-drop: epoch-only detection without early drop; it is past its capacity frontier at this load even fault-free (Figure 10's -ED)",
 			"recovery: time from the fault instant until goodput regains 95% of its pre-fault mean",
 		},
+	}, nil
+}
+
+// faultCell runs one cell of a fault-injection sweep: a deployment built
+// from cfg serving one ResNet-50 session per ID at the given SLO, rate and
+// arrival process, with script injected by an injector seeded with
+// cfg.Seed, run for duration. Besides the deployment and its bad rate, it
+// returns the time from faultAt until goodput regains 95% of its
+// pre-fault mean (metrics.RecoveryTime), formatted for a table: "-" if it
+// never does.
+func faultCell(rc *RunContext, cfg cluster.Config, ids []string, slo time.Duration, rate float64,
+	proc workload.Process, script faults.Script, faultAt, duration time.Duration) (*cluster.Deployment, float64, string, error) {
+	d, err := cluster.New(cfg)
+	if err != nil {
+		return nil, 0, "", err
 	}
-	for i, c := range cells {
-		r := results[i]
-		if r.err != nil {
-			return nil, r.err
+	for _, id := range ids {
+		if err := d.AddSession(globalsched.SessionSpec{
+			ID: id, ModelID: model.ResNet50, SLO: slo, ExpectedRate: rate,
+		}, proc); err != nil {
+			return nil, 0, "", err
 		}
-		rec := "-"
-		if r.recovered {
-			rec = r.recovery.Round(time.Millisecond).String()
-		}
-		t.AddRow(c.sc.name, c.sys.name,
-			fmt.Sprintf("%.1f", r.good),
-			fmt.Sprintf("%d", r.failed),
-			fmt.Sprintf("%d", r.unroutable),
-			fmt.Sprintf("%d", r.detected),
-			rec)
 	}
-	return t, nil
+	if err := faults.New(d.Clock, d, cfg.Seed).Schedule(script); err != nil {
+		return nil, 0, "", err
+	}
+	bad, err := d.Run(duration)
+	rc.AddEvents(d.Clock.Executed())
+	if err != nil {
+		return nil, 0, "", err
+	}
+	recovery := "-"
+	if rec, ok := metrics.RecoveryTime(d.GoodEvts, faultAt, 5*time.Second, 0.95); ok {
+		recovery = rec.Round(time.Millisecond).String()
+	}
+	return d, bad, recovery, nil
 }

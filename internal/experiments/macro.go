@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"nexus/internal/apps"
@@ -11,7 +12,6 @@ import (
 	"nexus/internal/model"
 	"nexus/internal/profiler"
 	"nexus/internal/queryopt"
-	"nexus/internal/runner"
 	"nexus/internal/workload"
 )
 
@@ -26,46 +26,11 @@ func init() {
 	register(Experiment{ID: "sec7.4", Description: "GPU efficiency vs theoretical lower bound (Section 7.4)", Run: section74})
 }
 
-// deployCfg carries common knobs for deployment-based experiments.
-type deployCfg struct {
-	system   cluster.System
-	features cluster.Features
-	gpus     int
-	seed     int64
-}
-
 // goodputProbes is the number of candidate rates the speculative goodput
 // search evaluates concurrently per round (metrics.MaxGoodputK). It is a
 // fixed constant — never derived from the worker count — so search results
 // are identical in sequential and parallel runs.
 const goodputProbes = 4
-
-// searchGoodput finds the max rate served with >=99% goodness using the
-// speculative k-probe search; build deploys the workload for an offered
-// rate. Each probe builds an isolated deployment (own clock, own rng), so
-// probes run concurrently; executed events are accumulated into rc.
-func searchGoodput(rc *RunContext, lo, hi float64, horizon time.Duration, tol float64,
-	build func(rate float64) (*cluster.Deployment, error)) float64 {
-	eval := func(rate float64) float64 {
-		d, err := build(rate)
-		if err != nil {
-			return 1
-		}
-		bad, err := d.Run(horizon)
-		rc.AddEvents(d.Clock.Executed())
-		if err != nil {
-			return 1
-		}
-		return bad
-	}
-	return metrics.MaxGoodputK(lo, hi, metrics.GoodputTarget, tol, goodputProbes, eval)
-}
-
-// finishDeployment folds a sequential (non-sweep) deployment's event count
-// into the run context.
-func finishDeployment(rc *RunContext, d *cluster.Deployment) {
-	rc.AddEvents(d.Clock.Executed())
-}
 
 // systemCell is one (row, system, features) sweep cell.
 type systemCell struct {
@@ -74,17 +39,73 @@ type systemCell struct {
 	f    cluster.Features
 }
 
-// cumulativeAblation materializes the feature configs of a cumulative
-// ablation up front, so the resulting cells are independent and can run
-// concurrently.
-func cumulativeAblation(steps []struct {
-	name   string
-	mutate func(*cluster.Features)
-}) []systemCell {
+// searchGoodput finds the max rate the cell serves with >=99% goodness
+// using the speculative k-probe search. Each probe builds an isolated
+// fixed cluster (own clock, own rng, 10 s epochs) of gpus GPUs under the
+// cell's system and features, install deploys the workload for the
+// offered rate, and the probe runs 20 s of virtual time (8 s in short
+// mode, where the bracket tolerance is 6% instead of 2%). Probes run
+// concurrently; their executed events are accumulated into rc. A probe
+// whose pool cannot host the plan fails; a build or install error is a
+// misconfigured cell, and the one at the lowest probed rate is returned,
+// so the error is the same at any worker count.
+func searchGoodput(rc *RunContext, lo, hi float64, cell systemCell, gpus int, seed int64,
+	install func(d *cluster.Deployment, rate float64) error) (float64, error) {
+	horizon, tol := 20*time.Second, 0.02
+	if rc.Short {
+		horizon, tol = 8*time.Second, 0.06
+	}
+	var (
+		mu       sync.Mutex
+		buildErr error
+		errRate  float64
+	)
+	eval := func(rate float64) float64 {
+		d, err := cluster.New(cluster.Config{
+			System: cell.sys, Features: cell.f, GPUs: gpus, Seed: seed,
+			Epoch: 10 * time.Second, FixedCluster: true,
+		})
+		if err == nil {
+			err = install(d, rate)
+		}
+		if err != nil {
+			mu.Lock()
+			if buildErr == nil || rate < errRate {
+				buildErr, errRate = err, rate
+			}
+			mu.Unlock()
+			return 1
+		}
+		bad, err := d.Run(horizon)
+		rc.AddEvents(d.Clock.Executed())
+		if err != nil {
+			return 1 // the pool cannot host the plan at this rate
+		}
+		return bad
+	}
+	tput := metrics.MaxGoodputK(lo, hi, metrics.GoodputTarget, tol, goodputProbes, eval)
+	return tput, buildErr
+}
+
+// ablationStep removes one more feature in a cumulative ablation.
+type ablationStep struct {
+	name string
+	drop func(*cluster.Features)
+}
+
+// cumulativeAblation returns the baseline cells (TF Serving, Clipper, full
+// Nexus) followed by one Nexus cell per step, each without every feature
+// the steps so far dropped. The configs are materialized up front, so the
+// cells are independent and run concurrently.
+func cumulativeAblation(steps ...ablationStep) []systemCell {
+	cells := []systemCell{
+		{"TF Serving", cluster.TFServing, cluster.Features{}},
+		{"Clipper", cluster.Clipper, cluster.Features{}},
+		{"Nexus", cluster.Nexus, cluster.AllFeatures()},
+	}
 	f := cluster.AllFeatures()
-	cells := make([]systemCell, 0, len(steps))
 	for _, s := range steps {
-		s.mutate(&f)
+		s.drop(&f)
 		cells = append(cells, systemCell{s.name, cluster.Nexus, f})
 	}
 	return cells
@@ -92,28 +113,7 @@ func cumulativeAblation(steps []struct {
 
 // --- Figure 10: game analysis ---------------------------------------------
 
-func gameBuilder(cfg deployCfg, horizonEpoch time.Duration) func(rate float64) (*cluster.Deployment, error) {
-	return func(rate float64) (*cluster.Deployment, error) {
-		d, err := cluster.New(cluster.Config{
-			System: cfg.system, Features: cfg.features,
-			GPUs: cfg.gpus, Seed: cfg.seed, Epoch: horizonEpoch,
-			FixedCluster: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := apps.Deploy(d, apps.Game(20, rate/7)); err != nil {
-			return nil, err
-		}
-		return d, nil
-	}
-}
-
 func figure10(rc *RunContext) (*Table, error) {
-	horizon, tol := 20*time.Second, 0.02
-	if rc.Short {
-		horizon, tol = 8*time.Second, 0.06
-	}
 	t := &Table{
 		ID:     "fig10",
 		Title:  "game analysis max request rate (20 games, SLO 50ms, 16 GPUs); ablation is cumulative",
@@ -123,24 +123,21 @@ func figure10(rc *RunContext) (*Table, error) {
 			"absolute rates differ (simulated GPUs); compare ratios and ordering",
 		},
 	}
-	cells := []systemCell{
-		{"TF Serving", cluster.TFServing, cluster.Features{}},
-		{"Clipper", cluster.Clipper, cluster.Features{}},
-		{"Nexus", cluster.Nexus, cluster.AllFeatures()},
-	}
-	cells = append(cells, cumulativeAblation([]struct {
-		name   string
-		mutate func(*cluster.Features)
-	}{
-		{"-PB", func(f *cluster.Features) { f.PrefixBatch = false }},
-		{"-SS", func(f *cluster.Features) { f.Squishy = false }},
-		{"-ED", func(f *cluster.Features) { f.EarlyDrop = false }},
-		{"-OL", func(f *cluster.Features) { f.Overlap = false }},
-	})...)
-	tputs := runner.MapNamed("figure10", len(cells), func(i int) float64 {
-		return searchGoodput(rc, 20, 150000, horizon, tol,
-			gameBuilder(deployCfg{cells[i].sys, cells[i].f, 16, 11}, 10*time.Second))
+	cells := cumulativeAblation(
+		ablationStep{"-PB", func(f *cluster.Features) { f.PrefixBatch = false }},
+		ablationStep{"-SS", func(f *cluster.Features) { f.Squishy = false }},
+		ablationStep{"-ED", func(f *cluster.Features) { f.EarlyDrop = false }},
+		ablationStep{"-OL", func(f *cluster.Features) { f.Overlap = false }},
+	)
+	tputs, err := runCells("figure10", len(cells), func(i int) (float64, error) {
+		return searchGoodput(rc, 20, 150000, cells[i], 16, 11, func(d *cluster.Deployment, rate float64) error {
+			_, err := apps.Deploy(d, apps.Game(20, rate/7))
+			return err
+		})
 	})
+	if err != nil {
+		return nil, err
+	}
 	nexusTput := tputs[2]
 	for i, c := range cells {
 		t.AddRow(c.name, fmt.Sprintf("%.0f", tputs[i]), fmt.Sprintf("%.2f", tputs[i]/nexusTput))
@@ -150,28 +147,16 @@ func figure10(rc *RunContext) (*Table, error) {
 
 // --- Figure 11 / 12: traffic analysis ---------------------------------------
 
-func trafficBuilder(cfg deployCfg, rush bool) func(rate float64) (*cluster.Deployment, error) {
-	return func(rate float64) (*cluster.Deployment, error) {
-		d, err := cluster.New(cluster.Config{
-			System: cfg.system, Features: cfg.features,
-			GPUs: cfg.gpus, Seed: cfg.seed, Epoch: 10 * time.Second,
-			FixedCluster: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := apps.Deploy(d, apps.Traffic(20, rate/20, rush)); err != nil {
-			return nil, err
-		}
-		return d, nil
-	}
+// searchTraffic searches the cell's goodput on the 20-camera traffic app
+// (16 GPUs, seed 7), at rush hour or not.
+func searchTraffic(rc *RunContext, cell systemCell, rush bool) (float64, error) {
+	return searchGoodput(rc, 5, 3000, cell, 16, 7, func(d *cluster.Deployment, rate float64) error {
+		_, err := apps.Deploy(d, apps.Traffic(20, rate/20, rush))
+		return err
+	})
 }
 
 func figure11(rc *RunContext) (*Table, error) {
-	horizon, tol := 20*time.Second, 0.02
-	if rc.Short {
-		horizon, tol = 8*time.Second, 0.06
-	}
 	t := &Table{
 		ID:     "fig11",
 		Title:  "traffic analysis max query rate (20 cameras, SLO 400ms, 16 GPUs, non-rush); ablation is cumulative",
@@ -180,24 +165,18 @@ func figure11(rc *RunContext) (*Table, error) {
 			"paper Figure 11: TF 297, Clipper 227, Nexus 534, -QA 433, -SS 337, -ED 326, -OL 216",
 		},
 	}
-	cells := []systemCell{
-		{"TF Serving", cluster.TFServing, cluster.Features{}},
-		{"Clipper", cluster.Clipper, cluster.Features{}},
-		{"Nexus", cluster.Nexus, cluster.AllFeatures()},
-	}
-	cells = append(cells, cumulativeAblation([]struct {
-		name   string
-		mutate func(*cluster.Features)
-	}{
-		{"-QA", func(f *cluster.Features) { f.QueryAnalysis = false }},
-		{"-SS", func(f *cluster.Features) { f.Squishy = false }},
-		{"-ED", func(f *cluster.Features) { f.EarlyDrop = false }},
-		{"-OL", func(f *cluster.Features) { f.Overlap = false }},
-	})...)
-	tputs := runner.MapNamed("figure11", len(cells), func(i int) float64 {
-		return searchGoodput(rc, 5, 3000, horizon, tol,
-			trafficBuilder(deployCfg{cells[i].sys, cells[i].f, 16, 7}, false))
+	cells := cumulativeAblation(
+		ablationStep{"-QA", func(f *cluster.Features) { f.QueryAnalysis = false }},
+		ablationStep{"-SS", func(f *cluster.Features) { f.Squishy = false }},
+		ablationStep{"-ED", func(f *cluster.Features) { f.EarlyDrop = false }},
+		ablationStep{"-OL", func(f *cluster.Features) { f.Overlap = false }},
+	)
+	tputs, err := runCells("figure11", len(cells), func(i int) (float64, error) {
+		return searchTraffic(rc, cells[i], false)
 	})
+	if err != nil {
+		return nil, err
+	}
 	nexusTput := tputs[2]
 	t.AddRow("TF Serving", fmt.Sprintf("%.0f", tputs[0]), "")
 	t.AddRow("Clipper", fmt.Sprintf("%.0f", tputs[1]), "")
@@ -209,10 +188,6 @@ func figure11(rc *RunContext) (*Table, error) {
 }
 
 func figure12(rc *RunContext) (*Table, error) {
-	horizon, tol := 20*time.Second, 0.02
-	if rc.Short {
-		horizon, tol = 8*time.Second, 0.06
-	}
 	t := &Table{
 		ID:     "fig12",
 		Title:  "diurnal throughput variation for traffic analysis (16 GPUs)",
@@ -230,12 +205,12 @@ func figure12(rc *RunContext) (*Table, error) {
 		{"Nexus", cluster.Nexus, cluster.AllFeatures()},
 	}
 	// Cells: system x {rush, non-rush}.
-	tputs := runner.MapNamed("figure12", len(systems)*2, func(i int) float64 {
-		s := systems[i/2]
-		rush := i%2 == 0
-		return searchGoodput(rc, 5, 3000, horizon, tol,
-			trafficBuilder(deployCfg{s.sys, s.f, 16, 7}, rush))
+	tputs, err := runCells("figure12", len(systems)*2, func(i int) (float64, error) {
+		return searchTraffic(rc, systems[i/2], i%2 == 0)
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, s := range systems {
 		t.AddRow(s.name, fmt.Sprintf("%.0f", tputs[2*i]), fmt.Sprintf("%.0f", tputs[2*i+1]))
 	}
@@ -304,7 +279,7 @@ func figure13Window(rc *RunContext, tune func(*cluster.Config)) (*cluster.Deploy
 	if _, err := d.Run(window); err != nil {
 		return nil, err
 	}
-	finishDeployment(rc, d)
+	rc.AddEvents(d.Clock.Executed())
 	return d, nil
 }
 
@@ -353,52 +328,7 @@ func figure13(rc *RunContext) (*Table, error) {
 
 // --- Figure 14: GPU multiplexing ---------------------------------------------
 
-func multiplexBuilder(system cluster.System, f cluster.Features, nModels int, slo time.Duration, seed int64) func(rate float64) (*cluster.Deployment, error) {
-	return func(rate float64) (*cluster.Deployment, error) {
-		d, err := cluster.New(cluster.Config{
-			System: system, Features: f, GPUs: 1, Seed: seed, Epoch: 10 * time.Second,
-			FixedCluster: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// n independent copies of the Inception model (distinct weights, so
-		// no prefix sharing applies), equal shares of the offered rate.
-		mdb := d.ModelDB()
-		for i := 0; i < nModels; i++ {
-			id := fmt.Sprintf("%s-v%d", model.InceptionV3, 900+i)
-			if _, err := mdb.Get(id); err != nil {
-				base := mdb.MustGet(model.InceptionV3)
-				v, err := model.Specialize(base, id, base.NumLayers()-1)
-				if err != nil {
-					return nil, err
-				}
-				if err := mdb.Register(v); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := d.RefreshProfiles(); err != nil {
-			return nil, err
-		}
-		for i := 0; i < nModels; i++ {
-			if err := d.AddSession(globalsched.SessionSpec{
-				ID:      fmt.Sprintf("copy%d", i),
-				ModelID: fmt.Sprintf("%s-v%d", model.InceptionV3, 900+i),
-				SLO:     slo, ExpectedRate: rate / float64(nModels),
-			}, nil); err != nil {
-				return nil, err
-			}
-		}
-		return d, nil
-	}
-}
-
 func figure14(rc *RunContext) (*Table, error) {
-	horizon, tol := 20*time.Second, 0.02
-	if rc.Short {
-		horizon, tol = 8*time.Second, 0.06
-	}
 	systems := []systemCell{
 		{"Clipper", cluster.Clipper, cluster.Features{}},
 		{"TF Serving", cluster.TFServing, cluster.Features{}},
@@ -429,11 +359,41 @@ func figure14(rc *RunContext) (*Table, error) {
 		rows = append(rows, rowSpec{fmt.Sprintf("3 models @%dms", slo), 3, slo * time.Millisecond, 22})
 	}
 	nSys := len(systems)
-	tputs := runner.MapNamed("figure14", len(rows)*nSys, func(i int) float64 {
-		r, s := rows[i/nSys], systems[i%nSys]
-		return searchGoodput(rc, 10, 3000, horizon, tol,
-			multiplexBuilder(s.sys, s.f, r.n, r.slo, r.seed))
+	tputs, err := runCells("figure14", len(rows)*nSys, func(i int) (float64, error) {
+		r := rows[i/nSys]
+		return searchGoodput(rc, 10, 3000, systems[i%nSys], 1, r.seed, func(d *cluster.Deployment, rate float64) error {
+			// r.n independent copies of the Inception model (distinct
+			// weights, so no prefix sharing applies), equal shares of the
+			// offered rate.
+			mdb := d.ModelDB()
+			base := mdb.MustGet(model.InceptionV3)
+			for c := 0; c < r.n; c++ {
+				v, err := model.Specialize(base, fmt.Sprintf("%s-v%d", model.InceptionV3, 900+c), base.NumLayers()-1)
+				if err != nil {
+					return err
+				}
+				if err := mdb.Register(v); err != nil {
+					return err
+				}
+			}
+			if err := d.RefreshProfiles(); err != nil {
+				return err
+			}
+			for c := 0; c < r.n; c++ {
+				if err := d.AddSession(globalsched.SessionSpec{
+					ID:      fmt.Sprintf("copy%d", c),
+					ModelID: fmt.Sprintf("%s-v%d", model.InceptionV3, 900+c),
+					SLO:     r.slo, ExpectedRate: rate / float64(r.n),
+				}, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	})
+	if err != nil {
+		return nil, err
+	}
 	for ri, r := range rows {
 		row := []string{r.label}
 		for si := range systems {
@@ -447,10 +407,6 @@ func figure14(rc *RunContext) (*Table, error) {
 // --- Figure 16: squishy scheduling mixes --------------------------------------
 
 func figure16(rc *RunContext) (*Table, error) {
-	horizon, tol := 20*time.Second, 0.02
-	if rc.Short {
-		horizon, tol = 8*time.Second, 0.06
-	}
 	t := &Table{
 		ID:     "fig16",
 		Title:  "squishy vs batch-oblivious scheduling: 16 sessions on 8 GPUs across workload mixes",
@@ -459,100 +415,53 @@ func figure16(rc *RunContext) (*Table, error) {
 			"paper Figure 16: squishy outperforms across all mixes, up to 64% on mixed rates, ~11% lowest",
 		},
 	}
-	type mix struct {
-		name     string
-		sessions func(rate float64) []globalsched.SessionSpec
-	}
-	slos := []time.Duration{50, 100, 150, 200}
-	// Eight architectures; all have 2*l(1) within the tighter 50ms SLO.
-	models8 := []string{
-		model.InceptionV3, model.ResNet50, model.GoogLeNetCar, model.VGG7,
-		model.Inception4, model.VGGFace, model.TextCRNN, model.GazeNet,
-	}
-	mixes := []mix{
-		{"mixed SLOs (Inception)", func(rate float64) []globalsched.SessionSpec {
-			var out []globalsched.SessionSpec
-			for i := 0; i < 16; i++ {
-				out = append(out, globalsched.SessionSpec{
-					ID: fmt.Sprintf("s%d", i), ModelID: model.InceptionV3,
-					SLO: slos[i%4] * time.Millisecond, ExpectedRate: rate / 16,
-				})
-			}
-			return out
-		}},
-		{"mixed SLOs (ResNet)", func(rate float64) []globalsched.SessionSpec {
-			var out []globalsched.SessionSpec
-			for i := 0; i < 16; i++ {
-				out = append(out, globalsched.SessionSpec{
-					ID: fmt.Sprintf("s%d", i), ModelID: model.ResNet50,
-					SLO: slos[i%4] * time.Millisecond, ExpectedRate: rate / 16,
-				})
-			}
-			return out
-		}},
-		{"mixed rates (Inception)", func(rate float64) []globalsched.SessionSpec {
-			rates := workload.SplitRate(rate, 16, 0.9)
-			var out []globalsched.SessionSpec
-			for i := 0; i < 16; i++ {
-				out = append(out, globalsched.SessionSpec{
-					ID: fmt.Sprintf("s%d", i), ModelID: model.InceptionV3,
-					SLO: 100 * time.Millisecond, ExpectedRate: rates[i],
-				})
-			}
-			return out
-		}},
-		{"mixed rates (ResNet)", func(rate float64) []globalsched.SessionSpec {
-			rates := workload.SplitRate(rate, 16, 0.9)
-			var out []globalsched.SessionSpec
-			for i := 0; i < 16; i++ {
-				out = append(out, globalsched.SessionSpec{
-					ID: fmt.Sprintf("s%d", i), ModelID: model.ResNet50,
-					SLO: 100 * time.Millisecond, ExpectedRate: rates[i],
-				})
-			}
-			return out
-		}},
-		{"mixed models & SLOs", func(rate float64) []globalsched.SessionSpec {
-			var out []globalsched.SessionSpec
-			for i := 0; i < 16; i++ {
-				slo := 50 * time.Millisecond
-				if i%2 == 1 {
-					slo = 100 * time.Millisecond
-				}
-				out = append(out, globalsched.SessionSpec{
-					ID: fmt.Sprintf("s%d", i), ModelID: models8[i/2],
-					SLO: slo, ExpectedRate: rate / 16,
-				})
-			}
-			return out
-		}},
-	}
-	run := func(m mix, squishy bool) float64 {
-		return searchGoodput(rc, 16, 60000, horizon, tol, func(rate float64) (*cluster.Deployment, error) {
-			f := cluster.AllFeatures()
-			f.Squishy = squishy
-			f.PrefixBatch = false // isolate the scheduling effect
-			d, err := cluster.New(cluster.Config{
-				System: cluster.Nexus, Features: f, GPUs: 8, Seed: 31, Epoch: 10 * time.Second,
-				FixedCluster: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			for _, spec := range m.sessions(rate) {
-				// Poisson arrivals: mixes are evaluated under bursty load,
-				// where scheduling quality matters most.
-				if err := d.AddSession(spec, workload.Poisson{Rate: spec.ExpectedRate}); err != nil {
-					return nil, err
-				}
-			}
-			return d, nil
-		})
+	// Each mix is 16 sessions: session i runs models[i*len(models)/16] at
+	// an SLO of slos[i%len(slos)] ms, with an equal share of the offered
+	// rate or, when skewed, its workload.SplitRate share.
+	mixes := []struct {
+		name   string
+		models []string
+		slos   []time.Duration
+		skewed bool
+	}{
+		{"mixed SLOs (Inception)", []string{model.InceptionV3}, []time.Duration{50, 100, 150, 200}, false},
+		{"mixed SLOs (ResNet)", []string{model.ResNet50}, []time.Duration{50, 100, 150, 200}, false},
+		{"mixed rates (Inception)", []string{model.InceptionV3}, []time.Duration{100}, true},
+		{"mixed rates (ResNet)", []string{model.ResNet50}, []time.Duration{100}, true},
+		// Eight architectures; all have 2*l(1) within the tighter 50ms SLO.
+		{"mixed models & SLOs", []string{
+			model.InceptionV3, model.ResNet50, model.GoogLeNetCar, model.VGG7,
+			model.Inception4, model.VGGFace, model.TextCRNN, model.GazeNet,
+		}, []time.Duration{50, 100}, false},
 	}
 	// Cells: mix x {oblivious, squishy}.
-	tputs := runner.MapNamed("figure16", len(mixes)*2, func(i int) float64 {
-		return run(mixes[i/2], i%2 == 1)
+	tputs, err := runCells("figure16", len(mixes)*2, func(i int) (float64, error) {
+		m := mixes[i/2]
+		f := cluster.AllFeatures()
+		f.Squishy = i%2 == 1
+		f.PrefixBatch = false // isolate the scheduling effect
+		return searchGoodput(rc, 16, 60000, systemCell{sys: cluster.Nexus, f: f}, 8, 31, func(d *cluster.Deployment, rate float64) error {
+			rates := workload.SplitRate(rate, 16, 0.9)
+			for s := 0; s < 16; s++ {
+				r := rate / 16
+				if m.skewed {
+					r = rates[s]
+				}
+				// Poisson arrivals: mixes are evaluated under bursty load,
+				// where scheduling quality matters most.
+				if err := d.AddSession(globalsched.SessionSpec{
+					ID: fmt.Sprintf("s%d", s), ModelID: m.models[s*len(m.models)/16],
+					SLO: m.slos[s%len(m.slos)] * time.Millisecond, ExpectedRate: r,
+				}, workload.Poisson{Rate: r}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, m := range mixes {
 		obl, sq := tputs[2*i], tputs[2*i+1]
 		t.AddRow(m.name, fmt.Sprintf("%.0f", obl), fmt.Sprintf("%.0f", sq),
@@ -564,10 +473,6 @@ func figure16(rc *RunContext) (*Table, error) {
 // --- Figure 17: query analysis -------------------------------------------------
 
 func figure17(rc *RunContext) (*Table, error) {
-	horizon, tol := 20*time.Second, 0.02
-	if rc.Short {
-		horizon, tol = 8*time.Second, 0.06
-	}
 	t := &Table{
 		ID:     "fig17",
 		Title:  "query analysis vs even split: SSD -> gamma x Inception on 8 GPUs",
@@ -575,29 +480,6 @@ func figure17(rc *RunContext) (*Table, error) {
 		Notes: []string{
 			"paper Figure 17: query analysis achieves 13-55% higher throughput than even splitting",
 		},
-	}
-	build := func(slo time.Duration, gamma float64, qa bool) func(rate float64) (*cluster.Deployment, error) {
-		return func(rate float64) (*cluster.Deployment, error) {
-			f := cluster.AllFeatures()
-			f.QueryAnalysis = qa
-			d, err := cluster.New(cluster.Config{
-				System: cluster.Nexus, Features: f, GPUs: 8, Seed: 17, Epoch: 10 * time.Second,
-				FixedCluster: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			q := &queryopt.Query{
-				Name: "q", SLO: slo,
-				Root: &queryopt.Node{Name: "det", ModelID: model.SSD, Edges: []queryopt.Edge{
-					{Gamma: gamma, Child: &queryopt.Node{Name: "rec", ModelID: model.InceptionV3}},
-				}},
-			}
-			if err := d.AddQuery(globalsched.QuerySpec{Query: q, ExpectedRate: rate}, nil); err != nil {
-				return nil, err
-			}
-			return d, nil
-		}
 	}
 	type combo struct {
 		slo   time.Duration
@@ -610,11 +492,23 @@ func figure17(rc *RunContext) (*Table, error) {
 		}
 	}
 	// Cells: (SLO, gamma) x {even split, query analysis}.
-	tputs := runner.MapNamed("figure17", len(combos)*2, func(i int) float64 {
+	tputs, err := runCells("figure17", len(combos)*2, func(i int) (float64, error) {
 		c := combos[i/2]
-		return searchGoodput(rc, 2, 2000, horizon, tol,
-			build(c.slo*time.Millisecond, c.gamma, i%2 == 1))
+		f := cluster.AllFeatures()
+		f.QueryAnalysis = i%2 == 1
+		return searchGoodput(rc, 2, 2000, systemCell{sys: cluster.Nexus, f: f}, 8, 17, func(d *cluster.Deployment, rate float64) error {
+			q := &queryopt.Query{
+				Name: "q", SLO: c.slo * time.Millisecond,
+				Root: &queryopt.Node{Name: "det", ModelID: model.SSD, Edges: []queryopt.Edge{
+					{Gamma: c.gamma, Child: &queryopt.Node{Name: "rec", ModelID: model.InceptionV3}},
+				}},
+			}
+			return d.AddQuery(globalsched.QuerySpec{Query: q, ExpectedRate: rate}, nil)
+		})
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, c := range combos {
 		even, qa := tputs[2*i], tputs[2*i+1]
 		t.AddRow(fmt.Sprintf("%dms", c.slo), fmt.Sprintf("%g", c.gamma),
@@ -656,7 +550,7 @@ func section74(rc *RunContext) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	finishDeployment(rc, d)
+	rc.AddEvents(d.Clock.Executed())
 	// Theoretical lower bound: GPUs = sum R_i / T_i with T_i the best
 	// fully-batched throughput under the SLO (§7.4's optimal assumes full
 	// batching and back-to-back execution).

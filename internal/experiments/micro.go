@@ -205,17 +205,11 @@ func fig5Profile(alphaMs float64) *profiler.Profile {
 	}
 }
 
-// dropPolicyBadRate offers `rate` r/s to one GPU running the fig5 profile
-// under the given policy and returns the bad rate.
-func dropPolicyBadRate(rc *RunContext, policy backend.DropPolicy, p *profiler.Profile, proc workload.Process,
-	horizon time.Duration, seed int64) float64 {
-	return dropPolicyBadRateTarget(rc, policy, p, proc, horizon, seed, 25)
-}
-
-// dropPolicyBadRateTarget is dropPolicyBadRate with an explicit
-// scheduler-assigned batch size (early drop's window). Each call builds an
+// dropPolicyBadRate offers proc's arrivals to one GPU running profile p
+// under the given policy, with target as the scheduler-assigned batch size
+// (early drop's window), and returns the bad rate. Each call builds an
 // isolated clock/device/backend, so cells invoke it concurrently.
-func dropPolicyBadRateTarget(rc *RunContext, policy backend.DropPolicy, p *profiler.Profile, proc workload.Process,
+func dropPolicyBadRate(rc *RunContext, policy backend.DropPolicy, p *profiler.Profile, proc workload.Process,
 	horizon time.Duration, seed int64, target int) float64 {
 	clock := simclock.New()
 	dev := gpusim.New(clock, "g", profiler.GTX1080Ti, gpusim.Exclusive)
@@ -263,9 +257,9 @@ func figure5(rc *RunContext) (*Table, error) {
 	bads := runner.MapNamed("figure5", len(alphas)*2, func(i int) float64 {
 		p := fig5Profile(alphas[i/2])
 		if i%2 == 0 {
-			return dropPolicyBadRate(rc, backend.LazyDrop{}, p, workload.Uniform{Rate: 450}, horizon, 1)
+			return dropPolicyBadRate(rc, backend.LazyDrop{}, p, workload.Uniform{Rate: 450}, horizon, 1, 25)
 		}
-		return dropPolicyBadRate(rc, backend.LazyDrop{}, p, workload.Poisson{Rate: 450}, horizon, 2)
+		return dropPolicyBadRate(rc, backend.LazyDrop{}, p, workload.Poisson{Rate: 450}, horizon, 2, 25)
 	})
 	for i, alpha := range alphas {
 		t.AddRow(fmt.Sprintf("%.1f", alpha),
@@ -297,7 +291,7 @@ func figure9(rc *RunContext) (*Table, error) {
 			policy = backend.EarlyDrop{}
 		}
 		return metrics.MaxGoodputK(50, 520, metrics.GoodputTarget, tol, goodputProbes, func(rate float64) float64 {
-			return dropPolicyBadRate(rc, policy, p, workload.Poisson{Rate: rate}, horizon, 3)
+			return dropPolicyBadRate(rc, policy, p, workload.Poisson{Rate: rate}, horizon, 3, 25)
 		})
 	})
 	for i, alpha := range alphas {

@@ -38,9 +38,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 	// A representative slice of the registry: plain sweeps (fig5), k-probe
 	// goodput searches (fig9, abl-window), concurrent deployments
 	// (abl-defer), the packing fan-out (ctrl-shard, whose sharded planner
-	// packs its shards through runner.Map at 4 and 8 shards), and the
-	// seeded fault-injection sweep (chaos).
-	ids := []string{"fig5", "fig9", "abl-window", "abl-defer", "ctrl-shard", "chaos"}
+	// packs its shards through runner.Map at 4 and 8 shards), the seeded
+	// fault-injection sweep (chaos), and a deployment-level goodput search
+	// (fig11: traffic queries through searchGoodput).
+	ids := []string{"fig5", "fig9", "abl-window", "abl-defer", "ctrl-shard", "chaos", "fig11"}
 
 	runAll := func(workers int) (map[string]string, map[string]uint64) {
 		prev := runner.SetDefaultWorkers(workers)

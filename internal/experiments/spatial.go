@@ -7,7 +7,6 @@ import (
 	"nexus/internal/cluster"
 	"nexus/internal/globalsched"
 	"nexus/internal/model"
-	"nexus/internal/runner"
 	"nexus/internal/scheduler"
 	"nexus/internal/workload"
 )
@@ -78,7 +77,7 @@ func spatialDeploy(rc *RunContext, v spatialVariant) (spatialResult, error) {
 	if _, err := d.Run(window); err != nil {
 		return spatialResult{}, err
 	}
-	finishDeployment(rc, d)
+	rc.AddEvents(d.Clock.Executed())
 	res := spatialResult{
 		goodput: d.Goodput(window),
 		badPct:  100 * d.BadRate(),
@@ -112,14 +111,16 @@ func spatialSweep(rc *RunContext) (*Table, error) {
 		{name: "spatial", placement: scheduler.PlaceSpatial},
 		{name: "hybrid", placement: scheduler.PlaceHybrid},
 	}
-	type cell struct {
-		res spatialResult
-		err error
-	}
-	cells := runner.MapNamed("spatial", len(variants), func(i int) cell {
+	results, err := runCells("spatial", len(variants), func(i int) (spatialResult, error) {
 		res, err := spatialDeploy(rc, variants[i])
-		return cell{res, err}
+		if err != nil {
+			return res, fmt.Errorf("%s: %w", variants[i].name, err)
+		}
+		return res, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:     "spatial",
 		Title:  "GPU multiplexing policy on a 13ms-SLO camera fleet plus a ResNet-50 backbone",
@@ -130,15 +131,8 @@ func spatialSweep(rc *RunContext) (*Table, error) {
 			"hybrid chooses per session: slices where cheaper, duty cycles (and saturation) elsewhere — it must never use more GPUs than temporal",
 		},
 	}
-	var temporal spatialResult
 	for i, v := range variants {
-		if cells[i].err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, cells[i].err)
-		}
-		res := cells[i].res
-		if i == 0 {
-			temporal = res
-		}
+		res := results[i]
 		t.AddRow(v.name,
 			fmt.Sprintf("%.0f", res.goodput),
 			fmt.Sprintf("%.2f", res.badPct),
@@ -147,6 +141,5 @@ func spatialSweep(rc *RunContext) (*Table, error) {
 			fmt.Sprintf("%d", res.spatialNodes),
 		)
 	}
-	_ = temporal
 	return t, nil
 }

@@ -552,55 +552,22 @@ func RecoveryTime(good *TimeSeries, faultAt, preWindow time.Duration, frac float
 // evaluation: at least 99% of requests within the latency SLO.
 const GoodputTarget = 0.99
 
-// MaxGoodput finds the maximum request rate (req/s) at which eval reports a
-// bad rate of at most 1-target. eval must be monotone in rate to within
-// noise; the search brackets by doubling from lo and then bisects until the
-// bracket is within tol (relative). It returns 0 if even lo fails.
-func MaxGoodput(lo, hi float64, target float64, tol float64, eval func(rate float64) (badRate float64)) float64 {
-	if lo <= 0 {
-		lo = 1
-	}
-	if tol <= 0 {
-		tol = 0.02
-	}
-	maxBad := 1 - target
-	if eval(lo) > maxBad {
-		return 0
-	}
-	good := lo
-	bad := hi
-	if eval(hi) <= maxBad {
-		return hi
-	}
-	for bad-good > tol*bad {
-		mid := (good + bad) / 2
-		if eval(mid) <= maxBad {
-			good = mid
-		} else {
-			bad = mid
-		}
-	}
-	return good
-}
-
-// MaxGoodputK is the speculative variant of MaxGoodput: each round it
-// evaluates k evenly spaced candidate rates inside the bracket
-// concurrently (bounded by the runner pool), then uses eval's monotonicity
-// to collapse the bracket onto the interval between the highest passing
-// and lowest failing probe — a shrink factor of 1/(k+1) per round instead
-// of binary search's 1/2.
+// MaxGoodputK finds the maximum request rate (req/s) in [lo, hi] at which
+// eval reports a bad rate of at most 1-target, to within tol (relative).
+// It returns 0 if even lo fails and hi if hi passes; both endpoints are
+// evaluated together, first. Each round then evaluates k evenly spaced
+// candidate rates inside the bracket concurrently (bounded by the runner
+// pool) and uses eval's monotonicity to collapse the bracket onto the
+// interval between the highest passing and lowest failing probe: a shrink
+// factor of 1/(k+1) per round. k = 1 is bisection.
 //
 // The probe rates depend only on (lo, hi, k), never on worker count or
 // completion order, so the result is identical whether the probes run on
 // one goroutine or many. eval must be safe for concurrent invocation: each
 // call must build its own isolated simulation (its own clock, rng, and
-// deployment), which every builder in internal/experiments does.
-//
-// k <= 1 degenerates to the sequential bisection of MaxGoodput.
+// deployment), which every probe in internal/experiments does.
 func MaxGoodputK(lo, hi float64, target float64, tol float64, k int, eval func(rate float64) (badRate float64)) float64 {
-	if k <= 1 {
-		return MaxGoodput(lo, hi, target, tol, eval)
-	}
+	k = max(k, 1)
 	if lo <= 0 {
 		lo = 1
 	}

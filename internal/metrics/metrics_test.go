@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -218,27 +220,27 @@ func TestMaxGoodputBasic(t *testing.T) {
 		}
 		return 0.5
 	}
-	got := MaxGoodput(1, 10000, GoodputTarget, 0.01, eval)
+	got := MaxGoodputK(1, 10000, GoodputTarget, 0.01, 1, eval)
 	if math.Abs(got-500) > 10 {
-		t.Fatalf("MaxGoodput = %v, want ~500", got)
+		t.Fatalf("MaxGoodputK(k=1) = %v, want ~500", got)
 	}
 }
 
 func TestMaxGoodputAllBad(t *testing.T) {
-	got := MaxGoodput(1, 1000, GoodputTarget, 0.01, func(float64) float64 { return 1 })
+	got := MaxGoodputK(1, 1000, GoodputTarget, 0.01, 1, func(float64) float64 { return 1 })
 	if got != 0 {
-		t.Fatalf("MaxGoodput = %v, want 0", got)
+		t.Fatalf("MaxGoodputK(k=1) = %v, want 0", got)
 	}
 }
 
 func TestMaxGoodputAllGood(t *testing.T) {
-	got := MaxGoodput(1, 1000, GoodputTarget, 0.01, func(float64) float64 { return 0 })
+	got := MaxGoodputK(1, 1000, GoodputTarget, 0.01, 1, func(float64) float64 { return 0 })
 	if got != 1000 {
-		t.Fatalf("MaxGoodput = %v, want hi bound 1000", got)
+		t.Fatalf("MaxGoodputK(k=1) = %v, want hi bound 1000", got)
 	}
 }
 
-// Property: MaxGoodput lands within tolerance of a random true capacity.
+// Property: bisection lands within tolerance of a random true capacity.
 func TestPropertyMaxGoodput(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -249,7 +251,7 @@ func TestPropertyMaxGoodput(t *testing.T) {
 			}
 			return 0.2
 		}
-		got := MaxGoodput(1, 10000, GoodputTarget, 0.01, eval)
+		got := MaxGoodputK(1, 10000, GoodputTarget, 0.01, 1, eval)
 		return got <= capacity && got >= capacity*0.97
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -261,6 +263,7 @@ func TestMaxGoodputNonMonotoneEval(t *testing.T) {
 	// Real systems occasionally pass at a higher rate than one they failed
 	// (placement effects). The search must still terminate and return a
 	// rate that actually passed.
+	var mu sync.Mutex // the endpoints are evaluated concurrently
 	calls := map[float64]float64{}
 	eval := func(rate float64) float64 {
 		// Fail in a narrow band, pass elsewhere below 800.
@@ -271,15 +274,50 @@ func TestMaxGoodputNonMonotoneEval(t *testing.T) {
 		if rate >= 800 {
 			bad = 0.5
 		}
+		mu.Lock()
 		calls[rate] = bad
+		mu.Unlock()
 		return bad
 	}
-	got := MaxGoodput(10, 2000, GoodputTarget, 0.02, eval)
+	got := MaxGoodputK(10, 2000, GoodputTarget, 0.02, 1, eval)
 	if got <= 0 || got >= 800 {
-		t.Fatalf("MaxGoodput = %v", got)
+		t.Fatalf("MaxGoodputK(k=1) = %v", got)
 	}
 	if calls[got] > 1-GoodputTarget {
 		t.Fatalf("returned a failing rate %v (bad %v)", got, calls[got])
+	}
+}
+
+// TestMaxGoodputKOneIsBisection: at k = 1 the search probes lo, then hi,
+// then the midpoint (good+bad)/2 of the bracket each round, and returns
+// the last passing rate.
+func TestMaxGoodputKOneIsBisection(t *testing.T) {
+	prev := runner.SetDefaultWorkers(1) // endpoints in call order
+	defer runner.SetDefaultWorkers(prev)
+	var calls []float64
+	got := MaxGoodputK(1, 1000, GoodputTarget, 0.01, 1, func(r float64) float64 {
+		calls = append(calls, r)
+		if r <= 300 {
+			return 0
+		}
+		return 1
+	})
+	want := []float64{1, 1000}
+	good, bad := 1.0, 1000.0
+	for bad-good > 0.01*bad {
+		mid := (good + bad) / 2
+		want = append(want, mid)
+		if mid <= 300 {
+			good = mid
+		} else {
+			bad = mid
+		}
+	}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("k=1 probed %v, want %v", calls, want)
+	}
+	if got != good {
+		t.Fatalf("k=1 returned %v, want %v", got, good)
 	}
 }
 
@@ -327,22 +365,6 @@ func TestMaxGoodputKEdges(t *testing.T) {
 	}
 	if got := MaxGoodputK(1, 1000, GoodputTarget, 0.01, 4, func(float64) float64 { return 0 }); got != 1000 {
 		t.Fatalf("all-good: got %v, want hi bound 1000", got)
-	}
-	// k<=1 falls back to the sequential bisection.
-	seq := MaxGoodput(1, 1000, GoodputTarget, 0.01, func(r float64) float64 {
-		if r <= 300 {
-			return 0
-		}
-		return 1
-	})
-	k1 := MaxGoodputK(1, 1000, GoodputTarget, 0.01, 1, func(r float64) float64 {
-		if r <= 300 {
-			return 0
-		}
-		return 1
-	})
-	if seq != k1 {
-		t.Fatalf("k=1 fallback diverged: %v vs %v", k1, seq)
 	}
 }
 

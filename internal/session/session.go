@@ -3,7 +3,8 @@
 // per-session state of the frontend, the control plane, the metrics
 // recorder and the tracer are indexed by handle; session ID strings appear
 // only at the API, spec and observation edges, which resolve them through
-// the deployment's one Table.
+// the deployment's one Table. A Table interns any strings: the tracer
+// (internal/trace) keeps its span names in one too.
 package session
 
 import "slices"

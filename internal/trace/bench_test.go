@@ -87,7 +87,7 @@ func trafficSpans(tr *Tracer, n int) []Span {
 		arrive += time.Duration(21+rng.Intn(100)) * time.Microsecond
 		s := sessions[rng.Intn(len(sessions))]
 		be := backends[rng.Intn(len(backends))]
-		unit := tr.Name(tr.sessions.ID(s) + "/" + tr.names.list[be])
+		unit := tr.Name(tr.sessions.ID(s) + "/" + tr.names.ID(session.Handle(be)))
 		enq := arrive + time.Duration(500+rng.Intn(1000))*time.Microsecond
 		exec := enq + time.Duration(rng.Intn(20))*time.Millisecond
 		gpu := time.Duration(5+rng.Intn(25)) * time.Millisecond

@@ -10,5 +10,5 @@ func (t *Tracer) Record(e Event) {
 	if t.filter != nil && !t.filter(e.ReqID) {
 		return
 	}
-	*t.slot() = t.names.pack(&e, t.sessions)
+	*t.slot() = pack(&e, t.names, t.sessions)
 }

@@ -129,7 +129,7 @@ func (s *Spans) UnmarshalJSON(data []byte) error {
 		if err := dec.Decode(&e); err != nil {
 			return err
 		}
-		sp := n.pack(&e, sessions)
+		sp := pack(&e, n, sessions)
 		enc = c.append(enc, &sp)
 		count++
 	}
@@ -137,7 +137,7 @@ func (s *Spans) UnmarshalJSON(data []byte) error {
 		*s = Spans{}
 		return nil
 	}
-	*s = Spans{enc: enc, n: count, names: n.list, sessions: sessions.IDs()}
+	*s = Spans{enc: enc, n: count, names: n.IDs(), sessions: sessions.IDs()}
 	return nil
 }
 

@@ -146,42 +146,24 @@ const (
 	DropName
 )
 
-// names is an append-only name table: list[h] is the string of handle h,
-// and index maps each string back to its handle. Every table starts with
-// "" and the six kinds at their fixed handles. Since it only appends, a
-// prefix of list, once read, never changes.
-type names struct {
-	list  []string
-	index map[string]Name
-}
-
-func newNames() names {
-	list := []string{"", string(Arrive), string(Route), string(Enqueue), string(Execute), string(Complete), string(Drop)}
-	index := make(map[string]Name, len(list))
-	for h, v := range list {
-		index[v] = Name(h)
+// newNames returns a name table (a session.Table of strings, whose
+// handles are Names) holding "" and the six kinds at their fixed handles.
+func newNames() *session.Table {
+	n := session.NewTable()
+	for _, k := range []Kind{Arrive, Route, Enqueue, Execute, Complete, Drop} {
+		n.Intern(string(k))
 	}
-	return names{list: list, index: index}
-}
-
-// intern returns v's handle, adding v to the table if it is new.
-func (n *names) intern(v string) Name {
-	h, ok := n.index[v]
-	if !ok {
-		h = Name(len(n.list))
-		n.list = append(n.list, v)
-		n.index[v] = h
-	}
-	return h
+	return n
 }
 
 // pack returns e as a record, interning its session in sessions and its
-// other strings in n.
-func (n *names) pack(e *Event, sessions *session.Table) Span {
+// other strings in names.
+func pack(e *Event, names, sessions *session.Table) Span {
+	name := func(v string) Name { return Name(names.Intern(v)) }
 	return Span{
 		At: e.At, Dur: e.Dur, Req: e.ReqID, Inc: e.Inc, Batch: e.Batch,
-		Kind: n.intern(string(e.Kind)), Session: sessions.Intern(e.Session), Backend: n.intern(e.Backend),
-		Unit: n.intern(e.Unit), Cause: n.intern(e.Cause), Detail: n.intern(e.Detail),
+		Kind: name(string(e.Kind)), Session: sessions.Intern(e.Session), Backend: name(e.Backend),
+		Unit: name(e.Unit), Cause: name(e.Cause), Detail: name(e.Detail),
 	}
 }
 
@@ -206,7 +188,7 @@ type Tracer struct {
 	next     int
 	total    uint64
 	filter   func(req uint64) bool
-	names    names
+	names    *session.Table
 	sessions *session.Table
 }
 
@@ -249,7 +231,7 @@ func (t *Tracer) Name(v string) Name {
 	if t == nil {
 		return 0
 	}
-	return t.names.intern(v)
+	return Name(t.names.Intern(v))
 }
 
 // Put appends a record whose names are this tracer's handles and whose
@@ -342,7 +324,7 @@ func (t *Tracer) Events() []Event {
 	sessions := t.sessions.IDs()
 	t.runs(func(run []Span) {
 		for i := range run {
-			out = append(out, unpack(&run[i], t.names.list, sessions))
+			out = append(out, unpack(&run[i], t.names.IDs(), sessions))
 		}
 	})
 	return out
@@ -380,6 +362,5 @@ func (t *Tracer) Between(from, to time.Duration) Spans {
 			}
 		}
 	})
-	l := t.names.list
-	return Spans{enc: enc, n: n, names: l[:len(l):len(l)], sessions: t.sessions.IDs()}
+	return Spans{enc: enc, n: n, names: t.names.IDs(), sessions: t.sessions.IDs()}
 }

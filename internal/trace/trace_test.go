@@ -602,7 +602,7 @@ func TestRecordInternsNothing(t *testing.T) {
 	for req := range uint64(1 << 12) { // wrap the ring first
 		lifecycle(req)
 	}
-	names, ids := len(tr.names.list), tr.sessions.Len()
+	names, ids := tr.names.Len(), tr.sessions.Len()
 	if n := testing.AllocsPerRun(1, func() {
 		for req := range uint64(20000) { // 10^5 records
 			lifecycle(req)
@@ -610,8 +610,8 @@ func TestRecordInternsNothing(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("10^5 records allocated %v times, want 0", n)
 	}
-	if len(tr.names.list) != names || len(tr.names.index) != names {
-		t.Fatalf("recording grew the name table from %d to %d", names, len(tr.names.list))
+	if tr.names.Len() != names {
+		t.Fatalf("recording grew the name table from %d to %d", names, tr.names.Len())
 	}
 	if tr.sessions.Len() != ids {
 		t.Fatalf("recording grew the session table from %d to %d", ids, tr.sessions.Len())
@@ -639,7 +639,7 @@ func TestSessionNamesFromTable(t *testing.T) {
 	if !ok {
 		t.Fatal("Record did not intern its session in the shared table")
 	}
-	if _, ok := tr.names.index["late"]; ok {
+	if _, ok := tr.names.Lookup("late"); ok {
 		t.Fatal("a session name went into the tracer's name table")
 	}
 	window := tr.Between(0, 0)

@@ -184,7 +184,9 @@ func CatalogProfiles(mdb *model.DB, gpu GPUType) (map[string]*Profile, error) {
 
 // MaxGoodput finds the maximum request rate at which the deployment built
 // by build keeps at least 99% of requests within their SLOs (the paper's
-// throughput metric, §7). Each probe runs `dur` of virtual time.
+// throughput metric, §7). Each probe runs `dur` of virtual time. The search
+// bisects, evaluating lo and hi together first, so build may be called
+// from two goroutines at once: each call must build its own deployment.
 func MaxGoodput(lo, hi float64, dur time.Duration, build func(rate float64) (*Deployment, error)) float64 {
 	eval := func(rate float64) float64 {
 		d, err := build(rate)
@@ -197,7 +199,7 @@ func MaxGoodput(lo, hi float64, dur time.Duration, build func(rate float64) (*De
 		}
 		return bad
 	}
-	return metrics.MaxGoodput(lo, hi, metrics.GoodputTarget, 0.02, eval)
+	return metrics.MaxGoodputK(lo, hi, metrics.GoodputTarget, 0.02, 1, eval)
 }
 
 // AppBuilder constructs one of the paper's applications (Table 4) against
